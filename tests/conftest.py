@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from parl.augment import fit_scorer, fit_what, fit_where
 from parl.styles import styles_for_agents
-from parl.world import ScenarioGenerator, TaskType, WorldConfig
+from parl.world import ScenarioGenerator, TaskType, WorldConfig, segment
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,23 @@ def small_dataset(generator):
     tasks = [task for task in TaskType for _ in range(6)]
     seeds = list(range(100, 100 + len(tasks)))
     return generator.generate_dataset(0, tasks, seeds)
+
+
+@pytest.fixture(scope="session")
+def layouts(generator, small_dataset):
+    """The small dataset segmented under its own style."""
+    style = generator.styles[0]
+    return [segment(s.scenario, style) for s in small_dataset]
+
+
+@pytest.fixture(scope="session")
+def predictors(layouts):
+    return fit_where(layouts), fit_what(layouts)
+
+
+@pytest.fixture(scope="session")
+def scorer(layouts):
+    return fit_scorer(layouts)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

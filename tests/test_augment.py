@@ -29,23 +29,7 @@ from parl.augment import (
 )
 from parl.errors import DegenerateInputError, FittingError
 from parl.styles import N_CLASSES
-from parl.world import BACKGROUND_ID, ClassId, THING_CLASSES, segment
-
-
-@pytest.fixture(scope="module")
-def layouts(generator, small_dataset):
-    style = generator.styles[0]
-    return [segment(s.scenario, style) for s in small_dataset]
-
-
-@pytest.fixture(scope="module")
-def predictors(layouts):
-    return fit_where(layouts), fit_what(layouts)
-
-
-@pytest.fixture(scope="module")
-def scorer(layouts):
-    return fit_scorer(layouts)
+from parl.world import BACKGROUND_ID, ClassId, THING_CLASSES
 
 
 # ---------------------------------------------------------------------------
