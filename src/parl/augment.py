@@ -10,12 +10,22 @@ Everything here is statistics over discrete grids: placement is a smoothed
 histogram over (context, position, scale) bins, shapes are masks harvested
 from real instances, and the scorer aggregates class-adjacency, placement,
 size, and shape-regularity evidence at three pooling scales.
+
+The scorer never works on a full-grid mask per instance. One find_objects
+pass gives every instance's bbox and cells; at each pooling scale, one
+component function (_instance_components) any-pools the instance onto its
+bbox crop plus a pooled cell of margin and returns the instance's context,
+size and fill bins, its component count and its ring of outside neighbour
+classes. Scoring, diagnostics_json and scorer fitting all read those
+components, and the evidence tables they are looked up in are normalized
+once, when the scale stats are built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy import ndimage
@@ -60,28 +70,30 @@ def _depth_map(classes: np.ndarray) -> np.ndarray:
     depths count cells outside it. Rows without road are deeply off-road.
     """
     h, w = classes.shape
-    depth = np.full((h, w), -w, dtype=np.int32)
-    road_like = np.isin(classes, (ClassId.ROAD, ClassId.LANE_MARKING))
+    road_like = (classes == ClassId.ROAD) | (classes == ClassId.LANE_MARKING)
+    lo = road_like.argmax(axis=1)[:, None]
+    hi = w - 1 - road_like[:, ::-1].argmax(axis=1)[:, None]
     cols = np.arange(w)
-    for row in range(h):
-        rc = np.flatnonzero(road_like[row])
-        if rc.size == 0:
-            continue
-        lo, hi = rc.min(), rc.max()
-        inside = np.minimum(cols - lo, hi - cols) + 1
-        outside = -np.where(cols < lo, lo - cols, cols - hi)
-        depth[row] = np.where((cols >= lo) & (cols <= hi), inside, outside)
+    depth = np.where(
+        (cols >= lo) & (cols <= hi),
+        np.minimum(cols - lo, hi - cols) + 1,
+        -np.maximum(lo - cols, cols - hi),
+    ).astype(np.int32)
+    depth[~road_like.any(axis=1)] = -w
     return depth
 
 
+# Context bins by depth: 0 deep road (>= 3), 1 road edge (1..2), 2 roadside
+# strip (-3..-1), 3 far off (<= -4). _depth_map never yields depth 0.
+_CTX_DEPTH_EDGES = (-3, 1, 3)
+
+
 def _ctx_bin_from_depth(depth: np.ndarray) -> np.ndarray:
-    """Context bins: 0 deep road, 1 road edge, 2 roadside strip, 3 far off."""
-    out = np.empty(depth.shape, dtype=np.int8)
-    out[depth >= 3] = 0
-    out[(depth >= 1) & (depth <= 2)] = 1
-    out[(depth <= -1) & (depth >= -3)] = 2
-    out[depth <= -4] = 3
-    return out
+    return (N_CTX_BINS - 1 - np.digitize(depth, _CTX_DEPTH_EDGES)).astype(np.int8)
+
+
+def _ctx_bin_of(depth: int) -> int:
+    return N_CTX_BINS - 1 - bisect_right(_CTX_DEPTH_EDGES, depth)
 
 
 def _pos_bins(rows: np.ndarray, cols: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,18 +106,38 @@ def _record_mask(instances: InstanceMap, record: InstanceRecord) -> np.ndarray:
     return instances.instance_grid == record.instance_id
 
 
-def _centroid(mask: np.ndarray) -> tuple[int, int]:
-    ys, xs = np.nonzero(mask)
-    return int(round(ys.mean())), int(round(xs.mean()))
+_Box = tuple[slice, slice]
 
 
-def _mask_ctx_bin(depth: np.ndarray, mask: np.ndarray) -> int:
-    """Context bin of a blob by its closest approach to the road.
+class _Cells(NamedTuple):
+    """Where one record's instance lies on the full-resolution grid."""
 
-    The maximum depth over the mask keeps wide roadside blobs in the
-    roadside bin even when their far cells reach deep into the scenery.
+    record: InstanceRecord
+    box: _Box  # bbox slices
+    ys: np.ndarray  # cell rows and columns, row-major
+    xs: np.ndarray
+    connected: bool  # the cells form one 4-connected component
+
+
+def _instance_cells(instances: InstanceMap) -> list[_Cells]:
+    """The cells of each record that owns any, found in one pass over the grid.
+
+    find_objects gives every bbox; the cells come from the bbox crop, in
+    the row-major order np.nonzero on the full grid would list them.
     """
-    return int(_ctx_bin_from_depth(np.array([[depth[mask].max()]]))[0, 0])
+    grid = instances.instance_grid
+    boxes = ndimage.find_objects(grid + 1)
+    out = []
+    for rec in instances.records:
+        i = rec.instance_id
+        box = boxes[i] if 0 <= i < len(boxes) else None
+        if box is None:
+            continue
+        mask = grid[box] == i
+        ys, xs = np.nonzero(mask)
+        connected = ndimage.label(mask, structure=_CONN4)[1] == 1
+        out.append(_Cells(rec, box, ys + box[0].start, xs + box[1].start, connected))
+    return out
 
 
 FILL_BIN_EDGES = (0.55, 0.7, 0.85)
@@ -113,39 +145,34 @@ N_FILL_BINS = len(FILL_BIN_EDGES) + 1
 
 
 def _fill_bin(fill: float) -> int:
-    return int(np.searchsorted(FILL_BIN_EDGES, fill, side="right"))
+    return bisect_right(FILL_BIN_EDGES, fill)
 
 
 def _contact_flags(instances: InstanceMap) -> dict[int, bool]:
     """Whether each record touches another record of the same class.
 
-    Generated worlds and the insertion sampler both keep a one-cell gap
-    between same-class instances, so contact only ever comes from corrupted
-    layouts.
+    Two 4-adjacent cells touch when they hold different records of the same
+    class. Generated worlds and the insertion sampler both keep a one-cell
+    gap between same-class instances, so contact only ever comes from
+    corrupted layouts.
     """
     grid = instances.instance_grid
-    h, w = grid.shape
-    by_class: dict[int, set[int]] = {}
-    for rec in instances.records:
-        by_class.setdefault(int(rec.class_id), set()).add(rec.instance_id)
-    flags: dict[int, bool] = {}
-    for rec in instances.records:
-        mask = grid == rec.instance_id
-        peers = by_class[int(rec.class_id)] - {rec.instance_id}
-        if not peers or not mask.any():
-            flags[rec.instance_id] = False
-            continue
-        touched = False
-        ys, xs = np.nonzero(mask)
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ny, nx = ys + dy, xs + dx
-            ok = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-            neighbor_ids = grid[ny[ok], nx[ok]]
-            if np.isin(neighbor_ids, list(peers)).any():
-                touched = True
-                break
-        flags[rec.instance_id] = touched
-    return flags
+    records = instances.records
+    if not records:
+        return {}
+    # Class per grid value, indexed by id + 1; background maps to -1.
+    class_of = np.full(max(r.instance_id for r in records) + 2, -1, dtype=np.int64)
+    class_of[[r.instance_id + 1 for r in records]] = [int(r.class_id) for r in records]
+    classes = class_of[grid + 1]
+    touched = np.zeros(class_of.size, dtype=bool)
+    for a, b, ca, cb in (
+        (grid[:, :-1], grid[:, 1:], classes[:, :-1], classes[:, 1:]),
+        (grid[:-1], grid[1:], classes[:-1], classes[1:]),
+    ):
+        hit = (a != b) & (ca == cb) & (ca >= 0)
+        touched[a[hit] + 1] = True
+        touched[b[hit] + 1] = True
+    return {r.instance_id: bool(touched[r.instance_id + 1]) for r in records}
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +288,8 @@ def fit_where(layouts: Sequence[Layout], alpha: float = 0.5) -> WherePredictor:
         depth = _depth_map(semantic.classes)
         ctx_map = _ctx_bin_from_depth(depth)
         h, w = semantic.classes.shape
-        for rec in instances.records:
-            mask = _record_mask(instances, rec)
-            if not mask.any():
-                continue
-            r, c = _centroid(mask)
+        for rec, _, ys, xs, _ in _instance_cells(instances):
+            r, c = int(round(ys.mean())), int(round(xs.mean()))
             py, px = _pos_bins(np.array([r]), np.array([c]), h, w)
             sbin = scale_bin_of(rec.bbox[2], rec.bbox[3])
             counts[rec.class_id, ctx_map[r, c], py[0] * POS_BINS + px[0], sbin] += 1
@@ -357,18 +381,13 @@ def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
     templates = []
     seen: set[int] = set()
     for _, instances in layouts:
-        for rec in instances.records:
-            mask = _record_mask(instances, rec)
-            if not mask.any():
-                continue
+        for rec, box, _, _, connected in _instance_cells(instances):
             seen.add(int(rec.class_id))
-            ys, xs = np.nonzero(mask)
-            crop = mask[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
-            _, n = ndimage.label(crop, structure=_CONN4)
-            if n != 1:
+            if not connected:
                 continue  # fragmented masks make unusable templates
+            crop = instances.instance_grid[box] == rec.instance_id
             sbin = scale_bin_of(crop.shape[1], crop.shape[0])
-            templates.append((int(rec.class_id), sbin, crop.copy()))
+            templates.append((int(rec.class_id), sbin, crop))
     if not templates:
         raise FittingError("no instances found in the provided layouts")
     have = {cls for cls, _, _ in templates}
@@ -502,23 +521,13 @@ def _mode_pool(classes: np.ndarray, factor: int) -> np.ndarray:
         return classes
     h, w = classes.shape
     ph, pw = -h % factor, -w % factor
-    padded = np.pad(classes, ((0, ph), (0, pw)), mode="edge")
-    hh, ww = padded.shape[0] // factor, padded.shape[1] // factor
-    blocks = padded.reshape(hh, factor, ww, factor)
-    votes = np.stack(
-        [(blocks == c).sum(axis=(1, 3)) for c in range(N_CLASSES)], axis=0
-    )
-    return votes.argmax(axis=0).astype(np.uint8)
-
-
-def _any_pool(mask: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return mask
-    h, w = mask.shape
-    ph, pw = -h % factor, -w % factor
-    padded = np.pad(mask, ((0, ph), (0, pw)), mode="constant")
-    hh, ww = padded.shape[0] // factor, padded.shape[1] // factor
-    return padded.reshape(hh, factor, ww, factor).any(axis=(1, 3))
+    if ph or pw:
+        classes = np.pad(classes, ((0, ph), (0, pw)), mode="edge")
+    hh, ww = classes.shape[0] // factor, classes.shape[1] // factor
+    blocks = classes.reshape(hh, factor, ww, factor).transpose(0, 2, 1, 3)
+    keys = np.arange(hh * ww).reshape(hh, ww, 1, 1) * N_CLASSES + blocks
+    votes = np.bincount(keys.ravel(), minlength=hh * ww * N_CLASSES)
+    return votes.reshape(hh, ww, N_CLASSES).argmax(axis=2).astype(np.uint8)
 
 
 def _adjacency_counts(classes: np.ndarray) -> np.ndarray:
@@ -533,18 +542,62 @@ def _adjacency_counts(classes: np.ndarray) -> np.ndarray:
     return counts
 
 
+EVIDENCE_FLOOR = 0.8
+
+
+def _normalized_evidence(table: np.ndarray) -> np.ndarray:
+    """0 for never-observed evidence, else a value in [floor, 1], per cell.
+
+    Each row is scaled by its peak. The floor separates "rare but real" from
+    "never seen": any observed bin beats every unobserved bin by a fixed
+    gap, which is what the corruption calibration leans on.
+    """
+    peaks = table.max(axis=1, keepdims=True)
+    ratio = table / np.where(peaks > 0, peaks, 1.0)
+    return np.where(table > 0, EVIDENCE_FLOOR + (1.0 - EVIDENCE_FLOOR) * ratio, 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class _ScaleStats:
-    """Evidence tables at one pooling scale."""
+    """Evidence tables at one pooling scale.
+
+    The *_norm tables are derived once at construction: never serialized,
+    never compared. Adjacency normalizes as floor + ((1 - floor) * count) /
+    peak, the other tables as floor + (1 - floor) * (count / peak); the two
+    float associations are kept apart so scores stay bit for bit what the
+    tables define.
+    """
 
     adjacency: np.ndarray  # (N_CLASSES, N_CLASSES) pair counts
     ctx_freq: np.ndarray  # (N_CLASSES, N_CTX_BINS) instance context counts
     size_freq: np.ndarray  # (N_CLASSES, N_SCALE_BINS) instance size counts
     fill_freq: np.ndarray  # (N_CLASSES, N_FILL_BINS) bbox fill-ratio counts
+    adj_norm: np.ndarray = field(init=False, repr=False)
+    adj_seen: np.ndarray = field(init=False, repr=False)  # (N_CLASSES,) any adjacency
+    ctx_norm: np.ndarray = field(init=False, repr=False)
+    size_norm: np.ndarray = field(init=False, repr=False)
+    fill_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("adjacency", "ctx_freq", "size_freq", "fill_freq"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        peaks = self.adjacency.max(axis=1)
+        safe = np.where(peaks > 0, peaks, 1.0)
+        adj_norm = np.where(
+            self.adjacency > 0,
+            EVIDENCE_FLOOR + (1.0 - EVIDENCE_FLOOR) * self.adjacency / safe[:, None],
+            0.0,
+        )
+        derived = {
+            "adj_norm": adj_norm,
+            "adj_seen": peaks > 0,
+            "ctx_norm": _normalized_evidence(self.ctx_freq),
+            "size_norm": _normalized_evidence(self.size_freq),
+            "fill_norm": _normalized_evidence(self.fill_freq),
+        }
+        for name, arr in derived.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -557,81 +610,127 @@ class _ScaleStats:
         )
 
 
-def _fit_scale_stats(layouts: Sequence[Layout], factor: int) -> _ScaleStats:
-    adjacency = np.zeros((N_CLASSES, N_CLASSES))
-    ctx_freq = np.zeros((N_CLASSES, N_CTX_BINS))
-    size_freq = np.zeros((N_CLASSES, N_SCALE_BINS))
-    fill_freq = np.zeros((N_CLASSES, N_FILL_BINS))
-    for semantic, instances in layouts:
-        pooled = _mode_pool(semantic.classes, factor)
-        adjacency += _adjacency_counts(pooled)
-        depth = _depth_map(pooled)
-        for rec in instances.records:
-            mask = _any_pool(_record_mask(instances, rec), factor)
-            if not mask.any():
-                continue
-            ys, xs = np.nonzero(mask)
-            bw, bh = int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1)
-            ctx_freq[rec.class_id, _mask_ctx_bin(depth, mask)] += 1
-            size_freq[rec.class_id, scale_bin_of(bw, bh)] += 1
-            fill_freq[rec.class_id, _fill_bin(mask.sum() / (bw * bh))] += 1
-    return _ScaleStats(
-        adjacency=adjacency, ctx_freq=ctx_freq, size_freq=size_freq, fill_freq=fill_freq
+class _Components(NamedTuple):
+    """Evidence keys of one instance at one pooling scale."""
+
+    # Context of the mask's closest approach to the road (its maximum
+    # depth), which keeps wide roadside blobs in the roadside bin even when
+    # their far cells reach deep into the scenery.
+    ctx_bin: int
+    size_bin: int
+    fill_bin: int
+    n_components: int
+    # Pooled classes of the mask's outside 4-neighbours, one array per
+    # direction (down, up, right, left), each in row-major order of the
+    # mask cell they neighbour.
+    ring: tuple[np.ndarray, ...]
+
+
+def _instance_components(
+    pooled: np.ndarray, depth: np.ndarray, factor: int, cells: _Cells
+) -> _Components:
+    """One instance's evidence keys at one scale, computed on its bbox crop.
+
+    The crop is the factor-aligned bbox any-pooled, plus one pooled cell of
+    margin clipped to the grid, so every outside neighbour of the pooled
+    mask lies inside it and every mask cell at the crop's edge sits on the
+    grid's edge. Any-pooling maps 4-adjacent cells to the same or 4-adjacent
+    blocks, so an instance connected at full resolution stays connected.
+    """
+    box = cells.box
+    y0, y1 = box[0].start // factor, (box[0].stop - 1) // factor + 1
+    x0, x1 = box[1].start // factor, (box[1].stop - 1) // factor + 1
+    h, w = pooled.shape
+    top, bottom = max(y0 - 1, 0), min(y1 + 1, h)
+    left, right = max(x0 - 1, 0), min(x1 + 1, w)
+    mask = np.zeros((bottom - top, right - left), dtype=bool)
+    mask[cells.ys // factor - top, cells.xs // factor - left] = True
+    classes = pooled[top:bottom, left:right]
+    out = ~mask
+    ring = (
+        classes[1:][mask[:-1] & out[1:]],
+        classes[:-1][mask[1:] & out[:-1]],
+        classes[:, 1:][mask[:, :-1] & out[:, 1:]],
+        classes[:, :-1][mask[:, 1:] & out[:, :-1]],
+    )
+    bw, bh = x1 - x0, y1 - y0
+    n_components = 1 if cells.connected else ndimage.label(mask, structure=_CONN4)[1]
+    return _Components(
+        ctx_bin=_ctx_bin_of(int(depth[top:bottom, left:right][mask].max())),
+        size_bin=scale_bin_of(bw, bh),
+        fill_bin=_fill_bin(mask.sum() / (bw * bh)),
+        n_components=n_components,
+        ring=ring,
     )
 
 
-EVIDENCE_FLOOR = 0.8
+def _layout_scales(
+    layout: Layout,
+) -> Iterator[tuple[np.ndarray, list[tuple[InstanceRecord, _Components]]]]:
+    """Per pool factor: the pooled class grid and each instance's components.
 
-
-def _evidence(table: np.ndarray, row: int, col: int) -> float:
-    """0 for never-observed evidence, else a value in [floor, 1].
-
-    The floor separates "rare but real" from "never seen": any observed bin
-    beats every unobserved bin by a fixed gap, which is what the corruption
-    calibration leans on.
+    Records without cells are left out. Instances are found once for all
+    scales.
     """
-    peak = table[row].max()
-    if peak <= 0 or table[row, col] <= 0:
-        return 0.0
-    return EVIDENCE_FLOOR + (1.0 - EVIDENCE_FLOOR) * float(table[row, col] / peak)
+    semantic, instances = layout
+    cells = _instance_cells(instances)
+    for factor in POOL_FACTORS:
+        pooled = _mode_pool(semantic.classes, factor)
+        depth = _depth_map(pooled)
+        yield pooled, [
+            (c.record, _instance_components(pooled, depth, factor, c)) for c in cells
+        ]
 
 
-def _ring_affinity(stats: _ScaleStats, pooled: np.ndarray, mask: np.ndarray, cls: int) -> float:
-    """Mean adjacency evidence between mask cells and outside neighbors."""
-    peak = stats.adjacency[cls].max()
-    if peak <= 0:
-        return 0.0
-    h, w = pooled.shape
+def _component_values(
+    stats: _ScaleStats, cls: int, comps: _Components
+) -> tuple[float, float, float, float]:
+    """(box, instance, affine, shape) evidence of one instance at one scale.
+
+    The instance term is the mean adjacency evidence over the ring, summed
+    direction by direction; a class without adjacency evidence scores 0 and
+    an empty ring scores 1.
+    """
+    box = float(stats.ctx_norm[cls, comps.ctx_bin])
+    affine = float(stats.size_norm[cls, comps.size_bin])
+    shape = float(stats.fill_norm[cls, comps.fill_bin]) * (
+        1.0 if comps.n_components == 1 else 0.2
+    )
+    if not stats.adj_seen[cls]:
+        return box, 0.0, affine, shape
+    row = stats.adj_norm[cls]
     total, count = 0.0, 0
-    ys, xs = np.nonzero(mask)
-    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ny, nx = ys + dy, xs + dx
-        ok = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-        ny, nx = ny[ok], nx[ok]
-        outside = ~mask[ny, nx]
-        neighbor_counts = stats.adjacency[cls][pooled[ny[outside], nx[outside]]]
-        seen = neighbor_counts > 0
-        vals = np.where(
-            seen, EVIDENCE_FLOOR + (1.0 - EVIDENCE_FLOOR) * neighbor_counts / peak, 0.0
+    for neighbours in comps.ring:
+        total += float(row[neighbours].sum())
+        count += neighbours.size
+    return box, total / count if count else 1.0, affine, shape
+
+
+def _fit_scale_stats(layouts: Sequence[Layout]) -> tuple[_ScaleStats, ...]:
+    """Evidence tables at every pool factor, counted over the layouts."""
+    n = len(POOL_FACTORS)
+    adjacency = np.zeros((n, N_CLASSES, N_CLASSES))
+    ctx_freq = np.zeros((n, N_CLASSES, N_CTX_BINS))
+    size_freq = np.zeros((n, N_CLASSES, N_SCALE_BINS))
+    fill_freq = np.zeros((n, N_CLASSES, N_FILL_BINS))
+    for layout in layouts:
+        for k, (pooled, instances) in enumerate(_layout_scales(layout)):
+            adjacency[k] += _adjacency_counts(pooled)
+            for rec, comps in instances:
+                ctx_freq[k, rec.class_id, comps.ctx_bin] += 1
+                size_freq[k, rec.class_id, comps.size_bin] += 1
+                fill_freq[k, rec.class_id, comps.fill_bin] += 1
+    return tuple(
+        _ScaleStats(
+            adjacency=adjacency[k], ctx_freq=ctx_freq[k], size_freq=size_freq[k],
+            fill_freq=fill_freq[k],
         )
-        total += float(vals.sum())
-        count += int(outside.sum())
-    return total / count if count else 1.0
-
-
-def _bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
-    ys, xs = np.nonzero(mask)
-    return int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1)
+        for k in range(n)
+    )
 
 
 def _global_adjacency_score(stats: _ScaleStats, pooled: np.ndarray) -> float:
-    peaks = stats.adjacency.max(axis=1)
-    safe = np.where(peaks > 0, peaks, 1.0)
-    norm = np.where(
-        stats.adjacency > 0,
-        EVIDENCE_FLOOR + (1.0 - EVIDENCE_FLOOR) * stats.adjacency / safe[:, None],
-        0.0,
-    )
+    norm = stats.adj_norm
     a = pooled[:, :-1].ravel()
     b = pooled[:, 1:].ravel()
     c = pooled[:-1, :].ravel()
@@ -653,6 +752,12 @@ class PlausibilityScorer:
     score at a scale is the weakest instance's weighted component sum; the
     raw score is the mean over scales, then an affine calibration maps it to
     [0, 1) so real layouts clear the threshold with margin.
+
+    Each instance is evaluated on its own bbox crop, pooled per scale, never
+    on the full grid. One component function (_instance_components) yields
+    the evidence keys that scoring, diagnostics_json and fitting all share,
+    and the evidence tables are normalized once, when the scale stats are
+    built.
     """
 
     scale_stats: tuple[_ScaleStats, ...]
@@ -679,55 +784,24 @@ class PlausibilityScorer:
 
     # -- scoring --
 
-    def _instance_score(
-        self, stats: _ScaleStats, pooled: np.ndarray, depth: np.ndarray, mask: np.ndarray,
-        cls: int, contact: bool,
-    ) -> float:
-        box = _evidence(stats.ctx_freq, cls, _mask_ctx_bin(depth, mask))
-        ring = _ring_affinity(stats, pooled, mask, cls)
-        bbox = _bbox_of(mask)
-        aff = _evidence(stats.size_freq, cls, scale_bin_of(bbox[2], bbox[3]))
-        fill = mask.sum() / (bbox[2] * bbox[3])
-        _, n_comp = ndimage.label(mask, structure=_CONN4)
-        shape = _evidence(stats.fill_freq, cls, _fill_bin(fill)) * (
-            1.0 if n_comp == 1 else 0.2
-        )
-        value = float(self.weights @ np.array([box, ring, aff, shape]))
-        # Hard gates: configurations real layouts never produce.
-        if contact:
-            value *= 0.1
-        if box == 0.0 or aff == 0.0:
-            value *= 0.3
-        return value
-
-    def _scale_score(
-        self, stats: _ScaleStats, layout: Layout, factor: int,
-        contacts: dict[int, bool],
-    ) -> float:
-        semantic, instances = layout
-        pooled = _mode_pool(semantic.classes, factor)
-        depth = _depth_map(pooled)
-        scores = []
-        for rec in instances.records:
-            mask = _any_pool(_record_mask(instances, rec), factor)
-            if not mask.any():
-                continue
-            scores.append(
-                self._instance_score(
-                    stats, pooled, depth, mask, int(rec.class_id),
-                    contacts.get(rec.instance_id, False),
-                )
-            )
-        if not scores:
-            return _global_adjacency_score(stats, pooled)
-        return min(scores)
-
     def raw_score(self, layout: Layout) -> float:
         contacts = _contact_flags(layout[1])
-        vals = [
-            self._scale_score(stats, layout, factor, contacts)
-            for stats, factor in zip(self.scale_stats, POOL_FACTORS)
-        ]
+        vals = []
+        for stats, (pooled, instances) in zip(self.scale_stats, _layout_scales(layout)):
+            if not instances:
+                vals.append(_global_adjacency_score(stats, pooled))
+                continue
+            scores = []
+            for rec, comps in instances:
+                box, ring, affine, shape = _component_values(stats, int(rec.class_id), comps)
+                value = float(self.weights @ np.array([box, ring, affine, shape]))
+                # Hard gates: configurations real layouts never produce.
+                if contacts[rec.instance_id]:
+                    value *= 0.1
+                if box == 0.0 or affine == 0.0:
+                    value *= 0.3
+                scores.append(value)
+            vals.append(min(scores))
         return float(np.mean(vals))
 
     def score_layout(self, layout: Layout) -> float:
@@ -788,29 +862,16 @@ def diagnostics_json(scorer: PlausibilityScorer, layouts: Sequence[Layout]) -> s
     import json
 
     names = ("box", "instance", "affine", "shape")
+    collected: list[dict[str, list[float]]] = [{n: [] for n in names} for _ in POOL_FACTORS]
+    for layout in layouts:
+        for stats, values, (_, instances) in zip(
+            scorer.scale_stats, collected, _layout_scales(layout)
+        ):
+            for rec, comps in instances:
+                for n, v in zip(names, _component_values(stats, int(rec.class_id), comps)):
+                    values[n].append(v)
     per_scale: list[dict] = []
-    for stats, factor in zip(scorer.scale_stats, POOL_FACTORS):
-        values: dict[str, list[float]] = {n: [] for n in names}
-        for semantic, instances in layouts:
-            pooled = _mode_pool(semantic.classes, factor)
-            depth = _depth_map(pooled)
-            for rec in instances.records:
-                mask = _any_pool(_record_mask(instances, rec), factor)
-                if not mask.any():
-                    continue
-                cls = int(rec.class_id)
-                bbox = _bbox_of(mask)
-                fill = mask.sum() / (bbox[2] * bbox[3])
-                _, n_comp = ndimage.label(mask, structure=_CONN4)
-                values["box"].append(_evidence(stats.ctx_freq, cls, _mask_ctx_bin(depth, mask)))
-                values["instance"].append(_ring_affinity(stats, pooled, mask, cls))
-                values["affine"].append(
-                    _evidence(stats.size_freq, cls, scale_bin_of(bbox[2], bbox[3]))
-                )
-                values["shape"].append(
-                    _evidence(stats.fill_freq, cls, _fill_bin(fill))
-                    * (1.0 if n_comp == 1 else 0.2)
-                )
+    for factor, values in zip(POOL_FACTORS, collected):
         per_scale.append(
             {
                 "pool_factor": factor,
@@ -1040,7 +1101,7 @@ def fit_scorer(
     n_fit = min(n_fit, len(real_layouts) - 1)
     fit_split = list(real_layouts[:n_fit])
     holdout = list(real_layouts[n_fit:])
-    stats = tuple(_fit_scale_stats(fit_split, f) for f in POOL_FACTORS)
+    stats = _fit_scale_stats(fit_split)
     probe = PlausibilityScorer(
         scale_stats=stats,
         threshold=threshold,
