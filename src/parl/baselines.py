@@ -194,6 +194,7 @@ def _is_coordinate_remap(source: DrivingSample, output: DrivingSample) -> bool:
 def qualitative_table(
     arms: Mapping[str, tuple[Sequence[DrivingSample], Sequence[DrivingSample]]],
     scorer: Optional[PlausibilityScorer] = None,
+    known_scores: Optional[Mapping[str, Sequence[float]]] = None,
 ) -> dict[str, dict]:
     """Mechanical axis flags per augmenter: number, semantic, instance, reality.
 
@@ -204,11 +205,28 @@ def qualitative_table(
     instance flags any added instance record, and reality buckets the mean
     plausibility score (A >= 0.75, B >= 0.5, C >= 0.25, else D; "-" without
     a scorer).
+
+    known_scores maps an arm to its outputs' scores under this same scorer,
+    aligned with the outputs, so candidates that already carry a score are
+    not scored again. Any other output is scored once per distinct layout:
+    outputs that share their semantic and instance map objects (an
+    appearance-only augmenter keeps its source's maps) share one score.
     """
+    known_scores = known_scores or {}
+    cache: dict[tuple[int, int], float] = {}
+
+    def layout_score(sample: DrivingSample) -> float:
+        key = (id(sample.semantic), id(sample.instances))
+        if key not in cache:
+            cache[key] = scorer.score_layout((sample.semantic, sample.instances))
+        return cache[key]
+
     table: dict[str, dict] = {}
     for name, (sources, outputs) in arms.items():
         if len(sources) != len(outputs):
             raise FittingError(f"{name}: sources and outputs must align")
+        if name in known_scores and len(known_scores[name]) != len(outputs):
+            raise FittingError(f"{name}: known scores and outputs must align")
         semantic = any(
             o.semantic != s.semantic and not _is_coordinate_remap(s, o)
             for s, o in zip(sources, outputs)
@@ -222,7 +240,10 @@ def qualitative_table(
         reality = "-"
         mean_score = None
         if scorer is not None and outputs:
-            scores = [scorer.score_layout((o.semantic, o.instances)) for o in outputs]
+            if name in known_scores:
+                scores = [float(v) for v in known_scores[name]]
+            else:
+                scores = [layout_score(o) for o in outputs]
             mean_score = float(np.mean(scores))
             for bucket, cutoff in (("A", 0.75), ("B", 0.5), ("C", 0.25)):
                 if mean_score >= cutoff:

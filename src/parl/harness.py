@@ -398,7 +398,12 @@ def run_experiment(
         qual_arms["color-jitter"] = (jitter_sources, jitter_outputs)
     if config.run_random_crop:
         qual_arms["random-resized-crop"] = (crop_sources, crop_outputs)
-    qualitative = qualitative_table(qual_arms, cloud.scorer)
+    # Each candidate already carries its score under cloud.scorer.
+    qualitative = qualitative_table(
+        qual_arms,
+        cloud.scorer,
+        known_scores={"semantic-insertion": [c.score for _, c in cloud.candidates]},
+    )
     if cloud.scorer is not None:
         pooled_layouts = [(s.semantic, s.instances) for s in pooled_samples]
         (out / "scorer_diagnostics.json").write_text(
