@@ -103,9 +103,6 @@ class StyleModel:
     def has_class(self, class_id: int) -> bool:
         return not bool(np.isnan(self.class_means[class_id]).any())
 
-    def present_classes(self) -> np.ndarray:
-        return np.flatnonzero(~np.isnan(self.class_means).any(axis=1))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StyleModel):
             return NotImplemented

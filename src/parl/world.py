@@ -155,18 +155,6 @@ class InstanceMap:
     def next_free_id(self) -> int:
         return max((r.instance_id for r in self.records), default=-1) + 1
 
-    def cells_of(self, instance_id: int) -> np.ndarray:
-        return np.argwhere(self.instance_grid == instance_id)
-
-    def partition(self) -> set[tuple[int, frozenset]]:
-        """Id-free view: {(class, frozenset of cells)} for relabeling-robust compare."""
-        out = set()
-        for rec in self.records:
-            cells = frozenset(map(tuple, self.cells_of(rec.instance_id).tolist()))
-            if cells:
-                out.add((int(rec.class_id), cells))
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InstanceMap):
             return NotImplemented
@@ -174,11 +162,6 @@ class InstanceMap:
             np.array_equal(self.instance_grid, other.instance_grid)
             and self.records == other.records
         )
-
-
-def empty_instances(height: int, width: int) -> InstanceMap:
-    grid = np.full((height, width), BACKGROUND_ID, dtype=np.int32)
-    return InstanceMap(instance_grid=grid, records=())
 
 
 @dataclass(frozen=True, eq=False)
