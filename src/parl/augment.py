@@ -687,9 +687,11 @@ def _component_values(
 ) -> tuple[float, float, float, float]:
     """(box, instance, affine, shape) evidence of one instance at one scale.
 
-    The instance term is the mean adjacency evidence over the ring, summed
-    direction by direction; a class without adjacency evidence scores 0 and
-    an empty ring scores 1.
+    The instance term is the mean adjacency evidence over the ring; a class
+    without adjacency evidence scores 0 and an empty ring scores 1. Each
+    direction is summed on its own and the four sums are added in ring
+    order: float sums depend on their order, and the scores are pinned bit
+    for bit.
     """
     box = float(stats.ctx_norm[cls, comps.ctx_bin])
     affine = float(stats.size_norm[cls, comps.size_bin])

@@ -241,7 +241,7 @@ def qualitative_table(
         mean_score = None
         if scorer is not None and outputs:
             if name in known_scores:
-                scores = [float(v) for v in known_scores[name]]
+                scores = known_scores[name]
             else:
                 scores = [layout_score(o) for o in outputs]
             mean_score = float(np.mean(scores))
