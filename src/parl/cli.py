@@ -29,6 +29,7 @@ from .harness import (
     StageFailure,
     check_acceptance,
     generate_worlds,
+    render_markdown,
     resolve_output_dir,
     run_experiment,
 )
@@ -210,47 +211,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _markdown_from_json(doc: dict) -> str:
-    arms = doc["arms"]
-    robots = sorted({r for robot_map in arms.values() for r in robot_map})
-    lines = ["# Comparison report", "", "## Mean absolute torque error", ""]
-    lines.append("| arm | " + " | ".join(robots) + " | overall |")
-    lines.append("|---" * (len(robots) + 2) + "|")
-    for arm in sorted(arms):
-        cells = [
-            f"{arms[arm][r]['overall_error']:.4f}" if r in arms[arm] else "-"
-            for r in robots
-        ]
-        overall = doc["overall"][arm]["error"]
-        lines.append(f"| {arm} | " + " | ".join(cells) + f" | {overall:.4f} |")
-    lines += ["", "## Failure rate (error > threshold)", ""]
-    lines.append("| arm | " + " | ".join(robots) + " | overall |")
-    lines.append("|---" * (len(robots) + 2) + "|")
-    for arm in sorted(arms):
-        cells = [
-            f"{arms[arm][r]['overall_failure_rate']:.4f}" if r in arms[arm] else "-"
-            for r in robots
-        ]
-        overall = doc["overall"][arm]["failure_rate"]
-        lines.append(f"| {arm} | " + " | ".join(cells) + f" | {overall:.4f} |")
-    lines += ["", "## Augmenter axes", ""]
-    lines.append("| augmenter | number | semantic | instance | reality |")
-    lines.append("|---|---|---|---|---|")
-    for name in sorted(doc["qualitative"]):
-        row = doc["qualitative"][name]
-        lines.append(
-            f"| {name} | {row['number']} | {row['semantic']} | "
-            f"{row['instance']} | {row['reality']} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = _run_dir(args)
     path = run_dir / "report.json"
     if not path.exists():
         raise ConfigurationError(f"no report.json under {run_dir}")
-    text = _markdown_from_json(json.loads(path.read_text(encoding="utf-8")))
+    text = render_markdown(json.loads(path.read_text(encoding="utf-8")))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"markdown written to {args.out}")

@@ -167,36 +167,41 @@ class ComparisonReport:
                 )
         return "\n".join(lines) + "\n"
 
-    def to_markdown(self) -> str:
-        robots = sorted({r for arm in self.arms.values() for r in arm})
-        lines = ["# Comparison report", "", "## Mean absolute torque error", ""]
-        lines.append("| arm | " + " | ".join(robots) + " | overall |")
-        lines.append("|---" * (len(robots) + 2) + "|")
-        for arm in sorted(self.arms):
-            cells = [
-                f"{self.arms[arm][r].overall_error:.4f}" if r in self.arms[arm] else "-"
-                for r in robots
-            ]
-            lines.append(f"| {arm} | " + " | ".join(cells) + f" | {self.overall(arm)[0]:.4f} |")
-        lines += ["", "## Failure rate (error > threshold)", ""]
-        lines.append("| arm | " + " | ".join(robots) + " | overall |")
-        lines.append("|---" * (len(robots) + 2) + "|")
-        for arm in sorted(self.arms):
-            cells = [
-                f"{self.arms[arm][r].overall_failure_rate:.4f}" if r in self.arms[arm] else "-"
-                for r in robots
-            ]
-            lines.append(f"| {arm} | " + " | ".join(cells) + f" | {self.overall(arm)[1]:.4f} |")
-        lines += ["", "## Augmenter axes", ""]
-        lines.append("| augmenter | number | semantic | instance | reality |")
-        lines.append("|---|---|---|---|---|")
-        for name in sorted(self.qualitative):
-            row = self.qualitative[name]
-            lines.append(
-                f"| {name} | {row['number']} | {row['semantic']} | "
-                f"{row['instance']} | {row['reality']} |"
-            )
-        return "\n".join(lines) + "\n"
+
+def render_markdown(doc: dict) -> str:
+    """Markdown tables of a report's JSON document (`ComparisonReport.to_json_dict`)."""
+    arms = doc["arms"]
+    robots = sorted({r for robot_map in arms.values() for r in robot_map})
+    lines = ["# Comparison report", "", "## Mean absolute torque error", ""]
+    lines.append("| arm | " + " | ".join(robots) + " | overall |")
+    lines.append("|---" * (len(robots) + 2) + "|")
+    for arm in sorted(arms):
+        cells = [
+            f"{arms[arm][r]['overall_error']:.4f}" if r in arms[arm] else "-"
+            for r in robots
+        ]
+        overall = doc["overall"][arm]["error"]
+        lines.append(f"| {arm} | " + " | ".join(cells) + f" | {overall:.4f} |")
+    lines += ["", "## Failure rate (error > threshold)", ""]
+    lines.append("| arm | " + " | ".join(robots) + " | overall |")
+    lines.append("|---" * (len(robots) + 2) + "|")
+    for arm in sorted(arms):
+        cells = [
+            f"{arms[arm][r]['overall_failure_rate']:.4f}" if r in arms[arm] else "-"
+            for r in robots
+        ]
+        overall = doc["overall"][arm]["failure_rate"]
+        lines.append(f"| {arm} | " + " | ".join(cells) + f" | {overall:.4f} |")
+    lines += ["", "## Augmenter axes", ""]
+    lines.append("| augmenter | number | semantic | instance | reality |")
+    lines.append("|---|---|---|---|---|")
+    for name in sorted(doc["qualitative"]):
+        row = doc["qualitative"][name]
+        lines.append(
+            f"| {name} | {row['number']} | {row['semantic']} | "
+            f"{row['instance']} | {row['reality']} |"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def resolve_output_dir(config: ExperimentConfig, output_root: Optional[str] = None) -> Path:
@@ -354,9 +359,7 @@ def run_experiment(
         RoundConfig(
             fan_out=config.fan_out,
             tau=config.tau,
-            beta=config.beta,
             ridge_lambda=config.ridge_lambda,
-            fail_threshold=config.fail_threshold,
             augment_seed=config.augment_seed,
             include_self_labels=config.include_self_labels,
             per_robot_shared=config.per_robot_shared,
@@ -452,7 +455,7 @@ def run_experiment(
     (out / "config.txt").write_text(render_config(config), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out / "report.md").write_text(report.to_markdown(), encoding="utf-8")
+    (out / "report.md").write_text(render_markdown(report.to_json_dict()), encoding="utf-8")
     return report
 
 

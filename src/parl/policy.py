@@ -19,9 +19,7 @@ from .styles import N_CLASSES, StyleModel, style_affinity
 from .world import (
     ClassId,
     DrivingSample,
-    InstanceMap,
     Provenance,
-    Scenario,
     SemanticMap,
     THING_CLASSES,
     segment,
@@ -321,35 +319,25 @@ def fine_tune(
 
 
 def crowdsource_labels(
-    candidates: Sequence[tuple[Scenario, SemanticMap, InstanceMap]],
-    local_models: Sequence[tuple[PolicyModel, StyleModel]],
-    weighted: bool = True,
-    candidate_styles: Optional[Mapping[int, StyleModel]] = None,
+    predictions: np.ndarray,
+    member_styles: Sequence[StyleModel],
+    target_style: StyleModel,
 ) -> list[float]:
-    """Label scenarios with an ensemble of local policies.
+    """Pool an ensemble's predictions into one label per candidate.
 
-    Each label is a weighted mean of member predictions. With weighting on,
-    a member's weight is its style's affinity to the candidate's style
-    (uniform when the candidate's style is unknown or weighting is off), so
-    labels are always convex combinations of member outputs.
+    predictions is members x candidates: row m holds member m's predictions
+    on the candidates rendered in the target style. A member's weight is its
+    style's affinity to the target style, computed once for all candidates,
+    so every label is a convex combination of its column.
     """
-    if not local_models:
+    if not member_styles:
         raise TrainingError("crowdsourcing requires at least one local model")
-    labels = []
-    for scenario, semantic, _ in candidates:
-        feats = features_from_maps(semantic)
-        preds = np.array([m.predict(feats) for m, _ in local_models])
-        weights = np.ones(len(local_models))
-        if weighted and candidate_styles and scenario.style in candidate_styles:
-            cand_style = candidate_styles[scenario.style]
-            weights = np.array(
-                [style_affinity(cand_style, s) for _, s in local_models]
-            )
-            if weights.sum() <= 0.0:
-                weights = np.ones(len(local_models))
-        weights = weights / weights.sum()
-        labels.append(float(np.dot(weights, preds)))
-    return labels
+    preds = np.asarray(predictions, dtype=np.float64)
+    if preds.ndim != 2 or preds.shape[0] != len(member_styles):
+        raise TrainingError("predictions must have one row per member style")
+    weights = np.array([style_affinity(target_style, s) for s in member_styles])
+    weights = weights / weights.sum()
+    return [float(np.dot(weights, column)) for column in np.ascontiguousarray(preds.T)]
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,16 @@ One round of the peer-assisted pipeline:
 
 1. Every robot segments its own samples, fits its style, trains its local
    policy, and uploads maps + style + policy to the cloud.
-2. The cloud fits the augmentation models on the pooled uploaded layouts,
-   augments each robot's maps, and sends the accepted candidates back as an
-   AugmentedSet notification.
-3. The cloud asks every participant to label the full candidate batch
-   rendered in that robot's own style (LabelRequest / LabelResponse); final
-   labels are the style-affinity crowdsourcing of the local policies, so a
-   silent robot costs nothing but its response is checked when it arrives.
-4. The cloud cross-renders candidates under all uploaded styles, pools the
-   labeled data, trains the shared policy, and dispatches it exactly once
-   per participant.
+2. The cloud fits the augmentation models on the pooled uploaded layouts
+   and augments each robot's maps into scored candidates.
+3. The cloud renders the full candidate batch in each participant's own
+   style and sends it as a LabelRequest; the robot segments every scenario
+   and answers with its local policy's predictions (LabelResponse).
+4. The answers are the labels: each candidate is labeled once per
+   participant style with the affinity-weighted mean of the answering
+   robots' predictions, so a silent robot simply does not vote. The cloud
+   trains the shared policy on the labeled pool and dispatches it exactly
+   once per participant.
 5. Each robot fine-tunes toward the shared model on its own training split
    and acks with an evaluation report from its held-out split.
 
@@ -54,6 +54,7 @@ from .codec import (
 from .errors import ConfigurationError, DecodeError, ParlError, ProtocolError
 from .policy import (
     EvaluationReport,
+    FeatureVector,
     PolicyModel,
     crowdsource_labels,
     evaluate,
@@ -154,16 +155,6 @@ class UploadLocal:
 
 
 @dataclass(frozen=True)
-class AugmentedSet:
-    """Scored augmentation candidates derived from one robot's maps."""
-
-    candidates: tuple[AugmentationCandidate, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-
-
-@dataclass(frozen=True)
 class LabelRequest:
     """Unlabeled scenarios a robot should label with its local policy."""
 
@@ -202,13 +193,12 @@ class FineTuneAck:
     report: EvaluationReport
 
 
-Body = Union[UploadLocal, AugmentedSet, LabelRequest, LabelResponse, SharedModel, FineTuneAck]
+Body = Union[UploadLocal, LabelRequest, LabelResponse, SharedModel, FineTuneAck]
 
 # Variant tags; every pair differs in at least two bits, so a single bit
 # flip can never turn one valid tag into another.
 _TAG_OF = {
     UploadLocal: 0xA1,
-    AugmentedSet: 0xB2,
     LabelRequest: 0xC3,
     LabelResponse: 0xD4,
     SharedModel: 0xE5,
@@ -234,8 +224,6 @@ class Message:
 def _encode_body(body: Body) -> bytes:
     if isinstance(body, UploadLocal):
         return encode_models([body.style, body.policy, *body.layouts])
-    if isinstance(body, AugmentedSet):
-        return encode_models(list(body.candidates))
     if isinstance(body, LabelRequest):
         return encode_samples(list(body.scenarios))
     if isinstance(body, LabelResponse):
@@ -267,11 +255,6 @@ def _decode_body(tag: int, payload: bytes) -> Body:
                     raise DecodeError("upload: trailing items must be layouts")
                 layouts.append(item)
             return UploadLocal(style=items[0], policy=items[1], layouts=tuple(layouts))
-        if tag == _TAG_OF[AugmentedSet]:
-            items = decode_models(payload)
-            if any(not isinstance(i, AugmentationCandidate) for i in items):
-                raise DecodeError("augmented set must hold only candidates")
-            return AugmentedSet(candidates=tuple(items))
         if tag == _TAG_OF[LabelRequest]:
             return LabelRequest(scenarios=tuple(decode_samples(payload)))
         if tag == _TAG_OF[LabelResponse]:
@@ -412,9 +395,7 @@ class RoundConfig:
 
     fan_out: int = 2
     tau: float = 0.5
-    beta: float = 0.5
     ridge_lambda: float = 3e-3
-    fail_threshold: float = 0.05
     augment_seed: int = 0
     budget_factor: int = 16
     include_self_labels: bool = True
@@ -426,8 +407,6 @@ class RoundConfig:
             raise ConfigurationError("fan_out must be >= 1")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError("tau must lie in [0, 1]")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigurationError("beta must lie in [0, 1]")
         if self.ridge_lambda < 0.0:
             raise ConfigurationError("ridge_lambda must be nonnegative")
         if self.min_uploads < 1:
@@ -466,7 +445,6 @@ class RobotNode:
         self.policy: Optional[PolicyModel] = None
         self.tuned: Optional[PolicyModel] = None
         self.ack_report: Optional[EvaluationReport] = None
-        self.augmented_seen: list[AugmentationCandidate] = []
         self.shared_received = 0
         self.diagnostic: Optional[str] = None
         self.violations: list[str] = []
@@ -521,12 +499,6 @@ class RobotNode:
             return []
         body = message.body
         try:
-            if isinstance(body, AugmentedSet):
-                if self.stage not in (Stage.UPLOADED, Stage.LABELING):
-                    self._violation(body)
-                    return []
-                self.augmented_seen.extend(body.candidates)
-                return []
             if isinstance(body, LabelRequest):
                 if self.stage not in (Stage.UPLOADED, Stage.LABELING):
                     self._violation(body)
@@ -589,14 +561,14 @@ class CloudNode:
         self.candidates: list[tuple[NodeId, AugmentationCandidate]] = []
         self.stats: dict[NodeId, AugmentStats] = {}
         self.shared: dict[NodeId, PolicyModel] = {}
-        self.pool_size = 0
+        # Labeled (features, torque) rows per source robot of the candidates.
+        self.pool: dict[NodeId, list[tuple[FeatureVector, float]]] = {}
         self.where: Optional[WherePredictor] = None
         self.what: Optional[WhatPredictor] = None
         self.scorer: Optional[PlausibilityScorer] = None
         self.violations: list[str] = []
         self._seq = _SeqCounter()
         self._dispatched: set[NodeId] = set()
-        self._cross: dict[int, list[DrivingSample]] = {}
 
     def _msg(self, recipient: NodeId, body: Body) -> Message:
         return Message(
@@ -617,8 +589,17 @@ class CloudNode:
         if isinstance(body, LabelResponse):
             if self.stage != Stage.LABELING:
                 self._violation(message)
-                return []
-            self.responses[message.sender] = body
+            elif message.sender not in self.uploads:
+                self.violations.append(
+                    f"{self.node_id}: LabelResponse from non-participant {message.sender}"
+                )
+            elif len(body.torques) != len(self.candidates):
+                self.violations.append(
+                    f"{self.node_id}: LabelResponse from {message.sender} has "
+                    f"{len(body.torques)} labels for {len(self.candidates)} candidates"
+                )
+            else:
+                self.responses[message.sender] = body
             return []
         if isinstance(body, FineTuneAck):
             if self.stage != Stage.DISPATCHED:
@@ -658,7 +639,6 @@ class CloudNode:
         self.scorer = fit_scorer(
             pooled_layouts, threshold=fit_tau, seed=cfg.augment_seed ^ 0xD15C
         )
-        out: list[Message] = []
         for node in self.participants:
             stats = AugmentStats()
             per_robot: list[AugmentationCandidate] = []
@@ -679,65 +659,58 @@ class CloudNode:
                 )
             self.stats[node] = stats
             self.candidates.extend((node, c) for c in per_robot)
-            out.append(self._msg(node, AugmentedSet(candidates=tuple(per_robot))))
         self.stage = advance_stage(self.stage, Stage.LABELING)
-        self._cross_render_all()
-        if self._cross:
-            for node in self.participants:
-                scenarios = self._cross[self.uploads[node].style.style]
-                out.append(self._msg(node, LabelRequest(scenarios=tuple(scenarios))))
-        return out
-
-    def _cross_render_all(self) -> None:
-        """Render every candidate under every uploaded style, exactly once."""
-        self._cross = {}
         if not self.candidates:
-            return
-        for node in self.participants:
-            style = self.uploads[node].style
-            rendered = []
-            for idx, (_, candidate) in enumerate(self.candidates):
-                seed = (self.config.augment_seed << 16) ^ (style.style << 8) ^ idx ^ 0x7E
-                rendered.append(
-                    DrivingSample(
-                        scenario=cross_render(candidate, style, seed),
-                        semantic=candidate.semantic,
-                        instances=candidate.instances,
-                        label=None,
-                        task=TaskType.STRAIGHT,
-                        provenance=Provenance.AUGMENTED,
-                    )
+            return []
+        return [
+            self._msg(node, LabelRequest(scenarios=self._render_candidates(node)))
+            for node in self.participants
+        ]
+
+    def _render_candidates(self, node: NodeId) -> tuple[DrivingSample, ...]:
+        """Every candidate rendered in the node's uploaded style, unlabeled."""
+        style = self.uploads[node].style
+        rendered = []
+        for idx, (_, candidate) in enumerate(self.candidates):
+            seed = (self.config.augment_seed << 16) ^ (style.style << 8) ^ idx ^ 0x7E
+            rendered.append(
+                DrivingSample(
+                    scenario=cross_render(candidate, style, seed),
+                    semantic=candidate.semantic,
+                    instances=candidate.instances,
+                    label=None,
+                    task=TaskType.STRAIGHT,
+                    provenance=Provenance.AUGMENTED,
                 )
-            self._cross[style.style] = rendered
+            )
+        return tuple(rendered)
 
     def finish_round(self) -> list[Message]:
-        """Crowdsource labels, train the shared model(s), dispatch exactly once."""
+        """Pool the robots' answers into labels, train, dispatch exactly once."""
         cfg = self.config
-        self._check_responses()
         self.stage = advance_stage(self.stage, Stage.CLOUD_TRAIN)
-        styles = {
-            self.uploads[node].style.style: self.uploads[node].style
-            for node in self.participants
-        }
-        pool: dict[NodeId, list[tuple]] = {node: [] for node in self.participants}
-        for idx, (source, candidate) in enumerate(self.candidates):
+        voters = [node for node in self.participants if node in self.responses]
+        # voters x candidates: each answering robot's prediction per candidate.
+        predictions = np.array(
+            [self.responses[node].torques for node in voters], dtype=np.float64
+        ).reshape(len(voters), len(self.candidates))
+        pool = self.pool = {node: [] for node in self.participants}
+        for source in self.participants:
             members = [
-                (self.uploads[node].policy, self.uploads[node].style)
-                for node in self.participants
-                if cfg.include_self_labels or node != source
+                k for k, node in enumerate(voters) if cfg.include_self_labels or node != source
             ]
-            if not members:
+            columns = [i for i, (node, _) in enumerate(self.candidates) if node == source]
+            if not members or not columns:
                 continue
-            feats = features_from_maps(candidate.semantic)
-            for node in self.participants:
-                rendered = self._cross[self.uploads[node].style.style][idx]
-                label = crowdsource_labels(
-                    [(rendered.scenario, candidate.semantic, candidate.instances)],
-                    members,
-                    candidate_styles=styles,
-                )[0]
-                pool[source].append((feats, label))
-        self.pool_size = sum(len(rows) for rows in pool.values())
+            member_styles = [self.uploads[voters[k]].style for k in members]
+            block = predictions[np.ix_(members, columns)]
+            labels = [
+                crowdsource_labels(block, member_styles, self.uploads[target].style)
+                for target in self.participants
+            ]
+            for j, i in enumerate(columns):
+                feats = features_from_maps(self.candidates[i][1].semantic)
+                pool[source].extend((feats, per_target[j]) for per_target in labels)
         all_rows = [row for rows in pool.values() for row in rows]
         if not all_rows:
             raise ProtocolError("no labeled augmented data to train on")
@@ -762,20 +735,6 @@ class CloudNode:
             self._dispatched.add(node)
             out.append(self._msg(node, SharedModel(policy=self.shared[node])))
         return out
-
-    def _check_responses(self) -> None:
-        """Compare received label responses against recomputed predictions."""
-        all_candidates = [c for _, c in self.candidates]
-        for node, response in sorted(self.responses.items()):
-            if len(response.torques) != len(all_candidates):
-                self.violations.append(f"{node}: label response length mismatch")
-                continue
-            policy = self.uploads[node].policy
-            for got, candidate in zip(response.torques, all_candidates):
-                want = policy.predict(features_from_maps(candidate.semantic))
-                if abs(got - want) > 1e-9:
-                    self.violations.append(f"{node}: label response disagrees with policy")
-                    break
 
     def finish(self) -> None:
         if self.stage == Stage.DISPATCHED:
@@ -881,7 +840,7 @@ def run_round(
         stats=dict(cloud.stats),
         stages={r.node_id: r.stage for r in ordered} | {cloud.node_id: cloud.stage},
         shared_received={r.node_id: r.shared_received for r in ordered},
-        pool_size=cloud.pool_size,
+        pool_size=sum(len(rows) for rows in cloud.pool.values()),
         violations=violations,
         network_log=list(network.log),
         diagnostics={

@@ -232,34 +232,32 @@ class TestCrowdsource:
     def test_singleton_ensemble_is_its_prediction(self, generator, small_dataset):
         style = fit_style(small_dataset)
         model = train(_rows(small_dataset, style), 1e-3)
-        sample = small_dataset[0]
-        triple = (sample.scenario, sample.semantic, sample.instances)
-        [label] = crowdsource_labels([triple], [(model, style)])
-        assert label == pytest.approx(model.predict(features_from_maps(sample.semantic)))
+        preds = [model.predict(features_from_maps(s.semantic)) for s in small_dataset[:4]]
+        labels = crowdsource_labels(np.array([preds]), [style], style)
+        assert labels == pytest.approx(preds)
 
     def test_uniform_mean_of_constant_models(self, small_dataset):
         style = fit_style(small_dataset)
-        sample = small_dataset[0]
-        triple = (sample.scenario, sample.semantic, sample.instances)
-        models = [(_constant_model(0.4), style), (_constant_model(0.6), style)]
-        [label] = crowdsource_labels([triple], models, weighted=False)
+        feats = features_from_maps(small_dataset[0].semantic)
+        models = [_constant_model(0.4), _constant_model(0.6)]
+        preds = np.array([[m.predict(feats)] for m in models])
+        [label] = crowdsource_labels(preds, [style, style], style)
         assert label == pytest.approx(0.5)
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
     @settings(max_examples=30, deadline=None)
-    def test_labels_are_convex_combinations(self, small_dataset, values):
-        style = fit_style(small_dataset)
-        sample = small_dataset[0]
-        triple = (sample.scenario, sample.semantic, sample.instances)
-        models = [(_constant_model(v), style) for v in values]
-        [label] = crowdsource_labels([triple], models)
+    def test_labels_are_convex_combinations(self, generator, small_dataset, values):
+        target = fit_style(small_dataset)
+        feats = features_from_maps(small_dataset[0].semantic)
+        preds = np.array([[_constant_model(v).predict(feats)] for v in values])
+        member_styles = [generator.styles[k % 2] for k in range(len(values))]
+        [label] = crowdsource_labels(preds, member_styles, target)
         assert min(values) - 1e-12 <= label <= max(values) + 1e-12
 
     def test_empty_ensemble_rejected(self, small_dataset):
-        sample = small_dataset[0]
-        triple = (sample.scenario, sample.semantic, sample.instances)
+        style = fit_style(small_dataset)
         with pytest.raises(TrainingError):
-            crowdsource_labels([triple], [])
+            crowdsource_labels(np.zeros((0, 1)), [], style)
 
 
 class TestEvaluate:

@@ -1,0 +1,142 @@
+"""One protocol round on a small two-robot world: labels, dropout, violations."""
+
+import numpy as np
+import pytest
+
+from parl import cli
+from parl.config import ExperimentConfig
+from parl.errors import DecodeError
+from parl.harness import generate_worlds
+from parl.policy import features_from_maps
+from parl.protocol import (
+    MESSAGE_MAGIC,
+    CloudNode,
+    LabelResponse,
+    Message,
+    NodeId,
+    RobotNode,
+    RoundConfig,
+    Stage,
+    decode_message,
+    encode_message,
+    run_round,
+)
+from parl.styles import style_affinity
+
+CONFIG = ExperimentConfig(robots=2, samples_per_task=3)
+
+
+@pytest.fixture(scope="session")
+def worlds():
+    return generate_worlds(CONFIG)
+
+
+def _nodes(worlds):
+    train, holdout = worlds
+    cloud_id = NodeId.cloud()
+    robots = [
+        RobotNode(NodeId.robot(i), cloud_id, train[i], holdout[i], beta=CONFIG.beta)
+        for i in range(CONFIG.robots)
+    ]
+    cloud = CloudNode(cloud_id, RoundConfig(augment_seed=CONFIG.augment_seed))
+    return robots, cloud
+
+
+def _expected_labels(cloud, voters):
+    """The affinity-weighted mean of the voters' policies on each candidate map.
+
+    Rows follow the pool's order: per source robot, per candidate, per
+    participant style the candidate was rendered in.
+    """
+    expected = {node: [] for node in cloud.participants}
+    for source, candidate in cloud.candidates:
+        feats = features_from_maps(candidate.semantic)
+        preds = np.array([cloud.uploads[v].policy.predict(feats) for v in voters])
+        for target in cloud.participants:
+            target_style = cloud.uploads[target].style
+            w = np.array([style_affinity(target_style, cloud.uploads[v].style) for v in voters])
+            expected[source].append((feats, float(np.dot(w / w.sum(), preds))))
+    return expected
+
+
+def _assert_pool(cloud, expected):
+    assert sorted(cloud.pool) == sorted(expected)
+    for node, rows in expected.items():
+        got = cloud.pool[node]
+        assert len(got) == len(rows)
+        for (feats, label), (want_feats, want_label) in zip(got, rows):
+            assert feats == want_feats
+            assert label == pytest.approx(want_label, rel=0.0, abs=1e-12)
+
+
+@pytest.fixture(scope="session")
+def full_round(worlds):
+    robots, cloud = _nodes(worlds)
+    result = run_round(robots, cloud)
+    return robots, cloud, result
+
+
+def test_labels_are_affinity_weighted_policy_predictions(full_round):
+    robots, cloud, result = full_round
+    assert cloud.candidates, "the round must produce candidates to label"
+    assert result.violations == []
+    assert set(cloud.responses) == {r.node_id for r in robots}
+    _assert_pool(cloud, _expected_labels(cloud, cloud.participants))
+    assert result.pool_size == len(cloud.candidates) * len(cloud.participants)
+    assert all(stage == Stage.DONE for stage in result.stages.values())
+
+
+def test_dropped_robot_does_not_vote(worlds):
+    robots, cloud = _nodes(worlds)
+    dropped = robots[1].node_id
+    result = run_round(robots, cloud, drop_after_upload=[dropped])
+    assert result.stages[dropped] == Stage.DROPPED_OUT
+    assert result.stages[robots[0].node_id] == Stage.DONE
+    assert result.stages[cloud.node_id] == Stage.DONE
+    assert result.participants == (robots[0].node_id, dropped)
+    assert set(cloud.responses) == {robots[0].node_id}
+    assert result.shared_received[dropped] == 0
+    _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
+
+
+def test_bad_label_responses_become_violations(worlds):
+    robots, cloud = _nodes(worlds)
+    for robot in robots:
+        cloud.handle(robot.local_compute())
+    requests = cloud.begin_round()
+    n = len(cloud.candidates)
+    assert cloud.stage == Stage.LABELING and n > 0
+    stranger = NodeId.robot(9)
+    short = Message(robots[1].node_id, cloud.node_id, 0, LabelResponse(torques=(0.5,) * (n - 1)))
+    foreign = Message(stranger, cloud.node_id, 0, LabelResponse(torques=(0.5,) * n))
+    assert cloud.handle(short) == []
+    assert cloud.handle(foreign) == []
+    assert len(cloud.violations) == 2
+    assert f"{n - 1} labels for {n} candidates" in cloud.violations[0]
+    assert str(stranger) in cloud.violations[1]
+    assert cloud.responses == {}
+    # Only robot-0 answers for real; the short answer must not vote.
+    [request] = [m for m in requests if m.recipient == robots[0].node_id]
+    for reply in robots[0].handle(request):
+        cloud.handle(reply)
+    cloud.finish_round()
+    _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
+
+
+def test_retired_augmented_set_tag_is_rejected():
+    message = Message(NodeId.cloud(), NodeId.robot(0), 0, LabelResponse(torques=(0.5,)))
+    data = bytearray(encode_message(message))
+    tag_at = len(MESSAGE_MAGIC) + 2 + 2 + 2 + 8  # version, sender, recipient, seq
+    assert data[tag_at] == 0xD4
+    data[tag_at] = 0xB2
+    with pytest.raises(DecodeError):
+        decode_message(bytes(data))
+
+
+def test_report_command_prints_report_md(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    argv = ["--robots", "2", "--samples-per-task", "3", "--output-dir", str(run_dir)]
+    assert cli.main(["run", *argv]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(run_dir)]) == 0
+    assert capsys.readouterr().out == (run_dir / "report.md").read_text(encoding="utf-8")
