@@ -33,7 +33,7 @@ from .harness import (
     resolve_output_dir,
     run_experiment,
 )
-from .policy import evaluate
+from .policy import evaluate, featurize
 from .styles import fit_style, styles_for_agents
 
 _FLAG_HELP = {
@@ -152,15 +152,21 @@ def _rescore(run_dir: Path):
         "local+crop": "crop_{key}.dm1",
         "parl": "parl_tuned_{key}.dm1",
     }
-    for arm, pattern in per_robot_files.items():
-        for robot in range(config.robots):
-            key = f"robot-{robot}"
-            path = run_dir / "models" / pattern.format(key=key)
-            if not path.exists():
-                continue
+    for robot in range(config.robots):
+        key = f"robot-{robot}"
+        saved = [
+            (arm, run_dir / "models" / pattern.format(key=key))
+            for arm, pattern in per_robot_files.items()
+        ]
+        saved = [(arm, path) for arm, path in saved if path.exists()]
+        if not saved:
+            continue
+        # One featurization of the holdout serves all of this robot's arms.
+        features = [featurize(s, fitted[robot]) for s in holdout[robot]]
+        for arm, path in saved:
             (model,) = codec.read_models(path)
             arms.setdefault(arm, {})[key] = evaluate(
-                model, holdout[robot], fitted[robot], config.fail_threshold
+                model, holdout[robot], fitted[robot], config.fail_threshold, features=features
             )
     central_path = run_dir / "models" / "centralized.dm1"
     if central_path.exists():

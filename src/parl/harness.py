@@ -14,6 +14,13 @@ Every arm is evaluated on the same per-robot holdout sets; the report
 stores split hashes so that can be audited. All artifacts (datasets,
 models, predictors, candidates, reports) are persisted in deterministic
 byte-exact formats, so identical configs reproduce identical files.
+
+Perception runs once per (sample, style). Each robot's style is fitted
+once and its train and holdout splits are featurized once under it; the
+local, jitter and crop arms share those features, and only each arm's
+augmented extras are featurized on their own. The centralized arm
+featurizes under the pooled style, and each RobotNode in the PARL round
+reuses the features of its own upload when it fine-tunes.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ from .baselines import (
 )
 from .config import OUTPUT_ROOT_ENV, ExperimentConfig, render_config
 from .errors import ParlError
-from .policy import EvaluationReport, evaluate, featurize, train
+from .policy import EvaluationReport, FeatureVector, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, RoundConfig, SimNetwork, run_round
-from .styles import fit_style, styles_for_agents
+from .styles import StyleModel, fit_style, styles_for_agents
 from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType, WorldConfig
 
 ARM_LOCAL = "local"
@@ -210,30 +217,56 @@ def resolve_output_dir(config: ExperimentConfig, output_root: Optional[str] = No
     return path if path.is_absolute() else Path(root) / path
 
 
+@dataclass(frozen=True)
+class _LocalSplits:
+    """One robot's splits, featurized once under its once-fitted style.
+
+    The local, jitter and crop arms all train on train_rows and evaluate on
+    holdout_features; only the augmented extras are featurized per arm.
+    """
+
+    style: StyleModel
+    train_rows: list[tuple[FeatureVector, float]]
+    provenances: list[Provenance]
+    holdout: Sequence[DrivingSample]
+    holdout_features: list[FeatureVector]
+
+
+def _featurize_splits(
+    samples: Sequence[DrivingSample], holdout: Sequence[DrivingSample]
+) -> _LocalSplits:
+    style = fit_style(samples)
+    return _LocalSplits(
+        style=style,
+        train_rows=[(featurize(s, style), s.label) for s in samples],
+        provenances=[s.provenance for s in samples],
+        holdout=holdout,
+        holdout_features=[featurize(s, style) for s in holdout],
+    )
+
+
 def _train_local_arm(
-    samples: Sequence[DrivingSample],
-    holdout: Sequence[DrivingSample],
+    splits: _LocalSplits,
     config: ExperimentConfig,
     extra: Sequence[DrivingSample] = (),
 ):
-    style = fit_style(samples)
-    rows = []
-    provs = []
-    for sample in samples:
-        rows.append((featurize(sample, style), sample.label))
-        provs.append(sample.provenance)
+    rows = list(splits.train_rows)
+    provs = list(splits.provenances)
     for sample in extra:
         # Appearance augmentation can corrupt a sample beyond recognition
         # (e.g. jitter erasing the road); such rows are dropped, mirroring
         # a data-cleaning pass, rather than failing the arm.
         try:
-            rows.append((featurize(sample, style), sample.label))
+            rows.append((featurize(sample, splits.style), sample.label))
         except ParlError:
             continue
         provs.append(sample.provenance)
     model = train(rows, ridge_lambda=config.ridge_lambda, provenances=provs)
-    report = evaluate(model, holdout, style, config.fail_threshold)
-    return model, report, style
+    report = evaluate(
+        model, splits.holdout, splits.style, config.fail_threshold,
+        features=splits.holdout_features,
+    )
+    return model, report
 
 
 def run_experiment(
@@ -285,13 +318,12 @@ def run_experiment(
     crop_outputs: list[DrivingSample] = []
 
     # Local arm, plus the appearance-augmentation baselines.
-    local_styles = {}
     for robot in range(config.robots):
         key = _robot_key(robot)
-        model, report, style = _stage(
-            "local-train", key, _train_local_arm, train_sets[robot], holdout_sets[robot], config
+        splits = _stage(
+            "local-train", key, _featurize_splits, train_sets[robot], holdout_sets[robot]
         )
-        local_styles[robot] = style
+        model, report = _stage("local-train", key, _train_local_arm, splits, config)
         arms[ARM_LOCAL][key] = report
         codec.write_models(out / "models" / f"local_{key}.dm1", [model])
         if config.run_color_jitter:
@@ -302,9 +334,8 @@ def run_experiment(
                     extra.append(baseline_color_jitter(sample, seed))
                     jitter_sources.append(sample)
                     jitter_outputs.append(extra[-1])
-            model_j, report_j, _ = _stage(
-                "jitter-train", key, _train_local_arm,
-                train_sets[robot], holdout_sets[robot], config, extra,
+            model_j, report_j = _stage(
+                "jitter-train", key, _train_local_arm, splits, config, extra
             )
             arms.setdefault(ARM_JITTER, {})[key] = report_j
             codec.write_models(out / "models" / f"jitter_{key}.dm1", [model_j])
@@ -316,9 +347,8 @@ def run_experiment(
                     extra.append(baseline_random_resized_crop(sample, seed))
                     crop_sources.append(sample)
                     crop_outputs.append(extra[-1])
-            model_c, report_c, _ = _stage(
-                "crop-train", key, _train_local_arm,
-                train_sets[robot], holdout_sets[robot], config, extra,
+            model_c, report_c = _stage(
+                "crop-train", key, _train_local_arm, splits, config, extra
             )
             arms.setdefault(ARM_CROP, {})[key] = report_c
             codec.write_models(out / "models" / f"crop_{key}.dm1", [model_c])
@@ -373,7 +403,8 @@ def run_experiment(
         key = str(node)
         if node in result.acks:
             arms[ARM_PARL][key] = result.acks[node]
-        codec.write_models(out / "models" / f"parl_shared_{key}.dm1", [result.shared[node]])
+        if node in result.shared:
+            codec.write_models(out / "models" / f"parl_shared_{key}.dm1", [result.shared[node]])
         if node in result.tuned:
             codec.write_models(out / "models" / f"parl_tuned_{key}.dm1", [result.tuned[node]])
     if cloud.where is not None:

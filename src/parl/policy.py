@@ -9,10 +9,12 @@ permutation-invariant, which the protocol layer relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import DegenerateInputError, EvaluationError, TrainingError
 from .styles import N_CLASSES, StyleModel, style_affinity
@@ -21,7 +23,6 @@ from .world import (
     DrivingSample,
     Provenance,
     SemanticMap,
-    THING_CLASSES,
     segment,
 )
 
@@ -61,33 +62,51 @@ class FeatureVector:
         return np.array_equal(self.values, other.values)
 
 
-def _pool_occupancy(classes: np.ndarray) -> np.ndarray:
-    """Per-class cell fractions in each pool cell; fractions sum to 1."""
-    h, w = classes.shape
-    row_edges = np.linspace(0, h, POOL_ROWS + 1).astype(int)
-    col_edges = np.linspace(0, w, POOL_COLS + 1).astype(int)
-    out = np.empty((N_CLASSES, POOL_ROWS, POOL_COLS), dtype=np.float64)
-    for i in range(POOL_ROWS):
-        for j in range(POOL_COLS):
-            block = classes[row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]]
-            counts = np.bincount(block.ravel(), minlength=N_CLASSES)
-            out[:, i, j] = counts / block.size
-    return out.reshape(-1)
+@functools.lru_cache(maxsize=None)
+def _pool_blocks(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pool-cell index of every grid cell (row-major), and each pool cell's size."""
+    row_sizes = np.diff(np.linspace(0, h, POOL_ROWS + 1).astype(int))
+    col_sizes = np.diff(np.linspace(0, w, POOL_COLS + 1).astype(int))
+    rows = np.repeat(np.arange(POOL_ROWS), row_sizes)
+    cols = np.repeat(np.arange(POOL_COLS), col_sizes)
+    block = rows[:, None] * POOL_COLS + cols[None, :]
+    sizes = np.outer(row_sizes, col_sizes).ravel()
+    block.setflags(write=False)
+    sizes.setflags(write=False)
+    return block, sizes
 
 
-def _lane_offset(classes: np.ndarray) -> float:
+def _pool_occupancy(grids: np.ndarray) -> np.ndarray:
+    """Per-class cell fractions in each pool cell; fractions sum to 1.
+
+    One bincount over (grid, class, pool cell) keys for the whole stack;
+    row n holds grid n's fractions in (class, pool row, pool col) order.
+    """
+    n, h, w = grids.shape
+    block, sizes = _pool_blocks(h, w)
+    n_blocks = POOL_ROWS * POOL_COLS
+    keys = (np.arange(n)[:, None, None] * N_CLASSES + grids) * n_blocks + block
+    counts = np.bincount(keys.ravel(), minlength=n * N_OCCUPANCY)
+    return (counts.reshape(n, N_CLASSES, n_blocks) / sizes).reshape(n, N_OCCUPANCY)
+
+
+def _lane_offset(grids: np.ndarray) -> np.ndarray:
     """Signed road-center offset in the near band, in half-widths of the grid."""
-    h, w = classes.shape
-    band = classes[h - _LANE_BAND_ROWS :]
-    road = np.isin(band, (ClassId.ROAD, ClassId.LANE_MARKING))
-    if not road.any():
+    w = grids.shape[2]
+    road = grids[:, -_LANE_BAND_ROWS:] <= ClassId.LANE_MARKING  # road or marking
+    n_road = road.sum(axis=(1, 2))
+    if not n_road.all():
         raise DegenerateInputError("no road cells in the near band")
-    cols = np.nonzero(road)[1]
-    center = float(cols.mean())
+    center = (road * np.arange(w)).sum(axis=(1, 2)) / n_road
     return (center - (w - 1) / 2.0) / (w / 2.0)
 
 
-def _obstacle_offset(classes: np.ndarray) -> float:
+# Horizontal runs: cells connect to their left and right neighbours only.
+_ROW_RUNS = np.zeros((3, 3, 3), dtype=bool)
+_ROW_RUNS[1, 1, :] = True
+
+
+def _obstacle_offset(grids: np.ndarray) -> np.ndarray:
     """Signed column offset of the nearest corridor-blocking car, in cells/4.
 
     A run of car cells counts as in-corridor when most of the cells directly
@@ -96,41 +115,71 @@ def _obstacle_offset(classes: np.ndarray) -> float:
     or scenery. The same-row road span cannot be used here; a corridor car
     that reaches the road edge swallows the span on its side entirely.
     Returns OBSTACLE_SENTINEL when the corridor is clear.
+
+    Every row but the last is split into runs by one labelling pass; one
+    bincount gives each run's length and one its road cells below.
     """
-    h, w = classes.shape
-    cars = classes == ClassId.CAR
-    road_like = np.isin(classes, (ClassId.ROAD, ClassId.LANE_MARKING))
-    in_road = np.zeros_like(cars)
-    for row in range(h - 1):
-        cols = np.flatnonzero(cars[row])
-        if cols.size == 0:
-            continue
-        runs = np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1)
-        for run in runs:
-            below_road = int(road_like[row + 1, run].sum())
-            if below_road * 2 > run.size:
-                in_road[row, run] = True
-    ys, xs = np.nonzero(in_road)
-    if ys.size == 0:
-        return OBSTACLE_SENTINEL
-    nearest_row = ys.max()
-    sel = ys == nearest_row
-    centroid = float(xs[sel].mean())
-    return (centroid - (w - 1) / 2.0) / _OBSTACLE_SCALE
+    n, h, w = grids.shape
+    runs, n_runs = ndimage.label(grids[:, :-1] == ClassId.CAR, structure=_ROW_RUNS)
+    size = np.bincount(runs.ravel(), minlength=n_runs + 1)
+    below_road = np.bincount(
+        runs[grids[:, 1:] <= ClassId.LANE_MARKING], minlength=n_runs + 1
+    )
+    blocking = below_road * 2 > size
+    blocking[0] = False
+    in_road = blocking[runs]  # (n, h - 1, w)
+    rows_hit = in_road.any(axis=2)
+    nearest_row = (h - 2) - rows_hit[:, ::-1].argmax(axis=1)
+    row = in_road[np.arange(n), nearest_row]
+    count = row.sum(axis=1)
+    centroid = (row * np.arange(w)).sum(axis=1) / np.maximum(count, 1)
+    offset = (centroid - (w - 1) / 2.0) / _OBSTACLE_SCALE
+    return np.where(rows_hit.any(axis=1), offset, OBSTACLE_SENTINEL)
+
+
+def features_from_grids(grids: np.ndarray) -> np.ndarray:
+    """Featurize an (N, h, w) stack of class grids into an (N, 130) array.
+
+    The batched form of features_from_maps: row n equals
+    features_from_maps(SemanticMap(grids[n])).values bit for bit. Raises
+    DegenerateInputError if any grid has no road in its near band.
+    """
+    grids = np.asarray(grids)
+    if grids.ndim != 3 or grids.dtype != np.uint8:
+        raise DegenerateInputError("class grids must be an (N, h, w) uint8 stack")
+    out = np.empty((grids.shape[0], N_FEATURES), dtype=np.float64)
+    out[:, :N_OCCUPANCY] = _pool_occupancy(grids)
+    out[:, N_OCCUPANCY] = _lane_offset(grids)
+    out[:, N_OCCUPANCY + 1] = _obstacle_offset(grids)
+    return out
 
 
 def features_from_maps(semantic: SemanticMap) -> FeatureVector:
     """Featurize a known class grid directly (no segmentation step)."""
-    classes = semantic.classes
-    vec = np.empty(N_FEATURES, dtype=np.float64)
-    vec[:N_OCCUPANCY] = _pool_occupancy(classes)
-    vec[N_OCCUPANCY] = _lane_offset(classes)
-    vec[N_OCCUPANCY + 1] = _obstacle_offset(classes)
-    return FeatureVector(values=vec)
+    return FeatureVector(values=features_from_grids(semantic.classes[None])[0])
+
+
+def batch_features_from_maps(semantics: Sequence[SemanticMap]) -> list[FeatureVector]:
+    """features_from_maps of every map, with one features_from_grids call per grid shape."""
+    rows: list[Optional[FeatureVector]] = [None] * len(semantics)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, semantic in enumerate(semantics):
+        by_shape.setdefault(semantic.classes.shape, []).append(i)
+    for indices in by_shape.values():
+        grids = np.stack([semantics[i].classes for i in indices])
+        for i, values in zip(indices, features_from_grids(grids)):
+            rows[i] = FeatureVector(values=values)
+    return rows
 
 
 def featurize(sample: DrivingSample, style: StyleModel) -> FeatureVector:
-    """Segment the sample's scenario under the given style, then featurize."""
+    """Segment the sample's scenario under the given style, then featurize.
+
+    Callers featurize each (sample, style) pair once and pass the features
+    down: the harness shares each robot's split features across its local,
+    jitter and crop arms, a RobotNode reuses its upload's features when it
+    fine-tunes, and `parl eval` featurizes each holdout once per style.
+    """
     semantic, _ = segment(sample.scenario, style)
     return features_from_maps(semantic)
 
@@ -382,15 +431,24 @@ def evaluate(
     testset: Sequence[DrivingSample],
     style: StyleModel,
     fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
+    features: Optional[Sequence[FeatureVector]] = None,
 ) -> EvaluationReport:
-    """Mean absolute torque error per task, with failure = error > threshold."""
+    """Mean absolute torque error per task, with failure = error > threshold.
+
+    features, when given, holds featurize(sample, style) for each testset
+    sample in order, so a caller that evaluates several models on one
+    testset featurizes it once.
+    """
     if not testset:
         raise EvaluationError("cannot evaluate on an empty testset")
+    if features is not None and len(features) != len(testset):
+        raise EvaluationError("features must align with the testset")
     per_task_abs: dict[str, list[float]] = {}
-    for sample in testset:
+    for i, sample in enumerate(testset):
         if sample.label is None:
             raise EvaluationError("testset contains an unlabeled sample")
-        pred = model.predict(featurize(sample, style))
+        feats = featurize(sample, style) if features is None else features[i]
+        pred = model.predict(feats)
         per_task_abs.setdefault(sample.task.value, []).append(abs(pred - sample.label))
     per_task_error = {}
     per_task_rate = {}

@@ -56,10 +56,10 @@ from .policy import (
     EvaluationReport,
     FeatureVector,
     PolicyModel,
+    batch_features_from_maps,
     crowdsource_labels,
     evaluate,
     featurize,
-    features_from_maps,
     fine_tune,
     train,
 )
@@ -443,6 +443,9 @@ class RobotNode:
         self.stage = Stage.LOCAL_COMPUTE
         self.style: Optional[StyleModel] = None
         self.policy: Optional[PolicyModel] = None
+        # (features, label) per training sample from local_compute, reused
+        # when fine-tuning: the robot featurizes its own data once.
+        self.local_rows: list[tuple[FeatureVector, float]] = []
         self.tuned: Optional[PolicyModel] = None
         self.ack_report: Optional[EvaluationReport] = None
         self.shared_received = 0
@@ -474,11 +477,10 @@ class RobotNode:
                 raise ProtocolError("robot has no local samples")
             style = fit_style(self.train_samples)
             layouts = [segment(s.scenario, style) for s in self.train_samples]
-            dataset = []
-            for sample, (semantic, _) in zip(self.train_samples, layouts):
-                if sample.label is None:
-                    raise ProtocolError("local sample is unlabeled")
-                dataset.append((features_from_maps(semantic), sample.label))
+            if any(s.label is None for s in self.train_samples):
+                raise ProtocolError("local sample is unlabeled")
+            features = batch_features_from_maps([semantic for semantic, _ in layouts])
+            dataset = [(f, s.label) for f, s in zip(features, self.train_samples)]
             policy = train(
                 dataset,
                 ridge_lambda=self.ridge_lambda,
@@ -489,6 +491,7 @@ class RobotNode:
             return None
         self.style = style
         self.policy = policy
+        self.local_rows = dataset
         self.stage = advance_stage(self.stage, Stage.UPLOADED)
         return self._msg(UploadLocal(style=style, policy=policy, layouts=tuple(layouts)))
 
@@ -515,12 +518,9 @@ class RobotNode:
                 if self.stage not in (Stage.UPLOADED, Stage.LABELING) or self.tuned is not None:
                     self._violation(body)
                     return []
-                dataset = [
-                    (featurize(s, self.style), s.label) for s in self.train_samples
-                ]
                 self.tuned = fine_tune(
                     body.policy,
-                    dataset,
+                    self.local_rows,
                     mix=self.beta,
                     provenances=[s.provenance for s in self.train_samples],
                 )
@@ -686,7 +686,10 @@ class CloudNode:
         return tuple(rendered)
 
     def finish_round(self) -> list[Message]:
-        """Pool the robots' answers into labels, train, dispatch exactly once."""
+        """Pool the robots' answers into labels, train, dispatch exactly once.
+
+        Only robots that answered their LabelRequest receive a SharedModel.
+        """
         cfg = self.config
         self.stage = advance_stage(self.stage, Stage.CLOUD_TRAIN)
         voters = [node for node in self.participants if node in self.responses]
@@ -708,16 +711,20 @@ class CloudNode:
                 crowdsource_labels(block, member_styles, self.uploads[target].style)
                 for target in self.participants
             ]
-            for j, i in enumerate(columns):
-                feats = features_from_maps(self.candidates[i][1].semantic)
+            features = batch_features_from_maps(
+                [self.candidates[i][1].semantic for i in columns]
+            )
+            for j, feats in enumerate(features):
                 pool[source].extend((feats, per_target[j]) for per_target in labels)
         all_rows = [row for rows in pool.values() for row in rows]
         if not all_rows:
             raise ProtocolError("no labeled augmented data to train on")
         prov = Provenance.CROWDSOURCED
         out: list[Message] = []
+        # A robot that never answered its LabelRequest has gone silent: it
+        # gets no shared model, so none is trained or encoded for it.
         if cfg.per_robot_shared:
-            for node in self.participants:
+            for node in voters:
                 rows = pool[node] or all_rows
                 self.shared[node] = train(
                     rows, ridge_lambda=cfg.ridge_lambda, provenances=[prov] * len(rows)
@@ -726,10 +733,10 @@ class CloudNode:
             model = train(
                 all_rows, ridge_lambda=cfg.ridge_lambda, provenances=[prov] * len(all_rows)
             )
-            for node in self.participants:
+            for node in voters:
                 self.shared[node] = model
         self.stage = advance_stage(self.stage, Stage.DISPATCHED)
-        for node in self.participants:
+        for node in voters:
             if node in self._dispatched:
                 raise ProtocolError(f"shared model already dispatched to {node}")
             self._dispatched.add(node)

@@ -126,18 +126,32 @@ class InstanceMap:
     def __post_init__(self) -> None:
         grid = np.ascontiguousarray(np.asarray(self.instance_grid, dtype=np.int32))
         records = tuple(self.records)
-        ids_in_grid = set(int(v) for v in np.unique(grid)) - {BACKGROUND_ID}
         ids_in_records = [r.instance_id for r in records]
         if len(ids_in_records) != len(set(ids_in_records)):
             raise ConfigurationError("duplicate instance ids in records")
-        if not ids_in_grid <= set(ids_in_records):
+        # One pass over the grid finds every id's bounding box. Ids are
+        # shifted to labels 1.. when their range is small (always, for maps
+        # built here) and ranked through np.unique otherwise.
+        lo, hi = (int(grid.min()), int(grid.max())) if grid.size else (0, -1)
+        if hi - lo < grid.size:
+            values = np.arange(lo, hi + 1)
+            labels = grid.astype(np.int64) - (lo - 1)
+        else:
+            values, labels = np.unique(grid, return_inverse=True)
+            labels = labels.reshape(grid.shape) + 1
+        box_of = {
+            int(v): box
+            for v, box in zip(values, ndimage.find_objects(labels))
+            if box is not None
+        }
+        if not set(box_of) - {BACKGROUND_ID} <= set(ids_in_records):
             raise ConfigurationError("grid references ids missing from records")
         for rec in records:
-            cells = np.argwhere(grid == rec.instance_id)
-            if cells.size:
+            box = box_of.get(rec.instance_id)
+            if box is not None:
+                (y_min, y_max), (x_min, x_max) = [(sl.start, sl.stop - 1) for sl in box]
                 x0, y0, w, h = rec.bbox
-                ys, xs = cells[:, 0], cells[:, 1]
-                if xs.min() < x0 or xs.max() >= x0 + w or ys.min() < y0 or ys.max() >= y0 + h:
+                if x_min < x0 or x_max >= x0 + w or y_min < y0 or y_max >= y0 + h:
                     raise ConfigurationError(
                         f"bbox {rec.bbox} does not enclose instance {rec.instance_id}"
                     )
@@ -252,40 +266,45 @@ def render(
 
 
 def _classify_cells(pixels: np.ndarray, style: StyleModel) -> np.ndarray:
-    """Nearest class mean per cell, Chebyshev distance, ties to lowest id."""
-    px = pixels.astype(np.float64)
-    dists = np.empty((N_CLASSES,) + px.shape[:2])
-    for c in range(N_CLASSES):
-        if style.has_class(c):
-            dists[c] = np.max(np.abs(px - style.class_means[c]), axis=2)
-        else:
-            dists[c] = np.inf
+    """Nearest class mean per cell, Chebyshev distance, ties to lowest id.
+
+    Works on channel-first planes: a class's distance is the elementwise
+    maximum of the three per-channel absolute differences, which is exactly
+    the maximum over the channel axis.
+    """
+    planes = pixels.transpose(2, 0, 1).astype(np.float64, order="C")
+    dists = np.full((N_CLASSES,) + planes.shape[1:], np.inf)
+    for c in np.flatnonzero(~np.isnan(style.class_means).any(axis=1)):
+        r, g, b = np.abs(planes - style.class_means[c][:, None, None])
+        dists[c] = np.maximum(np.maximum(r, g), b)
     return dists.argmin(axis=0).astype(np.uint8)  # argmin picks lowest id on ties
 
 
 def extract_instances(classes: np.ndarray) -> InstanceMap:
-    """Connected components of thing classes, ids assigned in raster order."""
+    """Connected components of thing classes, ids assigned in raster order.
+
+    One labelling pass per thing class: ndimage numbers a class's components
+    in raster order of their first cell, so component k gets the next free
+    id plus k - 1, and find_objects gives every bounding box at once.
+    """
     h, w = classes.shape
     grid = np.full((h, w), BACKGROUND_ID, dtype=np.int32)
     records = []
-    next_id = 0
     for cls in THING_CLASSES:
-        labels, n = ndimage.label(classes == cls, structure=_CONNECTIVITY)
-        for comp in range(1, n + 1):
-            mask = labels == comp
-            ys, xs = np.nonzero(mask)
-            x0, y0 = int(xs.min()), int(ys.min())
-            bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
-            grid[mask] = next_id
+        labels, _ = ndimage.label(classes == cls, structure=_CONNECTIVITY)
+        first = len(records)
+        inside = labels > 0
+        grid[inside] = labels[inside] + (first - 1)
+        for k, (rows, cols) in enumerate(ndimage.find_objects(labels)):
+            x0, y0 = cols.start, rows.start
             records.append(
                 InstanceRecord(
-                    instance_id=next_id,
+                    instance_id=first + k,
                     class_id=cls,
-                    bbox=(x0, y0, bw, bh),
+                    bbox=(x0, y0, cols.stop - x0, rows.stop - y0),
                     affine=(float(x0), float(y0), 1.0, 1.0),
                 )
             )
-            next_id += 1
     return InstanceMap(instance_grid=grid, records=tuple(records))
 
 
@@ -295,7 +314,8 @@ def segment(scenario: Scenario, style: StyleModel) -> tuple[SemanticMap, Instanc
     Classification is nearest class appearance per cell; instances are the
     connected components of car and pedestrian cells. Exact for scenarios
     rendered under the same style because noise stays below half the
-    separation floor.
+    separation floor. Callers segment each (scenario, style) pair once:
+    policy.featurize is the usual entry, and its callers keep the result.
     """
     classes = _classify_cells(scenario.pixels, style)
     if not (classes == ClassId.ROAD).any():

@@ -1,0 +1,63 @@
+"""CLI exit codes of `parl eval --verify`, and byte-identical reruns of `parl run`."""
+
+import json
+import shutil
+
+import pytest
+
+from parl import cli
+from parl.config import OUTPUT_ROOT_ENV
+
+RUN_FLAGS = ["--robots", "2", "--samples-per-task", "3"]
+
+
+def _run(monkeypatch, root):
+    """`parl run` into root/parl-out; the relative output dir keeps it out of the bytes."""
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(root))
+    assert cli.main(["run", *RUN_FLAGS, "--output-dir", "parl-out"]) == 0
+    return root / "parl-out"
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _run(monkeypatch, tmp_path_factory.mktemp("first"))
+
+
+def _tree(path):
+    return {
+        p.relative_to(path).as_posix(): p.read_bytes()
+        for p in sorted(path.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_eval_verify_passes_on_fresh_run(run_dir, capsys):
+    assert cli.main(["eval", str(run_dir), "--verify"]) == 0
+    assert "VERIFY PASS" in capsys.readouterr().out
+
+
+def test_eval_verify_fails_after_report_edit(run_dir, tmp_path, capsys):
+    edited = tmp_path / "edited"
+    shutil.copytree(run_dir, edited)
+    report_path = edited / "report.json"
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    report["arms"]["local"]["robot-1"]["overall_error"] += 0.01
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    assert cli.main(["eval", str(edited), "--verify"]) == 2
+    out = capsys.readouterr().out
+    assert "VERIFY FAIL: local/robot-1" in out
+    assert out.count("VERIFY FAIL") == 1
+
+
+def test_eval_without_config_is_a_configuration_error(tmp_path, capsys):
+    assert cli.main(["eval", str(tmp_path), "--verify"]) == 3
+    assert "no config.txt" in capsys.readouterr().err
+
+
+def test_rerun_gives_byte_identical_artifacts(run_dir, tmp_path, monkeypatch):
+    again = _run(monkeypatch, tmp_path)
+    first, second = _tree(run_dir), _tree(again)
+    assert sorted(first) == sorted(second)
+    assert "report.json" in first and any(k.startswith("models/parl_shared_") for k in first)
+    assert [k for k in first if first[k] != second[k]] == []

@@ -1,9 +1,12 @@
 """One protocol round on a small two-robot world: labels, dropout, violations."""
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from parl import cli
+from parl import cli, harness
 from parl.config import ExperimentConfig
 from parl.errors import DecodeError
 from parl.harness import generate_worlds
@@ -96,7 +99,23 @@ def test_dropped_robot_does_not_vote(worlds):
     assert result.participants == (robots[0].node_id, dropped)
     assert set(cloud.responses) == {robots[0].node_id}
     assert result.shared_received[dropped] == 0
+    # The silent robot is sent no shared model: none is encoded or dropped.
+    assert set(result.shared) == {robots[0].node_id}
+    assert not any(line.startswith("drop SharedModel") for line in result.network_log)
     _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
+
+
+def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkeypatch):
+    dropped = NodeId.robot(1)
+    monkeypatch.setattr(
+        harness, "run_round", functools.partial(run_round, drop_after_upload=[dropped])
+    )
+    report = harness.run_experiment(replace(CONFIG, output_dir=str(tmp_path)))
+    models = tmp_path / "models"
+    assert (models / "parl_shared_robot-0.dm1").exists()
+    assert not (models / "parl_shared_robot-1.dm1").exists()
+    assert not (models / "parl_tuned_robot-1.dm1").exists()
+    assert report.protocol["stages"][str(dropped)] == Stage.DROPPED_OUT.name
 
 
 def test_bad_label_responses_become_violations(worlds):
