@@ -145,8 +145,8 @@ def features_from_grids(grids: np.ndarray) -> np.ndarray:
     DegenerateInputError if any grid has no road in its near band.
     """
     grids = np.asarray(grids)
-    if grids.ndim != 3 or grids.dtype != np.uint8:
-        raise DegenerateInputError("class grids must be an (N, h, w) uint8 stack")
+    if grids.ndim != 3 or grids.dtype != np.uint8 or grids.max(initial=0) >= N_CLASSES:
+        raise DegenerateInputError("class grids must be an (N, h, w) uint8 stack of class ids")
     out = np.empty((grids.shape[0], N_FEATURES), dtype=np.float64)
     out[:, :N_OCCUPANCY] = _pool_occupancy(grids)
     out[:, N_OCCUPANCY] = _lane_offset(grids)

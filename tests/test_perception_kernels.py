@@ -317,3 +317,10 @@ def test_batch_features_from_maps_handles_mixed_shapes():
     rows = batch_features_from_maps(maps)
     for semantic, row in zip(maps, rows):
         assert row.values.tobytes() == reference_features(semantic.classes).tobytes()
+
+
+def test_features_from_grids_rejects_what_is_not_a_class_stack():
+    grid = np.zeros((1, 16, 16), dtype=np.uint8)
+    for bad in (grid[0], grid.astype(np.int64), grid + N_CLASSES):
+        with pytest.raises(DegenerateInputError):
+            features_from_grids(bad)
