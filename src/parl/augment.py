@@ -11,21 +11,28 @@ histogram over (context, position, scale) bins, shapes are masks harvested
 from real instances, and the scorer aggregates class-adjacency, placement,
 size, and shape-regularity evidence at three pooling scales.
 
-The scorer never works on a full-grid mask per instance. One find_objects
-pass gives every instance's bbox and cells; at each pooling scale, one
-component function (_instance_components) any-pools the instance onto its
-bbox crop plus a pooled cell of margin and returns the instance's context,
-size and fill bins, its component count and its ring of outside neighbour
-classes. Scoring, diagnostics_json and scorer fitting all read those
-components, and the evidence tables they are looked up in are normalized
-once, when the scale stats are built.
+The scorer works per layout, not per instance: every step is an array pass
+over all of a layout's instances at once. One pass lists each instance's
+cells, and one label call on a grid of cells and same-instance links tells
+which instances are connected (_layout_instances). At each pooling scale,
+one sort of (instance, pooled cell) keys any-pools every instance, and the
+context, size and fill bins, component counts and rings of outside
+neighbour classes are read from that list (_scale_keys). Scoring,
+diagnostics_json and scorer fitting all read those arrays, and the evidence
+tables they are looked up in are normalized once, when the scale stats are
+built.
+
+Scores are pinned bit for bit, and a float sum depends on its order. So
+each ring direction is summed per instance exactly as ndarray.sum() sums it
+alone (_segment_sums), the four direction sums are added in ring order, and
+the weighted component sum stays one dot product per instance.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy import ndimage
@@ -53,34 +60,37 @@ SCORE_CAP = 1.0 - 1e-6
 _CONN4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
+# Scale bins by the larger bbox dimension: <= 2, <= 5, larger.
+_SCALE_BIN_EDGES = (2, 5)
+
+
 def scale_bin_of(width: int, height: int) -> int:
     """Scale bin by the larger bbox dimension: <=2, <=5, larger."""
-    m = max(width, height)
-    if m <= 2:
-        return 0
-    if m <= 5:
-        return 1
-    return 2
+    return bisect_left(_SCALE_BIN_EDGES, max(width, height))
 
 
-def _depth_map(classes: np.ndarray) -> np.ndarray:
-    """Signed distance to the road span per cell.
+def _depth_at(classes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Signed distance to the road span at the given cells.
 
     Positive depths count cells inside the span (1 at the edge), negative
     depths count cells outside it. Rows without road are deeply off-road.
     """
-    h, w = classes.shape
+    w = classes.shape[1]
     road_like = (classes == ClassId.ROAD) | (classes == ClassId.LANE_MARKING)
-    lo = road_like.argmax(axis=1)[:, None]
-    hi = w - 1 - road_like[:, ::-1].argmax(axis=1)[:, None]
-    cols = np.arange(w)
+    lo = road_like.argmax(axis=1)[rows]
+    hi = w - 1 - road_like[:, ::-1].argmax(axis=1)[rows]
     depth = np.where(
         (cols >= lo) & (cols <= hi),
         np.minimum(cols - lo, hi - cols) + 1,
         -np.maximum(lo - cols, cols - hi),
-    ).astype(np.int32)
-    depth[~road_like.any(axis=1)] = -w
-    return depth
+    )
+    return np.where(road_like.any(axis=1)[rows], depth, -w).astype(np.int32)
+
+
+def _depth_map(classes: np.ndarray) -> np.ndarray:
+    """_depth_at for every cell of the grid."""
+    h, w = classes.shape
+    return _depth_at(classes, np.arange(h)[:, None], np.arange(w))
 
 
 # Context bins by depth: 0 deep road (>= 3), 1 road edge (1..2), 2 roadside
@@ -90,10 +100,6 @@ _CTX_DEPTH_EDGES = (-3, 1, 3)
 
 def _ctx_bin_from_depth(depth: np.ndarray) -> np.ndarray:
     return (N_CTX_BINS - 1 - np.digitize(depth, _CTX_DEPTH_EDGES)).astype(np.int8)
-
-
-def _ctx_bin_of(depth: int) -> int:
-    return N_CTX_BINS - 1 - bisect_right(_CTX_DEPTH_EDGES, depth)
 
 
 def _pos_bins(rows: np.ndarray, cols: np.ndarray, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,46 +112,85 @@ def _record_mask(instances: InstanceMap, record: InstanceRecord) -> np.ndarray:
     return instances.instance_grid == record.instance_id
 
 
-_Box = tuple[slice, slice]
+class _Instances(NamedTuple):
+    """The records of one layout that own cells, and where those cells lie.
 
+    Arrays are per instance, in record order; the cells are grouped by
+    instance and row-major within one, the order np.nonzero on each
+    instance's mask lists them.
+    """
 
-class _Cells(NamedTuple):
-    """Where one record's instance lies on the full-resolution grid."""
-
-    record: InstanceRecord
-    box: _Box  # bbox slices
-    ys: np.ndarray  # cell rows and columns, row-major
+    records: tuple[InstanceRecord, ...]
+    class_ids: np.ndarray  # (n,) int64
+    ys: np.ndarray  # cell rows and columns, grouped
     xs: np.ndarray
-    connected: bool  # the cells form one 4-connected component
+    owner: np.ndarray  # the instance each cell belongs to
+    starts: np.ndarray  # (n,) offset of each instance's first cell
+    counts: np.ndarray  # (n,) cells per instance
+    box: np.ndarray  # (n, 4) inclusive y_min, y_max, x_min, x_max
+    connected: np.ndarray  # (n,) bool: the cells form one 4-connected component
 
 
-def _instance_cells(instances: InstanceMap) -> list[_Cells]:
-    """The cells of each record that owns any, found in one pass over the grid.
+def _layout_instances(instances: InstanceMap) -> _Instances:
+    """Every record's cells and connectivity, from whole-grid array passes.
 
-    find_objects gives every bbox; the cells come from the bbox crop, in
-    the row-major order np.nonzero on the full grid would list them.
+    Connectivity takes one label call per layout, on a (2h-1, 2w-1) grid:
+    each cell sits at an even position, and the link between two
+    4-neighbours is set only when both hold the same instance. Labels then
+    never join different instances, so an instance is connected exactly
+    when its cells carry one label.
     """
     grid = instances.instance_grid
-    boxes = ndimage.find_objects(grid + 1)
-    out = []
-    for rec in instances.records:
-        i = rec.instance_id
-        box = boxes[i] if 0 <= i < len(boxes) else None
-        if box is None:
-            continue
-        mask = grid[box] == i
-        ys, xs = np.nonzero(mask)
-        connected = ndimage.label(mask, structure=_CONN4)[1] == 1
-        out.append(_Cells(rec, box, ys + box[0].start, xs + box[1].start, connected))
-    return out
+    records = instances.records
+    ids = np.array([r.instance_id for r in records], dtype=np.int64)
+    flat = grid.ravel()
+    cells = np.flatnonzero(flat != BACKGROUND_ID)
+    by_id = np.argsort(ids)
+    rec_of_cell = by_id[np.searchsorted(ids[by_id], flat[cells])]
+    grouped = np.argsort(rec_of_cell, kind="stable")
+    cells, rec_of_cell = cells[grouped], rec_of_cell[grouped]
+    per_record = np.bincount(rec_of_cell, minlength=len(records))
+    owns = per_record > 0
+    rank_of_cell = (np.cumsum(owns) - 1)[rec_of_cell]
+    counts = per_record[owns]
+    starts = np.cumsum(counts) - counts
+
+    h, w = grid.shape
+    links = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    links[::2, ::2] = grid != BACKGROUND_ID
+    links[::2, 1::2] = (grid[:, :-1] == grid[:, 1:]) & (grid[:, 1:] != BACKGROUND_ID)
+    links[1::2, ::2] = (grid[:-1] == grid[1:]) & (grid[1:] != BACKGROUND_ID)
+    labels, n_labels = ndimage.label(links, structure=_CONN4)
+    owner = np.zeros(n_labels + 1, dtype=np.int64)
+    owner[labels[::2, ::2].ravel()[cells]] = rank_of_cell
+    n_components = np.bincount(owner[1:], minlength=counts.size)
+
+    ys, xs = np.divmod(cells, w)
+    box = np.stack(
+        [
+            ys[starts],
+            ys[starts + counts - 1],
+            np.minimum.reduceat(xs, starts),
+            np.maximum.reduceat(xs, starts),
+        ],
+        axis=1,
+    )
+    kept = tuple(r for r, o in zip(records, owns) if o)
+    return _Instances(
+        records=kept,
+        class_ids=np.array([int(r.class_id) for r in kept], dtype=np.int64),
+        ys=ys,
+        xs=xs,
+        owner=rank_of_cell,
+        starts=starts,
+        counts=counts,
+        box=box,
+        connected=n_components == 1,
+    )
 
 
 FILL_BIN_EDGES = (0.55, 0.7, 0.85)
 N_FILL_BINS = len(FILL_BIN_EDGES) + 1
-
-
-def _fill_bin(fill: float) -> int:
-    return bisect_right(FILL_BIN_EDGES, fill)
 
 
 def _contact_flags(instances: InstanceMap) -> dict[int, bool]:
@@ -288,12 +333,14 @@ def fit_where(layouts: Sequence[Layout], alpha: float = 0.5) -> WherePredictor:
         depth = _depth_map(semantic.classes)
         ctx_map = _ctx_bin_from_depth(depth)
         h, w = semantic.classes.shape
-        for rec, _, ys, xs, _ in _instance_cells(instances):
-            r, c = int(round(ys.mean())), int(round(xs.mean()))
-            py, px = _pos_bins(np.array([r]), np.array([c]), h, w)
-            sbin = scale_bin_of(rec.bbox[2], rec.bbox[3])
-            counts[rec.class_id, ctx_map[r, c], py[0] * POS_BINS + px[0], sbin] += 1
-            n_instances += 1
+        inst = _layout_instances(instances)
+        # Mean cell, rounded half to even as round() does.
+        rows = np.rint(np.add.reduceat(inst.ys, inst.starts) / inst.counts).astype(np.intp)
+        cols = np.rint(np.add.reduceat(inst.xs, inst.starts) / inst.counts).astype(np.intp)
+        py, px = _pos_bins(rows, cols, h, w)
+        sbins = np.array([scale_bin_of(rec.bbox[2], rec.bbox[3]) for rec in inst.records], dtype=np.intp)
+        np.add.at(counts, (inst.class_ids, ctx_map[rows, cols], py * POS_BINS + px, sbins), 1)
+        n_instances += len(inst.records)
     if n_instances == 0:
         raise FittingError("no instances found in the provided layouts")
     probs = _smooth_and_normalize(counts, alpha)
@@ -381,11 +428,12 @@ def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
     templates = []
     seen: set[int] = set()
     for _, instances in layouts:
-        for rec, box, _, _, connected in _instance_cells(instances):
+        inst = _layout_instances(instances)
+        for rec, (y0, y1, x0, x1), connected in zip(inst.records, inst.box, inst.connected):
             seen.add(int(rec.class_id))
             if not connected:
                 continue  # fragmented masks make unusable templates
-            crop = instances.instance_grid[box] == rec.instance_id
+            crop = instances.instance_grid[y0 : y1 + 1, x0 : x1 + 1] == rec.instance_id
             sbin = scale_bin_of(crop.shape[1], crop.shape[0])
             templates.append((int(rec.class_id), sbin, crop))
     if not templates:
@@ -610,102 +658,139 @@ class _ScaleStats:
         )
 
 
-class _Components(NamedTuple):
-    """Evidence keys of one instance at one pooling scale."""
+class _ScaleKeys(NamedTuple):
+    """Evidence keys at one pooling scale, one entry per instance."""
 
-    # Context of the mask's closest approach to the road (its maximum
+    pooled: np.ndarray  # the mode-pooled class grid
+    # Context of each mask's closest approach to the road (its maximum
     # depth), which keeps wide roadside blobs in the roadside bin even when
     # their far cells reach deep into the scenery.
-    ctx_bin: int
-    size_bin: int
-    fill_bin: int
-    n_components: int
-    # Pooled classes of the mask's outside 4-neighbours, one array per
-    # direction (down, up, right, left), each in row-major order of the
-    # mask cell they neighbour.
-    ring: tuple[np.ndarray, ...]
+    ctx_bin: np.ndarray
+    size_bin: np.ndarray
+    fill_bin: np.ndarray
+    n_components: np.ndarray
+    # The masks' outside 4-neighbours as (instance class, pooled neighbour
+    # class) pairs, flat indices into an (N_CLASSES, N_CLASSES) table, in
+    # runs by direction (down, up, right, left), then instance, then the
+    # row-major order of the mask cell they neighbour; ring_lengths is (4, n).
+    ring: np.ndarray
+    ring_lengths: np.ndarray
 
 
-def _instance_components(
-    pooled: np.ndarray, depth: np.ndarray, factor: int, cells: _Cells
-) -> _Components:
-    """One instance's evidence keys at one scale, computed on its bbox crop.
+# Ring directions, in ring order: down, up, right, left.
+_RING_DY = np.array([1, -1, 0, 0])
+_RING_DX = np.array([0, 0, 1, -1])
 
-    The crop is the factor-aligned bbox any-pooled, plus one pooled cell of
-    margin clipped to the grid, so every outside neighbour of the pooled
-    mask lies inside it and every mask cell at the crop's edge sits on the
-    grid's edge. Any-pooling maps 4-adjacent cells to the same or 4-adjacent
-    blocks, so an instance connected at full resolution stays connected.
+
+def _scale_keys(classes: np.ndarray, inst: _Instances, factor: int) -> _ScaleKeys:
+    """Every instance's evidence keys at one scale, in whole-layout array passes.
+
+    Each instance is any-pooled: it owns every pooled cell one of its cells
+    falls in. One sort of (instance, pooled cell) keys lists those cells
+    grouped by instance and row-major within one; the bins come from
+    per-instance reductions over that list, and a neighbour lies outside
+    its instance when searchsorted does not find its key. Any-pooling maps
+    4-adjacent cells to the same or 4-adjacent blocks, so an instance
+    connected at full resolution stays connected; only the rare fragmented
+    instance has its pooled mask labelled.
     """
-    box = cells.box
-    y0, y1 = box[0].start // factor, (box[0].stop - 1) // factor + 1
-    x0, x1 = box[1].start // factor, (box[1].stop - 1) // factor + 1
-    h, w = pooled.shape
-    top, bottom = max(y0 - 1, 0), min(y1 + 1, h)
-    left, right = max(x0 - 1, 0), min(x1 + 1, w)
-    mask = np.zeros((bottom - top, right - left), dtype=bool)
-    mask[cells.ys // factor - top, cells.xs // factor - left] = True
-    classes = pooled[top:bottom, left:right]
-    out = ~mask
-    ring = (
-        classes[1:][mask[:-1] & out[1:]],
-        classes[:-1][mask[1:] & out[:-1]],
-        classes[:, 1:][mask[:, :-1] & out[:, 1:]],
-        classes[:, :-1][mask[:, 1:] & out[:, :-1]],
-    )
-    bw, bh = x1 - x0, y1 - y0
-    n_components = 1 if cells.connected else ndimage.label(mask, structure=_CONN4)[1]
-    return _Components(
-        ctx_bin=_ctx_bin_of(int(depth[top:bottom, left:right][mask].max())),
-        size_bin=scale_bin_of(bw, bh),
-        fill_bin=_fill_bin(mask.sum() / (bw * bh)),
+    pooled = _mode_pool(classes, factor)
+    ph, pw = pooled.shape
+    size = ph * pw
+    n = len(inst.records)
+    keys = np.sort(inst.owner * size + (inst.ys // factor) * pw + inst.xs // factor)
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    owner, cell = np.divmod(keys, size)
+    py, px = np.divmod(cell, pw)
+    n_cells = np.bincount(owner, minlength=n)
+    first = np.cumsum(n_cells) - n_cells
+
+    y0, x0 = inst.box[:, 0] // factor, inst.box[:, 2] // factor
+    bh = inst.box[:, 1] // factor + 1 - y0
+    bw = inst.box[:, 3] // factor + 1 - x0
+    n_components = np.ones(n, dtype=np.int64)
+    for i in np.flatnonzero(~inst.connected):
+        mine = slice(first[i], first[i] + n_cells[i])
+        mask = np.zeros((bh[i], bw[i]), dtype=bool)
+        mask[py[mine] - y0[i], px[mine] - x0[i]] = True
+        n_components[i] = ndimage.label(mask, structure=_CONN4)[1]
+
+    steps = (_RING_DY * pw + _RING_DX)[:, None]
+    neighbour = keys + steps
+    found = keys[np.minimum(np.searchsorted(keys, neighbour), keys.size - 1)] == neighbour
+    outside = ~found
+    outside[0] &= py < ph - 1
+    outside[1] &= py > 0
+    outside[2] &= px < pw - 1
+    outside[3] &= px > 0
+    runs = (owner + n * np.arange(4)[:, None])[outside]
+    # Off-grid neighbours are clipped to some cell; only outside ones are kept.
+    pairs = inst.class_ids[owner] * N_CLASSES + pooled.take(cell + steps, mode="clip")
+    return _ScaleKeys(
+        pooled=pooled,
+        ctx_bin=_ctx_bin_from_depth(np.maximum.reduceat(_depth_at(pooled, py, px), first)),
+        size_bin=np.searchsorted(_SCALE_BIN_EDGES, np.maximum(bw, bh)),
+        fill_bin=np.searchsorted(FILL_BIN_EDGES, n_cells / (bw * bh), side="right"),
         n_components=n_components,
-        ring=ring,
+        ring=pairs[outside],
+        ring_lengths=np.bincount(runs, minlength=4 * n).reshape(4, n),
     )
 
 
-def _layout_scales(
-    layout: Layout,
-) -> Iterator[tuple[np.ndarray, list[tuple[InstanceRecord, _Components]]]]:
-    """Per pool factor: the pooled class grid and each instance's components.
-
-    Records without cells are left out. Instances are found once for all
-    scales.
-    """
+def _layout_scales(layout: Layout) -> tuple[_Instances, tuple[_ScaleKeys, ...]]:
+    """The layout's instances, found once, and their keys at every pool factor."""
     semantic, instances = layout
-    cells = _instance_cells(instances)
-    for factor in POOL_FACTORS:
-        pooled = _mode_pool(semantic.classes, factor)
-        depth = _depth_map(pooled)
-        yield pooled, [
-            (c.record, _instance_components(pooled, depth, factor, c)) for c in cells
-        ]
+    inst = _layout_instances(instances)
+    return inst, tuple(_scale_keys(semantic.classes, inst, f) for f in POOL_FACTORS)
 
 
-def _component_values(
-    stats: _ScaleStats, cls: int, comps: _Components
-) -> tuple[float, float, float, float]:
-    """(box, instance, affine, shape) evidence of one instance at one scale.
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum each run of values, bit for bit as ndarray.sum() sums it alone.
+
+    The runs lie end to end in values, lengths[i] long. A float sum depends
+    on its order, and numpy adds fewer than 8 elements left to right, longer
+    runs in 8 lanes. The short runs are therefore summed together down the
+    columns of a zero-padded matrix, which adds each column left to right
+    (adding 0.0 changes no sum of nonnegative values); the long ones by
+    .sum() on their own slice.
+    """
+    starts = np.cumsum(lengths) - lengths
+    short = lengths < 8
+    run = np.repeat(np.arange(lengths.size), lengths)
+    place = short[run]
+    padded = np.zeros((8, lengths.size))
+    padded[np.arange(values.size)[place] - starts[run[place]], run[place]] = values[place]
+    sums = padded.sum(axis=0)
+    for i in np.flatnonzero(~short):
+        sums[i] = values[starts[i] : starts[i] + lengths[i]].sum()
+    return sums
+
+
+def _component_values(stats: _ScaleStats, inst: _Instances, keys: _ScaleKeys) -> np.ndarray:
+    """(box, instance, affine, shape) evidence per instance at one scale: (n, 4).
 
     The instance term is the mean adjacency evidence over the ring; a class
     without adjacency evidence scores 0 and an empty ring scores 1. Each
-    direction is summed on its own and the four sums are added in ring
-    order: float sums depend on their order, and the scores are pinned bit
-    for bit.
+    direction's run is summed on its own and the four sums are added in
+    ring order, starting from 0.0: float sums depend on their order, and the
+    scores are pinned bit for bit.
     """
-    box = float(stats.ctx_norm[cls, comps.ctx_bin])
-    affine = float(stats.size_norm[cls, comps.size_bin])
-    shape = float(stats.fill_norm[cls, comps.fill_bin]) * (
-        1.0 if comps.n_components == 1 else 0.2
+    cls = inst.class_ids
+    n = cls.size
+    evidence = stats.adj_norm.ravel()[keys.ring]
+    sums = _segment_sums(evidence, keys.ring_lengths.ravel()).reshape(4, n)
+    total = 0.0 + sums[0] + sums[1] + sums[2] + sums[3]
+    count = keys.ring_lengths.sum(axis=0)
+    ring = np.where(count > 0, total / np.maximum(count, 1), 1.0)
+    return np.stack(
+        [
+            stats.ctx_norm[cls, keys.ctx_bin],
+            np.where(stats.adj_seen[cls], ring, 0.0),
+            stats.size_norm[cls, keys.size_bin],
+            stats.fill_norm[cls, keys.fill_bin] * np.where(keys.n_components == 1, 1.0, 0.2),
+        ],
+        axis=1,
     )
-    if not stats.adj_seen[cls]:
-        return box, 0.0, affine, shape
-    row = stats.adj_norm[cls]
-    total, count = 0.0, 0
-    for neighbours in comps.ring:
-        total += float(row[neighbours].sum())
-        count += neighbours.size
-    return box, total / count if count else 1.0, affine, shape
 
 
 def _fit_scale_stats(layouts: Sequence[Layout]) -> tuple[_ScaleStats, ...]:
@@ -716,12 +801,12 @@ def _fit_scale_stats(layouts: Sequence[Layout]) -> tuple[_ScaleStats, ...]:
     size_freq = np.zeros((n, N_CLASSES, N_SCALE_BINS))
     fill_freq = np.zeros((n, N_CLASSES, N_FILL_BINS))
     for layout in layouts:
-        for k, (pooled, instances) in enumerate(_layout_scales(layout)):
-            adjacency[k] += _adjacency_counts(pooled)
-            for rec, comps in instances:
-                ctx_freq[k, rec.class_id, comps.ctx_bin] += 1
-                size_freq[k, rec.class_id, comps.size_bin] += 1
-                fill_freq[k, rec.class_id, comps.fill_bin] += 1
+        inst, scales = _layout_scales(layout)
+        for k, keys in enumerate(scales):
+            adjacency[k] += _adjacency_counts(keys.pooled)
+            np.add.at(ctx_freq[k], (inst.class_ids, keys.ctx_bin), 1)
+            np.add.at(size_freq[k], (inst.class_ids, keys.size_bin), 1)
+            np.add.at(fill_freq[k], (inst.class_ids, keys.fill_bin), 1)
     return tuple(
         _ScaleStats(
             adjacency=adjacency[k], ctx_freq=ctx_freq[k], size_freq=size_freq[k],
@@ -755,11 +840,13 @@ class PlausibilityScorer:
     raw score is the mean over scales, then an affine calibration maps it to
     [0, 1) so real layouts clear the threshold with margin.
 
-    Each instance is evaluated on its own bbox crop, pooled per scale, never
-    on the full grid. One component function (_instance_components) yields
-    the evidence keys that scoring, diagnostics_json and fitting all share,
-    and the evidence tables are normalized once, when the scale stats are
-    built.
+    A layout is scored in array passes over all its instances: per scale,
+    _scale_keys yields every instance's evidence keys and _component_values
+    an (instances, 4) array of components, which diagnostics_json and
+    fitting read too. The ring term sums each direction's run with the
+    exact order of ndarray.sum() (_segment_sums), and each instance's
+    weighted sum is its own dot product, since a batched product may add
+    the four terms in another order.
     """
 
     scale_stats: tuple[_ScaleStats, ...]
@@ -787,23 +874,22 @@ class PlausibilityScorer:
     # -- scoring --
 
     def raw_score(self, layout: Layout) -> float:
+        inst, scales = _layout_scales(layout)
         contacts = _contact_flags(layout[1])
+        contact = np.array([contacts[r.instance_id] for r in inst.records], dtype=bool)
         vals = []
-        for stats, (pooled, instances) in zip(self.scale_stats, _layout_scales(layout)):
-            if not instances:
-                vals.append(_global_adjacency_score(stats, pooled))
+        for stats, keys in zip(self.scale_stats, scales):
+            if not inst.records:
+                vals.append(_global_adjacency_score(stats, keys.pooled))
                 continue
-            scores = []
-            for rec, comps in instances:
-                box, ring, affine, shape = _component_values(stats, int(rec.class_id), comps)
-                value = float(self.weights @ np.array([box, ring, affine, shape]))
-                # Hard gates: configurations real layouts never produce.
-                if contacts[rec.instance_id]:
-                    value *= 0.1
-                if box == 0.0 or affine == 0.0:
-                    value *= 0.3
-                scores.append(value)
-            vals.append(min(scores))
+            comps = _component_values(stats, inst, keys)
+            # One dot product per instance: a batched product may add the
+            # four terms in another order.
+            value = np.array([float(self.weights @ row) for row in comps])
+            # Hard gates: configurations real layouts never produce.
+            value = np.where(contact, value * 0.1, value)
+            value = np.where((comps[:, 0] == 0.0) | (comps[:, 2] == 0.0), value * 0.3, value)
+            vals.append(value.min())
         return float(np.mean(vals))
 
     def score_layout(self, layout: Layout) -> float:
@@ -864,27 +950,26 @@ def diagnostics_json(scorer: PlausibilityScorer, layouts: Sequence[Layout]) -> s
     import json
 
     names = ("box", "instance", "affine", "shape")
-    collected: list[dict[str, list[float]]] = [{n: [] for n in names} for _ in POOL_FACTORS]
+    collected: list[list[np.ndarray]] = [[] for _ in POOL_FACTORS]
     for layout in layouts:
-        for stats, values, (_, instances) in zip(
-            scorer.scale_stats, collected, _layout_scales(layout)
-        ):
-            for rec, comps in instances:
-                for n, v in zip(names, _component_values(stats, int(rec.class_id), comps)):
-                    values[n].append(v)
+        inst, scales = _layout_scales(layout)
+        for stats, chunks, keys in zip(scorer.scale_stats, collected, scales):
+            chunks.append(_component_values(stats, inst, keys))
     per_scale: list[dict] = []
-    for factor, values in zip(POOL_FACTORS, collected):
+    for factor, chunks in zip(POOL_FACTORS, collected):
+        # One contiguous row per component, in layout then record order.
+        columns = np.concatenate(chunks or [np.empty((0, 4))]).T.copy()
         per_scale.append(
             {
                 "pool_factor": factor,
                 "components": {
                     n: {
-                        "mean": float(np.mean(v)) if v else None,
-                        "min": float(np.min(v)) if v else None,
-                        "max": float(np.max(v)) if v else None,
-                        "count": len(v),
+                        "mean": float(np.mean(v)) if v.size else None,
+                        "min": float(np.min(v)) if v.size else None,
+                        "max": float(np.max(v)) if v.size else None,
+                        "count": int(v.size),
                     }
-                    for n, v in values.items()
+                    for n, v in zip(names, columns)
                 },
             }
         )

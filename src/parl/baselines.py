@@ -34,6 +34,9 @@ _CROP_TAG = 0xCC
 # Style id reserved for the pooled no-adaptation perception model.
 POOLED_STYLE_ID = 0xFFFF
 
+# One scenario pixel (three float32 channels) as a single comparable value.
+_PIXEL_KEY = np.dtype((np.void, 12))
+
 
 def baseline_color_jitter(
     sample: DrivingSample, seed: int, magnitude: float = 0.2
@@ -166,21 +169,18 @@ def _is_coordinate_remap(source: DrivingSample, output: DrivingSample) -> bool:
     the source grid pulled through those same indices. Anything that draws
     new content fails at least one of these checks.
     """
-    src_px = np.asarray(source.scenario.pixels)
-    out_px = np.asarray(output.scenario.pixels)
-    lookup: dict[bytes, tuple[int, int]] = {}
-    for r in range(src_px.shape[0]):
-        for c in range(src_px.shape[1]):
-            lookup.setdefault(src_px[r, c].tobytes(), (r, c))
-    h, w = out_px.shape[:2]
-    rows = np.empty((h, w), dtype=np.int64)
-    cols = np.empty((h, w), dtype=np.int64)
-    for r in range(h):
-        for c in range(w):
-            hit = lookup.get(out_px[r, c].tobytes())
-            if hit is None:
-                return False
-            rows[r, c], cols[r, c] = hit
+    # Each pixel triple as one 12-byte key: the source's sorted distinct
+    # keys with the row-major index of each key's first occurrence, then a
+    # binary search for every output key.
+    src_px = source.scenario.pixels
+    out_px = output.scenario.pixels
+    src_keys = src_px.reshape(-1, 3).view(_PIXEL_KEY).ravel()
+    out_keys = out_px.reshape(-1, 3).view(_PIXEL_KEY).ravel()
+    distinct, first = np.unique(src_keys, return_index=True)
+    at = np.minimum(np.searchsorted(distinct, out_keys), distinct.size - 1)
+    if not (distinct[at] == out_keys).all():
+        return False
+    rows, cols = np.divmod(first[at].reshape(out_px.shape[:2]), src_px.shape[1])
     if not ((rows == rows[:, :1]).all() and (cols == cols[:1, :]).all()):
         return False
     row_idx, col_idx = rows[:, 0], cols[0, :]

@@ -418,13 +418,6 @@ class EvaluationReport:
             "fail_threshold": self.fail_threshold,
         }
 
-    def csv_row(self) -> str:
-        cells = [f"{self.overall_error:.6f}", f"{self.overall_failure_rate:.6f}"]
-        for task in sorted(self.per_task_error):
-            cells.append(f"{self.per_task_error[task]:.6f}")
-            cells.append(f"{self.per_task_failure_rate[task]:.6f}")
-        return ",".join(cells)
-
 
 def evaluate(
     model: PolicyModel,

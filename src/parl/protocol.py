@@ -333,9 +333,6 @@ class SimNetwork:
     def mark_down(self, node: NodeId) -> None:
         self._down.add(node)
 
-    def is_down(self, node: NodeId) -> bool:
-        return node in self._down
-
     def send(self, message: Message) -> None:
         data = encode_message(message)
         self.sent += 1
@@ -367,9 +364,6 @@ class SimNetwork:
             self.delivered += 1
             out.append(message)
         return out
-
-    def pending(self) -> int:
-        return sum(len(v) for v in self._inboxes.values())
 
 
 class _SeqCounter:

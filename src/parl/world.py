@@ -189,7 +189,8 @@ class Scenario:
         px = np.ascontiguousarray(np.asarray(self.pixels, dtype=np.float32))
         if px.ndim != 3 or px.shape[2] != 3:
             raise ConfigurationError("scenario pixels must be (h, w, 3)")
-        if px.min(initial=0.0) < 0.0 or px.max(initial=0.0) > 1.0:
+        # Written so that NaN, which fails every comparison, fails the check.
+        if not (px.min(initial=0.0) >= 0.0 and px.max(initial=0.0) <= 1.0):
             raise ConfigurationError("scenario channels must lie in [0, 1]")
         object.__setattr__(self, "pixels", _frozen(px))
 

@@ -187,6 +187,13 @@ class TestRejection:
         with pytest.raises(DecodeError):
             decode_models(bytes(blob))
 
+    def test_nan_pixel_rejected(self, small_dataset):
+        blob = bytearray(encode_samples(small_dataset[:2]))
+        # The last sample's pixels end the container; overwrite its last channel.
+        blob[-4:] = np.float32(np.nan).astype("<f4").tobytes()
+        with pytest.raises(DecodeError):
+            decode_samples(bytes(blob))
+
     def test_trailing_bytes_rejected(self, small_dataset, artifacts):
         with pytest.raises(DecodeError):
             decode_samples(encode_samples(small_dataset) + b"\x00")

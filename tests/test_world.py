@@ -11,6 +11,7 @@ from parl.world import (
     THING_CLASSES,
     ClassId,
     Provenance,
+    Scenario,
     ScenarioGenerator,
     TaskType,
     WorldConfig,
@@ -208,3 +209,11 @@ def test_relabel_sample(small_dataset):
     assert back.label == 0.75
     with pytest.raises(ConfigurationError):
         relabel_sample(sample, 1.5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scenario_rejects_non_finite_pixels(small_dataset, value):
+    pixels = small_dataset[0].scenario.pixels.copy()
+    pixels[3, 5, 1] = value
+    with pytest.raises(ConfigurationError):
+        Scenario(pixels=pixels, style=0)
