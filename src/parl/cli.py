@@ -26,6 +26,8 @@ from .baselines import pooled_style
 from .config import ExperimentConfig, read_config, write_config
 from .errors import ConfigurationError, ParlError
 from .harness import (
+    ARM_CENTRALIZED,
+    ARM_MODEL_FILES,
     StageFailure,
     check_acceptance,
     generate_worlds,
@@ -48,10 +50,6 @@ _FLAG_HELP = {
     "world_seed": "seed for world generation and styles",
     "augment_seed": "seed for the augmentation pipeline",
     "protocol_seed": "seed reserved for protocol-level randomness",
-    "run_color_jitter": "include the color-jitter baseline arm",
-    "run_random_crop": "include the random-resized-crop baseline arm",
-    "include_self_labels": "source robot also votes when crowd-labeling",
-    "per_robot_shared": "train one shared model per robot instead of pooling",
     "output_dir": "artifact directory (relative paths resolve under PARL_OUTPUT_ROOT)",
 }
 
@@ -69,12 +67,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for field in dataclasses.fields(ExperimentConfig):
         flag = "--" + field.name.replace("_", "-")
         help_text = _FLAG_HELP[field.name]
-        if field.type == "bool":
-            parser.add_argument(
-                flag, dest=field.name, default=None,
-                action=argparse.BooleanOptionalAction, help=help_text,
-            )
-        elif field.type == "int":
+        if field.type == "int":
             parser.add_argument(flag, dest=field.name, default=None, type=int, help=help_text)
         elif field.type == "float":
             parser.add_argument(flag, dest=field.name, default=None, type=float, help=help_text)
@@ -146,17 +139,10 @@ def _rescore(run_dir: Path):
         holdout[robot] = codec.read_dataset(run_dir / f"{key}_holdout.ds1")
         fitted[robot] = fit_style(train[robot])
     arms: dict[str, dict] = {}
-    per_robot_files = {
-        "local": "local_{key}.dm1",
-        "local+jitter": "jitter_{key}.dm1",
-        "local+crop": "crop_{key}.dm1",
-        "parl": "parl_tuned_{key}.dm1",
-    }
     for robot in range(config.robots):
         key = f"robot-{robot}"
         saved = [
-            (arm, run_dir / "models" / pattern.format(key=key))
-            for arm, pattern in per_robot_files.items()
+            (arm, run_dir / pattern.format(key=key)) for arm, pattern in ARM_MODEL_FILES.items()
         ]
         saved = [(arm, path) for arm, path in saved if path.exists()]
         if not saved:
@@ -173,7 +159,7 @@ def _rescore(run_dir: Path):
         (central,) = codec.read_models(central_path)
         style = pooled_style([s for r in range(config.robots) for s in train[r]])
         for robot in range(config.robots):
-            arms.setdefault("centralized", {})[f"robot-{robot}"] = evaluate(
+            arms.setdefault(ARM_CENTRALIZED, {})[f"robot-{robot}"] = evaluate(
                 central, holdout[robot], style, config.fail_threshold
             )
     return config, arms

@@ -20,7 +20,6 @@ half-built object.
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Optional, Sequence, Union
 
@@ -297,35 +296,6 @@ def write_dataset(path, samples: Sequence[DrivingSample]) -> None:
 def read_dataset(path) -> list[DrivingSample]:
     with open(path, "rb") as fh:
         return decode_samples(fh.read())
-
-
-def samples_to_json(samples: Sequence[DrivingSample]) -> str:
-    """Human-inspectable mirror of the dataset container."""
-    items = []
-    for s in samples:
-        items.append(
-            {
-                "height": s.semantic.height,
-                "width": s.semantic.width,
-                "style": s.scenario.style,
-                "task": s.task.value,
-                "provenance": s.provenance.value,
-                "label": s.label,
-                "semantic": s.semantic.classes.tolist(),
-                "instance_grid": s.instances.instance_grid.tolist(),
-                "records": [
-                    {
-                        "instance_id": rec.instance_id,
-                        "class_id": int(rec.class_id),
-                        "bbox": list(rec.bbox),
-                        "affine": list(rec.affine),
-                    }
-                    for rec in s.instances.records
-                ],
-                "pixels": np.round(s.scenario.pixels.astype(np.float64), 6).tolist(),
-            }
-        )
-    return json.dumps({"version": FORMAT_VERSION, "samples": items}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,6 @@ class ExperimentConfig:
     world_seed: int = 31
     augment_seed: int = 11
     protocol_seed: int = 13
-    run_color_jitter: bool = True
-    run_random_crop: bool = True
-    include_self_labels: bool = True
-    per_robot_shared: bool = False
     output_dir: str = "parl-out"
 
     def __post_init__(self) -> None:
@@ -67,21 +63,15 @@ class ExperimentConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _render_value(value: Union[int, float, bool, str]) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _render_value(value: Union[int, float, str]) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _parse_value(name: str, text: str) -> Union[int, float, bool, str]:
+def _parse_value(name: str, text: str) -> Union[int, float, str]:
     target = _FIELDS[name].type
     try:
-        if target == "bool":
-            if text not in ("true", "false"):
-                raise ValueError(f"expected true/false, got {text!r}")
-            return text == "true"
         if target == "int":
             return int(text)
         if target == "float":

@@ -1,7 +1,8 @@
-"""End-to-end experiment runner: three approaches on shared splits.
+"""End-to-end experiment runner: five arms on shared splits.
 
 One run generates style-disjoint worlds for every robot, splits them per
-task into train/holdout, and trains five arms on identical splits:
+task into train/holdout, and always trains all five arms on identical
+splits:
 
 - local: each robot alone on its own training split
 - local+jitter / local+crop: local training data plus appearance-level
@@ -45,7 +46,7 @@ from .baselines import (
 from .config import OUTPUT_ROOT_ENV, ExperimentConfig, render_config
 from .errors import ParlError
 from .policy import EvaluationReport, FeatureVector, evaluate, featurize, train
-from .protocol import CloudNode, NodeId, RobotNode, RoundConfig, SimNetwork, run_round
+from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
 from .styles import StyleModel, fit_style, styles_for_agents
 from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType, WorldConfig
 
@@ -54,6 +55,15 @@ ARM_JITTER = "local+jitter"
 ARM_CROP = "local+crop"
 ARM_CENTRALIZED = "centralized"
 ARM_PARL = "parl"
+
+# Each per-robot arm's model file, relative to the run directory; {key} is
+# the robot key.
+ARM_MODEL_FILES = {
+    ARM_LOCAL: "models/local_{key}.dm1",
+    ARM_JITTER: "models/jitter_{key}.dm1",
+    ARM_CROP: "models/crop_{key}.dm1",
+    ARM_PARL: "models/parl_tuned_{key}.dm1",
+}
 
 
 class StageFailure(ParlError):
@@ -308,14 +318,21 @@ def run_experiment(
         }
 
     arms: dict[str, dict[str, EvaluationReport]] = {
-        ARM_LOCAL: {},
-        ARM_CENTRALIZED: {},
-        ARM_PARL: {},
+        arm: {} for arm in (ARM_LOCAL, ARM_JITTER, ARM_CROP, ARM_CENTRALIZED, ARM_PARL)
     }
-    jitter_sources: list[DrivingSample] = []
-    jitter_outputs: list[DrivingSample] = []
-    crop_sources: list[DrivingSample] = []
-    crop_outputs: list[DrivingSample] = []
+    # The appearance-augmentation arms: (arm, name in the qualitative table,
+    # augmenter, seed base, stage). Each trains on the local split plus
+    # fan_out augmented copies of every training sample. The table is built
+    # per run, not at import, so it holds the augmenters the module binds
+    # when the run starts (a tracer that rebinds them then sees every call).
+    appearance_arms = (
+        (ARM_JITTER, "color-jitter", baseline_color_jitter, 1_000_003, "jitter-train"),
+        (ARM_CROP, "random-resized-crop", baseline_random_resized_crop, 9_176, "crop-train"),
+    )
+    # Per appearance augmenter, every (source, augmented) pair for qualitative_table.
+    appearance_pairs: dict[str, tuple[list[DrivingSample], list[DrivingSample]]] = {
+        name: ([], []) for _, name, *_ in appearance_arms
+    }
 
     # Local arm, plus the appearance-augmentation baselines.
     for robot in range(config.robots):
@@ -325,33 +342,19 @@ def run_experiment(
         )
         model, report = _stage("local-train", key, _train_local_arm, splits, config)
         arms[ARM_LOCAL][key] = report
-        codec.write_models(out / "models" / f"local_{key}.dm1", [model])
-        if config.run_color_jitter:
+        codec.write_models(out / ARM_MODEL_FILES[ARM_LOCAL].format(key=key), [model])
+        for arm, name, augmenter, seed_base, stage in appearance_arms:
+            sources, outputs = appearance_pairs[name]
             extra = []
             for i, sample in enumerate(train_sets[robot]):
                 for k in range(config.fan_out):
-                    seed = config.augment_seed * 1_000_003 + robot * 10_007 + i * 31 + k
-                    extra.append(baseline_color_jitter(sample, seed))
-                    jitter_sources.append(sample)
-                    jitter_outputs.append(extra[-1])
-            model_j, report_j = _stage(
-                "jitter-train", key, _train_local_arm, splits, config, extra
-            )
-            arms.setdefault(ARM_JITTER, {})[key] = report_j
-            codec.write_models(out / "models" / f"jitter_{key}.dm1", [model_j])
-        if config.run_random_crop:
-            extra = []
-            for i, sample in enumerate(train_sets[robot]):
-                for k in range(config.fan_out):
-                    seed = config.augment_seed * 9_176 + robot * 10_007 + i * 31 + k
-                    extra.append(baseline_random_resized_crop(sample, seed))
-                    crop_sources.append(sample)
-                    crop_outputs.append(extra[-1])
-            model_c, report_c = _stage(
-                "crop-train", key, _train_local_arm, splits, config, extra
-            )
-            arms.setdefault(ARM_CROP, {})[key] = report_c
-            codec.write_models(out / "models" / f"crop_{key}.dm1", [model_c])
+                    seed = config.augment_seed * seed_base + robot * 10_007 + i * 31 + k
+                    sources.append(sample)
+                    extra.append(augmenter(sample, seed))
+            outputs.extend(extra)
+            model, report = _stage(stage, key, _train_local_arm, splits, config, extra)
+            arms[arm][key] = report
+            codec.write_models(out / ARM_MODEL_FILES[arm].format(key=key), [model])
 
     # Centralized arm: pooled data, pooled (non-adapted) perception.
     pooled_samples = [s for robot in range(config.robots) for s in train_sets[robot]]
@@ -373,28 +376,10 @@ def run_experiment(
     # The PARL round itself.
     cloud_id = NodeId.cloud()
     robots = [
-        RobotNode(
-            NodeId.robot(i),
-            cloud_id,
-            train_sets[i],
-            holdout_sets[i],
-            beta=config.beta,
-            ridge_lambda=config.ridge_lambda,
-            fail_threshold=config.fail_threshold,
-        )
+        RobotNode(NodeId.robot(i), cloud_id, train_sets[i], holdout_sets[i], config)
         for i in range(config.robots)
     ]
-    cloud = CloudNode(
-        cloud_id,
-        RoundConfig(
-            fan_out=config.fan_out,
-            tau=config.tau,
-            ridge_lambda=config.ridge_lambda,
-            augment_seed=config.augment_seed,
-            include_self_labels=config.include_self_labels,
-            per_robot_shared=config.per_robot_shared,
-        ),
-    )
+    cloud = CloudNode(cloud_id, config)
     network = SimNetwork()
     result = _stage("parl-round", "cloud-0", run_round, robots, cloud, network)
     for node, payload in sorted(result.upload_bytes.items()):
@@ -406,7 +391,9 @@ def run_experiment(
         if node in result.shared:
             codec.write_models(out / "models" / f"parl_shared_{key}.dm1", [result.shared[node]])
         if node in result.tuned:
-            codec.write_models(out / "models" / f"parl_tuned_{key}.dm1", [result.tuned[node]])
+            codec.write_models(
+                out / ARM_MODEL_FILES[ARM_PARL].format(key=key), [result.tuned[node]]
+            )
     if cloud.where is not None:
         codec.write_models(
             out / "models" / "predictors.dm1", [cloud.where, cloud.what, cloud.scorer]
@@ -427,11 +414,7 @@ def run_experiment(
                 provenance=Provenance.AUGMENTED,
             )
         )
-    qual_arms = {"semantic-insertion": (dat_sources, dat_outputs)}
-    if config.run_color_jitter:
-        qual_arms["color-jitter"] = (jitter_sources, jitter_outputs)
-    if config.run_random_crop:
-        qual_arms["random-resized-crop"] = (crop_sources, crop_outputs)
+    qual_arms = {"semantic-insertion": (dat_sources, dat_outputs), **appearance_pairs}
     # Each candidate already carries its score under cloud.scorer.
     qualitative = qualitative_table(
         qual_arms,

@@ -207,11 +207,6 @@ class PolicyModel:
         raw = self.weights[0] + float(self.weights[1:] @ features.values)
         return float(min(1.0, max(0.0, raw)))
 
-    def predict_many(self, features: Sequence[FeatureVector]) -> np.ndarray:
-        mat = np.stack([f.values for f in features]) if features else np.zeros((0, N_FEATURES))
-        raw = self.weights[0] + mat @ self.weights[1:]
-        return np.clip(raw, 0.0, 1.0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolicyModel):
             return NotImplemented

@@ -9,11 +9,12 @@ One round of the peer-assisted pipeline:
 3. The cloud renders the full candidate batch in each participant's own
    style and sends it as a LabelRequest; the robot segments every scenario
    and answers with its local policy's predictions (LabelResponse).
-4. The answers are the labels: each candidate is labeled once per
-   participant style with the affinity-weighted mean of the answering
-   robots' predictions, so a silent robot simply does not vote. The cloud
-   trains the shared policy on the labeled pool and dispatches it exactly
-   once per participant.
+4. The answers are the labels: every answering robot, the candidate's
+   source included, votes on every candidate, and each candidate is
+   labeled once per participant style with the affinity-weighted mean of
+   those votes, so a silent robot simply does not vote. The cloud trains
+   one shared policy on the pooled labels and dispatches it exactly once
+   to each robot that answered.
 5. Each robot fine-tunes toward the shared model on its own training split
    and acks with an evaluation report from its held-out split.
 
@@ -51,6 +52,7 @@ from .codec import (
     encode_models,
     encode_samples,
 )
+from .config import ExperimentConfig
 from .errors import ConfigurationError, DecodeError, ParlError, ProtocolError
 from .policy import (
     EvaluationReport,
@@ -333,7 +335,8 @@ class SimNetwork:
     def mark_down(self, node: NodeId) -> None:
         self._down.add(node)
 
-    def send(self, message: Message) -> None:
+    def send(self, message: Message) -> bytes:
+        """Encode and enqueue the message; returns its wire bytes."""
         data = encode_message(message)
         self.sent += 1
         if message.sender in self._down or message.recipient in self._down:
@@ -341,8 +344,9 @@ class SimNetwork:
             self.log.append(
                 f"drop {type(message.body).__name__} {message.sender}->{message.recipient} (node down)"
             )
-            return
+            return data
         self._inboxes.setdefault(message.recipient, []).append((message.sender, data))
+        return data
 
     def deliver(self, recipient: NodeId) -> list[Message]:
         """Drain the recipient's inbox in deterministic sender order."""
@@ -379,35 +383,6 @@ class _SeqCounter:
 
 
 # ---------------------------------------------------------------------------
-# Round configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundConfig:
-    """Cloud-side knobs for one round."""
-
-    fan_out: int = 2
-    tau: float = 0.5
-    ridge_lambda: float = 3e-3
-    augment_seed: int = 0
-    budget_factor: int = 16
-    include_self_labels: bool = True
-    per_robot_shared: bool = False
-    min_uploads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.fan_out < 1:
-            raise ConfigurationError("fan_out must be >= 1")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigurationError("tau must lie in [0, 1]")
-        if self.ridge_lambda < 0.0:
-            raise ConfigurationError("ridge_lambda must be nonnegative")
-        if self.min_uploads < 1:
-            raise ConfigurationError("min_uploads must be >= 1")
-
-
-# ---------------------------------------------------------------------------
 # Nodes
 # ---------------------------------------------------------------------------
 
@@ -421,9 +396,7 @@ class RobotNode:
         cloud_id: NodeId,
         train_samples: Sequence[DrivingSample],
         holdout_samples: Sequence[DrivingSample],
-        beta: float,
-        ridge_lambda: float = 3e-3,
-        fail_threshold: float = 0.05,
+        config: ExperimentConfig,
     ) -> None:
         if node_id.is_cloud:
             raise ConfigurationError("robot node ids must not set the cloud bit")
@@ -431,9 +404,7 @@ class RobotNode:
         self.cloud_id = cloud_id
         self.train_samples = list(train_samples)
         self.holdout_samples = list(holdout_samples)
-        self.beta = beta
-        self.ridge_lambda = ridge_lambda
-        self.fail_threshold = fail_threshold
+        self.config = config
         self.stage = Stage.LOCAL_COMPUTE
         self.style: Optional[StyleModel] = None
         self.policy: Optional[PolicyModel] = None
@@ -477,7 +448,7 @@ class RobotNode:
             dataset = [(f, s.label) for f, s in zip(features, self.train_samples)]
             policy = train(
                 dataset,
-                ridge_lambda=self.ridge_lambda,
+                ridge_lambda=self.config.ridge_lambda,
                 provenances=[s.provenance for s in self.train_samples],
             )
         except ParlError as exc:
@@ -515,12 +486,12 @@ class RobotNode:
                 self.tuned = fine_tune(
                     body.policy,
                     self.local_rows,
-                    mix=self.beta,
+                    mix=self.config.beta,
                     provenances=[s.provenance for s in self.train_samples],
                 )
                 self.shared_received += 1
                 self.ack_report = evaluate(
-                    self.tuned, self.holdout_samples, self.style, self.fail_threshold
+                    self.tuned, self.holdout_samples, self.style, self.config.fail_threshold
                 )
                 self.stage = advance_stage(self.stage, Stage.FINE_TUNED)
                 return [self._msg(FineTuneAck(report=self.ack_report))]
@@ -543,7 +514,7 @@ class RobotNode:
 class CloudNode:
     """The cloud: collects uploads, augments, labels, trains, dispatches."""
 
-    def __init__(self, node_id: NodeId, config: RoundConfig) -> None:
+    def __init__(self, node_id: NodeId, config: ExperimentConfig) -> None:
         if not node_id.is_cloud:
             raise ConfigurationError("cloud node id must set the cloud bit")
         self.node_id = node_id
@@ -616,10 +587,8 @@ class CloudNode:
 
     def begin_round(self) -> list[Message]:
         """Fit the augmentation models, augment per robot, request labels."""
-        if len(self.uploads) < self.config.min_uploads:
-            raise ProtocolError(
-                f"round needs {self.config.min_uploads} uploads, got {len(self.uploads)}"
-            )
+        if not self.uploads:
+            raise ProtocolError("round needs at least one upload")
         self.stage = advance_stage(self.stage, Stage.CLOUD_AUGMENT)
         cfg = self.config
         pooled_layouts = [
@@ -646,7 +615,6 @@ class CloudNode:
                         scorer=self.scorer,
                         seed=(cfg.augment_seed << 20) ^ (node.value << 10) ^ i,
                         threshold=cfg.tau,
-                        budget_factor=cfg.budget_factor,
                         source_sample_id=i,
                         stats_out=stats,
                     )
@@ -682,27 +650,25 @@ class CloudNode:
     def finish_round(self) -> list[Message]:
         """Pool the robots' answers into labels, train, dispatch exactly once.
 
-        Only robots that answered their LabelRequest receive a SharedModel.
+        Every answering robot votes on every candidate, and only robots that
+        answered their LabelRequest receive a SharedModel.
         """
-        cfg = self.config
         self.stage = advance_stage(self.stage, Stage.CLOUD_TRAIN)
         voters = [node for node in self.participants if node in self.responses]
+        voter_styles = [self.uploads[node].style for node in voters]
         # voters x candidates: each answering robot's prediction per candidate.
         predictions = np.array(
             [self.responses[node].torques for node in voters], dtype=np.float64
         ).reshape(len(voters), len(self.candidates))
         pool = self.pool = {node: [] for node in self.participants}
         for source in self.participants:
-            members = [
-                k for k, node in enumerate(voters) if cfg.include_self_labels or node != source
-            ]
             columns = [i for i, (node, _) in enumerate(self.candidates) if node == source]
-            if not members or not columns:
+            if not voters or not columns:
                 continue
-            member_styles = [self.uploads[voters[k]].style for k in members]
-            block = predictions[np.ix_(members, columns)]
             labels = [
-                crowdsource_labels(block, member_styles, self.uploads[target].style)
+                crowdsource_labels(
+                    predictions[:, columns], voter_styles, self.uploads[target].style
+                )
                 for target in self.participants
             ]
             features = batch_features_from_maps(
@@ -713,28 +679,21 @@ class CloudNode:
         all_rows = [row for rows in pool.values() for row in rows]
         if not all_rows:
             raise ProtocolError("no labeled augmented data to train on")
-        prov = Provenance.CROWDSOURCED
-        out: list[Message] = []
-        # A robot that never answered its LabelRequest has gone silent: it
-        # gets no shared model, so none is trained or encoded for it.
-        if cfg.per_robot_shared:
-            for node in voters:
-                rows = pool[node] or all_rows
-                self.shared[node] = train(
-                    rows, ridge_lambda=cfg.ridge_lambda, provenances=[prov] * len(rows)
-                )
-        else:
-            model = train(
-                all_rows, ridge_lambda=cfg.ridge_lambda, provenances=[prov] * len(all_rows)
-            )
-            for node in voters:
-                self.shared[node] = model
+        model = train(
+            all_rows,
+            ridge_lambda=self.config.ridge_lambda,
+            provenances=[Provenance.CROWDSOURCED] * len(all_rows),
+        )
         self.stage = advance_stage(self.stage, Stage.DISPATCHED)
+        # A robot that never answered its LabelRequest has gone silent: it
+        # gets no shared model, so none is encoded for it.
+        out: list[Message] = []
         for node in voters:
             if node in self._dispatched:
                 raise ProtocolError(f"shared model already dispatched to {node}")
             self._dispatched.add(node)
-            out.append(self._msg(node, SharedModel(policy=self.shared[node])))
+            self.shared[node] = model
+            out.append(self._msg(node, SharedModel(policy=model)))
         return out
 
     def finish(self) -> None:
@@ -795,8 +754,7 @@ def run_round(
             continue
         message = robot.local_compute()
         if message is not None:
-            upload_bytes[robot.node_id] = encode_message(message)
-            network.send(message)
+            upload_bytes[robot.node_id] = network.send(message)
         if robot.node_id in after:
             network.mark_down(robot.node_id)
             robot.drop_out("injected dropout after upload")

@@ -8,7 +8,6 @@ StyleModels are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -234,21 +233,6 @@ def style_affinity(a: StyleModel, b: StyleModel, bandwidth: float = 0.25) -> flo
         return 1.0
     d = float(np.mean(np.abs(a.class_means[shared] - b.class_means[shared])))
     return float(np.exp(-d / bandwidth))
-
-
-def style_to_json(style: StyleModel) -> str:
-    """JSON documentation export of a style's class means."""
-    payload = {
-        "style": style.style,
-        "texture_seed": style.texture_seed,
-        "separation_floor": style.separation_floor,
-        "class_means": [
-            None if not style.has_class(c) else [float(v) for v in style.class_means[c]]
-            for c in range(N_CLASSES)
-        ],
-        "class_spreads": [float(v) for v in style.class_spreads],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def styles_for_agents(style_ids: Iterable[int], seed: int = 0) -> dict[int, StyleModel]:

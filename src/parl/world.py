@@ -14,7 +14,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Mapping, Optional, Sequence
 
@@ -665,7 +665,3 @@ class ScenarioGenerator:
         if len(tasks) != len(seeds):
             raise ConfigurationError("tasks and seeds must align")
         return [self.generate_scenario(style, t, s) for t, s in zip(tasks, seeds)]
-
-
-def relabel_sample(sample: DrivingSample, label: Optional[float]) -> DrivingSample:
-    return replace(sample, label=label)

@@ -1,7 +1,5 @@
 """Shared fixtures: a small two-agent world and a reusable dataset."""
 
-import sys
-
 import pytest
 
 from parl.augment import fit_scorer, fit_what, fit_where
@@ -39,12 +37,3 @@ def predictors(layouts):
 def scorer(layouts):
     return fit_scorer(layouts)
 
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Re-emit the acceptance pass/fail lines after the run summary."""
-    module = sys.modules.get("tests.test_acceptance") or sys.modules.get("test_acceptance")
-    lines = getattr(module, "RESULT_LINES", None) if module else None
-    if lines:
-        terminalreporter.section("acceptance criteria")
-        for line in lines:
-            terminalreporter.write_line(line)

@@ -1,4 +1,4 @@
-"""CLI exit codes of `parl eval --verify`, and byte-identical reruns of `parl run`."""
+"""CLI exit codes of `parl run` and `parl eval --verify`, and byte-identical reruns of `parl run`."""
 
 import json
 import shutil
@@ -61,3 +61,12 @@ def test_rerun_gives_byte_identical_artifacts(run_dir, tmp_path, monkeypatch):
     assert sorted(first) == sorted(second)
     assert "report.json" in first and any(k.startswith("models/parl_shared_") for k in first)
     assert [k for k in first if first[k] != second[k]] == []
+
+
+def test_stage_failure_exits_1_with_json_diagnostic(tmp_path, capsys):
+    # One robot uploads too few layouts for the cloud to fit its scorer.
+    argv = ["run", "--robots", "1", "--samples-per-task", "3", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    failure = json.loads(capsys.readouterr().err)
+    assert failure["error"] == "stage-failure"
+    assert (failure["stage"], failure["node"]) == ("parl-round", "cloud-0")

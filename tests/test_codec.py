@@ -1,7 +1,6 @@
 """Round-trip and rejection tests for the PARLDS1/PARLDM1 containers."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from parl.codec import (
     encode_samples,
     read_dataset,
     read_models,
-    samples_to_json,
     write_dataset,
     write_models,
 )
@@ -215,22 +213,3 @@ class TestRejection:
         cut = int(len(blob) * frac)
         with pytest.raises(DecodeError):
             decode_models(blob[:cut])
-
-
-class TestJsonMirror:
-    def test_samples_to_json_is_valid_and_complete(self, small_dataset):
-        doc = json.loads(samples_to_json(small_dataset[:3]))
-        assert doc["version"] == FORMAT_VERSION
-        assert len(doc["samples"]) == 3
-        entry = doc["samples"][0]
-        src = small_dataset[0]
-        assert entry["task"] == src.task.value
-        assert entry["provenance"] == src.provenance.value
-        assert entry["style"] == src.scenario.style
-        assert entry["height"] == src.semantic.height
-        assert entry["width"] == src.semantic.width
-        grid = np.asarray(entry["semantic"], dtype=np.uint8)
-        assert np.array_equal(grid, src.semantic.classes)
-
-    def test_samples_to_json_is_deterministic(self, small_dataset):
-        assert samples_to_json(small_dataset) == samples_to_json(small_dataset)

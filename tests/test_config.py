@@ -28,10 +28,6 @@ config_strategy = st.builds(
     world_seed=st.integers(min_value=0, max_value=2**31),
     augment_seed=st.integers(min_value=0, max_value=2**31),
     protocol_seed=st.integers(min_value=0, max_value=2**31),
-    run_color_jitter=st.booleans(),
-    run_random_crop=st.booleans(),
-    include_self_labels=st.booleans(),
-    per_robot_shared=st.booleans(),
     output_dir=st.text(
         alphabet=st.characters(whitelist_categories=("Ll", "Nd"), whitelist_characters="-_."),
         min_size=1,
@@ -96,12 +92,6 @@ def test_bad_int_rejected():
 def test_bad_float_rejected():
     with pytest.raises(ConfigurationError, match="bad value for tau"):
         parse_config("tau = half\n")
-
-
-@pytest.mark.parametrize("text", ["True", "1", "yes", "FALSE"])
-def test_bool_parsing_is_strict(text):
-    with pytest.raises(ConfigurationError):
-        parse_config(f"run_color_jitter = {text}\n")
 
 
 @pytest.mark.parametrize(

@@ -325,14 +325,6 @@ class TestPolicyModel:
             FeatureVector(values=np.zeros(N_FEATURES))
         ) == 1.0
 
-    def test_predict_many_matches_predict(self, small_dataset):
-        style = fit_style(small_dataset)
-        model = train(_rows(small_dataset, style), 1e-3)
-        feats = [featurize(s, style) for s in small_dataset[:5]]
-        batch = model.predict_many(feats)
-        for f, b in zip(feats, batch):
-            assert model.predict(f) == pytest.approx(float(b))
-
     def test_weight_validation(self):
         with pytest.raises(TrainingError):
             PolicyModel(weights=np.zeros(3), ridge_lambda=0.0, n_train=1)

@@ -1,4 +1,4 @@
-"""One protocol round on a small two-robot world: labels, dropout, violations."""
+"""One protocol round on a small two-robot world: labels, dropout, violations, sequencing."""
 
 import functools
 from dataclasses import replace
@@ -8,17 +8,19 @@ import pytest
 
 from parl import cli, harness
 from parl.config import ExperimentConfig
-from parl.errors import DecodeError
+from parl.errors import DecodeError, ProtocolError
 from parl.harness import generate_worlds
 from parl.policy import features_from_maps
 from parl.protocol import (
     MESSAGE_MAGIC,
     CloudNode,
+    FineTuneAck,
     LabelResponse,
     Message,
     NodeId,
     RobotNode,
-    RoundConfig,
+    SharedModel,
+    SimNetwork,
     Stage,
     decode_message,
     encode_message,
@@ -38,11 +40,21 @@ def _nodes(worlds):
     train, holdout = worlds
     cloud_id = NodeId.cloud()
     robots = [
-        RobotNode(NodeId.robot(i), cloud_id, train[i], holdout[i], beta=CONFIG.beta)
+        RobotNode(NodeId.robot(i), cloud_id, train[i], holdout[i], CONFIG)
         for i in range(CONFIG.robots)
     ]
-    cloud = CloudNode(cloud_id, RoundConfig(augment_seed=CONFIG.augment_seed))
+    cloud = CloudNode(cloud_id, CONFIG)
     return robots, cloud
+
+
+def _labeling(worlds):
+    """Fresh nodes with every upload in and the cloud waiting for labels."""
+    robots, cloud = _nodes(worlds)
+    for robot in robots:
+        cloud.handle(robot.local_compute())
+    requests = cloud.begin_round()
+    assert cloud.stage == Stage.LABELING
+    return robots, cloud, requests
 
 
 def _expected_labels(cloud, voters):
@@ -118,13 +130,63 @@ def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkey
     assert report.protocol["stages"][str(dropped)] == Stage.DROPPED_OUT.name
 
 
-def test_bad_label_responses_become_violations(worlds):
+def test_round_without_uploads_raises(worlds):
     robots, cloud = _nodes(worlds)
-    for robot in robots:
-        cloud.handle(robot.local_compute())
-    requests = cloud.begin_round()
+    with pytest.raises(ProtocolError, match="at least one upload"):
+        run_round(robots, cloud, drop_before_upload=[r.node_id for r in robots])
+    assert all(robot.stage == Stage.DROPPED_OUT for robot in robots)
+
+
+def test_duplicate_and_stale_seqs_are_discarded():
+    network = SimNetwork()
+    sender, recipient = NodeId.robot(0), NodeId.cloud()
+
+    def message(seq):
+        return Message(sender, recipient, seq, LabelResponse(torques=(0.5,)))
+
+    assert network.send(message(0)) == encode_message(message(0))
+    network.send(message(2))
+    assert [m.seq for m in network.deliver(recipient)] == [0, 2]
+    network.send(message(2))  # duplicate
+    network.send(message(1))  # stale
+    assert network.deliver(recipient) == []
+    assert (network.sent, network.delivered, network.dropped) == (4, 2, 2)
+    assert network.log == [
+        "discard LabelResponse robot-0->cloud-0: seq 2 not above 2",
+        "discard LabelResponse robot-0->cloud-0: seq 1 not above 2",
+    ]
+    network.send(message(3))
+    assert [m.seq for m in network.deliver(recipient)] == [3]
+
+
+def test_shared_model_before_upload_is_a_violation(worlds, full_round):
+    *_, result = full_round
+    robots, cloud = _nodes(worlds)
+    robot = robots[0]
+    shared = SharedModel(policy=result.shared[robot.node_id])
+    assert robot.handle(Message(cloud.node_id, robot.node_id, 0, shared)) == []
+    assert robot.stage == Stage.LOCAL_COMPUTE
+    assert robot.tuned is None and robot.shared_received == 0
+    assert robot.violations == [f"{robot.node_id}: SharedModel illegal in stage LOCAL_COMPUTE"]
+
+
+def test_fine_tune_ack_while_labeling_is_a_violation(worlds, full_round):
+    *_, result = full_round
+    robots, cloud, _ = _labeling(worlds)
+    sender = robots[0].node_id
+    ack = FineTuneAck(report=result.acks[sender])
+    assert cloud.handle(Message(sender, cloud.node_id, 1, ack)) == []
+    assert cloud.stage == Stage.LABELING
+    assert cloud.acks == {}
+    assert cloud.violations == [
+        f"{cloud.node_id}: FineTuneAck from {sender} illegal in stage LABELING"
+    ]
+
+
+def test_bad_label_responses_become_violations(worlds):
+    robots, cloud, requests = _labeling(worlds)
     n = len(cloud.candidates)
-    assert cloud.stage == Stage.LABELING and n > 0
+    assert n > 0
     stranger = NodeId.robot(9)
     short = Message(robots[1].node_id, cloud.node_id, 0, LabelResponse(torques=(0.5,) * (n - 1)))
     foreign = Message(stranger, cloud.node_id, 0, LabelResponse(torques=(0.5,) * n))

@@ -1,7 +1,6 @@
 """Style model construction, fitting, cross-rendering, and affinity."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from parl.styles import (
     cross_render,
     fit_style,
     style_affinity,
-    style_to_json,
     styles_for_agents,
 )
 from parl.world import ScenarioGenerator, TaskType, WorldConfig, segment
@@ -173,9 +171,3 @@ class TestStyleModelValidation:
                 class_spreads=np.zeros(N_CLASSES),
                 texture_seed=0,
             )
-
-    def test_json_export_round_trips_values(self):
-        style = built_in_style(1, seed=4)
-        doc = json.loads(style_to_json(style))
-        assert doc["style"] == 1
-        assert np.allclose(np.array(doc["class_means"]), style.class_means)

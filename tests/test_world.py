@@ -1,5 +1,7 @@
 """World generator: palette pins, torque oracle, and map consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,6 @@ from parl.world import (
     TaskType,
     WorldConfig,
     extract_instances,
-    relabel_sample,
     render,
     segment,
     torque_from_geometry,
@@ -200,15 +201,9 @@ def test_generator_rejects_unknown_style(generator):
         generator.generate_dataset(0, [TaskType.TURN], [1, 2])
 
 
-def test_relabel_sample(small_dataset):
-    sample = small_dataset[0]
-    cleared = relabel_sample(sample, None)
-    assert cleared.label is None
-    assert cleared.semantic == sample.semantic
-    back = relabel_sample(cleared, 0.75)
-    assert back.label == 0.75
+def test_sample_rejects_label_outside_unit_interval(small_dataset):
     with pytest.raises(ConfigurationError):
-        relabel_sample(sample, 1.5)
+        dataclasses.replace(small_dataset[0], label=1.5)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
