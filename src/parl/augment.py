@@ -363,11 +363,6 @@ class WhatPredictor:
         frozen = []
         for cls, sbin, mask in self.templates:
             m = np.ascontiguousarray(np.asarray(mask, dtype=bool))
-            if not m.any():
-                raise FittingError("empty template mask")
-            _, n = ndimage.label(m, structure=_CONN4)
-            if n != 1:
-                raise FittingError("template mask must be a single component")
             m.setflags(write=False)
             frozen.append((int(cls), int(sbin), m))
         object.__setattr__(self, "templates", tuple(frozen))
@@ -413,11 +408,16 @@ class WhatPredictor:
 
     @classmethod
     def _from_state(cls, arrays: dict[str, np.ndarray]) -> "WhatPredictor":
+        """Decoded templates; `fit_what` only harvests masks already found connected."""
         meta = arrays["meta"].reshape(-1, 2)
-        templates = [
-            (int(meta[i, 0]), int(meta[i, 1]), arrays[f"mask{i}"].astype(bool))
-            for i in range(meta.shape[0])
-        ]
+        templates = []
+        for i in range(meta.shape[0]):
+            mask = arrays[f"mask{i}"].astype(bool)
+            if mask.ndim != 2 or not mask.any():
+                raise FittingError("template mask must be a non-empty 2-D grid")
+            if ndimage.label(mask, structure=_CONN4)[1] != 1:
+                raise FittingError("template mask must be a single component")
+            templates.append((int(meta[i, 0]), int(meta[i, 1]), mask))
         return cls(templates=tuple(templates))
 
 

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-- gen: generate the per-robot worlds and write the datasets to disk
+- gen: generate the per-robot worlds and write a run's inputs (styles and
+  datasets) without running it
 - run: execute the full comparison experiment (optionally with --check)
 - eval: re-score models saved by a previous run against its holdout sets
 - report: re-render a saved report.json as a markdown table
@@ -11,6 +12,9 @@ Every ExperimentConfig field is exposed as a flag; --config loads a key/value
 file first and flags override it. Exit codes: 0 on success, 2 when --check
 finds an acceptance problem or eval --verify finds a mismatch, 3 on any
 configuration error (bad flag, bad file, unknown key).
+
+The harness writes and reads a run directory's inputs (`write_inputs`,
+`read_inputs`); this module names none of their files.
 """
 
 from __future__ import annotations
@@ -30,13 +34,15 @@ from .harness import (
     ARM_MODEL_FILES,
     StageFailure,
     check_acceptance,
-    generate_worlds,
+    read_inputs,
     render_markdown,
     resolve_output_dir,
+    robot_key,
     run_experiment,
+    write_inputs,
 )
 from .policy import evaluate, featurize
-from .styles import fit_style, styles_for_agents
+from .styles import fit_style
 
 _FLAG_HELP = {
     "robots": "number of robot agents",
@@ -94,19 +100,10 @@ def _run_dir(args: argparse.Namespace) -> Path:
 def cmd_gen(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = resolve_output_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(exist_ok=True)
-    train, holdout = generate_worlds(config)
-    styles = styles_for_agents(range(config.robots), seed=config.world_seed)
-    codec.write_models(
-        out / "models" / "styles.dm1", [styles[i] for i in range(config.robots)]
-    )
+    train, holdout, _ = write_inputs(config, out)
     write_config(out / "config.txt", config)
     for robot in range(config.robots):
-        key = f"robot-{robot}"
-        codec.write_dataset(out / f"{key}_train.ds1", train[robot])
-        codec.write_dataset(out / f"{key}_holdout.ds1", holdout[robot])
-        print(f"{key}: {len(train[robot])} train / {len(holdout[robot])} holdout")
+        print(f"{robot_key(robot)}: {len(train[robot])} train / {len(holdout[robot])} holdout")
     print(f"worlds written to {out}")
     return 0
 
@@ -131,16 +128,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _rescore(run_dir: Path):
     """Recompute every saved model's evaluation from persisted artifacts."""
-    config = read_config(run_dir / "config.txt")
-    train, holdout, fitted = {}, {}, {}
-    for robot in range(config.robots):
-        key = f"robot-{robot}"
-        train[robot] = codec.read_dataset(run_dir / f"{key}_train.ds1")
-        holdout[robot] = codec.read_dataset(run_dir / f"{key}_holdout.ds1")
-        fitted[robot] = fit_style(train[robot])
+    config, train, holdout = read_inputs(run_dir)
+    fitted = {robot: fit_style(train[robot]) for robot in range(config.robots)}
     arms: dict[str, dict] = {}
     for robot in range(config.robots):
-        key = f"robot-{robot}"
+        key = robot_key(robot)
         saved = [
             (arm, run_dir / pattern.format(key=key)) for arm, pattern in ARM_MODEL_FILES.items()
         ]
@@ -159,7 +151,7 @@ def _rescore(run_dir: Path):
         (central,) = codec.read_models(central_path)
         style = pooled_style([s for r in range(config.robots) for s in train[r]])
         for robot in range(config.robots):
-            arms.setdefault(ARM_CENTRALIZED, {})[f"robot-{robot}"] = evaluate(
+            arms.setdefault(ARM_CENTRALIZED, {})[robot_key(robot)] = evaluate(
                 central, holdout[robot], style, config.fail_threshold
             )
     return config, arms

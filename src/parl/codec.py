@@ -188,6 +188,40 @@ def _checked_u16(value: int, what: str) -> int:
     return value
 
 
+def _write_grids(w: _Writer, semantic: SemanticMap, instances: InstanceMap, write_affine) -> None:
+    """A sample's or layout's grids and records; write_affine is w.f32 or w.f64."""
+    w.raw(semantic.classes.tobytes())
+    w.raw(instances.instance_grid.astype("<i4").tobytes())
+    w.u16(len(instances.records))
+    for rec in instances.records:
+        w.u32(rec.instance_id)
+        w.u8(int(rec.class_id))
+        for v in rec.bbox:
+            w.u16(_checked_u16(v, "bbox field"))
+        for v in rec.affine:
+            write_affine(v)
+
+
+def _read_grids(r: _Reader, h: int, wdt: int, read_affine) -> tuple:
+    """(classes, instance grid, records) as `_write_grids` wrote them."""
+    classes = r.array("u1", h * wdt).reshape(h, wdt)
+    grid = r.array("<i4", h * wdt).reshape(h, wdt)
+    records = []
+    for _ in range(r.u16()):
+        instance_id = r.u32()
+        class_code = r.u8()
+        bbox = tuple(r.u16() for _ in range(4))
+        affine = tuple(read_affine() for _ in range(4))
+        try:
+            cls = ClassId(class_code)
+        except ValueError as exc:
+            raise DecodeError(f"unknown class id {class_code}") from exc
+        records.append(
+            InstanceRecord(instance_id=instance_id, class_id=cls, bbox=bbox, affine=affine)
+        )
+    return classes, grid, tuple(records)
+
+
 # ---------------------------------------------------------------------------
 # Datasets (PARLDS1)
 # ---------------------------------------------------------------------------
@@ -205,16 +239,7 @@ def _encode_sample(sample: DrivingSample) -> bytes:
     w.u8(_PROVENANCE_CODES[sample.provenance])
     w.u8(0 if sample.label is None else 1)
     w.f32(0.0 if sample.label is None else sample.label)
-    w.raw(sample.semantic.classes.tobytes())
-    w.raw(sample.instances.instance_grid.astype("<i4").tobytes())
-    w.u16(len(sample.instances.records))
-    for rec in sample.instances.records:
-        w.u32(rec.instance_id)
-        w.u8(int(rec.class_id))
-        for v in rec.bbox:
-            w.u16(_checked_u16(v, "bbox field"))
-        for v in rec.affine:
-            w.f32(v)
+    _write_grids(w, sample.semantic, sample.instances, w.f32)
     w.raw(sample.scenario.pixels.astype("<f4").tobytes())
     return w.getvalue()
 
@@ -235,29 +260,14 @@ def _decode_sample(data: bytes) -> DrivingSample:
         raise DecodeError(f"label flag must be 0 or 1, got {has_label}")
     label_bits = r.f32()
     label: Optional[float] = float(label_bits) if has_label else None
-    classes = r.array("u1", h * wdt).reshape(h, wdt)
-    grid = r.array("<i4", h * wdt).reshape(h, wdt)
-    n_records = r.u16()
-    records = []
-    for _ in range(n_records):
-        instance_id = r.u32()
-        class_id = r.u8()
-        bbox = tuple(r.u16() for _ in range(4))
-        affine = tuple(float(r.f32()) for _ in range(4))
-        try:
-            cls = ClassId(class_id)
-        except ValueError as exc:
-            raise DecodeError(f"unknown class id {class_id}") from exc
-        records.append(
-            InstanceRecord(instance_id=instance_id, class_id=cls, bbox=bbox, affine=affine)
-        )
+    classes, grid, records = _read_grids(r, h, wdt, r.f32)
     pixels = r.array("<f4", h * wdt * 3).reshape(h, wdt, 3)
     r.done()
     try:
         return DrivingSample(
             scenario=Scenario(pixels=pixels, style=style),
             semantic=SemanticMap(classes=classes),
-            instances=InstanceMap(instance_grid=grid, records=tuple(records)),
+            instances=InstanceMap(instance_grid=grid, records=records),
             label=label,
             task=_TASK_FROM_CODE[task_code],
             provenance=_PROVENANCE_FROM_CODE[prov_code],
@@ -288,9 +298,12 @@ def decode_samples(data: bytes) -> list[DrivingSample]:
     return samples
 
 
-def write_dataset(path, samples: Sequence[DrivingSample]) -> None:
+def write_dataset(path, samples: Sequence[DrivingSample]) -> bytes:
+    """Encode samples to path and return the bytes written."""
+    data = encode_samples(samples)
     with open(path, "wb") as fh:
-        fh.write(encode_samples(samples))
+        fh.write(data)
+    return data
 
 
 def read_dataset(path) -> list[DrivingSample]:
@@ -337,40 +350,15 @@ def _encode_layout_body(semantic: SemanticMap, instances: InstanceMap, w: _Write
         raise ConfigurationError("layout grids disagree on shape")
     w.u16(h)
     w.u16(wdt)
-    w.raw(semantic.classes.tobytes())
-    w.raw(instances.instance_grid.astype("<i4").tobytes())
-    w.u16(len(instances.records))
-    for rec in instances.records:
-        w.u32(rec.instance_id)
-        w.u8(int(rec.class_id))
-        for v in rec.bbox:
-            w.u16(_checked_u16(v, "bbox field"))
-        for v in rec.affine:
-            w.f64(v)
+    _write_grids(w, semantic, instances, w.f64)
 
 
 def _decode_layout_body(r: _Reader) -> Layout:
     h = r.u16()
     wdt = r.u16()
-    classes = r.array("u1", h * wdt).reshape(h, wdt)
-    grid = r.array("<i4", h * wdt).reshape(h, wdt)
-    records = []
-    for _ in range(r.u16()):
-        instance_id = r.u32()
-        class_code = r.u8()
-        bbox = tuple(r.u16() for _ in range(4))
-        affine = tuple(r.f64() for _ in range(4))
-        try:
-            cls = ClassId(class_code)
-        except ValueError as exc:
-            raise DecodeError(f"unknown class id {class_code}") from exc
-        records.append(
-            InstanceRecord(instance_id=instance_id, class_id=cls, bbox=bbox, affine=affine)
-        )
+    classes, grid, records = _read_grids(r, h, wdt, r.f64)
     try:
-        return SemanticMap(classes=classes), InstanceMap(
-            instance_grid=grid, records=tuple(records)
-        )
+        return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=records)
     except ParlError as exc:
         raise DecodeError(f"layout payload violates invariants: {exc}") from exc
 

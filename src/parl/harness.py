@@ -16,6 +16,10 @@ stores split hashes so that can be audited. All artifacts (datasets,
 models, predictors, candidates, reports) are persisted in deterministic
 byte-exact formats, so identical configs reproduce identical files.
 
+This module owns a run directory's inputs, `models/styles.dm1` and each
+robot's `robot-N_{train,holdout}.ds1`: `write_inputs` writes them for
+`parl run` and `parl gen`, and `read_inputs` reads them for `parl eval`.
+
 Perception runs once per (sample, style). Each robot's style is fitted
 once and its train and holdout splits are featurized once under it; the
 local, jitter and crop arms share those features, and only each arm's
@@ -43,7 +47,7 @@ from .baselines import (
     pooled_style,
     qualitative_table,
 )
-from .config import OUTPUT_ROOT_ENV, ExperimentConfig, render_config
+from .config import OUTPUT_ROOT_ENV, ExperimentConfig, read_config, render_config
 from .errors import ParlError
 from .policy import EvaluationReport, FeatureVector, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
@@ -55,6 +59,9 @@ ARM_JITTER = "local+jitter"
 ARM_CROP = "local+crop"
 ARM_CENTRALIZED = "centralized"
 ARM_PARL = "parl"
+
+# Per-robot samples of one split, keyed by robot index.
+Splits = dict[int, list[DrivingSample]]
 
 # Each per-robot arm's model file, relative to the run directory; {key} is
 # the robot key.
@@ -96,18 +103,16 @@ def agent_profiles(config: ExperimentConfig) -> dict[int, AgentProfile]:
     return profiles
 
 
-def generate_worlds(
-    config: ExperimentConfig,
-) -> tuple[dict[int, list[DrivingSample]], dict[int, list[DrivingSample]]]:
-    """Per-robot train/holdout splits, stratified per task."""
+def generate_worlds(config: ExperimentConfig) -> tuple[dict[int, StyleModel], Splits, Splits]:
+    """Per-robot built-in styles and train/holdout splits, stratified per task."""
     styles = styles_for_agents(range(config.robots), seed=config.world_seed)
     generator = ScenarioGenerator(WorldConfig(), styles, agent_profiles(config))
     n = config.samples_per_task
     n_holdout = max(1, int(round(n * config.holdout_fraction)))
     if n_holdout >= n:
         n_holdout = n - 1
-    train: dict[int, list[DrivingSample]] = {}
-    holdout: dict[int, list[DrivingSample]] = {}
+    train: Splits = {}
+    holdout: Splits = {}
     for robot in range(config.robots):
         train[robot], holdout[robot] = [], []
         for t_idx, task in enumerate(TaskType):
@@ -118,15 +123,50 @@ def generate_worlds(
             samples = generator.generate_dataset(robot, [task] * n, seeds)
             train[robot].extend(samples[: n - n_holdout])
             holdout[robot].extend(samples[n - n_holdout :])
-    return train, holdout
+    return styles, train, holdout
 
 
-def _split_hash(samples: Sequence[DrivingSample]) -> str:
-    return hashlib.sha256(codec.encode_samples(samples)).hexdigest()
+SPLITS = ("train", "holdout")
 
 
-def _robot_key(index: int) -> str:
+def robot_key(index: int) -> str:
     return f"robot-{index}"
+
+
+def _split_path(run_dir: Path, robot: int, split: str) -> Path:
+    return run_dir / f"{robot_key(robot)}_{split}.ds1"
+
+
+def write_inputs(
+    config: ExperimentConfig, out: Path
+) -> tuple[Splits, Splits, dict[str, dict[str, str]]]:
+    """Generate and write the styles and splits; return (train, holdout, split_hashes).
+
+    Each split is encoded once. The returned split is decoded from those
+    bytes (the dataset encoding quantizes floats to f32), so every number a
+    run derives is recomputable from the files, and its hash is theirs.
+    """
+    (out / "models").mkdir(parents=True, exist_ok=True)
+    styles, train, holdout = generate_worlds(config)
+    codec.write_models(out / "models" / "styles.dm1", list(styles.values()))
+    split_hashes: dict[str, dict[str, str]] = {}
+    for robot in range(config.robots):
+        hashes = split_hashes[robot_key(robot)] = {}
+        for split, samples in zip(SPLITS, (train, holdout)):
+            data = codec.write_dataset(_split_path(out, robot, split), samples[robot])
+            samples[robot] = codec.decode_samples(data)
+            hashes[split] = hashlib.sha256(data).hexdigest()
+    return train, holdout, split_hashes
+
+
+def read_inputs(run_dir: Path) -> tuple[ExperimentConfig, Splits, Splits]:
+    """The config and per-robot train/holdout splits a run directory holds."""
+    config = read_config(run_dir / "config.txt")
+    train, holdout = (
+        {r: codec.read_dataset(_split_path(run_dir, r, split)) for r in range(config.robots)}
+        for split in SPLITS
+    )
+    return config, train, holdout
 
 
 @dataclass(frozen=True)
@@ -284,9 +324,7 @@ def run_experiment(
 ) -> ComparisonReport:
     """Execute all arms and persist every artifact under the output dir."""
     out = resolve_output_dir(config, output_root)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "models").mkdir(exist_ok=True)
-    (out / "uploads").mkdir(exist_ok=True)
+    (out / "uploads").mkdir(parents=True, exist_ok=True)
 
     def _stage(stage: str, node: str, fn, *args, **kwargs):
         try:
@@ -294,28 +332,9 @@ def run_experiment(
         except ParlError as exc:
             raise StageFailure(stage, node, exc) from exc
 
-    train_sets, holdout_sets = _stage("generate", "harness", generate_worlds, config)
-    codec.write_models(
-        out / "models" / "styles.dm1",
-        [
-            styles_for_agents(range(config.robots), seed=config.world_seed)[i]
-            for i in range(config.robots)
-        ],
+    train_sets, holdout_sets, split_hashes = _stage(
+        "generate", "harness", write_inputs, config, out
     )
-    split_hashes: dict[str, dict[str, str]] = {}
-    for robot in range(config.robots):
-        key = _robot_key(robot)
-        codec.write_dataset(out / f"{key}_train.ds1", train_sets[robot])
-        codec.write_dataset(out / f"{key}_holdout.ds1", holdout_sets[robot])
-        # The persisted datasets are the canonical experiment input: reload
-        # them so every downstream number is recomputable bit-for-bit from
-        # the artifacts (the dataset encoding quantizes floats to f32).
-        train_sets[robot] = codec.read_dataset(out / f"{key}_train.ds1")
-        holdout_sets[robot] = codec.read_dataset(out / f"{key}_holdout.ds1")
-        split_hashes[key] = {
-            "train": _split_hash(train_sets[robot]),
-            "holdout": _split_hash(holdout_sets[robot]),
-        }
 
     arms: dict[str, dict[str, EvaluationReport]] = {
         arm: {} for arm in (ARM_LOCAL, ARM_JITTER, ARM_CROP, ARM_CENTRALIZED, ARM_PARL)
@@ -336,7 +355,7 @@ def run_experiment(
 
     # Local arm, plus the appearance-augmentation baselines.
     for robot in range(config.robots):
-        key = _robot_key(robot)
+        key = robot_key(robot)
         splits = _stage(
             "local-train", key, _featurize_splits, train_sets[robot], holdout_sets[robot]
         )
@@ -367,7 +386,7 @@ def run_experiment(
     )
     codec.write_models(out / "models" / "centralized.dm1", [central_model])
     for robot in range(config.robots):
-        key = _robot_key(robot)
+        key = robot_key(robot)
         arms[ARM_CENTRALIZED][key] = _stage(
             "centralized-eval", key, evaluate,
             central_model, holdout_sets[robot], central_style, config.fail_threshold,

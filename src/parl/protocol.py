@@ -533,7 +533,6 @@ class CloudNode:
         self.scorer: Optional[PlausibilityScorer] = None
         self.violations: list[str] = []
         self._seq = _SeqCounter()
-        self._dispatched: set[NodeId] = set()
 
     def _msg(self, recipient: NodeId, body: Body) -> Message:
         return Message(
@@ -689,9 +688,6 @@ class CloudNode:
         # gets no shared model, so none is encoded for it.
         out: list[Message] = []
         for node in voters:
-            if node in self._dispatched:
-                raise ProtocolError(f"shared model already dispatched to {node}")
-            self._dispatched.add(node)
             self.shared[node] = model
             out.append(self._msg(node, SharedModel(policy=model)))
         return out
@@ -765,7 +761,6 @@ def run_round(
     for message in cloud.begin_round():
         network.send(message)
 
-    by_id = {r.node_id: r for r in ordered}
     for robot in ordered:
         for message in network.deliver(robot.node_id):
             for reply in robot.handle(message):

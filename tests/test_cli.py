@@ -1,4 +1,5 @@
-"""CLI exit codes of `parl run` and `parl eval --verify`, and byte-identical reruns of `parl run`."""
+"""CLI exit codes of `parl run` and `parl eval --verify`, byte-identical reruns of `parl run`,
+and `parl gen` writing the same inputs as `parl run`."""
 
 import json
 import shutil
@@ -70,3 +71,24 @@ def test_stage_failure_exits_1_with_json_diagnostic(tmp_path, capsys):
     failure = json.loads(capsys.readouterr().err)
     assert failure["error"] == "stage-failure"
     assert (failure["stage"], failure["node"]) == ("parl-round", "cloud-0")
+    # config.txt is written last, so the failed run is not a run to eval.
+    assert not (tmp_path / "config.txt").exists()
+    assert cli.main(["eval", str(tmp_path)]) == 3
+
+
+def test_gen_writes_the_inputs_run_writes(run_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["gen", *RUN_FLAGS, "--output-dir", "parl-gen"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:2]] == ["robot-0", "robot-1"]
+    gen, run = _tree(tmp_path / "parl-gen"), _tree(run_dir)
+    inputs = [k for k in sorted(run) if k.endswith(".ds1")] + ["models/styles.dm1"]
+    assert len(inputs) == 5  # two robots' train and holdout splits, and their styles
+    assert sorted(gen) == sorted(inputs + ["config.txt"])
+    assert [k for k in inputs if gen[k] != run[k]] == []
+    gen_config = gen["config.txt"].decode().splitlines()
+    run_config = run["config.txt"].decode().splitlines()
+    assert len(gen_config) == len(run_config)
+    assert [(a, b) for a, b in zip(gen_config, run_config) if a != b] == [
+        ("output_dir = parl-gen", "output_dir = parl-out")
+    ]

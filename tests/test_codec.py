@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parl import codec
-from parl.augment import fit_scorer, fit_what, fit_where, augment_semantic
+from parl.augment import WhatPredictor, fit_scorer, fit_what, fit_where, augment_semantic
 from parl.codec import (
     DATASET_MAGIC,
     FORMAT_VERSION,
@@ -87,7 +87,7 @@ class TestDatasetRoundTrip:
 
     def test_file_round_trip(self, small_dataset, tmp_path):
         path = tmp_path / "data.ds1"
-        write_dataset(path, small_dataset)
+        assert write_dataset(path, small_dataset) == path.read_bytes()
         assert encode_samples(read_dataset(path)) == encode_samples(
             decode_samples(path.read_bytes())
         )
@@ -191,6 +191,22 @@ class TestRejection:
         blob[-4:] = np.float32(np.nan).astype("<f4").tobytes()
         with pytest.raises(DecodeError):
             decode_samples(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.array([[1, 0, 1]], dtype=bool),  # two pieces
+            np.array([[1, 0], [0, 1]], dtype=bool),  # diagonal only: two 4-connected pieces
+            np.zeros((2, 2), dtype=bool),
+            np.ones(3, dtype=bool),
+        ],
+        ids=["fragmented", "diagonal", "empty", "one-dimensional"],
+    )
+    def test_bad_template_mask_rejected(self, artifacts, mask):
+        good = artifacts["what"].templates[0]
+        bad = WhatPredictor(templates=(good, (good[0], good[1], mask)))
+        with pytest.raises(DecodeError):
+            decode_models(encode_models([bad]))
 
     def test_trailing_bytes_rejected(self, small_dataset, artifacts):
         with pytest.raises(DecodeError):

@@ -33,7 +33,7 @@ CONFIG = ExperimentConfig(robots=2, samples_per_task=3)
 
 @pytest.fixture(scope="session")
 def worlds():
-    return generate_worlds(CONFIG)
+    return generate_worlds(CONFIG)[1:]
 
 
 def _nodes(worlds):
@@ -202,6 +202,20 @@ def test_bad_label_responses_become_violations(worlds):
         cloud.handle(reply)
     cloud.finish_round()
     _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
+
+
+def test_second_finish_round_raises_and_sends_nothing(worlds):
+    robots, cloud, requests = _labeling(worlds)
+    for request in requests:
+        for reply in robots[request.recipient.index].handle(request):
+            cloud.handle(reply)
+    dispatched = cloud.finish_round()
+    assert sorted(m.recipient for m in dispatched) == [r.node_id for r in robots]
+    shared = dict(cloud.shared)
+    with pytest.raises(ProtocolError, match="from DISPATCHED to CLOUD_TRAIN"):
+        cloud.finish_round()
+    assert cloud.stage == Stage.DISPATCHED
+    assert cloud.shared == shared
 
 
 def test_retired_augmented_set_tag_is_rejected():
