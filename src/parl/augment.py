@@ -13,14 +13,14 @@ size, and shape-regularity evidence at three pooling scales.
 
 The scorer works per layout, not per instance: every step is an array pass
 over all of a layout's instances at once. One pass lists each instance's
-cells, and one label call on a grid of cells and same-instance links tells
-which instances are connected (_layout_instances). At each pooling scale,
-one sort of (instance, pooled cell) keys any-pools every instance, and the
-context, size and fill bins, component counts and rings of outside
-neighbour classes are read from that list (_scale_keys). Scoring,
-diagnostics_json and scorer fitting all read those arrays, and the evidence
-tables they are looked up in are normalized once, when the scale stats are
-built.
+cells, and one connected-component pass (world._label_components) over a
+grid of cells and same-instance links tells which instances are connected
+(_layout_instances). At each pooling scale, one sort of (instance, pooled
+cell) keys any-pools every instance, and the context, size and fill bins,
+component counts and rings of outside neighbour classes are read from that
+list (_scale_keys). Scoring, diagnostics_json and scorer fitting all read
+those arrays, and the evidence tables they are looked up in are normalized
+once, when the scale stats are built.
 
 Scores are pinned bit for bit, and a float sum depends on its order. So
 each ring direction is summed per instance exactly as ndarray.sum() sums it
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateInputError, FittingError
 from .styles import N_CLASSES
@@ -47,6 +46,7 @@ from .world import (
     InstanceRecord,
     SemanticMap,
     THING_CLASSES,
+    _label_components,
 )
 
 Layout = tuple[SemanticMap, InstanceMap]
@@ -56,8 +56,6 @@ POS_BINS = 8  # position histogram is POS_BINS x POS_BINS
 N_SCALE_BINS = 3
 POOL_FACTORS = (1, 2, 4)
 SCORE_CAP = 1.0 - 1e-6
-
-_CONN4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 # Scale bins by the larger bbox dimension: <= 2, <= 5, larger.
@@ -134,11 +132,11 @@ class _Instances(NamedTuple):
 def _layout_instances(instances: InstanceMap) -> _Instances:
     """Every record's cells and connectivity, from whole-grid array passes.
 
-    Connectivity takes one label call per layout, on a (2h-1, 2w-1) grid:
-    each cell sits at an even position, and the link between two
-    4-neighbours is set only when both hold the same instance. Labels then
-    never join different instances, so an instance is connected exactly
-    when its cells carry one label.
+    Connectivity takes one _label_components pass per layout, on a
+    (2h-1, 2w-1) grid: each cell sits at an even position, and the link
+    between two 4-neighbours is set only when both hold the same instance.
+    Components then never join different instances, so an instance is
+    connected exactly when its cells carry one label.
     """
     grid = instances.instance_grid
     records = instances.records
@@ -160,7 +158,7 @@ def _layout_instances(instances: InstanceMap) -> _Instances:
     links[::2, ::2] = grid != BACKGROUND_ID
     links[::2, 1::2] = (grid[:, :-1] == grid[:, 1:]) & (grid[:, 1:] != BACKGROUND_ID)
     links[1::2, ::2] = (grid[:-1] == grid[1:]) & (grid[1:] != BACKGROUND_ID)
-    labels, n_labels = ndimage.label(links, structure=_CONN4)
+    labels, n_labels = _label_components(links)
     owner = np.zeros(n_labels + 1, dtype=np.int64)
     owner[labels[::2, ::2].ravel()[cells]] = rank_of_cell
     n_components = np.bincount(owner[1:], minlength=counts.size)
@@ -415,7 +413,7 @@ class WhatPredictor:
             mask = arrays[f"mask{i}"].astype(bool)
             if mask.ndim != 2 or not mask.any():
                 raise FittingError("template mask must be a non-empty 2-D grid")
-            if ndimage.label(mask, structure=_CONN4)[1] != 1:
+            if _label_components(mask)[1] != 1:
                 raise FittingError("template mask must be a single component")
             templates.append((int(meta[i, 0]), int(meta[i, 1]), mask))
         return cls(templates=tuple(templates))
@@ -713,7 +711,7 @@ def _scale_keys(classes: np.ndarray, inst: _Instances, factor: int) -> _ScaleKey
         mine = slice(first[i], first[i] + n_cells[i])
         mask = np.zeros((bh[i], bw[i]), dtype=bool)
         mask[py[mine] - y0[i], px[mine] - x0[i]] = True
-        n_components[i] = ndimage.label(mask, structure=_CONN4)[1]
+        n_components[i] = _label_components(mask)[1]
 
     steps = (_RING_DY * pw + _RING_DX)[:, None]
     neighbour = keys + steps
@@ -989,8 +987,12 @@ def diagnostics_json(scorer: PlausibilityScorer, layouts: Sequence[Layout]) -> s
 
 def _erase_record(classes: np.ndarray, grid: np.ndarray, mask: np.ndarray) -> None:
     """Remove a blob, backfilling with the commonest neighboring stuff class."""
-    dilated = ndimage.binary_dilation(mask, structure=_CONN4)
-    ring = dilated & ~mask
+    ring = np.zeros_like(mask)  # the 4-neighbours of the blob, outside it
+    ring[1:] |= mask[:-1]
+    ring[:-1] |= mask[1:]
+    ring[:, 1:] |= mask[:, :-1]
+    ring[:, :-1] |= mask[:, 1:]
+    ring &= ~mask
     ring_classes = classes[ring]
     stuff = ring_classes[~np.isin(ring_classes, THING_CLASSES)]
     fill = int(np.bincount(stuff, minlength=N_CLASSES).argmax()) if stuff.size else int(ClassId.ROAD)

@@ -20,6 +20,7 @@ half-built object.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Optional, Sequence, Union
 
@@ -339,8 +340,13 @@ def _decode_array_map(r: _Reader) -> dict[str, np.ndarray]:
             raise DecodeError(f"unknown array dtype code {code}")
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        out[name] = r.array(_DTYPES[code], count).reshape(shape)
+        # math.prod is exact: a corrupt shape whose product overflows int64
+        # fails in take instead of wrapping to a count a short buffer holds.
+        flat = r.array(_DTYPES[code], math.prod(shape))
+        try:
+            out[name] = flat.reshape(shape)
+        except ValueError as exc:  # more dimensions, or a larger size, than numpy allows
+            raise DecodeError(f"array {name!r} has an unsupported shape") from exc
     return out
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateInputError, EvaluationError, TrainingError
 from .styles import N_CLASSES, StyleModel, style_affinity
@@ -101,9 +100,17 @@ def _lane_offset(grids: np.ndarray) -> np.ndarray:
     return (center - (w - 1) / 2.0) / (w / 2.0)
 
 
-# Horizontal runs: cells connect to their left and right neighbours only.
-_ROW_RUNS = np.zeros((3, 3, 3), dtype=bool)
-_ROW_RUNS[1, 1, :] = True
+def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Maximal runs of true cells along the last axis, numbered 1.. in raster order.
+
+    A run's number is the count of run starts up to its first cell; cells
+    outside the mask are 0. Returns the labels and the number of runs.
+    """
+    starts = mask.copy()
+    starts[..., 1:] &= ~mask[..., :-1]
+    runs = np.cumsum(starts).reshape(mask.shape)
+    n_runs = int(runs.flat[-1]) if runs.size else 0
+    return runs * mask, n_runs
 
 
 def _obstacle_offset(grids: np.ndarray) -> np.ndarray:
@@ -116,11 +123,12 @@ def _obstacle_offset(grids: np.ndarray) -> np.ndarray:
     that reaches the road edge swallows the span on its side entirely.
     Returns OBSTACLE_SENTINEL when the corridor is clear.
 
-    Every row but the last is split into runs by one labelling pass; one
-    bincount gives each run's length and one its road cells below.
+    Every row but the last is split into car runs by one cumulative sum of
+    run starts (_row_runs); one bincount gives each run's length and one its
+    road cells below.
     """
     n, h, w = grids.shape
-    runs, n_runs = ndimage.label(grids[:, :-1] == ClassId.CAR, structure=_ROW_RUNS)
+    runs, n_runs = _row_runs(grids[:, :-1] == ClassId.CAR)
     size = np.bincount(runs.ravel(), minlength=n_runs + 1)
     below_road = np.bincount(
         runs[grids[:, 1:] <= ClassId.LANE_MARKING], minlength=n_runs + 1
@@ -175,13 +183,14 @@ def batch_features_from_maps(semantics: Sequence[SemanticMap]) -> list[FeatureVe
 def featurize(sample: DrivingSample, style: StyleModel) -> FeatureVector:
     """Segment the sample's scenario under the given style, then featurize.
 
+    Features read the class grid alone, so no instance map is built.
+
     Callers featurize each (sample, style) pair once and pass the features
     down: the harness shares each robot's split features across its local,
     jitter and crop arms, a RobotNode reuses its upload's features when it
     fine-tunes, and `parl eval` featurizes each holdout once per style.
     """
-    semantic, _ = segment(sample.scenario, style)
-    return features_from_maps(semantic)
+    return features_from_maps(segment(sample.scenario, style))
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,7 +66,15 @@ from .policy import (
     train,
 )
 from .styles import StyleModel, cross_render, fit_style
-from .world import DrivingSample, InstanceMap, Provenance, SemanticMap, TaskType, segment
+from .world import (
+    DrivingSample,
+    InstanceMap,
+    Provenance,
+    SemanticMap,
+    TaskType,
+    extract_instances,
+    segment,
+)
 
 MESSAGE_MAGIC = b"PARLMSG"
 PROTOCOL_VERSION = 1
@@ -441,10 +449,11 @@ class RobotNode:
             if not self.train_samples:
                 raise ProtocolError("robot has no local samples")
             style = fit_style(self.train_samples)
-            layouts = [segment(s.scenario, style) for s in self.train_samples]
+            semantics = [segment(s.scenario, style) for s in self.train_samples]
+            layouts = tuple((m, extract_instances(m.classes)) for m in semantics)
             if any(s.label is None for s in self.train_samples):
                 raise ProtocolError("local sample is unlabeled")
-            features = batch_features_from_maps([semantic for semantic, _ in layouts])
+            features = batch_features_from_maps(semantics)
             dataset = [(f, s.label) for f, s in zip(features, self.train_samples)]
             policy = train(
                 dataset,
@@ -458,7 +467,7 @@ class RobotNode:
         self.policy = policy
         self.local_rows = dataset
         self.stage = advance_stage(self.stage, Stage.UPLOADED)
-        return self._msg(UploadLocal(style=style, policy=policy, layouts=tuple(layouts)))
+        return self._msg(UploadLocal(style=style, policy=policy, layouts=layouts))
 
     def handle(self, message: Message) -> list[Message]:
         """Process one inbound message; illegal variants are logged, not fatal."""

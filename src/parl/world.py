@@ -19,7 +19,6 @@ from enum import Enum, IntEnum
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError, DegenerateInputError, RenderError
 from .styles import N_CLASSES, StyleModel
@@ -40,9 +39,6 @@ class ClassId(IntEnum):
 
 THING_CLASSES = (ClassId.CAR, ClassId.PEDESTRIAN)
 BACKGROUND_ID = -1
-
-# 4-connectivity: diagonal contact does not merge instances.
-_CONNECTIVITY = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 class TaskType(Enum):
@@ -129,32 +125,31 @@ class InstanceMap:
         ids_in_records = [r.instance_id for r in records]
         if len(ids_in_records) != len(set(ids_in_records)):
             raise ConfigurationError("duplicate instance ids in records")
-        # One pass over the grid finds every id's bounding box. Ids are
-        # shifted to labels 1.. when their range is small (always, for maps
-        # built here) and ranked through np.unique otherwise.
-        lo, hi = (int(grid.min()), int(grid.max())) if grid.size else (0, -1)
-        if hi - lo < grid.size:
-            values = np.arange(lo, hi + 1)
-            labels = grid.astype(np.int64) - (lo - 1)
+        # One pass finds the record of every instance cell and checks the
+        # cell against that record's bbox. A record that carries
+        # BACKGROUND_ID owns the background cells too.
+        flat = grid.ravel()
+        if BACKGROUND_ID in ids_in_records:
+            cells = np.arange(flat.size)
         else:
-            values, labels = np.unique(grid, return_inverse=True)
-            labels = labels.reshape(grid.shape) + 1
-        box_of = {
-            int(v): box
-            for v, box in zip(values, ndimage.find_objects(labels))
-            if box is not None
-        }
-        if not set(box_of) - {BACKGROUND_ID} <= set(ids_in_records):
+            cells = np.flatnonzero(flat != BACKGROUND_ID)
+        values = flat[cells]
+        ids = np.array(ids_in_records, dtype=np.int64)
+        by_id = np.argsort(ids)
+        # The sorted ids end in a sentinel that no int32 cell holds.
+        keys = np.append(ids[by_id], np.iinfo(np.int64).max)
+        rank = np.searchsorted(keys, values)
+        if not (keys[rank] == values).all():
             raise ConfigurationError("grid references ids missing from records")
-        for rec in records:
-            box = box_of.get(rec.instance_id)
-            if box is not None:
-                (y_min, y_max), (x_min, x_max) = [(sl.start, sl.stop - 1) for sl in box]
-                x0, y0, w, h = rec.bbox
-                if x_min < x0 or x_max >= x0 + w or y_min < y0 or y_max >= y0 + h:
-                    raise ConfigurationError(
-                        f"bbox {rec.bbox} does not enclose instance {rec.instance_id}"
-                    )
+        owner = by_id[rank]
+        ys, xs = np.divmod(cells, grid.shape[1])
+        x0, y0, w, h = np.array([r.bbox for r in records], dtype=np.int64).reshape(-1, 4)[owner].T
+        outside = (xs < x0) | (xs >= x0 + w) | (ys < y0) | (ys >= y0 + h)
+        if outside.any():
+            rec = records[owner[outside].min()]
+            raise ConfigurationError(
+                f"bbox {rec.bbox} does not enclose instance {rec.instance_id}"
+            )
         object.__setattr__(self, "instance_grid", _frozen(grid))
         object.__setattr__(self, "records", records)
 
@@ -281,48 +276,120 @@ def _classify_cells(pixels: np.ndarray, style: StyleModel) -> np.ndarray:
     return dists.argmin(axis=0).astype(np.uint8)  # argmin picks lowest id on ties
 
 
+def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-D bool grid, numbered 1.. in raster order.
+
+    A component's number follows the raster order of its first cell, and
+    cells outside the mask are 0. The grid is cut into horizontal runs of
+    true cells, numbered in raster order of their first cell. Runs in
+    adjacent rows that share a column are joined by union-find over run
+    numbers: each round hooks the larger root of every link onto the
+    smaller and then jumps pointers until every run points at its root. A
+    root is therefore its component's smallest run, which holds the
+    component's first cell, so ranking the roots gives the numbering.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    # A false column on each side keeps every run inside its row, so the
+    # flat padded grid can be scanned as one line. Position i below stands
+    # for the padded cell i + 1; runs start and stop at sign changes.
+    stride = w + 2
+    padded = np.zeros((h, stride), dtype=bool)
+    padded[:, 1:-1] = mask
+    flat = padded.ravel()
+    edges = (flat[1:] != flat[:-1]).nonzero()[0]
+    starts, stops = edges[::2], edges[1::2]
+    # A link is a cell set together with the one below it; the first link
+    # of each horizontal stretch stands for the stretch.
+    links = flat[:-stride] & flat[stride:]
+    first = (links[1:] > links[:-1]).nonzero()[0]
+    upper = starts.searchsorted(first, "right")  # run numbers, 1..
+    lower = starts.searchsorted(first + stride, "right")
+    parent = np.arange(starts.size + 1)
+    while upper.size:
+        a, b = parent[upper], parent[lower]
+        if (a == b).all():
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
+    is_root = parent == np.arange(parent.size)
+    is_root[0] = False  # run 0 stands for the background
+    rank = is_root.cumsum()
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = rank[parent[1:]].repeat(stops - starts)
+    return labels, int(rank[-1])
+
+
+def _label_boxes(labels: np.ndarray, n: int) -> np.ndarray:
+    """Bounding box of each label 1..n of a _label_components grid.
+
+    Row k - 1 holds label k's (row start, row stop, column start, column
+    stop), stops exclusive, as slices would take them.
+    """
+    ys, xs = np.nonzero(labels)
+    order = np.argsort(labels[ys, xs], kind="stable")
+    ys, xs = ys[order], xs[order]
+    counts = np.bincount(labels.ravel(), minlength=n + 1)[1:]
+    starts = np.cumsum(counts) - counts
+    return np.stack(
+        [
+            ys[starts],  # cells stay row-major within a label
+            ys[starts + counts - 1] + 1,
+            np.minimum.reduceat(xs, starts),
+            np.maximum.reduceat(xs, starts) + 1,
+        ],
+        axis=1,
+    )
+
+
 def extract_instances(classes: np.ndarray) -> InstanceMap:
     """Connected components of thing classes, ids assigned in raster order.
 
-    One labelling pass per thing class: ndimage numbers a class's components
-    in raster order of their first cell, so component k gets the next free
-    id plus k - 1, and find_objects gives every bounding box at once.
+    One _label_components call per thing class numbers the class's
+    components in raster order of their first cell, so component k gets
+    the next free id plus k - 1, and _label_boxes gives every bounding box
+    at once. Only callers that need a layout build one: segment returns
+    the semantic map alone.
     """
     h, w = classes.shape
     grid = np.full((h, w), BACKGROUND_ID, dtype=np.int32)
     records = []
     for cls in THING_CLASSES:
-        labels, _ = ndimage.label(classes == cls, structure=_CONNECTIVITY)
+        labels, n = _label_components(classes == cls)
         first = len(records)
         inside = labels > 0
         grid[inside] = labels[inside] + (first - 1)
-        for k, (rows, cols) in enumerate(ndimage.find_objects(labels)):
-            x0, y0 = cols.start, rows.start
+        for k, (y0, y1, x0, x1) in enumerate(_label_boxes(labels, n).tolist()):
             records.append(
                 InstanceRecord(
                     instance_id=first + k,
                     class_id=cls,
-                    bbox=(x0, y0, cols.stop - x0, rows.stop - y0),
+                    bbox=(x0, y0, x1 - x0, y1 - y0),
                     affine=(float(x0), float(y0), 1.0, 1.0),
                 )
             )
     return InstanceMap(instance_grid=grid, records=tuple(records))
 
 
-def segment(scenario: Scenario, style: StyleModel) -> tuple[SemanticMap, InstanceMap]:
-    """Recover semantic and instance maps from a rendered scenario.
+def segment(scenario: Scenario, style: StyleModel) -> SemanticMap:
+    """Recover the semantic map of a rendered scenario.
 
-    Classification is nearest class appearance per cell; instances are the
-    connected components of car and pedestrian cells. Exact for scenarios
-    rendered under the same style because noise stays below half the
-    separation floor. Callers segment each (scenario, style) pair once:
-    policy.featurize is the usual entry, and its callers keep the result.
+    Classification is nearest class appearance per cell. Exact for
+    scenarios rendered under the same style because noise stays below half
+    the separation floor. A caller that needs the instance map as well, as
+    a robot's upload does, runs extract_instances on the classes. Callers
+    segment each (scenario, style) pair once: policy.featurize is the usual
+    entry, and its callers keep the result.
     """
     classes = _classify_cells(scenario.pixels, style)
     if not (classes == ClassId.ROAD).any():
         # Keep SemanticMap constructible for degenerate inputs by failing here.
         raise DegenerateInputError("segmented scenario contains no road cells")
-    return SemanticMap(classes=classes), extract_instances(classes)
+    return SemanticMap(classes=classes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 
 from parl.augment import fit_scorer, fit_what, fit_where
 from parl.styles import styles_for_agents
-from parl.world import ScenarioGenerator, TaskType, WorldConfig, segment
+from parl.world import (
+    ScenarioGenerator,
+    TaskType,
+    WorldConfig,
+    extract_instances,
+    segment,
+)
 
 
 @pytest.fixture(scope="session")
@@ -23,9 +29,10 @@ def small_dataset(generator):
 
 @pytest.fixture(scope="session")
 def layouts(generator, small_dataset):
-    """The small dataset segmented under its own style."""
+    """The small dataset segmented under its own style, with its instances."""
     style = generator.styles[0]
-    return [segment(s.scenario, style) for s in small_dataset]
+    semantics = [segment(s.scenario, style) for s in small_dataset]
+    return [(m, extract_instances(m.classes)) for m in semantics]
 
 
 @pytest.fixture(scope="session")

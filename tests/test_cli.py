@@ -1,11 +1,16 @@
 """CLI exit codes of `parl run` and `parl eval --verify`, byte-identical reruns of `parl run`,
-and `parl gen` writing the same inputs as `parl run`."""
+`parl gen` writing the same inputs as `parl run`, and a runtime that needs no scipy."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parl
 from parl import cli
 from parl.config import OUTPUT_ROOT_ENV
 
@@ -92,3 +97,47 @@ def test_gen_writes_the_inputs_run_writes(run_dir, tmp_path, monkeypatch, capsys
     assert [(a, b) for a, b in zip(gen_config, run_config) if a != b] == [
         ("output_dir = parl-gen", "output_dir = parl-out")
     ]
+
+
+def _fresh_python(code, *args, cwd, env_extra=()):
+    """Run code in a new interpreter that imports parl from this checkout."""
+    env = dict(os.environ, **dict(env_extra))
+    src = str(Path(parl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, check=False,
+    )
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    proc = _fresh_python(
+        "import sys, parl.cli; print('scipy' in sys.modules)", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# Blocks `import scipy` (a None entry in sys.modules raises ImportError), then
+# runs the CLI with the given arguments.
+_NO_SCIPY_CLI = (
+    "import sys; sys.modules['scipy'] = None; import parl.cli; "
+    "sys.exit(parl.cli.main(sys.argv[1:]))"
+)
+
+
+def test_run_check_and_eval_verify_run_without_scipy(run_dir, tmp_path):
+    env = {OUTPUT_ROOT_ENV: str(tmp_path)}
+    run = _fresh_python(
+        _NO_SCIPY_CLI, "run", "--check", *RUN_FLAGS, "--output-dir", "parl-out",
+        cwd=tmp_path, env_extra=env,
+    )
+    assert run.returncode in (0, 2), run.stderr  # 2: an acceptance check is a result
+    assert "CHECK " in run.stdout
+    blocked = tmp_path / "parl-out"
+    verify = _fresh_python(_NO_SCIPY_CLI, "eval", str(blocked), "--verify", cwd=tmp_path)
+    assert verify.returncode == 0, verify.stdout + verify.stderr
+    assert "VERIFY PASS" in verify.stdout
+    first, second = _tree(run_dir), _tree(blocked)
+    assert sorted(first) == sorted(second)
+    assert [k for k in first if first[k] != second[k]] == []

@@ -214,6 +214,27 @@ class TestRejection:
         with pytest.raises(DecodeError):
             decode_models(encode_models([artifacts["policy"]]) + b"\x00")
 
+    @pytest.mark.parametrize("kind", ["where", "what", "scorer"])
+    def test_bit_flips_decode_or_raise_decode_error(self, artifacts, kind):
+        """1-3 flipped bits past the container header, 1,000 seeded trials per record.
+
+        Flips in an array shape once made numpy raise ValueError out of
+        decode_models: a shape product wrapped in int64, or a shape numpy
+        cannot hold.
+        """
+        blob = encode_models([artifacts[kind]])
+        header = 17  # magic(7) + version(2) + count(4) + item length(4)
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            data = bytearray(blob)
+            n_flips = int(rng.integers(1, 4))
+            for bit in rng.choice((len(blob) - header) * 8, size=n_flips, replace=False):
+                data[header + bit // 8] ^= 1 << (bit % 8)
+            try:
+                decode_models(bytes(data))
+            except DecodeError:
+                pass
+
     @settings(max_examples=60, deadline=None)
     @given(frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_any_truncation_is_a_decode_error(self, small_dataset, frac):

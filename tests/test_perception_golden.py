@@ -4,9 +4,10 @@ Pins, bit for bit, what the perception step returns on the shared test
 world's 18 samples and on their colour-jitter and random-crop outputs, each
 read under three styles: the samples' own style, the other agent's style and
 the pooled style of both agents' data. Per (input set, style) it pins one
-sha256 over every sample's segment output (class bytes, instance-grid bytes,
-records), one over every sample's feature bytes, and the type of the
-exception for each sample that raises instead.
+sha256 over every sample's segment output and the extract_instances layout
+of its classes (class bytes, instance-grid bytes, records), one over every
+sample's feature bytes, and the type of the exception for each sample that
+raises instead.
 
 The values were recorded from the per-class, per-component perception code
 that predates the vectorized kernels. They are the contract every rewrite of
@@ -21,7 +22,7 @@ import pytest
 from parl.baselines import baseline_color_jitter, baseline_random_resized_crop, pooled_style
 from parl.errors import ParlError
 from parl.policy import featurize
-from parl.world import TaskType, segment
+from parl.world import TaskType, extract_instances, segment
 
 
 def _inputs(small_dataset):
@@ -43,7 +44,8 @@ def _styles(generator, small_dataset):
 
 
 def _segment_bytes(sample, style) -> bytes:
-    semantic, instances = segment(sample.scenario, style)
+    semantic = segment(sample.scenario, style)
+    instances = extract_instances(semantic.classes)
     records = [
         (r.instance_id, int(r.class_id), r.bbox, r.affine) for r in instances.records
     ]

@@ -4,7 +4,8 @@ Each reference below is the straightforward per-row, per-class or
 per-component definition the kernels replaced, kept here verbatim in
 behaviour. Hypothesis draws small grids from narrow alphabets so that car
 runs, exact distance ties, absent classes, duplicate ids and ill-fitting
-bounding boxes all come up often.
+bounding boxes all come up often. The numpy labelling kernels are checked
+against scipy.ndimage, which parl itself does not import.
 """
 
 import numpy as np
@@ -13,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from parl.augment import _erase_record
 from parl.errors import ConfigurationError, DegenerateInputError
 from parl.policy import (
     N_FEATURES,
     N_OCCUPANCY,
     OBSTACLE_SENTINEL,
     _obstacle_offset,
+    _row_runs,
     batch_features_from_maps,
     features_from_grids,
 )
@@ -31,10 +34,15 @@ from parl.world import (
     InstanceRecord,
     SemanticMap,
     _classify_cells,
+    _label_boxes,
+    _label_components,
     extract_instances,
 )
 
 _CONNECTIVITY = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# Runs along the last axis of a stack: left and right neighbours only.
+_ROW_RUNS = np.zeros((3, 3, 3), dtype=bool)
+_ROW_RUNS[1, 1, :] = True
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +139,16 @@ def reference_extract_instances(classes):
             )
             next_id += 1
     return grid, tuple(records)
+
+
+def reference_erase_record(classes, grid, mask):
+    """_erase_record with the blob's ring taken from binary_dilation."""
+    ring = ndimage.binary_dilation(mask, structure=_CONNECTIVITY) & ~mask
+    ring_classes = classes[ring]
+    stuff = ring_classes[~np.isin(ring_classes, THING_CLASSES)]
+    fill = int(np.bincount(stuff, minlength=N_CLASSES).argmax()) if stuff.size else int(ClassId.ROAD)
+    classes[mask] = fill
+    grid[mask] = BACKGROUND_ID
 
 
 def reference_instance_map_check(instance_grid, records):
@@ -239,9 +257,108 @@ def instance_maps(draw):
     return grid, tuple(records)
 
 
+def bool_masks(min_side, max_side):
+    return st.tuples(
+        st.integers(min_side, max_side), st.integers(min_side, max_side)
+    ).flatmap(lambda shape: arrays(bool, shape))
+
+
+def link_grid(instance_grid):
+    """The (2h-1, 2w-1) grid of cells and same-instance links _layout_instances labels."""
+    grid = np.asarray(instance_grid)
+    h, w = grid.shape
+    links = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    links[::2, ::2] = grid != BACKGROUND_ID
+    links[::2, 1::2] = (grid[:, :-1] == grid[:, 1:]) & (grid[:, 1:] != BACKGROUND_ID)
+    links[1::2, ::2] = (grid[:-1] == grid[1:]) & (grid[1:] != BACKGROUND_ID)
+    return links
+
+
+def serpentine(h, w):
+    """One component that winds through every row: the longest merge chain."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for row in range(1, h, 2):
+        mask[row, w - 1 if row % 4 == 1 else 0] = True
+    return mask
+
+
+EDGE_MASKS = {
+    "empty": np.zeros((4, 5), dtype=bool),
+    "all-true": np.ones((4, 5), dtype=bool),
+    "one-row": np.ones((1, 9), dtype=bool),
+    "one-row-gaps": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool),
+    "one-column": np.ones((9, 1), dtype=bool),
+    "one-column-gaps": np.array([[1], [1], [0], [1], [0], [0], [1]], dtype=bool),
+    "one-cell": np.ones((1, 1), dtype=bool),
+    "serpentine": serpentine(15, 9),
+    "comb": np.array([[1, 0, 1, 0, 1], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]], dtype=bool),
+    "checkerboard": np.indices((6, 7)).sum(axis=0) % 2 == 0,
+    "link-grid": link_grid(
+        np.array([[0, 0, -1, 1], [0, 1, 1, 1], [-1, 0, -1, 1], [2, 2, 0, 0]], dtype=np.int32)
+    ),
+}
+
+
+def assert_labels_match_ndimage(mask):
+    labels, n = _label_components(mask)
+    want, want_n = ndimage.label(mask, structure=_CONNECTIVITY)
+    assert n == want_n
+    assert np.array_equal(labels, want)
+    boxes = [(r.start, r.stop, c.start, c.stop) for r, c in ndimage.find_objects(want)]
+    assert [tuple(box) for box in _label_boxes(labels, n).tolist()] == boxes
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask=bool_masks(1, 12))
+def test_label_components_and_boxes_match_ndimage(mask):
+    assert_labels_match_ndimage(mask)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MASKS))
+def test_label_components_edge_cases(name):
+    assert_labels_match_ndimage(EDGE_MASKS[name])
+
+
+def test_label_components_on_real_grids(small_dataset):
+    for sample in small_dataset:
+        assert_labels_match_ndimage(link_grid(sample.instances.instance_grid))
+        for cls in THING_CLASSES:
+            assert_labels_match_ndimage(sample.semantic.classes == cls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=st.tuples(*[st.integers(1, 6)] * 3).flatmap(lambda shape: arrays(bool, shape)))
+def test_row_runs_match_row_structure_labelling(stack):
+    runs, n = _row_runs(stack)
+    want, want_n = ndimage.label(stack, structure=_ROW_RUNS)
+    assert n == want_n
+    assert np.array_equal(runs, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+        lambda shape: st.tuples(
+            arrays(np.uint8, shape, elements=st.integers(0, N_CLASSES - 1)),
+            arrays(bool, shape),
+        )
+    )
+)
+def test_erase_record_ring_matches_binary_dilation(case):
+    classes, mask = case
+    grid = np.arange(classes.size, dtype=np.int32).reshape(classes.shape)
+    got_classes, got_grid = classes.copy(), grid.copy()
+    _erase_record(got_classes, got_grid, mask)
+    want_classes, want_grid = classes.copy(), grid.copy()
+    reference_erase_record(want_classes, want_grid, mask)
+    assert np.array_equal(got_classes, want_classes)
+    assert np.array_equal(got_grid, want_grid)
 
 
 @settings(max_examples=200, deadline=None)
