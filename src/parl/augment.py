@@ -748,9 +748,10 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     The runs lie end to end in values, lengths[i] long. A float sum depends
     on its order, and numpy adds fewer than 8 elements left to right, longer
     runs in 8 lanes. The short runs are therefore summed together down the
-    columns of a zero-padded matrix, which adds each column left to right
-    (adding 0.0 changes no sum of nonnegative values); the long ones by
-    .sum() on their own slice.
+    columns of a zero-padded matrix, one row at a time, which adds each
+    column left to right (adding 0.0 changes no sum of nonnegative values);
+    the long ones by .sum() on their own slice. padded.sum(axis=0) would not
+    do: on a single column it sums the 8 entries in lanes.
     """
     starts = np.cumsum(lengths) - lengths
     short = lengths < 8
@@ -758,7 +759,9 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     place = short[run]
     padded = np.zeros((8, lengths.size))
     padded[np.arange(values.size)[place] - starts[run[place]], run[place]] = values[place]
-    sums = padded.sum(axis=0)
+    sums = padded[0].copy()
+    for row in padded[1:]:
+        sums += row
     for i in np.flatnonzero(~short):
         sums[i] = values[starts[i] : starts[i] + lengths[i]].sum()
     return sums

@@ -12,10 +12,20 @@ scorers, layouts, candidates, reports, float vectors). Floats are stored as
 
 Both containers share the same envelope: a 7-byte magic, a u16 format
 version, a u32 item count, then each item as a u32 byte length followed by
-its payload. Decoders reject bad magic, unknown versions, unknown item
-kinds, truncated payloads, and trailing bytes with DecodeError; a payload
-that parses but violates a model invariant is also a DecodeError, never a
-half-built object.
+its payload. A sample or layout holds its class grid (u8), its instance grid
+(i32) and a u16 count of instance records, then the records as one packed
+table: u32 id, u8 class, four u16 bbox fields, and four affine floats (f32
+in datasets, f64 in models), 29 or 45 bytes a record.
+
+Scenario lists -- the pixels of rendered scenarios and nothing else, as a
+LabelRequest carries them: a u32 count, then per scenario a u16 height, a
+u16 width, a u16 style id and height x width x 3 f32 pixels (row-major,
+channels last). They have no envelope of their own: the message that
+carries one has its magic and version.
+
+Decoders reject bad magic, unknown versions, unknown item kinds, truncated
+payloads, and trailing bytes with DecodeError; a payload that parses but
+violates a model invariant is also a DecodeError, never a half-built object.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .world import (
     DrivingSample,
     InstanceMap,
     InstanceRecord,
+    MIN_MAP_SIDE,
     N_CLASSES,
     Provenance,
     Scenario,
@@ -189,37 +200,67 @@ def _checked_u16(value: int, what: str) -> int:
     return value
 
 
-def _write_grids(w: _Writer, semantic: SemanticMap, instances: InstanceMap, write_affine) -> None:
-    """A sample's or layout's grids and records; write_affine is w.f32 or w.f64."""
+def _checked_unsigned(values: np.ndarray, bits: int, what: str) -> np.ndarray:
+    """values, if every one fits in a u<bits>; the error names the first that does not."""
+    outside = values[(values < 0) | (values >= 2**bits)]
+    if outside.size:
+        raise ConfigurationError(f"{what} {outside[0]} does not fit in u{bits}")
+    return values
+
+
+def _record_table(affine: str) -> np.dtype:
+    """Packed little-endian instance records with the given affine float type."""
+    return np.dtype([("id", "<u4"), ("cls", "u1"), ("bbox", "<u2", 4), ("affine", affine, 4)])
+
+
+_RECORDS_F32 = _record_table("<f4")
+_RECORDS_F64 = _record_table("<f8")
+_CLASS_FROM_CODE = {int(c): c for c in ClassId}
+
+
+def _write_grids(
+    w: _Writer, semantic: SemanticMap, instances: InstanceMap, table: np.dtype
+) -> None:
+    """A sample's or layout's grids and records; table is _RECORDS_F32 or _RECORDS_F64."""
     w.raw(semantic.classes.tobytes())
     w.raw(instances.instance_grid.astype("<i4").tobytes())
-    w.u16(len(instances.records))
-    for rec in instances.records:
-        w.u32(rec.instance_id)
-        w.u8(int(rec.class_id))
-        for v in rec.bbox:
-            w.u16(_checked_u16(v, "bbox field"))
-        for v in rec.affine:
-            write_affine(v)
+    records = instances.records
+    w.u16(len(records))
+    rows = np.zeros(len(records), dtype=table)
+    ids = np.array([rec.instance_id for rec in records], dtype=np.int64)
+    rows["id"] = _checked_unsigned(ids, 32, "instance id")
+    rows["cls"] = [int(rec.class_id) for rec in records]
+    bbox = np.array([rec.bbox for rec in records], dtype=np.int64).reshape(-1, 4)
+    rows["bbox"] = _checked_unsigned(bbox, 16, "bbox field")
+    rows["affine"] = np.array([rec.affine for rec in records], dtype=np.float64).reshape(-1, 4)
+    w.raw(rows.tobytes())
 
 
-def _read_grids(r: _Reader, h: int, wdt: int, read_affine) -> tuple:
-    """(classes, instance grid, records) as `_write_grids` wrote them."""
+def _read_grids(r: _Reader, h: int, wdt: int, table: np.dtype) -> tuple:
+    """(classes, instance grid, records) as `_write_grids` wrote them.
+
+    The record fields are read back as Python ints and floats, as the
+    generator and the perception code make them.
+    """
     classes = r.array("u1", h * wdt).reshape(h, wdt)
     grid = r.array("<i4", h * wdt).reshape(h, wdt)
+    rows = np.frombuffer(r.take(r.u16() * table.itemsize), dtype=table)
+    fields = zip(
+        rows["id"].tolist(), rows["cls"].tolist(), rows["bbox"].tolist(), rows["affine"].tolist()
+    )
     records = []
-    for _ in range(r.u16()):
-        instance_id = r.u32()
-        class_code = r.u8()
-        bbox = tuple(r.u16() for _ in range(4))
-        affine = tuple(read_affine() for _ in range(4))
+    for instance_id, class_code, bbox, affine in fields:
+        cls = _CLASS_FROM_CODE.get(class_code)
+        if cls is None:
+            raise DecodeError(f"unknown class id {class_code}")
         try:
-            cls = ClassId(class_code)
-        except ValueError as exc:
-            raise DecodeError(f"unknown class id {class_code}") from exc
-        records.append(
-            InstanceRecord(instance_id=instance_id, class_id=cls, bbox=bbox, affine=affine)
-        )
+            records.append(
+                InstanceRecord(
+                    instance_id=instance_id, class_id=cls, bbox=tuple(bbox), affine=tuple(affine)
+                )
+            )
+        except ParlError as exc:
+            raise DecodeError(f"instance record violates invariants: {exc}") from exc
     return classes, grid, tuple(records)
 
 
@@ -240,7 +281,7 @@ def _encode_sample(sample: DrivingSample) -> bytes:
     w.u8(_PROVENANCE_CODES[sample.provenance])
     w.u8(0 if sample.label is None else 1)
     w.f32(0.0 if sample.label is None else sample.label)
-    _write_grids(w, sample.semantic, sample.instances, w.f32)
+    _write_grids(w, sample.semantic, sample.instances, _RECORDS_F32)
     w.raw(sample.scenario.pixels.astype("<f4").tobytes())
     return w.getvalue()
 
@@ -261,7 +302,7 @@ def _decode_sample(data: bytes) -> DrivingSample:
         raise DecodeError(f"label flag must be 0 or 1, got {has_label}")
     label_bits = r.f32()
     label: Optional[float] = float(label_bits) if has_label else None
-    classes, grid, records = _read_grids(r, h, wdt, r.f32)
+    classes, grid, records = _read_grids(r, h, wdt, _RECORDS_F32)
     pixels = r.array("<f4", h * wdt * 3).reshape(h, wdt, 3)
     r.done()
     try:
@@ -297,6 +338,41 @@ def decode_samples(data: bytes) -> list[DrivingSample]:
     samples = [_decode_sample(r.take(r.u32())) for _ in range(count)]
     r.done()
     return samples
+
+
+def encode_scenarios(scenarios: Sequence[Scenario]) -> bytes:
+    """A scenario list: each scenario's shape, style id and f32 pixels."""
+    w = _Writer()
+    w.u32(len(scenarios))
+    for scenario in scenarios:
+        w.u16(scenario.height)
+        w.u16(scenario.width)
+        w.u16(_checked_u16(scenario.style, "style id"))
+        w.raw(scenario.pixels.astype("<f4").tobytes())
+    return w.getvalue()
+
+
+def decode_scenarios(data: bytes) -> list[Scenario]:
+    """The scenarios of an `encode_scenarios` list.
+
+    A scenario smaller than the smallest map perception accepts, or with a
+    pixel outside [0, 1] (NaN included), is a DecodeError.
+    """
+    r = _Reader(data, "scenario list")
+    scenarios = []
+    for _ in range(r.u32()):
+        h, wdt, style = r.u16(), r.u16(), r.u16()
+        if h < MIN_MAP_SIDE or wdt < MIN_MAP_SIDE:
+            raise DecodeError(
+                f"scenario of {h}x{wdt} cells is below {MIN_MAP_SIDE}x{MIN_MAP_SIDE}"
+            )
+        pixels = r.array("<f4", h * wdt * 3).reshape(h, wdt, 3)
+        try:
+            scenarios.append(Scenario(pixels=pixels, style=style))
+        except ParlError as exc:
+            raise DecodeError(f"scenario payload violates invariants: {exc}") from exc
+    r.done()
+    return scenarios
 
 
 def write_dataset(path, samples: Sequence[DrivingSample]) -> bytes:
@@ -356,13 +432,13 @@ def _encode_layout_body(semantic: SemanticMap, instances: InstanceMap, w: _Write
         raise ConfigurationError("layout grids disagree on shape")
     w.u16(h)
     w.u16(wdt)
-    _write_grids(w, semantic, instances, w.f64)
+    _write_grids(w, semantic, instances, _RECORDS_F64)
 
 
 def _decode_layout_body(r: _Reader) -> Layout:
     h = r.u16()
     wdt = r.u16()
-    classes, grid, records = _read_grids(r, h, wdt, r.f64)
+    classes, grid, records = _read_grids(r, h, wdt, _RECORDS_F64)
     try:
         return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=records)
     except ParlError as exc:

@@ -7,8 +7,11 @@ One round of the peer-assisted pipeline:
 2. The cloud fits the augmentation models on the pooled uploaded layouts
    and augments each robot's maps into scored candidates.
 3. The cloud renders the full candidate batch in each participant's own
-   style and sends it as a LabelRequest; the robot segments every scenario
-   and answers with its local policy's predictions (LabelResponse).
+   style and sends it as a LabelRequest. Only the rendered pixels and the
+   style id cross the wire: the candidate layouts stay on the cloud, as the
+   robot must recover each map from what it sees. The robot segments every
+   scenario and answers with its local policy's predictions
+   (LabelResponse).
 4. The answers are the labels: every answering robot, the candidate's
    source included, votes on every candidate, and each candidate is
    labeled once per participant style with the affinity-weighted mean of
@@ -48,9 +51,9 @@ from .codec import (
     _Reader,
     _Writer,
     decode_models,
-    decode_samples,
+    decode_scenarios,
     encode_models,
-    encode_samples,
+    encode_scenarios,
 )
 from .config import ExperimentConfig
 from .errors import ConfigurationError, DecodeError, ParlError, ProtocolError
@@ -61,7 +64,6 @@ from .policy import (
     batch_features_from_maps,
     crowdsource_labels,
     evaluate,
-    featurize,
     fine_tune,
     train,
 )
@@ -70,8 +72,8 @@ from .world import (
     DrivingSample,
     InstanceMap,
     Provenance,
+    Scenario,
     SemanticMap,
-    TaskType,
     extract_instances,
     segment,
 )
@@ -166,9 +168,14 @@ class UploadLocal:
 
 @dataclass(frozen=True)
 class LabelRequest:
-    """Unlabeled scenarios a robot should label with its local policy."""
+    """Rendered candidates a robot should label with its local policy.
 
-    scenarios: tuple[DrivingSample, ...]
+    Each scenario is pixels plus the style id it was rendered in, in the
+    cloud's candidate order. The candidates' semantic and instance maps stay
+    on the cloud: the robot segments the pixels itself.
+    """
+
+    scenarios: tuple[Scenario, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
@@ -235,7 +242,7 @@ def _encode_body(body: Body) -> bytes:
     if isinstance(body, UploadLocal):
         return encode_models([body.style, body.policy, *body.layouts])
     if isinstance(body, LabelRequest):
-        return encode_samples(list(body.scenarios))
+        return encode_scenarios(body.scenarios)
     if isinstance(body, LabelResponse):
         return encode_models([np.asarray(body.torques, dtype=np.float64)])
     if isinstance(body, SharedModel):
@@ -266,7 +273,7 @@ def _decode_body(tag: int, payload: bytes) -> Body:
                 layouts.append(item)
             return UploadLocal(style=items[0], policy=items[1], layouts=tuple(layouts))
         if tag == _TAG_OF[LabelRequest]:
-            return LabelRequest(scenarios=tuple(decode_samples(payload)))
+            return LabelRequest(scenarios=tuple(decode_scenarios(payload)))
         if tag == _TAG_OF[LabelResponse]:
             items = decode_models(payload)
             _expect(items, (np.ndarray,), "label response")
@@ -483,10 +490,9 @@ class RobotNode:
                 if self.stage == Stage.UPLOADED:
                     self.stage = advance_stage(self.stage, Stage.LABELING)
                 assert self.policy is not None and self.style is not None
-                torques = tuple(
-                    self.policy.predict(featurize(sample, self.style))
-                    for sample in body.scenarios
-                )
+                semantics = [segment(scenario, self.style) for scenario in body.scenarios]
+                features = batch_features_from_maps(semantics)
+                torques = tuple(self.policy.predict(f) for f in features)
                 return [self._msg(LabelResponse(torques=torques))]
             if isinstance(body, SharedModel):
                 if self.stage not in (Stage.UPLOADED, Stage.LABELING) or self.tuned is not None:
@@ -637,23 +643,14 @@ class CloudNode:
             for node in self.participants
         ]
 
-    def _render_candidates(self, node: NodeId) -> tuple[DrivingSample, ...]:
-        """Every candidate rendered in the node's uploaded style, unlabeled."""
+    def _render_candidates(self, node: NodeId) -> tuple[Scenario, ...]:
+        """Every candidate rendered in the node's uploaded style."""
         style = self.uploads[node].style
-        rendered = []
-        for idx, (_, candidate) in enumerate(self.candidates):
-            seed = (self.config.augment_seed << 16) ^ (style.style << 8) ^ idx ^ 0x7E
-            rendered.append(
-                DrivingSample(
-                    scenario=cross_render(candidate, style, seed),
-                    semantic=candidate.semantic,
-                    instances=candidate.instances,
-                    label=None,
-                    task=TaskType.STRAIGHT,
-                    provenance=Provenance.AUGMENTED,
-                )
-            )
-        return tuple(rendered)
+        seed_base = (self.config.augment_seed << 16) ^ (style.style << 8) ^ 0x7E
+        return tuple(
+            cross_render(candidate, style, seed_base ^ idx)
+            for idx, (_, candidate) in enumerate(self.candidates)
+        )
 
     def finish_round(self) -> list[Message]:
         """Pool the robots' answers into labels, train, dispatch exactly once.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class ClassId(IntEnum):
 
 THING_CLASSES = (ClassId.CAR, ClassId.PEDESTRIAN)
 BACKGROUND_ID = -1
+MIN_MAP_SIDE = 16  # cells per side of the smallest map perception accepts
 
 
 class TaskType(Enum):
@@ -69,8 +70,10 @@ class SemanticMap:
         if grid.ndim != 2:
             raise ConfigurationError("semantic grid must be 2-D")
         h, w = grid.shape
-        if h < 16 or w < 16:
-            raise ConfigurationError(f"maps must be at least 16x16, got {h}x{w}")
+        if h < MIN_MAP_SIDE or w < MIN_MAP_SIDE:
+            raise ConfigurationError(
+                f"maps must be at least {MIN_MAP_SIDE}x{MIN_MAP_SIDE}, got {h}x{w}"
+            )
         if grid.max(initial=0) >= N_CLASSES:
             raise ConfigurationError("semantic grid holds an unknown class id")
         if not (grid == ClassId.ROAD).any():
@@ -251,9 +254,10 @@ def render(
     """
     del instances
     classes = semantic.classes
-    for c in np.unique(classes):
-        if not style.has_class(int(c)):
-            raise RenderError(f"style {style.style} has no appearance for class {int(c)}")
+    present = np.bincount(classes.ravel(), minlength=N_CLASSES) > 0
+    missing = np.flatnonzero(present & np.isnan(style.class_means).any(axis=1))
+    if missing.size:
+        raise RenderError(f"style {style.style} has no appearance for class {int(missing[0])}")
     means = style.class_means[classes]  # (h, w, 3)
     amps = style.class_spreads[classes][..., None]
     noise = _texture_noise(semantic.height, semantic.width, style, seed)
@@ -396,19 +400,44 @@ def segment(scenario: Scenario, style: StyleModel) -> SemanticMap:
 # Scenario generation
 # ---------------------------------------------------------------------------
 
-# Car templates as mask arrays; pedestrian templates below. Masks must stay a
-# single 4-connected component after mild rescaling.
+class _Template(NamedTuple):
+    """A thing mask with its set cells and their bounds, computed once.
+
+    ys and xs list the set cells in row-major order; bounds is
+    (row min, row max, column min, column max) over them.
+    """
+
+    shape: tuple[int, int]
+    ys: np.ndarray
+    xs: np.ndarray
+    bounds: tuple[int, int, int, int]
+
+
+def _template(rows: list[list[int]]) -> _Template:
+    mask = np.array(rows, dtype=bool)
+    ys, xs = np.nonzero(mask)
+    bounds = (int(ys.min()), int(ys.max()), int(xs.min()), int(xs.max()))
+    return _Template(shape=mask.shape, ys=_frozen(ys), xs=_frozen(xs), bounds=bounds)
+
+
+# Car templates; pedestrian templates below. Masks must stay a single
+# 4-connected component after mild rescaling.
 _CAR_TEMPLATES = [
-    np.array([[1, 1, 1], [1, 1, 1]], dtype=bool),
-    np.array([[0, 1, 1, 0], [1, 1, 1, 1], [1, 1, 1, 1]], dtype=bool),
-    np.array([[1, 1, 1, 1], [1, 1, 1, 1]], dtype=bool),
-    np.array([[0, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1]], dtype=bool),
+    _template([[1, 1, 1], [1, 1, 1]]),
+    _template([[0, 1, 1, 0], [1, 1, 1, 1], [1, 1, 1, 1]]),
+    _template([[1, 1, 1, 1], [1, 1, 1, 1]]),
+    _template([[0, 1, 1, 1, 0], [1, 1, 1, 1, 1], [1, 1, 1, 1, 1]]),
 ]
 _PEDESTRIAN_TEMPLATES = [
-    np.array([[1]], dtype=bool),
-    np.array([[1], [1]], dtype=bool),
-    np.array([[1, 1]], dtype=bool),
+    _template([[1]]),
+    _template([[1], [1]]),
+    _template([[1, 1]]),
 ]
+
+
+def _is_road(classes: np.ndarray) -> np.ndarray:
+    """Cells of the driving corridor: road and its lane markings."""
+    return (classes == ClassId.ROAD) | (classes == ClassId.LANE_MARKING)
 
 
 @dataclass(frozen=True)
@@ -506,80 +535,89 @@ class ScenarioGenerator:
         """Base terrain: sky band, road corridor, markings, sidewalks, scenery.
 
         Returns (classes, center_cols). Row 0 is the horizon side; the
-        vehicle sits at the bottom row.
+        vehicle sits at the bottom row. All ground rows are painted in one
+        pass over (ahead distance, column).
         """
         cfg = self.config
         h, w = cfg.height, cfg.width
-        classes = np.full((h, w), ClassId.SKY, dtype=np.uint8)
         half = int(rng.integers(cfg.road_half_width[0], cfg.road_half_width[1] + 1))
         centers = self._center_cols(curvature, offset)
-        cols = np.arange(w, dtype=np.float64)
+        ahead = np.arange(h - cfg.sky_rows)
         # Scenery block types chosen per (row band, side).
         n_bands = (h - cfg.sky_rows) // cfg.scenery_band_rows + 1
         band_kind = rng.integers(0, 2, size=(n_bands, 2))  # 0 building, 1 vegetation
-        for ahead in range(h - cfg.sky_rows):
-            row = h - 1 - ahead
-            center = centers[ahead]
-            lateral = np.abs(cols - center)
-            band = ahead // cfg.scenery_band_rows
-            left_kind = ClassId.BUILDING if band_kind[band, 0] == 0 else ClassId.VEGETATION
-            right_kind = ClassId.BUILDING if band_kind[band, 1] == 0 else ClassId.VEGETATION
-            line = np.where(cols < center, int(left_kind), int(right_kind))
-            line = np.where(lateral <= half + cfg.sidewalk_width, int(ClassId.SIDEWALK), line)
-            line = np.where(lateral <= half, int(ClassId.ROAD), line)
-            classes[row] = line
-            if ahead % 2 == 0:  # dashed center marking
-                mark = int(np.floor(center + 0.5))
-                if 0 <= mark < w and classes[row, mark] == ClassId.ROAD:
-                    classes[row, mark] = ClassId.LANE_MARKING
+        kinds = np.where(band_kind == 0, int(ClassId.BUILDING), int(ClassId.VEGETATION))
+        kinds = kinds[ahead // cfg.scenery_band_rows]  # (ahead, side)
+        cols = np.arange(w, dtype=np.float64)
+        center = centers[:, None]
+        lateral = np.abs(cols - center)
+        ground = np.where(cols < center, kinds[:, :1], kinds[:, 1:])
+        ground = np.where(lateral <= half + cfg.sidewalk_width, int(ClassId.SIDEWALK), ground)
+        ground = np.where(lateral <= half, int(ClassId.ROAD), ground)
+        # Dashed center marking on every other row ahead, where it hits road.
+        dashed = ahead[::2]
+        marks = np.floor(centers[dashed] + 0.5)
+        inside = (marks >= 0) & (marks < w)
+        dashed, marks = dashed[inside], marks[inside].astype(np.intp)
+        on_road = ground[dashed, marks] == ClassId.ROAD
+        ground[dashed[on_road], marks[on_road]] = ClassId.LANE_MARKING
+        classes = np.full((h, w), ClassId.SKY, dtype=np.uint8)
+        classes[cfg.sky_rows :] = ground[::-1]  # ahead 0 is the bottom row
         return classes, centers
 
     def _place_mask(
         self,
         classes: np.ndarray,
-        occupancy: np.ndarray,
-        mask: np.ndarray,
+        grid: np.ndarray,
+        template: _Template,
         top: int,
         left: int,
         class_id: ClassId,
-    ) -> Optional[np.ndarray]:
-        """Write a mask if it fits and keeps a 1-cell gap to same-class cells."""
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The (ys, xs) cells of a fitting template, or None.
+
+        A template fits if it lies inside the grid, keeps a 1-cell gap to
+        cells of its own class and covers no other instance's cells.
+        """
         h, w = classes.shape
-        mh, mw = mask.shape
+        mh, mw = template.shape
         if top < 0 or left < 0 or top + mh > h or left + mw > w:
             return None
-        ys, xs = np.nonzero(mask)
-        ys = ys + top
-        xs = xs + left
-        y_lo, y_hi = max(ys.min() - 1, 0), min(ys.max() + 2, h)
-        x_lo, x_hi = max(xs.min() - 1, 0), min(xs.max() + 2, w)
-        region = classes[y_lo:y_hi, x_lo:x_hi]
-        if (region == class_id).any():  # Chebyshev gap to same-class instances
+        y_min, y_max, x_min, x_max = template.bounds
+        region = classes[
+            max(top + y_min - 1, 0) : min(top + y_max + 2, h),
+            max(left + x_min - 1, 0) : min(left + x_max + 2, w),
+        ]
+        if (region == int(class_id)).any():  # Chebyshev gap to same-class instances
             return None
-        if occupancy[ys, xs].any():
+        ys = template.ys + top
+        xs = template.xs + left
+        if (grid[ys, xs] != BACKGROUND_ID).any():  # another instance's cells
             return None
-        return np.stack([ys, xs], axis=1)
+        return ys, xs
 
     def _add_instance(
         self,
         classes: np.ndarray,
         grid: np.ndarray,
-        occupancy: np.ndarray,
         records: list[InstanceRecord],
-        cells: np.ndarray,
+        template: _Template,
+        top: int,
+        left: int,
         class_id: ClassId,
     ) -> None:
-        ys, xs = cells[:, 0], cells[:, 1]
+        ys = template.ys + top
+        xs = template.xs + left
         inst_id = len(records)
         classes[ys, xs] = class_id
         grid[ys, xs] = inst_id
-        occupancy[ys, xs] = True
-        x0, y0 = int(xs.min()), int(ys.min())
+        y_min, y_max, x_min, x_max = template.bounds
+        x0, y0 = left + x_min, top + y_min
         records.append(
             InstanceRecord(
                 instance_id=inst_id,
                 class_id=class_id,
-                bbox=(x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1),
+                bbox=(x0, y0, x_max - x_min + 1, y_max - y_min + 1),
                 affine=(float(x0), float(y0), 1.0, 1.0),
             )
         )
@@ -589,46 +627,46 @@ class ScenarioGenerator:
         rng: np.random.Generator,
         classes: np.ndarray,
         grid: np.ndarray,
-        occupancy: np.ndarray,
         records: list[InstanceRecord],
-        centers: np.ndarray,
         n_cars: int,
         n_peds: int,
     ) -> None:
-        """Parked cars and pedestrians on the sidewalk strips, off the road."""
+        """Parked cars and pedestrians on the sidewalk strips, off the road.
+
+        No background thing lands on a road or lane cell, so the corridor,
+        and with it each row's road span, is read once before the scatter.
+        """
         cfg = self.config
-        h = cfg.height
-        del centers
+        h, w = classes.shape
+        corridor = _is_road(classes)
+        has_road = corridor.any(axis=1).tolist()
+        first_road = corridor.argmax(axis=1).tolist()
+        last_road = (w - 1 - corridor[:, ::-1].argmax(axis=1)).tolist()
         for kind, count in ((ClassId.CAR, n_cars), (ClassId.PEDESTRIAN, n_peds)):
             templates = _CAR_TEMPLATES if kind == ClassId.CAR else _PEDESTRIAN_TEMPLATES
             placed = 0
             for _ in range(24):
                 if placed >= count:
                     break
-                mask = templates[int(rng.integers(len(templates)))]
+                template = templates[int(rng.integers(len(templates)))]
                 ahead = int(rng.integers(3, h - cfg.sky_rows - 4))
                 row = h - 1 - ahead
                 side = 1 if rng.random() < 0.5 else -1
-                road_cols = np.flatnonzero(
-                    np.isin(classes[row], (ClassId.ROAD, ClassId.LANE_MARKING))
-                )
-                if road_cols.size == 0:
+                if not has_road[row]:
                     continue
                 gap = int(rng.integers(0, 2))  # sidewalk column next to the road
+                mh, mw = template.shape
                 if side > 0:
-                    left = int(road_cols.max()) + 1 + gap
+                    left = last_road[row] + 1 + gap
                 else:
-                    left = int(road_cols.min()) - 1 - gap - mask.shape[1] + 1
-                top = row - mask.shape[0] + 1
-                cells = self._place_mask(classes, occupancy, mask, top, left, kind)
+                    left = first_road[row] - 1 - gap - mw + 1
+                top = row - mh + 1
+                cells = self._place_mask(classes, grid, template, top, left, kind)
                 if cells is None:
                     continue
-                road_or_lane = np.isin(
-                    classes[cells[:, 0], cells[:, 1]], (ClassId.ROAD, ClassId.LANE_MARKING)
-                )
-                if road_or_lane.any():  # keep background things off the corridor
+                if corridor[cells].any():  # keep background things off the corridor
                     continue
-                self._add_instance(classes, grid, occupancy, records, cells, kind)
+                self._add_instance(classes, grid, records, template, top, left, kind)
                 placed += 1
 
     def _place_corridor_car(
@@ -636,7 +674,6 @@ class ScenarioGenerator:
         rng: np.random.Generator,
         classes: np.ndarray,
         grid: np.ndarray,
-        occupancy: np.ndarray,
         records: list[InstanceRecord],
         centers: np.ndarray,
         side: int,
@@ -644,21 +681,19 @@ class ScenarioGenerator:
         """One car in the driving corridor, centroid offset to one side."""
         cfg = self.config
         for _ in range(10):
-            mask = _CAR_TEMPLATES[int(rng.integers(len(_CAR_TEMPLATES)))]
+            template = _CAR_TEMPLATES[int(rng.integers(len(_CAR_TEMPLATES)))]
+            mh, mw = template.shape
             ahead = int(rng.integers(8, min(18, cfg.height - cfg.sky_rows - 2)))
             row = cfg.height - 1 - ahead
             centroid_col = centers[ahead] + side * cfg.avoid_car_offset_cells
-            left = int(np.floor(centroid_col - (mask.shape[1] - 1) / 2.0 + 0.5))
-            top = row - mask.shape[0] + 1
-            cells = self._place_mask(classes, occupancy, mask, top, left, ClassId.CAR)
+            left = int(np.floor(centroid_col - (mw - 1) / 2.0 + 0.5))
+            top = row - mh + 1
+            cells = self._place_mask(classes, grid, template, top, left, ClassId.CAR)
             if cells is None:
                 continue
-            on_road = np.isin(
-                classes[cells[:, 0], cells[:, 1]], (ClassId.ROAD, ClassId.LANE_MARKING)
-            )
-            if not on_road.all():
+            if not _is_road(classes[cells]).all():
                 continue
-            self._add_instance(classes, grid, occupancy, records, cells, ClassId.CAR)
+            self._add_instance(classes, grid, records, template, top, left, ClassId.CAR)
             return True
         return False
 
@@ -692,14 +727,11 @@ class ScenarioGenerator:
 
         classes, centers = self._paint_layout(rng, curvature, offset)
         grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
-        occupancy = np.zeros(classes.shape, dtype=bool)
         records: list[InstanceRecord] = []
 
         label_offset = offset
         if task == TaskType.AVOID_CARS:
-            placed = self._place_corridor_car(
-                rng, classes, grid, occupancy, records, centers, avoid_side
-            )
+            placed = self._place_corridor_car(rng, classes, grid, records, centers, avoid_side)
             if placed:
                 # Steer toward the open side of the corridor car.
                 label_offset = -avoid_side * profile.avoid_gap
@@ -708,9 +740,7 @@ class ScenarioGenerator:
 
         n_cars = int(rng.integers(*cfg.scatter_cars))
         n_peds = int(rng.integers(*cfg.scatter_peds))
-        self._scatter_background_things(
-            rng, classes, grid, occupancy, records, centers, n_cars, n_peds
-        )
+        self._scatter_background_things(rng, classes, grid, records, n_cars, n_peds)
 
         semantic = SemanticMap(classes=classes)
         instances = InstanceMap(instance_grid=grid, records=tuple(records))

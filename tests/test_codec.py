@@ -14,16 +14,19 @@ from parl.codec import (
     MODEL_MAGIC,
     decode_models,
     decode_samples,
+    decode_scenarios,
     encode_models,
     encode_samples,
+    encode_scenarios,
     read_dataset,
     read_models,
     write_dataset,
     write_models,
 )
-from parl.errors import DecodeError
+from parl.errors import ConfigurationError, DecodeError
 from parl.policy import evaluate, featurize, train
 from parl.styles import built_in_style, fit_style
+from parl.world import ClassId, InstanceMap, InstanceRecord, Scenario, SemanticMap
 
 
 def _feature_rows(samples, style):
@@ -100,6 +103,106 @@ class TestDatasetRoundTrip:
             assert a.class_id == b.class_id
             assert a.bbox == b.bbox
             assert b.affine == pytest.approx(a.affine, abs=1e-6)
+
+
+    def test_records_decode_to_python_numbers(self, small_dataset):
+        """Records decode with int and float fields, so their repr is the generator's."""
+        src = max(small_dataset, key=lambda s: len(s.instances.records))
+        out = decode_samples(encode_samples([src]))[0]
+        assert repr(out.instances.records) == repr(src.instances.records)
+        for rec in out.instances.records:
+            assert type(rec.instance_id) is int and type(rec.class_id) is ClassId
+            assert all(type(v) is int for v in rec.bbox)
+            assert all(type(v) is float for v in rec.affine)
+
+
+def _one_car_layout(bbox):
+    classes = np.zeros((16, 16), dtype=np.uint8)
+    classes[0, 0] = ClassId.CAR
+    grid = np.full((16, 16), -1, dtype=np.int32)
+    grid[0, 0] = 0
+    record = InstanceRecord(
+        instance_id=0, class_id=ClassId.CAR, bbox=bbox, affine=(0.0, 0.0, 1.0, 1.0)
+    )
+    return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=(record,))
+
+
+class TestRecordTable:
+    def test_layout_record_bytes(self):
+        """One packed row: u32 id, u8 class, 4 x u16 bbox, 4 x f64 affine."""
+        layout = _one_car_layout((0, 0, 1, 2))
+        blob = encode_models([layout])
+        row = (
+            (0).to_bytes(4, "little")
+            + bytes([ClassId.CAR])
+            + b"".join(v.to_bytes(2, "little") for v in (0, 0, 1, 2))
+            + np.array([0.0, 0.0, 1.0, 1.0], dtype="<f8").tobytes()
+        )
+        assert blob.endswith((1).to_bytes(2, "little") + row)
+        assert decode_models(blob)[0][1] == layout[1]
+
+    def test_bbox_field_over_u16_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="bbox field 70000 does not fit in u16"):
+            encode_models([_one_car_layout((0, 0, 70_000, 1))])
+
+    @pytest.mark.parametrize("code", [0, 8, 255], ids=["road", "past-palette", "max"])
+    def test_bad_class_code_is_a_decode_error(self, code):
+        blob = bytearray(encode_models([_one_car_layout((0, 0, 1, 1))]))
+        at = len(blob) - 45 + 4  # the one record's class byte
+        assert blob[at] == ClassId.CAR
+        blob[at] = code
+        match = "not an instance class" if code < 8 else f"unknown class id {code}"
+        with pytest.raises(DecodeError, match=match):
+            decode_models(bytes(blob))
+
+    def test_non_thing_class_in_a_dataset_is_a_decode_error(self, small_dataset):
+        """A record of a stuff class once escaped decode_samples as ConfigurationError."""
+        src = next(s for s in small_dataset if s.instances.records)
+        blob = bytearray(encode_samples([src]))
+        h, w = src.semantic.classes.shape
+        # container(13) + length(4) + shape/style/task/provenance/flag/label(13) + grids + count(2)
+        at = 13 + 4 + 13 + 5 * h * w + 2 + 4
+        assert blob[at] == src.instances.records[0].class_id
+        blob[at] = ClassId.ROAD
+        with pytest.raises(DecodeError, match="not an instance class"):
+            decode_samples(bytes(blob))
+
+
+class TestScenarioList:
+    def test_round_trip_is_bit_exact(self, small_dataset):
+        scenarios = [s.scenario for s in small_dataset[:3]]
+        blob = encode_scenarios(scenarios)
+        assert len(blob) == 4 + sum(6 + 4 * s.pixels.size for s in scenarios)
+        out = decode_scenarios(blob)
+        assert out == scenarios
+        assert all(a.pixels.tobytes() == b.pixels.tobytes() for a, b in zip(scenarios, out))
+
+    def test_empty_list_round_trips(self):
+        assert decode_scenarios(encode_scenarios([])) == []
+
+    def test_style_id_over_u16_is_a_configuration_error(self, small_dataset):
+        big = Scenario(pixels=small_dataset[0].scenario.pixels, style=70_000)
+        with pytest.raises(ConfigurationError, match="style id 70000"):
+            encode_scenarios([big])
+
+    @settings(max_examples=40, deadline=None)
+    @given(frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_any_truncation_is_a_decode_error(self, small_dataset, frac):
+        blob = encode_scenarios([s.scenario for s in small_dataset[:2]])
+        with pytest.raises(DecodeError):
+            decode_scenarios(blob[: int(len(blob) * frac)])
+
+    def test_rejections(self, small_dataset):
+        blob = encode_scenarios([small_dataset[0].scenario])
+        with pytest.raises(DecodeError, match="trailing bytes"):
+            decode_scenarios(blob + b"\x00")
+        nan = bytearray(blob)
+        nan[-4:] = np.float32(np.nan).astype("<f4").tobytes()
+        with pytest.raises(DecodeError, match="violates invariants"):
+            decode_scenarios(bytes(nan))
+        tiny = Scenario(pixels=np.zeros((16, 15, 3), dtype=np.float32), style=0)
+        with pytest.raises(DecodeError, match="16x15 cells is below 16x16"):
+            decode_scenarios(encode_scenarios([tiny]))
 
 
 class TestModelRoundTrip:

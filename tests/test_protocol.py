@@ -1,4 +1,5 @@
-"""One protocol round on a small two-robot world: labels, dropout, violations, sequencing."""
+"""One protocol round on a small two-robot world: labels, dropout, violations,
+sequencing and the wire format of every message variant."""
 
 import functools
 from dataclasses import replace
@@ -10,6 +11,7 @@ from parl import cli, harness
 from parl.config import ExperimentConfig
 from parl.errors import DecodeError, ProtocolError
 from parl.harness import generate_worlds
+from parl.codec import encode_scenarios
 from parl.policy import features_from_maps
 from parl.protocol import (
     MESSAGE_MAGIC,
@@ -27,6 +29,7 @@ from parl.protocol import (
     run_round,
 )
 from parl.styles import style_affinity
+from parl.world import Scenario, segment
 
 CONFIG = ExperimentConfig(robots=2, samples_per_task=3)
 
@@ -235,3 +238,116 @@ def test_report_command_prints_report_md(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", str(run_dir)]) == 0
     assert capsys.readouterr().out == (run_dir / "report.md").read_text(encoding="utf-8")
+
+
+# magic, version, sender, recipient, seq, tag; the u32 payload length follows.
+_BEFORE_LENGTH = len(MESSAGE_MAGIC) + 2 + 2 + 2 + 8 + 1
+_HEADER = _BEFORE_LENGTH + 4
+
+
+@pytest.fixture(scope="session")
+def round_messages(worlds):
+    """One message of every variant, from a round driven by hand."""
+    robots, cloud = _nodes(worlds)
+    uploads = [robot.local_compute() for robot in robots]
+    for upload in uploads:
+        cloud.handle(upload)
+    requests = cloud.begin_round()
+    responses = [m for r in requests for m in robots[r.recipient.index].handle(r)]
+    for response in responses:
+        cloud.handle(response)
+    shared = cloud.finish_round()
+    acks = [m for s in shared for m in robots[s.recipient.index].handle(s)]
+    return {
+        "upload": uploads[0],
+        "request": requests[0],
+        "response": responses[0],
+        "shared": shared[0],
+        "ack": acks[0],
+    }
+
+
+def _with_payload(message, payload: bytes) -> bytes:
+    """The message's wire bytes with its payload replaced."""
+    head = encode_message(message)[:_BEFORE_LENGTH]
+    return head + len(payload).to_bytes(4, "little") + payload
+
+
+def test_label_request_carries_only_scenarios(round_messages):
+    request = round_messages["request"]
+    scenarios = request.body.scenarios
+    assert scenarios and all(type(s) is Scenario for s in scenarios)
+    data = encode_message(request)
+    pixels = sum(s.pixels.size for s in scenarios)
+    # count, then per scenario height, width and style id, then f32 pixels.
+    assert len(data) == _HEADER + 4 + 6 * len(scenarios) + 4 * pixels
+    decoded = decode_message(data).body
+    assert decoded == request.body
+
+
+def test_robot_labels_each_scenario_as_its_own_segmentation_reads(worlds):
+    robots, cloud, requests = _labeling(worlds)
+    for request in requests:
+        robot = robots[request.recipient.index]
+        [reply] = robot.handle(request)
+        expected = tuple(
+            robot.policy.predict(features_from_maps(segment(scenario, robot.style)))
+            for scenario in request.body.scenarios
+        )
+        assert reply.body.torques == expected
+
+
+@pytest.mark.parametrize("variant", ["upload", "request", "response", "shared", "ack"])
+def test_bit_flips_decode_or_raise_decode_error(round_messages, variant):
+    """1-3 flipped bits past the message header, 500 seeded trials per variant."""
+    blob = encode_message(round_messages[variant])
+    rng = np.random.default_rng(2026)
+    for _ in range(500):
+        data = bytearray(blob)
+        n_flips = int(rng.integers(1, 4))
+        for bit in rng.choice((len(blob) - _HEADER) * 8, size=n_flips, replace=False):
+            data[_HEADER + bit // 8] ^= 1 << (bit % 8)
+        try:
+            assert isinstance(decode_message(bytes(data)), Message)
+        except DecodeError:
+            pass
+
+
+def test_truncated_label_request_is_a_decode_error(round_messages):
+    data = encode_message(round_messages["request"])
+    for cut in (_HEADER - 1, _HEADER + 3, _HEADER + 9, len(data) // 2, len(data) - 1):
+        with pytest.raises(DecodeError):
+            decode_message(data[:cut])
+    # A payload cut short inside a correctly framed message.
+    payload = data[_HEADER:]
+    with pytest.raises(DecodeError, match="truncated scenario list"):
+        decode_message(_with_payload(round_messages["request"], payload[:-1]))
+
+
+def test_label_request_with_trailing_bytes_is_a_decode_error(round_messages):
+    request = round_messages["request"]
+    with pytest.raises(DecodeError):
+        decode_message(encode_message(request) + b"\x00")
+    payload = encode_message(request)[_HEADER:]
+    with pytest.raises(DecodeError, match="trailing bytes in scenario list"):
+        decode_message(_with_payload(request, payload + b"\x00"))
+
+
+def test_label_request_with_nan_pixel_is_a_decode_error(round_messages):
+    data = bytearray(encode_message(round_messages["request"]))
+    data[-4:] = np.float32(np.nan).astype("<f4").tobytes()
+    with pytest.raises(DecodeError, match="lie in \\[0, 1\\]"):
+        decode_message(bytes(data))
+
+
+def test_label_request_without_scenarios_is_a_decode_error(round_messages):
+    data = _with_payload(round_messages["request"], encode_scenarios([]))
+    with pytest.raises(DecodeError, match="at least one scenario"):
+        decode_message(data)
+
+
+def test_label_request_with_scenario_below_16x16_is_a_decode_error(round_messages):
+    small = Scenario(pixels=np.full((15, 32, 3), 0.5, dtype=np.float32), style=0)
+    data = _with_payload(round_messages["request"], encode_scenarios([small]))
+    with pytest.raises(DecodeError, match="15x32"):
+        decode_message(data)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -345,6 +345,8 @@ def test_real_layouts_match_per_instance_reference(scorer, layouts, weights):
         )
     )
 )
+# One short run alone: numpy sums a lone zero-padded column in lanes.
+@example(runs=(np.array([6]), np.full(6, 0.94855504)))
 def test_segment_sums_match_ndarray_sum(runs):
     lengths, values = runs
     starts = np.cumsum(lengths) - lengths

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parl.errors import ConfigurationError
+from parl.errors import ConfigurationError, RenderError
 from parl.styles import built_in_style
 from parl.world import (
     BACKGROUND_ID,
@@ -15,6 +15,7 @@ from parl.world import (
     Provenance,
     Scenario,
     ScenarioGenerator,
+    SemanticMap,
     TaskType,
     WorldConfig,
     extract_instances,
@@ -186,6 +187,23 @@ def test_render_rejects_missing_class():
 
     with pytest.raises(RenderError):
         render(SemanticMap(classes=classes), inst, gapped, seed=1)
+
+
+def test_render_names_the_lowest_missing_class_it_paints():
+    style = built_in_style(0, seed=5)
+    means = style.class_means.copy()
+    means[[ClassId.CAR, ClassId.PEDESTRIAN, ClassId.SKY]] = np.nan
+    gapped = dataclasses.replace(style, class_means=means)
+    classes = np.full((20, 30), ClassId.ROAD, dtype=np.uint8)
+    classes[4:6, 4:6] = ClassId.PEDESTRIAN
+    classes[10:12, 4:6] = ClassId.CAR
+    semantic = SemanticMap(classes=classes)
+    with pytest.raises(RenderError, match=r"^style 0 has no appearance for class 2$"):
+        render(semantic, extract_instances(classes), gapped, seed=1)
+    # A class the style lacks but the map does not hold is no obstacle.
+    plain = np.full((20, 30), ClassId.ROAD, dtype=np.uint8)
+    scenario = render(SemanticMap(classes=plain), extract_instances(plain), gapped, seed=1)
+    assert scenario.pixels.shape == (20, 30, 3)
 
 
 def test_config_validation():
