@@ -11,10 +11,12 @@ histogram over (context, position, scale) bins, shapes are masks harvested
 from real instances, and the scorer aggregates class-adjacency, placement,
 size, and shape-regularity evidence at three pooling scales.
 
-The scorer works per layout, not per instance: every step is an array pass
-over all of a layout's instances at once. One pass lists each instance's
-cells, and one connected-component pass (world._label_components) over a
-grid of cells and same-instance links tells which instances are connected
+The scorer works on batches of layouts, not one instance at a time: layouts
+of one grid shape are stacked, at most _SCORE_CHUNK at a time, and every
+step is an array pass over all of the batch's instances at once. One pass
+lists each instance's cells, and one connected-component pass
+(world._label_components) over a grid of cells and same-instance links tells
+which instances are connected and which touch another of their class
 (_layout_instances). At each pooling scale, one sort of (instance, pooled
 cell) keys any-pools every instance, and the context, size and fill bins,
 component counts and rings of outside neighbour classes are read from that
@@ -25,14 +27,15 @@ once, when the scale stats are built.
 Scores are pinned bit for bit, and a float sum depends on its order. So
 each ring direction is summed per instance exactly as ndarray.sum() sums it
 alone (_segment_sums), the four direction sums are added in ring order, and
-the weighted component sum stays one dot product per instance.
+the weighted component sum stays one dot product per instance. A score never
+depends on the other layouts of its batch.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,28 +70,31 @@ def scale_bin_of(width: int, height: int) -> int:
     return bisect_left(_SCALE_BIN_EDGES, max(width, height))
 
 
-def _depth_at(classes: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Signed distance to the road span at the given cells.
+def _depth_at(
+    classes: np.ndarray, layout: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Signed distance to the road span at the given cells of stacked grids.
 
-    Positive depths count cells inside the span (1 at the edge), negative
-    depths count cells outside it. Rows without road are deeply off-road.
+    classes is (layouts, h, w). Positive depths count cells inside the span
+    (1 at the edge), negative depths count cells outside it. Rows without
+    road are deeply off-road.
     """
-    w = classes.shape[1]
+    w = classes.shape[2]
     road_like = (classes == ClassId.ROAD) | (classes == ClassId.LANE_MARKING)
-    lo = road_like.argmax(axis=1)[rows]
-    hi = w - 1 - road_like[:, ::-1].argmax(axis=1)[rows]
+    lo = road_like.argmax(axis=2)[layout, rows]
+    hi = w - 1 - road_like[:, :, ::-1].argmax(axis=2)[layout, rows]
     depth = np.where(
         (cols >= lo) & (cols <= hi),
         np.minimum(cols - lo, hi - cols) + 1,
         -np.maximum(lo - cols, cols - hi),
     )
-    return np.where(road_like.any(axis=1)[rows], depth, -w).astype(np.int32)
+    return np.where(road_like.any(axis=2)[layout, rows], depth, -w).astype(np.int32)
 
 
 def _depth_map(classes: np.ndarray) -> np.ndarray:
-    """_depth_at for every cell of the grid."""
+    """_depth_at for every cell of one grid."""
     h, w = classes.shape
-    return _depth_at(classes, np.arange(h)[:, None], np.arange(w))
+    return _depth_at(classes[None], 0, np.arange(h)[:, None], np.arange(w))
 
 
 # Context bins by depth: 0 deep road (>= 3), 1 road edge (1..2), 2 roadside
@@ -111,15 +117,17 @@ def _record_mask(instances: InstanceMap, record: InstanceRecord) -> np.ndarray:
 
 
 class _Instances(NamedTuple):
-    """The records of one layout that own cells, and where those cells lie.
+    """The records of a batch of same-shape layouts that own cells, and where those cells lie.
 
-    Arrays are per instance, in record order; the cells are grouped by
-    instance and row-major within one, the order np.nonzero on each
-    instance's mask lists them.
+    Arrays are per instance, layout by layout and in record order within
+    one; the cells are grouped by instance and row-major within one, the
+    order np.nonzero on each instance's mask lists them. Cell coordinates
+    are within their own layout.
     """
 
     records: tuple[InstanceRecord, ...]
     class_ids: np.ndarray  # (n,) int64
+    layout: np.ndarray  # (n,) the batch position of each instance's layout
     ys: np.ndarray  # cell rows and columns, grouped
     xs: np.ndarray
     owner: np.ndarray  # the instance each cell belongs to
@@ -127,24 +135,60 @@ class _Instances(NamedTuple):
     counts: np.ndarray  # (n,) cells per instance
     box: np.ndarray  # (n, 4) inclusive y_min, y_max, x_min, x_max
     connected: np.ndarray  # (n,) bool: the cells form one 4-connected component
+    # (n,) bool: a 4-neighbour cell holds another instance of the same class.
+    # Generated worlds and the insertion sampler both keep a one-cell gap
+    # between same-class instances, so contact only comes from corruption.
+    contact: np.ndarray
 
 
-def _layout_instances(instances: InstanceMap) -> _Instances:
-    """Every record's cells and connectivity, from whole-grid array passes.
+# A cell's record is found by the rank of its (layout, id) key among the
+# records' keys, so no table is ever sized by an id. Record ids outside the
+# int32 range of the grid own no cell; clipping them just past that range
+# keeps every key inside its layout's span.
+_ID_LO, _ID_HI = -(2**31) - 1, 2**31
+_KEY_SPAN = 2**33
 
-    Connectivity takes one _label_components pass per layout, on a
-    (2h-1, 2w-1) grid: each cell sits at an even position, and the link
-    between two 4-neighbours is set only when both hold the same instance.
-    Components then never join different instances, so an instance is
-    connected exactly when its cells carry one label.
+
+def _layout_instances(maps: Sequence[InstanceMap]) -> _Instances:
+    """Every record's cells, connectivity and contact, from whole-batch array passes.
+
+    The maps must share one grid shape. Connectivity takes one
+    _label_components pass over the stacked (2h, 2w-1) link grids: each
+    cell sits at an even position, the link between two 4-neighbours is set
+    only when both hold the same instance, and each layout's last row stays
+    blank. Components then never join different instances or layouts, so an
+    instance is connected exactly when its cells carry one label.
     """
-    grid = instances.instance_grid
-    records = instances.records
+    grids = np.stack([m.instance_grid for m in maps])
+    n_maps, h, w = grids.shape
+    records = [r for m in maps for r in m.records]
+    rec_layout = np.repeat(np.arange(n_maps), [len(m.records) for m in maps])
     ids = np.array([r.instance_id for r in records], dtype=np.int64)
-    flat = grid.ravel()
+    rec_keys = rec_layout * _KEY_SPAN + np.clip(ids, _ID_LO, _ID_HI) - _ID_LO
+    flat = grids.ravel()
     cells = np.flatnonzero(flat != BACKGROUND_ID)
-    by_id = np.argsort(ids)
-    rec_of_cell = by_id[np.searchsorted(ids[by_id], flat[cells])]
+    cell_keys = cells // (h * w) * _KEY_SPAN + flat[cells] - _ID_LO
+    by_key = np.argsort(rec_keys)
+    rec_of_cell = by_key[np.searchsorted(rec_keys[by_key], cell_keys)]
+
+    # Contact: 4-neighbours of one layout holding different records of one
+    # class. Background cells carry record and class -1.
+    class_of = np.array([int(r.class_id) for r in records], dtype=np.int64)
+    rec_grid = np.full(flat.size, -1, dtype=np.int64)
+    rec_grid[cells] = rec_of_cell
+    rec_grid = rec_grid.reshape(grids.shape)
+    cls_grid = np.full(flat.size, -1, dtype=np.int64)
+    cls_grid[cells] = class_of[rec_of_cell]
+    cls_grid = cls_grid.reshape(grids.shape)
+    touched = np.zeros(len(records), dtype=bool)
+    for a, b, ca, cb in (
+        (rec_grid[:, :, :-1], rec_grid[:, :, 1:], cls_grid[:, :, :-1], cls_grid[:, :, 1:]),
+        (rec_grid[:, :-1], rec_grid[:, 1:], cls_grid[:, :-1], cls_grid[:, 1:]),
+    ):
+        hit = (a != b) & (ca == cb) & (ca >= 0)
+        touched[a[hit]] = True
+        touched[b[hit]] = True
+
     grouped = np.argsort(rec_of_cell, kind="stable")
     cells, rec_of_cell = cells[grouped], rec_of_cell[grouped]
     per_record = np.bincount(rec_of_cell, minlength=len(records))
@@ -153,17 +197,18 @@ def _layout_instances(instances: InstanceMap) -> _Instances:
     counts = per_record[owns]
     starts = np.cumsum(counts) - counts
 
-    h, w = grid.shape
-    links = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    links[::2, ::2] = grid != BACKGROUND_ID
-    links[::2, 1::2] = (grid[:, :-1] == grid[:, 1:]) & (grid[:, 1:] != BACKGROUND_ID)
-    links[1::2, ::2] = (grid[:-1] == grid[1:]) & (grid[1:] != BACKGROUND_ID)
-    labels, n_labels = _label_components(links)
+    occupied = grids != BACKGROUND_ID
+    links = np.zeros((n_maps, 2 * h, 2 * w - 1), dtype=bool)
+    links[:, ::2, ::2] = occupied
+    links[:, ::2, 1::2] = (grids[:, :, :-1] == grids[:, :, 1:]) & occupied[:, :, 1:]
+    links[:, 1:-1:2, ::2] = (grids[:, :-1] == grids[:, 1:]) & occupied[:, 1:]
+    labels, n_labels = _label_components(links.reshape(n_maps * 2 * h, 2 * w - 1))
     owner = np.zeros(n_labels + 1, dtype=np.int64)
-    owner[labels[::2, ::2].ravel()[cells]] = rank_of_cell
+    owner[labels.reshape(links.shape)[:, ::2, ::2].ravel()[cells]] = rank_of_cell
     n_components = np.bincount(owner[1:], minlength=counts.size)
 
-    ys, xs = np.divmod(cells, w)
+    layout, rest = np.divmod(cells, h * w)
+    ys, xs = np.divmod(rest, w)
     box = np.stack(
         [
             ys[starts],
@@ -173,10 +218,10 @@ def _layout_instances(instances: InstanceMap) -> _Instances:
         ],
         axis=1,
     )
-    kept = tuple(r for r, o in zip(records, owns) if o)
     return _Instances(
-        records=kept,
-        class_ids=np.array([int(r.class_id) for r in kept], dtype=np.int64),
+        records=tuple(r for r, o in zip(records, owns) if o),
+        class_ids=class_of[owns],
+        layout=layout[starts],
         ys=ys,
         xs=xs,
         owner=rank_of_cell,
@@ -184,38 +229,12 @@ def _layout_instances(instances: InstanceMap) -> _Instances:
         counts=counts,
         box=box,
         connected=n_components == 1,
+        contact=touched[owns],
     )
 
 
 FILL_BIN_EDGES = (0.55, 0.7, 0.85)
 N_FILL_BINS = len(FILL_BIN_EDGES) + 1
-
-
-def _contact_flags(instances: InstanceMap) -> dict[int, bool]:
-    """Whether each record touches another record of the same class.
-
-    Two 4-adjacent cells touch when they hold different records of the same
-    class. Generated worlds and the insertion sampler both keep a one-cell
-    gap between same-class instances, so contact only ever comes from
-    corrupted layouts.
-    """
-    grid = instances.instance_grid
-    records = instances.records
-    if not records:
-        return {}
-    # Class per grid value, indexed by id + 1; background maps to -1.
-    class_of = np.full(max(r.instance_id for r in records) + 2, -1, dtype=np.int64)
-    class_of[[r.instance_id + 1 for r in records]] = [int(r.class_id) for r in records]
-    classes = class_of[grid + 1]
-    touched = np.zeros(class_of.size, dtype=bool)
-    for a, b, ca, cb in (
-        (grid[:, :-1], grid[:, 1:], classes[:, :-1], classes[:, 1:]),
-        (grid[:-1], grid[1:], classes[:-1], classes[1:]),
-    ):
-        hit = (a != b) & (ca == cb) & (ca >= 0)
-        touched[a[hit] + 1] = True
-        touched[b[hit] + 1] = True
-    return {r.instance_id: bool(touched[r.instance_id + 1]) for r in records}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +350,7 @@ def fit_where(layouts: Sequence[Layout], alpha: float = 0.5) -> WherePredictor:
         depth = _depth_map(semantic.classes)
         ctx_map = _ctx_bin_from_depth(depth)
         h, w = semantic.classes.shape
-        inst = _layout_instances(instances)
+        inst = _layout_instances([instances])
         # Mean cell, rounded half to even as round() does.
         rows = np.rint(np.add.reduceat(inst.ys, inst.starts) / inst.counts).astype(np.intp)
         cols = np.rint(np.add.reduceat(inst.xs, inst.starts) / inst.counts).astype(np.intp)
@@ -353,36 +372,48 @@ def fit_where(layouts: Sequence[Layout], alpha: float = 0.5) -> WherePredictor:
 
 @dataclass(frozen=True, eq=False)
 class WhatPredictor:
-    """Shape template library: per class and scale bin, harvested masks."""
+    """Shape template library: per class and scale bin, harvested masks.
+
+    The templates are indexed once, at construction: one pool per (class,
+    scale bin) in template order, and the largest (height, width) per class.
+    """
 
     templates: tuple[tuple[int, int, np.ndarray], ...]  # (class, scale_bin, mask)
+    _pools: dict[tuple[int, int], tuple[np.ndarray, ...]] = field(init=False, repr=False)
+    _max_dims: dict[int, tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         frozen = []
+        pools: dict[tuple[int, int], list[np.ndarray]] = {}
+        max_dims: dict[int, tuple[int, int]] = {}
         for cls, sbin, mask in self.templates:
             m = np.ascontiguousarray(np.asarray(mask, dtype=bool))
             m.setflags(write=False)
             frozen.append((int(cls), int(sbin), m))
+            pools.setdefault((int(cls), int(sbin)), []).append(m)
+            if m.ndim == 2:  # other masks only reach the decoder, which rejects them
+                mh, mw = max_dims.get(int(cls), (0, 0))
+                max_dims[int(cls)] = (max(mh, m.shape[0]), max(mw, m.shape[1]))
         object.__setattr__(self, "templates", tuple(frozen))
+        object.__setattr__(self, "_pools", {key: tuple(p) for key, p in pools.items()})
+        object.__setattr__(self, "_max_dims", max_dims)
 
     def classes(self) -> tuple[int, ...]:
-        return tuple(sorted({cls for cls, _, _ in self.templates}))
+        return tuple(sorted({cls for cls, _ in self._pools}))
 
     def pick(
         self, class_id: int, scale_bin: int, rng: np.random.Generator
     ) -> Optional[np.ndarray]:
         """A template for the class, preferring the requested scale bin."""
         for sbin in sorted(range(N_SCALE_BINS), key=lambda s: abs(s - scale_bin)):
-            pool = [m for cls, sb, m in self.templates if cls == class_id and sb == sbin]
+            pool = self._pools.get((class_id, sbin))
             if pool:
                 return pool[int(rng.integers(len(pool)))]
         return None
 
     def max_dims(self, class_id: int) -> tuple[int, int]:
         """Largest observed (height, width) for a class; (0, 0) if unseen."""
-        hs = [m.shape[0] for cls, _, m in self.templates if cls == class_id]
-        ws = [m.shape[1] for cls, _, m in self.templates if cls == class_id]
-        return (max(hs), max(ws)) if hs else (0, 0)
+        return self._max_dims.get(class_id, (0, 0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WhatPredictor):
@@ -426,7 +457,7 @@ def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
     templates = []
     seen: set[int] = set()
     for _, instances in layouts:
-        inst = _layout_instances(instances)
+        inst = _layout_instances([instances])
         for rec, (y0, y1, x0, x1), connected in zip(inst.records, inst.box, inst.connected):
             seen.add(int(rec.class_id))
             if not connected:
@@ -477,10 +508,39 @@ def _resize_mask(mask: np.ndarray, sy: float, sx: float) -> np.ndarray:
     return mask[np.ix_(rows, cols)]
 
 
+class _InsertionBase(NamedTuple):
+    """A source layout and what every insertion into it reads, found once."""
+
+    semantic: SemanticMap
+    instances: InstanceMap
+    ctx_map: np.ndarray  # context bin of every cell
+    occupied: np.ndarray  # cells held by an instance
+    new_id: int  # the id an inserted instance takes
+
+
+_MAX_GRID_ID = int(np.iinfo(np.int32).max)
+
+
+def _insertion_base(base: Layout) -> _InsertionBase:
+    semantic, instances = base
+    new_id = instances.next_free_id()
+    if new_id > _MAX_GRID_ID:
+        raise DegenerateInputError(
+            f"instance id {new_id} for an insertion does not fit the int32 instance grid"
+        )
+    return _InsertionBase(
+        semantic=semantic,
+        instances=instances,
+        ctx_map=_ctx_bin_from_depth(_depth_map(semantic.classes)),
+        occupied=instances.instance_grid != BACKGROUND_ID,
+        new_id=new_id,
+    )
+
+
 def sample_insertion(
     where: WherePredictor,
     what: WhatPredictor,
-    base: Layout,
+    base: Union[Layout, _InsertionBase],
     class_id: ClassId,
     seed: int,
     max_attempts: int = 8,
@@ -490,17 +550,21 @@ def sample_insertion(
     Draws a (context, position, scale) bin, picks a matching anchor cell and
     template, applies a mild scale jitter, and writes the mask where it fits
     without touching existing instances (one-cell gap to same-class cells so
-    components stay separable). Returns None if no attempt fits.
+    components stay separable). Returns None if no attempt fits. A base
+    whose next free instance id exceeds the int32 grid raises
+    DegenerateInputError. augment_semantic passes a prepared
+    _InsertionBase, so one source's context map and occupancy are computed
+    once for all of its insertions.
     """
-    semantic, instances = base
-    classes = semantic.classes
+    if not isinstance(base, _InsertionBase):
+        base = _insertion_base(base)
+    classes = base.semantic.classes
+    ctx_map, occupied = base.ctx_map, base.occupied
     h, w = classes.shape
-    depth = _depth_map(classes)
-    ctx_map = _ctx_bin_from_depth(depth)
-    occupied = instances.instance_grid != BACKGROUND_ID
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed) & (2**63 - 1), int(class_id), 0xA06])
     )
+    max_h, max_w = what.max_dims(int(class_id))
     for _ in range(max_attempts):
         ctx, py, px, sbin = where.sample_bin(int(class_id), rng)
         template = what.pick(int(class_id), sbin, rng)
@@ -508,7 +572,6 @@ def sample_insertion(
             return None
         # Scale jitter capped by the largest real instance of the class, so
         # inserted sizes never leave the observed size distribution.
-        max_h, max_w = what.max_dims(int(class_id))
         cap_y = min(1.4, max_h / template.shape[0])
         cap_x = min(1.4, max_w / template.shape[1])
         sy = float(rng.uniform(1.0, cap_y)) if cap_y > 1.0 else 1.0
@@ -536,11 +599,10 @@ def sample_insertion(
             continue  # keep a separation gap to same-class cells
         new_classes = classes.copy()
         new_classes[ys, xs] = class_id
-        new_grid = instances.instance_grid.copy()
-        new_id = instances.next_free_id()
-        new_grid[ys, xs] = new_id
+        new_grid = base.instances.instance_grid.copy()
+        new_grid[ys, xs] = base.new_id
         record = InstanceRecord(
-            instance_id=new_id,
+            instance_id=base.new_id,
             class_id=class_id,
             bbox=(int(xs.min()), int(ys.min()), mw, mh),
             affine=(float(left), float(top), sx, sy),
@@ -548,7 +610,7 @@ def sample_insertion(
         return AugmentationCandidate(
             semantic=SemanticMap(classes=new_classes),
             instances=InstanceMap(
-                instance_grid=new_grid, records=instances.records + (record,)
+                instance_grid=new_grid, records=base.instances.records + (record,)
             ),
             inserted=(record,),
             source_sample_id=0,
@@ -562,25 +624,30 @@ def sample_insertion(
 
 
 def _mode_pool(classes: np.ndarray, factor: int) -> np.ndarray:
-    """Majority class per factor x factor block, ties to the lowest id."""
+    """Majority class per factor x factor block of stacked grids, ties to the lowest id.
+
+    classes is (layouts, h, w); blocks past the edge repeat the edge row
+    and column.
+    """
     if factor == 1:
         return classes
-    h, w = classes.shape
+    n, h, w = classes.shape
     ph, pw = -h % factor, -w % factor
     if ph or pw:
-        classes = np.pad(classes, ((0, ph), (0, pw)), mode="edge")
-    hh, ww = classes.shape[0] // factor, classes.shape[1] // factor
-    blocks = classes.reshape(hh, factor, ww, factor).transpose(0, 2, 1, 3)
-    keys = np.arange(hh * ww).reshape(hh, ww, 1, 1) * N_CLASSES + blocks
-    votes = np.bincount(keys.ravel(), minlength=hh * ww * N_CLASSES)
-    return votes.reshape(hh, ww, N_CLASSES).argmax(axis=2).astype(np.uint8)
+        classes = np.pad(classes, ((0, 0), (0, ph), (0, pw)), mode="edge")
+    hh, ww = classes.shape[1] // factor, classes.shape[2] // factor
+    blocks = classes.reshape(n, hh, factor, ww, factor).transpose(0, 1, 3, 2, 4)
+    keys = np.arange(n * hh * ww).reshape(n, hh, ww, 1, 1) * N_CLASSES + blocks
+    votes = np.bincount(keys.ravel(), minlength=n * hh * ww * N_CLASSES)
+    return votes.reshape(n, hh, ww, N_CLASSES).argmax(axis=3).astype(np.uint8)
 
 
 def _adjacency_counts(classes: np.ndarray) -> np.ndarray:
+    """Class pair counts of 4-adjacent cells, both ways, over stacked grids."""
     counts = np.zeros((N_CLASSES, N_CLASSES))
     pairs = [
-        (classes[:, :-1].ravel(), classes[:, 1:].ravel()),
-        (classes[:-1, :].ravel(), classes[1:, :].ravel()),
+        (classes[:, :, :-1].ravel(), classes[:, :, 1:].ravel()),
+        (classes[:, :-1, :].ravel(), classes[:, 1:, :].ravel()),
     ]
     for a, b in pairs:
         np.add.at(counts, (a, b), 1)
@@ -659,7 +726,7 @@ class _ScaleStats:
 class _ScaleKeys(NamedTuple):
     """Evidence keys at one pooling scale, one entry per instance."""
 
-    pooled: np.ndarray  # the mode-pooled class grid
+    pooled: np.ndarray  # the mode-pooled class grids, (layouts, ph, pw)
     # Context of each mask's closest approach to the road (its maximum
     # depth), which keeps wide roadside blobs in the roadside bin even when
     # their far cells reach deep into the scenery.
@@ -680,26 +747,27 @@ _RING_DY = np.array([1, -1, 0, 0])
 _RING_DX = np.array([0, 0, 1, -1])
 
 
-def _scale_keys(classes: np.ndarray, inst: _Instances, factor: int) -> _ScaleKeys:
-    """Every instance's evidence keys at one scale, in whole-layout array passes.
+def _scale_keys(pooled: np.ndarray, inst: _Instances, factor: int) -> _ScaleKeys:
+    """Every instance's evidence keys at one scale, in whole-batch array passes.
 
-    Each instance is any-pooled: it owns every pooled cell one of its cells
-    falls in. One sort of (instance, pooled cell) keys lists those cells
-    grouped by instance and row-major within one; the bins come from
-    per-instance reductions over that list, and a neighbour lies outside
-    its instance when searchsorted does not find its key. Any-pooling maps
-    4-adjacent cells to the same or 4-adjacent blocks, so an instance
-    connected at full resolution stays connected; only the rare fragmented
-    instance has its pooled mask labelled.
+    pooled holds the batch's class grids mode-pooled by factor. Each
+    instance is any-pooled: it owns every pooled cell one of its cells falls
+    in. One sort of (instance, pooled cell) keys lists those cells grouped by
+    instance and row-major within one; the bins come from per-instance
+    reductions over that list, and a neighbour lies outside its instance
+    when searchsorted does not find its key. Any-pooling maps 4-adjacent
+    cells to the same or 4-adjacent blocks, so an instance connected at full
+    resolution stays connected; only the rare fragmented instance has its
+    pooled mask labelled.
     """
-    pooled = _mode_pool(classes, factor)
-    ph, pw = pooled.shape
+    _, ph, pw = pooled.shape
     size = ph * pw
     n = len(inst.records)
     keys = np.sort(inst.owner * size + (inst.ys // factor) * pw + inst.xs // factor)
     keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
     owner, cell = np.divmod(keys, size)
     py, px = np.divmod(cell, pw)
+    layout = inst.layout[owner]
     n_cells = np.bincount(owner, minlength=n)
     first = np.cumsum(n_cells) - n_cells
 
@@ -723,10 +791,14 @@ def _scale_keys(classes: np.ndarray, inst: _Instances, factor: int) -> _ScaleKey
     outside[3] &= px > 0
     runs = (owner + n * np.arange(4)[:, None])[outside]
     # Off-grid neighbours are clipped to some cell; only outside ones are kept.
-    pairs = inst.class_ids[owner] * N_CLASSES + pooled.take(cell + steps, mode="clip")
+    pairs = inst.class_ids[owner] * N_CLASSES + pooled.take(
+        layout * size + cell + steps, mode="clip"
+    )
     return _ScaleKeys(
         pooled=pooled,
-        ctx_bin=_ctx_bin_from_depth(np.maximum.reduceat(_depth_at(pooled, py, px), first)),
+        ctx_bin=_ctx_bin_from_depth(
+            np.maximum.reduceat(_depth_at(pooled, layout, py, px), first)
+        ),
         size_bin=np.searchsorted(_SCALE_BIN_EDGES, np.maximum(bw, bh)),
         fill_bin=np.searchsorted(FILL_BIN_EDGES, n_cells / (bw * bh), side="right"),
         n_components=n_components,
@@ -735,11 +807,32 @@ def _scale_keys(classes: np.ndarray, inst: _Instances, factor: int) -> _ScaleKey
     )
 
 
-def _layout_scales(layout: Layout) -> tuple[_Instances, tuple[_ScaleKeys, ...]]:
-    """The layout's instances, found once, and their keys at every pool factor."""
-    semantic, instances = layout
-    inst = _layout_instances(instances)
-    return inst, tuple(_scale_keys(semantic.classes, inst, f) for f in POOL_FACTORS)
+# Layouts scored in one set of array passes, at most. Transient memory grows
+# by about 0.1 MB per 32x64 layout, while the per-layout cost levels off
+# well before this many.
+_SCORE_CHUNK = 16
+
+
+class _Chunk(NamedTuple):
+    """Same-shape layouts scored together, with their instances and keys."""
+
+    index: np.ndarray  # (layouts,) each layout's position in the input
+    inst: _Instances
+    scales: tuple[_ScaleKeys, ...]  # one per pool factor
+
+
+def _chunks(layouts: Sequence[Layout]) -> Iterator[_Chunk]:
+    """The layouts grouped by grid shape, cut into chunks, with their keys."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, (semantic, _) in enumerate(layouts):
+        by_shape.setdefault(semantic.classes.shape, []).append(i)
+    for positions in by_shape.values():
+        for lo in range(0, len(positions), _SCORE_CHUNK):
+            index = np.array(positions[lo : lo + _SCORE_CHUNK])
+            classes = np.stack([layouts[i][0].classes for i in index])
+            inst = _layout_instances([layouts[i][1] for i in index])
+            scales = tuple(_scale_keys(_mode_pool(classes, f), inst, f) for f in POOL_FACTORS)
+            yield _Chunk(index=index, inst=inst, scales=scales)
 
 
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -794,20 +887,20 @@ def _component_values(stats: _ScaleStats, inst: _Instances, keys: _ScaleKeys) ->
     )
 
 
-def _fit_scale_stats(layouts: Sequence[Layout]) -> tuple[_ScaleStats, ...]:
-    """Evidence tables at every pool factor, counted over the layouts."""
+def _fit_scale_stats(chunks: Sequence[_Chunk]) -> tuple[_ScaleStats, ...]:
+    """Evidence tables at every pool factor, counted over the chunks' layouts."""
     n = len(POOL_FACTORS)
     adjacency = np.zeros((n, N_CLASSES, N_CLASSES))
     ctx_freq = np.zeros((n, N_CLASSES, N_CTX_BINS))
     size_freq = np.zeros((n, N_CLASSES, N_SCALE_BINS))
     fill_freq = np.zeros((n, N_CLASSES, N_FILL_BINS))
-    for layout in layouts:
-        inst, scales = _layout_scales(layout)
-        for k, keys in enumerate(scales):
+    for chunk in chunks:
+        cls = chunk.inst.class_ids
+        for k, keys in enumerate(chunk.scales):
             adjacency[k] += _adjacency_counts(keys.pooled)
-            np.add.at(ctx_freq[k], (inst.class_ids, keys.ctx_bin), 1)
-            np.add.at(size_freq[k], (inst.class_ids, keys.size_bin), 1)
-            np.add.at(fill_freq[k], (inst.class_ids, keys.fill_bin), 1)
+            np.add.at(ctx_freq[k], (cls, keys.ctx_bin), 1)
+            np.add.at(size_freq[k], (cls, keys.size_bin), 1)
+            np.add.at(fill_freq[k], (cls, keys.fill_bin), 1)
     return tuple(
         _ScaleStats(
             adjacency=adjacency[k], ctx_freq=ctx_freq[k], size_freq=size_freq[k],
@@ -841,13 +934,17 @@ class PlausibilityScorer:
     raw score is the mean over scales, then an affine calibration maps it to
     [0, 1) so real layouts clear the threshold with margin.
 
-    A layout is scored in array passes over all its instances: per scale,
-    _scale_keys yields every instance's evidence keys and _component_values
-    an (instances, 4) array of components, which diagnostics_json and
-    fitting read too. The ring term sums each direction's run with the
-    exact order of ndarray.sum() (_segment_sums), and each instance's
-    weighted sum is its own dot product, since a batched product may add
-    the four terms in another order.
+    raw_score and score_layout take a sequence of layouts and return one
+    float64 per layout, in input order. Layouts of one grid shape are scored
+    together, _SCORE_CHUNK at a time, in array passes over all their
+    instances: per scale, _scale_keys yields every instance's evidence keys
+    and _component_values an (instances, 4) array of components, which
+    diagnostics_json and fitting read too. The ring term sums each
+    direction's run with the exact order of ndarray.sum() (_segment_sums),
+    each instance's weighted sum is its own dot product, since a batched
+    product may add the four terms in another order, and the minimum and the
+    mean over scales are taken per layout. A layout's score is therefore the
+    same bits in any batch.
     """
 
     scale_stats: tuple[_ScaleStats, ...]
@@ -874,29 +971,45 @@ class PlausibilityScorer:
 
     # -- scoring --
 
-    def raw_score(self, layout: Layout) -> float:
-        inst, scales = _layout_scales(layout)
-        contacts = _contact_flags(layout[1])
-        contact = np.array([contacts[r.instance_id] for r in inst.records], dtype=bool)
-        vals = []
-        for stats, keys in zip(self.scale_stats, scales):
+    def raw_score(self, layouts: Sequence[Layout]) -> np.ndarray:
+        """The uncalibrated score of each layout."""
+        return self._raw_scores(_chunks(layouts), len(layouts))
+
+    def score_layout(self, layouts: Sequence[Layout]) -> np.ndarray:
+        """The calibrated score of each layout, in [0, SCORE_CAP]."""
+        slope, intercept = self.calibration
+        mapped = slope * self.raw_score(layouts) + intercept
+        return np.minimum(np.maximum(mapped, 0.0), SCORE_CAP)
+
+    def _raw_scores(self, chunks: Iterable[_Chunk], n_layouts: int) -> np.ndarray:
+        out = np.empty(n_layouts)
+        for chunk in chunks:
+            out[chunk.index] = self._chunk_scores(chunk)
+        return out
+
+    def _chunk_scores(self, chunk: _Chunk) -> np.ndarray:
+        inst = chunk.inst
+        has = np.bincount(inst.layout, minlength=chunk.index.size) > 0
+        # Each layout's instances lie together, so the layouts that hold
+        # any cut the instance list into one run each.
+        runs = np.searchsorted(inst.layout, np.flatnonzero(has))
+        vals = np.empty((len(POOL_FACTORS), chunk.index.size))
+        for k, (stats, keys) in enumerate(zip(self.scale_stats, chunk.scales)):
+            for j in np.flatnonzero(~has):
+                vals[k, j] = _global_adjacency_score(stats, keys.pooled[j])
             if not inst.records:
-                vals.append(_global_adjacency_score(stats, keys.pooled))
                 continue
             comps = _component_values(stats, inst, keys)
             # One dot product per instance: a batched product may add the
             # four terms in another order.
             value = np.array([float(self.weights @ row) for row in comps])
             # Hard gates: configurations real layouts never produce.
-            value = np.where(contact, value * 0.1, value)
+            value = np.where(inst.contact, value * 0.1, value)
             value = np.where((comps[:, 0] == 0.0) | (comps[:, 2] == 0.0), value * 0.3, value)
-            vals.append(value.min())
-        return float(np.mean(vals))
-
-    def score_layout(self, layout: Layout) -> float:
-        slope, intercept = self.calibration
-        mapped = slope * self.raw_score(layout) + intercept
-        return float(min(max(mapped, 0.0), SCORE_CAP))
+            vals[k, has] = np.minimum.reduceat(value, runs)
+        # Down the scale axis, each layout's mean adds its three values left
+        # to right, as np.mean over that layout's values alone does.
+        return vals.mean(axis=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlausibilityScorer):
@@ -940,10 +1053,12 @@ class PlausibilityScorer:
         )
 
 
-def score(scorer: PlausibilityScorer, candidate: AugmentationCandidate) -> AugmentationCandidate:
-    """Score a candidate and return a copy carrying the score."""
-    value = scorer.score_layout((candidate.semantic, candidate.instances))
-    return replace(candidate, score=value)
+def score(
+    scorer: PlausibilityScorer, candidates: Sequence[AugmentationCandidate]
+) -> list[AugmentationCandidate]:
+    """Score candidates in one batch; copies carrying the scores, in input order."""
+    values = scorer.score_layout([(c.semantic, c.instances) for c in candidates])
+    return [replace(c, score=float(v)) for c, v in zip(candidates, values)]
 
 
 def diagnostics_json(scorer: PlausibilityScorer, layouts: Sequence[Layout]) -> str:
@@ -952,14 +1067,18 @@ def diagnostics_json(scorer: PlausibilityScorer, layouts: Sequence[Layout]) -> s
 
     names = ("box", "instance", "affine", "shape")
     collected: list[list[np.ndarray]] = [[] for _ in POOL_FACTORS]
-    for layout in layouts:
-        inst, scales = _layout_scales(layout)
-        for stats, chunks, keys in zip(scorer.scale_stats, collected, scales):
-            chunks.append(_component_values(stats, inst, keys))
+    owners: list[np.ndarray] = []
+    for chunk in _chunks(layouts):
+        owners.append(chunk.index[chunk.inst.layout])
+        for stats, parts, keys in zip(scorer.scale_stats, collected, chunk.scales):
+            parts.append(_component_values(stats, chunk.inst, keys))
+    # Chunks group layouts by shape; the rows go back to layout order, and
+    # record order within a layout, before any statistic sums them.
+    order = np.argsort(np.concatenate(owners or [np.empty(0, dtype=np.int64)]), kind="stable")
     per_scale: list[dict] = []
-    for factor, chunks in zip(POOL_FACTORS, collected):
+    for factor, parts in zip(POOL_FACTORS, collected):
         # One contiguous row per component, in layout then record order.
-        columns = np.concatenate(chunks or [np.empty((0, 4))]).T.copy()
+        columns = np.concatenate(parts or [np.empty((0, 4))])[order].T.copy()
         per_scale.append(
             {
                 "pool_factor": factor,
@@ -1193,19 +1312,21 @@ def fit_scorer(
     n_fit = min(n_fit, len(real_layouts) - 1)
     fit_split = list(real_layouts[:n_fit])
     holdout = list(real_layouts[n_fit:])
-    stats = _fit_scale_stats(fit_split)
+    # The fit split's keys serve both the evidence tables and its raw scores.
+    fit_chunks = list(_chunks(fit_split))
+    stats = _fit_scale_stats(fit_chunks)
     probe = PlausibilityScorer(
         scale_stats=stats,
         threshold=threshold,
         weights=np.asarray(weights, dtype=np.float64),
         calibration=np.array([1.0, 0.0]),
     )
-    raw_fit = np.array([probe.raw_score(layout) for layout in fit_split])
-    raw_hold = np.array([probe.raw_score(layout) for layout in holdout])
+    raw_fit = probe._raw_scores(fit_chunks, len(fit_split))
+    raw_hold = probe.raw_score(holdout)
     corruptions = make_corruptions(fit_split, seed)
     if not corruptions:
         raise FittingError("could not generate calibration corruptions")
-    raw_bad = np.array([probe.raw_score(layout) for layout in corruptions])
+    raw_bad = probe.raw_score(corruptions)
     r_min, r_med = float(raw_fit.min()), float(np.median(raw_fit))
     c_hi = float(raw_bad.max())
     x_mid = (r_min + c_hi) / 2.0 if r_min > c_hi else (r_med + c_hi) / 2.0
@@ -1254,65 +1375,81 @@ class AugmentStats:
 
 
 def augment_semantic(
-    sample: Union[DrivingSample, Layout],
+    sources: Sequence[Union[DrivingSample, Layout]],
     fan_out: int,
     where: WherePredictor,
     what: WhatPredictor,
     scorer: PlausibilityScorer,
-    seed: int,
+    seeds: Sequence[int],
     threshold: Optional[float] = None,
     budget_factor: int = 16,
-    source_sample_id: int = 0,
     stats_out: Optional[AugmentStats] = None,
 ) -> list[AugmentationCandidate]:
-    """Produce up to fan_out accepted augmented layouts from one source.
+    """Produce up to fan_out accepted augmented layouts from each source.
 
-    The source may be a DrivingSample or a bare (semantic, instances) layout.
+    A source may be a DrivingSample or a bare (semantic, instances) layout;
+    seeds holds one seed per source, and each candidate's source_sample_id
+    is its source's position in sources. The result lists each source's
+    accepted candidates in attempt order, source after source.
 
-    Repeatedly inserts a thing instance into the sample's layout and keeps
-    candidates whose plausibility score reaches the acceptance threshold
-    (the scorer's own threshold unless overridden). Stops when fan_out
+    Per source, attempts insert a thing instance into the source's layout
+    and keep candidates whose plausibility score reaches the acceptance
+    threshold (the scorer's own threshold unless overridden), until fan_out
     candidates are accepted or the attempt budget (budget_factor * fan_out)
-    is exhausted; returning fewer than fan_out is a valid outcome.
+    is spent; returning fewer than fan_out is a valid outcome.
+
+    The sources advance in waves. In a wave, every unfinished source draws
+    attempts until it holds fan_out minus its accepted count in candidates,
+    or has spent its budget, and the wave is scored in one batch. A source
+    taking its attempts one at a time would make every one of these, since
+    it cannot reach fan_out sooner, so each source's draws, candidates and
+    the counts in stats_out are the same as one by one.
     """
     if fan_out < 1:
         raise DegenerateInputError("fan_out must be >= 1")
+    if len(seeds) != len(sources):
+        raise DegenerateInputError(f"{len(seeds)} seeds for {len(sources)} sources")
     tau = scorer.threshold if threshold is None else float(threshold)
-    if hasattr(sample, "semantic"):
-        base: Layout = (sample.semantic, sample.instances)
-    else:
-        base = (sample[0], sample[1])
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 0xA76]))
-    classes = [
-        int(c)
-        for c in THING_CLASSES
-        if where.fitted[int(c)] and any(cls == int(c) for cls, _, _ in what.templates)
-    ]
+    known = what.classes()
+    classes = [int(c) for c in THING_CLASSES if where.fitted[int(c)] and int(c) in known]
     if not classes:
         raise FittingError("predictors cover no thing classes")
     counts = where.class_counts()[classes]
-    class_probs = counts / counts.sum()
-    accepted: list[AugmentationCandidate] = []
-    for _ in range(budget_factor * fan_out):
-        if len(accepted) >= fan_out:
-            break
-        if stats_out is not None:
-            stats_out.attempts += 1
-        pick = int(np.searchsorted(np.cumsum(class_probs), rng.random(), side="right"))
-        class_id = ClassId(classes[min(pick, len(classes) - 1)])
-        attempt_seed = int(rng.integers(0, 2**63))
-        candidate = sample_insertion(where, what, base, class_id, attempt_seed)
-        if candidate is None:
-            if stats_out is not None:
-                stats_out.insertion_failures += 1
-            continue
-        candidate = replace(candidate, source_sample_id=source_sample_id)
-        scored = score(scorer, candidate)
-        if scored.score is not None and scored.score >= tau:
-            accepted.append(scored)
-            if stats_out is not None:
-                stats_out.accepted += 1
-        else:
-            if stats_out is not None:
-                stats_out.rejected_low_score += 1
-    return accepted
+    cumulative = np.cumsum(counts / counts.sum())
+    budget = budget_factor * fan_out
+    stats = stats_out if stats_out is not None else AugmentStats()
+    bases = [
+        _insertion_base((s.semantic, s.instances) if hasattr(s, "semantic") else (s[0], s[1]))
+        for s in sources
+    ]
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 0xA76]))
+        for seed in seeds
+    ]
+    accepted: list[list[AugmentationCandidate]] = [[] for _ in sources]
+    spent = [0] * len(sources)
+    active = list(range(len(sources)))
+    while active:
+        wave: list[AugmentationCandidate] = []
+        for i in active:
+            held = 0
+            while held < fan_out - len(accepted[i]) and spent[i] < budget:
+                spent[i] += 1
+                stats.attempts += 1
+                pick = int(np.searchsorted(cumulative, rngs[i].random(), side="right"))
+                class_id = ClassId(classes[min(pick, len(classes) - 1)])
+                attempt_seed = int(rngs[i].integers(0, 2**63))
+                candidate = sample_insertion(where, what, bases[i], class_id, attempt_seed)
+                if candidate is None:
+                    stats.insertion_failures += 1
+                    continue
+                wave.append(replace(candidate, source_sample_id=i))
+                held += 1
+        for candidate in score(scorer, wave) if wave else []:
+            if candidate.score >= tau:
+                accepted[candidate.source_sample_id].append(candidate)
+                stats.accepted += 1
+            else:
+                stats.rejected_low_score += 1
+        active = [i for i in active if len(accepted[i]) < fan_out and spent[i] < budget]
+    return [candidate for per_source in accepted for candidate in per_source]

@@ -208,25 +208,28 @@ def qualitative_table(
 
     known_scores maps an arm to its outputs' scores under this same scorer,
     aligned with the outputs, so candidates that already carry a score are
-    not scored again. Any other output is scored once per distinct layout:
-    outputs that share their semantic and instance map objects (an
-    appearance-only augmenter keeps its source's maps) share one score.
+    not scored again. Every other output is scored in one batch, once per
+    distinct layout: outputs that share their semantic and instance map
+    objects (an appearance-only augmenter keeps its source's maps) share
+    one score.
     """
     known_scores = known_scores or {}
-    cache: dict[tuple[int, int], float] = {}
-
-    def layout_score(sample: DrivingSample) -> float:
-        key = (id(sample.semantic), id(sample.instances))
-        if key not in cache:
-            cache[key] = scorer.score_layout((sample.semantic, sample.instances))
-        return cache[key]
-
-    table: dict[str, dict] = {}
     for name, (sources, outputs) in arms.items():
         if len(sources) != len(outputs):
             raise FittingError(f"{name}: sources and outputs must align")
         if name in known_scores and len(known_scores[name]) != len(outputs):
             raise FittingError(f"{name}: known scores and outputs must align")
+    # Every distinct layout still to score, keyed by its map objects.
+    layouts: dict[tuple[int, int], tuple] = {}
+    if scorer is not None:
+        for name, (_, outputs) in arms.items():
+            if name not in known_scores:
+                for o in outputs:
+                    layouts.setdefault((id(o.semantic), id(o.instances)), (o.semantic, o.instances))
+    scored = dict(zip(layouts, scorer.score_layout(list(layouts.values())))) if layouts else {}
+
+    table: dict[str, dict] = {}
+    for name, (sources, outputs) in arms.items():
         semantic = any(
             o.semantic != s.semantic and not _is_coordinate_remap(s, o)
             for s, o in zip(sources, outputs)
@@ -243,7 +246,7 @@ def qualitative_table(
             if name in known_scores:
                 scores = known_scores[name]
             else:
-                scores = [layout_score(o) for o in outputs]
+                scores = [scored[(id(o.semantic), id(o.instances))] for o in outputs]
             mean_score = float(np.mean(scores))
             for bucket, cutoff in (("A", 0.75), ("B", 0.5), ("C", 0.25)):
                 if mean_score >= cutoff:

@@ -618,21 +618,18 @@ class CloudNode:
         )
         for node in self.participants:
             stats = AugmentStats()
-            per_robot: list[AugmentationCandidate] = []
-            for i, layout in enumerate(self.uploads[node].layouts):
-                per_robot.extend(
-                    augment_semantic(
-                        layout,
-                        fan_out=cfg.fan_out,
-                        where=self.where,
-                        what=self.what,
-                        scorer=self.scorer,
-                        seed=(cfg.augment_seed << 20) ^ (node.value << 10) ^ i,
-                        threshold=cfg.tau,
-                        source_sample_id=i,
-                        stats_out=stats,
-                    )
-                )
+            layouts = self.uploads[node].layouts
+            seed_base = (cfg.augment_seed << 20) ^ (node.value << 10)
+            per_robot = augment_semantic(
+                layouts,
+                fan_out=cfg.fan_out,
+                where=self.where,
+                what=self.what,
+                scorer=self.scorer,
+                seeds=[seed_base ^ i for i in range(len(layouts))],
+                threshold=cfg.tau,
+                stats_out=stats,
+            )
             self.stats[node] = stats
             self.candidates.extend((node, c) for c in per_robot)
         self.stage = advance_stage(self.stage, Stage.LABELING)

@@ -1,6 +1,8 @@
 """Tests for placement/shape predictors, insertion, scoring, and corruption."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +31,14 @@ from parl.augment import (
 )
 from parl.errors import DegenerateInputError, FittingError
 from parl.styles import N_CLASSES
-from parl.world import BACKGROUND_ID, ClassId, THING_CLASSES
+from parl.world import (
+    BACKGROUND_ID,
+    ClassId,
+    InstanceMap,
+    InstanceRecord,
+    SemanticMap,
+    THING_CLASSES,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +159,29 @@ def test_what_pick_unknown_class(predictors):
     assert what.max_dims(int(ClassId.SKY)) == (0, 0)
 
 
+def _scan_pick(templates, class_id, scale_bin, rng):
+    """WhatPredictor.pick as a scan of every template, kept as its reference."""
+    for sbin in sorted(range(N_SCALE_BINS), key=lambda s: abs(s - scale_bin)):
+        pool = [m for cls, sb, m in templates if cls == class_id and sb == sbin]
+        if pool:
+            return pool[int(rng.integers(len(pool)))]
+    return None
+
+
+def test_what_index_matches_template_scan(predictors):
+    _, what = predictors
+    classes = sorted({cls for cls, _, _ in what.templates})
+    assert what.classes() == tuple(classes)
+    for cls in classes + [int(ClassId.SKY)]:
+        hs = [m.shape[0] for c, _, m in what.templates if c == cls]
+        ws = [m.shape[1] for c, _, m in what.templates if c == cls]
+        assert what.max_dims(cls) == ((max(hs), max(ws)) if hs else (0, 0))
+        for want in range(N_SCALE_BINS):
+            indexed, scanned = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(6):
+                assert what.pick(cls, want, indexed) is _scan_pick(what.templates, cls, want, scanned)
+
+
 def test_what_max_dims_bound_templates(predictors):
     _, what = predictors
     for cls in what.classes():
@@ -260,17 +292,17 @@ def test_candidate_score_range_validated(layouts):
 
 
 def test_scorer_accepts_real_layouts(layouts, scorer):
-    scores = np.array([scorer.score_layout(layout) for layout in layouts])
+    scores = scorer.score_layout(layouts)
     assert (scores >= 0.0).all() and (scores <= SCORE_CAP).all()
     assert (scores >= scorer.threshold).mean() >= 0.95
 
 
 def test_scorer_separates_fresh_corruptions(layouts, scorer):
     # Corruptions regenerated with a seed the calibration never saw.
-    real = np.array([scorer.score_layout(layout) for layout in layouts])
+    real = scorer.score_layout(layouts)
     bad_layouts = make_corruptions(layouts, seed=777)
     assert bad_layouts
-    bad = np.array([scorer.score_layout(layout) for layout in bad_layouts])
+    bad = scorer.score_layout(bad_layouts)
     assert (bad < scorer.threshold).all()
     assert (bad < np.median(real)).all()
     assert real.mean() - bad.mean() >= 0.2
@@ -295,10 +327,45 @@ def test_score_attaches_value(layouts, predictors, scorer):
     where, what = predictors
     candidate = _first_insertion(where, what, layouts[0], ClassId.CAR)
     assert candidate.score is None
-    scored = score(scorer, candidate)
+    [scored] = score(scorer, [candidate])
     assert scored.score is not None
     assert 0.0 <= scored.score <= SCORE_CAP
-    assert scored.score == scorer.score_layout((scored.semantic, scored.instances))
+    assert scored.score == scorer.score_layout([(scored.semantic, scored.instances)])[0]
+
+
+def _with_cellless_record(layout, instance_id):
+    """The layout plus a record of the given id that owns no cell."""
+    semantic, instances = layout
+    extra = InstanceRecord(instance_id, ClassId.CAR, (0, 0, 1, 1), (0.0, 0.0, 1.0, 1.0))
+    return semantic, InstanceMap(
+        instance_grid=instances.instance_grid, records=instances.records + (extra,)
+    )
+
+
+@pytest.mark.parametrize("instance_id", [10**7, 2**32 - 1])
+def test_large_cellless_id_scores_like_none_in_little_memory(layouts, scorer, instance_id):
+    plain = layouts[2]
+    large = _with_cellless_record(plain, instance_id)
+    want = scorer.raw_score([plain])[0]
+    tracemalloc.start()
+    try:
+        got = scorer.raw_score([large])[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.hex() == want.hex()
+    assert peak < 2 * 2**20
+
+
+def test_insertion_past_the_int32_grid_raises(layouts, predictors, scorer):
+    where, what = predictors
+    base = _with_cellless_record(layouts[0], 2**31 - 1)
+    with pytest.raises(DegenerateInputError):
+        sample_insertion(where, what, base, ClassId.CAR, 0)
+    with pytest.raises(DegenerateInputError):
+        augment_semantic(
+            [layouts[1], base], fan_out=2, where=where, what=what, scorer=scorer, seeds=[0, 1]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +455,7 @@ def test_augment_exact_fan_out_at_zero_threshold(layouts, predictors, scorer):
     where, what = predictors
     for i, layout in enumerate(layouts[:2]):
         out = augment_semantic(
-            layout, fan_out=2, where=where, what=what, scorer=scorer, seed=i, threshold=0.0
+            [layout], fan_out=2, where=where, what=what, scorer=scorer, seeds=[i], threshold=0.0
         )
         assert len(out) == 2
 
@@ -397,12 +464,12 @@ def test_augment_threshold_one_rejects_everything(layouts, predictors, scorer):
     where, what = predictors
     stats = AugmentStats()
     out = augment_semantic(
-        layouts[0],
+        [layouts[0]],
         fan_out=3,
         where=where,
         what=what,
         scorer=scorer,
-        seed=9,
+        seeds=[9],
         threshold=1.0,
         stats_out=stats,
     )
@@ -414,31 +481,32 @@ def test_augment_threshold_one_rejects_everything(layouts, predictors, scorer):
 
 def test_augment_accepts_only_above_threshold(layouts, predictors, scorer, small_dataset):
     where, what = predictors
-    sample = small_dataset[0]
+    sources = [small_dataset[4], small_dataset[0]]
     out = augment_semantic(
-        sample, fan_out=4, where=where, what=what, scorer=scorer, seed=21, source_sample_id=17
+        sources, fan_out=4, where=where, what=what, scorer=scorer, seeds=[20, 21]
     )
+    assert out
     for candidate in out:
         assert candidate.score is not None and candidate.score >= scorer.threshold
         assert candidate.score <= SCORE_CAP
-        assert candidate.source_sample_id == 17
         assert len(candidate.inserted) == 1
-        assert len(candidate.instances.records) == len(sample.instances.records) + 1
+        source = sources[candidate.source_sample_id]
+        assert len(candidate.instances.records) == len(source.instances.records) + 1
 
 
 def test_augment_sample_and_layout_agree(layouts, predictors, scorer, small_dataset):
     where, what = predictors
     sample = small_dataset[3]
     via_sample = augment_semantic(
-        sample, fan_out=2, where=where, what=what, scorer=scorer, seed=4, threshold=0.0
+        [sample], fan_out=2, where=where, what=what, scorer=scorer, seeds=[4], threshold=0.0
     )
     via_layout = augment_semantic(
-        (sample.semantic, sample.instances),
+        [(sample.semantic, sample.instances)],
         fan_out=2,
         where=where,
         what=what,
         scorer=scorer,
-        seed=4,
+        seeds=[4],
         threshold=0.0,
     )
     assert len(via_sample) == len(via_layout)
@@ -451,7 +519,7 @@ def test_augment_stats_accounting(layouts, predictors, scorer):
     where, what = predictors
     stats = AugmentStats()
     out = augment_semantic(
-        layouts[5], fan_out=3, where=where, what=what, scorer=scorer, seed=2, stats_out=stats
+        [layouts[5]], fan_out=3, where=where, what=what, scorer=scorer, seeds=[2], stats_out=stats
     )
     assert stats.accepted == len(out)
     assert stats.attempts == stats.accepted + stats.rejected_low_score + stats.insertion_failures
@@ -463,7 +531,11 @@ def test_augment_rejects_bad_fan_out(layouts, predictors, scorer):
     where, what = predictors
     with pytest.raises(DegenerateInputError):
         augment_semantic(
-            layouts[0], fan_out=0, where=where, what=what, scorer=scorer, seed=0
+            [layouts[0]], fan_out=0, where=where, what=what, scorer=scorer, seeds=[0]
+        )
+    with pytest.raises(DegenerateInputError):
+        augment_semantic(
+            layouts[:2], fan_out=1, where=where, what=what, scorer=scorer, seeds=[0]
         )
 
 
@@ -471,7 +543,7 @@ def test_augment_deterministic(layouts, predictors, scorer):
     where, what = predictors
     runs = [
         augment_semantic(
-            layouts[7], fan_out=2, where=where, what=what, scorer=scorer, seed=6
+            [layouts[7]], fan_out=2, where=where, what=what, scorer=scorer, seeds=[6]
         )
         for _ in range(2)
     ]
@@ -480,6 +552,91 @@ def test_augment_deterministic(layouts, predictors, scorer):
         assert np.array_equal(a.semantic.classes, b.semantic.classes)
         assert a.score == b.score
         assert a.inserted == b.inserted
+
+
+def _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold, budget_factor):
+    """One source at a time, one score per candidate: the loop the waves replace."""
+    tau = scorer.threshold if threshold is None else threshold
+    classes = [
+        int(c)
+        for c in THING_CLASSES
+        if where.fitted[int(c)] and any(cls == int(c) for cls, _, _ in what.templates)
+    ]
+    counts = where.class_counts()[classes]
+    class_probs = counts / counts.sum()
+    stats = AugmentStats()
+    out = []
+    for i, (source, seed) in enumerate(zip(sources, seeds)):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 0xA76]))
+        accepted = 0
+        for _ in range(budget_factor * fan_out):
+            if accepted >= fan_out:
+                break
+            stats.attempts += 1
+            pick = int(np.searchsorted(np.cumsum(class_probs), rng.random(), side="right"))
+            class_id = ClassId(classes[min(pick, len(classes) - 1)])
+            candidate = sample_insertion(where, what, source, class_id, int(rng.integers(0, 2**63)))
+            if candidate is None:
+                stats.insertion_failures += 1
+                continue
+            value = float(scorer.score_layout([(candidate.semantic, candidate.instances)])[0])
+            if value >= tau:
+                out.append(replace(candidate, source_sample_id=i, score=value))
+                accepted += 1
+                stats.accepted += 1
+            else:
+                stats.rejected_low_score += 1
+    return out, stats
+
+
+def _fully_occupied(layout):
+    """The layout under one instance that covers every cell: no insertion fits."""
+    semantic, instances = layout
+    h, w = instances.instance_grid.shape
+    record = InstanceRecord(0, ClassId.CAR, (0, 0, w, h), (0.0, 0.0, 1.0, 1.0))
+    return semantic, InstanceMap(instance_grid=np.zeros((h, w), dtype=np.int32), records=(record,))
+
+
+def _candidate_bytes(candidate):
+    return (
+        candidate.semantic.classes.tobytes(),
+        candidate.instances.instance_grid.tobytes(),
+        candidate.instances.records,
+        candidate.inserted,
+        candidate.source_sample_id,
+        candidate.score.hex(),
+    )
+
+
+@pytest.mark.parametrize(
+    "fan_out,threshold,budget_factor",
+    [
+        (3, None, 16),  # the scorer's own threshold
+        (2, 0.0, 16),  # every candidate accepted
+        (3, 1.0, 2),  # every candidate rejected: each budget is spent
+        (6, 0.6, 1),  # some accepted, but the budget cannot reach fan_out
+        (4, 0.6, 2),  # sources finish in different waves, some on budget
+    ],
+)
+def test_multi_source_augment_matches_sequential_reference(
+    layouts, predictors, scorer, fan_out, threshold, budget_factor
+):
+    where, what = predictors
+    # The fully occupied source fails every insertion.
+    sources = [layouts[0], layouts[3], _fully_occupied(layouts[5]), layouts[8], layouts[11]]
+    seeds = [5, 17, 3, 2**40 + 9, 88]
+    stats = AugmentStats()
+    got = augment_semantic(
+        sources, fan_out=fan_out, where=where, what=what, scorer=scorer, seeds=seeds,
+        threshold=threshold, budget_factor=budget_factor, stats_out=stats,
+    )
+    want, want_stats = _sequential_augment(
+        sources, fan_out, where, what, scorer, seeds, threshold, budget_factor
+    )
+    assert [_candidate_bytes(c) for c in got] == [_candidate_bytes(c) for c in want]
+    assert stats == want_stats
+    assert stats.insertion_failures >= budget_factor * fan_out  # the occupied source
+    assert 2 not in {c.source_sample_id for c in got}
 
 
 # ---------------------------------------------------------------------------

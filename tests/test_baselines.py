@@ -17,15 +17,15 @@ from parl.world import Scenario, SemanticMap
 
 
 class CountingScorer:
-    """Delegates to a real scorer and counts the layouts it scores."""
+    """Delegates to a real scorer and records each batch of layouts it scores."""
 
     def __init__(self, scorer):
         self.scorer = scorer
-        self.calls = 0
+        self.batches = []
 
-    def score_layout(self, layout):
-        self.calls += 1
-        return self.scorer.score_layout(layout)
+    def score_layout(self, layouts):
+        self.batches.append(list(layouts))
+        return self.scorer.score_layout(layouts)
 
 
 def test_outputs_sharing_maps_are_scored_once(small_dataset, scorer):
@@ -34,19 +34,38 @@ def test_outputs_sharing_maps_are_scored_once(small_dataset, scorer):
     outputs = [baseline_color_jitter(s, seed=k) for k, s in enumerate(sources)]
     counting = CountingScorer(scorer)
     row = qualitative_table({"color-jitter": (sources, outputs)}, counting)["color-jitter"]
-    assert counting.calls == 4
-    expected = np.mean([scorer.score_layout((o.semantic, o.instances)) for o in outputs])
+    [batch] = counting.batches
+    assert len(batch) == 4
+    assert len({(id(semantic), id(instances)) for semantic, instances in batch}) == 4
+    expected = np.mean(scorer.score_layout([(o.semantic, o.instances) for o in outputs]))
     assert row["mean_score"] == round(float(expected), 6)
+
+
+def test_all_arms_are_scored_in_one_batch(small_dataset, scorer):
+    # Arms that share a layout score it once, in one batch for the table.
+    sources = small_dataset[:3]
+    jitters = [baseline_color_jitter(s, seed=k) for k, s in enumerate(sources)]
+    crops = [baseline_random_resized_crop(s, seed=k) for k, s in enumerate(sources)]
+    counting = CountingScorer(scorer)
+    table = qualitative_table(
+        {"jitter": (sources, jitters), "crop": (sources, crops), "same": (sources, sources)},
+        counting,
+    )
+    [batch] = counting.batches
+    assert len(batch) == 6  # a jitter keeps its source's maps
+    for name, outputs in (("jitter", jitters), ("crop", crops)):
+        alone = scorer.score_layout([(o.semantic, o.instances) for o in outputs])
+        assert table[name]["mean_score"] == round(float(np.mean(alone)), 6)
 
 
 def test_known_scores_are_not_recomputed(small_dataset, scorer):
     samples = small_dataset[:3]
-    known = [scorer.score_layout((s.semantic, s.instances)) for s in samples]
+    known = list(scorer.score_layout([(s.semantic, s.instances) for s in samples]))
     counting = CountingScorer(scorer)
     table = qualitative_table(
         {"given": (samples, samples)}, counting, known_scores={"given": known}
     )
-    assert counting.calls == 0
+    assert counting.batches == []
     assert table["given"]["mean_score"] == round(float(np.mean(known)), 6)
 
 

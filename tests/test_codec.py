@@ -44,7 +44,7 @@ def artifacts(generator, small_dataset):
     what = fit_what(layouts)
     scorer = fit_scorer(layouts)
     candidates = augment_semantic(
-        small_dataset[0], fan_out=2, where=where, what=what, scorer=scorer, seed=9, threshold=0.0
+        small_dataset[:1], fan_out=2, where=where, what=what, scorer=scorer, seeds=[9], threshold=0.0
     )
     report = evaluate(policy, small_dataset, style)
     vector = np.linspace(-2.0, 2.0, 17)

@@ -264,7 +264,7 @@ def bool_masks(min_side, max_side):
 
 
 def link_grid(instance_grid):
-    """The (2h-1, 2w-1) grid of cells and same-instance links _layout_instances labels."""
+    """One layout's (2h-1, 2w-1) grid of cells and same-instance links, as _layout_instances stacks them."""
     grid = np.asarray(instance_grid)
     h, w = grid.shape
     links = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)

@@ -4,8 +4,9 @@ Pins `raw_score` bit for bit on a fixed corpus built from the shared test
 world: the 18 real layouts, the corruptions of seed 777, a fixed list of
 insertion candidates, and a few edge layouts (no instances, grids whose
 sides are not a multiple of the pool factors, and a fragmented instance).
-It also pins the diagnostics JSON and the calibration of the scorer fitted
-on the real layouts.
+Each group is scored both as one batch and one layout at a time, against
+the same pins. It also pins the diagnostics JSON and the calibration of the
+scorer fitted on the real layouts.
 
 The values were recorded from the full-grid scorer that predates the
 per-instance crop evaluation. They are the contract every rewrite of the
@@ -195,8 +196,10 @@ CALIBRATION_HEX = ["0x1.7f22ee4664321p-1", "-0x1.4efab10127800p-5"]
 
 @pytest.mark.parametrize("group", sorted(RAW_HEX))
 def test_raw_score_golden(corpus, scorer, group):
-    got = [scorer.raw_score(layout).hex() for layout in corpus[group]]
-    assert got == RAW_HEX[group]
+    batch = [float(v).hex() for v in scorer.raw_score(corpus[group])]
+    alone = [float(scorer.raw_score([layout])[0]).hex() for layout in corpus[group]]
+    assert batch == RAW_HEX[group]
+    assert alone == RAW_HEX[group]
 
 
 def test_diagnostics_json_golden(layouts, scorer):

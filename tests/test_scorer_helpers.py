@@ -1,9 +1,10 @@
 """Property tests: the scorer's vectorized kernels against their definitions.
 
-The per-layout scorer is checked bit for bit against a reference copy of the
+The batched scorer is checked bit for bit against a reference copy of the
 per-instance crop path it replaced, under the default weights and under
 unequal ones: the golden test pins only equal weights, which cannot tell a
-reordered weighted sum from the right one.
+reordered weighted sum from the right one. A batch must also give each
+layout the same bits as scoring that layout alone.
 """
 
 import json
@@ -21,10 +22,10 @@ from parl.augment import (
     FILL_BIN_EDGES,
     POOL_FACTORS,
     PlausibilityScorer,
-    _contact_flags,
     _CTX_DEPTH_EDGES,
     _depth_map,
     _global_adjacency_score,
+    _layout_instances,
     _mode_pool,
     _segment_sums,
     N_CTX_BINS,
@@ -45,9 +46,9 @@ SETTINGS = settings(max_examples=200, deadline=None)
 
 
 @st.composite
-def instance_maps(draw):
+def instance_maps(draw, shape=None):
     """Small grids of a few records; some records own no cells."""
-    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    h, w = shape or (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
     ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=5))
     grid = draw(hnp.arrays(np.int32, (h, w), elements=st.sampled_from([BACKGROUND_ID] + ids)))
     records = []
@@ -68,12 +69,11 @@ def class_grids(max_side=9):
     )
 
 
-@SETTINGS
-@given(instance_maps())
-def test_contact_flags_match_brute_force(instances):
+def _brute_contacts(instances):
+    """Per record id: a 4-neighbour cell holds another record of the same class."""
     grid = instances.instance_grid
     class_of = {r.instance_id: r.class_id for r in instances.records}
-    expected = {r.instance_id: False for r in instances.records}
+    contacts = {r.instance_id: False for r in instances.records}
     h, w = grid.shape
     for y in range(h):
         for x in range(w):
@@ -82,8 +82,55 @@ def test_contact_flags_match_brute_force(instances):
                     continue
                 a, b = int(grid[y, x]), int(grid[ny, nx])
                 if a != b and a != BACKGROUND_ID and b != BACKGROUND_ID and class_of[a] == class_of[b]:
-                    expected[a] = expected[b] = True
-    assert _contact_flags(instances) == expected
+                    contacts[a] = contacts[b] = True
+    return contacts
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+        lambda shape: st.lists(instance_maps(shape), min_size=1, max_size=4)
+    )
+)
+def test_contact_flags_match_brute_force(maps):
+    # Stacked layouts must not touch each other across their edges.
+    inst = _layout_instances(maps)
+    got = [(int(lay), r.instance_id, bool(c)) for lay, r, c in zip(inst.layout, inst.records, inst.contact)]
+    expected = []
+    for lay, instances in enumerate(maps):
+        contacts = _brute_contacts(instances)
+        expected += [
+            (lay, r.instance_id, contacts[r.instance_id])
+            for r in instances.records
+            if (instances.instance_grid == r.instance_id).any()
+        ]
+    assert got == expected
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+        lambda shape: st.lists(instance_maps(shape), min_size=2, max_size=4)
+    )
+)
+def test_stacked_instances_match_each_map_alone(maps):
+    # One layout's bottom row lies next to the next layout's top row in the
+    # stack; no instance may connect across that seam.
+    inst = _layout_instances(maps)
+    got = [
+        (int(lay), r.instance_id, int(n), tuple(box), bool(c))
+        for lay, r, n, box, c in zip(inst.layout, inst.records, inst.counts, inst.box, inst.connected)
+    ]
+    expected = []
+    for lay, instances in enumerate(maps):
+        for r in instances.records:
+            mask = instances.instance_grid == r.instance_id
+            if mask.any():
+                ys, xs = np.nonzero(mask)
+                box = (ys.min(), ys.max(), xs.min(), xs.max())
+                connected = ndimage.label(mask, structure=_CONN4)[1] == 1
+                expected.append((lay, r.instance_id, int(mask.sum()), box, connected))
+    assert got == expected
 
 
 @SETTINGS
@@ -108,7 +155,7 @@ def test_depth_map_matches_definition(classes):
 @given(class_grids(), st.sampled_from([2, 3, 4]))
 def test_mode_pool_is_block_majority(classes, factor):
     h, w = classes.shape
-    pooled = _mode_pool(classes, factor)
+    pooled = _mode_pool(classes[None], factor)[0]
     assert pooled.shape == (-(-h // factor), -(-w // factor))
     for by in range(pooled.shape[0]):
         for bx in range(pooled.shape[1]):
@@ -192,7 +239,7 @@ def _reference_scales(layout):
     semantic, instances = layout
     cells = _instance_cells(instances)
     for factor in POOL_FACTORS:
-        pooled = _mode_pool(semantic.classes, factor)
+        pooled = _mode_pool(semantic.classes[None], factor)[0]
         depth = _depth_map(pooled)
         yield pooled, [(c.record, _instance_components(pooled, depth, factor, c)) for c in cells]
 
@@ -212,7 +259,7 @@ def _reference_values(stats, cls, comps):
 
 
 def _reference_raw_score(scorer, layout):
-    contacts = _contact_flags(layout[1])
+    contacts = _brute_contacts(layout[1])
     vals = []
     for stats, (pooled, instances) in zip(scorer.scale_stats, _reference_scales(layout)):
         if not instances:
@@ -273,14 +320,19 @@ _STUFF = [c for c in range(N_CLASSES) if c not in THING_CLASSES and c != ClassId
 
 
 @st.composite
-def scored_layouts(draw):
-    """A road band on random stuff, with thing blobs that may touch, fragment or vanish."""
-    h, w = draw(st.integers(16, 26)), draw(st.integers(16, 26))
+def scored_layouts(draw, shapes=st.tuples(st.integers(16, 26), st.integers(16, 26)), kind="random"):
+    """A road band on random stuff, with thing blobs that may touch, fragment or vanish.
+
+    kind "empty" draws no records; "touching" adds two one-cell records of
+    one class side by side, and "fragmented" one record of two cells a row
+    apart.
+    """
+    h, w = draw(shapes)
     classes = draw(hnp.arrays(np.uint8, (h, w), elements=st.sampled_from(_STUFF)))
     lo = draw(st.integers(0, w - 1))
     classes[:, lo : draw(st.integers(lo + 1, w))] = ClassId.ROAD
     grid = np.full((h, w), BACKGROUND_ID, dtype=np.int32)
-    ids = draw(st.lists(st.integers(0, 40), max_size=7, unique=True))
+    ids = [] if kind == "empty" else draw(st.lists(st.integers(0, 40), max_size=7, unique=True))
     for i in ids:
         for _ in range(draw(st.integers(0, 2))):  # no blob: a record without cells
             y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
@@ -288,9 +340,20 @@ def scored_layouts(draw):
             ys, xs = np.nonzero(blob[: h - y, : w - x])
             grid[ys + y, xs + x] = i
     grid[:, lo] = BACKGROUND_ID  # keeps a road column
-    records = []
-    for i in ids:
+    special = {}
+    if kind in ("touching", "fragmented"):
+        y = draw(st.integers(0, h - 3))
+        x = draw(st.sampled_from([x for x in range(w - 1) if lo not in (x, x + 1)]))
         cls = draw(st.sampled_from(THING_CLASSES))
+        if kind == "touching":
+            grid[y, x], grid[y, x + 1] = 50, 51
+            special = {50: cls, 51: cls}
+        else:
+            grid[y, x] = grid[y + 2, x] = 52
+            special = {52: cls}
+    records = []
+    for i in ids + list(special):
+        cls = special[i] if i in special else draw(st.sampled_from(THING_CLASSES))
         ys, xs = np.nonzero(grid == i)
         classes[ys, xs] = cls
         bbox = (
@@ -314,21 +377,46 @@ def _weighted(scorer, weights):
     )
 
 
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
 @pytest.mark.parametrize("weights", WEIGHTS)
 @settings(max_examples=150, deadline=None)
 @given(st.lists(scored_layouts(), min_size=1, max_size=3))
 def test_raw_score_and_diagnostics_match_per_instance_reference(scorer, weights, batch):
     judge = _weighted(scorer, weights)
-    for layout in batch:
-        assert judge.raw_score(layout).hex() == _reference_raw_score(judge, layout).hex()
+    assert _hexes(judge.raw_score(batch)) == _hexes(_reference_raw_score(judge, l) for l in batch)
     assert diagnostics_json(judge, batch) == _reference_diagnostics(judge, batch)
+
+
+# Few shapes, so that batches hold same-shape groups; 16 x 21 is not a
+# multiple of any pool factor but 1.
+_BATCH_SHAPES = st.sampled_from([(16, 16), (16, 21), (23, 16)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(
+        st.lists(scored_layouts(_BATCH_SHAPES), max_size=20),
+        scored_layouts(_BATCH_SHAPES, kind="empty"),
+        scored_layouts(_BATCH_SHAPES, kind="touching"),
+        scored_layouts(_BATCH_SHAPES, kind="fragmented"),
+    ).flatmap(lambda drawn: st.permutations(drawn[0] + list(drawn[1:])))
+)
+def test_batched_raw_score_matches_each_alone_and_reference(scorer, batch):
+    got = scorer.raw_score(batch)
+    assert got.dtype == np.float64 and got.shape == (len(batch),)
+    alone = [scorer.raw_score([layout])[0] for layout in batch]
+    assert _hexes(got) == _hexes(alone)
+    assert _hexes(got) == _hexes(_reference_raw_score(scorer, l) for l in batch)
 
 
 @pytest.mark.parametrize("weights", WEIGHTS)
 def test_real_layouts_match_per_instance_reference(scorer, layouts, weights):
     judge = _weighted(scorer, weights)
-    got = [judge.raw_score(layout).hex() for layout in layouts]
-    assert got == [_reference_raw_score(judge, layout).hex() for layout in layouts]
+    got = _hexes(judge.raw_score(layouts))
+    assert got == _hexes(_reference_raw_score(judge, layout) for layout in layouts)
     assert diagnostics_json(judge, layouts) == _reference_diagnostics(judge, layouts)
 
 
