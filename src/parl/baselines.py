@@ -36,6 +36,8 @@ POOLED_STYLE_ID = 0xFFFF
 
 # One scenario pixel (three float32 channels) as a single comparable value.
 _PIXEL_KEY = np.dtype((np.void, 12))
+# A source's pixel keys, as _pixel_index returns them.
+_PixelIndex = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def baseline_color_jitter(
@@ -159,31 +161,55 @@ def pooled_style(samples: Sequence[DrivingSample], style_id: int = POOLED_STYLE_
     )
 
 
-def _is_coordinate_remap(source: DrivingSample, output: DrivingSample) -> bool:
+def _pixel_index(scenario: Scenario) -> _PixelIndex:
+    """A scenario's pixel keys and what the remap check looks them up by.
+
+    Each pixel triple is one 12-byte key. Returns the row-major keys, the
+    sorted distinct keys, the row-major position of each distinct key's
+    first occurrence, and a mask of the positions that are a first
+    occurrence.
+    """
+    keys = scenario.pixels.reshape(-1, 3).view(_PIXEL_KEY).ravel()
+    distinct, first = np.unique(keys, return_index=True)
+    is_first = np.zeros(keys.size, dtype=bool)
+    is_first[first] = True
+    return keys, distinct, first, is_first
+
+
+def _is_coordinate_remap(
+    source: DrivingSample,
+    output: DrivingSample,
+    index: Optional[_PixelIndex] = None,
+) -> bool:
     """True when the output only rearranges source cells (crop/resize style).
 
     Every output pixel triple must occur verbatim in the source (texture
-    noise makes triples effectively unique per cell), the induced cell map
+    noise makes triples effectively unique per cell), the cell map that
+    takes each output pixel to its key's first occurrence in the source
     must factor into monotone row and column index arrays (the structure of
     an axis-aligned window resample), and the output semantic grid must be
     the source grid pulled through those same indices. Anything that draws
     new content fails at least one of these checks.
+
+    index is _pixel_index(source.scenario), which a caller checking several
+    outputs of one source computes once. Only the output's first column and
+    first row are looked up: they give the only row and column indices the
+    cell map could factor into, and one gather then checks every output
+    pixel against its source key and first occurrence.
     """
-    # Each pixel triple as one 12-byte key: the source's sorted distinct
-    # keys with the row-major index of each key's first occurrence, then a
-    # binary search for every output key.
-    src_px = source.scenario.pixels
+    keys, distinct, first, is_first = index or _pixel_index(source.scenario)
     out_px = output.scenario.pixels
-    src_keys = src_px.reshape(-1, 3).view(_PIXEL_KEY).ravel()
-    out_keys = out_px.reshape(-1, 3).view(_PIXEL_KEY).ravel()
-    distinct, first = np.unique(src_keys, return_index=True)
-    at = np.minimum(np.searchsorted(distinct, out_keys), distinct.size - 1)
-    if not (distinct[at] == out_keys).all():
+    h, w = out_px.shape[:2]
+    out_keys = out_px.reshape(-1, 3).view(_PIXEL_KEY).reshape(h, w)
+    edge = np.concatenate((out_keys[:, 0], out_keys[0, :]))
+    at = np.minimum(np.searchsorted(distinct, edge), distinct.size - 1)
+    if not (distinct[at] == edge).all():
         return False
-    rows, cols = np.divmod(first[at].reshape(out_px.shape[:2]), src_px.shape[1])
-    if not ((rows == rows[:, :1]).all() and (cols == cols[:1, :]).all()):
+    rows, cols = np.divmod(first[at], source.scenario.width)
+    row_idx, col_idx = rows[:h], cols[h:]
+    cells = row_idx[:, None] * source.scenario.width + col_idx
+    if not ((keys[cells] == out_keys).all() and is_first[cells].all()):
         return False
-    row_idx, col_idx = rows[:, 0], cols[0, :]
     if (np.diff(row_idx) < 0).any() or (np.diff(col_idx) < 0).any():
         return False
     src_grid = np.asarray(source.semantic.classes)
@@ -228,11 +254,18 @@ def qualitative_table(
                     layouts.setdefault((id(o.semantic), id(o.instances)), (o.semantic, o.instances))
     scored = dict(zip(layouts, scorer.score_layout(list(layouts.values())))) if layouts else {}
 
+    # Each source's pixel index, built once for all of its outputs.
+    indexes: dict[int, _PixelIndex] = {}
+
+    def is_remap(source: DrivingSample, output: DrivingSample) -> bool:
+        if id(source) not in indexes:
+            indexes[id(source)] = _pixel_index(source.scenario)
+        return _is_coordinate_remap(source, output, indexes[id(source)])
+
     table: dict[str, dict] = {}
     for name, (sources, outputs) in arms.items():
         semantic = any(
-            o.semantic != s.semantic and not _is_coordinate_remap(s, o)
-            for s, o in zip(sources, outputs)
+            o.semantic != s.semantic and not is_remap(s, o) for s, o in zip(sources, outputs)
         )
         instance = any(
             len(o.instances.records) > len(s.instances.records)

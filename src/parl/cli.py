@@ -140,7 +140,7 @@ def _rescore(run_dir: Path):
         if not saved:
             continue
         # One featurization of the holdout serves all of this robot's arms.
-        features = [featurize(s, fitted[robot]) for s in holdout[robot]]
+        features = featurize(holdout[robot], fitted[robot])
         for arm, path in saved:
             (model,) = codec.read_models(path)
             arms.setdefault(arm, {})[key] = evaluate(

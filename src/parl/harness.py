@@ -288,10 +288,10 @@ def _featurize_splits(
     style = fit_style(samples)
     return _LocalSplits(
         style=style,
-        train_rows=[(featurize(s, style), s.label) for s in samples],
+        train_rows=[(f, s.label) for f, s in zip(featurize(samples, style), samples)],
         provenances=[s.provenance for s in samples],
         holdout=holdout,
-        holdout_features=[featurize(s, style) for s in holdout],
+        holdout_features=featurize(holdout, style),
     )
 
 
@@ -300,17 +300,22 @@ def _train_local_arm(
     config: ExperimentConfig,
     extra: Sequence[DrivingSample] = (),
 ):
-    rows = list(splits.train_rows)
-    provs = list(splits.provenances)
-    for sample in extra:
-        # Appearance augmentation can corrupt a sample beyond recognition
-        # (e.g. jitter erasing the road); such rows are dropped, mirroring
-        # a data-cleaning pass, rather than failing the arm.
-        try:
-            rows.append((featurize(sample, splits.style), sample.label))
-        except ParlError:
-            continue
-        provs.append(sample.provenance)
+    # Appearance augmentation can corrupt a sample beyond recognition (e.g.
+    # jitter erasing the road); such rows are dropped, mirroring a
+    # data-cleaning pass, rather than failing the arm. The extras are
+    # featurized as one batch, and one at a time only if the batch raised.
+    try:
+        kept = list(zip(featurize(extra, splits.style), extra))
+    except ParlError:
+        kept = []
+        for sample in extra:
+            try:
+                (feats,) = featurize([sample], splits.style)
+            except ParlError:
+                continue
+            kept.append((feats, sample))
+    rows = list(splits.train_rows) + [(f, s.label) for f, s in kept]
+    provs = list(splits.provenances) + [s.provenance for _, s in kept]
     model = train(rows, ridge_lambda=config.ridge_lambda, provenances=provs)
     report = evaluate(
         model, splits.holdout, splits.style, config.fail_threshold,
@@ -378,7 +383,9 @@ def run_experiment(
     # Centralized arm: pooled data, pooled (non-adapted) perception.
     pooled_samples = [s for robot in range(config.robots) for s in train_sets[robot]]
     central_style = _stage("centralized-style", "harness", pooled_style, pooled_samples)
-    rows = [(featurize(s, central_style), s.label) for s in pooled_samples]
+    rows = [
+        (f, s.label) for f, s in zip(featurize(pooled_samples, central_style), pooled_samples)
+    ]
     central_model = _stage(
         "centralized-train", "harness", train, rows,
         ridge_lambda=config.ridge_lambda,

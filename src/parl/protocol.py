@@ -61,9 +61,9 @@ from .policy import (
     EvaluationReport,
     FeatureVector,
     PolicyModel,
-    batch_features_from_maps,
     crowdsource_labels,
     evaluate,
+    features_from_maps,
     fine_tune,
     train,
 )
@@ -456,11 +456,11 @@ class RobotNode:
             if not self.train_samples:
                 raise ProtocolError("robot has no local samples")
             style = fit_style(self.train_samples)
-            semantics = [segment(s.scenario, style) for s in self.train_samples]
+            semantics = segment([s.scenario for s in self.train_samples], style)
             layouts = tuple((m, extract_instances(m.classes)) for m in semantics)
             if any(s.label is None for s in self.train_samples):
                 raise ProtocolError("local sample is unlabeled")
-            features = batch_features_from_maps(semantics)
+            features = features_from_maps(semantics)
             dataset = [(f, s.label) for f, s in zip(features, self.train_samples)]
             policy = train(
                 dataset,
@@ -490,8 +490,7 @@ class RobotNode:
                 if self.stage == Stage.UPLOADED:
                     self.stage = advance_stage(self.stage, Stage.LABELING)
                 assert self.policy is not None and self.style is not None
-                semantics = [segment(scenario, self.style) for scenario in body.scenarios]
-                features = batch_features_from_maps(semantics)
+                features = features_from_maps(segment(body.scenarios, self.style))
                 torques = tuple(self.policy.predict(f) for f in features)
                 return [self._msg(LabelResponse(torques=torques))]
             if isinstance(body, SharedModel):
@@ -673,9 +672,7 @@ class CloudNode:
                 )
                 for target in self.participants
             ]
-            features = batch_features_from_maps(
-                [self.candidates[i][1].semantic for i in columns]
-            )
+            features = features_from_maps([self.candidates[i][1].semantic for i in columns])
             for j, feats in enumerate(features):
                 pool[source].extend((feats, per_target[j]) for per_target in labels)
         all_rows = [row for rows in pool.values() for row in rows]

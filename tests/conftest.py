@@ -1,6 +1,15 @@
-"""Shared fixtures: a small two-agent world and a reusable dataset."""
+"""Shared fixtures: a small two-agent world and a reusable dataset.
+
+With CI set in the environment, Hypothesis runs under the `ci` profile: no
+example database (a shared runner starts clean anyway), no deadline (a slow
+runner must not fail a property test on time alone) and the reproduction
+blob printed with every failure, so a failure seen once can be replayed.
+"""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 from parl.augment import fit_scorer, fit_what, fit_where
 from parl.styles import styles_for_agents
@@ -11,6 +20,10 @@ from parl.world import (
     extract_instances,
     segment,
 )
+
+settings.register_profile("ci", database=None, deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +44,7 @@ def small_dataset(generator):
 def layouts(generator, small_dataset):
     """The small dataset segmented under its own style, with its instances."""
     style = generator.styles[0]
-    semantics = [segment(s.scenario, style) for s in small_dataset]
+    semantics = segment([s.scenario for s in small_dataset], style)
     return [(m, extract_instances(m.classes)) for m in semantics]
 
 

@@ -1,12 +1,16 @@
 """Tests for the qualitative table: its plausibility scoring and its remap check."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parl.baselines import (
     _is_coordinate_remap,
+    _pixel_index,
     baseline_color_jitter,
     baseline_random_resized_crop,
     qualitative_table,
@@ -147,3 +151,55 @@ def test_remap_check_rejects_a_row_flip(small_dataset):
     )
     assert _remap_by_dict(source, flipped) is False
     assert _is_coordinate_remap(source, flipped) is False
+
+
+def _stand_in(pixels, classes):
+    """What the remap check reads of a sample: its pixels and its class grid."""
+    return SimpleNamespace(
+        scenario=Scenario(pixels=pixels, style=0), semantic=SimpleNamespace(classes=classes)
+    )
+
+
+@st.composite
+def remap_pairs(draw):
+    """A small source and an output that is often a window resample of it.
+
+    Channels take 0, -0.0, 0.5 and 1 only, so pixels repeat within a source
+    (the first occurrence decides), clipped 0/1 values are common, and -0.0
+    differs from 0 by its bytes alone. The output's row and column indices
+    may be unsorted, its classes may be pulled through them or not, and one
+    output pixel may have a zero's sign flipped.
+    """
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    channel = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+    src_px = draw(arrays(np.float32, (h, w, 3), elements=channel))
+    src_classes = draw(arrays(np.uint8, (h, w), elements=st.integers(0, 2)))
+    oh, ow = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, h - 1), min_size=oh, max_size=oh))
+        cols = draw(st.lists(st.integers(0, w - 1), min_size=ow, max_size=ow))
+        if draw(st.booleans()):
+            rows, cols = sorted(rows), sorted(cols)
+        out_px = src_px[np.ix_(rows, cols)].copy()
+        out_classes = src_classes[np.ix_(rows, cols)].copy()
+        if draw(st.booleans()):
+            out_classes = draw(arrays(np.uint8, (oh, ow), elements=st.integers(0, 2)))
+    else:
+        out_px = draw(arrays(np.float32, (oh, ow, 3), elements=channel))
+        out_classes = draw(arrays(np.uint8, (oh, ow), elements=st.integers(0, 2)))
+    if draw(st.booleans()):
+        zeros = np.flatnonzero(out_px == 0.0)
+        if zeros.size:
+            flat = out_px.reshape(-1)
+            at = zeros[draw(st.integers(0, zeros.size - 1))]
+            flat[at] = -flat[at]
+    return _stand_in(src_px, src_classes), _stand_in(out_px, out_classes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=remap_pairs())
+def test_remap_check_matches_dict_reference_on_repeated_pixels(pair):
+    source, output = pair
+    want = _remap_by_dict(source, output)
+    assert _is_coordinate_remap(source, output) is want
+    assert _is_coordinate_remap(source, output, _pixel_index(source.scenario)) is want

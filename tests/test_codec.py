@@ -30,7 +30,7 @@ from parl.world import ClassId, InstanceMap, InstanceRecord, Scenario, SemanticM
 
 
 def _feature_rows(samples, style):
-    return [(featurize(s, style), s.label) for s in samples]
+    return [(f, s.label) for f, s in zip(featurize(samples, style), samples)]
 
 
 @pytest.fixture(scope="module")

@@ -44,7 +44,7 @@ def _styles(generator, small_dataset):
 
 
 def _segment_bytes(sample, style) -> bytes:
-    semantic = segment(sample.scenario, style)
+    (semantic,) = segment([sample.scenario], style)
     instances = extract_instances(semantic.classes)
     records = [
         (r.instance_id, int(r.class_id), r.bbox, r.affine) for r in instances.records
@@ -57,7 +57,8 @@ def _segment_bytes(sample, style) -> bytes:
 
 
 def _feature_bytes(sample, style) -> bytes:
-    return featurize(sample, style).values.tobytes()
+    (features,) = featurize([sample], style)
+    return features.values.tobytes()
 
 
 def _digest(samples, style, fn):
@@ -188,3 +189,25 @@ def test_perception_matches_golden(computed, key):
 
 def test_golden_covers_every_case(computed):
     assert sorted(computed) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("set_name", ["sample", "jitter", "crop"])
+def test_batched_perception_matches_one_sample_at_a_time(generator, small_dataset, set_name):
+    """One segment and one featurize call per (input set, style) give the pinned per-sample bytes."""
+    samples = _inputs(small_dataset)[set_name]
+    for style in _styles(generator, small_dataset).values():
+        kept, first_error = [], None
+        for sample in samples:
+            try:
+                kept.append((sample, _feature_bytes(sample, style)))
+            except ParlError as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            with pytest.raises(type(first_error), match=str(first_error)):
+                featurize(samples, style)
+        ok = [sample for sample, _ in kept]
+        maps = segment([s.scenario for s in ok], style)
+        assert [m.classes.tobytes() for m in maps] == [
+            segment([s.scenario], style)[0].classes.tobytes() for s in ok
+        ]
+        assert [f.values.tobytes() for f in featurize(ok, style)] == [f for _, f in kept]

@@ -5,7 +5,10 @@ per-component definition the kernels replaced, kept here verbatim in
 behaviour. Hypothesis draws small grids from narrow alphabets so that car
 runs, exact distance ties, absent classes, duplicate ids and ill-fitting
 bounding boxes all come up often. The numpy labelling kernels are checked
-against scipy.ndimage, which parl itself does not import.
+against scipy.ndimage, which parl itself does not import. segment, which
+classifies stacks of scenarios with a running minimum, is checked against
+the per-scenario argmin classifier it replaced, on lists that mix shapes
+and cross the chunk boundaries.
 """
 
 import numpy as np
@@ -22,8 +25,8 @@ from parl.policy import (
     OBSTACLE_SENTINEL,
     _obstacle_offset,
     _row_runs,
-    batch_features_from_maps,
     features_from_grids,
+    features_from_maps,
 )
 from parl.styles import N_CLASSES
 from parl.world import (
@@ -32,11 +35,13 @@ from parl.world import (
     ClassId,
     InstanceMap,
     InstanceRecord,
+    Scenario,
     SemanticMap,
-    _classify_cells,
+    _classify_stack,
     _label_boxes,
     _label_components,
     extract_instances,
+    segment,
 )
 
 _CONNECTIVITY = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -114,6 +119,32 @@ def reference_classify_cells(pixels, style):
         else:
             dists[c] = np.inf
     return dists.argmin(axis=0).astype(np.uint8)
+
+
+def argmin_classify_cells(pixels, style):
+    """The per-scenario classifier segment used before it took stacks.
+
+    Channel-first planes, one distance plane per present class with the
+    absent ones left at infinity, and argmin over the class axis, which
+    picks the lowest id on ties.
+    """
+    planes = pixels.transpose(2, 0, 1).astype(np.float64, order="C")
+    dists = np.full((N_CLASSES,) + planes.shape[1:], np.inf)
+    for c in np.flatnonzero(~np.isnan(style.class_means).any(axis=1)):
+        r, g, b = np.abs(planes - style.class_means[c][:, None, None])
+        dists[c] = np.maximum(np.maximum(r, g), b)
+    return dists.argmin(axis=0).astype(np.uint8)
+
+
+def reference_segment(scenarios, style):
+    """segment one scenario at a time, on the argmin classifier."""
+    maps = []
+    for scenario in scenarios:
+        classes = argmin_classify_cells(scenario.pixels, style)
+        if not (classes == ClassId.ROAD).any():
+            raise DegenerateInputError("segmented scenario contains no road cells")
+        maps.append(SemanticMap(classes=classes))
+    return maps
 
 
 def reference_extract_instances(classes):
@@ -223,6 +254,48 @@ def classify_inputs(draw):
     absent = draw(arrays(bool, N_CLASSES))
     means[absent] = np.nan
     return pixels, _Means(means)
+
+
+_SCENARIO_SHAPES = [(16, 16), (16, 18), (17, 16)]
+
+
+@st.composite
+def segment_stacks(draw):
+    """Scenarios of mixed shapes and a palette with exact ties and NaN rows.
+
+    Pixels are sixteenths and means eighths, so distances tie exactly and
+    often; two classes share one mean whenever the palette draws it twice,
+    and one pair is forced to. Half the time one scenario, at a drawn
+    position, is filled with the mean of the lowest present class that is
+    not road and does not tie with road, so it segments without a road cell.
+    """
+    n = draw(st.sampled_from([1, 7, 8, 9, 17]))
+    means = draw(
+        arrays(np.float64, (N_CLASSES, 3), elements=st.integers(0, 8).map(lambda k: k / 8))
+    )
+    a, b = draw(st.lists(st.integers(0, N_CLASSES - 1), min_size=2, max_size=2, unique=True))
+    means[b] = means[a]
+    absent = draw(arrays(bool, N_CLASSES))
+    absent[ClassId.ROAD] = draw(st.integers(0, 9)) == 0  # now and then no road at all
+    means[absent] = np.nan
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenarios = []
+    for _ in range(n):
+        shape = _SCENARIO_SHAPES[draw(st.integers(0, len(_SCENARIO_SHAPES) - 1))]
+        pixels = rng.integers(0, 17, size=shape + (3,)) / 16
+        scenarios.append(Scenario(pixels=pixels.astype(np.float32), style=0))
+    if draw(st.booleans()):
+        fills = [
+            c for c in range(1, N_CLASSES)
+            if not absent[c] and (absent[ClassId.ROAD] or (means[c] != means[ClassId.ROAD]).any())
+        ]
+        if fills:
+            at = draw(st.integers(0, n - 1))
+            shape = scenarios[at].pixels.shape
+            scenarios[at] = Scenario(
+                pixels=np.broadcast_to(means[fills[0]], shape).astype(np.float32), style=0
+            )
+    return scenarios, _Means(means)
 
 
 _IDS = [-3, BACKGROUND_ID, 0, 1, 2, 3, 70_000, 2**31 - 1]
@@ -373,7 +446,7 @@ def test_obstacle_offset_matches_row_run_loop(grids):
 @given(case=classify_inputs())
 def test_classify_cells_matches_per_class_loop(case):
     pixels, style = case
-    got = _classify_cells(pixels, style)
+    [got] = _classify_stack(pixels[None], style)
     assert got.dtype == np.uint8
     assert np.array_equal(got, reference_classify_cells(pixels, style))
 
@@ -384,7 +457,44 @@ def test_classify_cells_ties_go_to_lowest_present_class():
     means[5] = (0.75, 0.5, 0.5)
     means[7] = (0.25, 0.5, 0.5)  # an exact duplicate of class 2
     pixels = np.array([[[0.5, 0.5, 0.5], [0.25, 0.5, 0.5], [1.0, 0.5, 0.5]]], dtype=np.float32)
-    assert _classify_cells(pixels, _Means(means)).tolist() == [[2, 2, 5]]
+    assert _classify_stack(pixels[None], _Means(means)).tolist() == [[[2, 2, 5]]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=segment_stacks())
+def test_segment_matches_argmin_one_scenario_at_a_time(case):
+    scenarios, style = case
+    try:
+        want = reference_segment(scenarios, style)
+    except DegenerateInputError as exc:
+        with pytest.raises(DegenerateInputError) as got:
+            segment(scenarios, style)
+        assert str(got.value) == str(exc)
+        return
+    got = segment(scenarios, style)
+    assert len(got) == len(want)
+    for semantic, expected in zip(got, want):
+        assert semantic.classes.dtype == np.uint8
+        assert semantic.classes.tobytes() == expected.classes.tobytes()
+
+
+def test_segment_raises_for_the_first_failing_scenario_in_input_order():
+    # Road and lane marking only; a scenario of marking-coloured cells has no road.
+    means = np.full((N_CLASSES, 3), np.nan)
+    means[ClassId.ROAD] = (0.0, 0.0, 0.0)
+    means[ClassId.LANE_MARKING] = (1.0, 1.0, 1.0)
+    style = _Means(means)
+    road = Scenario(pixels=np.zeros((16, 16, 3), dtype=np.float32), style=0)
+    marking = Scenario(pixels=np.ones((16, 16, 3), dtype=np.float32), style=0)
+    small = Scenario(pixels=np.zeros((8, 16, 3), dtype=np.float32), style=0)
+    # A map below 16x16 fails SemanticMap's own check; whichever failing
+    # scenario comes first decides the error, across shapes and chunks.
+    with pytest.raises(DegenerateInputError, match="no road cells"):
+        segment([road] * 9 + [marking, small], style)
+    with pytest.raises(ConfigurationError, match="at least 16x16"):
+        segment([road] * 9 + [small, marking], style)
+    assert [m.classes.max() for m in segment([road] * 17, style)] == [0] * 17
+    assert segment([], style) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -424,14 +534,15 @@ def test_features_from_grids_matches_per_map_features(grids):
     assert features_from_grids(grids).tobytes() == want.tobytes()
 
 
-def test_batch_features_from_maps_handles_mixed_shapes():
+def test_features_from_maps_handles_mixed_shapes():
     rng = np.random.default_rng(3)
     maps = []
-    for shape in [(16, 16), (20, 24), (16, 16), (18, 16)]:
+    # Nine 16x16 maps among the others, so one shape spans two chunks.
+    for shape in [(16, 16), (20, 24), (16, 16), (18, 16)] + [(16, 16)] * 7:
         classes = rng.integers(0, N_CLASSES, size=shape).astype(np.uint8)
         classes[-1, :] = ClassId.ROAD
         maps.append(SemanticMap(classes=classes))
-    rows = batch_features_from_maps(maps)
+    rows = features_from_maps(maps)
     for semantic, row in zip(maps, rows):
         assert row.values.tobytes() == reference_features(semantic.classes).tobytes()
 

@@ -1,5 +1,7 @@
 """Feature extraction, ridge training, fine-tuning, crowdsourcing, evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,11 +21,11 @@ from parl.policy import (
     train,
 )
 from parl.styles import fit_style
-from parl.world import ClassId, SemanticMap, TaskType
+from parl.world import ClassId, Scenario, SemanticMap, TaskType
 
 
 def _rows(samples, style):
-    return [(featurize(s, style), s.label) for s in samples]
+    return [(f, s.label) for f, s in zip(featurize(samples, style), samples)]
 
 
 def _constant_model(value):
@@ -42,6 +44,19 @@ def _random_features(rng, n):
     return out
 
 
+def _painted(sample, style, classes):
+    """The sample with its pixels painted as class means: segments to classes."""
+    pixels = style.class_means[classes].astype(np.float32)
+    return replace(sample, scenario=Scenario(pixels=pixels, style=style.style))
+
+
+def _far_road_and_roadless():
+    """Road in the top rows only (no near-band road), and no road at all."""
+    far_road = np.full((32, 64), int(ClassId.VEGETATION), dtype=np.uint8)
+    far_road[:4] = int(ClassId.ROAD)
+    return far_road, np.full((32, 64), int(ClassId.VEGETATION), dtype=np.uint8)
+
+
 def _synthetic_grid():
     """All-vegetation scene with a straight road band down the middle."""
     classes = np.full((32, 64), int(ClassId.VEGETATION), dtype=np.uint8)
@@ -52,7 +67,7 @@ def _synthetic_grid():
 class TestFeatures:
     def test_occupancy_matches_hand_pooling(self, small_dataset):
         sample = small_dataset[0]
-        vec = features_from_maps(sample.semantic).values
+        vec = features_from_maps([sample.semantic])[0].values
         classes = sample.semantic.classes
         h, w = classes.shape
         for c in range(8):
@@ -66,31 +81,47 @@ class TestFeatures:
 
     def test_occupancy_fractions_sum_to_one_per_pool(self, small_dataset):
         for sample in small_dataset:
-            occ = features_from_maps(sample.semantic).values[:N_OCCUPANCY].reshape(8, 4, 4)
+            occ = features_from_maps([sample.semantic])[0].values[:N_OCCUPANCY].reshape(8, 4, 4)
             assert np.allclose(occ.sum(axis=0), 1.0)
 
     def test_featurize_equals_features_from_maps_on_clean_render(self, small_dataset):
         style = fit_style(small_dataset)
-        for sample in small_dataset[:4]:
-            assert featurize(sample, style) == features_from_maps(sample.semantic)
+        samples = small_dataset[:4]
+        assert featurize(samples, style) == features_from_maps([s.semantic for s in samples])
+
+    def test_featurize_raises_the_first_failing_samples_error(self, small_dataset):
+        style = fit_style(small_dataset)
+        far_road, roadless = _far_road_and_roadless()
+        ok = list(small_dataset[:9])
+        # The near-band failure is featurization's, the roadless one
+        # segmentation's; the earlier sample decides, across chunks.
+        far_first = ok[:2] + [_painted(ok[2], style, far_road)] + ok[2:8]
+        far_first += [_painted(ok[8], style, roadless)]
+        with pytest.raises(DegenerateInputError, match="no road cells in the near band"):
+            featurize(far_first, style)
+        roadless_first = ok[:2] + [_painted(ok[2], style, roadless)] + ok[2:8]
+        roadless_first += [_painted(ok[8], style, far_road)]
+        with pytest.raises(DegenerateInputError, match="segmented scenario contains no road"):
+            featurize(roadless_first, style)
+        assert featurize([], style) == []
 
     def test_obstacle_feature_detects_corridor_car(self):
         classes = _synthetic_grid()
         classes[10:13, 34:38] = int(ClassId.CAR)  # road interior below stays road
-        vec = features_from_maps(SemanticMap(classes=classes)).values
+        vec = features_from_maps([SemanticMap(classes=classes)])[0].values
         assert vec[-1] == pytest.approx((35.5 - 31.5) / 4.0)
 
     def test_obstacle_feature_ignores_roadside_car(self):
         classes = _synthetic_grid()
         classes[10:13, 4:8] = int(ClassId.CAR)  # sits on vegetation
-        vec = features_from_maps(SemanticMap(classes=classes)).values
+        vec = features_from_maps([SemanticMap(classes=classes)])[0].values
         assert vec[-1] == OBSTACLE_SENTINEL
 
     def test_obstacle_feature_prefers_nearest_row(self):
         classes = _synthetic_grid()
         classes[8:10, 26:29] = int(ClassId.CAR)
         classes[20:22, 36:39] = int(ClassId.CAR)  # nearer to the agent
-        vec = features_from_maps(SemanticMap(classes=classes)).values
+        vec = features_from_maps([SemanticMap(classes=classes)])[0].values
         assert vec[-1] == pytest.approx((37.0 - 31.5) / 4.0)
 
     def test_avoid_samples_expose_signed_obstacle(self, small_dataset):
@@ -98,17 +129,17 @@ class TestFeatures:
         for s in small_dataset:
             if s.task != TaskType.AVOID_CARS or s.label == 0.5:
                 continue
-            obstacle = features_from_maps(s.semantic).values[-1]
+            obstacle = features_from_maps([s.semantic])[0].values[-1]
             assert obstacle != OBSTACLE_SENTINEL
             seen.add(obstacle > 0)
         assert seen  # the fixture contains labeled avoid scenes
 
     def test_lane_offset_sign(self):
         classes = _synthetic_grid()
-        left = features_from_maps(SemanticMap(classes=classes)).values[-2]
+        left = features_from_maps([SemanticMap(classes=classes)])[0].values[-2]
         shifted = np.full((32, 64), int(ClassId.VEGETATION), dtype=np.uint8)
         shifted[:, 34:51] = int(ClassId.ROAD)
-        right = features_from_maps(SemanticMap(classes=shifted)).values[-2]
+        right = features_from_maps([SemanticMap(classes=shifted)])[0].values[-2]
         assert right > left
 
     def test_feature_vector_validation(self):
@@ -232,13 +263,13 @@ class TestCrowdsource:
     def test_singleton_ensemble_is_its_prediction(self, generator, small_dataset):
         style = fit_style(small_dataset)
         model = train(_rows(small_dataset, style), 1e-3)
-        preds = [model.predict(features_from_maps(s.semantic)) for s in small_dataset[:4]]
+        preds = [model.predict(features_from_maps([s.semantic])[0]) for s in small_dataset[:4]]
         labels = crowdsource_labels(np.array([preds]), [style], style)
         assert labels == pytest.approx(preds)
 
     def test_uniform_mean_of_constant_models(self, small_dataset):
         style = fit_style(small_dataset)
-        feats = features_from_maps(small_dataset[0].semantic)
+        (feats,) = features_from_maps([small_dataset[0].semantic])
         models = [_constant_model(0.4), _constant_model(0.6)]
         preds = np.array([[m.predict(feats)] for m in models])
         [label] = crowdsource_labels(preds, [style, style], style)
@@ -248,7 +279,7 @@ class TestCrowdsource:
     @settings(max_examples=30, deadline=None)
     def test_labels_are_convex_combinations(self, generator, small_dataset, values):
         target = fit_style(small_dataset)
-        feats = features_from_maps(small_dataset[0].semantic)
+        (feats,) = features_from_maps([small_dataset[0].semantic])
         preds = np.array([[_constant_model(v).predict(feats)] for v in values])
         member_styles = [generator.styles[k % 2] for k in range(len(values))]
         [label] = crowdsource_labels(preds, member_styles, target)
@@ -286,7 +317,7 @@ class TestEvaluate:
         errs: dict[str, list[float]] = {}
         for s in small_dataset:
             errs.setdefault(s.task.value, []).append(
-                abs(model.predict(featurize(s, style)) - s.label)
+                abs(model.predict(featurize([s], style)[0]) - s.label)
             )
         total = [e for v in errs.values() for e in v]
         assert set(report.per_task_error) == set(errs)
@@ -305,8 +336,19 @@ class TestEvaluate:
         offset_model = _constant_model(min(1.0, sample.label + 0.05))
         report = evaluate(offset_model, [sample], style, fail_threshold=0.05)
         # error == threshold exactly is not a failure
-        if abs(offset_model.predict(featurize(sample, style)) - sample.label) == 0.05:
+        if abs(offset_model.predict(featurize([sample], style)[0]) - sample.label) == 0.05:
             assert report.overall_failure_rate == 0.0
+
+    def test_first_unlabeled_or_unfeaturizable_sample_raises(self, small_dataset):
+        style = fit_style(small_dataset)
+        _, roadless = _far_road_and_roadless()
+        ok, unlabeled = small_dataset[0], replace(small_dataset[1], label=None)
+        blind = _painted(small_dataset[2], style, roadless)
+        model = _constant_model(0.5)
+        with pytest.raises(DegenerateInputError):
+            evaluate(model, [ok, blind, unlabeled], style)
+        with pytest.raises(EvaluationError, match="unlabeled"):
+            evaluate(model, [ok, unlabeled, blind], style)
 
     def test_empty_testset_rejected(self, small_dataset):
         style = fit_style(small_dataset)

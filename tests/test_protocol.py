@@ -29,7 +29,7 @@ from parl.protocol import (
     run_round,
 )
 from parl.styles import style_affinity
-from parl.world import Scenario, segment
+from parl.world import ClassId, Scenario, segment
 
 CONFIG = ExperimentConfig(robots=2, samples_per_task=3)
 
@@ -68,7 +68,7 @@ def _expected_labels(cloud, voters):
     """
     expected = {node: [] for node in cloud.participants}
     for source, candidate in cloud.candidates:
-        feats = features_from_maps(candidate.semantic)
+        (feats,) = features_from_maps([candidate.semantic])
         preds = np.array([cloud.uploads[v].policy.predict(feats) for v in voters])
         for target in cloud.participants:
             target_style = cloud.uploads[target].style
@@ -291,7 +291,7 @@ def test_robot_labels_each_scenario_as_its_own_segmentation_reads(worlds):
         robot = robots[request.recipient.index]
         [reply] = robot.handle(request)
         expected = tuple(
-            robot.policy.predict(features_from_maps(segment(scenario, robot.style)))
+            robot.policy.predict(features_from_maps(segment([scenario], robot.style))[0])
             for scenario in request.body.scenarios
         )
         assert reply.body.torques == expected
@@ -351,3 +351,46 @@ def test_label_request_with_scenario_below_16x16_is_a_decode_error(round_message
     data = _with_payload(round_messages["request"], encode_scenarios([small]))
     with pytest.raises(DecodeError, match="15x32"):
         decode_message(data)
+
+
+def _painted(style, classes):
+    """A scenario whose every cell is its class's mean under style."""
+    return Scenario(pixels=style.class_means[classes].astype(np.float32), style=style.style)
+
+
+def test_label_request_with_a_roadless_scenario_drops_the_robot(worlds):
+    robots, _, requests = _labeling(worlds)
+    request = requests[0]
+    robot = robots[request.recipient.index]
+    good = list(request.body.scenarios)
+    # Road in the top rows only: segments, but has no road in the near band.
+    far_road = np.full((32, 64), ClassId.VEGETATION, dtype=np.uint8)
+    far_road[:4] = ClassId.ROAD
+    roadless = np.full((32, 64), ClassId.VEGETATION, dtype=np.uint8)
+    scenarios = (
+        good[:3]
+        + [_painted(robot.style, far_road)]
+        + good[3:9]
+        + [_painted(robot.style, roadless)]
+        + good[9:]
+    )
+    bad = replace(request, body=replace(request.body, scenarios=tuple(scenarios)))
+    assert robot.handle(bad) == []
+    assert robot.stage == Stage.DROPPED_OUT
+    # Every scenario is segmented before any is featurized, so the roadless
+    # scenario's error wins over the earlier near-band one.
+    assert robot.diagnostic == (
+        "failed handling LabelRequest: segmented scenario contains no road cells"
+    )
+
+
+def test_label_request_failing_only_featurization_names_the_near_band(worlds):
+    robots, _, requests = _labeling(worlds)
+    request = requests[0]
+    robot = robots[request.recipient.index]
+    far_road = np.full((32, 64), ClassId.VEGETATION, dtype=np.uint8)
+    far_road[:4] = ClassId.ROAD
+    scenarios = request.body.scenarios[:5] + (_painted(robot.style, far_road),)
+    bad = replace(request, body=replace(request.body, scenarios=scenarios))
+    assert robot.handle(bad) == []
+    assert robot.diagnostic == "failed handling LabelRequest: no road cells in the near band"

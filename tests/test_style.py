@@ -67,8 +67,8 @@ class TestFitStyle:
 
     def test_fitted_style_segments_its_own_samples(self, small_dataset):
         fitted = fit_style(small_dataset)
-        for sample in small_dataset[:6]:
-            recovered = segment(sample.scenario, fitted)
+        recovered_maps = segment([s.scenario for s in small_dataset[:6]], fitted)
+        for sample, recovered in zip(small_dataset[:6], recovered_maps):
             assert np.array_equal(recovered.classes, sample.semantic.classes)
 
     def test_empty_input_rejected(self):
@@ -114,7 +114,7 @@ class TestCrossRender:
         for sid, style in generator.styles.items():
             scenario = cross_render(candidate, style, seed=77)
             assert scenario.style == style.style
-            recovered = segment(scenario, style)
+            (recovered,) = segment([scenario], style)
             assert np.array_equal(recovered.classes, sample.semantic.classes), sid
 
     def test_cross_render_is_seed_deterministic(self, generator, small_dataset):

@@ -84,7 +84,8 @@ def test_avoid_labels_match_gap_and_side(generator):
             continue  # no corridor car could be placed for this seed
         # The obstacle feature must see the corridor car, on the side the
         # label steers away from.
-        obstacle = features_from_maps(sample.semantic).values[-1]
+        (feats,) = features_from_maps([sample.semantic])
+        obstacle = feats.values[-1]
         assert obstacle != OBSTACLE_SENTINEL
         if sample.label > 0.5:
             assert obstacle < 0  # car on the left, steer right
@@ -162,8 +163,8 @@ def test_extract_instances_oracle():
 
 def test_render_segment_roundtrip_smoke(generator, small_dataset):
     style = generator.styles[0]
-    for sample in small_dataset[:5]:
-        semantic = segment(sample.scenario, style)
+    semantics = segment([s.scenario for s in small_dataset[:5]], style)
+    for sample, semantic in zip(small_dataset[:5], semantics):
         instances = extract_instances(semantic.classes)
         assert semantic == sample.semantic
         assert len(instances.records) == len(sample.instances.records)
