@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import PlausibilityScorer
 from .errors import FittingError
-from .styles import N_CLASSES, StyleModel, _pairwise_min_separation
+from .styles import N_CLASSES, StyleModel, _pairwise_min_separation, class_sums
 from .world import (
     ClassId,
     DrivingSample,
@@ -134,16 +134,7 @@ def pooled_style(samples: Sequence[DrivingSample], style_id: int = POOLED_STYLE_
     """
     if not samples:
         raise FittingError("pooled_style needs at least one sample")
-    sums = np.zeros((N_CLASSES, 3))
-    counts = np.zeros(N_CLASSES, dtype=np.int64)
-    for sample in samples:
-        pixels = sample.scenario.pixels.astype(np.float64)
-        classes = sample.semantic.classes
-        for c in range(N_CLASSES):
-            mask = classes == c
-            if mask.any():
-                sums[c] += pixels[mask].sum(axis=0)
-                counts[c] += int(mask.sum())
+    sums, _, counts = class_sums(samples)
     if (counts == 0).any():
         raise FittingError(f"no pixel coverage for classes {np.flatnonzero(counts == 0).tolist()}")
     means = sums / counts[:, None]

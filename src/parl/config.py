@@ -39,8 +39,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.robots < 1:
             raise ConfigurationError("robots must be >= 1")
-        if self.samples_per_task < 1:
-            raise ConfigurationError("samples_per_task must be >= 1")
+        # Fewer than two samples per task leave the train or holdout split empty.
+        if self.samples_per_task < 2:
+            raise ConfigurationError("samples_per_task must be >= 2")
         if self.fan_out < 1:
             raise ConfigurationError("fan_out must be >= 1")
         if not 0.0 <= self.tau <= 1.0:

@@ -20,12 +20,12 @@ This module owns a run directory's inputs, `models/styles.dm1` and each
 robot's `robot-N_{train,holdout}.ds1`: `write_inputs` writes them for
 `parl run` and `parl gen`, and `read_inputs` reads them for `parl eval`.
 
-Perception runs once per (sample, style). Each robot's style is fitted
-once and its train and holdout splits are featurized once under it; the
-local, jitter and crop arms share those features, and only each arm's
-augmented extras are featurized on their own. The centralized arm
-featurizes under the pooled style, and each RobotNode in the PARL round
-reuses the features of its own upload when it fine-tunes.
+Perception runs once per (sample, style). Each robot's RobotNode fits its
+style and featurizes its train and holdout splits once, in the PARL round's
+local compute; the policy it uploads is the local arm. The jitter and crop
+arms train on the node's training features plus their own featurized
+extras, and every per-robot arm is evaluated on the node's holdout features.
+The centralized arm featurizes under the pooled style.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import codec
 from .augment import diagnostics_json
 from .baselines import (
@@ -49,9 +47,9 @@ from .baselines import (
 )
 from .config import OUTPUT_ROOT_ENV, ExperimentConfig, read_config, render_config
 from .errors import ParlError
-from .policy import EvaluationReport, FeatureVector, evaluate, featurize, train
+from .policy import EvaluationReport, PolicyModel, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
-from .styles import StyleModel, fit_style, styles_for_agents
+from .styles import StyleModel, styles_for_agents
 from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType, WorldConfig
 
 ARM_LOCAL = "local"
@@ -267,59 +265,30 @@ def resolve_output_dir(config: ExperimentConfig, output_root: Optional[str] = No
     return path if path.is_absolute() else Path(root) / path
 
 
-@dataclass(frozen=True)
-class _LocalSplits:
-    """One robot's splits, featurized once under its once-fitted style.
-
-    The local, jitter and crop arms all train on train_rows and evaluate on
-    holdout_features; only the augmented extras are featurized per arm.
-    """
-
-    style: StyleModel
-    train_rows: list[tuple[FeatureVector, float]]
-    provenances: list[Provenance]
-    holdout: Sequence[DrivingSample]
-    holdout_features: list[FeatureVector]
-
-
-def _featurize_splits(
-    samples: Sequence[DrivingSample], holdout: Sequence[DrivingSample]
-) -> _LocalSplits:
-    style = fit_style(samples)
-    return _LocalSplits(
-        style=style,
-        train_rows=[(f, s.label) for f, s in zip(featurize(samples, style), samples)],
-        provenances=[s.provenance for s in samples],
-        holdout=holdout,
-        holdout_features=featurize(holdout, style),
-    )
-
-
 def _train_local_arm(
-    splits: _LocalSplits,
-    config: ExperimentConfig,
-    extra: Sequence[DrivingSample] = (),
-):
+    robot: RobotNode, config: ExperimentConfig, extra: Sequence[DrivingSample]
+) -> tuple[PolicyModel, EvaluationReport]:
+    """Train on the robot's own training features plus the featurized extras."""
     # Appearance augmentation can corrupt a sample beyond recognition (e.g.
     # jitter erasing the road); such rows are dropped, mirroring a
     # data-cleaning pass, rather than failing the arm. The extras are
     # featurized as one batch, and one at a time only if the batch raised.
     try:
-        kept = list(zip(featurize(extra, splits.style), extra))
+        kept = list(zip(featurize(extra, robot.style), extra))
     except ParlError:
         kept = []
         for sample in extra:
             try:
-                (feats,) = featurize([sample], splits.style)
+                (feats,) = featurize([sample], robot.style)
             except ParlError:
                 continue
             kept.append((feats, sample))
-    rows = list(splits.train_rows) + [(f, s.label) for f, s in kept]
-    provs = list(splits.provenances) + [s.provenance for _, s in kept]
+    rows = robot.local_rows + [(f, s.label) for f, s in kept]
+    provs = [s.provenance for s in robot.train_samples] + [s.provenance for _, s in kept]
     model = train(rows, ridge_lambda=config.ridge_lambda, provenances=provs)
     report = evaluate(
-        model, splits.holdout, splits.style, config.fail_threshold,
-        features=splits.holdout_features,
+        model, robot.holdout_samples, robot.style, config.fail_threshold,
+        features=robot.holdout_features,
     )
     return model, report
 
@@ -358,28 +327,6 @@ def run_experiment(
         name: ([], []) for _, name, *_ in appearance_arms
     }
 
-    # Local arm, plus the appearance-augmentation baselines.
-    for robot in range(config.robots):
-        key = robot_key(robot)
-        splits = _stage(
-            "local-train", key, _featurize_splits, train_sets[robot], holdout_sets[robot]
-        )
-        model, report = _stage("local-train", key, _train_local_arm, splits, config)
-        arms[ARM_LOCAL][key] = report
-        codec.write_models(out / ARM_MODEL_FILES[ARM_LOCAL].format(key=key), [model])
-        for arm, name, augmenter, seed_base, stage in appearance_arms:
-            sources, outputs = appearance_pairs[name]
-            extra = []
-            for i, sample in enumerate(train_sets[robot]):
-                for k in range(config.fan_out):
-                    seed = config.augment_seed * seed_base + robot * 10_007 + i * 31 + k
-                    sources.append(sample)
-                    extra.append(augmenter(sample, seed))
-            outputs.extend(extra)
-            model, report = _stage(stage, key, _train_local_arm, splits, config, extra)
-            arms[arm][key] = report
-            codec.write_models(out / ARM_MODEL_FILES[arm].format(key=key), [model])
-
     # Centralized arm: pooled data, pooled (non-adapted) perception.
     pooled_samples = [s for robot in range(config.robots) for s in train_sets[robot]]
     central_style = _stage("centralized-style", "harness", pooled_style, pooled_samples)
@@ -399,15 +346,26 @@ def run_experiment(
             central_model, holdout_sets[robot], central_style, config.fail_threshold,
         )
 
-    # The PARL round itself.
+    # The PARL round itself. Each robot's local compute in it fits the
+    # robot's style, featurizes its splits and trains the local arm's policy.
     cloud_id = NodeId.cloud()
     robots = [
         RobotNode(NodeId.robot(i), cloud_id, train_sets[i], holdout_sets[i], config)
         for i in range(config.robots)
     ]
     cloud = CloudNode(cloud_id, config)
-    network = SimNetwork()
-    result = _stage("parl-round", "cloud-0", run_round, robots, cloud, network)
+    round_failure = None
+    try:
+        result = run_round(robots, cloud, SimNetwork())
+    except ParlError as exc:
+        round_failure = exc
+    # A robot without a local policy is reported before the round's own
+    # failure, which may only be the want of that robot's upload.
+    for robot in robots:
+        if robot.policy is None:
+            raise StageFailure("local-train", str(robot.node_id), ParlError(robot.diagnostic))
+    if round_failure is not None:
+        raise StageFailure("parl-round", "cloud-0", round_failure) from round_failure
     for node, payload in sorted(result.upload_bytes.items()):
         (out / "uploads" / f"{node}.bin").write_bytes(payload)
     for node in result.participants:
@@ -420,6 +378,29 @@ def run_experiment(
             codec.write_models(
                 out / ARM_MODEL_FILES[ARM_PARL].format(key=key), [result.tuned[node]]
             )
+
+    # Local arm, the policy each robot uploaded, plus the appearance baselines.
+    for index, robot in enumerate(robots):
+        key = robot_key(index)
+        arms[ARM_LOCAL][key] = _stage(
+            "local-train", key, evaluate,
+            robot.policy, robot.holdout_samples, robot.style, config.fail_threshold,
+            features=robot.holdout_features,
+        )
+        codec.write_models(out / ARM_MODEL_FILES[ARM_LOCAL].format(key=key), [robot.policy])
+        for arm, name, augmenter, seed_base, stage in appearance_arms:
+            sources, outputs = appearance_pairs[name]
+            extra = []
+            for i, sample in enumerate(train_sets[index]):
+                for k in range(config.fan_out):
+                    seed = config.augment_seed * seed_base + index * 10_007 + i * 31 + k
+                    sources.append(sample)
+                    extra.append(augmenter(sample, seed))
+            outputs.extend(extra)
+            model, report = _stage(stage, key, _train_local_arm, robot, config, extra)
+            arms[arm][key] = report
+            codec.write_models(out / ARM_MODEL_FILES[arm].format(key=key), [model])
+
     if cloud.where is not None:
         codec.write_models(
             out / "models" / "predictors.dm1", [cloud.where, cloud.what, cloud.scorer]

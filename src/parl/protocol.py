@@ -2,8 +2,11 @@
 
 One round of the peer-assisted pipeline:
 
-1. Every robot segments its own samples, fits its style, trains its local
-   policy, and uploads maps + style + policy to the cloud.
+1. Every robot fits its style to its own samples, segments and featurizes
+   them, trains its local policy, featurizes its held-out split once, and
+   uploads maps + style + policy to the cloud. A run perceives a robot's
+   own samples only here: the experiment's local arm is the policy the
+   robot uploads, evaluated on these held-out features.
 2. The cloud fits the augmentation models on the pooled uploaded layouts
    and augments each robot's maps into scored candidates.
 3. The cloud renders the full candidate batch in each participant's own
@@ -18,8 +21,9 @@ One round of the peer-assisted pipeline:
    those votes, so a silent robot simply does not vote. The cloud trains
    one shared policy on the pooled labels and dispatches it exactly once
    to each robot that answered.
-5. Each robot fine-tunes toward the shared model on its own training split
-   and acks with an evaluation report from its held-out split.
+5. Each robot fine-tunes toward the shared model on its training features
+   from step 1 and acks with an evaluation report on its held-out features
+   from step 1.
 
 Messages travel as bytes through SimNetwork, so every hop exercises the
 wire format. Determinism comes from a fixed scheduling order (node id),
@@ -64,6 +68,7 @@ from .policy import (
     crowdsource_labels,
     evaluate,
     features_from_maps,
+    featurize,
     fine_tune,
     train,
 )
@@ -426,6 +431,9 @@ class RobotNode:
         # (features, label) per training sample from local_compute, reused
         # when fine-tuning: the robot featurizes its own data once.
         self.local_rows: list[tuple[FeatureVector, float]] = []
+        # featurize(holdout_samples, style) from local_compute: every
+        # evaluation on the held-out split reads these.
+        self.holdout_features: list[FeatureVector] = []
         self.tuned: Optional[PolicyModel] = None
         self.ack_report: Optional[EvaluationReport] = None
         self.shared_received = 0
@@ -446,7 +454,7 @@ class RobotNode:
         self.diagnostic = diagnostic
 
     def local_compute(self) -> Optional[Message]:
-        """Fit style, segment everything, train the local policy, upload.
+        """Fit style, featurize both splits, train the local policy, upload.
 
         Any failure (missing palette class, degenerate training data)
         transitions this robot to DROPPED_OUT with a diagnostic; it never
@@ -467,12 +475,14 @@ class RobotNode:
                 ridge_lambda=self.config.ridge_lambda,
                 provenances=[s.provenance for s in self.train_samples],
             )
+            holdout_features = featurize(self.holdout_samples, style)
         except ParlError as exc:
             self.drop_out(f"local compute failed: {exc}")
             return None
         self.style = style
         self.policy = policy
         self.local_rows = dataset
+        self.holdout_features = holdout_features
         self.stage = advance_stage(self.stage, Stage.UPLOADED)
         return self._msg(UploadLocal(style=style, policy=policy, layouts=layouts))
 
@@ -505,7 +515,8 @@ class RobotNode:
                 )
                 self.shared_received += 1
                 self.ack_report = evaluate(
-                    self.tuned, self.holdout_samples, self.style, self.config.fail_threshold
+                    self.tuned, self.holdout_samples, self.style, self.config.fail_threshold,
+                    features=self.holdout_features,
                 )
                 self.stage = advance_stage(self.stage, Stage.FINE_TUNED)
                 return [self._msg(FineTuneAck(report=self.ack_report))]

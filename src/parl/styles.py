@@ -161,6 +161,28 @@ def built_in_style(style_id: int, seed: int = 0) -> StyleModel:
     )
 
 
+def class_sums(samples: Sequence["DrivingSample"]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class pixel sums, sums of squares and cell counts over the samples.
+
+    Each sample's totals are one bincount in row-major cell order, added to
+    the running totals sample by sample: bit for bit a per-class boolean-mask
+    loop's pixels[mask].sum(axis=0), accumulated the same way.
+    """
+    sums = np.zeros((N_CLASSES, 3))
+    sq_sums = np.zeros((N_CLASSES, 3))
+    counts = np.zeros(N_CLASSES, dtype=np.int64)
+    channels, n_bins = np.arange(3), 3 * N_CLASSES
+    for sample in samples:
+        pixels = sample.scenario.pixels.astype(np.float64).ravel()
+        classes = sample.semantic.classes.ravel()
+        # Bin class * 3 + channel, matching the row-major (cell, channel) pixels.
+        bins = (classes[:, None] * 3 + channels).ravel()
+        sums += np.bincount(bins, weights=pixels, minlength=n_bins).reshape(N_CLASSES, 3)
+        sq_sums += np.bincount(bins, weights=pixels**2, minlength=n_bins).reshape(N_CLASSES, 3)
+        counts += np.bincount(classes, minlength=N_CLASSES)
+    return sums, sq_sums, counts
+
+
 def fit_style(
     samples: Sequence["DrivingSample"],
     separation_floor: float = DEFAULT_SEPARATION_FLOOR,
@@ -174,23 +196,8 @@ def fit_style(
     """
     if not samples:
         raise FittingError("fit_style needs at least one sample")
-    sums = np.zeros((N_CLASSES, 3))
-    sq_sums = np.zeros((N_CLASSES, 3))
-    counts = np.zeros(N_CLASSES, dtype=np.int64)
-    style_ids = set()
-    for sample in samples:
-        pixels = sample.scenario.pixels.astype(np.float64)
-        classes = sample.semantic.classes
-        style_ids.add(sample.scenario.style)
-        for c in range(N_CLASSES):
-            mask = classes == c
-            n = int(mask.sum())
-            if n == 0:
-                continue
-            vals = pixels[mask]
-            sums[c] += vals.sum(axis=0)
-            sq_sums[c] += (vals**2).sum(axis=0)
-            counts[c] += n
+    sums, sq_sums, counts = class_sums(samples)
+    style_ids = {sample.scenario.style for sample in samples}
     missing = [c for c in range(N_CLASSES) if counts[c] == 0]
     if missing:
         raise FittingError(f"no pixel coverage for classes {missing}")

@@ -18,7 +18,7 @@ from parl.errors import ConfigurationError
 config_strategy = st.builds(
     ExperimentConfig,
     robots=st.integers(min_value=1, max_value=8),
-    samples_per_task=st.integers(min_value=1, max_value=64),
+    samples_per_task=st.integers(min_value=2, max_value=64),
     fan_out=st.integers(min_value=1, max_value=6),
     tau=st.floats(min_value=0.0, max_value=1.0),
     beta=st.floats(min_value=0.0, max_value=1.0),
@@ -99,6 +99,7 @@ def test_bad_float_rejected():
     [
         ("robots", 0),
         ("samples_per_task", 0),
+        ("samples_per_task", 1),
         ("fan_out", 0),
         ("tau", 1.5),
         ("beta", -0.1),

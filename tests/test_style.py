@@ -13,6 +13,7 @@ from parl.styles import (
     N_CLASSES,
     StyleModel,
     built_in_style,
+    class_sums,
     cross_render,
     fit_style,
     style_affinity,
@@ -99,6 +100,42 @@ class TestFitStyle:
             )
         with pytest.raises(FittingError, match="no pixel coverage"):
             fit_style(broken)
+
+
+def _class_sums_by_mask(samples):
+    """The per-class boolean-mask loop class_sums replaced: its reference."""
+    sums = np.zeros((N_CLASSES, 3))
+    sq_sums = np.zeros((N_CLASSES, 3))
+    counts = np.zeros(N_CLASSES, dtype=np.int64)
+    for sample in samples:
+        pixels = sample.scenario.pixels.astype(np.float64)
+        classes = sample.semantic.classes
+        for c in range(N_CLASSES):
+            mask = classes == c
+            n = int(mask.sum())
+            if n == 0:
+                continue
+            vals = pixels[mask]
+            sums[c] += vals.sum(axis=0)
+            sq_sums[c] += (vals**2).sum(axis=0)
+            counts[c] += n
+    return sums, sq_sums, counts
+
+
+def test_class_sums_match_the_per_mask_loop_bit_for_bit(small_dataset):
+    # Samples without cars and pedestrians: their cells relabeled road.
+    lacking = []
+    for s in small_dataset[:4]:
+        classes = s.semantic.classes.copy()
+        classes[np.isin(classes, (2, 3))] = 0
+        lacking.append(
+            dataclasses.replace(s, semantic=dataclasses.replace(s.semantic, classes=classes))
+        )
+    for samples in ([lacking[0]], lacking, small_dataset, lacking + list(small_dataset)):
+        got, want = class_sums(samples), _class_sums_by_mask(samples)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestCrossRender:
