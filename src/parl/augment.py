@@ -12,7 +12,7 @@ from real instances, and the scorer aggregates class-adjacency, placement,
 size, and shape-regularity evidence at three pooling scales.
 
 The scorer works on batches of layouts, not one instance at a time: layouts
-of one grid shape are stacked, at most _SCORE_CHUNK at a time, and every
+of one grid shape are stacked, at most _LAYOUT_CHUNK at a time, and every
 step is an array pass over all of the batch's instances at once. One pass
 lists each instance's cells, and one connected-component pass
 (world._label_components) over a grid of cells and same-instance links tells
@@ -29,6 +29,17 @@ each ring direction is summed per instance exactly as ndarray.sum() sums it
 alone (_segment_sums), the four direction sums are added in ring order, and
 the weighted component sum stays one dot product per instance. A score never
 depends on the other layouts of its batch.
+
+Fitting works on the same shape chunks (_layout_chunks). fit_where lists
+each chunk's instances once and reads every instance's context bin from
+_depth_at on the stacked class grids at its mean cell; fit_what lists them
+once too and puts the harvested templates back in input layout order, record
+order within one. fit_scorer keys its fit split once for both the evidence
+tables and the fit split's raw scores, then scores the holdout and the
+corruptions in one batch. Every count is a whole number added exactly (the
+adjacency tables are one bincount over pair codes), and the calibration's
+medians come from _median, which returns np.median's value without the
+numpy.ma import np.median makes.
 """
 
 from __future__ import annotations
@@ -233,6 +244,26 @@ def _layout_instances(maps: Sequence[InstanceMap]) -> _Instances:
     )
 
 
+# Layouts scored or fitted in one set of array passes, at most. Transient
+# memory grows by about 0.1 MB per 32x64 layout, while the per-layout cost
+# levels off well before this many.
+_LAYOUT_CHUNK = 16
+
+
+def _layout_chunks(layouts: Sequence[Layout]) -> Iterator[np.ndarray]:
+    """The layouts' positions grouped by grid shape, in chunks of at most _LAYOUT_CHUNK.
+
+    Shapes come in order of first appearance, and positions ascend within
+    a chunk.
+    """
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, (semantic, _) in enumerate(layouts):
+        by_shape.setdefault(semantic.classes.shape, []).append(i)
+    for positions in by_shape.values():
+        for lo in range(0, len(positions), _LAYOUT_CHUNK):
+            yield np.array(positions[lo : lo + _LAYOUT_CHUNK])
+
+
 FILL_BIN_EDGES = (0.55, 0.7, 0.85)
 N_FILL_BINS = len(FILL_BIN_EDGES) + 1
 
@@ -255,6 +286,10 @@ class WherePredictor:
     counts: np.ndarray  # (N_CLASSES, N_CTX_BINS, POS_BINS*POS_BINS, N_SCALE_BINS)
     probs: np.ndarray  # same shape, normalized per fitted class
     fitted: np.ndarray  # (N_CLASSES,) bool
+    # Each class's probabilities summed along its flattened bins, found once
+    # for every draw. A cumulative sum adds left to right, so a row of it is
+    # the same bits as the cumulative sum of that class alone.
+    _cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         shape = (N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
@@ -272,6 +307,9 @@ class WherePredictor:
                 total = self.probs[c].sum()
                 if abs(total - 1.0) > 1e-9:
                     raise FittingError(f"class {c} probabilities sum to {total}")
+        cumulative = np.cumsum(self.probs.reshape(N_CLASSES, -1), axis=1)
+        cumulative.setflags(write=False)
+        object.__setattr__(self, "_cumulative", cumulative)
 
     def class_counts(self) -> np.ndarray:
         return self.counts.sum(axis=(1, 2, 3))
@@ -280,10 +318,10 @@ class WherePredictor:
         """Draw (ctx, pos_y, pos_x, scale) for a class; class must be fitted."""
         if not self.fitted[class_id]:
             raise FittingError(f"where-predictor not fitted for class {class_id}")
-        flat = self.probs[class_id].ravel()
-        idx = int(np.searchsorted(np.cumsum(flat), rng.random(), side="right"))
-        idx = min(idx, flat.size - 1)
-        ctx, pos, scale = np.unravel_index(idx, self.probs[class_id].shape)
+        cumulative = self._cumulative[class_id]
+        idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
+        idx = min(idx, cumulative.size - 1)
+        ctx, pos, scale = np.unravel_index(idx, self.probs.shape[1:])
         return int(ctx), int(pos) // POS_BINS, int(pos) % POS_BINS, int(scale)
 
     def __eq__(self, other: object) -> bool:
@@ -344,22 +382,27 @@ def fit_where(layouts: Sequence[Layout], alpha: float = 0.5) -> WherePredictor:
     """Fit placement histograms from the instances observed in real layouts."""
     if not layouts:
         raise FittingError("fit_where needs at least one layout")
-    counts = np.zeros((N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS))
+    counts = np.zeros(N_CLASSES * N_CTX_BINS * POS_BINS * POS_BINS * N_SCALE_BINS)
     n_instances = 0
-    for semantic, instances in layouts:
-        depth = _depth_map(semantic.classes)
-        ctx_map = _ctx_bin_from_depth(depth)
-        h, w = semantic.classes.shape
-        inst = _layout_instances([instances])
+    for index in _layout_chunks(layouts):
+        classes = np.stack([layouts[i][0].classes for i in index])
+        inst = _layout_instances([layouts[i][1] for i in index])
+        _, h, w = classes.shape
         # Mean cell, rounded half to even as round() does.
         rows = np.rint(np.add.reduceat(inst.ys, inst.starts) / inst.counts).astype(np.intp)
         cols = np.rint(np.add.reduceat(inst.xs, inst.starts) / inst.counts).astype(np.intp)
+        ctx = _ctx_bin_from_depth(_depth_at(classes, inst.layout, rows, cols))
         py, px = _pos_bins(rows, cols, h, w)
-        sbins = np.array([scale_bin_of(rec.bbox[2], rec.bbox[3]) for rec in inst.records], dtype=np.intp)
-        np.add.at(counts, (inst.class_ids, ctx_map[rows, cols], py * POS_BINS + px, sbins), 1)
+        dims = np.array([rec.bbox[2:] for rec in inst.records], dtype=np.int64).reshape(-1, 2)
+        sbins = np.searchsorted(_SCALE_BIN_EDGES, dims.max(axis=1))
+        pos = py * POS_BINS + px
+        bins = ((inst.class_ids * N_CTX_BINS + ctx) * POS_BINS * POS_BINS + pos) * N_SCALE_BINS + sbins
+        # Whole-number counts: the bincount adds exactly, in any order.
+        counts += np.bincount(bins, minlength=counts.size)
         n_instances += len(inst.records)
     if n_instances == 0:
         raise FittingError("no instances found in the provided layouts")
+    counts = counts.reshape(N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
     probs = _smooth_and_normalize(counts, alpha)
     fitted = counts.sum(axis=(1, 2, 3)) > 0
     return WherePredictor(alpha=alpha, counts=counts, probs=probs, fitted=fitted)
@@ -451,27 +494,36 @@ class WhatPredictor:
 
 
 def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
-    """Harvest connected instance masks from real layouts as templates."""
+    """Harvest connected instance masks from real layouts as templates.
+
+    Templates come in input layout order, record order within a layout,
+    whatever order the shape chunks list the layouts in.
+    """
     if not layouts:
         raise FittingError("fit_what needs at least one layout")
-    templates = []
-    seen: set[int] = set()
-    for _, instances in layouts:
-        inst = _layout_instances([instances])
-        for rec, (y0, y1, x0, x1), connected in zip(inst.records, inst.box, inst.connected):
-            seen.add(int(rec.class_id))
-            if not connected:
-                continue  # fragmented masks make unusable templates
-            crop = instances.instance_grid[y0 : y1 + 1, x0 : x1 + 1] == rec.instance_id
-            sbin = scale_bin_of(crop.shape[1], crop.shape[0])
-            templates.append((int(rec.class_id), sbin, crop))
+    found: list[tuple[int, int, Optional[np.ndarray]]] = []  # (layout, class, mask)
+    for index in _layout_chunks(layouts):
+        maps = [layouts[i][1] for i in index]
+        inst = _layout_instances(maps)
+        for lay, rec, (y0, y1, x0, x1), connected in zip(
+            inst.layout, inst.records, inst.box, inst.connected
+        ):
+            crop = None  # fragmented masks make unusable templates
+            if connected:
+                crop = maps[lay].instance_grid[y0 : y1 + 1, x0 : x1 + 1] == rec.instance_id
+            found.append((int(index[lay]), int(rec.class_id), crop))
+    found.sort(key=lambda f: f[0])  # stable: record order stays within a layout
+    templates = tuple(
+        (cls, scale_bin_of(crop.shape[1], crop.shape[0]), crop)
+        for _, cls, crop in found
+        if crop is not None
+    )
     if not templates:
         raise FittingError("no instances found in the provided layouts")
-    have = {cls for cls, _, _ in templates}
-    missing = seen - have
+    missing = {cls for _, cls, _ in found} - {cls for cls, _, _ in templates}
     if missing:
         raise FittingError(f"no usable templates for classes {sorted(missing)}")
-    return WhatPredictor(templates=tuple(templates))
+    return WhatPredictor(templates=templates)
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +695,21 @@ def _mode_pool(classes: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _adjacency_counts(classes: np.ndarray) -> np.ndarray:
-    """Class pair counts of 4-adjacent cells, both ways, over stacked grids."""
-    counts = np.zeros((N_CLASSES, N_CLASSES))
-    pairs = [
-        (classes[:, :, :-1].ravel(), classes[:, :, 1:].ravel()),
-        (classes[:, :-1, :].ravel(), classes[:, 1:, :].ravel()),
-    ]
-    for a, b in pairs:
-        np.add.at(counts, (a, b), 1)
-        np.add.at(counts, (b, a), 1)
-    return counts
+    """Class pair counts of 4-adjacent cells, both ways, over stacked grids.
+
+    One bincount over the (first, second) pair codes of the horizontal and
+    vertical neighbours counts each pair one way; its transpose counts the
+    other. The counts are whole numbers, so they are exact.
+    """
+    grids = classes.astype(np.intp)
+    codes = np.concatenate(
+        [
+            (grids[:, :, :-1] * N_CLASSES + grids[:, :, 1:]).ravel(),
+            (grids[:, :-1, :] * N_CLASSES + grids[:, 1:, :]).ravel(),
+        ]
+    )
+    counts = np.bincount(codes, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
+    return (counts + counts.T).astype(np.float64)
 
 
 EVIDENCE_FLOOR = 0.8
@@ -807,12 +864,6 @@ def _scale_keys(pooled: np.ndarray, inst: _Instances, factor: int) -> _ScaleKeys
     )
 
 
-# Layouts scored in one set of array passes, at most. Transient memory grows
-# by about 0.1 MB per 32x64 layout, while the per-layout cost levels off
-# well before this many.
-_SCORE_CHUNK = 16
-
-
 class _Chunk(NamedTuple):
     """Same-shape layouts scored together, with their instances and keys."""
 
@@ -822,17 +873,12 @@ class _Chunk(NamedTuple):
 
 
 def _chunks(layouts: Sequence[Layout]) -> Iterator[_Chunk]:
-    """The layouts grouped by grid shape, cut into chunks, with their keys."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, (semantic, _) in enumerate(layouts):
-        by_shape.setdefault(semantic.classes.shape, []).append(i)
-    for positions in by_shape.values():
-        for lo in range(0, len(positions), _SCORE_CHUNK):
-            index = np.array(positions[lo : lo + _SCORE_CHUNK])
-            classes = np.stack([layouts[i][0].classes for i in index])
-            inst = _layout_instances([layouts[i][1] for i in index])
-            scales = tuple(_scale_keys(_mode_pool(classes, f), inst, f) for f in POOL_FACTORS)
-            yield _Chunk(index=index, inst=inst, scales=scales)
+    """The layouts in shape chunks (_layout_chunks), with their instances and keys."""
+    for index in _layout_chunks(layouts):
+        classes = np.stack([layouts[i][0].classes for i in index])
+        inst = _layout_instances([layouts[i][1] for i in index])
+        scales = tuple(_scale_keys(_mode_pool(classes, f), inst, f) for f in POOL_FACTORS)
+        yield _Chunk(index=index, inst=inst, scales=scales)
 
 
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -936,7 +982,7 @@ class PlausibilityScorer:
 
     raw_score and score_layout take a sequence of layouts and return one
     float64 per layout, in input order. Layouts of one grid shape are scored
-    together, _SCORE_CHUNK at a time, in array passes over all their
+    together, _LAYOUT_CHUNK at a time, in array passes over all their
     instances: per scale, _scale_keys yields every instance's evidence keys
     and _component_values an (instances, 4) array of components, which
     diagnostics_json and fitting read too. The ring term sums each
@@ -1290,6 +1336,25 @@ _CALIBRATION_MARGIN = 0.1
 _GAP_REQUIREMENT = 0.2
 
 
+def _median(values: np.ndarray) -> np.float64:
+    """np.median of a 1-D float array, without the numpy.ma import it triggers.
+
+    np.median takes the mean of the middle value, or of the two middle
+    values, and that mean's sum starts from 0.0: so an odd count gives
+    0.0 + the middle value (a -0.0 median reads 0.0), and an even count adds
+    the two middle values to 0.0 and halves the sum. Any NaN, or no values,
+    gives NaN.
+    """
+    ordered = np.sort(values)  # NaN sorts last
+    n = ordered.size
+    if n == 0 or np.isnan(ordered[-1]):
+        return np.float64(np.nan)
+    mid = n // 2
+    if n % 2:
+        return np.float64(0.0 + ordered[mid])
+    return np.float64((0.0 + ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def fit_scorer(
     real_layouts: Sequence[Layout],
     threshold: float = 0.5,
@@ -1322,12 +1387,13 @@ def fit_scorer(
         calibration=np.array([1.0, 0.0]),
     )
     raw_fit = probe._raw_scores(fit_chunks, len(fit_split))
-    raw_hold = probe.raw_score(holdout)
     corruptions = make_corruptions(fit_split, seed)
     if not corruptions:
         raise FittingError("could not generate calibration corruptions")
-    raw_bad = probe.raw_score(corruptions)
-    r_min, r_med = float(raw_fit.min()), float(np.median(raw_fit))
+    # A layout's score does not depend on its batch, so the holdout and the
+    # corruptions are scored together.
+    raw_hold, raw_bad = np.split(probe.raw_score(holdout + corruptions), [len(holdout)])
+    r_min, r_med = float(raw_fit.min()), float(_median(raw_fit))
     c_hi = float(raw_bad.max())
     x_mid = (r_min + c_hi) / 2.0 if r_min > c_hi else (r_med + c_hi) / 2.0
     if r_med - x_mid <= 1e-9:
@@ -1353,7 +1419,7 @@ def fit_scorer(
             continue
         if (bad_scores >= threshold).any():
             continue
-        if (bad_scores >= np.median(real_scores)).any():
+        if (bad_scores >= _median(real_scores)).any():
             continue
         if real_scores.mean() - bad_scores.mean() < _GAP_REQUIREMENT + 0.05:
             continue

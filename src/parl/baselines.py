@@ -98,12 +98,23 @@ def baseline_random_resized_crop(
     new_classes = classes[grid_idx]
     new_pixels = sample.scenario.pixels[grid_idx]
     new_grid = sample.instances.instance_grid[grid_idx]
+    # One pass over the resized grid: its cells sorted by id, row-major
+    # within one, give every id's bbox, and each record looks its id up.
+    flat = new_grid.ravel()
+    cells = np.argsort(flat, kind="stable")
+    ordered = flat[cells]
+    starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+    ys, xs = np.divmod(cells, w)
+    y0, y1 = ys[starts], ys[np.append(starts[1:], flat.size) - 1]
+    x0, x1 = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
+    values = ordered[starts]
+    ids = np.array([rec.instance_id for rec in sample.instances.records], dtype=np.int64)
+    at = np.minimum(np.searchsorted(values, ids), values.size - 1)
     records = []
-    for rec in sample.instances.records:
-        ys, xs = np.nonzero(new_grid == rec.instance_id)
-        if ys.size == 0:
+    for rec, k, present in zip(sample.instances.records, at, values[at] == ids):
+        if not present:
             continue
-        bbox = (int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
+        bbox = (int(x0[k]), int(y0[k]), int(x1[k] - x0[k] + 1), int(y1[k] - y0[k] + 1))
         records.append(
             InstanceRecord(
                 instance_id=rec.instance_id,
@@ -112,13 +123,13 @@ def baseline_random_resized_crop(
                 affine=(float(bbox[0]), float(bbox[1]), w / cw, h / ch),
             )
         )
-    kept = {r.instance_id for r in records}
-    new_grid = np.where(np.isin(new_grid, list(kept)) if kept else False, new_grid, -1)
+    # Every id left in the grid is a kept record's: the source map holds
+    # only its records' ids and background, so the grid needs no masking.
     return replace(
         sample,
         scenario=Scenario(pixels=new_pixels, style=sample.scenario.style),
         semantic=SemanticMap(classes=new_classes),
-        instances=InstanceMap(instance_grid=new_grid.astype(np.int32), records=tuple(records)),
+        instances=InstanceMap(instance_grid=new_grid, records=tuple(records)),
         provenance=Provenance.AUGMENTED,
     )
 

@@ -1,4 +1,4 @@
-"""Tests for the qualitative table: its plausibility scoring and its remap check."""
+"""Tests for the comparison arms: the qualitative table's scoring and remap check, and the crop."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -17,7 +17,15 @@ from parl.baselines import (
 )
 from parl.errors import FittingError
 from parl.styles import N_CLASSES
-from parl.world import Scenario, SemanticMap
+from parl.world import (
+    BACKGROUND_ID,
+    ClassId,
+    InstanceMap,
+    InstanceRecord,
+    Provenance,
+    Scenario,
+    SemanticMap,
+)
 
 
 class CountingScorer:
@@ -203,3 +211,71 @@ def test_remap_check_matches_dict_reference_on_repeated_pixels(pair):
     want = _remap_by_dict(source, output)
     assert _is_coordinate_remap(source, output) is want
     assert _is_coordinate_remap(source, output, _pixel_index(source.scenario)) is want
+
+
+def _reference_crop(sample, seed, min_scale=0.6):
+    """The crop with each record rebuilt by its own full-grid scan, as it was."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 0xCC]))
+    classes = sample.semantic.classes
+    h, w = classes.shape
+    for _ in range(10):
+        ch = max(16, int(round(h * rng.uniform(min_scale, 1.0))))
+        cw = max(16, int(round(w * rng.uniform(min_scale, 1.0))))
+        top = int(rng.integers(0, h - ch + 1))
+        left = int(rng.integers(0, w - cw + 1))
+        if (classes[top : top + ch, left : left + cw] == ClassId.ROAD).any():
+            break
+    else:
+        return sample
+    if (ch, cw, top, left) == (h, w, 0, 0):
+        return sample
+    grid_idx = np.ix_(
+        top + np.minimum((np.arange(h) * ch) // h, ch - 1),
+        left + np.minimum((np.arange(w) * cw) // w, cw - 1),
+    )
+    new_grid = sample.instances.instance_grid[grid_idx]
+    records = []
+    for rec in sample.instances.records:
+        ys, xs = np.nonzero(new_grid == rec.instance_id)
+        if ys.size == 0:
+            continue
+        bbox = (int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
+        records.append(
+            InstanceRecord(rec.instance_id, rec.class_id, bbox, (float(bbox[0]), float(bbox[1]), w / cw, h / ch))
+        )
+    kept = {r.instance_id for r in records}
+    new_grid = np.where(np.isin(new_grid, list(kept)) if kept else False, new_grid, -1)
+    return replace(
+        sample,
+        scenario=Scenario(pixels=sample.scenario.pixels[grid_idx], style=sample.scenario.style),
+        semantic=SemanticMap(classes=classes[grid_idx]),
+        instances=InstanceMap(instance_grid=new_grid.astype(np.int32), records=tuple(records)),
+        provenance=Provenance.AUGMENTED,
+    )
+
+
+def _without_records(sample):
+    grid = np.full(sample.instances.instance_grid.shape, BACKGROUND_ID, dtype=np.int32)
+    return replace(sample, instances=InstanceMap(instance_grid=grid, records=()))
+
+
+def test_crop_matches_per_record_reference(small_dataset):
+    samples = list(small_dataset) + [_without_records(small_dataset[0])]
+    dropped = 0
+    for k, sample in enumerate(samples):
+        for seed in range(k, k + 4):
+            for min_scale in (0.6, 0.3):
+                got = baseline_random_resized_crop(sample, seed, min_scale)
+                want = _reference_crop(sample, seed, min_scale)
+                assert got.instances.records == want.instances.records
+                for a, b in (
+                    (got.instances.instance_grid, want.instances.instance_grid),
+                    (got.semantic.classes, want.semantic.classes),
+                    (got.scenario.pixels, want.scenario.pixels),
+                ):
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert (got.label, got.task, got.provenance, got.scenario.style) == (
+                    want.label, want.task, want.provenance, want.scenario.style
+                )
+                dropped += len(sample.instances.records) - len(got.instances.records)
+    assert dropped > 0  # some crops cut records out

@@ -1,5 +1,5 @@
 """CLI exit codes of `parl run` and `parl eval --verify`, byte-identical reruns of `parl run`,
-`parl gen` writing the same inputs as `parl run`, and a runtime that needs no scipy."""
+`parl gen` writing the same inputs as `parl run`, and a runtime that needs no scipy or numpy.ma."""
 
 import json
 import os
@@ -110,12 +110,40 @@ def _fresh_python(code, *args, cwd, env_extra=()):
     )
 
 
+# Modules a run has no use for, each costing import time and memory.
+_UNUSED_MODULES = "('scipy', 'numpy.ma')"
+
+
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     proc = _fresh_python(
-        "import sys, parl.cli; print('scipy' in sys.modules)", cwd=tmp_path
+        f"import sys, parl.cli; print([m for m in {_UNUSED_MODULES} if m in sys.modules])",
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+# Runs the CLI with the given arguments, then prints which unused modules
+# it loaded on the last line.
+_CLI_THEN_MODULES = (
+    "import sys, parl.cli; code = parl.cli.main(sys.argv[1:]); "
+    f"print([m for m in {_UNUSED_MODULES} if m in sys.modules]); sys.exit(code)"
+)
+
+
+def test_run_check_and_eval_verify_load_no_scipy_or_numpy_ma(tmp_path):
+    # The benchmark's paper3 size: three robots, three samples per task.
+    env = {OUTPUT_ROOT_ENV: str(tmp_path)}
+    run = _fresh_python(
+        _CLI_THEN_MODULES, "run", "--check", "--robots", "3", "--samples-per-task", "3",
+        "--output-dir", "parl-out", cwd=tmp_path, env_extra=env,
+    )
+    assert run.returncode in (0, 2), run.stderr  # 2: an acceptance check is a result
+    assert run.stdout.splitlines()[-1] == "[]"
+    verify = _fresh_python(_CLI_THEN_MODULES, "eval", "parl-out", "--verify", cwd=tmp_path)
+    assert verify.returncode == 0, verify.stdout + verify.stderr
+    assert "VERIFY PASS" in verify.stdout
+    assert verify.stdout.splitlines()[-1] == "[]"
 
 
 # Blocks `import scipy` (a None entry in sys.modules raises ImportError), then

@@ -1,15 +1,18 @@
-"""Property tests: the scorer's vectorized kernels against their definitions.
+"""Property tests: the scorer's and the fits' vectorized kernels against their definitions.
 
 The batched scorer is checked bit for bit against a reference copy of the
 per-instance crop path it replaced, under the default weights and under
 unequal ones: the golden test pins only equal weights, which cannot tell a
 reordered weighted sum from the right one. A batch must also give each
-layout the same bits as scoring that layout alone.
+layout the same bits as scoring that layout alone. The batched fit_where
+and fit_what are checked the same way against the per-layout fits they
+replaced, and the fitting helpers against the numpy calls they replaced.
 """
 
 import json
 from bisect import bisect_right
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,20 +21,33 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from parl import augment
 from parl.augment import (
     FILL_BIN_EDGES,
+    N_SCALE_BINS,
     POOL_FACTORS,
+    POS_BINS,
     PlausibilityScorer,
+    WherePredictor,
+    WhatPredictor,
     _CTX_DEPTH_EDGES,
+    _LAYOUT_CHUNK,
+    _adjacency_counts,
+    _ctx_bin_from_depth,
     _depth_map,
     _global_adjacency_score,
     _layout_instances,
     _mode_pool,
+    _pos_bins,
     _segment_sums,
+    _smooth_and_normalize,
     N_CTX_BINS,
     diagnostics_json,
+    fit_what,
+    fit_where,
     scale_bin_of,
 )
+from parl.errors import FittingError
 from parl.styles import N_CLASSES
 from parl.world import (
     BACKGROUND_ID,
@@ -440,3 +456,168 @@ def test_segment_sums_match_ndarray_sum(runs):
     starts = np.cumsum(lengths) - lengths
     want = [values[a : a + n].copy().sum().hex() for a, n in zip(starts, lengths)]
     assert [v.hex() for v in _segment_sums(values, lengths)] == want
+
+
+# ---------------------------------------------------------------------------
+# Reference: the fits one layout at a time, and the calls they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_fit_where(layouts, alpha=0.5):
+    """fit_where listing each layout's instances alone, into np.add.at counts."""
+    counts = np.zeros((N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS))
+    n_instances = 0
+    for semantic, instances in layouts:
+        ctx_map = _ctx_bin_from_depth(_depth_map(semantic.classes))
+        h, w = semantic.classes.shape
+        inst = _layout_instances([instances])
+        rows = np.rint(np.add.reduceat(inst.ys, inst.starts) / inst.counts).astype(np.intp)
+        cols = np.rint(np.add.reduceat(inst.xs, inst.starts) / inst.counts).astype(np.intp)
+        py, px = _pos_bins(rows, cols, h, w)
+        sbins = np.array([scale_bin_of(r.bbox[2], r.bbox[3]) for r in inst.records], dtype=np.intp)
+        np.add.at(counts, (inst.class_ids, ctx_map[rows, cols], py * POS_BINS + px, sbins), 1)
+        n_instances += len(inst.records)
+    if n_instances == 0:
+        raise FittingError("no instances found in the provided layouts")
+    probs = _smooth_and_normalize(counts, alpha)
+    return WherePredictor(alpha=alpha, counts=counts, probs=probs, fitted=counts.sum(axis=(1, 2, 3)) > 0)
+
+
+def _reference_fit_what(layouts):
+    """fit_what listing each layout's instances alone."""
+    templates = []
+    seen = set()
+    for _, instances in layouts:
+        inst = _layout_instances([instances])
+        for rec, (y0, y1, x0, x1), connected in zip(inst.records, inst.box, inst.connected):
+            seen.add(int(rec.class_id))
+            if not connected:
+                continue
+            crop = instances.instance_grid[y0 : y1 + 1, x0 : x1 + 1] == rec.instance_id
+            templates.append((int(rec.class_id), scale_bin_of(crop.shape[1], crop.shape[0]), crop))
+    if not templates:
+        raise FittingError("no instances found in the provided layouts")
+    missing = seen - {cls for cls, _, _ in templates}
+    if missing:
+        raise FittingError(f"no usable templates for classes {sorted(missing)}")
+    return WhatPredictor(templates=tuple(templates))
+
+
+def _reference_adjacency_counts(classes):
+    counts = np.zeros((N_CLASSES, N_CLASSES))
+    for a, b in (
+        (classes[:, :, :-1].ravel(), classes[:, :, 1:].ravel()),
+        (classes[:, :-1, :].ravel(), classes[:, 1:, :].ravel()),
+    ):
+        np.add.at(counts, (a, b), 1)
+        np.add.at(counts, (b, a), 1)
+    return counts
+
+
+def _reference_sample_bin(where, class_id, rng):
+    """sample_bin with the class's cumulative sum taken on every draw."""
+    flat = where.probs[class_id].ravel()
+    idx = min(int(np.searchsorted(np.cumsum(flat), rng.random(), side="right")), flat.size - 1)
+    ctx, pos, scale = np.unravel_index(idx, where.probs[class_id].shape)
+    return int(ctx), int(pos) // POS_BINS, int(pos) % POS_BINS, int(scale)
+
+
+def _outcome(fit, layouts):
+    try:
+        return fit(layouts)
+    except FittingError as err:
+        return f"FittingError: {err}"
+
+
+def _bits(array):
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _with_cellless_record(layout, instance_id=60):
+    semantic, instances = layout
+    record = InstanceRecord(instance_id, ClassId.CAR, (0, 0, 1, 1), (0.0, 0.0, 1.0, 1.0))
+    return semantic, InstanceMap(instance_grid=instances.instance_grid, records=instances.records + (record,))
+
+
+# Mixed shapes, with a layout without instances, one with a fragmented
+# instance and one with a record that owns no cell, in any order.
+_FIT_BATCHES = st.tuples(
+    st.lists(scored_layouts(_BATCH_SHAPES), max_size=12),
+    scored_layouts(_BATCH_SHAPES, kind="empty"),
+    scored_layouts(_BATCH_SHAPES, kind="fragmented"),
+    scored_layouts(_BATCH_SHAPES).map(_with_cellless_record),
+).flatmap(lambda drawn: st.permutations(drawn[0] + list(drawn[1:])))
+
+
+@pytest.mark.parametrize("chunk", [2, _LAYOUT_CHUNK])
+@settings(max_examples=60, deadline=None)
+@given(batch=_FIT_BATCHES)
+def test_batched_fits_match_per_layout_reference(chunk, batch):
+    with mock.patch.object(augment, "_LAYOUT_CHUNK", chunk):
+        where, what = _outcome(fit_where, batch), _outcome(fit_what, batch)
+    want_where, want_what = _reference_fit_where(batch), _outcome(_reference_fit_what, batch)
+    for name in ("counts", "probs", "fitted"):
+        assert _bits(getattr(where, name)) == _bits(getattr(want_where, name))
+    if isinstance(want_what, str):
+        assert what == want_what
+    else:
+        assert [(c, s, _bits(m)) for c, s, m in what.templates] == [
+            (c, s, _bits(m)) for c, s, m in want_what.templates
+        ]
+
+
+def test_batched_fits_match_per_layout_reference_on_real_layouts(layouts):
+    assert fit_where(layouts) == _reference_fit_where(layouts)
+    assert fit_what(layouts) == _reference_fit_what(layouts)
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)).flatmap(
+        lambda shape: hnp.arrays(np.uint8, shape, elements=st.integers(0, N_CLASSES - 1))
+    )
+)
+def test_adjacency_counts_match_add_at_reference(classes):
+    assert _bits(_adjacency_counts(classes)) == _bits(_reference_adjacency_counts(classes))
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),  # ties and signed zeros
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@SETTINGS
+@given(
+    hnp.arrays(np.float64, st.integers(1, 12), elements=_MEDIAN_VALUES),
+    st.booleans(),
+)
+@example(np.array([0.3]), False)
+@example(np.array([0.1, 0.2]), False)
+@example(np.array([0.5, 0.5, 0.5, 0.2]), False)
+@example(np.array([0.1, 0.2, 0.3]), True)
+@example(np.array([-0.0]), False)
+@example(np.array([-0.0, -0.0]), False)
+def test_median_matches_np_median(values, with_nan):
+    if with_nan:
+        values = np.append(values, np.nan)
+    want = np.median(values)
+    got = augment._median(values)
+    assert type(got) is type(want)
+    assert float(got).hex() == float(want).hex() or (np.isnan(got) and np.isnan(want))
+
+
+def test_where_cumulative_rows_are_each_class_alone(predictors):
+    where, _ = predictors
+    for c in range(N_CLASSES):
+        assert _bits(where._cumulative[c]) == _bits(np.cumsum(where.probs[c].ravel()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sample_bin_matches_cumsum_per_call_reference(predictors, seed):
+    where, _ = predictors
+    fitted = np.flatnonzero(where.fitted)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(300):
+        c = int(fitted[k % fitted.size])
+        assert where.sample_bin(c, got_rng) == _reference_sample_bin(where, c, want_rng)
