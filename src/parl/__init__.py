@@ -45,7 +45,7 @@ from .policy import (
     fine_tune,
     train,
 )
-from .protocol import CloudNode, NodeId, RobotNode, RoundResult, SimNetwork, run_round
+from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
 from .styles import StyleModel, built_in_style, cross_render, fit_style, style_affinity
 from .world import (
     AgentProfile,
@@ -90,7 +90,6 @@ __all__ = [
     "Provenance",
     "RenderError",
     "RobotNode",
-    "RoundResult",
     "Scenario",
     "ScenarioGenerator",
     "SemanticMap",

@@ -45,7 +45,7 @@ numpy.ma import np.median makes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -292,11 +292,16 @@ class WherePredictor:
     _cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # Every range check is written so that NaN fails it.
+        if not 0.0 <= self.alpha < np.inf:
+            raise FittingError(f"alpha {self.alpha} must be finite and nonnegative")
         shape = (N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
         for name in ("counts", "probs"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
             if arr.shape != shape:
                 raise FittingError(f"{name} must have shape {shape}")
+            if not ((arr >= 0.0) & (arr < np.inf)).all():
+                raise FittingError(f"{name} must be finite and nonnegative")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         fitted = np.ascontiguousarray(np.asarray(self.fitted, dtype=bool))
@@ -305,7 +310,7 @@ class WherePredictor:
         for c in range(N_CLASSES):
             if fitted[c]:
                 total = self.probs[c].sum()
-                if abs(total - 1.0) > 1e-9:
+                if not abs(total - 1.0) <= 1e-9:
                     raise FittingError(f"class {c} probabilities sum to {total}")
         cumulative = np.cumsum(self.probs.reshape(N_CLASSES, -1), axis=1)
         cumulative.setflags(write=False)
@@ -751,6 +756,8 @@ class _ScaleStats:
     def __post_init__(self) -> None:
         for name in ("adjacency", "ctx_freq", "size_freq", "fill_freq"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
+            if not ((arr >= 0.0) & (arr < np.inf)).all():
+                raise FittingError(f"{name} must be finite and nonnegative")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         peaks = self.adjacency.max(axis=1)
@@ -1003,14 +1010,17 @@ class PlausibilityScorer:
             raise FittingError(f"expected {len(POOL_FACTORS)} scale stats")
         if not 0.0 < self.threshold < 1.0:
             raise FittingError(f"threshold {self.threshold} outside (0, 1)")
+        # Every range check is written so that NaN fails it.
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if w.shape != (4,) or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+        if not (
+            w.shape == (4,) and ((w >= 0.0) & (w <= 1.0)).all() and abs(w.sum() - 1.0) <= 1e-9
+        ):
             raise FittingError("weights must be 4 nonnegative values summing to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         calib = np.ascontiguousarray(np.asarray(self.calibration, dtype=np.float64))
-        if calib.shape != (2,):
-            raise FittingError("calibration must be (slope, intercept)")
+        if not (calib.shape == (2,) and np.isfinite(calib).all()):
+            raise FittingError("calibration must be a finite (slope, intercept)")
         calib.setflags(write=False)
         object.__setattr__(self, "calibration", calib)
         object.__setattr__(self, "scale_stats", tuple(self.scale_stats))
@@ -1438,6 +1448,9 @@ class AugmentStats:
 
     def acceptance_rate(self) -> float:
         return self.accepted / self.attempts if self.attempts else 0.0
+
+    def __add__(self, other: "AugmentStats") -> "AugmentStats":
+        return AugmentStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 def augment_semantic(

@@ -26,6 +26,12 @@ local compute; the policy it uploads is the local arm. The jitter and crop
 arms train on the node's training features plus their own featurized
 extras, and every per-robot arm is evaluated on the node's holdout features.
 The centralized arm featurizes under the pooled style.
+
+`run_round` returns only the uploads' wire bytes. The harness reads every
+other result of the round from the nodes and the `SimNetwork` it creates:
+the cloud's participants, candidates, fitted models, stats, pool, shared
+models and acks, each robot's tuned policy and shared-model count, every
+node's stage and violations, and the network's log.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import codec
-from .augment import diagnostics_json
+from .augment import AugmentStats, diagnostics_json
 from .baselines import (
     baseline_color_jitter,
     baseline_random_resized_crop,
@@ -354,9 +360,10 @@ def run_experiment(
         for i in range(config.robots)
     ]
     cloud = CloudNode(cloud_id, config)
+    network = SimNetwork()
     round_failure = None
     try:
-        result = run_round(robots, cloud, SimNetwork())
+        upload_bytes = run_round(robots, cloud, network)
     except ParlError as exc:
         round_failure = exc
     # A robot without a local policy is reported before the round's own
@@ -366,18 +373,17 @@ def run_experiment(
             raise StageFailure("local-train", str(robot.node_id), ParlError(robot.diagnostic))
     if round_failure is not None:
         raise StageFailure("parl-round", "cloud-0", round_failure) from round_failure
-    for node, payload in sorted(result.upload_bytes.items()):
+    for node, payload in sorted(upload_bytes.items()):
         (out / "uploads" / f"{node}.bin").write_bytes(payload)
-    for node in result.participants:
+    for node in cloud.participants:
         key = str(node)
-        if node in result.acks:
-            arms[ARM_PARL][key] = result.acks[node]
-        if node in result.shared:
-            codec.write_models(out / "models" / f"parl_shared_{key}.dm1", [result.shared[node]])
-        if node in result.tuned:
-            codec.write_models(
-                out / ARM_MODEL_FILES[ARM_PARL].format(key=key), [result.tuned[node]]
-            )
+        if node in cloud.acks:
+            arms[ARM_PARL][key] = cloud.acks[node]
+        if node in cloud.shared:
+            codec.write_models(out / "models" / f"parl_shared_{key}.dm1", [cloud.shared[node]])
+        tuned = robots[node.index].tuned
+        if tuned is not None:
+            codec.write_models(out / ARM_MODEL_FILES[ARM_PARL].format(key=key), [tuned])
 
     # Local arm, the policy each robot uploaded, plus the appearance baselines.
     for index, robot in enumerate(robots):
@@ -401,10 +407,9 @@ def run_experiment(
             arms[arm][key] = report
             codec.write_models(out / ARM_MODEL_FILES[arm].format(key=key), [model])
 
-    if cloud.where is not None:
-        codec.write_models(
-            out / "models" / "predictors.dm1", [cloud.where, cloud.what, cloud.scorer]
-        )
+    codec.write_models(
+        out / "models" / "predictors.dm1", [cloud.where, cloud.what, cloud.scorer]
+    )
     candidates = [c for _, c in cloud.candidates]
     codec.write_models(out / "candidates.dm1", candidates)
 
@@ -428,25 +433,21 @@ def run_experiment(
         cloud.scorer,
         known_scores={"semantic-insertion": [c.score for _, c in cloud.candidates]},
     )
-    if cloud.scorer is not None:
-        pooled_layouts = [(s.semantic, s.instances) for s in pooled_samples]
-        (out / "scorer_diagnostics.json").write_text(
-            diagnostics_json(cloud.scorer, pooled_layouts) + "\n", encoding="utf-8"
-        )
+    pooled_layouts = [(s.semantic, s.instances) for s in pooled_samples]
+    (out / "scorer_diagnostics.json").write_text(
+        diagnostics_json(cloud.scorer, pooled_layouts) + "\n", encoding="utf-8"
+    )
 
     n_inputs = sum(len(train_sets[r]) for r in range(config.robots))
+    total = sum(cloud.stats.values(), AugmentStats())
     augmentation = {
-        "acceptance_rate": round(
-            sum(s.accepted for s in result.stats.values())
-            / max(sum(s.attempts for s in result.stats.values()), 1),
-            6,
-        ),
-        "attempts": sum(s.attempts for s in result.stats.values()),
-        "accepted": sum(s.accepted for s in result.stats.values()),
-        "insertion_failures": sum(s.insertion_failures for s in result.stats.values()),
+        "acceptance_rate": round(total.acceptance_rate(), 6),
+        "attempts": total.attempts,
+        "accepted": total.accepted,
+        "insertion_failures": total.insertion_failures,
         "fan_out_requested": config.fan_out,
         "fan_out_achieved": round(len(candidates) / max(n_inputs, 1), 6),
-        "pool_size": result.pool_size,
+        "pool_size": len(cloud.pool),
         "per_robot": {
             str(node): {
                 "attempts": stats.attempts,
@@ -454,15 +455,16 @@ def run_experiment(
                 "rejected_low_score": stats.rejected_low_score,
                 "insertion_failures": stats.insertion_failures,
             }
-            for node, stats in sorted(result.stats.items())
+            for node, stats in sorted(cloud.stats.items())
         },
     }
+    stages = {r.node_id: r.stage for r in robots} | {cloud.node_id: cloud.stage}
     protocol_info = {
-        "participants": [str(p) for p in result.participants],
-        "stages": {str(k): v.name for k, v in sorted(result.stages.items())},
-        "shared_received": {str(k): v for k, v in sorted(result.shared_received.items())},
-        "violations": list(result.violations),
-        "network_log": list(result.network_log),
+        "participants": [str(p) for p in cloud.participants],
+        "stages": {str(k): v.name for k, v in sorted(stages.items())},
+        "shared_received": {str(r.node_id): r.shared_received for r in robots},
+        "violations": cloud.violations + [v for r in robots for v in r.violations],
+        "network_log": list(network.log),
     }
 
     report = ComparisonReport(

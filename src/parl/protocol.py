@@ -18,12 +18,19 @@ One round of the peer-assisted pipeline:
 4. The answers are the labels: every answering robot, the candidate's
    source included, votes on every candidate, and each candidate is
    labeled once per participant style with the affinity-weighted mean of
-   those votes, so a silent robot simply does not vote. The cloud trains
-   one shared policy on the pooled labels and dispatches it exactly once
-   to each robot that answered.
+   those votes, so a silent robot simply does not vote. The cloud
+   featurizes the candidate maps once, pools one (features, label) row per
+   participant style and candidate, trains one shared policy on the pool
+   and dispatches it exactly once to each robot that answered.
 5. Each robot fine-tunes toward the shared model on its training features
    from step 1 and acks with an evaluation report on its held-out features
    from step 1.
+
+run_round drives the round and returns only the uploads' wire bytes. Every
+other result is read from where the round left it: the cloud's
+participants, candidates, pool, stats, shared models and acks, each
+robot's tuned policy and shared-model count, every node's stage and
+violations, and the network's log.
 
 Messages travel as bytes through SimNetwork, so every hop exercises the
 wire format. Determinism comes from a fixed scheduling order (node id),
@@ -34,9 +41,11 @@ diagnostic instead of crashing the round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections import defaultdict
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -390,18 +399,6 @@ class SimNetwork:
         return out
 
 
-class _SeqCounter:
-    """Per-recipient strictly increasing sequence numbers."""
-
-    def __init__(self) -> None:
-        self._next: dict[NodeId, int] = {}
-
-    def take(self, recipient: NodeId) -> int:
-        seq = self._next.get(recipient, 0)
-        self._next[recipient] = seq + 1
-        return seq
-
-
 # ---------------------------------------------------------------------------
 # Nodes
 # ---------------------------------------------------------------------------
@@ -439,13 +436,14 @@ class RobotNode:
         self.shared_received = 0
         self.diagnostic: Optional[str] = None
         self.violations: list[str] = []
-        self._seq = _SeqCounter()
+        # Per-recipient strictly increasing sequence numbers.
+        self._seq: defaultdict[NodeId, Iterator[int]] = defaultdict(itertools.count)
 
     def _msg(self, body: Body) -> Message:
         return Message(
             sender=self.node_id,
             recipient=self.cloud_id,
-            seq=self._seq.take(self.cloud_id),
+            seq=next(self._seq[self.cloud_id]),
             body=body,
         )
 
@@ -551,19 +549,20 @@ class CloudNode:
         self.candidates: list[tuple[NodeId, AugmentationCandidate]] = []
         self.stats: dict[NodeId, AugmentStats] = {}
         self.shared: dict[NodeId, PolicyModel] = {}
-        # Labeled (features, torque) rows per source robot of the candidates.
-        self.pool: dict[NodeId, list[tuple[FeatureVector, float]]] = {}
+        # Labeled (features, torque) rows: per participant style, then per
+        # candidate.
+        self.pool: list[tuple[FeatureVector, float]] = []
         self.where: Optional[WherePredictor] = None
         self.what: Optional[WhatPredictor] = None
         self.scorer: Optional[PlausibilityScorer] = None
         self.violations: list[str] = []
-        self._seq = _SeqCounter()
+        self._seq: defaultdict[NodeId, Iterator[int]] = defaultdict(itertools.count)
 
     def _msg(self, recipient: NodeId, body: Body) -> Message:
         return Message(
             sender=self.node_id,
             recipient=recipient,
-            seq=self._seq.take(recipient),
+            seq=next(self._seq[recipient]),
             body=body,
         )
 
@@ -672,27 +671,17 @@ class CloudNode:
         predictions = np.array(
             [self.responses[node].torques for node in voters], dtype=np.float64
         ).reshape(len(voters), len(self.candidates))
-        pool = self.pool = {node: [] for node in self.participants}
-        for source in self.participants:
-            columns = [i for i, (node, _) in enumerate(self.candidates) if node == source]
-            if not voters or not columns:
-                continue
-            labels = [
-                crowdsource_labels(
-                    predictions[:, columns], voter_styles, self.uploads[target].style
-                )
-                for target in self.participants
-            ]
-            features = features_from_maps([self.candidates[i][1].semantic for i in columns])
-            for j, feats in enumerate(features):
-                pool[source].extend((feats, per_target[j]) for per_target in labels)
-        all_rows = [row for rows in pool.values() for row in rows]
-        if not all_rows:
+        if voters:
+            features = features_from_maps([c.semantic for _, c in self.candidates])
+            for target in self.participants:
+                labels = crowdsource_labels(predictions, voter_styles, self.uploads[target].style)
+                self.pool.extend(zip(features, labels))
+        if not self.pool:
             raise ProtocolError("no labeled augmented data to train on")
         model = train(
-            all_rows,
+            self.pool,
             ridge_lambda=self.config.ridge_lambda,
-            provenances=[Provenance.CROWDSOURCED] * len(all_rows),
+            provenances=[Provenance.CROWDSOURCED] * len(self.pool),
         )
         self.stage = advance_stage(self.stage, Stage.DISPATCHED)
         # A robot that never answered its LabelRequest has gone silent: it
@@ -713,32 +702,17 @@ class CloudNode:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RoundResult:
-    """Everything a round produced, keyed by robot node id."""
-
-    participants: tuple[NodeId, ...]
-    upload_bytes: dict[NodeId, bytes]
-    shared: dict[NodeId, PolicyModel]
-    tuned: dict[NodeId, PolicyModel]
-    acks: dict[NodeId, EvaluationReport]
-    stats: dict[NodeId, AugmentStats]
-    stages: dict[NodeId, Stage]
-    shared_received: dict[NodeId, int]
-    pool_size: int
-    violations: list[str] = field(default_factory=list)
-    network_log: list[str] = field(default_factory=list)
-    diagnostics: dict[NodeId, str] = field(default_factory=dict)
-
-
 def run_round(
     robots: Sequence[RobotNode],
     cloud: CloudNode,
     network: Optional[SimNetwork] = None,
     drop_before_upload: Sequence[NodeId] = (),
     drop_after_upload: Sequence[NodeId] = (),
-) -> RoundResult:
+) -> dict[NodeId, bytes]:
     """Execute one full round with deterministic node-order scheduling.
+
+    Returns each uploading robot's UploadLocal wire bytes; everything else
+    the round produced stays on the nodes and the network.
 
     Dropout injection: nodes in drop_before_upload never upload; nodes in
     drop_after_upload upload and then go silent. The logical deadline for
@@ -792,23 +766,4 @@ def run_round(
     cloud.finish()
     for robot in ordered:
         robot.finish()
-
-    violations = list(cloud.violations)
-    for robot in ordered:
-        violations.extend(robot.violations)
-    return RoundResult(
-        participants=tuple(cloud.participants),
-        upload_bytes=upload_bytes,
-        shared=dict(cloud.shared),
-        tuned={r.node_id: r.tuned for r in ordered if r.tuned is not None},
-        acks=dict(cloud.acks),
-        stats=dict(cloud.stats),
-        stages={r.node_id: r.stage for r in ordered} | {cloud.node_id: cloud.stage},
-        shared_received={r.node_id: r.shared_received for r in ordered},
-        pool_size=sum(len(rows) for rows in cloud.pool.values()),
-        violations=violations,
-        network_log=list(network.log),
-        diagnostics={
-            r.node_id: r.diagnostic for r in ordered if r.diagnostic is not None
-        },
-    )
+    return upload_bytes

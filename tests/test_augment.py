@@ -1,5 +1,6 @@
 """Tests for placement/shape predictors, insertion, scoring, and corruption."""
 
+import copy
 import json
 import tracemalloc
 from dataclasses import replace
@@ -15,6 +16,7 @@ from parl.augment import (
     POOL_FACTORS,
     POS_BINS,
     SCORE_CAP,
+    PlausibilityScorer,
     WherePredictor,
     augment_semantic,
     corrupt_giant,
@@ -29,7 +31,8 @@ from parl.augment import (
     scale_bin_of,
     score,
 )
-from parl.errors import DegenerateInputError, FittingError
+from parl.codec import decode_models, encode_models
+from parl.errors import DecodeError, DegenerateInputError, FittingError
 from parl.styles import N_CLASSES
 from parl.world import (
     BACKGROUND_ID,
@@ -126,6 +129,44 @@ def test_where_predictor_validates_shape():
             probs=bad_probs,
             fitted=np.ones(N_CLASSES, dtype=bool),
         )
+
+
+def _encoded_state(model, arrays):
+    """A model container holding model's record with its state arrays replaced."""
+    bad = copy.copy(model)
+    object.__setattr__(bad, "_state_arrays", lambda: arrays)
+    return encode_models([bad])
+
+
+def _with_class_probs(where, values):
+    """where.probs with its first fitted class's bins set to values, then zeros."""
+    probs = where.probs.copy()
+    c = int(np.flatnonzero(where.fitted)[0])
+    probs[c] = 0.0
+    probs[c].reshape(-1)[: len(values)] = values
+    return probs
+
+
+# Tampered where-predictor state arrays: each passed validation written with
+# comparisons that NaN passes.
+_BAD_WHERE_STATES = {
+    "negative-probs": lambda w: {"probs": _with_class_probs(w, [-1.0, 2.0])},
+    "nan-prob": lambda w: {"probs": _with_class_probs(w, [np.nan, 1.0])},
+    "inf-probs": lambda w: {"probs": _with_class_probs(w, [np.inf, -np.inf, 1.0])},
+    "nan-counts": lambda w: {"counts": np.where(w.counts > 0, np.nan, w.counts)},
+    "negative-alpha": lambda w: {"alpha": np.array([-0.5])},
+    "nan-alpha": lambda w: {"alpha": np.array([np.nan])},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WHERE_STATES))
+def test_where_predictor_rejects_nan_and_negative_state(predictors, case):
+    where, _ = predictors
+    arrays = {**where._state_arrays(), **_BAD_WHERE_STATES[case](where)}
+    with pytest.raises(FittingError):
+        WherePredictor._from_state(arrays)
+    with pytest.raises(DecodeError):
+        decode_models(_encoded_state(where, arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +362,31 @@ def test_fit_scorer_needs_ten_layouts(layouts):
 def test_fit_scorer_threshold_strictly_inside(layouts, threshold):
     with pytest.raises(FittingError):
         fit_scorer(layouts, threshold=threshold)
+
+
+def _with_cell(table, value):
+    """A copy of table with its first cell set to value."""
+    out = table.copy()
+    out.reshape(-1)[0] = value
+    return out
+
+
+_BAD_SCORER_STATES = {
+    "nan-weight": lambda s: {"weights": np.array([np.nan, 0.5, 0.25, 0.25])},
+    "nan-calibration": lambda s: {"calibration": np.array([np.nan, 0.0])},
+    "inf-calibration": lambda s: {"calibration": np.array([1.0, np.inf])},
+    "negative-evidence": lambda s: {"ctx1": _with_cell(s.scale_stats[1].ctx_freq, -1.0)},
+    "nan-evidence": lambda s: {"adj0": _with_cell(s.scale_stats[0].adjacency, np.nan)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SCORER_STATES))
+def test_scorer_rejects_nan_and_negative_state(scorer, case):
+    arrays = {**scorer._state_arrays(), **_BAD_SCORER_STATES[case](scorer)}
+    with pytest.raises(FittingError):
+        PlausibilityScorer._from_state(arrays)
+    with pytest.raises(DecodeError):
+        decode_models(_encoded_state(scorer, arrays))
 
 
 def test_score_attaches_value(layouts, predictors, scorer):

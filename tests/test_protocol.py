@@ -12,7 +12,7 @@ from parl.config import ExperimentConfig
 from parl.errors import DecodeError, ProtocolError
 from parl.harness import generate_worlds
 from parl.codec import encode_scenarios
-from parl.policy import features_from_maps
+from parl.policy import features_from_maps, train
 from parl.protocol import (
     MESSAGE_MAGIC,
     CloudNode,
@@ -29,7 +29,7 @@ from parl.protocol import (
     run_round,
 )
 from parl.styles import style_affinity
-from parl.world import ClassId, Scenario, segment
+from parl.world import ClassId, Provenance, Scenario, segment
 
 CONFIG = ExperimentConfig(robots=2, samples_per_task=3)
 
@@ -63,60 +63,73 @@ def _labeling(worlds):
 def _expected_labels(cloud, voters):
     """The affinity-weighted mean of the voters' policies on each candidate map.
 
-    Rows follow the pool's order: per source robot, per candidate, per
-    participant style the candidate was rendered in.
+    Rows follow the pool's order: per participant style the candidates were
+    rendered in, per candidate.
     """
-    expected = {node: [] for node in cloud.participants}
-    for source, candidate in cloud.candidates:
-        (feats,) = features_from_maps([candidate.semantic])
-        preds = np.array([cloud.uploads[v].policy.predict(feats) for v in voters])
-        for target in cloud.participants:
-            target_style = cloud.uploads[target].style
-            w = np.array([style_affinity(target_style, cloud.uploads[v].style) for v in voters])
-            expected[source].append((feats, float(np.dot(w / w.sum(), preds))))
+    expected = []
+    for target in cloud.participants:
+        target_style = cloud.uploads[target].style
+        w = np.array([style_affinity(target_style, cloud.uploads[v].style) for v in voters])
+        for _, candidate in cloud.candidates:
+            (feats,) = features_from_maps([candidate.semantic])
+            preds = np.array([cloud.uploads[v].policy.predict(feats) for v in voters])
+            expected.append((feats, float(np.dot(w / w.sum(), preds))))
     return expected
 
 
 def _assert_pool(cloud, expected):
-    assert sorted(cloud.pool) == sorted(expected)
-    for node, rows in expected.items():
-        got = cloud.pool[node]
-        assert len(got) == len(rows)
-        for (feats, label), (want_feats, want_label) in zip(got, rows):
-            assert feats == want_feats
-            assert label == pytest.approx(want_label, rel=0.0, abs=1e-12)
+    assert len(cloud.pool) == len(expected)
+    for (feats, label), (want_feats, want_label) in zip(cloud.pool, expected):
+        assert feats == want_feats
+        assert label == pytest.approx(want_label, rel=0.0, abs=1e-12)
 
 
 @pytest.fixture(scope="session")
 def full_round(worlds):
     robots, cloud = _nodes(worlds)
-    result = run_round(robots, cloud)
-    return robots, cloud, result
+    upload_bytes = run_round(robots, cloud)
+    return robots, cloud, upload_bytes
 
 
 def test_labels_are_affinity_weighted_policy_predictions(full_round):
-    robots, cloud, result = full_round
+    robots, cloud, upload_bytes = full_round
     assert cloud.candidates, "the round must produce candidates to label"
-    assert result.violations == []
+    assert cloud.violations == [] and all(robot.violations == [] for robot in robots)
     assert set(cloud.responses) == {r.node_id for r in robots}
     _assert_pool(cloud, _expected_labels(cloud, cloud.participants))
-    assert result.pool_size == len(cloud.candidates) * len(cloud.participants)
-    assert all(stage == Stage.DONE for stage in result.stages.values())
+    assert len(cloud.pool) == len(cloud.candidates) * len(cloud.participants)
+    assert cloud.stage == Stage.DONE
+    assert all(robot.stage == Stage.DONE for robot in robots)
+    assert sorted(upload_bytes) == [r.node_id for r in robots]
+    assert all(decode_message(data).sender == node for node, data in upload_bytes.items())
+
+
+def test_shared_model_does_not_depend_on_pool_order(full_round):
+    robots, cloud, _ = full_round
+    reference = train(
+        list(reversed(cloud.pool)),
+        ridge_lambda=CONFIG.ridge_lambda,
+        provenances=[Provenance.CROWDSOURCED] * len(cloud.pool),
+    )
+    assert sorted(cloud.shared) == [r.node_id for r in robots]
+    assert all(model == reference for model in cloud.shared.values())
 
 
 def test_dropped_robot_does_not_vote(worlds):
     robots, cloud = _nodes(worlds)
     dropped = robots[1].node_id
-    result = run_round(robots, cloud, drop_after_upload=[dropped])
-    assert result.stages[dropped] == Stage.DROPPED_OUT
-    assert result.stages[robots[0].node_id] == Stage.DONE
-    assert result.stages[cloud.node_id] == Stage.DONE
-    assert result.participants == (robots[0].node_id, dropped)
+    network = SimNetwork()
+    upload_bytes = run_round(robots, cloud, network, drop_after_upload=[dropped])
+    assert robots[1].stage == Stage.DROPPED_OUT
+    assert robots[0].stage == Stage.DONE
+    assert cloud.stage == Stage.DONE
+    assert cloud.participants == [robots[0].node_id, dropped]
+    assert sorted(upload_bytes) == cloud.participants
     assert set(cloud.responses) == {robots[0].node_id}
-    assert result.shared_received[dropped] == 0
+    assert robots[1].shared_received == 0 and robots[1].tuned is None
     # The silent robot is sent no shared model: none is encoded or dropped.
-    assert set(result.shared) == {robots[0].node_id}
-    assert not any(line.startswith("drop SharedModel") for line in result.network_log)
+    assert set(cloud.shared) == {robots[0].node_id}
+    assert network.log == [f"drop LabelRequest {cloud.node_id}->{dropped} (node down)"]
     _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
 
 
@@ -130,7 +143,17 @@ def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkey
     assert (models / "parl_shared_robot-0.dm1").exists()
     assert not (models / "parl_shared_robot-1.dm1").exists()
     assert not (models / "parl_tuned_robot-1.dm1").exists()
-    assert report.protocol["stages"][str(dropped)] == Stage.DROPPED_OUT.name
+    assert sorted(report.arms["parl"]) == ["robot-0"]
+    assert report.protocol == {
+        "participants": ["robot-0", "robot-1"],
+        "stages": {"robot-0": "DONE", "robot-1": "DROPPED_OUT", "cloud-0": "DONE"},
+        "shared_received": {"robot-0": 1, "robot-1": 0},
+        "violations": [],
+        "network_log": ["drop LabelRequest cloud-0->robot-1 (node down)"],
+    }
+    # One row per candidate and participant style, the silent robot's included.
+    assert report.augmentation["accepted"] == 24
+    assert report.augmentation["pool_size"] == 48
 
 
 def test_round_without_uploads_raises(worlds):
@@ -163,10 +186,10 @@ def test_duplicate_and_stale_seqs_are_discarded():
 
 
 def test_shared_model_before_upload_is_a_violation(worlds, full_round):
-    *_, result = full_round
+    _, done, _ = full_round
     robots, cloud = _nodes(worlds)
     robot = robots[0]
-    shared = SharedModel(policy=result.shared[robot.node_id])
+    shared = SharedModel(policy=done.shared[robot.node_id])
     assert robot.handle(Message(cloud.node_id, robot.node_id, 0, shared)) == []
     assert robot.stage == Stage.LOCAL_COMPUTE
     assert robot.tuned is None and robot.shared_received == 0
@@ -174,10 +197,10 @@ def test_shared_model_before_upload_is_a_violation(worlds, full_round):
 
 
 def test_fine_tune_ack_while_labeling_is_a_violation(worlds, full_round):
-    *_, result = full_round
+    _, done, _ = full_round
     robots, cloud, _ = _labeling(worlds)
     sender = robots[0].node_id
-    ack = FineTuneAck(report=result.acks[sender])
+    ack = FineTuneAck(report=done.acks[sender])
     assert cloud.handle(Message(sender, cloud.node_id, 1, ack)) == []
     assert cloud.stage == Stage.LABELING
     assert cloud.acks == {}
