@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import astuple, dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .styles import N_CLASSES
 from .world import (
     BACKGROUND_ID,
     ClassId,
-    DrivingSample,
     InstanceMap,
     InstanceRecord,
     SemanticMap,
@@ -70,6 +69,10 @@ POS_BINS = 8  # position histogram is POS_BINS x POS_BINS
 N_SCALE_BINS = 3
 POOL_FACTORS = (1, 2, 4)
 SCORE_CAP = 1.0 - 1e-6
+# Additive smoothing of the placement histograms (WherePredictor.alpha).
+_WHERE_ALPHA = 0.5
+# Corruptions make_corruptions makes of each kind.
+_CORRUPTIONS_PER_KIND = 4
 
 
 # Scale bins by the larger bbox dimension: <= 2, <= 5, larger.
@@ -383,7 +386,7 @@ def _roll_valid(shape: tuple, axis: int, shift: int) -> np.ndarray:
     return valid
 
 
-def fit_where(layouts: Sequence[Layout], alpha: float = 0.5) -> WherePredictor:
+def fit_where(layouts: Sequence[Layout]) -> WherePredictor:
     """Fit placement histograms from the instances observed in real layouts."""
     if not layouts:
         raise FittingError("fit_where needs at least one layout")
@@ -408,9 +411,9 @@ def fit_where(layouts: Sequence[Layout], alpha: float = 0.5) -> WherePredictor:
     if n_instances == 0:
         raise FittingError("no instances found in the provided layouts")
     counts = counts.reshape(N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
-    probs = _smooth_and_normalize(counts, alpha)
+    probs = _smooth_and_normalize(counts, _WHERE_ALPHA)
     fitted = counts.sum(axis=(1, 2, 3)) > 0
-    return WherePredictor(alpha=alpha, counts=counts, probs=probs, fitted=fitted)
+    return WherePredictor(alpha=_WHERE_ALPHA, counts=counts, probs=probs, fitted=fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +579,8 @@ class _InsertionBase(NamedTuple):
 
 
 _MAX_GRID_ID = int(np.iinfo(np.int32).max)
+# Placement draws per insertion before sample_insertion gives up.
+_INSERTION_ATTEMPTS = 8
 
 
 def _insertion_base(base: Layout) -> _InsertionBase:
@@ -597,24 +602,21 @@ def _insertion_base(base: Layout) -> _InsertionBase:
 def sample_insertion(
     where: WherePredictor,
     what: WhatPredictor,
-    base: Union[Layout, _InsertionBase],
+    base: _InsertionBase,
     class_id: ClassId,
     seed: int,
-    max_attempts: int = 8,
 ) -> Optional[AugmentationCandidate]:
     """Insert one instance of class_id into a copy of the base layout.
 
-    Draws a (context, position, scale) bin, picks a matching anchor cell and
+    base is _insertion_base(layout): one source's context map, occupancy
+    and next instance id, found once for all of its insertions (building it
+    raises DegenerateInputError when that id exceeds the int32 grid). Draws
+    a (context, position, scale) bin, picks a matching anchor cell and
     template, applies a mild scale jitter, and writes the mask where it fits
     without touching existing instances (one-cell gap to same-class cells so
-    components stay separable). Returns None if no attempt fits. A base
-    whose next free instance id exceeds the int32 grid raises
-    DegenerateInputError. augment_semantic passes a prepared
-    _InsertionBase, so one source's context map and occupancy are computed
-    once for all of its insertions.
+    components stay separable). Returns None if none of
+    _INSERTION_ATTEMPTS draws fits.
     """
-    if not isinstance(base, _InsertionBase):
-        base = _insertion_base(base)
     classes = base.semantic.classes
     ctx_map, occupied = base.ctx_map, base.occupied
     h, w = classes.shape
@@ -622,7 +624,7 @@ def sample_insertion(
         np.random.SeedSequence([int(seed) & (2**63 - 1), int(class_id), 0xA06])
     )
     max_h, max_w = what.max_dims(int(class_id))
-    for _ in range(max_attempts):
+    for _ in range(_INSERTION_ATTEMPTS):
         ctx, py, px, sbin = where.sample_bin(int(class_id), rng)
         template = what.pick(int(class_id), sbin, rng)
         if template is None:
@@ -1109,14 +1111,6 @@ class PlausibilityScorer:
         )
 
 
-def score(
-    scorer: PlausibilityScorer, candidates: Sequence[AugmentationCandidate]
-) -> list[AugmentationCandidate]:
-    """Score candidates in one batch; copies carrying the scores, in input order."""
-    values = scorer.score_layout([(c.semantic, c.instances) for c in candidates])
-    return [replace(c, score=float(v)) for c, v in zip(candidates, values)]
-
-
 def diagnostics_json(scorer: PlausibilityScorer, layouts: Sequence[Layout]) -> str:
     """Per-component score distributions over a set of layouts, as JSON."""
     import json
@@ -1322,14 +1316,14 @@ def corrupt_giant(layout: Layout, seed: int) -> Optional[Layout]:
     return None
 
 
-def make_corruptions(layouts: Sequence[Layout], seed: int, per_kind: int = 4) -> list[Layout]:
+def make_corruptions(layouts: Sequence[Layout], seed: int) -> list[Layout]:
     """A deterministic batch of implausible layouts derived from real ones."""
     kinds = (corrupt_relocate, corrupt_overlap, corrupt_giant)
     out: list[Layout] = []
     for k, corrupt in enumerate(kinds):
         made = 0
         for i, layout in enumerate(layouts):
-            if made >= per_kind:
+            if made >= _CORRUPTIONS_PER_KIND:
                 break
             bad = corrupt(layout, seed + 1000 * k + i)
             if bad is not None:
@@ -1344,6 +1338,10 @@ def make_corruptions(layouts: Sequence[Layout], seed: int, per_kind: int = 4) ->
 
 _CALIBRATION_MARGIN = 0.1
 _GAP_REQUIREMENT = 0.2
+# The box, instance, affine and shape components weigh the same.
+_SCORER_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
+# Insertion attempts each source may spend, per candidate it is asked for.
+_BUDGET_FACTOR = 16
 
 
 def _median(values: np.ndarray) -> np.float64:
@@ -1365,19 +1363,14 @@ def _median(values: np.ndarray) -> np.float64:
     return np.float64((0.0 + ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def fit_scorer(
-    real_layouts: Sequence[Layout],
-    threshold: float = 0.5,
-    weights: Sequence[float] = (0.25, 0.25, 0.25, 0.25),
-    margin: float = _CALIBRATION_MARGIN,
-    seed: int = 0xD15C,
-) -> PlausibilityScorer:
+def fit_scorer(real_layouts: Sequence[Layout], threshold: float, seed: int) -> PlausibilityScorer:
     """Fit evidence tables on real layouts and calibrate the score map.
 
     Calibration anchors an affine map so that the weakest real layout still
     clears the threshold while internally generated corruptions land below
     it, then verifies on a held-out real split: >=95% above threshold, every
     corruption below the real median, and a mean separation of at least 0.2.
+    seed draws the corruptions.
     """
     if len(real_layouts) < 10:
         raise FittingError(f"fit_scorer needs >=10 layouts, got {len(real_layouts)}")
@@ -1393,7 +1386,7 @@ def fit_scorer(
     probe = PlausibilityScorer(
         scale_stats=stats,
         threshold=threshold,
-        weights=np.asarray(weights, dtype=np.float64),
+        weights=np.array(_SCORER_WEIGHTS),
         calibration=np.array([1.0, 0.0]),
     )
     raw_fit = probe._raw_scores(fit_chunks, len(fit_split))
@@ -1408,14 +1401,14 @@ def fit_scorer(
     x_mid = (r_min + c_hi) / 2.0 if r_min > c_hi else (r_med + c_hi) / 2.0
     if r_med - x_mid <= 1e-9:
         raise FittingError("real and corrupted layouts are not separable")
-    base_slope = margin / (r_med - x_mid)
+    base_slope = _CALIBRATION_MARGIN / (r_med - x_mid)
     for factor in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
         slope = base_slope * factor
         intercept = threshold - slope * x_mid
         scorer = PlausibilityScorer(
             scale_stats=stats,
             threshold=threshold,
-            weights=np.asarray(weights, dtype=np.float64),
+            weights=np.array(_SCORER_WEIGHTS),
             calibration=np.array([slope, intercept]),
         )
 
@@ -1454,53 +1447,47 @@ class AugmentStats:
 
 
 def augment_semantic(
-    sources: Sequence[Union[DrivingSample, Layout]],
+    sources: Sequence[Layout],
     fan_out: int,
     where: WherePredictor,
     what: WhatPredictor,
     scorer: PlausibilityScorer,
     seeds: Sequence[int],
-    threshold: Optional[float] = None,
-    budget_factor: int = 16,
-    stats_out: Optional[AugmentStats] = None,
-) -> list[AugmentationCandidate]:
-    """Produce up to fan_out accepted augmented layouts from each source.
+    threshold: float,
+) -> tuple[list[AugmentationCandidate], AugmentStats]:
+    """Produce up to fan_out accepted augmented layouts from each source layout.
 
-    A source may be a DrivingSample or a bare (semantic, instances) layout;
     seeds holds one seed per source, and each candidate's source_sample_id
-    is its source's position in sources. The result lists each source's
-    accepted candidates in attempt order, source after source.
+    is its source's position in sources. Returns the accepted candidates,
+    each source's in attempt order, source after source, and the counts of
+    the call's attempts.
 
     Per source, attempts insert a thing instance into the source's layout
-    and keep candidates whose plausibility score reaches the acceptance
-    threshold (the scorer's own threshold unless overridden), until fan_out
-    candidates are accepted or the attempt budget (budget_factor * fan_out)
-    is spent; returning fewer than fan_out is a valid outcome.
+    and keep candidates whose plausibility score reaches threshold, until
+    fan_out candidates are accepted or the attempt budget
+    (_BUDGET_FACTOR * fan_out) is spent; returning fewer than fan_out is a
+    valid outcome.
 
     The sources advance in waves. In a wave, every unfinished source draws
     attempts until it holds fan_out minus its accepted count in candidates,
     or has spent its budget, and the wave is scored in one batch. A source
     taking its attempts one at a time would make every one of these, since
     it cannot reach fan_out sooner, so each source's draws, candidates and
-    the counts in stats_out are the same as one by one.
+    counts are the same as one by one.
     """
     if fan_out < 1:
         raise DegenerateInputError("fan_out must be >= 1")
     if len(seeds) != len(sources):
         raise DegenerateInputError(f"{len(seeds)} seeds for {len(sources)} sources")
-    tau = scorer.threshold if threshold is None else float(threshold)
     known = what.classes()
     classes = [int(c) for c in THING_CLASSES if where.fitted[int(c)] and int(c) in known]
     if not classes:
         raise FittingError("predictors cover no thing classes")
     counts = where.class_counts()[classes]
     cumulative = np.cumsum(counts / counts.sum())
-    budget = budget_factor * fan_out
-    stats = stats_out if stats_out is not None else AugmentStats()
-    bases = [
-        _insertion_base((s.semantic, s.instances) if hasattr(s, "semantic") else (s[0], s[1]))
-        for s in sources
-    ]
+    budget = _BUDGET_FACTOR * fan_out
+    stats = AugmentStats()
+    bases = [_insertion_base(source) for source in sources]
     rngs = [
         np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 0xA76]))
         for seed in seeds
@@ -1524,11 +1511,13 @@ def augment_semantic(
                     continue
                 wave.append(replace(candidate, source_sample_id=i))
                 held += 1
-        for candidate in score(scorer, wave) if wave else []:
-            if candidate.score >= tau:
+        values = scorer.score_layout([(c.semantic, c.instances) for c in wave]) if wave else []
+        for candidate, value in zip(wave, values):
+            candidate = replace(candidate, score=float(value))
+            if candidate.score >= threshold:
                 accepted[candidate.source_sample_id].append(candidate)
                 stats.accepted += 1
             else:
                 stats.rejected_low_score += 1
         active = [i for i in active if len(accepted[i]) < fan_out and spent[i] < budget]
-    return [candidate for per_source in accepted for candidate in per_source]
+    return [candidate for per_source in accepted for candidate in per_source], stats

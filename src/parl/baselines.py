@@ -30,6 +30,10 @@ from .world import (
 
 _JITTER_TAG = 0xC7
 _CROP_TAG = 0xCC
+# The jitter's m: channel scales lie in [1-m, 1+m] and shifts in [-m/2, m/2].
+_JITTER_MAGNITUDE = 0.2
+# The crop window's smallest side, as a fraction of the grid's side.
+_CROP_MIN_SCALE = 0.6
 
 # Style id reserved for the pooled no-adaptation perception model.
 POOLED_STYLE_ID = 0xFFFF
@@ -40,19 +44,15 @@ _PIXEL_KEY = np.dtype((np.void, 12))
 _PixelIndex = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def baseline_color_jitter(
-    sample: DrivingSample, seed: int, magnitude: float = 0.2
-) -> DrivingSample:
+def baseline_color_jitter(sample: DrivingSample, seed: int) -> DrivingSample:
     """Channel-wise affine perturbation of the pixels; maps and label kept.
 
     Each channel is scaled by a factor in [1-m, 1+m] and shifted by a value
-    in [-m/2, m/2], then clamped to [0, 1]. Zero magnitude is the identity.
+    in [-m/2, m/2] (m is _JITTER_MAGNITUDE), then clamped to [0, 1].
     """
-    if not 0.0 <= magnitude < 1.0:
-        raise FittingError(f"jitter magnitude {magnitude} outside [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), _JITTER_TAG]))
-    scale = rng.uniform(1.0 - magnitude, 1.0 + magnitude, size=3)
-    shift = rng.uniform(-magnitude / 2.0, magnitude / 2.0, size=3)
+    scale = rng.uniform(1.0 - _JITTER_MAGNITUDE, 1.0 + _JITTER_MAGNITUDE, size=3)
+    shift = rng.uniform(-_JITTER_MAGNITUDE / 2.0, _JITTER_MAGNITUDE / 2.0, size=3)
     pixels = np.clip(sample.scenario.pixels.astype(np.float64) * scale + shift, 0.0, 1.0)
     scenario = Scenario(pixels=pixels.astype(np.float32), style=sample.scenario.style)
     return replace(sample, scenario=scenario, provenance=Provenance.AUGMENTED)
@@ -63,9 +63,7 @@ def _nn_resize_indices(n_out: int, n_in: int, start: int) -> np.ndarray:
     return start + np.minimum((np.arange(n_out) * n_in) // n_out, n_in - 1)
 
 
-def baseline_random_resized_crop(
-    sample: DrivingSample, seed: int, min_scale: float = 0.6
-) -> DrivingSample:
+def baseline_random_resized_crop(sample: DrivingSample, seed: int) -> DrivingSample:
     """Crop a window and resize back to full size by nearest neighbor.
 
     Pixels, semantic map, and instance map are cropped with the same window,
@@ -73,16 +71,15 @@ def baseline_random_resized_crop(
     resized grid. The torque label is copied unchanged even though the crop
     can shift the visible geometry; like the jitter, this augmenter adds
     images, not information. A window that would remove every road cell is
-    re-drawn; after ten misses the sample is returned unchanged.
+    re-drawn; after ten misses the sample is returned unchanged. Each side
+    of the window is at least _CROP_MIN_SCALE of the grid's.
     """
-    if not 0.0 < min_scale <= 1.0:
-        raise FittingError(f"min_scale {min_scale} outside (0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), _CROP_TAG]))
     classes = sample.semantic.classes
     h, w = classes.shape
     for _ in range(10):
-        ch = max(16, int(round(h * rng.uniform(min_scale, 1.0))))
-        cw = max(16, int(round(w * rng.uniform(min_scale, 1.0))))
+        ch = max(16, int(round(h * rng.uniform(_CROP_MIN_SCALE, 1.0))))
+        cw = max(16, int(round(w * rng.uniform(_CROP_MIN_SCALE, 1.0))))
         top = int(rng.integers(0, h - ch + 1))
         left = int(rng.integers(0, w - cw + 1))
         window = classes[top : top + ch, left : left + cw]
@@ -134,14 +131,15 @@ def baseline_random_resized_crop(
     )
 
 
-def pooled_style(samples: Sequence[DrivingSample], style_id: int = POOLED_STYLE_ID) -> StyleModel:
+def pooled_style(samples: Sequence[DrivingSample]) -> StyleModel:
     """One appearance model over mixed-style data, ignoring style boundaries.
 
     This is the no-adaptation perception a centralized learner gets when it
     pools every agent's images into one bucket: per-class means averaged
     across styles. When the agents' domains disagree about a class, the
     averaged means crowd together and segmentation under this style starts
-    confusing exactly those classes - the centralized arm's handicap.
+    confusing exactly those classes - the centralized arm's handicap. The
+    style takes the reserved id POOLED_STYLE_ID.
     """
     if not samples:
         raise FittingError("pooled_style needs at least one sample")
@@ -155,7 +153,7 @@ def pooled_style(samples: Sequence[DrivingSample], style_id: int = POOLED_STYLE_
     floor = min(0.05, max(sep * (1.0 - 1e-9), 1e-9))
     spreads = np.full(N_CLASSES, floor / 2 * (1 - 1e-9))
     return StyleModel(
-        style=style_id,
+        style=POOLED_STYLE_ID,
         class_means=means,
         class_spreads=spreads,
         texture_seed=0,
@@ -221,8 +219,8 @@ def _is_coordinate_remap(
 
 def qualitative_table(
     arms: Mapping[str, tuple[Sequence[DrivingSample], Sequence[DrivingSample]]],
-    scorer: Optional[PlausibilityScorer] = None,
-    known_scores: Optional[Mapping[str, Sequence[float]]] = None,
+    scorer: PlausibilityScorer,
+    known_scores: Mapping[str, Sequence[float]],
 ) -> dict[str, dict]:
     """Mechanical axis flags per augmenter: number, semantic, instance, reality.
 
@@ -231,17 +229,16 @@ def qualitative_table(
     sources, semantic flags any output with semantic content absent from its
     source (a pure coordinate remap of existing cells does not count),
     instance flags any added instance record, and reality buckets the mean
-    plausibility score (A >= 0.75, B >= 0.5, C >= 0.25, else D; "-" without
-    a scorer).
+    plausibility score under scorer (A >= 0.75, B >= 0.5, C >= 0.25, else D;
+    "-" for an arm without outputs).
 
-    known_scores maps an arm to its outputs' scores under this same scorer,
-    aligned with the outputs, so candidates that already carry a score are
-    not scored again. Every other output is scored in one batch, once per
-    distinct layout: outputs that share their semantic and instance map
-    objects (an appearance-only augmenter keeps its source's maps) share
-    one score.
+    known_scores maps some arms, possibly none, to their outputs' scores
+    under this same scorer, aligned with the outputs, so candidates that
+    already carry a score are not scored again. Every other output is scored
+    in one batch, once per distinct layout: outputs that share their
+    semantic and instance map objects (an appearance-only augmenter keeps
+    its source's maps) share one score.
     """
-    known_scores = known_scores or {}
     for name, (sources, outputs) in arms.items():
         if len(sources) != len(outputs):
             raise FittingError(f"{name}: sources and outputs must align")
@@ -249,11 +246,10 @@ def qualitative_table(
             raise FittingError(f"{name}: known scores and outputs must align")
     # Every distinct layout still to score, keyed by its map objects.
     layouts: dict[tuple[int, int], tuple] = {}
-    if scorer is not None:
-        for name, (_, outputs) in arms.items():
-            if name not in known_scores:
-                for o in outputs:
-                    layouts.setdefault((id(o.semantic), id(o.instances)), (o.semantic, o.instances))
+    for name, (_, outputs) in arms.items():
+        if name not in known_scores:
+            for o in outputs:
+                layouts.setdefault((id(o.semantic), id(o.instances)), (o.semantic, o.instances))
     scored = dict(zip(layouts, scorer.score_layout(list(layouts.values())))) if layouts else {}
 
     # Each source's pixel index, built once for all of its outputs.
@@ -277,7 +273,7 @@ def qualitative_table(
         number = len(outputs) / distinct if distinct else 0.0
         reality = "-"
         mean_score = None
-        if scorer is not None and outputs:
+        if outputs:
             if name in known_scores:
                 scores = known_scores[name]
             else:

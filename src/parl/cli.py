@@ -32,6 +32,7 @@ from .errors import ConfigurationError, ParlError
 from .harness import (
     ARM_CENTRALIZED,
     ARM_MODEL_FILES,
+    CENTRALIZED_MODEL_FILE,
     StageFailure,
     check_acceptance,
     read_inputs,
@@ -144,15 +145,16 @@ def _rescore(run_dir: Path):
         for arm, path in saved:
             (model,) = codec.read_models(path)
             arms.setdefault(arm, {})[key] = evaluate(
-                model, holdout[robot], fitted[robot], config.fail_threshold, features=features
+                model, holdout[robot], features, config.fail_threshold
             )
-    central_path = run_dir / "models" / "centralized.dm1"
+    central_path = run_dir / CENTRALIZED_MODEL_FILE
     if central_path.exists():
         (central,) = codec.read_models(central_path)
         style = pooled_style([s for r in range(config.robots) for s in train[r]])
         for robot in range(config.robots):
+            features = featurize(holdout[robot], style)
             arms.setdefault(ARM_CENTRALIZED, {})[robot_key(robot)] = evaluate(
-                central, holdout[robot], style, config.fail_threshold
+                central, holdout[robot], features, config.fail_threshold
             )
     return config, arms
 
@@ -161,6 +163,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = _run_dir(args)
     if not (run_dir / "config.txt").exists():
         raise ConfigurationError(f"no config.txt under {run_dir}")
+    if args.verify and not (run_dir / "report.json").exists():
+        raise ConfigurationError(f"no report.json under {run_dir} to verify against")
     _, arms = _rescore(run_dir)
     for arm in sorted(arms):
         for key in sorted(arms[arm]):
@@ -170,23 +174,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"failure_rate={rep.overall_failure_rate:.6f}"
             )
     if args.verify:
-        saved = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        saved = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["arms"]
+        # Every evaluation either side holds, recomputed or reported.
+        pairs = {(arm, key) for side in (arms, saved) for arm in side for key in side[arm]}
         mismatches = []
-        for arm in sorted(arms):
-            for key in sorted(arms[arm]):
-                want = saved["arms"].get(arm, {}).get(key)
-                if want is None:
-                    mismatches.append(f"{arm}/{key}: missing from report.json")
-                    continue
-                got = arms[arm][key]
-                if (
-                    abs(got.overall_error - want["overall_error"]) > 1e-9
-                    or abs(got.overall_failure_rate - want["overall_failure_rate"]) > 1e-9
-                ):
-                    mismatches.append(
-                        f"{arm}/{key}: recomputed {got.overall_error:.6f} "
-                        f"vs saved {want['overall_error']:.6f}"
-                    )
+        for arm, key in sorted(pairs):
+            got, want = arms.get(arm, {}).get(key), saved.get(arm, {}).get(key)
+            if want is None:
+                mismatches.append(f"{arm}/{key}: missing from report.json")
+            elif got is None:
+                mismatches.append(f"{arm}/{key}: no saved model to recompute it from")
+            elif (
+                abs(got.overall_error - want["overall_error"]) > 1e-9
+                or abs(got.overall_failure_rate - want["overall_failure_rate"]) > 1e-9
+            ):
+                mismatches.append(
+                    f"{arm}/{key}: recomputed {got.overall_error:.6f} "
+                    f"vs saved {want['overall_error']:.6f}"
+                )
         for mismatch in mismatches:
             print(f"VERIFY FAIL: {mismatch}")
         if mismatches:

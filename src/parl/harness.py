@@ -75,6 +75,8 @@ ARM_MODEL_FILES = {
     ARM_CROP: "models/crop_{key}.dm1",
     ARM_PARL: "models/parl_tuned_{key}.dm1",
 }
+# The centralized arm's one model file, relative to the run directory.
+CENTRALIZED_MODEL_FILE = "models/centralized.dm1"
 
 
 class StageFailure(ParlError):
@@ -292,10 +294,7 @@ def _train_local_arm(
     rows = robot.local_rows + [(f, s.label) for f, s in kept]
     provs = [s.provenance for s in robot.train_samples] + [s.provenance for _, s in kept]
     model = train(rows, ridge_lambda=config.ridge_lambda, provenances=provs)
-    report = evaluate(
-        model, robot.holdout_samples, robot.style, config.fail_threshold,
-        features=robot.holdout_features,
-    )
+    report = evaluate(model, robot.holdout_samples, robot.holdout_features, config.fail_threshold)
     return model, report
 
 
@@ -336,20 +335,22 @@ def run_experiment(
     # Centralized arm: pooled data, pooled (non-adapted) perception.
     pooled_samples = [s for robot in range(config.robots) for s in train_sets[robot]]
     central_style = _stage("centralized-style", "harness", pooled_style, pooled_samples)
-    rows = [
-        (f, s.label) for f, s in zip(featurize(pooled_samples, central_style), pooled_samples)
-    ]
-    central_model = _stage(
-        "centralized-train", "harness", train, rows,
-        ridge_lambda=config.ridge_lambda,
-        provenances=[s.provenance for s in pooled_samples],
-    )
-    codec.write_models(out / "models" / "centralized.dm1", [central_model])
+
+    def train_centralized() -> PolicyModel:
+        rows = zip(featurize(pooled_samples, central_style), (s.label for s in pooled_samples))
+        provenances = [s.provenance for s in pooled_samples]
+        return train(list(rows), ridge_lambda=config.ridge_lambda, provenances=provenances)
+
+    def evaluate_centralized(holdout: list[DrivingSample]) -> EvaluationReport:
+        features = featurize(holdout, central_style)
+        return evaluate(central_model, holdout, features, config.fail_threshold)
+
+    central_model = _stage("centralized-train", "harness", train_centralized)
+    codec.write_models(out / CENTRALIZED_MODEL_FILE, [central_model])
     for robot in range(config.robots):
         key = robot_key(robot)
         arms[ARM_CENTRALIZED][key] = _stage(
-            "centralized-eval", key, evaluate,
-            central_model, holdout_sets[robot], central_style, config.fail_threshold,
+            "centralized-eval", key, evaluate_centralized, holdout_sets[robot]
         )
 
     # The PARL round itself. Each robot's local compute in it fits the
@@ -390,8 +391,7 @@ def run_experiment(
         key = robot_key(index)
         arms[ARM_LOCAL][key] = _stage(
             "local-train", key, evaluate,
-            robot.policy, robot.holdout_samples, robot.style, config.fail_threshold,
-            features=robot.holdout_features,
+            robot.policy, robot.holdout_samples, robot.holdout_features, config.fail_threshold,
         )
         codec.write_models(out / ARM_MODEL_FILES[ARM_LOCAL].format(key=key), [robot.policy])
         for arm, name, augmenter, seed_base, stage in appearance_arms:
@@ -484,6 +484,7 @@ def run_experiment(
 
 def check_acceptance(report: ComparisonReport) -> list[str]:
     """Directional checks the CLI enforces under --check; empty means pass."""
+    # Every comparison is written so that a NaN rate or error is a problem.
     problems = []
     for key in sorted(report.arms[ARM_LOCAL]):
         if key not in report.arms[ARM_PARL]:
@@ -491,18 +492,18 @@ def check_acceptance(report: ComparisonReport) -> list[str]:
             continue
         local_rate = report.arms[ARM_LOCAL][key].overall_failure_rate
         parl_rate = report.arms[ARM_PARL][key].overall_failure_rate
-        if parl_rate >= local_rate:
+        if not parl_rate < local_rate:
             problems.append(
                 f"{key}: PARL failure rate {parl_rate:.4f} not below local {local_rate:.4f}"
             )
-        elif local_rate > 0 and (local_rate - parl_rate) / local_rate < 0.30:
+        elif not (local_rate - parl_rate) / local_rate >= 0.30:
             problems.append(
                 f"{key}: failure-rate reduction "
                 f"{(local_rate - parl_rate) / local_rate:.2%} below 30%"
             )
     parl_err, _ = report.overall(ARM_PARL)
     central_err, _ = report.overall(ARM_CENTRALIZED)
-    if parl_err > central_err:
+    if not parl_err <= central_err:
         problems.append(
             f"PARL overall error {parl_err:.4f} above centralized {central_err:.4f}"
         )

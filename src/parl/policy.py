@@ -34,7 +34,6 @@ OBSTACLE_SENTINEL = 0.0
 _OBSTACLE_SCALE = 4.0  # cells per unit of the obstacle feature
 _LANE_BAND_ROWS = 8  # bottom rows used for the lane-offset estimate
 
-DEFAULT_FAIL_THRESHOLD = 0.05
 # Maps per features_from_grids call in features_from_maps: measured fastest
 # per 32x64 map, and whole-list stacks raised a bench run's peak RSS by 0.5 MB.
 _FEATURE_CHUNK = 8
@@ -220,6 +219,9 @@ class PolicyModel:
             raise TrainingError(f"weights must have {N_FEATURES + 1} entries")
         if not np.isfinite(w).all():
             raise TrainingError("non-finite weights")
+        # Written so that NaN fails it.
+        if not 0.0 <= self.ridge_lambda < np.inf:
+            raise TrainingError(f"ridge_lambda {self.ridge_lambda} outside [0, inf)")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "provenance_mix", tuple(self.provenance_mix))
@@ -308,11 +310,7 @@ def _solve_ridge(
         return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
 
 
-def _provenance_mix(
-    provenances: Optional[Sequence[Provenance]],
-) -> tuple[tuple[str, int], ...]:
-    if not provenances:
-        return ()
+def _provenance_mix(provenances: Sequence[Provenance]) -> tuple[tuple[str, int], ...]:
     counts: dict[str, int] = {}
     for p in provenances:
         counts[p.value] = counts.get(p.value, 0) + 1
@@ -321,8 +319,8 @@ def _provenance_mix(
 
 def train(
     dataset: Sequence[tuple[FeatureVector, float]],
-    ridge_lambda: float = 3e-3,
-    provenances: Optional[Sequence[Provenance]] = None,
+    ridge_lambda: float,
+    provenances: Sequence[Provenance],
 ) -> PolicyModel:
     """Closed-form ridge fit of torque from features.
 
@@ -332,8 +330,8 @@ def train(
     """
     if not dataset:
         raise TrainingError("cannot train on an empty dataset")
-    if ridge_lambda < 0.0:
-        raise TrainingError("ridge_lambda must be nonnegative")
+    if not 0.0 <= ridge_lambda < np.inf:
+        raise TrainingError("ridge_lambda must be finite and nonnegative")
     xs, ys = _design_matrix(dataset)
     xs, ys, counts = _canonical_rows(xs, ys)
     weights = _solve_ridge(xs, ys, counts, ridge_lambda)
@@ -349,7 +347,7 @@ def fine_tune(
     shared: PolicyModel,
     local_dataset: Sequence[tuple[FeatureVector, float]],
     mix: float,
-    provenances: Optional[Sequence[Provenance]] = None,
+    provenances: Sequence[Provenance],
 ) -> PolicyModel:
     """Re-solve locally with a proximity pull of weight mix toward shared.
 
@@ -420,9 +418,17 @@ class EvaluationReport:
         object.__setattr__(self, "per_task_error", dict(self.per_task_error))
         object.__setattr__(self, "per_task_failure_rate", dict(self.per_task_failure_rate))
         object.__setattr__(self, "per_task_count", dict(self.per_task_count))
-        for rate in self.per_task_failure_rate.values():
-            if not 0.0 <= rate <= 1.0:
-                raise EvaluationError("failure rate outside [0, 1]")
+        # Every range check is written so that NaN fails it.
+        rates = [*self.per_task_failure_rate.values(), self.overall_failure_rate]
+        if not all(0.0 <= rate <= 1.0 for rate in rates):
+            raise EvaluationError("failure rate outside [0, 1]")
+        errors = [*self.per_task_error.values(), self.overall_error]
+        if not all(0.0 <= error < np.inf for error in errors):
+            raise EvaluationError("torque error must be finite and nonnegative")
+        if not all(count >= 1 for count in self.per_task_count.values()):
+            raise EvaluationError("every task needs at least one evaluated sample")
+        if not 0.0 < self.fail_threshold < np.inf:
+            raise EvaluationError(f"fail_threshold {self.fail_threshold} outside (0, inf)")
 
     def to_json_dict(self) -> dict:
         return {
@@ -438,26 +444,20 @@ class EvaluationReport:
 def evaluate(
     model: PolicyModel,
     testset: Sequence[DrivingSample],
-    style: StyleModel,
-    fail_threshold: float = DEFAULT_FAIL_THRESHOLD,
-    features: Optional[Sequence[FeatureVector]] = None,
+    features: Sequence[FeatureVector],
+    fail_threshold: float,
 ) -> EvaluationReport:
-    """Mean absolute torque error per task, with failure = error > threshold.
+    """Mean absolute torque error per task, with failure = error > fail_threshold.
 
-    features, when given, holds featurize(testset, style) in testset order,
-    so a caller that evaluates several models on one testset featurizes it
-    once. Without it, the testset is featurized here in one featurize call.
-    Samples are checked in order: the first unlabeled sample, or the first
-    that fails featurization, raises, whichever comes first.
+    features holds the testset's features in testset order, as
+    featurize(testset, style) gives them, so a caller that evaluates several
+    models on one testset featurizes it once. An unlabeled sample raises.
     """
     if not testset:
         raise EvaluationError("cannot evaluate on an empty testset")
-    if features is not None and len(features) != len(testset):
+    if len(features) != len(testset):
         raise EvaluationError("features must align with the testset")
-    labeled = next((i for i, s in enumerate(testset) if s.label is None), len(testset))
-    if features is None:
-        features = featurize(testset[:labeled], style)
-    if labeled < len(testset):
+    if any(s.label is None for s in testset):
         raise EvaluationError("testset contains an unlabeled sample")
     per_task_abs: dict[str, list[float]] = {}
     for sample, feats in zip(testset, features):

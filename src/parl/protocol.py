@@ -513,8 +513,8 @@ class RobotNode:
                 )
                 self.shared_received += 1
                 self.ack_report = evaluate(
-                    self.tuned, self.holdout_samples, self.style, self.config.fail_threshold,
-                    features=self.holdout_features,
+                    self.tuned, self.holdout_samples, self.holdout_features,
+                    self.config.fail_threshold,
                 )
                 self.stage = advance_stage(self.stage, Stage.FINE_TUNED)
                 return [self._msg(FineTuneAck(report=self.ack_report))]
@@ -622,14 +622,11 @@ class CloudNode:
         # The scorer's own threshold must sit strictly inside (0, 1); the
         # configured tau still decides acceptance, including at 0 and 1.
         fit_tau = cfg.tau if 0.0 < cfg.tau < 1.0 else 0.5
-        self.scorer = fit_scorer(
-            pooled_layouts, threshold=fit_tau, seed=cfg.augment_seed ^ 0xD15C
-        )
+        self.scorer = fit_scorer(pooled_layouts, threshold=fit_tau, seed=cfg.augment_seed ^ 0xD15C)
         for node in self.participants:
-            stats = AugmentStats()
             layouts = self.uploads[node].layouts
             seed_base = (cfg.augment_seed << 20) ^ (node.value << 10)
-            per_robot = augment_semantic(
+            per_robot, self.stats[node] = augment_semantic(
                 layouts,
                 fan_out=cfg.fan_out,
                 where=self.where,
@@ -637,9 +634,7 @@ class CloudNode:
                 scorer=self.scorer,
                 seeds=[seed_base ^ i for i in range(len(layouts))],
                 threshold=cfg.tau,
-                stats_out=stats,
             )
-            self.stats[node] = stats
             self.candidates.extend((node, c) for c in per_robot)
         self.stage = advance_stage(self.stage, Stage.LABELING)
         if not self.candidates:
@@ -705,7 +700,7 @@ class CloudNode:
 def run_round(
     robots: Sequence[RobotNode],
     cloud: CloudNode,
-    network: Optional[SimNetwork] = None,
+    network: SimNetwork,
     drop_before_upload: Sequence[NodeId] = (),
     drop_after_upload: Sequence[NodeId] = (),
 ) -> dict[NodeId, bytes]:
@@ -719,7 +714,6 @@ def run_round(
     each phase is one delivery pass over all nodes, so a silent robot delays
     nothing.
     """
-    network = network if network is not None else SimNetwork()
     ordered = sorted(robots, key=lambda r: r.node_id.value)
     ids = [r.node_id for r in ordered]
     if len(set(ids)) != len(ids):

@@ -50,6 +50,8 @@ _DEFAULT_SPREAD = 0.02
 # Validation margin for a candidate palette: keep fitted means (which wander
 # by at most the texture spread) comfortably above the separation floor.
 _PALETTE_MARGIN = 0.10
+# Mean class-mean distance at which style_affinity falls to 1/e.
+_AFFINITY_BANDWIDTH = 0.25
 
 
 def _pairwise_min_separation(means: np.ndarray) -> float:
@@ -84,6 +86,11 @@ class StyleModel:
             raise FittingError(f"class_means must be ({N_CLASSES}, 3), got {means.shape}")
         if spreads.shape != (N_CLASSES,):
             raise FittingError(f"class_spreads must be ({N_CLASSES},), got {spreads.shape}")
+        # Every range check is written so that NaN fails it.
+        if not 0.0 < self.separation_floor < np.inf:
+            raise FittingError(f"separation_floor {self.separation_floor} outside (0, inf)")
+        if not ((spreads >= 0.0) & (spreads < np.inf)).all():
+            raise FittingError("class_spreads must be finite and nonnegative")
         present = ~np.isnan(means).any(axis=1)
         if present.any():
             sep = _pairwise_min_separation(means[present])
@@ -92,7 +99,7 @@ class StyleModel:
                     f"class means separated by {sep:.4f}, "
                     f"below the {self.separation_floor} floor"
                 )
-        if np.any(spreads[present] >= self.separation_floor / 2):
+        if not (spreads[present] < self.separation_floor / 2).all():
             raise FittingError("class_spreads must stay below separation_floor / 2")
         means.setflags(write=False)
         spreads.setflags(write=False)
@@ -129,7 +136,7 @@ def _signed_permutations() -> list[np.ndarray]:
 _CHROMA_MAPS = _signed_permutations()
 
 
-def built_in_style(style_id: int, seed: int = 0) -> StyleModel:
+def built_in_style(style_id: int, seed: int) -> StyleModel:
     """Deterministic agent palette with a per-agent visual domain.
 
     Infrastructure classes get a small seeded jitter; volatile classes keep
@@ -183,16 +190,14 @@ def class_sums(samples: Sequence["DrivingSample"]) -> tuple[np.ndarray, np.ndarr
     return sums, sq_sums, counts
 
 
-def fit_style(
-    samples: Sequence["DrivingSample"],
-    separation_floor: float = DEFAULT_SEPARATION_FLOOR,
-) -> StyleModel:
+def fit_style(samples: Sequence["DrivingSample"]) -> StyleModel:
     """Fit class appearance statistics from an agent's labeled samples.
 
     Means are the per-class averages of scenario pixels under that class's
     cells; spreads are per-class standard deviations clamped below the
     separation bound. Every palette class must appear somewhere in the
-    sample union, and the fitted means must respect the separation floor.
+    sample union, and the fitted means must respect
+    DEFAULT_SEPARATION_FLOOR.
     """
     if not samples:
         raise FittingError("fit_style needs at least one sample")
@@ -204,13 +209,13 @@ def fit_style(
     means = sums / counts[:, None]
     variances = np.maximum(sq_sums / counts[:, None] - means**2, 0.0)
     spreads = np.sqrt(variances.max(axis=1))
-    spread_cap = separation_floor / 2 * (1 - 1e-9)
+    spread_cap = DEFAULT_SEPARATION_FLOOR / 2 * (1 - 1e-9)
     spreads = np.minimum(spreads, spread_cap)
     sep = _pairwise_min_separation(means)
-    if sep < separation_floor:
+    if sep < DEFAULT_SEPARATION_FLOOR:
         raise FittingError(
             f"fitted class means separated by only {sep:.4f}; "
-            f"styles need {separation_floor} per-channel separation"
+            f"styles need {DEFAULT_SEPARATION_FLOOR} per-channel separation"
         )
     if len(style_ids) != 1:
         raise FittingError(f"samples span styles {sorted(style_ids)}, expected one")
@@ -220,7 +225,6 @@ def fit_style(
         class_means=means,
         class_spreads=spreads,
         texture_seed=texture_seed,
-        separation_floor=separation_floor,
     )
 
 
@@ -233,16 +237,16 @@ def cross_render(
     return render(candidate.semantic, candidate.instances, style, seed)
 
 
-def style_affinity(a: StyleModel, b: StyleModel, bandwidth: float = 0.25) -> float:
+def style_affinity(a: StyleModel, b: StyleModel) -> float:
     """Similarity in (0, 1], from mean distance between shared class means."""
     shared = [c for c in range(N_CLASSES) if a.has_class(c) and b.has_class(c)]
     if not shared:
         return 1.0
     d = float(np.mean(np.abs(a.class_means[shared] - b.class_means[shared])))
-    return float(np.exp(-d / bandwidth))
+    return float(np.exp(-d / _AFFINITY_BANDWIDTH))
 
 
-def styles_for_agents(style_ids: Iterable[int], seed: int = 0) -> dict[int, StyleModel]:
+def styles_for_agents(style_ids: Iterable[int], seed: int) -> dict[int, StyleModel]:
     """Build one deterministic built-in style per agent id."""
     out = {}
     for sid in style_ids:

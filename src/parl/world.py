@@ -539,12 +539,10 @@ class ScenarioGenerator:
         self,
         config: WorldConfig,
         styles: Mapping[int, StyleModel],
-        profiles: Optional[Mapping[int, AgentProfile]] = None,
+        profiles: Mapping[int, AgentProfile],
     ):
         self.config = config
         self.styles = dict(styles)
-        if profiles is None:
-            profiles = {sid: AgentProfile(style_id=sid) for sid in self.styles}
         self.profiles = dict(profiles)
         for sid in self.profiles:
             if sid not in self.styles:

@@ -14,6 +14,7 @@ from hypothesis import settings
 from parl.augment import fit_scorer, fit_what, fit_where
 from parl.styles import styles_for_agents
 from parl.world import (
+    AgentProfile,
     ScenarioGenerator,
     TaskType,
     WorldConfig,
@@ -29,7 +30,8 @@ if os.environ.get("CI"):
 @pytest.fixture(scope="session")
 def generator():
     styles = styles_for_agents(range(2), seed=5)
-    return ScenarioGenerator(WorldConfig(), styles)
+    profiles = {sid: AgentProfile(style_id=sid) for sid in styles}
+    return ScenarioGenerator(WorldConfig(), styles, profiles)
 
 
 @pytest.fixture(scope="session")
@@ -55,5 +57,5 @@ def predictors(layouts):
 
 @pytest.fixture(scope="session")
 def scorer(layouts):
-    return fit_scorer(layouts)
+    return fit_scorer(layouts, threshold=0.5, seed=0xD15C)
 

@@ -18,6 +18,8 @@ from parl.augment import (
     SCORE_CAP,
     PlausibilityScorer,
     WherePredictor,
+    _BUDGET_FACTOR,
+    _insertion_base,
     augment_semantic,
     corrupt_giant,
     corrupt_overlap,
@@ -29,7 +31,6 @@ from parl.augment import (
     make_corruptions,
     sample_insertion,
     scale_bin_of,
-    score,
 )
 from parl.codec import decode_models, encode_models
 from parl.errors import DecodeError, DegenerateInputError, FittingError
@@ -244,7 +245,7 @@ def test_fit_what_rejects_empty():
 
 def _first_insertion(where, what, base, class_id, seeds=range(40)):
     for seed in seeds:
-        candidate = sample_insertion(where, what, base, class_id, seed)
+        candidate = sample_insertion(where, what, _insertion_base(base), class_id, seed)
         if candidate is not None:
             return candidate
     pytest.fail(f"no insertion of class {class_id} succeeded")
@@ -350,18 +351,18 @@ def test_scorer_separates_fresh_corruptions(layouts, scorer):
 
 
 def test_scorer_deterministic(layouts):
-    assert fit_scorer(layouts) == fit_scorer(layouts)
+    assert fit_scorer(layouts, 0.5, 0xD15C) == fit_scorer(layouts, 0.5, 0xD15C)
 
 
 def test_fit_scorer_needs_ten_layouts(layouts):
     with pytest.raises(FittingError):
-        fit_scorer(layouts[:9])
+        fit_scorer(layouts[:9], 0.5, 0xD15C)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1])
 def test_fit_scorer_threshold_strictly_inside(layouts, threshold):
     with pytest.raises(FittingError):
-        fit_scorer(layouts, threshold=threshold)
+        fit_scorer(layouts, threshold=threshold, seed=0xD15C)
 
 
 def _with_cell(table, value):
@@ -391,12 +392,16 @@ def test_scorer_rejects_nan_and_negative_state(scorer, case):
 
 def test_score_attaches_value(layouts, predictors, scorer):
     where, what = predictors
-    candidate = _first_insertion(where, what, layouts[0], ClassId.CAR)
-    assert candidate.score is None
-    [scored] = score(scorer, [candidate])
-    assert scored.score is not None
-    assert 0.0 <= scored.score <= SCORE_CAP
-    assert scored.score == scorer.score_layout([(scored.semantic, scored.instances)])[0]
+    assert _first_insertion(where, what, layouts[0], ClassId.CAR).score is None
+    scored, _ = augment_semantic(
+        [layouts[0]], fan_out=2, where=where, what=what, scorer=scorer, seeds=[3], threshold=0.0
+    )
+    assert scored
+    for candidate in scored:
+        assert candidate.score is not None
+        assert 0.0 <= candidate.score <= SCORE_CAP
+        [value] = scorer.score_layout([(candidate.semantic, candidate.instances)])
+        assert candidate.score == value
 
 
 def _with_cellless_record(layout, instance_id):
@@ -427,10 +432,11 @@ def test_insertion_past_the_int32_grid_raises(layouts, predictors, scorer):
     where, what = predictors
     base = _with_cellless_record(layouts[0], 2**31 - 1)
     with pytest.raises(DegenerateInputError):
-        sample_insertion(where, what, base, ClassId.CAR, 0)
+        _insertion_base(base)
     with pytest.raises(DegenerateInputError):
         augment_semantic(
-            [layouts[1], base], fan_out=2, where=where, what=what, scorer=scorer, seeds=[0, 1]
+            [layouts[1], base], fan_out=2, where=where, what=what, scorer=scorer, seeds=[0, 1],
+            threshold=scorer.threshold,
         )
 
 
@@ -503,9 +509,9 @@ def test_corrupt_giant_scales_threefold(layouts):
 
 
 def test_make_corruptions_deterministic(layouts):
-    batch = make_corruptions(layouts, seed=5, per_kind=2)
-    again = make_corruptions(layouts, seed=5, per_kind=2)
-    assert 0 < len(batch) <= 6
+    batch = make_corruptions(layouts, seed=5)
+    again = make_corruptions(layouts, seed=5)
+    assert 0 < len(batch) <= 12
     assert len(batch) == len(again)
     for (sa, ia), (sb, ib) in zip(batch, again):
         assert np.array_equal(sa.classes, sb.classes)
@@ -520,7 +526,7 @@ def test_make_corruptions_deterministic(layouts):
 def test_augment_exact_fan_out_at_zero_threshold(layouts, predictors, scorer):
     where, what = predictors
     for i, layout in enumerate(layouts[:2]):
-        out = augment_semantic(
+        out, _ = augment_semantic(
             [layout], fan_out=2, where=where, what=what, scorer=scorer, seeds=[i], threshold=0.0
         )
         assert len(out) == 2
@@ -528,16 +534,8 @@ def test_augment_exact_fan_out_at_zero_threshold(layouts, predictors, scorer):
 
 def test_augment_threshold_one_rejects_everything(layouts, predictors, scorer):
     where, what = predictors
-    stats = AugmentStats()
-    out = augment_semantic(
-        [layouts[0]],
-        fan_out=3,
-        where=where,
-        what=what,
-        scorer=scorer,
-        seeds=[9],
-        threshold=1.0,
-        stats_out=stats,
+    out, stats = augment_semantic(
+        [layouts[0]], fan_out=3, where=where, what=what, scorer=scorer, seeds=[9], threshold=1.0
     )
     assert out == []
     assert stats.accepted == 0
@@ -547,45 +545,25 @@ def test_augment_threshold_one_rejects_everything(layouts, predictors, scorer):
 
 def test_augment_accepts_only_above_threshold(layouts, predictors, scorer, small_dataset):
     where, what = predictors
-    sources = [small_dataset[4], small_dataset[0]]
-    out = augment_semantic(
-        sources, fan_out=4, where=where, what=what, scorer=scorer, seeds=[20, 21]
+    sources = [(s.semantic, s.instances) for s in (small_dataset[4], small_dataset[0])]
+    out, _ = augment_semantic(
+        sources, fan_out=4, where=where, what=what, scorer=scorer, seeds=[20, 21],
+        threshold=scorer.threshold,
     )
     assert out
     for candidate in out:
         assert candidate.score is not None and candidate.score >= scorer.threshold
         assert candidate.score <= SCORE_CAP
         assert len(candidate.inserted) == 1
-        source = sources[candidate.source_sample_id]
-        assert len(candidate.instances.records) == len(source.instances.records) + 1
-
-
-def test_augment_sample_and_layout_agree(layouts, predictors, scorer, small_dataset):
-    where, what = predictors
-    sample = small_dataset[3]
-    via_sample = augment_semantic(
-        [sample], fan_out=2, where=where, what=what, scorer=scorer, seeds=[4], threshold=0.0
-    )
-    via_layout = augment_semantic(
-        [(sample.semantic, sample.instances)],
-        fan_out=2,
-        where=where,
-        what=what,
-        scorer=scorer,
-        seeds=[4],
-        threshold=0.0,
-    )
-    assert len(via_sample) == len(via_layout)
-    for a, b in zip(via_sample, via_layout):
-        assert np.array_equal(a.semantic.classes, b.semantic.classes)
-        assert a.score == b.score
+        _, instances = sources[candidate.source_sample_id]
+        assert len(candidate.instances.records) == len(instances.records) + 1
 
 
 def test_augment_stats_accounting(layouts, predictors, scorer):
     where, what = predictors
-    stats = AugmentStats()
-    out = augment_semantic(
-        [layouts[5]], fan_out=3, where=where, what=what, scorer=scorer, seeds=[2], stats_out=stats
+    out, stats = augment_semantic(
+        [layouts[5]], fan_out=3, where=where, what=what, scorer=scorer, seeds=[2],
+        threshold=scorer.threshold,
     )
     assert stats.accepted == len(out)
     assert stats.attempts == stats.accepted + stats.rejected_low_score + stats.insertion_failures
@@ -597,11 +575,13 @@ def test_augment_rejects_bad_fan_out(layouts, predictors, scorer):
     where, what = predictors
     with pytest.raises(DegenerateInputError):
         augment_semantic(
-            [layouts[0]], fan_out=0, where=where, what=what, scorer=scorer, seeds=[0]
+            [layouts[0]], fan_out=0, where=where, what=what, scorer=scorer, seeds=[0],
+            threshold=scorer.threshold,
         )
     with pytest.raises(DegenerateInputError):
         augment_semantic(
-            layouts[:2], fan_out=1, where=where, what=what, scorer=scorer, seeds=[0]
+            layouts[:2], fan_out=1, where=where, what=what, scorer=scorer, seeds=[0],
+            threshold=scorer.threshold,
         )
 
 
@@ -609,8 +589,9 @@ def test_augment_deterministic(layouts, predictors, scorer):
     where, what = predictors
     runs = [
         augment_semantic(
-            [layouts[7]], fan_out=2, where=where, what=what, scorer=scorer, seeds=[6]
-        )
+            [layouts[7]], fan_out=2, where=where, what=what, scorer=scorer, seeds=[6],
+            threshold=scorer.threshold,
+        )[0]
         for _ in range(2)
     ]
     assert len(runs[0]) == len(runs[1])
@@ -620,9 +601,8 @@ def test_augment_deterministic(layouts, predictors, scorer):
         assert a.inserted == b.inserted
 
 
-def _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold, budget_factor):
+def _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold):
     """One source at a time, one score per candidate: the loop the waves replace."""
-    tau = scorer.threshold if threshold is None else threshold
     classes = [
         int(c)
         for c in THING_CLASSES
@@ -634,19 +614,20 @@ def _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold,
     out = []
     for i, (source, seed) in enumerate(zip(sources, seeds)):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 0xA76]))
+        base = _insertion_base(source)
         accepted = 0
-        for _ in range(budget_factor * fan_out):
+        for _ in range(_BUDGET_FACTOR * fan_out):
             if accepted >= fan_out:
                 break
             stats.attempts += 1
             pick = int(np.searchsorted(np.cumsum(class_probs), rng.random(), side="right"))
             class_id = ClassId(classes[min(pick, len(classes) - 1)])
-            candidate = sample_insertion(where, what, source, class_id, int(rng.integers(0, 2**63)))
+            candidate = sample_insertion(where, what, base, class_id, int(rng.integers(0, 2**63)))
             if candidate is None:
                 stats.insertion_failures += 1
                 continue
             value = float(scorer.score_layout([(candidate.semantic, candidate.instances)])[0])
-            if value >= tau:
+            if value >= threshold:
                 out.append(replace(candidate, source_sample_id=i, score=value))
                 accepted += 1
                 stats.accepted += 1
@@ -675,33 +656,29 @@ def _candidate_bytes(candidate):
 
 
 @pytest.mark.parametrize(
-    "fan_out,threshold,budget_factor",
+    "fan_out,threshold",
     [
-        (3, None, 16),  # the scorer's own threshold
-        (2, 0.0, 16),  # every candidate accepted
-        (3, 1.0, 2),  # every candidate rejected: each budget is spent
-        (6, 0.6, 1),  # some accepted, but the budget cannot reach fan_out
-        (4, 0.6, 2),  # sources finish in different waves, some on budget
+        (2, 0.0),  # every candidate accepted
+        (3, 1.0),  # every candidate rejected: each budget is spent
+        (6, 0.6),  # one source spends its budget, the others reach fan_out
+        (4, 0.6),  # sources finish in different waves, one on budget
     ],
 )
 def test_multi_source_augment_matches_sequential_reference(
-    layouts, predictors, scorer, fan_out, threshold, budget_factor
+    layouts, predictors, scorer, fan_out, threshold
 ):
     where, what = predictors
     # The fully occupied source fails every insertion.
     sources = [layouts[0], layouts[3], _fully_occupied(layouts[5]), layouts[8], layouts[11]]
     seeds = [5, 17, 3, 2**40 + 9, 88]
-    stats = AugmentStats()
-    got = augment_semantic(
+    got, stats = augment_semantic(
         sources, fan_out=fan_out, where=where, what=what, scorer=scorer, seeds=seeds,
-        threshold=threshold, budget_factor=budget_factor, stats_out=stats,
+        threshold=threshold,
     )
-    want, want_stats = _sequential_augment(
-        sources, fan_out, where, what, scorer, seeds, threshold, budget_factor
-    )
+    want, want_stats = _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold)
     assert [_candidate_bytes(c) for c in got] == [_candidate_bytes(c) for c in want]
     assert stats == want_stats
-    assert stats.insertion_failures >= budget_factor * fan_out  # the occupied source
+    assert stats.insertion_failures >= _BUDGET_FACTOR * fan_out  # the occupied source
     assert 2 not in {c.source_sample_id for c in got}
 
 

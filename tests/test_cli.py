@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import parl
-from parl import cli
+from parl import cli, harness
 from parl.config import OUTPUT_ROOT_ENV
 
 RUN_FLAGS = ["--robots", "2", "--samples-per-task", "3"]
@@ -56,9 +56,36 @@ def test_eval_verify_fails_after_report_edit(run_dir, tmp_path, capsys):
     assert out.count("VERIFY FAIL") == 1
 
 
+@pytest.mark.parametrize(
+    "model_file,unverified",
+    [
+        (harness.ARM_MODEL_FILES[harness.ARM_LOCAL].format(key="robot-0"), ["local/robot-0"]),
+        (harness.CENTRALIZED_MODEL_FILE, ["centralized/robot-0", "centralized/robot-1"]),
+    ],
+)
+def test_eval_verify_fails_for_each_reported_score_without_its_model(
+    run_dir, tmp_path, capsys, model_file, unverified
+):
+    broken = tmp_path / "broken"
+    shutil.copytree(run_dir, broken)
+    (broken / model_file).unlink()
+    assert cli.main(["eval", str(broken), "--verify"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if "VERIFY FAIL" in line]
+    assert fails == [
+        f"VERIFY FAIL: {name}: no saved model to recompute it from" for name in unverified
+    ]
+
+
 def test_eval_without_config_is_a_configuration_error(tmp_path, capsys):
     assert cli.main(["eval", str(tmp_path), "--verify"]) == 3
     assert "no config.txt" in capsys.readouterr().err
+
+
+def test_eval_verify_without_report_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["gen", *RUN_FLAGS, "--output-dir", "parl-gen"]) == 0
+    assert cli.main(["eval", str(tmp_path / "parl-gen"), "--verify"]) == 3
+    assert "no report.json" in capsys.readouterr().err
 
 
 def test_rerun_gives_byte_identical_artifacts(run_dir, tmp_path, monkeypatch):

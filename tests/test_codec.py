@@ -42,11 +42,11 @@ def artifacts(generator, small_dataset):
     layouts = [(s.semantic, s.instances) for s in small_dataset]
     where = fit_where(layouts)
     what = fit_what(layouts)
-    scorer = fit_scorer(layouts)
-    candidates = augment_semantic(
-        small_dataset[:1], fan_out=2, where=where, what=what, scorer=scorer, seeds=[9], threshold=0.0
+    scorer = fit_scorer(layouts, threshold=0.5, seed=0xD15C)
+    candidates, _ = augment_semantic(
+        layouts[:1], fan_out=2, where=where, what=what, scorer=scorer, seeds=[9], threshold=0.0
     )
-    report = evaluate(policy, small_dataset, style)
+    report = evaluate(policy, small_dataset, [f for f, _ in rows], 0.05)
     vector = np.linspace(-2.0, 2.0, 17)
     return {
         "style": style,

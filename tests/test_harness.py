@@ -1,17 +1,20 @@
 """The local arms: a robot's own perception, read from its RobotNode."""
 
+import copy
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from parl import harness, styles
-from parl.baselines import baseline_color_jitter
+from parl.baselines import POOLED_STYLE_ID, baseline_color_jitter
 from parl.codec import encode_models
 from parl.config import ExperimentConfig
-from parl.errors import FittingError, ParlError
-from parl.policy import featurize
+from parl.errors import DegenerateInputError, FittingError, ParlError
+from parl.policy import EvaluationReport, featurize
 from parl.protocol import NodeId, RobotNode, decode_message
+from parl.world import ClassId, Scenario
 
 CONFIG = ExperimentConfig()
 RUN_CONFIG = ExperimentConfig(robots=2, samples_per_task=3)
@@ -36,15 +39,15 @@ def robot(small_dataset):
 
 @pytest.fixture(scope="module")
 def roadless_jitters(robot, small_dataset):
-    """Strong jitters of training samples that leave no road to segment."""
+    """Jitters of two training samples repainted as sky: no road to segment."""
     found = []
-    for seed in range(400):
-        out = baseline_color_jitter(small_dataset[seed % 12], seed, magnitude=0.9)
-        if _fails(out, robot.style):
-            found.append(out)
-            if len(found) == 2:
-                return found
-    pytest.fail("no jitter erased the road")
+    for seed, sample in enumerate(small_dataset[:2]):
+        out = baseline_color_jitter(sample, seed)
+        sky = np.broadcast_to(robot.style.class_means[ClassId.SKY], out.scenario.pixels.shape)
+        scenario = Scenario(pixels=sky.astype(np.float32), style=out.scenario.style)
+        found.append(replace(out, scenario=scenario))
+    assert all(_fails(out, robot.style) for out in found)
+    return found
 
 
 def _train_calls(monkeypatch):
@@ -160,3 +163,68 @@ def test_failed_local_perception_is_a_local_train_failure(
         harness.run_experiment(config)
     assert (info.value.stage, info.value.node) == ("local-train", f"robot-{failing}")
     assert "injected fit failure" in str(info.value.cause)
+
+
+@pytest.mark.parametrize(
+    "failing_call,stage,node",
+    [(1, "centralized-train", "harness"), (3, "centralized-eval", "robot-1")],
+)
+def test_failed_pooled_perception_names_the_centralized_stage(
+    tmp_path, monkeypatch, failing_call, stage, node
+):
+    # Under the pooled style, the run featurizes the pooled training samples
+    # first, then each robot's holdout in robot order.
+    real = harness.featurize
+    pooled_calls = []
+
+    def failing(samples, style):
+        if style.style == POOLED_STYLE_ID:
+            pooled_calls.append(len(samples))
+            if len(pooled_calls) == failing_call:
+                raise DegenerateInputError("injected featurize failure")
+        return real(samples, style)
+
+    monkeypatch.setattr(harness, "featurize", failing)
+    with pytest.raises(harness.StageFailure) as info:
+        harness.run_experiment(replace(RUN_CONFIG, output_dir=str(tmp_path)))
+    assert (info.value.stage, info.value.node) == (stage, node)
+    assert "injected featurize failure" in str(info.value.cause)
+
+
+def _report(error, rate):
+    return EvaluationReport(
+        per_task_error={"turn": error},
+        per_task_failure_rate={"turn": rate},
+        per_task_count={"turn": 4},
+        overall_error=error,
+        overall_failure_rate=rate,
+        fail_threshold=0.05,
+    )
+
+
+@pytest.mark.parametrize(
+    "arm,field,problem",
+    [
+        (harness.ARM_PARL, "overall_failure_rate", "robot-0: PARL failure rate nan not below"),
+        (harness.ARM_LOCAL, "overall_failure_rate", "robot-0: PARL failure rate 0.0000 not below"),
+        (harness.ARM_PARL, "overall_error", "PARL overall error nan above centralized"),
+    ],
+    ids=["nan-parl-rate", "nan-local-rate", "nan-parl-error"],
+)
+def test_check_acceptance_counts_nan_as_a_problem(arm, field, problem):
+    arms = {
+        harness.ARM_LOCAL: {"robot-0": _report(0.2, 0.5)},
+        harness.ARM_PARL: {"robot-0": _report(0.05, 0.0)},
+        harness.ARM_CENTRALIZED: {"robot-0": _report(0.1, 0.25)},
+    }
+
+    def comparison():
+        return harness.ComparisonReport(CONFIG, arms, {}, {}, {}, {})
+
+    assert harness.check_acceptance(comparison()) == []
+    # A report past its own checks, as one decoded without them would be.
+    bad = copy.copy(arms[arm]["robot-0"])
+    object.__setattr__(bad, field, float("nan"))
+    arms[arm]["robot-0"] = bad
+    [got] = harness.check_acceptance(comparison())
+    assert got.startswith(problem)

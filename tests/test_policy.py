@@ -1,16 +1,19 @@
 """Feature extraction, ridge training, fine-tuning, crowdsourcing, evaluation."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parl.errors import DegenerateInputError, EvaluationError, TrainingError
+from parl.codec import decode_models, encode_models
+from parl.errors import DecodeError, DegenerateInputError, EvaluationError, TrainingError
 from parl.policy import (
     N_FEATURES,
     N_OCCUPANCY,
     OBSTACLE_SENTINEL,
+    EvaluationReport,
     FeatureVector,
     PolicyModel,
     crowdsource_labels,
@@ -21,17 +24,30 @@ from parl.policy import (
     train,
 )
 from parl.styles import fit_style
-from parl.world import ClassId, Scenario, SemanticMap, TaskType
+from parl.world import ClassId, Provenance, Scenario, SemanticMap, TaskType
 
 
 def _rows(samples, style):
     return [(f, s.label) for f, s in zip(featurize(samples, style), samples)]
 
 
+def _human(rows):
+    """One human provenance per row."""
+    return [Provenance.HUMAN] * len(rows)
+
+
 def _constant_model(value):
     w = np.zeros(N_FEATURES + 1)
     w[0] = value
     return PolicyModel(weights=w, ridge_lambda=0.0, n_train=1)
+
+
+def _tampered(model, **fields):
+    """A copy of model holding fields its checks reject, as a corrupted record would."""
+    bad = copy.copy(model)
+    for name, value in fields.items():
+        object.__setattr__(bad, name, value)
+    return bad
 
 
 def _random_features(rng, n):
@@ -161,7 +177,7 @@ class TestTrain:
         feats = _random_features(rng, 400)
         w_true = rng.uniform(-0.002, 0.002, N_FEATURES)
         rows = [(f, 0.5 + float(f.values @ w_true)) for f in feats]
-        model = train(rows, ridge_lambda=1e-9)
+        model = train(rows, ridge_lambda=1e-9, provenances=_human(rows))
         probe = _random_features(rng, 50)
         for f in probe:
             truth = 0.5 + float(f.values @ w_true)
@@ -170,21 +186,21 @@ class TestTrain:
     def test_single_sample_interpolated(self):
         rng = np.random.default_rng(5)
         f = _random_features(rng, 1)[0]
-        model = train([(f, 0.625)], ridge_lambda=1e-9)
+        model = train([(f, 0.625)], ridge_lambda=1e-9, provenances=[Provenance.HUMAN])
         assert abs(model.predict(f) - 0.625) <= 1e-6
 
     def test_duplicated_dataset_identical_weights(self, small_dataset):
         style = fit_style(small_dataset)
         rows = _rows(small_dataset, style)
-        once = train(rows, 1e-3)
-        twice = train(rows + rows, 1e-3)
+        once = train(rows, 1e-3, _human(rows))
+        twice = train(rows + rows, 1e-3, _human(rows + rows))
         assert once.weights.tobytes() == twice.weights.tobytes()
 
     def test_permutation_invariance_is_bit_exact(self, small_dataset):
         style = fit_style(small_dataset)
         rows = _rows(small_dataset, style)
-        model_fwd = train(rows, 1e-3)
-        model_rev = train(rows[::-1], 1e-3)
+        model_fwd = train(rows, 1e-3, _human(rows))
+        model_rev = train(rows[::-1], 1e-3, _human(rows))
         assert model_fwd.weights.tobytes() == model_rev.weights.tobytes()
 
     def test_provenance_mix_recorded(self, small_dataset):
@@ -195,13 +211,13 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
-            train([], 1e-3)
+            train([], 1e-3, [])
 
     def test_negative_lambda_rejected(self):
         rng = np.random.default_rng(6)
         rows = [(f, 0.5) for f in _random_features(rng, 3)]
         with pytest.raises(TrainingError):
-            train(rows, -1e-6)
+            train(rows, -1e-6, _human(rows))
 
 
 class TestFineTune:
@@ -214,27 +230,27 @@ class TestFineTune:
         style1 = fit_style(other_samples)
         local_rows = _rows(local_samples, style0)
         pooled_rows = local_rows + _rows(other_samples, style1)
-        shared = train(pooled_rows, 1e-4)
+        shared = train(pooled_rows, 1e-4, _human(pooled_rows))
         holdout = generator.generate_dataset(0, tasks[:12], seeds=range(700, 712))
         holdout_rows = _rows(holdout, style0)
         return shared, local_rows, holdout_rows
 
     def test_mix_one_returns_shared_weights_exactly(self, shared_and_local):
         shared, local_rows, _ = shared_and_local
-        tuned = fine_tune(shared, local_rows, mix=1.0)
+        tuned = fine_tune(shared, local_rows, mix=1.0, provenances=_human(local_rows))
         assert np.array_equal(tuned.weights, shared.weights)
 
     def test_mix_zero_equals_plain_training(self, shared_and_local):
         shared, local_rows, _ = shared_and_local
-        tuned = fine_tune(shared, local_rows, mix=0.0)
-        assert tuned == train(local_rows, shared.ridge_lambda)
+        tuned = fine_tune(shared, local_rows, mix=0.0, provenances=_human(local_rows))
+        assert tuned == train(local_rows, shared.ridge_lambda, _human(local_rows))
 
     def test_continuity_at_endpoints(self, shared_and_local):
         shared, local_rows, _ = shared_and_local
-        near_zero = fine_tune(shared, local_rows, mix=1e-9)
-        at_zero = fine_tune(shared, local_rows, mix=0.0)
+        near_zero = fine_tune(shared, local_rows, 1e-9, _human(local_rows))
+        at_zero = fine_tune(shared, local_rows, 0.0, _human(local_rows))
         assert np.allclose(near_zero.weights, at_zero.weights, atol=1e-6)
-        near_one = fine_tune(shared, local_rows, mix=1.0 - 1e-9)
+        near_one = fine_tune(shared, local_rows, 1.0 - 1e-9, _human(local_rows))
         assert np.allclose(near_one.weights, shared.weights, atol=1e-6)
 
     def test_mixture_grid_error_bounded_by_endpoints(self, shared_and_local):
@@ -243,26 +259,28 @@ class TestFineTune:
             return float(
                 np.mean([abs(model.predict(f) - y) for f, y in holdout_rows])
             )
-        bound = max(err(shared), err(fine_tune(shared, local_rows, 0.0))) + 1e-12
+        provenances = _human(local_rows)
+        bound = max(err(shared), err(fine_tune(shared, local_rows, 0.0, provenances))) + 1e-12
         for mix in np.linspace(0.1, 0.9, 9):
-            assert err(fine_tune(shared, local_rows, float(mix))) <= bound
+            assert err(fine_tune(shared, local_rows, float(mix), provenances)) <= bound
 
     def test_invalid_mix_rejected(self, shared_and_local):
         shared, local_rows, _ = shared_and_local
         for mix in (-0.1, 1.1):
             with pytest.raises(TrainingError):
-                fine_tune(shared, local_rows, mix)
+                fine_tune(shared, local_rows, mix, _human(local_rows))
 
     def test_empty_local_data_rejected_for_interior_mix(self, shared_and_local):
         shared, _, _ = shared_and_local
         with pytest.raises(TrainingError):
-            fine_tune(shared, [], 0.5)
+            fine_tune(shared, [], 0.5, [])
 
 
 class TestCrowdsource:
     def test_singleton_ensemble_is_its_prediction(self, generator, small_dataset):
         style = fit_style(small_dataset)
-        model = train(_rows(small_dataset, style), 1e-3)
+        rows = _rows(small_dataset, style)
+        model = train(rows, 1e-3, _human(rows))
         preds = [model.predict(features_from_maps([s.semantic])[0]) for s in small_dataset[:4]]
         labels = crowdsource_labels(np.array([preds]), [style], style)
         assert labels == pytest.approx(preds)
@@ -291,6 +309,25 @@ class TestCrowdsource:
             crowdsource_labels(np.zeros((0, 1)), [], style)
 
 
+_REPORT = EvaluationReport(
+    per_task_error={"straight": 0.1},
+    per_task_failure_rate={"straight": 0.5},
+    per_task_count={"straight": 2},
+    overall_error=0.1,
+    overall_failure_rate=0.5,
+    fail_threshold=0.05,
+)
+_BAD_REPORT_FIELDS = {
+    "nan-overall-rate": {"overall_failure_rate": float("nan")},
+    "overall-rate-7": {"overall_failure_rate": 7.0},
+    "nan-overall-error": {"overall_error": float("nan")},
+    "negative-overall-error": {"overall_error": -0.1},
+    "nan-task-error": {"per_task_error": {"straight": float("nan")}},
+    "nan-fail-threshold": {"fail_threshold": float("nan")},
+    "zero-task-count": {"per_task_count": {"straight": 0}},
+}
+
+
 class TestEvaluate:
     def test_constant_half_on_straight_scenes_is_exact(self, generator):
         straights = generator.generate_dataset(
@@ -305,15 +342,16 @@ class TestEvaluate:
             seeds=range(820, 832),
         )
         style = fit_style(rich + straights)
-        report = evaluate(_constant_model(0.5), straights, style)
+        report = evaluate(_constant_model(0.5), straights, featurize(straights, style), 0.05)
         assert report.per_task_error == {"straight": 0.0}
         assert report.overall_error == 0.0
         assert report.overall_failure_rate == 0.0
 
     def test_accounting_matches_hand_computation(self, small_dataset):
         style = fit_style(small_dataset)
-        model = train(_rows(small_dataset, style), 1e-3)
-        report = evaluate(model, small_dataset, style, fail_threshold=0.02)
+        rows = _rows(small_dataset, style)
+        model = train(rows, 1e-3, _human(rows))
+        report = evaluate(model, small_dataset, [f for f, _ in rows], fail_threshold=0.02)
         errs: dict[str, list[float]] = {}
         for s in small_dataset:
             errs.setdefault(s.task.value, []).append(
@@ -334,26 +372,42 @@ class TestEvaluate:
         style = fit_style(small_dataset)
         sample = small_dataset[0]
         offset_model = _constant_model(min(1.0, sample.label + 0.05))
-        report = evaluate(offset_model, [sample], style, fail_threshold=0.05)
+        report = evaluate(offset_model, [sample], featurize([sample], style), fail_threshold=0.05)
         # error == threshold exactly is not a failure
         if abs(offset_model.predict(featurize([sample], style)[0]) - sample.label) == 0.05:
             assert report.overall_failure_rate == 0.0
 
     def test_first_unlabeled_or_unfeaturizable_sample_raises(self, small_dataset):
+        # The caller featurizes the testset; evaluate then rejects an
+        # unlabeled sample anywhere in it.
         style = fit_style(small_dataset)
         _, roadless = _far_road_and_roadless()
         ok, unlabeled = small_dataset[0], replace(small_dataset[1], label=None)
         blind = _painted(small_dataset[2], style, roadless)
         model = _constant_model(0.5)
         with pytest.raises(DegenerateInputError):
-            evaluate(model, [ok, blind, unlabeled], style)
-        with pytest.raises(EvaluationError, match="unlabeled"):
-            evaluate(model, [ok, unlabeled, blind], style)
+            featurize([ok, blind, unlabeled], style)
+        for testset in ([ok, unlabeled], [unlabeled, ok]):
+            with pytest.raises(EvaluationError, match="unlabeled"):
+                evaluate(model, testset, featurize(testset, style), 0.05)
 
-    def test_empty_testset_rejected(self, small_dataset):
+    def test_features_must_align_with_the_testset(self, small_dataset):
         style = fit_style(small_dataset)
+        testset = small_dataset[:3]
+        with pytest.raises(EvaluationError, match="align"):
+            evaluate(_constant_model(0.5), testset, featurize(testset[:2], style), 0.05)
+
+    def test_empty_testset_rejected(self):
         with pytest.raises(EvaluationError):
-            evaluate(_constant_model(0.5), [], style)
+            evaluate(_constant_model(0.5), [], [], 0.05)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_REPORT_FIELDS))
+    def test_report_rejects_nan_and_out_of_range_values(self, case):
+        fields = _BAD_REPORT_FIELDS[case]
+        with pytest.raises(EvaluationError):
+            replace(_REPORT, **fields)
+        with pytest.raises(DecodeError):
+            decode_models(encode_models([_tampered(_REPORT, **fields)]))
 
 
 class TestPolicyModel:
@@ -374,3 +428,11 @@ class TestPolicyModel:
         bad[2] = np.inf
         with pytest.raises(TrainingError):
             PolicyModel(weights=bad, ridge_lambda=0.0, n_train=1)
+
+    @pytest.mark.parametrize("ridge_lambda", [float("nan"), float("inf"), -1e-6])
+    def test_ridge_lambda_must_be_finite_and_nonnegative(self, ridge_lambda):
+        model = _constant_model(0.5)
+        with pytest.raises(TrainingError):
+            replace(model, ridge_lambda=ridge_lambda)
+        with pytest.raises(DecodeError):
+            decode_models(encode_models([_tampered(model, ridge_lambda=ridge_lambda)]))

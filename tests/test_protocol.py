@@ -87,7 +87,7 @@ def _assert_pool(cloud, expected):
 @pytest.fixture(scope="session")
 def full_round(worlds):
     robots, cloud = _nodes(worlds)
-    upload_bytes = run_round(robots, cloud)
+    upload_bytes = run_round(robots, cloud, SimNetwork())
     return robots, cloud, upload_bytes
 
 
@@ -159,7 +159,7 @@ def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkey
 def test_round_without_uploads_raises(worlds):
     robots, cloud = _nodes(worlds)
     with pytest.raises(ProtocolError, match="at least one upload"):
-        run_round(robots, cloud, drop_before_upload=[r.node_id for r in robots])
+        run_round(robots, cloud, SimNetwork(), drop_before_upload=[r.node_id for r in robots])
     assert all(robot.stage == Stage.DROPPED_OUT for robot in robots)
 
 

@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from parl.augment import diagnostics_json, make_corruptions, sample_insertion
+from parl.augment import _insertion_base, diagnostics_json, make_corruptions, sample_insertion
 from parl.world import BACKGROUND_ID, ClassId, InstanceMap, InstanceRecord, SemanticMap
 
 # (layout index, class, seed); every entry yields a candidate.
@@ -95,7 +95,7 @@ def corpus(layouts, predictors):
     where, what = predictors
     inserted = []
     for i, cls, seed in INSERTIONS:
-        candidate = sample_insertion(where, what, layouts[i], cls, seed)
+        candidate = sample_insertion(where, what, _insertion_base(layouts[i]), cls, seed)
         assert candidate is not None
         inserted.append((candidate.semantic, candidate.instances))
     return {

@@ -1,5 +1,6 @@
 """Style model construction, fitting, cross-rendering, and affinity."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parl.augment import AugmentationCandidate
-from parl.errors import FittingError
+from parl.codec import decode_models, encode_models
+from parl.errors import DecodeError, FittingError
 from parl.styles import (
     DEFAULT_SEPARATION_FLOOR,
     N_CLASSES,
@@ -52,7 +54,7 @@ class TestBuiltInStyles:
 
     def test_styles_for_agents_rejects_duplicates(self):
         with pytest.raises(FittingError, match="duplicate"):
-            styles_for_agents([1, 1])
+            styles_for_agents([1, 1], seed=0)
 
     def test_style_id_recorded(self):
         assert built_in_style(6, seed=1).style == 6
@@ -189,7 +191,32 @@ class TestAffinity:
         assert style_affinity(a, nearby) > style_affinity(a, far)
 
 
+def _tampered(model, **fields):
+    """A copy of model holding fields its checks reject, as a corrupted record would."""
+    bad = copy.copy(model)
+    for name, value in fields.items():
+        object.__setattr__(bad, name, value)
+    return bad
+
+
+_ONE_CLASS = np.arange(N_CLASSES) == 1
+_BAD_STYLE_FIELDS = {
+    "nan-spread": lambda s: {"class_spreads": np.where(_ONE_CLASS, np.nan, s.class_spreads)},
+    "negative-spread": lambda s: {"class_spreads": np.where(_ONE_CLASS, -0.01, s.class_spreads)},
+    "nan-floor": lambda s: {"separation_floor": float("nan")},
+}
+
+
 class TestStyleModelValidation:
+    @pytest.mark.parametrize("case", sorted(_BAD_STYLE_FIELDS))
+    def test_nan_and_negative_state_rejected(self, case):
+        style = built_in_style(1, seed=4)
+        fields = _BAD_STYLE_FIELDS[case](style)
+        with pytest.raises(FittingError):
+            dataclasses.replace(style, **fields)
+        with pytest.raises(DecodeError):
+            decode_models(encode_models([_tampered(style, **fields)]))
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(FittingError):
             StyleModel(
