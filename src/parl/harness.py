@@ -341,12 +341,13 @@ def run_experiment(
         provenances = [s.provenance for s in pooled_samples]
         return train(list(rows), ridge_lambda=config.ridge_lambda, provenances=provenances)
 
+    central_model = _stage("centralized-train", "harness", train_centralized)
+    codec.write_models(out / CENTRALIZED_MODEL_FILE, [central_model])
+
     def evaluate_centralized(holdout: list[DrivingSample]) -> EvaluationReport:
         features = featurize(holdout, central_style)
         return evaluate(central_model, holdout, features, config.fail_threshold)
 
-    central_model = _stage("centralized-train", "harness", train_centralized)
-    codec.write_models(out / CENTRALIZED_MODEL_FILE, [central_model])
     for robot in range(config.robots):
         key = robot_key(robot)
         arms[ARM_CENTRALIZED][key] = _stage(

@@ -179,7 +179,7 @@ def test_failed_pooled_perception_names_the_centralized_stage(
 
     def failing(samples, style):
         if style.style == POOLED_STYLE_ID:
-            pooled_calls.append(len(samples))
+            pooled_calls.append(samples)
             if len(pooled_calls) == failing_call:
                 raise DegenerateInputError("injected featurize failure")
         return real(samples, style)
