@@ -19,6 +19,7 @@ from .augment import (
     fit_where,
 )
 from .baselines import (
+    AugmenterAxes,
     baseline_color_jitter,
     baseline_random_resized_crop,
     pooled_style,
@@ -70,6 +71,7 @@ __all__ = [
     "AgentProfile",
     "AugmentStats",
     "AugmentationCandidate",
+    "AugmenterAxes",
     "ClassId",
     "CloudNode",
     "ComparisonReport",

@@ -176,11 +176,7 @@ def _pixel_index(scenario: Scenario) -> _PixelIndex:
     return keys, distinct, first, is_first
 
 
-def _is_coordinate_remap(
-    source: DrivingSample,
-    output: DrivingSample,
-    index: Optional[_PixelIndex] = None,
-) -> bool:
+def _is_coordinate_remap(source: DrivingSample, output: DrivingSample, index: _PixelIndex) -> bool:
     """True when the output only rearranges source cells (crop/resize style).
 
     Every output pixel triple must occur verbatim in the source (texture
@@ -197,7 +193,7 @@ def _is_coordinate_remap(
     cell map could factor into, and one gather then checks every output
     pixel against its source key and first occurrence.
     """
-    keys, distinct, first, is_first = index or _pixel_index(source.scenario)
+    keys, distinct, first, is_first = index
     out_px = output.scenario.pixels
     h, w = out_px.shape[:2]
     out_keys = out_px.reshape(-1, 3).view(_PIXEL_KEY).reshape(h, w)
@@ -217,67 +213,86 @@ def _is_coordinate_remap(
     return bool(np.array_equal(src_grid[np.ix_(row_idx, col_idx)], out_grid))
 
 
+class AugmenterAxes:
+    """One augmenter's qualitative axes, tallied as its outputs are made.
+
+    add takes one source and the outputs made from it, checks each pair at
+    once and keeps only what qualitative_table reads: the distinct sources,
+    each output's semantic and instance maps in output order, and whether
+    any output added semantic content or an instance record. It keeps no
+    output's pixels, so the outputs can be freed as soon as an arm has
+    trained on them.
+
+    An output has semantic content absent from its source when its semantic
+    map is another object and it is not a pure coordinate remap of the
+    source's cells; pairs are checked only until the first one that has.
+    """
+
+    def __init__(self) -> None:
+        self._sources: dict[int, DrivingSample] = {}
+        self.layouts: list[tuple[SemanticMap, InstanceMap]] = []
+        self.semantic = False
+        self.instance = False
+
+    def add(self, source: DrivingSample, outputs: Sequence[DrivingSample]) -> None:
+        self._sources.setdefault(id(source), source)
+        index: Optional[_PixelIndex] = None
+        for output in outputs:
+            self.layouts.append((output.semantic, output.instances))
+            if not self.semantic and output.semantic != source.semantic:
+                index = index or _pixel_index(source.scenario)
+                self.semantic = not _is_coordinate_remap(source, output, index)
+            if len(output.instances.records) > len(source.instances.records):
+                self.instance = True
+
+    @property
+    def number(self) -> float:
+        """The achieved output/input ratio over distinct sources."""
+        return len(self.layouts) / len(self._sources) if self._sources else 0.0
+
+
 def qualitative_table(
-    arms: Mapping[str, tuple[Sequence[DrivingSample], Sequence[DrivingSample]]],
+    arms: Mapping[str, AugmenterAxes],
     scorer: PlausibilityScorer,
     known_scores: Mapping[str, Sequence[float]],
 ) -> dict[str, dict]:
     """Mechanical axis flags per augmenter: number, semantic, instance, reality.
 
-    arms maps augmenter name to (sources, outputs) where outputs[i] derives
-    from sources[i]. Number is the achieved output/input ratio over distinct
-    sources, semantic flags any output with semantic content absent from its
-    source (a pure coordinate remap of existing cells does not count),
-    instance flags any added instance record, and reality buckets the mean
-    plausibility score under scorer (A >= 0.75, B >= 0.5, C >= 0.25, else D;
-    "-" for an arm without outputs).
+    arms maps augmenter name to its tallied axes. Number is the achieved
+    output/input ratio over distinct sources, semantic flags any output with
+    semantic content absent from its source (a pure coordinate remap of
+    existing cells does not count), instance flags any added instance
+    record, and reality buckets the mean plausibility score under scorer
+    (A >= 0.75, B >= 0.5, C >= 0.25, else D; "-" for an arm without
+    outputs).
 
     known_scores maps some arms, possibly none, to their outputs' scores
     under this same scorer, aligned with the outputs, so candidates that
-    already carry a score are not scored again. Every other output is scored
-    in one batch, once per distinct layout: outputs that share their
-    semantic and instance map objects (an appearance-only augmenter keeps
-    its source's maps) share one score.
+    already carry a score are not scored again. Every other output's maps
+    are scored in one batch, once per distinct layout: outputs that share
+    their semantic and instance map objects (an appearance-only augmenter
+    keeps its source's maps) share one score.
     """
-    for name, (sources, outputs) in arms.items():
-        if len(sources) != len(outputs):
-            raise FittingError(f"{name}: sources and outputs must align")
-        if name in known_scores and len(known_scores[name]) != len(outputs):
+    for name, axes in arms.items():
+        if name in known_scores and len(known_scores[name]) != len(axes.layouts):
             raise FittingError(f"{name}: known scores and outputs must align")
     # Every distinct layout still to score, keyed by its map objects.
     layouts: dict[tuple[int, int], tuple] = {}
-    for name, (_, outputs) in arms.items():
+    for name, axes in arms.items():
         if name not in known_scores:
-            for o in outputs:
-                layouts.setdefault((id(o.semantic), id(o.instances)), (o.semantic, o.instances))
+            for semantic, instances in axes.layouts:
+                layouts.setdefault((id(semantic), id(instances)), (semantic, instances))
     scored = dict(zip(layouts, scorer.score_layout(list(layouts.values())))) if layouts else {}
 
-    # Each source's pixel index, built once for all of its outputs.
-    indexes: dict[int, _PixelIndex] = {}
-
-    def is_remap(source: DrivingSample, output: DrivingSample) -> bool:
-        if id(source) not in indexes:
-            indexes[id(source)] = _pixel_index(source.scenario)
-        return _is_coordinate_remap(source, output, indexes[id(source)])
-
     table: dict[str, dict] = {}
-    for name, (sources, outputs) in arms.items():
-        semantic = any(
-            o.semantic != s.semantic and not is_remap(s, o) for s, o in zip(sources, outputs)
-        )
-        instance = any(
-            len(o.instances.records) > len(s.instances.records)
-            for s, o in zip(sources, outputs)
-        )
-        distinct = len({id(s) for s in sources})
-        number = len(outputs) / distinct if distinct else 0.0
+    for name, axes in arms.items():
         reality = "-"
         mean_score = None
-        if outputs:
+        if axes.layouts:
             if name in known_scores:
                 scores = known_scores[name]
             else:
-                scores = [scored[(id(o.semantic), id(o.instances))] for o in outputs]
+                scores = [scored[(id(m), id(i))] for m, i in axes.layouts]
             mean_score = float(np.mean(scores))
             for bucket, cutoff in (("A", 0.75), ("B", 0.5), ("C", 0.25)):
                 if mean_score >= cutoff:
@@ -286,9 +301,9 @@ def qualitative_table(
             else:
                 reality = "D"
         table[name] = {
-            "number": round(number, 4),
-            "semantic": semantic,
-            "instance": instance,
+            "number": round(axes.number, 4),
+            "semantic": axes.semantic,
+            "instance": axes.instance,
             "reality": reality,
             "mean_score": None if mean_score is None else round(mean_score, 6),
         }

@@ -24,6 +24,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import codec
 from .baselines import pooled_style
@@ -159,12 +160,44 @@ def _rescore(run_dir: Path):
     return config, arms
 
 
+def _read_report(path: Path) -> dict:
+    """report.json's document; unreadable JSON, or no table of arms, is a configuration error."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"{path} is not readable JSON: {exc}") from exc
+    arms = doc.get("arms") if isinstance(doc, dict) else None
+    if not (isinstance(arms, dict) and all(isinstance(v, dict) for v in arms.values())):
+        raise ConfigurationError(f"{path} has no table of arms")
+    return doc
+
+
+def _verify_mismatch(got, want) -> Optional[str]:
+    """Why a recomputed evaluation disagrees with its report.json entry, or None."""
+    fields = ("overall_error", "overall_failure_rate")
+    if not isinstance(want, dict):
+        return "report.json entry is not an object"
+    missing = [field for field in fields if not isinstance(want.get(field), (int, float))]
+    if missing:
+        return f"report.json entry has no numeric {' or '.join(missing)}"
+    # Written so that a NaN in report.json is a mismatch.
+    if not (
+        abs(got.overall_error - want["overall_error"]) <= 1e-9
+        and abs(got.overall_failure_rate - want["overall_failure_rate"]) <= 1e-9
+    ):
+        return f"recomputed {got.overall_error:.6f} vs saved {want['overall_error']:.6f}"
+    return None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = _run_dir(args)
     if not (run_dir / "config.txt").exists():
         raise ConfigurationError(f"no config.txt under {run_dir}")
-    if args.verify and not (run_dir / "report.json").exists():
-        raise ConfigurationError(f"no report.json under {run_dir} to verify against")
+    saved = None
+    if args.verify:
+        if not (run_dir / "report.json").exists():
+            raise ConfigurationError(f"no report.json under {run_dir} to verify against")
+        saved = _read_report(run_dir / "report.json")["arms"]
     _, arms = _rescore(run_dir)
     for arm in sorted(arms):
         for key in sorted(arms[arm]):
@@ -173,8 +206,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"{arm:14s} {key}: error={rep.overall_error:.6f} "
                 f"failure_rate={rep.overall_failure_rate:.6f}"
             )
-    if args.verify:
-        saved = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["arms"]
+    if saved is not None:
         # Every evaluation either side holds, recomputed or reported.
         pairs = {(arm, key) for side in (arms, saved) for arm in side for key in side[arm]}
         mismatches = []
@@ -184,14 +216,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 mismatches.append(f"{arm}/{key}: missing from report.json")
             elif got is None:
                 mismatches.append(f"{arm}/{key}: no saved model to recompute it from")
-            elif (
-                abs(got.overall_error - want["overall_error"]) > 1e-9
-                or abs(got.overall_failure_rate - want["overall_failure_rate"]) > 1e-9
-            ):
-                mismatches.append(
-                    f"{arm}/{key}: recomputed {got.overall_error:.6f} "
-                    f"vs saved {want['overall_error']:.6f}"
-                )
+            elif (why := _verify_mismatch(got, want)) is not None:
+                mismatches.append(f"{arm}/{key}: {why}")
         for mismatch in mismatches:
             print(f"VERIFY FAIL: {mismatch}")
         if mismatches:
@@ -205,7 +231,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = run_dir / "report.json"
     if not path.exists():
         raise ConfigurationError(f"no report.json under {run_dir}")
-    text = render_markdown(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        text = render_markdown(_read_report(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path} is not a run report: {exc!r}") from exc
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"markdown written to {args.out}")

@@ -26,6 +26,12 @@ carries one has its magic and version.
 Decoders reject bad magic, unknown versions, unknown item kinds, truncated
 payloads, and trailing bytes with DecodeError; a payload that parses but
 violates a model invariant is also a DecodeError, never a half-built object.
+
+Each payload is copied once on the way out and once on the way in. An
+encoder collects its fields and buffers as parts, scenario pixels as the
+scenario's own read-only array, and joins them once; a decoder takes bytes
+or a memoryview, slices it without copying, and copies each array it reads
+into an array of its own.
 """
 
 from __future__ import annotations
@@ -92,29 +98,48 @@ ModelItem = Union[
 
 
 class _Writer:
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
+    """Little-endian fields collected as parts and copied once, by getvalue.
 
-    def raw(self, data: bytes) -> None:
-        self._parts.append(bytes(data))
+    raw keeps the buffer it is given and does not copy it, so it takes only
+    immutable buffers: bytes, or a read-only array's memory. The bytes of a
+    writable array go in as arr.tobytes(). framed appends another writer's
+    parts behind their u32 byte length, so a nested record is not joined
+    before its container is.
+    """
+
+    def __init__(self) -> None:
+        self._parts: list = []
+        self.nbytes = 0
+
+    def raw(self, data) -> None:
+        view = memoryview(data)
+        if not view.readonly:
+            raise TypeError("_Writer.raw takes only immutable buffers")
+        self._parts.append(data)
+        self.nbytes += view.nbytes
+
+    def _pack(self, fmt: str, value) -> None:
+        part = struct.pack(fmt, value)
+        self._parts.append(part)
+        self.nbytes += len(part)
 
     def u8(self, value: int) -> None:
-        self._parts.append(struct.pack("<B", value))
+        self._pack("<B", value)
 
     def u16(self, value: int) -> None:
-        self._parts.append(struct.pack("<H", value))
+        self._pack("<H", value)
 
     def u32(self, value: int) -> None:
-        self._parts.append(struct.pack("<I", value))
+        self._pack("<I", value)
 
     def u64(self, value: int) -> None:
-        self._parts.append(struct.pack("<Q", value))
+        self._pack("<Q", value)
 
     def f32(self, value: float) -> None:
-        self._parts.append(struct.pack("<f", value))
+        self._pack("<f", value)
 
     def f64(self, value: float) -> None:
-        self._parts.append(struct.pack("<d", value))
+        self._pack("<d", value)
 
     def short_str(self, text: str) -> None:
         data = text.encode("utf-8")
@@ -123,19 +148,29 @@ class _Writer:
         self.u8(len(data))
         self.raw(data)
 
+    def framed(self, inner: "_Writer") -> None:
+        self.u32(inner.nbytes)
+        self._parts.extend(inner._parts)
+        self.nbytes += inner.nbytes
+
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
 
 class _Reader:
-    """Sequential reader that turns every overrun into a DecodeError."""
+    """Sequential reader that turns every overrun into a DecodeError.
 
-    def __init__(self, data: bytes, what: str = "stream") -> None:
-        self._data = data
+    It reads through a memoryview of any bytes-like input, so take returns
+    a view into that input, not a copy; array copies the elements it reads
+    once, into an array of their own.
+    """
+
+    def __init__(self, data, what: str = "stream") -> None:
+        self._data = memoryview(data).cast("B")
         self._pos = 0
         self._what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self._pos + n > len(self._data):
             raise DecodeError(
                 f"truncated {self._what}: wanted {n} bytes at offset {self._pos}, "
@@ -169,7 +204,7 @@ class _Reader:
     def short_str(self) -> str:
         n = self.u8()
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError(f"invalid utf-8 in {self._what}") from exc
 
@@ -180,7 +215,7 @@ class _Reader:
     def expect_magic(self, magic: bytes) -> None:
         got = self.take(len(magic))
         if got != magic:
-            raise DecodeError(f"bad magic {got!r}, expected {magic!r}")
+            raise DecodeError(f"bad magic {bytes(got)!r}, expected {magic!r}")
 
     def expect_version(self) -> None:
         version = self.u16()
@@ -269,7 +304,18 @@ def _read_grids(r: _Reader, h: int, wdt: int, table: np.dtype) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _encode_sample(sample: DrivingSample) -> bytes:
+def _f32_pixels(scenario: Scenario) -> np.ndarray:
+    """The scenario's pixels as read-only little-endian f32.
+
+    Scenario pixels are frozen C-ordered float32, so on a little-endian host
+    this is the scenario's own array, not a copy.
+    """
+    pixels = scenario.pixels.astype("<f4", copy=False)
+    pixels.setflags(write=False)
+    return pixels
+
+
+def _encode_sample(sample: DrivingSample) -> _Writer:
     w = _Writer()
     h, wdt = sample.semantic.classes.shape
     if sample.scenario.pixels.shape[:2] != (h, wdt) or sample.instances.instance_grid.shape != (h, wdt):
@@ -282,11 +328,11 @@ def _encode_sample(sample: DrivingSample) -> bytes:
     w.u8(0 if sample.label is None else 1)
     w.f32(0.0 if sample.label is None else sample.label)
     _write_grids(w, sample.semantic, sample.instances, _RECORDS_F32)
-    w.raw(sample.scenario.pixels.astype("<f4").tobytes())
-    return w.getvalue()
+    w.raw(_f32_pixels(sample.scenario))
+    return w
 
 
-def _decode_sample(data: bytes) -> DrivingSample:
+def _decode_sample(data: memoryview) -> DrivingSample:
     r = _Reader(data, "sample")
     h = r.u16()
     wdt = r.u16()
@@ -324,13 +370,11 @@ def encode_samples(samples: Sequence[DrivingSample]) -> bytes:
     w.u16(FORMAT_VERSION)
     w.u32(len(samples))
     for sample in samples:
-        payload = _encode_sample(sample)
-        w.u32(len(payload))
-        w.raw(payload)
+        w.framed(_encode_sample(sample))
     return w.getvalue()
 
 
-def decode_samples(data: bytes) -> list[DrivingSample]:
+def decode_samples(data: bytes | memoryview) -> list[DrivingSample]:
     r = _Reader(data, "dataset")
     r.expect_magic(DATASET_MAGIC)
     r.expect_version()
@@ -340,19 +384,23 @@ def decode_samples(data: bytes) -> list[DrivingSample]:
     return samples
 
 
-def encode_scenarios(scenarios: Sequence[Scenario]) -> bytes:
-    """A scenario list: each scenario's shape, style id and f32 pixels."""
+def _scenario_list(scenarios: Sequence[Scenario]) -> _Writer:
     w = _Writer()
     w.u32(len(scenarios))
     for scenario in scenarios:
         w.u16(scenario.height)
         w.u16(scenario.width)
         w.u16(_checked_u16(scenario.style, "style id"))
-        w.raw(scenario.pixels.astype("<f4").tobytes())
-    return w.getvalue()
+        w.raw(_f32_pixels(scenario))
+    return w
 
 
-def decode_scenarios(data: bytes) -> list[Scenario]:
+def encode_scenarios(scenarios: Sequence[Scenario]) -> bytes:
+    """A scenario list: each scenario's shape, style id and f32 pixels."""
+    return _scenario_list(scenarios).getvalue()
+
+
+def decode_scenarios(data: bytes | memoryview) -> list[Scenario]:
     """The scenarios of an `encode_scenarios` list.
 
     A scenario smaller than the smallest map perception accepts, or with a
@@ -445,7 +493,7 @@ def _decode_layout_body(r: _Reader) -> Layout:
         raise DecodeError(f"layout payload violates invariants: {exc}") from exc
 
 
-def _encode_item(item: ModelItem) -> bytes:
+def _encode_item(item: ModelItem) -> _Writer:
     w = _Writer()
     if isinstance(item, StyleModel):
         w.u8(KIND_STYLE)
@@ -508,10 +556,10 @@ def _encode_item(item: ModelItem) -> bytes:
         _encode_layout_body(item[0], item[1], w)
     else:
         raise ConfigurationError(f"cannot encode {type(item).__name__} as a model record")
-    return w.getvalue()
+    return w
 
 
-def _decode_item(data: bytes) -> ModelItem:
+def _decode_item(data: memoryview) -> ModelItem:
     r = _Reader(data, "model record")
     kind = r.u8()
     try:
@@ -608,19 +656,21 @@ def _decode_item(data: bytes) -> ModelItem:
     raise DecodeError(f"unknown model record kind {kind}")
 
 
-def encode_models(items: Sequence[ModelItem]) -> bytes:
+def _model_container(items: Sequence[ModelItem]) -> _Writer:
     w = _Writer()
     w.raw(MODEL_MAGIC)
     w.u16(FORMAT_VERSION)
     w.u32(len(items))
     for item in items:
-        payload = _encode_item(item)
-        w.u32(len(payload))
-        w.raw(payload)
-    return w.getvalue()
+        w.framed(_encode_item(item))
+    return w
 
 
-def decode_models(data: bytes) -> list[ModelItem]:
+def encode_models(items: Sequence[ModelItem]) -> bytes:
+    return _model_container(items).getvalue()
+
+
+def decode_models(data: bytes | memoryview) -> list[ModelItem]:
     r = _Reader(data, "model container")
     r.expect_magic(MODEL_MAGIC)
     r.expect_version()

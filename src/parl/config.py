@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,10 +49,11 @@ class ExperimentConfig:
             raise ConfigurationError("tau must lie in [0, 1]")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigurationError("beta must lie in [0, 1]")
-        if self.ridge_lambda < 0.0:
-            raise ConfigurationError("ridge_lambda must be nonnegative")
-        if self.fail_threshold <= 0.0:
-            raise ConfigurationError("fail_threshold must be positive")
+        # Written so that NaN, which fails every comparison, fails the check.
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise ConfigurationError("ridge_lambda must be finite and nonnegative")
+        if not 0.0 < self.fail_threshold < math.inf:
+            raise ConfigurationError("fail_threshold must be finite and positive")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigurationError("holdout_fraction must lie in (0, 1)")
         for name in ("world_seed", "augment_seed", "protocol_seed"):

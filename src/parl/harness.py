@@ -27,6 +27,10 @@ arms train on the node's training features plus their own featurized
 extras, and every per-robot arm is evaluated on the node's holdout features.
 The centralized arm featurizes under the pooled style.
 
+An appearance arm's augmented copies live only while the arm trains: each
+(source, copy) pair is tallied into the qualitative table's axes as it is
+made, and the tally keeps the copies' maps, not their pixels.
+
 `run_round` returns only the uploads' wire bytes. The harness reads every
 other result of the round from the nodes and the `SimNetwork` it creates:
 the cloud's participants, candidates, fitted models, stats, pool, shared
@@ -41,11 +45,12 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import codec
 from .augment import AugmentStats, diagnostics_json
 from .baselines import (
+    AugmenterAxes,
     baseline_color_jitter,
     baseline_random_resized_crop,
     pooled_style,
@@ -298,6 +303,30 @@ def _train_local_arm(
     return model, report
 
 
+def _train_appearance_arm(
+    robot: RobotNode,
+    config: ExperimentConfig,
+    augmenter: Callable[[DrivingSample, int], DrivingSample],
+    seed_base: int,
+    axes: AugmenterAxes,
+) -> tuple[PolicyModel, EvaluationReport]:
+    """Augment the robot's training split, tally the copies, train on them.
+
+    Each training sample gets fan_out copies. The copies live only in this
+    call: once the arm has trained, none of their pixels stay alive.
+    """
+    index = robot.node_id.index
+    extra = []
+    for i, sample in enumerate(robot.train_samples):
+        outputs = [
+            augmenter(sample, config.augment_seed * seed_base + index * 10_007 + i * 31 + k)
+            for k in range(config.fan_out)
+        ]
+        axes.add(sample, outputs)
+        extra.extend(outputs)
+    return _train_local_arm(robot, config, extra)
+
+
 def run_experiment(
     config: ExperimentConfig, output_root: Optional[str] = None
 ) -> ComparisonReport:
@@ -327,10 +356,9 @@ def run_experiment(
         (ARM_JITTER, "color-jitter", baseline_color_jitter, 1_000_003, "jitter-train"),
         (ARM_CROP, "random-resized-crop", baseline_random_resized_crop, 9_176, "crop-train"),
     )
-    # Per appearance augmenter, every (source, augmented) pair for qualitative_table.
-    appearance_pairs: dict[str, tuple[list[DrivingSample], list[DrivingSample]]] = {
-        name: ([], []) for _, name, *_ in appearance_arms
-    }
+    # Per appearance augmenter, its axes for qualitative_table, tallied as
+    # each robot's copies are made.
+    appearance_axes = {name: AugmenterAxes() for _, name, *_ in appearance_arms}
 
     # Centralized arm: pooled data, pooled (non-adapted) perception.
     pooled_samples = [s for robot in range(config.robots) for s in train_sets[robot]]
@@ -396,15 +424,10 @@ def run_experiment(
         )
         codec.write_models(out / ARM_MODEL_FILES[ARM_LOCAL].format(key=key), [robot.policy])
         for arm, name, augmenter, seed_base, stage in appearance_arms:
-            sources, outputs = appearance_pairs[name]
-            extra = []
-            for i, sample in enumerate(train_sets[index]):
-                for k in range(config.fan_out):
-                    seed = config.augment_seed * seed_base + index * 10_007 + i * 31 + k
-                    sources.append(sample)
-                    extra.append(augmenter(sample, seed))
-            outputs.extend(extra)
-            model, report = _stage(stage, key, _train_local_arm, robot, config, extra)
+            model, report = _stage(
+                stage, key, _train_appearance_arm,
+                robot, config, augmenter, seed_base, appearance_axes[name],
+            )
             arms[arm][key] = report
             codec.write_models(out / ARM_MODEL_FILES[arm].format(key=key), [model])
 
@@ -415,19 +438,17 @@ def run_experiment(
     codec.write_models(out / "candidates.dm1", candidates)
 
     # Qualitative axes for the three augmenters, scored by the round's judge.
-    dat_sources, dat_outputs = [], []
+    dat_axes = AugmenterAxes()
     for node, candidate in cloud.candidates:
         source = train_sets[node.index][candidate.source_sample_id]
-        dat_sources.append(source)
-        dat_outputs.append(
-            replace(
-                source,
-                semantic=candidate.semantic,
-                instances=candidate.instances,
-                provenance=Provenance.AUGMENTED,
-            )
+        output = replace(
+            source,
+            semantic=candidate.semantic,
+            instances=candidate.instances,
+            provenance=Provenance.AUGMENTED,
         )
-    qual_arms = {"semantic-insertion": (dat_sources, dat_outputs), **appearance_pairs}
+        dat_axes.add(source, [output])
+    qual_arms = {"semantic-insertion": dat_axes, **appearance_axes}
     # Each candidate already carries its score under cloud.scorer.
     qualitative = qualitative_table(
         qual_arms,

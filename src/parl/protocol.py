@@ -14,7 +14,9 @@ One round of the peer-assisted pipeline:
    style id cross the wire: the candidate layouts stay on the cloud, as the
    robot must recover each map from what it sees. The robot segments every
    scenario and answers with its local policy's predictions
-   (LabelResponse).
+   (LabelResponse). The requests are streamed: one participant's request
+   is rendered, sent and answered before the next is rendered, so the
+   round holds one rendered request at a time, not one per robot.
 4. The answers are the labels: every answering robot, the candidate's
    source included, votes on every candidate, and each candidate is
    labeled once per participant style with the affinity-weighted mean of
@@ -63,10 +65,10 @@ from .augment import (
 from .codec import (
     _Reader,
     _Writer,
+    _model_container,
+    _scenario_list,
     decode_models,
     decode_scenarios,
-    encode_models,
-    encode_scenarios,
 )
 from .config import ExperimentConfig
 from .errors import ConfigurationError, DecodeError, ParlError, ProtocolError
@@ -252,17 +254,18 @@ class Message:
             raise ProtocolError(f"unknown message body {type(self.body).__name__}")
 
 
-def _encode_body(body: Body) -> bytes:
+def _encode_body(body: Body) -> _Writer:
+    """The body's payload as unjoined parts, so the message is joined once."""
     if isinstance(body, UploadLocal):
-        return encode_models([body.style, body.policy, *body.layouts])
+        return _model_container([body.style, body.policy, *body.layouts])
     if isinstance(body, LabelRequest):
-        return encode_scenarios(body.scenarios)
+        return _scenario_list(body.scenarios)
     if isinstance(body, LabelResponse):
-        return encode_models([np.asarray(body.torques, dtype=np.float64)])
+        return _model_container([np.asarray(body.torques, dtype=np.float64)])
     if isinstance(body, SharedModel):
-        return encode_models([body.policy])
+        return _model_container([body.policy])
     if isinstance(body, FineTuneAck):
-        return encode_models([body.report])
+        return _model_container([body.report])
     raise ProtocolError(f"cannot encode body {type(body).__name__}")
 
 
@@ -273,7 +276,7 @@ def _expect(items: list, types: tuple, what: str) -> None:
         raise DecodeError(f"{what}: payload items do not match the variant schema")
 
 
-def _decode_body(tag: int, payload: bytes) -> Body:
+def _decode_body(tag: int, payload: memoryview) -> Body:
     try:
         if tag == _TAG_OF[UploadLocal]:
             items = decode_models(payload)
@@ -308,6 +311,7 @@ def _decode_body(tag: int, payload: bytes) -> Body:
 
 
 def encode_message(message: Message) -> bytes:
+    """The message's wire bytes: its header, then its payload, joined once."""
     payload = _encode_body(message.body)
     w = _Writer()
     w.raw(MESSAGE_MAGIC)
@@ -316,12 +320,12 @@ def encode_message(message: Message) -> bytes:
     w.u16(message.recipient.value)
     w.u64(message.seq)
     w.u8(_TAG_OF[type(message.body)])
-    w.u32(len(payload))
-    w.raw(payload)
+    w.framed(payload)
     return w.getvalue()
 
 
-def decode_message(data: bytes) -> Message:
+def decode_message(data: bytes | memoryview) -> Message:
+    """The message encode_message wrote; the payload is read in place, not copied."""
     r = _Reader(data, "message")
     r.expect_magic(MESSAGE_MAGIC)
     version = r.u16()
@@ -608,8 +612,15 @@ class CloudNode:
     def participants(self) -> list[NodeId]:
         return sorted(self.uploads)
 
-    def begin_round(self) -> list[Message]:
-        """Fit the augmentation models, augment per robot, request labels."""
+    def begin_round(self) -> Iterator[Message]:
+        """Fit the augmentation models, augment per robot, request labels.
+
+        The fits and the augmentation run at the call. The LabelRequests
+        come from the returned iterator, one participant's at a time in node
+        order: each is rendered only when the next one is asked for, so a
+        caller that sends and handles a request before asking for the next
+        holds one rendered request at a time.
+        """
         if not self.uploads:
             raise ProtocolError("round needs at least one upload")
         self.stage = advance_stage(self.stage, Stage.CLOUD_AUGMENT)
@@ -637,12 +648,11 @@ class CloudNode:
             )
             self.candidates.extend((node, c) for c in per_robot)
         self.stage = advance_stage(self.stage, Stage.LABELING)
-        if not self.candidates:
-            return []
-        return [
+        nodes = self.participants if self.candidates else []
+        return (
             self._msg(node, LabelRequest(scenarios=self._render_candidates(node)))
-            for node in self.participants
-        ]
+            for node in nodes
+        )
 
     def _render_candidates(self, node: NodeId) -> tuple[Scenario, ...]:
         """Every candidate rendered in the node's uploaded style."""
@@ -697,6 +707,13 @@ class CloudNode:
 # ---------------------------------------------------------------------------
 
 
+def _serve(robot: RobotNode, network: SimNetwork) -> None:
+    """Deliver the robot's inbox to it and send its replies."""
+    for message in network.deliver(robot.node_id):
+        for reply in robot.handle(message):
+            network.send(reply)
+
+
 def run_round(
     robots: Sequence[RobotNode],
     cloud: CloudNode,
@@ -709,14 +726,20 @@ def run_round(
     Returns each uploading robot's UploadLocal wire bytes; everything else
     the round produced stays on the nodes and the network.
 
+    The label requests are streamed: each participant's request is sent,
+    and delivered to and handled by its robot, before the next one is
+    rendered, so one rendered request (or its decoded copy) is alive at a
+    time. A request to a robot that is down is still rendered and encoded,
+    and send drops it.
+
     Dropout injection: nodes in drop_before_upload never upload; nodes in
     drop_after_upload upload and then go silent. The logical deadline for
     each phase is one delivery pass over all nodes, so a silent robot delays
     nothing.
     """
     ordered = sorted(robots, key=lambda r: r.node_id.value)
-    ids = [r.node_id for r in ordered]
-    if len(set(ids)) != len(ids):
+    by_id = {r.node_id: r for r in ordered}
+    if len(by_id) != len(ordered):
         raise ConfigurationError("robot node ids must be unique")
     before = set(drop_before_upload)
     after = set(drop_after_upload)
@@ -738,12 +761,12 @@ def run_round(
         cloud.handle(message)
 
     for message in cloud.begin_round():
+        recipient = by_id[message.recipient]
         network.send(message)
-
-    for robot in ordered:
-        for message in network.deliver(robot.node_id):
-            for reply in robot.handle(message):
-                network.send(reply)
+        # The robot decodes its own copy; the next request is rendered after
+        # this one is gone.
+        del message
+        _serve(recipient, network)
     for message in network.deliver(cloud.node_id):
         cloud.handle(message)
 
@@ -751,9 +774,7 @@ def run_round(
         network.send(message)
 
     for robot in ordered:
-        for message in network.deliver(robot.node_id):
-            for reply in robot.handle(message):
-                network.send(reply)
+        _serve(robot, network)
     for message in network.deliver(cloud.node_id):
         cloud.handle(message)
 

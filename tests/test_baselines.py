@@ -1,5 +1,6 @@
 """Tests for the comparison arms: the qualitative table's scoring and remap check, and the crop."""
 
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from parl import baselines
 from parl.baselines import (
+    AugmenterAxes,
     _is_coordinate_remap,
     _pixel_index,
     baseline_color_jitter,
@@ -40,12 +43,20 @@ class CountingScorer:
         return self.scorer.score_layout(layouts)
 
 
+def _tally(sources, outputs):
+    """The axes of (source, output) pairs, each pair added on its own."""
+    axes = AugmenterAxes()
+    for source, output in zip(sources, outputs):
+        axes.add(source, [output])
+    return axes
+
+
 def test_outputs_sharing_maps_are_scored_once(small_dataset, scorer):
     # Two jitters per source; a jitter keeps its source's map objects.
     sources = [s for s in small_dataset[:4] for _ in range(2)]
     outputs = [baseline_color_jitter(s, seed=k) for k, s in enumerate(sources)]
     counting = CountingScorer(scorer)
-    row = qualitative_table({"color-jitter": (sources, outputs)}, counting, {})["color-jitter"]
+    row = qualitative_table({"color-jitter": _tally(sources, outputs)}, counting, {})["color-jitter"]
     [batch] = counting.batches
     assert len(batch) == 4
     assert len({(id(semantic), id(instances)) for semantic, instances in batch}) == 4
@@ -60,7 +71,11 @@ def test_all_arms_are_scored_in_one_batch(small_dataset, scorer):
     crops = [baseline_random_resized_crop(s, seed=k) for k, s in enumerate(sources)]
     counting = CountingScorer(scorer)
     table = qualitative_table(
-        {"jitter": (sources, jitters), "crop": (sources, crops), "same": (sources, sources)},
+        {
+            "jitter": _tally(sources, jitters),
+            "crop": _tally(sources, crops),
+            "same": _tally(sources, sources),
+        },
         counting,
         {},
     )
@@ -76,7 +91,7 @@ def test_known_scores_are_not_recomputed(small_dataset, scorer):
     known = list(scorer.score_layout([(s.semantic, s.instances) for s in samples]))
     counting = CountingScorer(scorer)
     table = qualitative_table(
-        {"given": (samples, samples)}, counting, known_scores={"given": known}
+        {"given": _tally(samples, samples)}, counting, known_scores={"given": known}
     )
     assert counting.batches == []
     assert table["given"]["mean_score"] == round(float(np.mean(known)), 6)
@@ -85,7 +100,49 @@ def test_known_scores_are_not_recomputed(small_dataset, scorer):
 def test_known_scores_must_align_with_outputs(small_dataset, scorer):
     samples = small_dataset[:3]
     with pytest.raises(FittingError):
-        qualitative_table({"given": (samples, samples)}, scorer, known_scores={"given": [0.5]})
+        qualitative_table(
+            {"given": _tally(samples, samples)}, scorer, known_scores={"given": [0.5]}
+        )
+
+
+def test_axes_keep_no_output_pixels(small_dataset):
+    source = small_dataset[0]
+    outputs = [baseline_random_resized_crop(source, seed=k) for k in range(3)]
+    assert all(o.scenario is not source.scenario for o in outputs)
+    scenarios = [weakref.ref(o.scenario) for o in outputs]
+    axes = AugmenterAxes()
+    axes.add(source, outputs)
+    layouts = [(o.semantic, o.instances) for o in outputs]
+    del outputs
+    assert [ref() for ref in scenarios] == [None] * 3
+    assert axes.layouts == layouts
+    assert axes.number == 3.0
+
+
+def test_axes_check_pairs_until_one_adds_semantic_content(small_dataset, monkeypatch):
+    checks, indexes = [], []
+
+    def counted_check(source, output, index):
+        checks.append(output)
+        return _is_coordinate_remap(source, output, index)
+
+    def counted_index(scenario):
+        indexes.append(scenario)
+        return _pixel_index(scenario)
+
+    monkeypatch.setattr(baselines, "_is_coordinate_remap", counted_check)
+    monkeypatch.setattr(baselines, "_pixel_index", counted_index)
+    axes = AugmenterAxes()
+    for k, source in enumerate(small_dataset[:3]):
+        crop = baseline_random_resized_crop(source, seed=10 + k)
+        relabeled = replace(source, semantic=small_dataset[5].semantic)
+        axes.add(source, [crop, relabeled, baseline_color_jitter(source, seed=k)])
+    assert axes.semantic is True and axes.instance is False
+    assert axes.number == 3.0
+    # The first source's crop is a remap and its relabeled copy is not; no
+    # pair after that is checked, and the source's pixels are indexed once.
+    assert len(checks) == 2 and checks[1].semantic is small_dataset[5].semantic
+    assert indexes == [small_dataset[0].scenario]
 
 
 def _remap_by_dict(source, output):
@@ -129,7 +186,7 @@ def test_remap_check_matches_dict_reference(small_dataset):
             pairs.append((source, baseline_random_resized_crop(source, seed=100 * k + seed)))
             pairs.append((source, baseline_color_jitter(source, seed=100 * k + seed)))
         pairs.append((source, small_dataset[(k + 7) % len(small_dataset)]))
-    verdicts = [_is_coordinate_remap(s, o) for s, o in pairs]
+    verdicts = [_is_coordinate_remap(s, o, _pixel_index(s.scenario)) for s, o in pairs]
     assert verdicts == [_remap_by_dict(s, o) for s, o in pairs]
     assert any(verdicts) and not all(verdicts)
 
@@ -148,9 +205,10 @@ def test_remap_check_takes_first_occurrence_of_duplicate_pixels(small_dataset):
     first = classes.copy()
     first[:, 1] = classes[:, 0]
     assert _remap_by_dict(source, _with_pixels(source, pixels, first)) is True
-    assert _is_coordinate_remap(source, _with_pixels(source, pixels, first)) is True
+    index = _pixel_index(source.scenario)
+    assert _is_coordinate_remap(source, _with_pixels(source, pixels, first), index) is True
     assert _remap_by_dict(source, source) is False
-    assert _is_coordinate_remap(source, source) is False
+    assert _is_coordinate_remap(source, source, index) is False
 
 
 def test_remap_check_rejects_a_row_flip(small_dataset):
@@ -159,7 +217,7 @@ def test_remap_check_rejects_a_row_flip(small_dataset):
         source, source.scenario.pixels[::-1].copy(), source.semantic.classes[::-1].copy()
     )
     assert _remap_by_dict(source, flipped) is False
-    assert _is_coordinate_remap(source, flipped) is False
+    assert _is_coordinate_remap(source, flipped, _pixel_index(source.scenario)) is False
 
 
 def _stand_in(pixels, classes):
@@ -210,7 +268,6 @@ def remap_pairs(draw):
 def test_remap_check_matches_dict_reference_on_repeated_pixels(pair):
     source, output = pair
     want = _remap_by_dict(source, output)
-    assert _is_coordinate_remap(source, output) is want
     assert _is_coordinate_remap(source, output, _pixel_index(source.scenario)) is want
 
 

@@ -76,6 +76,56 @@ def test_eval_verify_fails_for_each_reported_score_without_its_model(
     ]
 
 
+def _with_report(run_dir, tmp_path, edit):
+    """A copy of the run whose report.json text is edit(text)."""
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    report_path = copy / "report.json"
+    report_path.write_text(edit(report_path.read_text(encoding="utf-8")), encoding="utf-8")
+    return copy
+
+
+def test_unreadable_report_is_a_configuration_error(run_dir, tmp_path, capsys):
+    copy = _with_report(run_dir, tmp_path, lambda text: text[: len(text) // 2])
+    assert cli.main(["eval", str(copy), "--verify"]) == 3
+    assert "is not readable JSON" in capsys.readouterr().err
+    assert cli.main(["report", str(copy)]) == 3
+    assert "is not readable JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["overall_error", "overall_failure_rate"])
+def test_report_entry_without_a_score_fails_verify(run_dir, tmp_path, capsys, field):
+    def drop(text):
+        doc = json.loads(text)
+        del doc["arms"]["local"]["robot-0"][field]
+        return json.dumps(doc)
+
+    copy = _with_report(run_dir, tmp_path, drop)
+    assert cli.main(["eval", str(copy), "--verify"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if "VERIFY FAIL" in line]
+    assert fails == [f"VERIFY FAIL: local/robot-0: report.json entry has no numeric {field}"]
+    assert cli.main(["report", str(copy)]) == 3
+    assert f"is not a run report: KeyError('{field}')" in capsys.readouterr().err
+
+
+def test_nan_report_score_fails_verify(run_dir, tmp_path, capsys):
+    def poison(text):
+        doc = json.loads(text)
+        doc["arms"]["parl"]["robot-1"]["overall_failure_rate"] = float("nan")
+        return json.dumps(doc)
+
+    copy = _with_report(run_dir, tmp_path, poison)
+    assert cli.main(["eval", str(copy), "--verify"]) == 2
+    assert "VERIFY FAIL: parl/robot-1: recomputed" in capsys.readouterr().out
+
+
+def test_report_without_arms_is_a_configuration_error(run_dir, tmp_path, capsys):
+    copy = _with_report(run_dir, tmp_path, lambda text: "[]")
+    assert cli.main(["eval", str(copy), "--verify"]) == 3
+    assert "has no table of arms" in capsys.readouterr().err
+    assert cli.main(["report", str(copy)]) == 3
+
+
 def test_eval_without_config_is_a_configuration_error(tmp_path, capsys):
     assert cli.main(["eval", str(tmp_path), "--verify"]) == 3
     assert "no config.txt" in capsys.readouterr().err

@@ -25,6 +25,14 @@ from parl.codec import (
 )
 from parl.errors import ConfigurationError, DecodeError
 from parl.policy import evaluate, featurize, train
+from parl.protocol import (
+    LabelRequest,
+    Message,
+    NodeId,
+    UploadLocal,
+    decode_message,
+    encode_message,
+)
 from parl.styles import built_in_style, fit_style
 from parl.world import ClassId, InstanceMap, InstanceRecord, Scenario, SemanticMap
 
@@ -353,3 +361,78 @@ class TestRejection:
         cut = int(len(blob) * frac)
         with pytest.raises(DecodeError):
             decode_models(blob[:cut])
+
+
+def _inside_a_larger_buffer(blob):
+    """blob as a memoryview into the middle of a larger buffer."""
+    return memoryview(b"\xff" * 5 + blob + b"\xff" * 3)[5:-3]
+
+
+@pytest.fixture(scope="module")
+def encoded(small_dataset, artifacts):
+    """Per decoder: (decode, encode, one encoded input); encode(decode(blob)) == blob."""
+    upload = UploadLocal(
+        style=artifacts["style"], policy=artifacts["policy"], layouts=(artifacts["layout"],)
+    )
+    request = LabelRequest(scenarios=tuple(s.scenario for s in small_dataset[:2]))
+    return {
+        "samples": (decode_samples, encode_samples, encode_samples(small_dataset[:3])),
+        "models": (decode_models, encode_models, encode_models(list(artifacts.values()))),
+        "scenarios": (
+            decode_scenarios,
+            encode_scenarios,
+            encode_scenarios([s.scenario for s in small_dataset[:3]]),
+        ),
+        "upload message": (
+            decode_message,
+            encode_message,
+            encode_message(Message(NodeId.robot(0), NodeId.cloud(), 0, upload)),
+        ),
+        "request message": (
+            decode_message,
+            encode_message,
+            encode_message(Message(NodeId.cloud(), NodeId.robot(0), 0, request)),
+        ),
+    }
+
+
+DECODERS = ["samples", "models", "scenarios", "upload message", "request message"]
+
+
+class TestMemoryviewInput:
+    """Every decoder reads a memoryview, slices of a larger buffer included, as it reads bytes."""
+
+    @pytest.mark.parametrize("name", DECODERS)
+    def test_memoryview_decodes_as_bytes_do(self, encoded, name):
+        decode, encode, blob = encoded[name]
+        assert encode(decode(blob)) == blob
+        assert encode(decode(memoryview(blob))) == blob
+        assert encode(decode(_inside_a_larger_buffer(blob))) == blob
+
+    @pytest.mark.parametrize("name", DECODERS)
+    def test_truncated_memoryview_is_a_decode_error(self, encoded, name):
+        decode, _, blob = encoded[name]
+        view = _inside_a_larger_buffer(blob)
+        for cut in (0, 1, 7, 12, len(blob) // 3, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(DecodeError):
+                decode(view[:cut])
+
+    @pytest.mark.parametrize("name", DECODERS)
+    def test_bit_flipped_memoryview_decodes_or_raises_decode_error(self, encoded, name):
+        decode, _, blob = encoded[name]
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            data = bytearray(blob)
+            for bit in rng.choice(len(blob) * 8, size=int(rng.integers(1, 4)), replace=False):
+                data[bit // 8] ^= 1 << (bit % 8)
+            try:
+                decode(memoryview(data))
+            except DecodeError:
+                pass
+
+    def test_decoded_arrays_do_not_alias_the_input(self, small_dataset):
+        scenarios = [s.scenario for s in small_dataset[:2]]
+        data = bytearray(encode_scenarios(scenarios))
+        out = decode_scenarios(memoryview(data))
+        data[:] = bytes(len(data))
+        assert out == scenarios

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from parl import cli
 from parl.config import (
     ExperimentConfig,
     OUTPUT_ROOT_ENV,
@@ -104,7 +105,11 @@ def test_bad_float_rejected():
         ("tau", 1.5),
         ("beta", -0.1),
         ("ridge_lambda", -1e-9),
+        ("ridge_lambda", float("nan")),
+        ("ridge_lambda", float("inf")),
         ("fail_threshold", 0.0),
+        ("fail_threshold", float("nan")),
+        ("fail_threshold", float("inf")),
         ("holdout_fraction", 0.0),
         ("holdout_fraction", 1.0),
         ("world_seed", -1),
@@ -119,3 +124,19 @@ def test_field_validation(field, value):
 def test_parse_applies_same_validation():
     with pytest.raises(ConfigurationError):
         parse_config("holdout_fraction = 1.0\n")
+
+
+@pytest.mark.parametrize("field", ["ridge_lambda", "fail_threshold"])
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_parse_rejects_non_finite_floats(field, text):
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        parse_config(f"{field} = {text}\n")
+
+
+@pytest.mark.parametrize("flag", ["--ridge-lambda", "--fail-threshold"])
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, flag, text):
+    argv = ["run", "--robots", "2", "--samples-per-task", "3", flag, text]
+    assert cli.main([*argv, "--output-dir", str(tmp_path / "run")]) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -2,6 +2,9 @@
 sequencing and the wire format of every message variant."""
 
 import functools
+import hashlib
+import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +20,7 @@ from parl.protocol import (
     MESSAGE_MAGIC,
     CloudNode,
     FineTuneAck,
+    LabelRequest,
     LabelResponse,
     Message,
     NodeId,
@@ -55,7 +59,8 @@ def _labeling(worlds):
     robots, cloud = _nodes(worlds)
     for robot in robots:
         cloud.handle(robot.local_compute())
-    requests = cloud.begin_round()
+    # begin_round renders the requests lazily; one full iteration takes them all.
+    requests = list(cloud.begin_round())
     assert cloud.stage == Stage.LABELING
     return robots, cloud, requests
 
@@ -131,6 +136,66 @@ def test_dropped_robot_does_not_vote(worlds):
     assert set(cloud.shared) == {robots[0].node_id}
     assert network.log == [f"drop LabelRequest {cloud.node_id}->{dropped} (node down)"]
     _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
+
+
+def test_round_holds_one_label_request_at_a_time(worlds, monkeypatch):
+    """Each request is sent and answered before the next is rendered.
+
+    Every LabelRequest made, rendered by the cloud or decoded by a robot,
+    counts the requests alive once it exists.
+    """
+    alive = []
+    alive_at_creation = []
+    post_init = LabelRequest.__post_init__
+
+    def counted(self):
+        post_init(self)
+        token = object()
+        alive.append(token)
+        weakref.finalize(self, alive.remove, token)
+        alive_at_creation.append(len(alive))
+
+    monkeypatch.setattr(LabelRequest, "__post_init__", counted)
+    robots, cloud = _nodes(worlds)
+    network = SimNetwork()
+    run_round(robots, cloud, network, drop_after_upload=[robots[0].node_id])
+    # Both participants' requests are rendered; only robot-1 decodes its own.
+    assert alive_at_creation == [1, 1, 1]
+    assert robots[0].stage == Stage.DROPPED_OUT and robots[1].stage == Stage.DONE
+    # Pinned from the round that rendered every request before sending one.
+    assert network.log == [f"drop LabelRequest {cloud.node_id}->{robots[0].node_id} (node down)"]
+    assert (network.sent, network.delivered, network.dropped) == (7, 6, 1)
+
+
+def test_label_request_wire_bytes_are_pinned(small_dataset):
+    """The framing joins a message once; its bytes are those it had when joined per layer."""
+    request = LabelRequest(scenarios=tuple(s.scenario for s in small_dataset[:3]))
+    data = encode_message(Message(NodeId.cloud(), NodeId.robot(1), 3, request))
+    assert len(data) == 73776
+    assert hashlib.sha256(data).hexdigest() == (
+        "6a26fdc85d2d2c0aef01b936ff4e65c04830678f82556225847d8f842a06c61d"
+    )
+
+
+def test_six_robot_round_is_pinned(tmp_path, capsys):
+    """Six robots at the benchmark's size: report.md and the protocol section.
+
+    Neither depends on the host's BLAS, unlike the model bytes.
+    """
+    run_dir = tmp_path / "six"
+    argv = ["--robots", "6", "--samples-per-task", "3", "--output-dir", str(run_dir)]
+    assert cli.main(["run", "--check", *argv]) == 2
+    assert cli.main(["eval", str(run_dir), "--verify"]) == 0
+    capsys.readouterr()
+    report_md = (run_dir / "report.md").read_bytes()
+    protocol = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["protocol"]
+    protocol_text = json.dumps(protocol, indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(report_md).hexdigest() == (
+        "e81f418fcf82c4a864e0b68fe69933e3dfb43cf04c75db31a56eddc3025511a0"
+    )
+    assert hashlib.sha256(protocol_text).hexdigest() == (
+        "2bf2993999f824df407f60cb0642a2a889e174af5cbd15e2474d4caecdd3a52d"
+    )
 
 
 def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkeypatch):
@@ -275,7 +340,7 @@ def round_messages(worlds):
     uploads = [robot.local_compute() for robot in robots]
     for upload in uploads:
         cloud.handle(upload)
-    requests = cloud.begin_round()
+    requests = list(cloud.begin_round())
     responses = [m for r in requests for m in robots[r.recipient.index].handle(r)]
     for response in responses:
         cloud.handle(response)
