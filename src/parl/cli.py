@@ -177,7 +177,8 @@ def _verify_mismatch(got, want) -> Optional[str]:
     fields = ("overall_error", "overall_failure_rate")
     if not isinstance(want, dict):
         return "report.json entry is not an object"
-    missing = [field for field in fields if not isinstance(want.get(field), (int, float))]
+    # Exact types: a JSON true or false decodes to a bool, which isinstance counts as an int.
+    missing = [field for field in fields if type(want.get(field)) not in (int, float)]
     if missing:
         return f"report.json entry has no numeric {' or '.join(missing)}"
     # Written so that a NaN in report.json is a mismatch.

@@ -61,6 +61,14 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be nonnegative")
         if not self.output_dir:
             raise ConfigurationError("output_dir must be nonempty")
+        # config.txt must carry it back: a value ends at a line break or `#`
+        # and loses its surrounding whitespace.
+        text = self.output_dir
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            raise ConfigurationError(
+                f"output_dir {text!r} must not contain '#' or a line break, "
+                "nor start or end with whitespace"
+            )
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}

@@ -40,7 +40,6 @@ node's stage and violations, and the network's log.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
@@ -157,6 +156,10 @@ def write_inputs(
     bytes (the dataset encoding quantizes floats to f32), so every number a
     run derives is recomputable from the files, and its hash is theirs.
     """
+    # Imported here, not at module top: `parl eval` and `parl report` load
+    # this module but hash nothing, and hashlib maps OpenSSL (about 3.5 MB).
+    import hashlib
+
     (out / "models").mkdir(parents=True, exist_ok=True)
     styles, train, holdout = generate_worlds(config)
     codec.write_models(out / "models" / "styles.dm1", list(styles.values()))

@@ -1,6 +1,8 @@
 """CLI exit codes of `parl run` and `parl eval --verify`, byte-identical reruns of `parl run`,
-`parl gen` writing the same inputs as `parl run`, and a runtime that needs no scipy or numpy.ma."""
+`parl gen` writing the same inputs as `parl run`, a runtime that needs no scipy or numpy.ma,
+and `parl eval` and `parl report` that load no OpenSSL."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -119,6 +121,30 @@ def test_nan_report_score_fails_verify(run_dir, tmp_path, capsys):
     assert "VERIFY FAIL: parl/robot-1: recomputed" in capsys.readouterr().out
 
 
+def test_boolean_report_scores_fail_verify(run_dir, tmp_path, capsys):
+    # JSON false and true equal 0 and 1 in Python, so saved as booleans these
+    # failure rates would still match their recomputed values.
+    replaced = []
+
+    def to_bool(text):
+        doc = json.loads(text)
+        for arm, entries in doc["arms"].items():
+            for key, entry in entries.items():
+                if entry["overall_failure_rate"] in (0.0, 1.0):
+                    entry["overall_failure_rate"] = bool(entry["overall_failure_rate"])
+                    replaced.append((arm, key))
+        return json.dumps(doc)
+
+    copy = _with_report(run_dir, tmp_path, to_bool)
+    assert replaced
+    assert cli.main(["eval", str(copy), "--verify"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if "VERIFY FAIL" in line]
+    assert fails == [
+        f"VERIFY FAIL: {arm}/{key}: report.json entry has no numeric overall_failure_rate"
+        for arm, key in sorted(replaced)
+    ]
+
+
 def test_report_without_arms_is_a_configuration_error(run_dir, tmp_path, capsys):
     copy = _with_report(run_dir, tmp_path, lambda text: "[]")
     assert cli.main(["eval", str(copy), "--verify"]) == 3
@@ -168,6 +194,13 @@ def test_gen_writes_the_inputs_run_writes(run_dir, tmp_path, monkeypatch, capsys
     assert len(inputs) == 5  # two robots' train and holdout splits, and their styles
     assert sorted(gen) == sorted(inputs + ["config.txt"])
     assert [k for k in inputs if gen[k] != run[k]] == []
+    # report.json records each split file's sha256.
+    split_hashes = json.loads(run["report.json"])["split_hashes"]
+    assert {
+        f"{robot}_{split}.ds1": digest
+        for robot, digests in split_hashes.items()
+        for split, digest in digests.items()
+    } == {k: hashlib.sha256(run[k]).hexdigest() for k in inputs if k.endswith(".ds1")}
     gen_config = gen["config.txt"].decode().splitlines()
     run_config = run["config.txt"].decode().splitlines()
     assert len(gen_config) == len(run_config)
@@ -187,8 +220,10 @@ def _fresh_python(code, *args, cwd, env_extra=()):
     )
 
 
-# Modules a run has no use for, each costing import time and memory.
-_UNUSED_MODULES = "('scipy', 'numpy.ma')"
+# Modules a command has no use for, each costing import time and memory:
+# scipy and numpy.ma in every command, and OpenSSL's _hashlib (about 3.5 MB)
+# outside the commands that write a run's inputs and hash its splits.
+_UNUSED_MODULES = "('scipy', 'numpy.ma', '_hashlib')"
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
@@ -216,11 +251,17 @@ def test_run_check_and_eval_verify_load_no_scipy_or_numpy_ma(tmp_path):
         "--output-dir", "parl-out", cwd=tmp_path, env_extra=env,
     )
     assert run.returncode in (0, 2), run.stderr  # 2: an acceptance check is a result
-    assert run.stdout.splitlines()[-1] == "[]"
+    # The run hashes its splits (its numpy.random import loads _hashlib as well).
+    assert run.stdout.splitlines()[-1] == "['_hashlib']"
     verify = _fresh_python(_CLI_THEN_MODULES, "eval", "parl-out", "--verify", cwd=tmp_path)
     assert verify.returncode == 0, verify.stdout + verify.stderr
     assert "VERIFY PASS" in verify.stdout
     assert verify.stdout.splitlines()[-1] == "[]"
+    report = _fresh_python(_CLI_THEN_MODULES, "report", "parl-out", cwd=tmp_path)
+    assert report.returncode == 0, report.stdout + report.stderr
+    *markdown, modules = report.stdout.splitlines(keepends=True)
+    assert "".join(markdown) == (tmp_path / "parl-out" / "report.md").read_text(encoding="utf-8")
+    assert modules == "[]\n"
 
 
 # Blocks `import scipy` (a None entry in sys.modules raises ImportError), then

@@ -16,36 +16,47 @@ from parl.config import (
 )
 from parl.errors import ConfigurationError
 
-config_strategy = st.builds(
-    ExperimentConfig,
-    robots=st.integers(min_value=1, max_value=8),
-    samples_per_task=st.integers(min_value=2, max_value=64),
-    fan_out=st.integers(min_value=1, max_value=6),
-    tau=st.floats(min_value=0.0, max_value=1.0),
-    beta=st.floats(min_value=0.0, max_value=1.0),
-    ridge_lambda=st.floats(min_value=0.0, max_value=10.0),
-    fail_threshold=st.floats(min_value=1e-6, max_value=1.0),
-    holdout_fraction=st.floats(min_value=0.01, max_value=0.99),
-    world_seed=st.integers(min_value=0, max_value=2**31),
-    augment_seed=st.integers(min_value=0, max_value=2**31),
-    protocol_seed=st.integers(min_value=0, max_value=2**31),
-    output_dir=st.text(
-        alphabet=st.characters(whitelist_categories=("Ll", "Nd"), whitelist_characters="-_."),
-        min_size=1,
-        max_size=24,
-    ),
+# Every field but output_dir drawn valid; output_dir is any text, so the
+# round-trip tests cover each value ExperimentConfig accepts.
+config_fields = st.fixed_dictionaries(
+    {
+        "robots": st.integers(min_value=1, max_value=8),
+        "samples_per_task": st.integers(min_value=2, max_value=64),
+        "fan_out": st.integers(min_value=1, max_value=6),
+        "tau": st.floats(min_value=0.0, max_value=1.0),
+        "beta": st.floats(min_value=0.0, max_value=1.0),
+        "ridge_lambda": st.floats(min_value=0.0, max_value=10.0),
+        "fail_threshold": st.floats(min_value=1e-6, max_value=1.0),
+        "holdout_fraction": st.floats(min_value=0.01, max_value=0.99),
+        "world_seed": st.integers(min_value=0, max_value=2**31),
+        "augment_seed": st.integers(min_value=0, max_value=2**31),
+        "protocol_seed": st.integers(min_value=0, max_value=2**31),
+        "output_dir": st.text(),
+    }
 )
 
 
-@given(config=config_strategy)
-def test_render_parse_round_trip(config):
-    assert parse_config(render_config(config)) == config
+def _config_or_none(fields):
+    """The config, or None where ExperimentConfig rejects the drawn output_dir."""
+    try:
+        return ExperimentConfig(**fields)
+    except ConfigurationError:
+        return None
 
 
-@given(config=config_strategy)
-def test_render_is_stable(config):
-    text = render_config(config)
-    assert render_config(parse_config(text)) == text
+@given(fields=config_fields)
+def test_render_parse_round_trip(fields):
+    config = _config_or_none(fields)
+    if config is not None:
+        assert parse_config(render_config(config)) == config
+
+
+@given(fields=config_fields)
+def test_render_is_stable(fields):
+    config = _config_or_none(fields)
+    if config is not None:
+        text = render_config(config)
+        assert render_config(parse_config(text)) == text
 
 
 def test_defaults_are_valid_and_documented():
@@ -114,6 +125,12 @@ def test_bad_float_rejected():
         ("holdout_fraction", 1.0),
         ("world_seed", -1),
         ("output_dir", ""),
+        ("output_dir", "runs/#1"),
+        ("output_dir", " lead"),
+        ("output_dir", "trail\t"),
+        ("output_dir", "a\nb"),
+        ("output_dir", "a\rb"),
+        ("output_dir", "a\u2028b"),
     ],
 )
 def test_field_validation(field, value):
@@ -140,3 +157,14 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, flag, text):
     assert cli.main([*argv, "--output-dir", str(tmp_path / "run")]) == 3
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("output_dir", ["runs/#1", " lead", "a\nb"])
+def test_run_rejects_an_output_dir_config_txt_cannot_carry(
+    tmp_path, monkeypatch, capsys, output_dir
+):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    argv = ["run", "--robots", "2", "--samples-per-task", "3"]
+    assert cli.main([*argv, "--output-dir", output_dir]) == 3
+    assert "output_dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
