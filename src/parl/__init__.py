@@ -59,7 +59,6 @@ from .world import (
     ScenarioGenerator,
     SemanticMap,
     TaskType,
-    WorldConfig,
     render,
     segment,
     torque_from_geometry,
@@ -102,7 +101,6 @@ __all__ = [
     "TrainingError",
     "WhatPredictor",
     "WherePredictor",
-    "WorldConfig",
     "augment_semantic",
     "baseline_color_jitter",
     "baseline_random_resized_crop",

@@ -57,7 +57,7 @@ _FLAG_HELP = {
     "holdout_fraction": "fraction of each task's samples held out",
     "world_seed": "seed for world generation and styles",
     "augment_seed": "seed for the augmentation pipeline",
-    "protocol_seed": "seed reserved for protocol-level randomness",
+    "protocol_seed": "recorded in config.txt only; nothing reads it (ROADMAP item 8 deletes it)",
     "output_dir": "artifact directory (relative paths resolve under PARL_OUTPUT_ROOT)",
 }
 
@@ -182,12 +182,12 @@ def _verify_mismatch(got, want) -> Optional[str]:
     if missing:
         return f"report.json entry has no numeric {' or '.join(missing)}"
     # Written so that a NaN in report.json is a mismatch.
-    if not (
-        abs(got.overall_error - want["overall_error"]) <= 1e-9
-        and abs(got.overall_failure_rate - want["overall_failure_rate"]) <= 1e-9
-    ):
-        return f"recomputed {got.overall_error:.6f} vs saved {want['overall_error']:.6f}"
-    return None
+    differing = [
+        f"{field} {getattr(got, field)!r} vs saved {want[field]!r}"
+        for field in fields
+        if not abs(getattr(got, field) - want[field]) <= 1e-9
+    ]
+    return "recomputed " + ", ".join(differing) if differing else None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -62,11 +62,11 @@ class ExperimentConfig:
         if not self.output_dir:
             raise ConfigurationError("output_dir must be nonempty")
         # config.txt must carry it back: a value ends at a line break or `#`
-        # and loses its surrounding whitespace.
+        # and loses its surrounding whitespace. No path may hold a NUL.
         text = self.output_dir
-        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+        if "#" in text or "\0" in text or len(text.splitlines()) > 1 or text != text.strip():
             raise ConfigurationError(
-                f"output_dir {text!r} must not contain '#' or a line break, "
+                f"output_dir {text!r} must not contain '#', a NUL or a line break, "
                 "nor start or end with whitespace"
             )
 

@@ -44,7 +44,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from . import codec
 from .augment import AugmentStats, diagnostics_json
@@ -60,7 +60,7 @@ from .errors import ParlError
 from .policy import EvaluationReport, PolicyModel, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
 from .styles import StyleModel, styles_for_agents
-from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType, WorldConfig
+from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType
 
 ARM_LOCAL = "local"
 ARM_JITTER = "local+jitter"
@@ -105,7 +105,6 @@ def agent_profiles(config: ExperimentConfig) -> dict[int, AgentProfile]:
     for i in range(config.robots):
         t = i / max(config.robots - 1, 1)
         profiles[i] = AgentProfile(
-            style_id=i,
             curvature_range=(0.08, 0.18),
             avoid_gap=0.16 + 0.02 * t,
             turn_right_bias=0.1 if i % 2 == 0 else 0.9,
@@ -116,7 +115,7 @@ def agent_profiles(config: ExperimentConfig) -> dict[int, AgentProfile]:
 def generate_worlds(config: ExperimentConfig) -> tuple[dict[int, StyleModel], Splits, Splits]:
     """Per-robot built-in styles and train/holdout splits, stratified per task."""
     styles = styles_for_agents(range(config.robots), seed=config.world_seed)
-    generator = ScenarioGenerator(WorldConfig(), styles, agent_profiles(config))
+    generator = ScenarioGenerator(styles, agent_profiles(config))
     n = config.samples_per_task
     n_holdout = max(1, int(round(n * config.holdout_fraction)))
     if n_holdout >= n:
@@ -275,8 +274,8 @@ def render_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_output_dir(config: ExperimentConfig, output_root: Optional[str] = None) -> Path:
-    root = output_root or os.environ.get(OUTPUT_ROOT_ENV) or "."
+def resolve_output_dir(config: ExperimentConfig) -> Path:
+    root = os.environ.get(OUTPUT_ROOT_ENV) or "."
     path = Path(config.output_dir)
     return path if path.is_absolute() else Path(root) / path
 
@@ -330,11 +329,9 @@ def _train_appearance_arm(
     return _train_local_arm(robot, config, extra)
 
 
-def run_experiment(
-    config: ExperimentConfig, output_root: Optional[str] = None
-) -> ComparisonReport:
+def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute all arms and persist every artifact under the output dir."""
-    out = resolve_output_dir(config, output_root)
+    out = resolve_output_dir(config)
     (out / "uploads").mkdir(parents=True, exist_ok=True)
 
     def _stage(stage: str, node: str, fn, *args, **kwargs):

@@ -234,7 +234,7 @@ def cross_render(
     """Render an augmented layout under another agent's style."""
     from .world import render
 
-    return render(candidate.semantic, candidate.instances, style, seed)
+    return render(candidate.semantic, style, seed)
 
 
 def style_affinity(a: StyleModel, b: StyleModel) -> float:

@@ -2,10 +2,14 @@
 
 The world is a low-resolution forward view. Rows run from a sky band at the
 top down to the vehicle at the bottom row; columns are lateral position. A
-road corridor climbs from the vehicle toward the horizon with configurable
-curvature and lateral offset, flanked by lane markings, sidewalks, and
-building/vegetation blocks. Cars and pedestrians are placed as compact
-instance masks.
+road corridor climbs from the vehicle toward the horizon, bent by each
+sample's curvature and shifted by its lateral offset, flanked by lane
+markings, sidewalks, and building/vegetation blocks. Cars and pedestrians
+are placed as compact instance masks.
+
+The world's geometry and labeling gains are module constants (WORLD_WIDTH,
+WORLD_HEIGHT, SKY_ROWS, TORQUE_CURVATURE_GAIN, ...); what varies between
+agents is only their style and their AgentProfile.
 
 Every operation here is a pure function of its inputs (seeds included), and
 all types are immutable after construction, so values can be shared freely
@@ -14,7 +18,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -242,20 +246,14 @@ def _texture_noise(
     return rng.uniform(-1.0, 1.0, size=(height, width, 3))
 
 
-def render(
-    semantic: SemanticMap,
-    instances: InstanceMap,
-    style: StyleModel,
-    seed: int,
-) -> Scenario:
-    """Paint a layout in the given style.
+def render(semantic: SemanticMap, style: StyleModel, seed: int) -> Scenario:
+    """Paint a semantic map in the given style.
 
     Each cell gets its class mean plus seeded texture noise bounded by the
-    class spread, clamped to [0, 1]. Deterministic in (maps, style, seed).
-    The instance map fixes the layout identity but does not alter appearance;
-    thing cells are already present in the semantic grid.
+    class spread, clamped to [0, 1]. Deterministic in (map, style, seed).
+    Thing cells are already present in the semantic grid, so no instance
+    map is needed.
     """
-    del instances
     classes = semantic.classes
     present = np.bincount(classes.ravel(), minlength=N_CLASSES) > 0
     missing = np.flatnonzero(present & np.isnan(style.class_means).any(axis=1))
@@ -480,56 +478,212 @@ class AgentProfile:
     data islands rather than iid shards of one distribution.
     """
 
-    style_id: int
-    curvature_range: tuple[float, float] = (0.05, 0.15)
-    avoid_gap: float = 0.12
-    turn_right_bias: float = 0.5  # probability a turn curves right
+    curvature_range: tuple[float, float]
+    avoid_gap: float
+    turn_right_bias: float  # probability a turn curves right
 
 
-@dataclass(frozen=True)
-class WorldConfig:
-    """Geometry and labeling constants of the synthetic world."""
-
-    width: int = 64
-    height: int = 32
-    sky_rows: int = 4
-    road_half_width: tuple[int, int] = (4, 8)
-    sidewalk_width: int = 3
-    torque_curvature_gain: float = 2.0  # k in torque = 0.5 + k*curv + j*offset
-    torque_offset_gain: float = 1.0  # j
-    curve_shift_cells: float = 80.0  # lateral road shift at the horizon per unit curvature
-    offset_jitter: float = 0.05
-    avoid_car_offset_cells: float = 2.0
-    scenery_band_rows: int = 4
-    scatter_cars: tuple[int, int] = (6, 10)  # rng.integers bounds, high exclusive
-    scatter_peds: tuple[int, int] = (4, 7)
-
-    def __post_init__(self) -> None:
-        if self.width < 16 or self.height < 16:
-            raise ConfigurationError("world must be at least 16x16 cells")
-        if self.sky_rows < 1 or self.sky_rows > self.height // 4:
-            raise ConfigurationError("sky_rows out of range")
-
-    @property
-    def vehicle_col(self) -> float:
-        return (self.width - 1) / 2.0
+# Geometry and labeling constants of the synthetic world.
+WORLD_WIDTH = 64
+WORLD_HEIGHT = 32
+SKY_ROWS = 4
+ROAD_HALF_WIDTH = (4, 8)  # inclusive bounds of the road's half width in cells
+SIDEWALK_WIDTH = 3
+TORQUE_CURVATURE_GAIN = 2.0  # k in torque = 0.5 + k*curv + j*offset
+TORQUE_OFFSET_GAIN = 1.0  # j
+CURVE_SHIFT_CELLS = 80.0  # lateral road shift at the horizon per unit curvature
+OFFSET_JITTER = 0.05
+AVOID_CAR_OFFSET_CELLS = 2.0
+SCENERY_BAND_ROWS = 4
+SCATTER_CARS = (6, 10)  # rng.integers bounds, high exclusive
+SCATTER_PEDS = (4, 7)
+VEHICLE_COL = (WORLD_WIDTH - 1) / 2.0
 
 
-def torque_from_geometry(
-    curvature: float, lane_offset: float, config: WorldConfig
-) -> float:
+def torque_from_geometry(curvature: float, lane_offset: float) -> float:
     """Ground-truth steering torque for a road geometry.
 
     torque = 0.5 + k * curvature + j * lane_offset, clamped to [0, 1].
     Positive curvature bends right; positive offset means the lane center
     sits right of the vehicle. Exactly 0.5 iff both terms vanish.
     """
-    raw = (
-        0.5
-        + config.torque_curvature_gain * curvature
-        + config.torque_offset_gain * lane_offset
-    )
+    raw = 0.5 + TORQUE_CURVATURE_GAIN * curvature + TORQUE_OFFSET_GAIN * lane_offset
     return float(min(1.0, max(0.0, raw)))
+
+
+def _center_cols(curvature: float, offset: float) -> np.ndarray:
+    """Road center column per ahead-distance row (index 0 = vehicle row)."""
+    ground_rows = WORLD_HEIGHT - SKY_ROWS
+    ahead = np.arange(ground_rows, dtype=np.float64)
+    ahead_max = max(ground_rows - 1, 1)
+    shift = curvature * CURVE_SHIFT_CELLS * (ahead / ahead_max) ** 2
+    return VEHICLE_COL + offset * (WORLD_WIDTH / 2.0) + shift
+
+
+def _paint_layout(
+    rng: np.random.Generator, curvature: float, offset: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Base terrain: sky band, road corridor, markings, sidewalks, scenery.
+
+    Returns (classes, center_cols). Row 0 is the horizon side; the
+    vehicle sits at the bottom row. All ground rows are painted in one
+    pass over (ahead distance, column).
+    """
+    h, w = WORLD_HEIGHT, WORLD_WIDTH
+    half = int(rng.integers(ROAD_HALF_WIDTH[0], ROAD_HALF_WIDTH[1] + 1))
+    centers = _center_cols(curvature, offset)
+    ahead = np.arange(h - SKY_ROWS)
+    # Scenery block types chosen per (row band, side).
+    n_bands = (h - SKY_ROWS) // SCENERY_BAND_ROWS + 1
+    band_kind = rng.integers(0, 2, size=(n_bands, 2))  # 0 building, 1 vegetation
+    kinds = np.where(band_kind == 0, int(ClassId.BUILDING), int(ClassId.VEGETATION))
+    kinds = kinds[ahead // SCENERY_BAND_ROWS]  # (ahead, side)
+    cols = np.arange(w, dtype=np.float64)
+    center = centers[:, None]
+    lateral = np.abs(cols - center)
+    ground = np.where(cols < center, kinds[:, :1], kinds[:, 1:])
+    ground = np.where(lateral <= half + SIDEWALK_WIDTH, int(ClassId.SIDEWALK), ground)
+    ground = np.where(lateral <= half, int(ClassId.ROAD), ground)
+    # Dashed center marking on every other row ahead, where it hits road.
+    dashed = ahead[::2]
+    marks = np.floor(centers[dashed] + 0.5)
+    inside = (marks >= 0) & (marks < w)
+    dashed, marks = dashed[inside], marks[inside].astype(np.intp)
+    on_road = ground[dashed, marks] == ClassId.ROAD
+    ground[dashed[on_road], marks[on_road]] = ClassId.LANE_MARKING
+    classes = np.full((h, w), ClassId.SKY, dtype=np.uint8)
+    classes[SKY_ROWS:] = ground[::-1]  # ahead 0 is the bottom row
+    return classes, centers
+
+
+def _place_mask(
+    classes: np.ndarray,
+    grid: np.ndarray,
+    template: _Template,
+    top: int,
+    left: int,
+    class_id: ClassId,
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The (ys, xs) cells of a fitting template, or None.
+
+    A template fits if it lies inside the grid, keeps a 1-cell gap to
+    cells of its own class and covers no other instance's cells.
+    """
+    h, w = classes.shape
+    mh, mw = template.shape
+    if top < 0 or left < 0 or top + mh > h or left + mw > w:
+        return None
+    y_min, y_max, x_min, x_max = template.bounds
+    region = classes[
+        max(top + y_min - 1, 0) : min(top + y_max + 2, h),
+        max(left + x_min - 1, 0) : min(left + x_max + 2, w),
+    ]
+    if (region == int(class_id)).any():  # Chebyshev gap to same-class instances
+        return None
+    ys = template.ys + top
+    xs = template.xs + left
+    if (grid[ys, xs] != BACKGROUND_ID).any():  # another instance's cells
+        return None
+    return ys, xs
+
+
+def _add_instance(
+    classes: np.ndarray,
+    grid: np.ndarray,
+    records: list[InstanceRecord],
+    template: _Template,
+    top: int,
+    left: int,
+    class_id: ClassId,
+) -> None:
+    ys = template.ys + top
+    xs = template.xs + left
+    inst_id = len(records)
+    classes[ys, xs] = class_id
+    grid[ys, xs] = inst_id
+    y_min, y_max, x_min, x_max = template.bounds
+    x0, y0 = left + x_min, top + y_min
+    records.append(
+        InstanceRecord(
+            instance_id=inst_id,
+            class_id=class_id,
+            bbox=(x0, y0, x_max - x_min + 1, y_max - y_min + 1),
+            affine=(float(x0), float(y0), 1.0, 1.0),
+        )
+    )
+
+
+def _scatter_background_things(
+    rng: np.random.Generator,
+    classes: np.ndarray,
+    grid: np.ndarray,
+    records: list[InstanceRecord],
+    n_cars: int,
+    n_peds: int,
+) -> None:
+    """Parked cars and pedestrians on the sidewalk strips, off the road.
+
+    No background thing lands on a road or lane cell, so the corridor,
+    and with it each row's road span, is read once before the scatter.
+    """
+    h, w = classes.shape
+    corridor = _is_road(classes)
+    has_road = corridor.any(axis=1).tolist()
+    first_road = corridor.argmax(axis=1).tolist()
+    last_road = (w - 1 - corridor[:, ::-1].argmax(axis=1)).tolist()
+    for kind, count in ((ClassId.CAR, n_cars), (ClassId.PEDESTRIAN, n_peds)):
+        templates = _CAR_TEMPLATES if kind == ClassId.CAR else _PEDESTRIAN_TEMPLATES
+        placed = 0
+        for _ in range(24):
+            if placed >= count:
+                break
+            template = templates[int(rng.integers(len(templates)))]
+            ahead = int(rng.integers(3, h - SKY_ROWS - 4))
+            row = h - 1 - ahead
+            side = 1 if rng.random() < 0.5 else -1
+            if not has_road[row]:
+                continue
+            gap = int(rng.integers(0, 2))  # sidewalk column next to the road
+            mh, mw = template.shape
+            if side > 0:
+                left = last_road[row] + 1 + gap
+            else:
+                left = first_road[row] - 1 - gap - mw + 1
+            top = row - mh + 1
+            cells = _place_mask(classes, grid, template, top, left, kind)
+            if cells is None:
+                continue
+            if corridor[cells].any():  # keep background things off the corridor
+                continue
+            _add_instance(classes, grid, records, template, top, left, kind)
+            placed += 1
+
+
+def _place_corridor_car(
+    rng: np.random.Generator,
+    classes: np.ndarray,
+    grid: np.ndarray,
+    records: list[InstanceRecord],
+    centers: np.ndarray,
+    side: int,
+) -> bool:
+    """One car in the driving corridor, centroid offset to one side."""
+    for _ in range(10):
+        template = _CAR_TEMPLATES[int(rng.integers(len(_CAR_TEMPLATES)))]
+        mh, mw = template.shape
+        ahead = int(rng.integers(8, min(18, WORLD_HEIGHT - SKY_ROWS - 2)))
+        row = WORLD_HEIGHT - 1 - ahead
+        centroid_col = centers[ahead] + side * AVOID_CAR_OFFSET_CELLS
+        left = int(np.floor(centroid_col - (mw - 1) / 2.0 + 0.5))
+        top = row - mh + 1
+        cells = _place_mask(classes, grid, template, top, left, ClassId.CAR)
+        if cells is None:
+            continue
+        if not _is_road(classes[cells]).all():
+            continue
+        _add_instance(classes, grid, records, template, top, left, ClassId.CAR)
+        return True
+    return False
 
 
 class ScenarioGenerator:
@@ -537,195 +691,14 @@ class ScenarioGenerator:
 
     def __init__(
         self,
-        config: WorldConfig,
         styles: Mapping[int, StyleModel],
         profiles: Mapping[int, AgentProfile],
     ):
-        self.config = config
         self.styles = dict(styles)
         self.profiles = dict(profiles)
         for sid in self.profiles:
             if sid not in self.styles:
                 raise ConfigurationError(f"profile for unregistered style {sid}")
-
-    # -- geometry helpers --
-
-    def _center_cols(self, curvature: float, offset: float) -> np.ndarray:
-        """Road center column per ahead-distance row (index 0 = vehicle row)."""
-        cfg = self.config
-        ground_rows = cfg.height - cfg.sky_rows
-        ahead = np.arange(ground_rows, dtype=np.float64)
-        ahead_max = max(ground_rows - 1, 1)
-        shift = curvature * cfg.curve_shift_cells * (ahead / ahead_max) ** 2
-        return cfg.vehicle_col + offset * (cfg.width / 2.0) + shift
-
-    def _paint_layout(
-        self, rng: np.random.Generator, curvature: float, offset: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Base terrain: sky band, road corridor, markings, sidewalks, scenery.
-
-        Returns (classes, center_cols). Row 0 is the horizon side; the
-        vehicle sits at the bottom row. All ground rows are painted in one
-        pass over (ahead distance, column).
-        """
-        cfg = self.config
-        h, w = cfg.height, cfg.width
-        half = int(rng.integers(cfg.road_half_width[0], cfg.road_half_width[1] + 1))
-        centers = self._center_cols(curvature, offset)
-        ahead = np.arange(h - cfg.sky_rows)
-        # Scenery block types chosen per (row band, side).
-        n_bands = (h - cfg.sky_rows) // cfg.scenery_band_rows + 1
-        band_kind = rng.integers(0, 2, size=(n_bands, 2))  # 0 building, 1 vegetation
-        kinds = np.where(band_kind == 0, int(ClassId.BUILDING), int(ClassId.VEGETATION))
-        kinds = kinds[ahead // cfg.scenery_band_rows]  # (ahead, side)
-        cols = np.arange(w, dtype=np.float64)
-        center = centers[:, None]
-        lateral = np.abs(cols - center)
-        ground = np.where(cols < center, kinds[:, :1], kinds[:, 1:])
-        ground = np.where(lateral <= half + cfg.sidewalk_width, int(ClassId.SIDEWALK), ground)
-        ground = np.where(lateral <= half, int(ClassId.ROAD), ground)
-        # Dashed center marking on every other row ahead, where it hits road.
-        dashed = ahead[::2]
-        marks = np.floor(centers[dashed] + 0.5)
-        inside = (marks >= 0) & (marks < w)
-        dashed, marks = dashed[inside], marks[inside].astype(np.intp)
-        on_road = ground[dashed, marks] == ClassId.ROAD
-        ground[dashed[on_road], marks[on_road]] = ClassId.LANE_MARKING
-        classes = np.full((h, w), ClassId.SKY, dtype=np.uint8)
-        classes[cfg.sky_rows :] = ground[::-1]  # ahead 0 is the bottom row
-        return classes, centers
-
-    def _place_mask(
-        self,
-        classes: np.ndarray,
-        grid: np.ndarray,
-        template: _Template,
-        top: int,
-        left: int,
-        class_id: ClassId,
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """The (ys, xs) cells of a fitting template, or None.
-
-        A template fits if it lies inside the grid, keeps a 1-cell gap to
-        cells of its own class and covers no other instance's cells.
-        """
-        h, w = classes.shape
-        mh, mw = template.shape
-        if top < 0 or left < 0 or top + mh > h or left + mw > w:
-            return None
-        y_min, y_max, x_min, x_max = template.bounds
-        region = classes[
-            max(top + y_min - 1, 0) : min(top + y_max + 2, h),
-            max(left + x_min - 1, 0) : min(left + x_max + 2, w),
-        ]
-        if (region == int(class_id)).any():  # Chebyshev gap to same-class instances
-            return None
-        ys = template.ys + top
-        xs = template.xs + left
-        if (grid[ys, xs] != BACKGROUND_ID).any():  # another instance's cells
-            return None
-        return ys, xs
-
-    def _add_instance(
-        self,
-        classes: np.ndarray,
-        grid: np.ndarray,
-        records: list[InstanceRecord],
-        template: _Template,
-        top: int,
-        left: int,
-        class_id: ClassId,
-    ) -> None:
-        ys = template.ys + top
-        xs = template.xs + left
-        inst_id = len(records)
-        classes[ys, xs] = class_id
-        grid[ys, xs] = inst_id
-        y_min, y_max, x_min, x_max = template.bounds
-        x0, y0 = left + x_min, top + y_min
-        records.append(
-            InstanceRecord(
-                instance_id=inst_id,
-                class_id=class_id,
-                bbox=(x0, y0, x_max - x_min + 1, y_max - y_min + 1),
-                affine=(float(x0), float(y0), 1.0, 1.0),
-            )
-        )
-
-    def _scatter_background_things(
-        self,
-        rng: np.random.Generator,
-        classes: np.ndarray,
-        grid: np.ndarray,
-        records: list[InstanceRecord],
-        n_cars: int,
-        n_peds: int,
-    ) -> None:
-        """Parked cars and pedestrians on the sidewalk strips, off the road.
-
-        No background thing lands on a road or lane cell, so the corridor,
-        and with it each row's road span, is read once before the scatter.
-        """
-        cfg = self.config
-        h, w = classes.shape
-        corridor = _is_road(classes)
-        has_road = corridor.any(axis=1).tolist()
-        first_road = corridor.argmax(axis=1).tolist()
-        last_road = (w - 1 - corridor[:, ::-1].argmax(axis=1)).tolist()
-        for kind, count in ((ClassId.CAR, n_cars), (ClassId.PEDESTRIAN, n_peds)):
-            templates = _CAR_TEMPLATES if kind == ClassId.CAR else _PEDESTRIAN_TEMPLATES
-            placed = 0
-            for _ in range(24):
-                if placed >= count:
-                    break
-                template = templates[int(rng.integers(len(templates)))]
-                ahead = int(rng.integers(3, h - cfg.sky_rows - 4))
-                row = h - 1 - ahead
-                side = 1 if rng.random() < 0.5 else -1
-                if not has_road[row]:
-                    continue
-                gap = int(rng.integers(0, 2))  # sidewalk column next to the road
-                mh, mw = template.shape
-                if side > 0:
-                    left = last_road[row] + 1 + gap
-                else:
-                    left = first_road[row] - 1 - gap - mw + 1
-                top = row - mh + 1
-                cells = self._place_mask(classes, grid, template, top, left, kind)
-                if cells is None:
-                    continue
-                if corridor[cells].any():  # keep background things off the corridor
-                    continue
-                self._add_instance(classes, grid, records, template, top, left, kind)
-                placed += 1
-
-    def _place_corridor_car(
-        self,
-        rng: np.random.Generator,
-        classes: np.ndarray,
-        grid: np.ndarray,
-        records: list[InstanceRecord],
-        centers: np.ndarray,
-        side: int,
-    ) -> bool:
-        """One car in the driving corridor, centroid offset to one side."""
-        cfg = self.config
-        for _ in range(10):
-            template = _CAR_TEMPLATES[int(rng.integers(len(_CAR_TEMPLATES)))]
-            mh, mw = template.shape
-            ahead = int(rng.integers(8, min(18, cfg.height - cfg.sky_rows - 2)))
-            row = cfg.height - 1 - ahead
-            centroid_col = centers[ahead] + side * cfg.avoid_car_offset_cells
-            left = int(np.floor(centroid_col - (mw - 1) / 2.0 + 0.5))
-            top = row - mh + 1
-            cells = self._place_mask(classes, grid, template, top, left, ClassId.CAR)
-            if cells is None:
-                continue
-            if not _is_road(classes[cells]).all():
-                continue
-            self._add_instance(classes, grid, records, template, top, left, ClassId.CAR)
-            return True
-        return False
 
     # -- public API --
 
@@ -739,7 +712,6 @@ class ScenarioGenerator:
         if style not in self.styles:
             raise ConfigurationError(f"style {style} is not registered")
         profile = self.profiles[style]
-        cfg = self.config
         ss = np.random.SeedSequence(
             [int(seed) & (2**63 - 1), style, list(TaskType).index(task), 0x5EED]
         )
@@ -751,32 +723,32 @@ class ScenarioGenerator:
         if task == TaskType.TURN:
             sign = 1.0 if rng.random() < profile.turn_right_bias else -1.0
             curvature = sign * float(rng.uniform(*profile.curvature_range))
-            offset = float(rng.uniform(-cfg.offset_jitter, cfg.offset_jitter))
+            offset = float(rng.uniform(-OFFSET_JITTER, OFFSET_JITTER))
         elif task == TaskType.AVOID_CARS:
             avoid_side = 1 if rng.random() < 0.5 else -1
 
-        classes, centers = self._paint_layout(rng, curvature, offset)
+        classes, centers = _paint_layout(rng, curvature, offset)
         grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
         records: list[InstanceRecord] = []
 
         label_offset = offset
         if task == TaskType.AVOID_CARS:
-            placed = self._place_corridor_car(rng, classes, grid, records, centers, avoid_side)
+            placed = _place_corridor_car(rng, classes, grid, records, centers, avoid_side)
             if placed:
                 # Steer toward the open side of the corridor car.
                 label_offset = -avoid_side * profile.avoid_gap
             else:
                 label_offset = 0.0
 
-        n_cars = int(rng.integers(*cfg.scatter_cars))
-        n_peds = int(rng.integers(*cfg.scatter_peds))
-        self._scatter_background_things(rng, classes, grid, records, n_cars, n_peds)
+        n_cars = int(rng.integers(*SCATTER_CARS))
+        n_peds = int(rng.integers(*SCATTER_PEDS))
+        _scatter_background_things(rng, classes, grid, records, n_cars, n_peds)
 
         semantic = SemanticMap(classes=classes)
         instances = InstanceMap(instance_grid=grid, records=tuple(records))
         render_seed = int(rng.integers(0, 2**63))
-        scenario = render(semantic, instances, self.styles[style], render_seed)
-        label = torque_from_geometry(curvature, label_offset, cfg)
+        scenario = render(semantic, self.styles[style], render_seed)
+        label = torque_from_geometry(curvature, label_offset)
         return DrivingSample(
             scenario=scenario,
             semantic=semantic,

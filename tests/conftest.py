@@ -17,7 +17,6 @@ from parl.world import (
     AgentProfile,
     ScenarioGenerator,
     TaskType,
-    WorldConfig,
     extract_instances,
     segment,
 )
@@ -30,8 +29,8 @@ if os.environ.get("CI"):
 @pytest.fixture(scope="session")
 def generator():
     styles = styles_for_agents(range(2), seed=5)
-    profiles = {sid: AgentProfile(style_id=sid) for sid in styles}
-    return ScenarioGenerator(WorldConfig(), styles, profiles)
+    profile = AgentProfile(curvature_range=(0.05, 0.15), avoid_gap=0.12, turn_right_bias=0.5)
+    return ScenarioGenerator(styles, {sid: profile for sid in styles})
 
 
 @pytest.fixture(scope="session")

@@ -121,6 +121,30 @@ def test_nan_report_score_fails_verify(run_dir, tmp_path, capsys):
     assert "VERIFY FAIL: parl/robot-1: recomputed" in capsys.readouterr().out
 
 
+def test_verify_names_each_field_that_differs(run_dir, tmp_path, capsys):
+    saved = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["arms"]
+    rate = saved["parl"]["robot-1"]["overall_failure_rate"]
+    error = saved["local"]["robot-0"]["overall_error"]
+    local_rate = saved["local"]["robot-0"]["overall_failure_rate"]
+
+    def edit(text):
+        doc = json.loads(text)
+        doc["arms"]["parl"]["robot-1"]["overall_failure_rate"] = rate + 0.5
+        doc["arms"]["local"]["robot-0"]["overall_error"] = error + 0.25
+        doc["arms"]["local"]["robot-0"]["overall_failure_rate"] = local_rate + 0.5
+        return json.dumps(doc)
+
+    copy = _with_report(run_dir, tmp_path, edit)
+    assert cli.main(["eval", str(copy), "--verify"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if "VERIFY FAIL" in line]
+    assert fails == [
+        f"VERIFY FAIL: local/robot-0: recomputed overall_error {error!r} vs saved "
+        f"{error + 0.25!r}, overall_failure_rate {local_rate!r} vs saved {local_rate + 0.5!r}",
+        f"VERIFY FAIL: parl/robot-1: recomputed overall_failure_rate {rate!r} vs saved "
+        f"{rate + 0.5!r}",
+    ]
+
+
 def test_boolean_report_scores_fail_verify(run_dir, tmp_path, capsys):
     # JSON false and true equal 0 and 1 in Python, so saved as booleans these
     # failure rates would still match their recomputed values.

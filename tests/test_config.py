@@ -131,6 +131,7 @@ def test_bad_float_rejected():
         ("output_dir", "a\nb"),
         ("output_dir", "a\rb"),
         ("output_dir", "a\u2028b"),
+        ("output_dir", "a\0b"),
     ],
 )
 def test_field_validation(field, value):
@@ -168,3 +169,13 @@ def test_run_rejects_an_output_dir_config_txt_cannot_carry(
     assert cli.main([*argv, "--output-dir", output_dir]) == 3
     assert "output_dir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_rejects_a_config_file_output_dir_with_a_nul(tmp_path, monkeypatch, capsys):
+    # A process's argv cannot hold a NUL, so only a config file brings one in.
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+    path = tmp_path / "c.txt"
+    path.write_text("robots = 2\nsamples_per_task = 3\noutput_dir = a\0b\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 3
+    assert "output_dir" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()

@@ -21,7 +21,7 @@ from parl.styles import (
     style_affinity,
     styles_for_agents,
 )
-from parl.world import ScenarioGenerator, TaskType, WorldConfig, segment
+from parl.world import TaskType, segment
 
 
 def _min_separation(means):

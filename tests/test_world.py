@@ -10,14 +10,15 @@ from parl.errors import ConfigurationError, RenderError
 from parl.styles import built_in_style
 from parl.world import (
     BACKGROUND_ID,
+    OFFSET_JITTER,
     THING_CLASSES,
+    TORQUE_CURVATURE_GAIN,
+    TORQUE_OFFSET_GAIN,
     ClassId,
     Provenance,
     Scenario,
-    ScenarioGenerator,
     SemanticMap,
     TaskType,
-    WorldConfig,
     extract_instances,
     render,
     segment,
@@ -48,18 +49,16 @@ def test_task_and_provenance_values():
     offset=st.floats(-1.0, 1.0, allow_nan=False),
 )
 def test_torque_formula_oracle(curvature, offset):
-    cfg = WorldConfig()
-    expected = 0.5 + cfg.torque_curvature_gain * curvature + cfg.torque_offset_gain * offset
+    expected = 0.5 + TORQUE_CURVATURE_GAIN * curvature + TORQUE_OFFSET_GAIN * offset
     expected = min(1.0, max(0.0, expected))
-    assert torque_from_geometry(curvature, offset, cfg) == expected
+    assert torque_from_geometry(curvature, offset) == expected
 
 
 def test_torque_is_half_iff_geometry_vanishes():
-    cfg = WorldConfig()
-    assert torque_from_geometry(0.0, 0.0, cfg) == 0.5
+    assert torque_from_geometry(0.0, 0.0) == 0.5
     for eps in (1e-9, 1e-3, 0.1):
-        assert torque_from_geometry(eps, 0.0, cfg) != 0.5
-        assert torque_from_geometry(0.0, -eps, cfg) != 0.5
+        assert torque_from_geometry(eps, 0.0) != 0.5
+        assert torque_from_geometry(0.0, -eps) != 0.5
 
 
 def test_straight_samples_label_exactly_half(generator):
@@ -72,13 +71,12 @@ def test_avoid_labels_match_gap_and_side(generator):
     """Avoid labels are exactly 0.5 -/+ gap, steering away from the car."""
     from parl.policy import OBSTACLE_SENTINEL, features_from_maps
 
-    cfg = generator.config
     profile = generator.profiles[0]
     seen_sides = set()
     for seed in range(12):
         sample = generator.generate_scenario(0, TaskType.AVOID_CARS, seed)
-        left_label = torque_from_geometry(0.0, -profile.avoid_gap, cfg)
-        right_label = torque_from_geometry(0.0, profile.avoid_gap, cfg)
+        left_label = torque_from_geometry(0.0, -profile.avoid_gap)
+        right_label = torque_from_geometry(0.0, profile.avoid_gap)
         assert sample.label in (0.5, left_label, right_label)
         if sample.label == 0.5:
             continue  # no corridor car could be placed for this seed
@@ -97,10 +95,9 @@ def test_avoid_labels_match_gap_and_side(generator):
 
 
 def test_turn_labels_respect_profile_band(generator):
-    cfg = generator.config
     profile = generator.profiles[0]
-    lo = cfg.torque_curvature_gain * profile.curvature_range[0] - cfg.offset_jitter
-    hi = cfg.torque_curvature_gain * profile.curvature_range[1] + cfg.offset_jitter
+    lo = TORQUE_CURVATURE_GAIN * profile.curvature_range[0] - OFFSET_JITTER
+    hi = TORQUE_CURVATURE_GAIN * profile.curvature_range[1] + OFFSET_JITTER
     for seed in range(10):
         sample = generator.generate_scenario(0, TaskType.TURN, seed)
         assert lo <= abs(sample.label - 0.5) <= hi
@@ -182,12 +179,8 @@ def test_render_rejects_missing_class():
     )
     classes = np.full((20, 30), ClassId.ROAD, dtype=np.uint8)
     classes[4:6, 4:6] = ClassId.CAR
-    inst = extract_instances(classes)
-    from parl.errors import RenderError
-    from parl.world import SemanticMap
-
     with pytest.raises(RenderError):
-        render(SemanticMap(classes=classes), inst, gapped, seed=1)
+        render(SemanticMap(classes=classes), gapped, seed=1)
 
 
 def test_render_names_the_lowest_missing_class_it_paints():
@@ -200,18 +193,11 @@ def test_render_names_the_lowest_missing_class_it_paints():
     classes[10:12, 4:6] = ClassId.CAR
     semantic = SemanticMap(classes=classes)
     with pytest.raises(RenderError, match=r"^style 0 has no appearance for class 2$"):
-        render(semantic, extract_instances(classes), gapped, seed=1)
+        render(semantic, gapped, seed=1)
     # A class the style lacks but the map does not hold is no obstacle.
     plain = np.full((20, 30), ClassId.ROAD, dtype=np.uint8)
-    scenario = render(SemanticMap(classes=plain), extract_instances(plain), gapped, seed=1)
+    scenario = render(SemanticMap(classes=plain), gapped, seed=1)
     assert scenario.pixels.shape == (20, 30, 3)
-
-
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        WorldConfig(width=8)
-    with pytest.raises(ConfigurationError):
-        WorldConfig(sky_rows=0)
 
 
 def test_generator_rejects_unknown_style(generator):
