@@ -565,7 +565,7 @@ def _resize_mask(mask: np.ndarray, sy: float, sx: float) -> np.ndarray:
     nh, nw = max(1, int(round(h * sy))), max(1, int(round(w * sx)))
     rows = np.minimum((np.arange(nh) / sy).astype(int), h - 1)
     cols = np.minimum((np.arange(nw) / sx).astype(int), w - 1)
-    return mask[np.ix_(rows, cols)]
+    return mask.take(rows, 0).take(cols, 1)
 
 
 class _InsertionBase(NamedTuple):
@@ -996,10 +996,11 @@ class PlausibilityScorer:
     and _component_values an (instances, 4) array of components, which
     diagnostics_json and fitting read too. The ring term sums each
     direction's run with the exact order of ndarray.sum() (_segment_sums),
-    each instance's weighted sum is its own dot product, since a batched
-    product may add the four terms in another order, and the minimum and the
-    mean over scales are taken per layout. A layout's score is therefore the
-    same bits in any batch.
+    np.vecdot takes each instance's weighted sum with numpy's 1-D dot
+    routine, so every row adds its four terms as a lone `weights @ row`
+    would (a matrix product may add them in another order), and the minimum
+    and the mean over scales are taken per layout. A layout's score is
+    therefore the same bits in any batch.
     """
 
     scale_stats: tuple[_ScaleStats, ...]
@@ -1058,9 +1059,9 @@ class PlausibilityScorer:
             if not inst.records:
                 continue
             comps = _component_values(stats, inst, keys)
-            # One dot product per instance: a batched product may add the
+            # One 1-D dot per instance row: a matrix product may add the
             # four terms in another order.
-            value = np.array([float(self.weights @ row) for row in comps])
+            value = np.vecdot(self.weights, comps)
             # Hard gates: configurations real layouts never produce.
             value = np.where(inst.contact, value * 0.1, value)
             value = np.where((comps[:, 0] == 0.0) | (comps[:, 2] == 0.0), value * 0.3, value)

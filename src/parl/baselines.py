@@ -48,12 +48,16 @@ def baseline_color_jitter(sample: DrivingSample, seed: int) -> DrivingSample:
     """Channel-wise affine perturbation of the pixels; maps and label kept.
 
     Each channel is scaled by a factor in [1-m, 1+m] and shifted by a value
-    in [-m/2, m/2] (m is _JITTER_MAGNITUDE), then clamped to [0, 1].
+    in [-m/2, m/2] (m is _JITTER_MAGNITUDE), then clamped to [0, 1], in
+    place in one float64 copy of the pixels.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), _JITTER_TAG]))
     scale = rng.uniform(1.0 - _JITTER_MAGNITUDE, 1.0 + _JITTER_MAGNITUDE, size=3)
     shift = rng.uniform(-_JITTER_MAGNITUDE / 2.0, _JITTER_MAGNITUDE / 2.0, size=3)
-    pixels = np.clip(sample.scenario.pixels.astype(np.float64) * scale + shift, 0.0, 1.0)
+    pixels = sample.scenario.pixels.astype(np.float64)
+    pixels *= scale
+    pixels += shift
+    np.clip(pixels, 0.0, 1.0, out=pixels)
     scenario = Scenario(pixels=pixels.astype(np.float32), style=sample.scenario.style)
     return replace(sample, scenario=scenario, provenance=Provenance.AUGMENTED)
 
@@ -91,10 +95,9 @@ def baseline_random_resized_crop(sample: DrivingSample, seed: int) -> DrivingSam
         return sample
     rows = _nn_resize_indices(h, ch, top)
     cols = _nn_resize_indices(w, cw, left)
-    grid_idx = np.ix_(rows, cols)
-    new_classes = classes[grid_idx]
-    new_pixels = sample.scenario.pixels[grid_idx]
-    new_grid = sample.instances.instance_grid[grid_idx]
+    new_classes = classes.take(rows, 0).take(cols, 1)
+    new_pixels = sample.scenario.pixels.take(rows, 0).take(cols, 1)
+    new_grid = sample.instances.instance_grid.take(rows, 0).take(cols, 1)
     # One pass over the resized grid: its cells sorted by id, row-major
     # within one, give every id's bbox, and each record looks its id up.
     flat = new_grid.ravel()
@@ -210,7 +213,7 @@ def _is_coordinate_remap(source: DrivingSample, output: DrivingSample, index: _P
         return False
     src_grid = np.asarray(source.semantic.classes)
     out_grid = np.asarray(output.semantic.classes)
-    return bool(np.array_equal(src_grid[np.ix_(row_idx, col_idx)], out_grid))
+    return bool(np.array_equal(src_grid.take(row_idx, 0).take(col_idx, 1), out_grid))
 
 
 class AugmenterAxes:

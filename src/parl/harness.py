@@ -227,16 +227,6 @@ class ComparisonReport:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
-    def to_csv(self) -> str:
-        lines = ["arm,robot,overall_error,overall_failure_rate"]
-        for arm in sorted(self.arms):
-            for robot in sorted(self.arms[arm]):
-                rep = self.arms[arm][robot]
-                lines.append(
-                    f"{arm},{robot},{rep.overall_error:.6f},{rep.overall_failure_rate:.6f}"
-                )
-        return "\n".join(lines) + "\n"
-
 
 def render_markdown(doc: dict) -> str:
     """Markdown tables of a report's JSON document (`ComparisonReport.to_json_dict`)."""
@@ -499,7 +489,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     )
     (out / "config.txt").write_text(render_config(config), encoding="utf-8")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out / "report.md").write_text(render_markdown(report.to_json_dict()), encoding="utf-8")
     return report
 

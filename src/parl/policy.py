@@ -226,9 +226,20 @@ class PolicyModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "provenance_mix", tuple(self.provenance_mix))
 
-    def predict(self, features: FeatureVector) -> float:
-        raw = self.weights[0] + float(self.weights[1:] @ features.values)
-        return float(min(1.0, max(0.0, raw)))
+    def predict(self, features: Sequence[FeatureVector]) -> list[float]:
+        """One torque per feature vector: min(1, max(0, w0 + w . f)).
+
+        np.vecdot takes each row's dot product with numpy's 1-D dot routine,
+        the one `w @ f` runs, so every row sums its terms as a lone product
+        would. Each bound replaces the raw value unless the value lies
+        strictly inside it, as Python's min and max do.
+        """
+        if not features:
+            return []
+        rows = np.stack([f.values for f in features])
+        raw = self.weights[0] + np.vecdot(self.weights[1:], rows)
+        low = np.where(raw > 0.0, raw, 0.0)
+        return np.where(low < 1.0, low, 1.0).tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolicyModel):
@@ -391,7 +402,10 @@ def crowdsource_labels(
     predictions is members x candidates: row m holds member m's predictions
     on the candidates rendered in the target style. A member's weight is its
     style's affinity to the target style, computed once for all candidates,
-    so every label is a convex combination of its column.
+    so every label is a convex combination of its column. np.vecdot takes
+    each column's dot product with the weights by numpy's 1-D dot routine,
+    so a label sums its terms as a lone np.dot over two or more members
+    does.
     """
     if not member_styles:
         raise TrainingError("crowdsourcing requires at least one local model")
@@ -400,7 +414,7 @@ def crowdsource_labels(
         raise TrainingError("predictions must have one row per member style")
     weights = np.array([style_affinity(target_style, s) for s in member_styles])
     weights = weights / weights.sum()
-    return [float(np.dot(weights, column)) for column in np.ascontiguousarray(preds.T)]
+    return np.vecdot(weights, np.ascontiguousarray(preds.T)).tolist()
 
 
 @dataclass(frozen=True)
@@ -460,8 +474,7 @@ def evaluate(
     if any(s.label is None for s in testset):
         raise EvaluationError("testset contains an unlabeled sample")
     per_task_abs: dict[str, list[float]] = {}
-    for sample, feats in zip(testset, features):
-        pred = model.predict(feats)
+    for sample, pred in zip(testset, model.predict(features)):
         per_task_abs.setdefault(sample.task.value, []).append(abs(pred - sample.label))
     per_task_error = {}
     per_task_rate = {}

@@ -503,7 +503,7 @@ class RobotNode:
                     self.stage = advance_stage(self.stage, Stage.LABELING)
                 assert self.policy is not None and self.style is not None
                 features = features_from_maps(segment(body.scenarios, self.style))
-                torques = tuple(self.policy.predict(f) for f in features)
+                torques = tuple(self.policy.predict(features))
                 return [self._msg(LabelResponse(torques=torques))]
             if isinstance(body, SharedModel):
                 if self.stage not in (Stage.UPLOADED, Stage.LABELING) or self.tuned is not None:

@@ -55,13 +55,14 @@ _AFFINITY_BANDWIDTH = 0.25
 
 
 def _pairwise_min_separation(means: np.ndarray) -> float:
-    """Smallest pairwise Chebyshev distance between class means."""
-    n = means.shape[0]
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, float(np.max(np.abs(means[i] - means[j]))))
-    return best
+    """Smallest pairwise Chebyshev distance between class means.
+
+    inf for fewer than two classes. fmin from inf skips a NaN distance, as
+    a running Python min over the pairs does.
+    """
+    i, j = np.triu_indices(means.shape[0], k=1)
+    distances = np.abs(means[i] - means[j]).max(axis=1)
+    return float(np.fmin.reduce(distances, initial=np.inf))
 
 
 @dataclass(frozen=True, eq=False)

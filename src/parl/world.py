@@ -252,18 +252,20 @@ def render(semantic: SemanticMap, style: StyleModel, seed: int) -> Scenario:
     Each cell gets its class mean plus seeded texture noise bounded by the
     class spread, clamped to [0, 1]. Deterministic in (map, style, seed).
     Thing cells are already present in the semantic grid, so no instance
-    map is needed.
+    map is needed. The noise buffer is scaled, shifted and clamped in
+    place; a cell's product and sum are those of mean + noise * spread,
+    since float addition commutes exactly.
     """
     classes = semantic.classes
     present = np.bincount(classes.ravel(), minlength=N_CLASSES) > 0
     missing = np.flatnonzero(present & np.isnan(style.class_means).any(axis=1))
     if missing.size:
         raise RenderError(f"style {style.style} has no appearance for class {int(missing[0])}")
-    means = style.class_means[classes]  # (h, w, 3)
-    amps = style.class_spreads[classes][..., None]
     noise = _texture_noise(semantic.height, semantic.width, style, seed)
-    pixels = np.clip(means + noise * amps, 0.0, 1.0).astype(np.float32)
-    return Scenario(pixels=pixels, style=style.style)
+    noise *= style.class_spreads.take(classes)[..., None]
+    noise += style.class_means.take(classes, axis=0)
+    np.clip(noise, 0.0, 1.0, out=noise)
+    return Scenario(pixels=noise.astype(np.float32), style=style.style)
 
 
 def _classify_stack(pixels: np.ndarray, style: StyleModel) -> np.ndarray:
@@ -699,6 +701,9 @@ class ScenarioGenerator:
         for sid in self.profiles:
             if sid not in self.styles:
                 raise ConfigurationError(f"profile for unregistered style {sid}")
+        for sid in self.styles:
+            if sid not in self.profiles:
+                raise ConfigurationError(f"style {sid} has no agent profile")
 
     # -- public API --
 

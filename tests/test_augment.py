@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parl.augment import (
     AugmentStats,
@@ -20,6 +22,7 @@ from parl.augment import (
     WherePredictor,
     _BUDGET_FACTOR,
     _insertion_base,
+    _resize_mask,
     augment_semantic,
     corrupt_giant,
     corrupt_overlap,
@@ -698,3 +701,23 @@ def test_diagnostics_json_shape(layouts, scorer):
             component = scale["components"][name]
             assert component["count"] > 0
             assert 0.0 <= component["min"] <= component["max"] <= 1.0
+
+
+@given(
+    mask=arrays(bool, st.tuples(st.integers(1, 8), st.integers(1, 8))),
+    sy=st.floats(0.1, 4.0),
+    sx=st.floats(0.1, 4.0),
+    transposed=st.booleans(),
+)
+@settings(max_examples=200)
+def test_resize_mask_gathers_as_ix_does(mask, sy, sx, transposed):
+    # A transposed mask is a strided view, as a template slice can be.
+    mask = mask.T if transposed else mask
+    h, w = mask.shape
+    nh, nw = max(1, int(round(h * sy))), max(1, int(round(w * sx)))
+    rows = np.minimum((np.arange(nh) / sy).astype(int), h - 1)
+    cols = np.minimum((np.arange(nw) / sx).astype(int), w - 1)
+    want = mask[np.ix_(rows, cols)]
+    got = _resize_mask(mask, sy, sx)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

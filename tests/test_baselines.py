@@ -312,6 +312,40 @@ def _reference_crop(sample, seed):
     )
 
 
+def _jitter_out_of_place(sample, seed):
+    """The jitter's pixels as they were made: one new array per step."""
+    m = baselines._JITTER_MAGNITUDE
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(seed) & (2**63 - 1), baselines._JITTER_TAG])
+    )
+    scale = rng.uniform(1.0 - m, 1.0 + m, size=3)
+    shift = rng.uniform(-m / 2.0, m / 2.0, size=3)
+    pixels = np.clip(sample.scenario.pixels.astype(np.float64) * scale + shift, 0.0, 1.0)
+    return pixels.astype(np.float32)
+
+
+@given(
+    index=st.integers(0, 17),
+    seed=st.integers(0, 2**63 - 1),
+    saturated=st.sampled_from([0.0, 0.3]),
+)
+@settings(max_examples=60)
+def test_jitter_in_place_matches_the_out_of_place_expression(
+    small_dataset, index, seed, saturated
+):
+    sample = small_dataset[index]
+    if saturated:
+        # Pixels at 0 and 1 put the clamp's edges on both sides.
+        rng = np.random.default_rng(seed)
+        pixels = sample.scenario.pixels.copy()
+        pixels[rng.random(pixels.shape) < saturated] = 0.0
+        pixels[rng.random(pixels.shape) < saturated] = 1.0
+        sample = _with_pixels(sample, pixels)
+    got = baseline_color_jitter(sample, seed).scenario.pixels
+    want = _jitter_out_of_place(sample, seed)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _without_records(sample):
     grid = np.full(sample.instances.instance_grid.shape, BACKGROUND_ID, dtype=np.int32)
     return replace(sample, instances=InstanceMap(instance_grid=grid, records=()))
@@ -336,3 +370,16 @@ def test_crop_matches_per_record_reference(small_dataset):
             )
             dropped += len(sample.instances.records) - len(got.instances.records)
     assert dropped > 0  # some crops cut records out
+
+
+@given(index=st.integers(0, 17), seed=st.integers(0, 2**63 - 1))
+@settings(max_examples=60)
+def test_crop_take_gathers_match_the_ix_reference(small_dataset, index, seed):
+    got = baseline_random_resized_crop(small_dataset[index], seed)
+    want = _reference_crop(small_dataset[index], seed)
+    for a, b in (
+        (got.instances.instance_grid, want.instances.instance_grid),
+        (got.semantic.classes, want.semantic.classes),
+        (got.scenario.pixels, want.scenario.pixels),
+    ):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -23,7 +23,7 @@ from parl.policy import (
     fine_tune,
     train,
 )
-from parl.styles import fit_style
+from parl.styles import fit_style, style_affinity
 from parl.world import ClassId, Provenance, Scenario, SemanticMap, TaskType
 
 
@@ -58,6 +58,51 @@ def _random_features(rng, n):
         vec[N_OCCUPANCY:] = rng.uniform(-0.5, 0.5, 2)
         out.append(FeatureVector(values=vec))
     return out
+
+
+def _mixed(rng, shape, zero_fraction):
+    """Signed values spread over 24 decades, zero_fraction of them +0 or -0."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+    zeros = rng.random(shape) < zero_fraction
+    values[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    return values
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _predict_row_by_row(model, features):
+    """PolicyModel.predict as it was: one vector, one `@`, Python's min and max."""
+    return [
+        float(min(1.0, max(0.0, model.weights[0] + float(model.weights[1:] @ f.values))))
+        for f in features
+    ]
+
+
+def _labels_column_by_column(predictions, member_styles, target_style):
+    """crowdsource_labels as it was: one np.dot per candidate column."""
+    weights = np.array([style_affinity(target_style, s) for s in member_styles])
+    weights = weights / weights.sum()
+    return [float(np.dot(weights, column)) for column in np.ascontiguousarray(predictions.T)]
+
+
+# The widths of the row-wise dots in the run: crowdsource_labels' three
+# members, the scorer's four components and the policy's features.
+@pytest.mark.parametrize("width", [3, 4, N_FEATURES])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@settings(max_examples=60)
+def test_vecdot_adds_each_row_as_a_lone_dot(width, seed, n, zero_fraction):
+    rng = np.random.default_rng(seed)
+    w = _mixed(rng, width, zero_fraction / 2)
+    rows = _mixed(rng, (n, width), zero_fraction)
+    got = _bits(np.vecdot(w, rows))
+    assert got == _bits([float(w @ row) for row in rows])
+    assert got == _bits([float(np.dot(w, row)) for row in rows])
 
 
 def _painted(sample, style, classes):
@@ -181,13 +226,13 @@ class TestTrain:
         probe = _random_features(rng, 50)
         for f in probe:
             truth = 0.5 + float(f.values @ w_true)
-            assert abs(model.predict(f) - truth) <= 1e-6
+            assert abs(model.predict([f])[0] - truth) <= 1e-6
 
     def test_single_sample_interpolated(self):
         rng = np.random.default_rng(5)
         f = _random_features(rng, 1)[0]
         model = train([(f, 0.625)], ridge_lambda=1e-9, provenances=[Provenance.HUMAN])
-        assert abs(model.predict(f) - 0.625) <= 1e-6
+        assert abs(model.predict([f])[0] - 0.625) <= 1e-6
 
     def test_duplicated_dataset_identical_weights(self, small_dataset):
         style = fit_style(small_dataset)
@@ -257,7 +302,7 @@ class TestFineTune:
         shared, local_rows, holdout_rows = shared_and_local
         def err(model):
             return float(
-                np.mean([abs(model.predict(f) - y) for f, y in holdout_rows])
+                np.mean([abs(model.predict([f])[0] - y) for f, y in holdout_rows])
             )
         provenances = _human(local_rows)
         bound = max(err(shared), err(fine_tune(shared, local_rows, 0.0, provenances))) + 1e-12
@@ -281,7 +326,7 @@ class TestCrowdsource:
         style = fit_style(small_dataset)
         rows = _rows(small_dataset, style)
         model = train(rows, 1e-3, _human(rows))
-        preds = [model.predict(features_from_maps([s.semantic])[0]) for s in small_dataset[:4]]
+        preds = [model.predict(features_from_maps([s.semantic]))[0] for s in small_dataset[:4]]
         labels = crowdsource_labels(np.array([preds]), [style], style)
         assert labels == pytest.approx(preds)
 
@@ -289,7 +334,7 @@ class TestCrowdsource:
         style = fit_style(small_dataset)
         (feats,) = features_from_maps([small_dataset[0].semantic])
         models = [_constant_model(0.4), _constant_model(0.6)]
-        preds = np.array([[m.predict(feats)] for m in models])
+        preds = np.array([m.predict([feats]) for m in models])
         [label] = crowdsource_labels(preds, [style, style], style)
         assert label == pytest.approx(0.5)
 
@@ -298,10 +343,23 @@ class TestCrowdsource:
     def test_labels_are_convex_combinations(self, generator, small_dataset, values):
         target = fit_style(small_dataset)
         (feats,) = features_from_maps([small_dataset[0].semantic])
-        preds = np.array([[_constant_model(v).predict(feats)] for v in values])
+        preds = np.array([_constant_model(v).predict([feats]) for v in values])
         member_styles = [generator.styles[k % 2] for k in range(len(values))]
         [label] = crowdsource_labels(preds, member_styles, target)
         assert min(values) - 1e-12 <= label <= max(values) + 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 4), n=st.integers(0, 6))
+    @settings(max_examples=40)
+    def test_labels_match_the_per_column_dot(self, generator, seed, members, n):
+        rng = np.random.default_rng(seed)
+        preds = rng.uniform(0.0, 1.0, (members, n))
+        # predict clamps, so 0 and 1 are common predictions.
+        preds[rng.random(preds.shape) < 0.2] = 0.0
+        preds[rng.random(preds.shape) < 0.2] = 1.0
+        member_styles = [generator.styles[k % 2] for k in range(members)]
+        target = generator.styles[seed % 2]
+        want = _labels_column_by_column(preds, member_styles, target)
+        assert _bits(crowdsource_labels(preds, member_styles, target)) == _bits(want)
 
     def test_empty_ensemble_rejected(self, small_dataset):
         style = fit_style(small_dataset)
@@ -355,7 +413,7 @@ class TestEvaluate:
         errs: dict[str, list[float]] = {}
         for s in small_dataset:
             errs.setdefault(s.task.value, []).append(
-                abs(model.predict(featurize([s], style)[0]) - s.label)
+                abs(model.predict(featurize([s], style))[0] - s.label)
             )
         total = [e for v in errs.values() for e in v]
         assert set(report.per_task_error) == set(errs)
@@ -374,7 +432,7 @@ class TestEvaluate:
         offset_model = _constant_model(min(1.0, sample.label + 0.05))
         report = evaluate(offset_model, [sample], featurize([sample], style), fail_threshold=0.05)
         # error == threshold exactly is not a failure
-        if abs(offset_model.predict(featurize([sample], style)[0]) - sample.label) == 0.05:
+        if abs(offset_model.predict(featurize([sample], style))[0] - sample.label) == 0.05:
             assert report.overall_failure_rate == 0.0
 
     def test_first_unlabeled_or_unfeaturizable_sample_raises(self, small_dataset):
@@ -414,12 +472,25 @@ class TestPolicyModel:
     def test_prediction_clamped_to_unit_interval(self):
         w = np.zeros(N_FEATURES + 1)
         w[0] = 5.0
-        assert _constant_model(0.0).predict(
-            FeatureVector(values=np.zeros(N_FEATURES))
-        ) == 0.0
-        assert PolicyModel(weights=w, ridge_lambda=0.0, n_train=1).predict(
-            FeatureVector(values=np.zeros(N_FEATURES))
-        ) == 1.0
+        zeros = [FeatureVector(values=np.zeros(N_FEATURES))]
+        assert _constant_model(0.0).predict(zeros) == [0.0]
+        assert PolicyModel(weights=w, ridge_lambda=0.0, n_train=1).predict(zeros) == [1.0]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 8),
+        bias=st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0]),
+        scale=st.sampled_from([1e-3, 1e-2, 1.0]),
+    )
+    @settings(max_examples=60)
+    def test_predict_matches_the_per_row_form(self, seed, n, bias, scale):
+        rng = np.random.default_rng(seed)
+        w = np.concatenate(([bias], rng.uniform(-scale, scale, N_FEATURES)))
+        model = PolicyModel(weights=w, ridge_lambda=0.0, n_train=1)
+        features = _random_features(rng, n)
+        got = model.predict(features)
+        assert all(type(value) is float for value in got)
+        assert _bits(got) == _bits(_predict_row_by_row(model, features))
 
     def test_weight_validation(self):
         with pytest.raises(TrainingError):

@@ -77,7 +77,7 @@ def _expected_labels(cloud, voters):
         w = np.array([style_affinity(target_style, cloud.uploads[v].style) for v in voters])
         for _, candidate in cloud.candidates:
             (feats,) = features_from_maps([candidate.semantic])
-            preds = np.array([cloud.uploads[v].policy.predict(feats) for v in voters])
+            preds = np.array([cloud.uploads[v].policy.predict([feats])[0] for v in voters])
             expected.append((feats, float(np.dot(w / w.sum(), preds))))
     return expected
 
@@ -379,7 +379,7 @@ def test_robot_labels_each_scenario_as_its_own_segmentation_reads(worlds):
         robot = robots[request.recipient.index]
         [reply] = robot.handle(request)
         expected = tuple(
-            robot.policy.predict(features_from_maps(segment([scenario], robot.style))[0])
+            robot.policy.predict(features_from_maps(segment([scenario], robot.style)))[0]
             for scenario in request.body.scenarios
         )
         assert reply.body.torques == expected

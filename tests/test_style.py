@@ -14,6 +14,7 @@ from parl.styles import (
     DEFAULT_SEPARATION_FLOOR,
     N_CLASSES,
     StyleModel,
+    _pairwise_min_separation,
     built_in_style,
     class_sums,
     cross_render,
@@ -30,6 +31,33 @@ def _min_separation(means):
         for j in range(i + 1, len(means)):
             best = min(best, float(np.max(np.abs(means[i] - means[j]))))
     return best
+
+
+@given(
+    means=st.sampled_from([0, 1, 2, 8]).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(
+                    # A few shared values make tied and zero distances common.
+                    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                    st.floats(-2.0, 2.0),
+                    st.just(float("nan")),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@settings(max_examples=200)
+def test_pairwise_min_separation_matches_the_double_loop(means):
+    means = np.array(means, dtype=np.float64).reshape(-1, 3)
+    got = _pairwise_min_separation(means)
+    want = _min_separation(means)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestBuiltInStyles:

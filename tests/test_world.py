@@ -4,21 +4,24 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parl.errors import ConfigurationError, RenderError
-from parl.styles import built_in_style
+from parl.styles import N_CLASSES, built_in_style, styles_for_agents
 from parl.world import (
     BACKGROUND_ID,
     OFFSET_JITTER,
     THING_CLASSES,
     TORQUE_CURVATURE_GAIN,
     TORQUE_OFFSET_GAIN,
+    AgentProfile,
     ClassId,
     Provenance,
     Scenario,
+    ScenarioGenerator,
     SemanticMap,
     TaskType,
+    _texture_noise,
     extract_instances,
     render,
     segment,
@@ -198,6 +201,43 @@ def test_render_names_the_lowest_missing_class_it_paints():
     plain = np.full((20, 30), ClassId.ROAD, dtype=np.uint8)
     scenario = render(SemanticMap(classes=plain), gapped, seed=1)
     assert scenario.pixels.shape == (20, 30, 3)
+
+
+def _render_out_of_place(semantic, style, seed):
+    """render's pixels as they were made: one new array per step."""
+    classes = semantic.classes
+    means = style.class_means[classes]
+    amps = style.class_spreads[classes][..., None]
+    noise = _texture_noise(semantic.height, semantic.width, style, seed)
+    return np.clip(means + noise * amps, 0.0, 1.0).astype(np.float32)
+
+
+@given(
+    map_seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(16, 40), st.integers(16, 40)),
+    style_id=st.integers(0, 7),
+    spreads_at_cap=st.booleans(),
+    seed=st.integers(0, 2**63 - 1),
+)
+@settings(max_examples=80)
+def test_render_in_place_matches_the_out_of_place_expression(
+    map_seed, shape, style_id, spreads_at_cap, seed
+):
+    rng = np.random.default_rng(map_seed)
+    style = built_in_style(style_id, seed=5)
+    cap = style.separation_floor / 2 * (1 - 1e-9)
+    spreads = np.full(N_CLASSES, cap) if spreads_at_cap else rng.uniform(0.0, cap, N_CLASSES)
+    style = dataclasses.replace(style, class_spreads=spreads)
+    semantic = SemanticMap(classes=rng.integers(0, N_CLASSES, shape).astype(np.uint8))
+    pixels = render(semantic, style, seed).pixels
+    want = _render_out_of_place(semantic, style, seed)
+    assert pixels.dtype == want.dtype and pixels.tobytes() == want.tobytes()
+
+
+def test_generator_rejects_a_style_without_a_profile():
+    profile = AgentProfile(curvature_range=(0.05, 0.15), avoid_gap=0.12, turn_right_bias=0.5)
+    with pytest.raises(ConfigurationError, match=r"^style 1 has no agent profile$"):
+        ScenarioGenerator(styles_for_agents(range(2), seed=5), {0: profile})
 
 
 def test_generator_rejects_unknown_style(generator):
