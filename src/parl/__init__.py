@@ -38,7 +38,6 @@ from .errors import (
 from .harness import ComparisonReport, StageFailure, check_acceptance, run_experiment
 from .policy import (
     EvaluationReport,
-    FeatureVector,
     PolicyModel,
     crowdsource_labels,
     evaluate,
@@ -80,7 +79,6 @@ __all__ = [
     "EvaluationError",
     "EvaluationReport",
     "ExperimentConfig",
-    "FeatureVector",
     "FittingError",
     "InstanceMap",
     "InstanceRecord",

@@ -23,9 +23,11 @@ u16 width, a u16 style id and height x width x 3 f32 pixels (row-major,
 channels last). They have no envelope of their own: the message that
 carries one has its magic and version.
 
-Decoders reject bad magic, unknown versions, unknown item kinds, truncated
-payloads, and trailing bytes with DecodeError; a payload that parses but
-violates a model invariant is also a DecodeError, never a half-built object.
+Decoders reject with DecodeError bad magic, unknown versions, unknown item
+kinds, truncated payloads, trailing bytes, and records no encoder writes: a
+flag byte other than 0 or 1, a report task or an array named twice, or an
+array its record kind does not read. A payload that parses but violates a
+model invariant is also a DecodeError, never a half-built object.
 
 Each payload is copied once on the way out and once on the way in. An
 encoder collects its fields and buffers as parts, scenario pixels as the
@@ -459,6 +461,8 @@ def _decode_array_map(r: _Reader) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.short_str()
+        if name in out:
+            raise DecodeError(f"array {name!r} named twice")
         code = r.u8()
         if code not in _DTYPES:
             raise DecodeError(f"unknown array dtype code {code}")
@@ -598,9 +602,12 @@ def _decode_item(data: memoryview) -> ModelItem:
                 KIND_SCORER: PlausibilityScorer,
             }[kind]
             try:
-                return target._from_state(arrays)
+                model = target._from_state(arrays)
             except (KeyError, ValueError, IndexError) as exc:
                 raise DecodeError(f"model record state is malformed: {exc}") from exc
+            if model._state_arrays().keys() != arrays.keys():
+                raise DecodeError("model record holds arrays its kind does not read")
+            return model
         if kind == KIND_LAYOUT:
             layout = _decode_layout_body(r)
             r.done()
@@ -610,6 +617,8 @@ def _decode_item(data: memoryview) -> ModelItem:
             inserted_ids = [r.u32() for _ in range(r.u16())]
             source = r.u32()
             has_score = r.u8()
+            if has_score not in (0, 1):
+                raise DecodeError(f"score flag must be 0 or 1, got {has_score}")
             score_bits = r.f64()
             r.done()
             by_id = {rec.instance_id: rec for rec in instances.records}
@@ -630,6 +639,8 @@ def _decode_item(data: memoryview) -> ModelItem:
             counts: dict[str, int] = {}
             for _ in range(r.u16()):
                 task = r.short_str()
+                if task in errs:
+                    raise DecodeError(f"report names task {task!r} twice")
                 errs[task] = r.f64()
                 rates[task] = r.f64()
                 counts[task] = r.u32()

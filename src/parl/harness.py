@@ -46,6 +46,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import codec
 from .augment import AugmentStats, diagnostics_json
 from .baselines import (
@@ -275,24 +277,28 @@ def _train_local_arm(
 ) -> tuple[PolicyModel, EvaluationReport]:
     """Train on the robot's own training features plus the featurized extras."""
     # Appearance augmentation can corrupt a sample beyond recognition (e.g.
-    # jitter erasing the road); such rows are dropped, mirroring a
-    # data-cleaning pass, rather than failing the arm. The extras are
-    # featurized as one batch, and one at a time only if the batch raised.
+    # jitter erasing the road); such samples are dropped rather than failing
+    # the arm. If the batch raised, the extras that featurize alone are
+    # featurized again as one batch: a row depends only on its own sample.
     try:
-        kept = list(zip(featurize(extra, robot.style), extra))
+        extra_features = featurize(extra, robot.style)
     except ParlError:
-        kept = []
-        for sample in extra:
-            try:
-                (feats,) = featurize([sample], robot.style)
-            except ParlError:
-                continue
-            kept.append((feats, sample))
-    rows = robot.local_rows + [(f, s.label) for f, s in kept]
-    provs = [s.provenance for s in robot.train_samples] + [s.provenance for _, s in kept]
-    model = train(rows, ridge_lambda=config.ridge_lambda, provenances=provs)
+        extra = [s for s in extra if _featurizes(s, robot.style)]
+        extra_features = featurize(extra, robot.style)
+    features = np.concatenate((robot.train_features, extra_features))
+    samples = [*robot.train_samples, *extra]
+    labels, provs = [s.label for s in samples], [s.provenance for s in samples]
+    model = train(features, labels, ridge_lambda=config.ridge_lambda, provenances=provs)
     report = evaluate(model, robot.holdout_samples, robot.holdout_features, config.fail_threshold)
     return model, report
+
+
+def _featurizes(sample: DrivingSample, style: StyleModel) -> bool:
+    try:
+        featurize([sample], style)
+    except ParlError:
+        return False
+    return True
 
 
 def _train_appearance_arm(
@@ -355,9 +361,9 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     central_style = _stage("centralized-style", "harness", pooled_style, pooled_samples)
 
     def train_centralized() -> PolicyModel:
-        rows = zip(featurize(pooled_samples, central_style), (s.label for s in pooled_samples))
-        provenances = [s.provenance for s in pooled_samples]
-        return train(list(rows), ridge_lambda=config.ridge_lambda, provenances=provenances)
+        features = featurize(pooled_samples, central_style)
+        labels, provs = [s.label for s in pooled_samples], [s.provenance for s in pooled_samples]
+        return train(features, labels, ridge_lambda=config.ridge_lambda, provenances=provs)
 
     central_model = _stage("centralized-train", "harness", train_centralized)
     codec.write_models(out / CENTRALIZED_MODEL_FILE, [central_model])
@@ -459,7 +465,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         "insertion_failures": total.insertion_failures,
         "fan_out_requested": config.fan_out,
         "fan_out_achieved": round(len(candidates) / max(n_inputs, 1), 6),
-        "pool_size": len(cloud.pool),
+        "pool_size": len(cloud.pool[1]),
         "per_robot": {
             str(node): {
                 "attempts": stats.attempts,

@@ -39,30 +39,6 @@ _LANE_BAND_ROWS = 8  # bottom rows used for the lane-offset estimate
 _FEATURE_CHUNK = 8
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Fixed-length input to the policy: 128 occupancy + 2 geometry values."""
-
-    values: np.ndarray  # (N_FEATURES,) float64
-
-    def __post_init__(self) -> None:
-        vec = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if vec.shape != (N_FEATURES,):
-            raise DegenerateInputError(f"feature vector must have {N_FEATURES} entries")
-        if not np.isfinite(vec).all():
-            raise DegenerateInputError("feature vector holds non-finite values")
-        occ = vec[:N_OCCUPANCY]
-        if occ.min() < 0.0 or occ.max() > 1.0:
-            raise DegenerateInputError("occupancy fractions outside [0, 1]")
-        vec.setflags(write=False)
-        object.__setattr__(self, "values", vec)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureVector):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-
 @functools.lru_cache(maxsize=None)
 def _pool_blocks(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Pool-cell index of every grid cell (row-major), and each pool cell's size."""
@@ -150,9 +126,10 @@ def _obstacle_offset(grids: np.ndarray) -> np.ndarray:
 def features_from_grids(grids: np.ndarray) -> np.ndarray:
     """Featurize an (N, h, w) stack of class grids into an (N, 130) array.
 
-    The array form of features_from_maps: row n equals
-    features_from_maps([SemanticMap(grids[n])])[0].values bit for bit. Raises
-    DegenerateInputError if any grid has no road in its near band.
+    Row n holds grid n's features and depends on that grid alone: 128
+    occupancy fractions in [0, 1], then the finite lane and obstacle
+    offsets. Raises DegenerateInputError if any grid has no road in its
+    near band.
     """
     grids = np.asarray(grids)
     if grids.ndim != 3 or grids.dtype != np.uint8 or grids.max(initial=0) >= N_CLASSES:
@@ -164,29 +141,30 @@ def features_from_grids(grids: np.ndarray) -> np.ndarray:
     return out
 
 
-def features_from_maps(semantics: Sequence[SemanticMap]) -> list[FeatureVector]:
+def features_from_maps(semantics: Sequence[SemanticMap]) -> np.ndarray:
     """Featurize known class grids directly (no segmentation step), in input order.
 
+    Returns a read-only (len(semantics), N_FEATURES) array, row i for map i.
     Maps are grouped by shape and featurized _FEATURE_CHUNK at a time, one
     features_from_grids call per chunk. If any map has no road in its near
     band, the call raises; every map fails that check with the same error.
     """
-    rows: list[Optional[FeatureVector]] = [None] * len(semantics)
+    features = np.empty((len(semantics), N_FEATURES), dtype=np.float64)
     by_shape: dict[tuple[int, int], list[int]] = {}
     for i, semantic in enumerate(semantics):
         by_shape.setdefault(semantic.classes.shape, []).append(i)
     for indices in by_shape.values():
         for start in range(0, len(indices), _FEATURE_CHUNK):
             chunk = indices[start : start + _FEATURE_CHUNK]
-            grids = np.stack([semantics[i].classes for i in chunk])
-            for i, values in zip(chunk, features_from_grids(grids)):
-                rows[i] = FeatureVector(values=values)
-    return rows
+            features[chunk] = features_from_grids(np.stack([semantics[i].classes for i in chunk]))
+    features.setflags(write=False)
+    return features
 
 
-def featurize(samples: Sequence[DrivingSample], style: StyleModel) -> list[FeatureVector]:
+def featurize(samples: Sequence[DrivingSample], style: StyleModel) -> np.ndarray:
     """Segment every sample's scenario under the given style, then featurize.
 
+    Returns features_from_maps of the segmented maps: row i for sample i.
     Features read the class grid alone, so no instance map is built. The
     whole list is segmented, then featurized, as batches. A failing sample
     fails the call with its own error, the first failing sample in input
@@ -226,18 +204,15 @@ class PolicyModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "provenance_mix", tuple(self.provenance_mix))
 
-    def predict(self, features: Sequence[FeatureVector]) -> list[float]:
-        """One torque per feature vector: min(1, max(0, w0 + w . f)).
+    def predict(self, features: np.ndarray) -> list[float]:
+        """One torque per row of an (n, N_FEATURES) array: min(1, max(0, w0 + w . f)).
 
         np.vecdot takes each row's dot product with numpy's 1-D dot routine,
         the one `w @ f` runs, so every row sums its terms as a lone product
         would. Each bound replaces the raw value unless the value lies
         strictly inside it, as Python's min and max do.
         """
-        if not features:
-            return []
-        rows = np.stack([f.values for f in features])
-        raw = self.weights[0] + np.vecdot(self.weights[1:], rows)
+        raw = self.weights[0] + np.vecdot(self.weights[1:], features)
         low = np.where(raw > 0.0, raw, 0.0)
         return np.where(low < 1.0, low, 1.0).tolist()
 
@@ -252,10 +227,11 @@ class PolicyModel:
         )
 
 
-def _design_matrix(dataset: Sequence[tuple[FeatureVector, float]]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([np.concatenate(([1.0], f.values)) for f, _ in dataset])
-    ys = np.array([float(y) for _, y in dataset], dtype=np.float64)
-    return xs, ys
+def _design_matrix(features: np.ndarray, labels: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The features with a bias column of ones prepended, and the labels as floats."""
+    if len(features) != len(labels):
+        raise TrainingError(f"{len(features)} feature rows for {len(labels)} labels")
+    return np.insert(features, 0, 1.0, axis=1), np.array(labels, dtype=np.float64)
 
 
 def _canonical_rows(
@@ -329,34 +305,37 @@ def _provenance_mix(provenances: Sequence[Provenance]) -> tuple[tuple[str, int],
 
 
 def train(
-    dataset: Sequence[tuple[FeatureVector, float]],
+    features: np.ndarray,
+    labels: Sequence[float],
     ridge_lambda: float,
     provenances: Sequence[Provenance],
 ) -> PolicyModel:
     """Closed-form ridge fit of torque from features.
 
-    Exactly permutation-invariant: rows are accumulated in a canonical sorted
-    order, so reordering (or duplicating) the dataset cannot change the
-    solution even at the bit level.
+    features is an (n, N_FEATURES) array and labels holds row i's torque at
+    i; different lengths raise. Exactly permutation-invariant: (row, label)
+    pairs are accumulated in a canonical sorted order, so reordering (or
+    duplicating) them cannot change the solution even at the bit level.
     """
-    if not dataset:
+    if not len(labels):
         raise TrainingError("cannot train on an empty dataset")
     if not 0.0 <= ridge_lambda < np.inf:
         raise TrainingError("ridge_lambda must be finite and nonnegative")
-    xs, ys = _design_matrix(dataset)
+    xs, ys = _design_matrix(features, labels)
     xs, ys, counts = _canonical_rows(xs, ys)
     weights = _solve_ridge(xs, ys, counts, ridge_lambda)
     return PolicyModel(
         weights=weights,
         ridge_lambda=float(ridge_lambda),
-        n_train=len(dataset),
+        n_train=len(labels),
         provenance_mix=_provenance_mix(provenances),
     )
 
 
 def fine_tune(
     shared: PolicyModel,
-    local_dataset: Sequence[tuple[FeatureVector, float]],
+    features: np.ndarray,
+    labels: Sequence[float],
     mix: float,
     provenances: Sequence[Provenance],
 ) -> PolicyModel:
@@ -364,7 +343,8 @@ def fine_tune(
 
     mix=0 is plain local training; mix=1 returns the shared weights
     unchanged. Both endpoints are exact shortcut branches, and intermediate
-    values interpolate the normal equations continuously.
+    values interpolate the normal equations continuously. features and
+    labels are aligned as train takes them.
     """
     if not 0.0 <= mix <= 1.0:
         raise TrainingError(f"mix must lie in [0, 1], got {mix}")
@@ -376,10 +356,10 @@ def fine_tune(
             provenance_mix=shared.provenance_mix,
         )
     if mix == 0.0:
-        return train(local_dataset, shared.ridge_lambda, provenances)
-    if not local_dataset:
+        return train(features, labels, shared.ridge_lambda, provenances)
+    if not len(labels):
         raise TrainingError("cannot fine-tune on an empty dataset")
-    xs, ys = _design_matrix(local_dataset)
+    xs, ys = _design_matrix(features, labels)
     xs, ys, counts = _canonical_rows(xs, ys)
     weights = _solve_ridge(
         xs, ys, counts, shared.ridge_lambda, proximal=(mix, shared.weights)
@@ -387,7 +367,7 @@ def fine_tune(
     return PolicyModel(
         weights=weights,
         ridge_lambda=shared.ridge_lambda,
-        n_train=len(local_dataset),
+        n_train=len(labels),
         provenance_mix=_provenance_mix(provenances),
     )
 
@@ -458,13 +438,13 @@ class EvaluationReport:
 def evaluate(
     model: PolicyModel,
     testset: Sequence[DrivingSample],
-    features: Sequence[FeatureVector],
+    features: np.ndarray,
     fail_threshold: float,
 ) -> EvaluationReport:
     """Mean absolute torque error per task, with failure = error > fail_threshold.
 
-    features holds the testset's features in testset order, as
-    featurize(testset, style) gives them, so a caller that evaluates several
+    features is the testset's (n, N_FEATURES) array, row i for sample i, as
+    featurize(testset, style) gives it, so a caller that evaluates several
     models on one testset featurizes it once. An unlabeled sample raises.
     """
     if not testset:

@@ -21,9 +21,9 @@ One round of the peer-assisted pipeline:
    source included, votes on every candidate, and each candidate is
    labeled once per participant style with the affinity-weighted mean of
    those votes, so a silent robot simply does not vote. The cloud
-   featurizes the candidate maps once, pools one (features, label) row per
-   participant style and candidate, trains one shared policy on the pool
-   and dispatches it exactly once to each robot that answered.
+   featurizes the candidate maps once, pools their features with one label
+   per participant style and candidate, trains one shared policy on the
+   pool and dispatches it exactly once to each robot that answered.
 5. Each robot fine-tunes toward the shared model on its training features
    from step 1 and acks with an evaluation report on its held-out features
    from step 1.
@@ -73,8 +73,8 @@ from .codec import (
 from .config import ExperimentConfig
 from .errors import ConfigurationError, DecodeError, ParlError, ProtocolError
 from .policy import (
+    N_FEATURES,
     EvaluationReport,
-    FeatureVector,
     PolicyModel,
     crowdsource_labels,
     evaluate,
@@ -429,12 +429,12 @@ class RobotNode:
         self.stage = Stage.LOCAL_COMPUTE
         self.style: Optional[StyleModel] = None
         self.policy: Optional[PolicyModel] = None
-        # (features, label) per training sample from local_compute, reused
-        # when fine-tuning: the robot featurizes its own data once.
-        self.local_rows: list[tuple[FeatureVector, float]] = []
+        # featurize(train_samples, style) from local_compute, reused when
+        # fine-tuning: the robot featurizes its own data once.
+        self.train_features = np.empty((0, N_FEATURES))
         # featurize(holdout_samples, style) from local_compute: every
         # evaluation on the held-out split reads these.
-        self.holdout_features: list[FeatureVector] = []
+        self.holdout_features = np.empty((0, N_FEATURES))
         self.tuned: Optional[PolicyModel] = None
         self.ack_report: Optional[EvaluationReport] = None
         self.shared_received = 0
@@ -471,9 +471,9 @@ class RobotNode:
             if any(s.label is None for s in self.train_samples):
                 raise ProtocolError("local sample is unlabeled")
             features = features_from_maps(semantics)
-            dataset = [(f, s.label) for f, s in zip(features, self.train_samples)]
             policy = train(
-                dataset,
+                features,
+                [s.label for s in self.train_samples],
                 ridge_lambda=self.config.ridge_lambda,
                 provenances=[s.provenance for s in self.train_samples],
             )
@@ -483,7 +483,7 @@ class RobotNode:
             return None
         self.style = style
         self.policy = policy
-        self.local_rows = dataset
+        self.train_features = features
         self.holdout_features = holdout_features
         self.stage = advance_stage(self.stage, Stage.UPLOADED)
         return self._msg(UploadLocal(style=style, policy=policy, layouts=layouts))
@@ -511,7 +511,8 @@ class RobotNode:
                     return []
                 self.tuned = fine_tune(
                     body.policy,
-                    self.local_rows,
+                    self.train_features,
+                    [s.label for s in self.train_samples],
                     mix=self.config.beta,
                     provenances=[s.provenance for s in self.train_samples],
                 )
@@ -553,9 +554,9 @@ class CloudNode:
         self.candidates: list[tuple[NodeId, AugmentationCandidate]] = []
         self.stats: dict[NodeId, AugmentStats] = {}
         self.shared: dict[NodeId, PolicyModel] = {}
-        # Labeled (features, torque) rows: per participant style, then per
-        # candidate.
-        self.pool: list[tuple[FeatureVector, float]] = []
+        # The candidates' features, once, and one torque label per participant
+        # style, then per candidate: label k is feature row k % len(features)'s.
+        self.pool: tuple[np.ndarray, list[float]] = (np.empty((0, N_FEATURES)), [])
         self.where: Optional[WherePredictor] = None
         self.what: Optional[WhatPredictor] = None
         self.scorer: Optional[PlausibilityScorer] = None
@@ -678,15 +679,18 @@ class CloudNode:
         ).reshape(len(voters), len(self.candidates))
         if voters:
             features = features_from_maps([c.semantic for _, c in self.candidates])
+            labels: list[float] = []
             for target in self.participants:
-                labels = crowdsource_labels(predictions, voter_styles, self.uploads[target].style)
-                self.pool.extend(zip(features, labels))
-        if not self.pool:
+                labels += crowdsource_labels(predictions, voter_styles, self.uploads[target].style)
+            self.pool = (features, labels)
+        features, labels = self.pool
+        if not labels:
             raise ProtocolError("no labeled augmented data to train on")
         model = train(
-            self.pool,
+            np.tile(features, (len(self.participants), 1)),
+            labels,
             ridge_lambda=self.config.ridge_lambda,
-            provenances=[Provenance.CROWDSOURCED] * len(self.pool),
+            provenances=[Provenance.CROWDSOURCED] * len(labels),
         )
         self.stage = advance_stage(self.stage, Stage.DISPATCHED)
         # A robot that never answered its LabelRequest has gone silent: it

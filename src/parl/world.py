@@ -163,14 +163,6 @@ class InstanceMap:
         object.__setattr__(self, "instance_grid", _frozen(grid))
         object.__setattr__(self, "records", records)
 
-    @property
-    def height(self) -> int:
-        return self.instance_grid.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.instance_grid.shape[1]
-
     def next_free_id(self) -> int:
         return max((r.instance_id for r in self.records), default=-1) + 1
 

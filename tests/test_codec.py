@@ -1,6 +1,7 @@
 """Round-trip and rejection tests for the PARLDS1/PARLDM1 containers."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -37,16 +38,17 @@ from parl.styles import built_in_style, fit_style
 from parl.world import ClassId, InstanceMap, InstanceRecord, Scenario, SemanticMap
 
 
-def _feature_rows(samples, style):
-    return [(f, s.label) for f, s in zip(featurize(samples, style), samples)]
-
-
 @pytest.fixture(scope="module")
 def artifacts(generator, small_dataset):
     """One instance of every encodable artifact kind."""
     style = fit_style(small_dataset)
-    rows = _feature_rows(small_dataset, style)
-    policy = train(rows, ridge_lambda=1e-3, provenances=[s.provenance for s in small_dataset])
+    features = featurize(small_dataset, style)
+    policy = train(
+        features,
+        [s.label for s in small_dataset],
+        ridge_lambda=1e-3,
+        provenances=[s.provenance for s in small_dataset],
+    )
     layouts = [(s.semantic, s.instances) for s in small_dataset]
     where = fit_where(layouts)
     what = fit_what(layouts)
@@ -54,7 +56,7 @@ def artifacts(generator, small_dataset):
     candidates, _ = augment_semantic(
         layouts[:1], fan_out=2, where=where, what=what, scorer=scorer, seeds=[9], threshold=0.0
     )
-    report = evaluate(policy, small_dataset, [f for f, _ in rows], 0.05)
+    report = evaluate(policy, small_dataset, features, 0.05)
     vector = np.linspace(-2.0, 2.0, 17)
     return {
         "style": style,
@@ -346,6 +348,48 @@ class TestRejection:
             except DecodeError:
                 pass
 
+    def test_candidate_score_flag_past_one_rejected(self, artifacts):
+        blob = bytearray(encode_models([artifacts["candidate"]]))
+        # The record ends in the u8 score flag and the f64 score.
+        assert blob[-9] == 1
+        blob[-9] = 2
+        with pytest.raises(DecodeError, match="score flag must be 0 or 1, got 2"):
+            decode_models(bytes(blob))
+
+    def test_report_naming_a_task_twice_rejected(self):
+        entry = bytes([8]) + b"straight" + struct.pack("<ddI", 0.1, 0.5, 2)
+        record = (
+            bytes([codec.KIND_REPORT])
+            + struct.pack("<H", 2)
+            + entry
+            + entry
+            + struct.pack("<ddd", 0.1, 0.5, 0.05)
+        )
+        with pytest.raises(DecodeError, match="report names task 'straight' twice"):
+            decode_models(_one_record_container(record))
+
+    @pytest.mark.parametrize(
+        "kind, code, extra, match",
+        [
+            ("where", codec.KIND_WHERE, "alpha", "array 'alpha' named twice"),
+            ("what", codec.KIND_WHAT, "mask{n}", "arrays its kind does not read"),
+            ("scorer", codec.KIND_SCORER, "bias", "arrays its kind does not read"),
+        ],
+        ids=["repeated-name", "unread-template-mask", "unread-name"],
+    )
+    def test_predictor_array_map_names_only_what_its_kind_reads(
+        self, artifacts, kind, code, extra, match
+    ):
+        model = artifacts[kind]
+        arrays = model._state_arrays()
+        entries = sorted(arrays.items())
+        assert _one_record_container(_array_map_record(code, entries)) == encode_models([model])
+        # A WhatPredictor's map holds "meta" and one mask per template, so
+        # mask{n} with n = len(arrays) - 1 is the mask past the last template.
+        entries.append((extra.format(n=len(arrays) - 1), next(iter(arrays.values()))))
+        with pytest.raises(DecodeError, match=match):
+            decode_models(_one_record_container(_array_map_record(code, entries)))
+
     @settings(max_examples=60, deadline=None)
     @given(frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_any_truncation_is_a_decode_error(self, small_dataset, frac):
@@ -361,6 +405,24 @@ class TestRejection:
         cut = int(len(blob) * frac)
         with pytest.raises(DecodeError):
             decode_models(blob[:cut])
+
+
+def _one_record_container(record):
+    """A PARLDM1 container holding the one hand-built record."""
+    header = MODEL_MAGIC + struct.pack("<HI", FORMAT_VERSION, 1)
+    return header + struct.pack("<I", len(record)) + record
+
+
+def _array_map_record(kind, entries):
+    """A predictor record whose array map lists (name, array) entries as given."""
+    w = codec._Writer()
+    w.u8(kind)
+    w.u32(len(entries))
+    for name, arr in entries:
+        one = codec._Writer()
+        codec._encode_array_map({name: arr}, one)
+        w.raw(one.getvalue()[4:])  # the entry without its map's count
+    return w.getvalue()
 
 
 def _inside_a_larger_buffer(blob):

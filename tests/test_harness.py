@@ -12,7 +12,7 @@ from parl.baselines import POOLED_STYLE_ID, baseline_color_jitter
 from parl.codec import encode_models
 from parl.config import ExperimentConfig
 from parl.errors import DegenerateInputError, FittingError, ParlError
-from parl.policy import EvaluationReport, featurize
+from parl.policy import N_FEATURES, EvaluationReport, featurize
 from parl.protocol import NodeId, RobotNode, decode_message
 from parl.world import ClassId, Scenario
 
@@ -51,33 +51,36 @@ def roadless_jitters(robot, small_dataset):
 
 
 def _train_calls(monkeypatch):
-    """Records the rows and provenances each harness.train call receives."""
+    """Records the features, labels and provenances each harness.train call receives."""
     calls = []
     real = harness.train
 
-    def recording(rows, **kwargs):
-        calls.append((list(rows), list(kwargs["provenances"])))
-        return real(rows, **kwargs)
+    def recording(features, labels, **kwargs):
+        calls.append((features, list(labels), list(kwargs["provenances"])))
+        return real(features, labels, **kwargs)
 
     monkeypatch.setattr(harness, "train", recording)
     return calls
 
 
 def _one_at_a_time(robot, extra):
-    rows = list(robot.local_rows)
+    """The robot's training rows, then every extra that featurizes alone."""
+    rows = list(robot.train_features)
+    labels = [s.label for s in robot.train_samples]
     provenances = [s.provenance for s in robot.train_samples]
     for sample in extra:
         try:
             (feats,) = featurize([sample], robot.style)
         except ParlError:
             continue
-        rows.append((feats, sample.label))
+        rows.append(feats)
+        labels.append(sample.label)
         provenances.append(sample.provenance)
-    return rows, provenances
+    return rows, labels, provenances
 
 
-def _row_bytes(rows):
-    return [(feats.values.tobytes(), label) for feats, label in rows]
+def _row_bytes(features):
+    return [row.tobytes() for row in features]
 
 
 @pytest.mark.parametrize("bad_at", [(), (0,), (4, 9)])
@@ -89,21 +92,24 @@ def test_train_local_arm_drops_exactly_the_extras_that_fail(
         extra.insert(at, bad)
     calls = _train_calls(monkeypatch)
     model, _ = harness._train_local_arm(robot, CONFIG, extra)
-    [(rows, provenances)] = calls
-    want_rows, want_provenances = _one_at_a_time(robot, extra)
-    assert len(rows) == len(robot.local_rows) + 8
-    assert _row_bytes(rows) == _row_bytes(want_rows)
+    [(features, labels, provenances)] = calls
+    want_rows, want_labels, want_provenances = _one_at_a_time(robot, extra)
+    assert features.shape == (len(robot.train_samples) + 8, N_FEATURES)
+    assert _row_bytes(features) == _row_bytes(want_rows)
+    assert labels == want_labels
     assert provenances == want_provenances
-    assert model.n_train == len(rows)
+    assert model.n_train == len(labels)
 
 
 def test_local_compute_features_match_one_sample_at_a_time(robot, small_dataset):
     train, holdout = small_dataset[:12], small_dataset[12:]
-    one_by_one = [featurize([s], robot.style)[0] for s in train]
-    assert _row_bytes(robot.local_rows) == _row_bytes(
-        [(f, s.label) for f, s in zip(one_by_one, train)]
-    )
-    assert robot.holdout_features == [featurize([s], robot.style)[0] for s in holdout]
+    assert robot.train_samples == train and robot.holdout_samples == holdout
+    for features, samples in ((robot.train_features, train), (robot.holdout_features, holdout)):
+        assert features.shape == (len(samples), N_FEATURES)
+        assert not features.flags.writeable
+        assert _row_bytes(features) == [
+            featurize([s], robot.style)[0].tobytes() for s in samples
+        ]
 
 
 def _patch_fit_style(monkeypatch, fail_style=None):

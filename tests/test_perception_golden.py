@@ -58,7 +58,7 @@ def _segment_bytes(sample, style) -> bytes:
 
 def _feature_bytes(sample, style) -> bytes:
     (features,) = featurize([sample], style)
-    return features.values.tobytes()
+    return features.tobytes()
 
 
 def _digest(samples, style, fn):
@@ -210,4 +210,4 @@ def test_batched_perception_matches_one_sample_at_a_time(generator, small_datase
         assert [m.classes.tobytes() for m in maps] == [
             segment([s.scenario], style)[0].classes.tobytes() for s in ok
         ]
-        assert [f.values.tobytes() for f in featurize(ok, style)] == [f for _, f in kept]
+        assert [f.tobytes() for f in featurize(ok, style)] == [f for _, f in kept]

@@ -543,8 +543,9 @@ def test_features_from_maps_handles_mixed_shapes():
         classes[-1, :] = ClassId.ROAD
         maps.append(SemanticMap(classes=classes))
     rows = features_from_maps(maps)
+    assert rows.shape == (len(maps), N_FEATURES)
     for semantic, row in zip(maps, rows):
-        assert row.values.tobytes() == reference_features(semantic.classes).tobytes()
+        assert row.tobytes() == reference_features(semantic.classes).tobytes()
 
 
 def test_features_from_grids_rejects_what_is_not_a_class_stack():

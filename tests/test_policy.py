@@ -14,7 +14,6 @@ from parl.policy import (
     N_OCCUPANCY,
     OBSTACLE_SENTINEL,
     EvaluationReport,
-    FeatureVector,
     PolicyModel,
     crowdsource_labels,
     evaluate,
@@ -28,12 +27,13 @@ from parl.world import ClassId, Provenance, Scenario, SemanticMap, TaskType
 
 
 def _rows(samples, style):
-    return [(f, s.label) for f, s in zip(featurize(samples, style), samples)]
+    """The samples' features and labels, as train takes them."""
+    return featurize(samples, style), [s.label for s in samples]
 
 
-def _human(rows):
-    """One human provenance per row."""
-    return [Provenance.HUMAN] * len(rows)
+def _human(labels):
+    """One human provenance per label."""
+    return [Provenance.HUMAN] * len(labels)
 
 
 def _constant_model(value):
@@ -51,12 +51,10 @@ def _tampered(model, **fields):
 
 
 def _random_features(rng, n):
-    out = []
-    for _ in range(n):
-        vec = np.empty(N_FEATURES)
-        vec[:N_OCCUPANCY] = rng.uniform(0.0, 1.0, N_OCCUPANCY)
-        vec[N_OCCUPANCY:] = rng.uniform(-0.5, 0.5, 2)
-        out.append(FeatureVector(values=vec))
+    out = np.empty((n, N_FEATURES))
+    for row in out:
+        row[:N_OCCUPANCY] = rng.uniform(0.0, 1.0, N_OCCUPANCY)
+        row[N_OCCUPANCY:] = rng.uniform(-0.5, 0.5, 2)
     return out
 
 
@@ -75,7 +73,7 @@ def _bits(values):
 def _predict_row_by_row(model, features):
     """PolicyModel.predict as it was: one vector, one `@`, Python's min and max."""
     return [
-        float(min(1.0, max(0.0, model.weights[0] + float(model.weights[1:] @ f.values))))
+        float(min(1.0, max(0.0, model.weights[0] + float(model.weights[1:] @ f))))
         for f in features
     ]
 
@@ -128,7 +126,7 @@ def _synthetic_grid():
 class TestFeatures:
     def test_occupancy_matches_hand_pooling(self, small_dataset):
         sample = small_dataset[0]
-        vec = features_from_maps([sample.semantic])[0].values
+        vec = features_from_maps([sample.semantic])[0]
         classes = sample.semantic.classes
         h, w = classes.shape
         for c in range(8):
@@ -142,13 +140,33 @@ class TestFeatures:
 
     def test_occupancy_fractions_sum_to_one_per_pool(self, small_dataset):
         for sample in small_dataset:
-            occ = features_from_maps([sample.semantic])[0].values[:N_OCCUPANCY].reshape(8, 4, 4)
+            occ = features_from_maps([sample.semantic])[0, :N_OCCUPANCY].reshape(8, 4, 4)
             assert np.allclose(occ.sum(axis=0), 1.0)
 
     def test_featurize_equals_features_from_maps_on_clean_render(self, small_dataset):
         style = fit_style(small_dataset)
         samples = small_dataset[:4]
-        assert featurize(samples, style) == features_from_maps([s.semantic for s in samples])
+        want = features_from_maps([s.semantic for s in samples])
+        assert featurize(samples, style).tobytes() == want.tobytes()
+
+    def test_feature_arrays_are_read_only_rows_in_input_order(self, small_dataset):
+        style = fit_style(small_dataset)
+        samples = small_dataset[:10]
+        for features, n in (
+            (featurize(samples, style), len(samples)),
+            (features_from_maps([s.semantic for s in samples]), len(samples)),
+            (featurize([], style), 0),
+            (features_from_maps([]), 0),
+        ):
+            assert features.dtype == np.float64
+            assert features.shape == (n, N_FEATURES)
+            assert not features.flags.writeable
+            with pytest.raises(ValueError):
+                features[:1] = 0.0
+        rows = featurize(samples, style)
+        assert len(rows) == len(samples)
+        for row, sample in zip(rows, samples):
+            assert row.tobytes() == featurize([sample], style)[0].tobytes()
 
     def test_featurize_raises_the_first_failing_samples_error(self, small_dataset):
         style = fit_style(small_dataset)
@@ -164,25 +182,25 @@ class TestFeatures:
         roadless_first += [_painted(ok[8], style, far_road)]
         with pytest.raises(DegenerateInputError, match="segmented scenario contains no road"):
             featurize(roadless_first, style)
-        assert featurize([], style) == []
+        assert featurize([], style).shape == (0, N_FEATURES)
 
     def test_obstacle_feature_detects_corridor_car(self):
         classes = _synthetic_grid()
         classes[10:13, 34:38] = int(ClassId.CAR)  # road interior below stays road
-        vec = features_from_maps([SemanticMap(classes=classes)])[0].values
+        vec = features_from_maps([SemanticMap(classes=classes)])[0]
         assert vec[-1] == pytest.approx((35.5 - 31.5) / 4.0)
 
     def test_obstacle_feature_ignores_roadside_car(self):
         classes = _synthetic_grid()
         classes[10:13, 4:8] = int(ClassId.CAR)  # sits on vegetation
-        vec = features_from_maps([SemanticMap(classes=classes)])[0].values
+        vec = features_from_maps([SemanticMap(classes=classes)])[0]
         assert vec[-1] == OBSTACLE_SENTINEL
 
     def test_obstacle_feature_prefers_nearest_row(self):
         classes = _synthetic_grid()
         classes[8:10, 26:29] = int(ClassId.CAR)
         classes[20:22, 36:39] = int(ClassId.CAR)  # nearer to the agent
-        vec = features_from_maps([SemanticMap(classes=classes)])[0].values
+        vec = features_from_maps([SemanticMap(classes=classes)])[0]
         assert vec[-1] == pytest.approx((37.0 - 31.5) / 4.0)
 
     def test_avoid_samples_expose_signed_obstacle(self, small_dataset):
@@ -190,30 +208,18 @@ class TestFeatures:
         for s in small_dataset:
             if s.task != TaskType.AVOID_CARS or s.label == 0.5:
                 continue
-            obstacle = features_from_maps([s.semantic])[0].values[-1]
+            obstacle = features_from_maps([s.semantic])[0, -1]
             assert obstacle != OBSTACLE_SENTINEL
             seen.add(obstacle > 0)
         assert seen  # the fixture contains labeled avoid scenes
 
     def test_lane_offset_sign(self):
         classes = _synthetic_grid()
-        left = features_from_maps([SemanticMap(classes=classes)])[0].values[-2]
+        left = features_from_maps([SemanticMap(classes=classes)])[0][-2]
         shifted = np.full((32, 64), int(ClassId.VEGETATION), dtype=np.uint8)
         shifted[:, 34:51] = int(ClassId.ROAD)
-        right = features_from_maps([SemanticMap(classes=shifted)])[0].values[-2]
+        right = features_from_maps([SemanticMap(classes=shifted)])[0][-2]
         assert right > left
-
-    def test_feature_vector_validation(self):
-        with pytest.raises(DegenerateInputError):
-            FeatureVector(values=np.zeros(N_FEATURES - 1))
-        bad = np.zeros(N_FEATURES)
-        bad[0] = 1.5
-        with pytest.raises(DegenerateInputError):
-            FeatureVector(values=bad)
-        bad = np.zeros(N_FEATURES)
-        bad[3] = np.nan
-        with pytest.raises(DegenerateInputError):
-            FeatureVector(values=bad)
 
 
 class TestTrain:
@@ -221,48 +227,61 @@ class TestTrain:
         rng = np.random.default_rng(101)
         feats = _random_features(rng, 400)
         w_true = rng.uniform(-0.002, 0.002, N_FEATURES)
-        rows = [(f, 0.5 + float(f.values @ w_true)) for f in feats]
-        model = train(rows, ridge_lambda=1e-9, provenances=_human(rows))
+        labels = [0.5 + float(f @ w_true) for f in feats]
+        model = train(feats, labels, ridge_lambda=1e-9, provenances=_human(labels))
         probe = _random_features(rng, 50)
-        for f in probe:
-            truth = 0.5 + float(f.values @ w_true)
-            assert abs(model.predict([f])[0] - truth) <= 1e-6
+        for f, got in zip(probe, model.predict(probe)):
+            truth = 0.5 + float(f @ w_true)
+            assert abs(got - truth) <= 1e-6
 
     def test_single_sample_interpolated(self):
         rng = np.random.default_rng(5)
-        f = _random_features(rng, 1)[0]
-        model = train([(f, 0.625)], ridge_lambda=1e-9, provenances=[Provenance.HUMAN])
-        assert abs(model.predict([f])[0] - 0.625) <= 1e-6
+        f = _random_features(rng, 1)
+        model = train(f, [0.625], ridge_lambda=1e-9, provenances=[Provenance.HUMAN])
+        assert abs(model.predict(f)[0] - 0.625) <= 1e-6
 
     def test_duplicated_dataset_identical_weights(self, small_dataset):
         style = fit_style(small_dataset)
-        rows = _rows(small_dataset, style)
-        once = train(rows, 1e-3, _human(rows))
-        twice = train(rows + rows, 1e-3, _human(rows + rows))
+        features, labels = _rows(small_dataset, style)
+        once = train(features, labels, 1e-3, _human(labels))
+        doubled = np.concatenate((features, features))
+        twice = train(doubled, labels + labels, 1e-3, _human(labels * 2))
         assert once.weights.tobytes() == twice.weights.tobytes()
 
     def test_permutation_invariance_is_bit_exact(self, small_dataset):
         style = fit_style(small_dataset)
-        rows = _rows(small_dataset, style)
-        model_fwd = train(rows, 1e-3, _human(rows))
-        model_rev = train(rows[::-1], 1e-3, _human(rows))
+        features, labels = _rows(small_dataset, style)
+        model_fwd = train(features, labels, 1e-3, _human(labels))
+        model_rev = train(features[::-1], labels[::-1], 1e-3, _human(labels))
         assert model_fwd.weights.tobytes() == model_rev.weights.tobytes()
+        order = np.random.default_rng(3).permutation(len(labels))
+        shuffled = train(features[order], [labels[i] for i in order], 1e-3, _human(labels))
+        assert shuffled.weights.tobytes() == model_fwd.weights.tobytes()
 
     def test_provenance_mix_recorded(self, small_dataset):
         style = fit_style(small_dataset)
-        rows = _rows(small_dataset, style)
-        model = train(rows, 1e-3, provenances=[s.provenance for s in small_dataset])
+        features, labels = _rows(small_dataset, style)
+        model = train(features, labels, 1e-3, provenances=[s.provenance for s in small_dataset])
         assert model.provenance_mix == (("human", len(small_dataset)),)
+        assert model.n_train == len(small_dataset)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
-            train([], 1e-3, [])
+            train(np.empty((0, N_FEATURES)), [], 1e-3, [])
 
     def test_negative_lambda_rejected(self):
         rng = np.random.default_rng(6)
-        rows = [(f, 0.5) for f in _random_features(rng, 3)]
+        labels = [0.5] * 3
         with pytest.raises(TrainingError):
-            train(rows, -1e-6, _human(rows))
+            train(_random_features(rng, 3), labels, -1e-6, _human(labels))
+
+    def test_misaligned_features_and_labels_rejected(self):
+        # zip would pair the shorter length and drop the rest silently.
+        rng = np.random.default_rng(7)
+        features = _random_features(rng, 4)
+        for labels in ([0.5] * 3, [0.5] * 5):
+            with pytest.raises(TrainingError, match="feature rows for"):
+                train(features, labels, 1e-3, _human(labels))
 
 
 class TestFineTune:
@@ -273,68 +292,78 @@ class TestFineTune:
         other_samples = generator.generate_dataset(1, tasks, seeds=range(600, 624))
         style0 = fit_style(local_samples)
         style1 = fit_style(other_samples)
-        local_rows = _rows(local_samples, style0)
-        pooled_rows = local_rows + _rows(other_samples, style1)
-        shared = train(pooled_rows, 1e-4, _human(pooled_rows))
+        local = _rows(local_samples, style0)
+        other = _rows(other_samples, style1)
+        pooled_labels = local[1] + other[1]
+        shared = train(
+            np.concatenate((local[0], other[0])), pooled_labels, 1e-4, _human(pooled_labels)
+        )
         holdout = generator.generate_dataset(0, tasks[:12], seeds=range(700, 712))
-        holdout_rows = _rows(holdout, style0)
-        return shared, local_rows, holdout_rows
+        return shared, local, _rows(holdout, style0)
 
     def test_mix_one_returns_shared_weights_exactly(self, shared_and_local):
-        shared, local_rows, _ = shared_and_local
-        tuned = fine_tune(shared, local_rows, mix=1.0, provenances=_human(local_rows))
+        shared, (features, labels), _ = shared_and_local
+        tuned = fine_tune(shared, features, labels, mix=1.0, provenances=_human(labels))
         assert np.array_equal(tuned.weights, shared.weights)
 
     def test_mix_zero_equals_plain_training(self, shared_and_local):
-        shared, local_rows, _ = shared_and_local
-        tuned = fine_tune(shared, local_rows, mix=0.0, provenances=_human(local_rows))
-        assert tuned == train(local_rows, shared.ridge_lambda, _human(local_rows))
+        shared, (features, labels), _ = shared_and_local
+        tuned = fine_tune(shared, features, labels, mix=0.0, provenances=_human(labels))
+        assert tuned == train(features, labels, shared.ridge_lambda, _human(labels))
 
     def test_continuity_at_endpoints(self, shared_and_local):
-        shared, local_rows, _ = shared_and_local
-        near_zero = fine_tune(shared, local_rows, 1e-9, _human(local_rows))
-        at_zero = fine_tune(shared, local_rows, 0.0, _human(local_rows))
+        shared, (features, labels), _ = shared_and_local
+        near_zero = fine_tune(shared, features, labels, 1e-9, _human(labels))
+        at_zero = fine_tune(shared, features, labels, 0.0, _human(labels))
         assert np.allclose(near_zero.weights, at_zero.weights, atol=1e-6)
-        near_one = fine_tune(shared, local_rows, 1.0 - 1e-9, _human(local_rows))
+        near_one = fine_tune(shared, features, labels, 1.0 - 1e-9, _human(labels))
         assert np.allclose(near_one.weights, shared.weights, atol=1e-6)
 
     def test_mixture_grid_error_bounded_by_endpoints(self, shared_and_local):
-        shared, local_rows, holdout_rows = shared_and_local
+        shared, (features, labels), (holdout_features, holdout_labels) = shared_and_local
         def err(model):
-            return float(
-                np.mean([abs(model.predict([f])[0] - y) for f, y in holdout_rows])
-            )
-        provenances = _human(local_rows)
-        bound = max(err(shared), err(fine_tune(shared, local_rows, 0.0, provenances))) + 1e-12
+            preds = model.predict(holdout_features)
+            return float(np.mean([abs(p - y) for p, y in zip(preds, holdout_labels)]))
+        provenances = _human(labels)
+        local = fine_tune(shared, features, labels, 0.0, provenances)
+        bound = max(err(shared), err(local)) + 1e-12
         for mix in np.linspace(0.1, 0.9, 9):
-            assert err(fine_tune(shared, local_rows, float(mix), provenances)) <= bound
+            assert err(fine_tune(shared, features, labels, float(mix), provenances)) <= bound
 
     def test_invalid_mix_rejected(self, shared_and_local):
-        shared, local_rows, _ = shared_and_local
+        shared, (features, labels), _ = shared_and_local
         for mix in (-0.1, 1.1):
             with pytest.raises(TrainingError):
-                fine_tune(shared, local_rows, mix, _human(local_rows))
+                fine_tune(shared, features, labels, mix, _human(labels))
 
     def test_empty_local_data_rejected_for_interior_mix(self, shared_and_local):
         shared, _, _ = shared_and_local
         with pytest.raises(TrainingError):
-            fine_tune(shared, [], 0.5, [])
+            fine_tune(shared, np.empty((0, N_FEATURES)), [], 0.5, [])
+
+    @pytest.mark.parametrize("mix", [0.0, 0.5])
+    def test_misaligned_features_and_labels_rejected(self, shared_and_local, mix):
+        shared, (features, labels), _ = shared_and_local
+        with pytest.raises(TrainingError, match="feature rows for"):
+            fine_tune(shared, features[:-1], labels, mix, _human(labels))
+        with pytest.raises(TrainingError, match="feature rows for"):
+            fine_tune(shared, features, labels[:-1], mix, _human(labels))
 
 
 class TestCrowdsource:
     def test_singleton_ensemble_is_its_prediction(self, generator, small_dataset):
         style = fit_style(small_dataset)
-        rows = _rows(small_dataset, style)
-        model = train(rows, 1e-3, _human(rows))
+        features, labels = _rows(small_dataset, style)
+        model = train(features, labels, 1e-3, _human(labels))
         preds = [model.predict(features_from_maps([s.semantic]))[0] for s in small_dataset[:4]]
         labels = crowdsource_labels(np.array([preds]), [style], style)
         assert labels == pytest.approx(preds)
 
     def test_uniform_mean_of_constant_models(self, small_dataset):
         style = fit_style(small_dataset)
-        (feats,) = features_from_maps([small_dataset[0].semantic])
+        feats = features_from_maps([small_dataset[0].semantic])
         models = [_constant_model(0.4), _constant_model(0.6)]
-        preds = np.array([m.predict([feats]) for m in models])
+        preds = np.array([m.predict(feats) for m in models])
         [label] = crowdsource_labels(preds, [style, style], style)
         assert label == pytest.approx(0.5)
 
@@ -342,8 +371,8 @@ class TestCrowdsource:
     @settings(max_examples=30, deadline=None)
     def test_labels_are_convex_combinations(self, generator, small_dataset, values):
         target = fit_style(small_dataset)
-        (feats,) = features_from_maps([small_dataset[0].semantic])
-        preds = np.array([_constant_model(v).predict([feats]) for v in values])
+        feats = features_from_maps([small_dataset[0].semantic])
+        preds = np.array([_constant_model(v).predict(feats) for v in values])
         member_styles = [generator.styles[k % 2] for k in range(len(values))]
         [label] = crowdsource_labels(preds, member_styles, target)
         assert min(values) - 1e-12 <= label <= max(values) + 1e-12
@@ -407,9 +436,9 @@ class TestEvaluate:
 
     def test_accounting_matches_hand_computation(self, small_dataset):
         style = fit_style(small_dataset)
-        rows = _rows(small_dataset, style)
-        model = train(rows, 1e-3, _human(rows))
-        report = evaluate(model, small_dataset, [f for f, _ in rows], fail_threshold=0.02)
+        features, labels = _rows(small_dataset, style)
+        model = train(features, labels, 1e-3, _human(labels))
+        report = evaluate(model, small_dataset, features, fail_threshold=0.02)
         errs: dict[str, list[float]] = {}
         for s in small_dataset:
             errs.setdefault(s.task.value, []).append(
@@ -457,7 +486,7 @@ class TestEvaluate:
 
     def test_empty_testset_rejected(self):
         with pytest.raises(EvaluationError):
-            evaluate(_constant_model(0.5), [], [], 0.05)
+            evaluate(_constant_model(0.5), [], np.empty((0, N_FEATURES)), 0.05)
 
     @pytest.mark.parametrize("case", sorted(_BAD_REPORT_FIELDS))
     def test_report_rejects_nan_and_out_of_range_values(self, case):
@@ -472,7 +501,7 @@ class TestPolicyModel:
     def test_prediction_clamped_to_unit_interval(self):
         w = np.zeros(N_FEATURES + 1)
         w[0] = 5.0
-        zeros = [FeatureVector(values=np.zeros(N_FEATURES))]
+        zeros = np.zeros((1, N_FEATURES))
         assert _constant_model(0.0).predict(zeros) == [0.0]
         assert PolicyModel(weights=w, ridge_lambda=0.0, n_train=1).predict(zeros) == [1.0]
 

@@ -15,7 +15,7 @@ from parl.config import ExperimentConfig
 from parl.errors import DecodeError, ProtocolError
 from parl.harness import generate_worlds
 from parl.codec import encode_scenarios
-from parl.policy import features_from_maps, train
+from parl.policy import N_FEATURES, features_from_maps, train
 from parl.protocol import (
     MESSAGE_MAGIC,
     CloudNode,
@@ -68,24 +68,27 @@ def _labeling(worlds):
 def _expected_labels(cloud, voters):
     """The affinity-weighted mean of the voters' policies on each candidate map.
 
-    Rows follow the pool's order: per participant style the candidates were
-    rendered in, per candidate.
+    (features, label) per row, in the pool's order: per participant style
+    the candidates were rendered in, per candidate.
     """
     expected = []
     for target in cloud.participants:
         target_style = cloud.uploads[target].style
         w = np.array([style_affinity(target_style, cloud.uploads[v].style) for v in voters])
         for _, candidate in cloud.candidates:
-            (feats,) = features_from_maps([candidate.semantic])
-            preds = np.array([cloud.uploads[v].policy.predict([feats])[0] for v in voters])
-            expected.append((feats, float(np.dot(w / w.sum(), preds))))
+            feats = features_from_maps([candidate.semantic])
+            preds = np.array([cloud.uploads[v].policy.predict(feats)[0] for v in voters])
+            expected.append((feats[0], float(np.dot(w / w.sum(), preds))))
     return expected
 
 
 def _assert_pool(cloud, expected):
-    assert len(cloud.pool) == len(expected)
-    for (feats, label), (want_feats, want_label) in zip(cloud.pool, expected):
-        assert feats == want_feats
+    """The pool holds each candidate's features once and every expected label."""
+    features, labels = cloud.pool
+    assert features.shape == (len(cloud.candidates), N_FEATURES)
+    assert len(labels) == len(expected)
+    for k, (label, (want_feats, want_label)) in enumerate(zip(labels, expected)):
+        assert features[k % len(features)].tobytes() == want_feats.tobytes()
         assert label == pytest.approx(want_label, rel=0.0, abs=1e-12)
 
 
@@ -102,7 +105,7 @@ def test_labels_are_affinity_weighted_policy_predictions(full_round):
     assert cloud.violations == [] and all(robot.violations == [] for robot in robots)
     assert set(cloud.responses) == {r.node_id for r in robots}
     _assert_pool(cloud, _expected_labels(cloud, cloud.participants))
-    assert len(cloud.pool) == len(cloud.candidates) * len(cloud.participants)
+    assert len(cloud.pool[1]) == len(cloud.candidates) * len(cloud.participants)
     assert cloud.stage == Stage.DONE
     assert all(robot.stage == Stage.DONE for robot in robots)
     assert sorted(upload_bytes) == [r.node_id for r in robots]
@@ -111,10 +114,12 @@ def test_labels_are_affinity_weighted_policy_predictions(full_round):
 
 def test_shared_model_does_not_depend_on_pool_order(full_round):
     robots, cloud, _ = full_round
+    features, labels = cloud.pool
     reference = train(
-        list(reversed(cloud.pool)),
+        np.tile(features, (len(cloud.participants), 1))[::-1],
+        labels[::-1],
         ridge_lambda=CONFIG.ridge_lambda,
-        provenances=[Provenance.CROWDSOURCED] * len(cloud.pool),
+        provenances=[Provenance.CROWDSOURCED] * len(labels),
     )
     assert sorted(cloud.shared) == [r.node_id for r in robots]
     assert all(model == reference for model in cloud.shared.values())

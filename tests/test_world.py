@@ -85,8 +85,7 @@ def test_avoid_labels_match_gap_and_side(generator):
             continue  # no corridor car could be placed for this seed
         # The obstacle feature must see the corridor car, on the side the
         # label steers away from.
-        (feats,) = features_from_maps([sample.semantic])
-        obstacle = feats.values[-1]
+        obstacle = features_from_maps([sample.semantic])[0, -1]
         assert obstacle != OBSTACLE_SENTINEL
         if sample.label > 0.5:
             assert obstacle < 0  # car on the left, steer right
