@@ -356,8 +356,16 @@ class WherePredictor:
             alpha=float(arrays["alpha"][0]),
             counts=arrays["counts"],
             probs=arrays["probs"],
-            fitted=arrays["fitted"].astype(bool),
+            fitted=_decoded_flags(arrays["fitted"], "fitted flags"),
         )
+
+
+def _decoded_flags(arr: np.ndarray, what: str) -> np.ndarray:
+    """A decoded 0/1 array as bool; any other value would not re-encode to its bytes."""
+    flags = arr.astype(bool)
+    if not np.array_equal(flags, arr):
+        raise FittingError(f"{what} must hold only 0 and 1")
+    return flags
 
 
 def _smooth_and_normalize(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -492,7 +500,7 @@ class WhatPredictor:
         meta = arrays["meta"].reshape(-1, 2)
         templates = []
         for i in range(meta.shape[0]):
-            mask = arrays[f"mask{i}"].astype(bool)
+            mask = _decoded_flags(arrays[f"mask{i}"], "template mask")
             if mask.ndim != 2 or not mask.any():
                 raise FittingError("template mask must be a non-empty 2-D grid")
             if _label_components(mask)[1] != 1:
@@ -519,7 +527,7 @@ def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
             crop = None  # fragmented masks make unusable templates
             if connected:
                 crop = maps[lay].instance_grid[y0 : y1 + 1, x0 : x1 + 1] == rec.instance_id
-            found.append((int(index[lay]), int(rec.class_id), crop))
+            found.append((int(index[lay]), rec.class_id, crop))
     found.sort(key=lambda f: f[0])  # stable: record order stays within a layout
     templates = tuple(
         (cls, scale_bin_of(crop.shape[1], crop.shape[0]), crop)
@@ -603,7 +611,7 @@ def sample_insertion(
     where: WherePredictor,
     what: WhatPredictor,
     base: _InsertionBase,
-    class_id: ClassId,
+    class_id: int,
     seed: int,
 ) -> Optional[AugmentationCandidate]:
     """Insert one instance of class_id into a copy of the base layout.
@@ -621,12 +629,12 @@ def sample_insertion(
     ctx_map, occupied = base.ctx_map, base.occupied
     h, w = classes.shape
     rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed) & (2**63 - 1), int(class_id), 0xA06])
+        np.random.SeedSequence([int(seed) & (2**63 - 1), class_id, 0xA06])
     )
-    max_h, max_w = what.max_dims(int(class_id))
+    max_h, max_w = what.max_dims(class_id)
     for _ in range(_INSERTION_ATTEMPTS):
-        ctx, py, px, sbin = where.sample_bin(int(class_id), rng)
-        template = what.pick(int(class_id), sbin, rng)
+        ctx, py, px, sbin = where.sample_bin(class_id, rng)
+        template = what.pick(class_id, sbin, rng)
         if template is None:
             return None
         # Scale jitter capped by the largest real instance of the class, so
@@ -1168,7 +1176,7 @@ def _erase_record(classes: np.ndarray, grid: np.ndarray, mask: np.ndarray) -> No
     ring &= ~mask
     ring_classes = classes[ring]
     stuff = ring_classes[~np.isin(ring_classes, THING_CLASSES)]
-    fill = int(np.bincount(stuff, minlength=N_CLASSES).argmax()) if stuff.size else int(ClassId.ROAD)
+    fill = int(np.bincount(stuff, minlength=N_CLASSES).argmax()) if stuff.size else ClassId.ROAD
     classes[mask] = fill
     grid[mask] = BACKGROUND_ID
 
@@ -1481,7 +1489,7 @@ def augment_semantic(
     if len(seeds) != len(sources):
         raise DegenerateInputError(f"{len(seeds)} seeds for {len(sources)} sources")
     known = what.classes()
-    classes = [int(c) for c in THING_CLASSES if where.fitted[int(c)] and int(c) in known]
+    classes = [c for c in THING_CLASSES if where.fitted[c] and c in known]
     if not classes:
         raise FittingError("predictors cover no thing classes")
     counts = where.class_counts()[classes]
@@ -1504,7 +1512,7 @@ def augment_semantic(
                 spent[i] += 1
                 stats.attempts += 1
                 pick = int(np.searchsorted(cumulative, rngs[i].random(), side="right"))
-                class_id = ClassId(classes[min(pick, len(classes) - 1)])
+                class_id = classes[min(pick, len(classes) - 1)]
                 attempt_seed = int(rngs[i].integers(0, 2**63))
                 candidate = sample_insertion(where, what, bases[i], class_id, attempt_seed)
                 if candidate is None:

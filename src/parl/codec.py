@@ -25,9 +25,10 @@ carries one has its magic and version.
 
 Decoders reject with DecodeError bad magic, unknown versions, unknown item
 kinds, truncated payloads, trailing bytes, and records no encoder writes: a
-flag byte other than 0 or 1, a report task or an array named twice, or an
-array its record kind does not read. A payload that parses but violates a
-model invariant is also a DecodeError, never a half-built object.
+flag byte other than 0 or 1, a nonzero field behind a 0 flag, a report task
+or an array named twice, or an array its record kind does not read. A
+payload that parses but violates a model invariant is also a DecodeError,
+never a half-built object.
 
 Each payload is copied once on the way out and once on the way in. An
 encoder collects its fields and buffers as parts, scenario pixels as the
@@ -49,7 +50,6 @@ from .errors import ConfigurationError, DecodeError, ParlError
 from .policy import EvaluationReport, PolicyModel
 from .styles import StyleModel
 from .world import (
-    ClassId,
     DrivingSample,
     InstanceMap,
     InstanceRecord,
@@ -203,6 +203,23 @@ class _Reader:
     def f64(self) -> float:
         return self._scalar("<d")
 
+    def flagged(self, fmt: str, what: str) -> Optional[float]:
+        """A u8 presence flag and the field after it: the field's value, or None.
+
+        Behind a 0 flag the field must be all zero bytes, as the encoders
+        write it, so that a blob that decodes re-encodes to itself. The bytes
+        are compared, not the float, so -0.0 and NaN patterns fail too.
+        """
+        flag = self.u8()
+        if flag not in (0, 1):
+            raise DecodeError(f"{what} flag must be 0 or 1, got {flag}")
+        field = self.take(struct.calcsize(fmt))
+        if flag:
+            return struct.unpack(fmt, field)[0]
+        if any(field):
+            raise DecodeError(f"{what} field holds data behind a 0 flag")
+        return None
+
     def short_str(self) -> str:
         n = self.u8()
         try:
@@ -252,7 +269,6 @@ def _record_table(affine: str) -> np.dtype:
 
 _RECORDS_F32 = _record_table("<f4")
 _RECORDS_F64 = _record_table("<f8")
-_CLASS_FROM_CODE = {int(c): c for c in ClassId}
 
 
 def _write_grids(
@@ -266,7 +282,7 @@ def _write_grids(
     rows = np.zeros(len(records), dtype=table)
     ids = np.array([rec.instance_id for rec in records], dtype=np.int64)
     rows["id"] = _checked_unsigned(ids, 32, "instance id")
-    rows["cls"] = [int(rec.class_id) for rec in records]
+    rows["cls"] = [rec.class_id for rec in records]
     bbox = np.array([rec.bbox for rec in records], dtype=np.int64).reshape(-1, 4)
     rows["bbox"] = _checked_unsigned(bbox, 16, "bbox field")
     rows["affine"] = np.array([rec.affine for rec in records], dtype=np.float64).reshape(-1, 4)
@@ -286,14 +302,16 @@ def _read_grids(r: _Reader, h: int, wdt: int, table: np.dtype) -> tuple:
         rows["id"].tolist(), rows["cls"].tolist(), rows["bbox"].tolist(), rows["affine"].tolist()
     )
     records = []
-    for instance_id, class_code, bbox, affine in fields:
-        cls = _CLASS_FROM_CODE.get(class_code)
-        if cls is None:
-            raise DecodeError(f"unknown class id {class_code}")
+    for instance_id, class_id, bbox, affine in fields:
+        if class_id not in range(N_CLASSES):
+            raise DecodeError(f"unknown class id {class_id}")
         try:
             records.append(
                 InstanceRecord(
-                    instance_id=instance_id, class_id=cls, bbox=tuple(bbox), affine=tuple(affine)
+                    instance_id=instance_id,
+                    class_id=class_id,
+                    bbox=tuple(bbox),
+                    affine=tuple(affine),
                 )
             )
         except ParlError as exc:
@@ -345,11 +363,7 @@ def _decode_sample(data: memoryview) -> DrivingSample:
         raise DecodeError(f"unknown task code {task_code}")
     if prov_code not in _PROVENANCE_FROM_CODE:
         raise DecodeError(f"unknown provenance code {prov_code}")
-    has_label = r.u8()
-    if has_label not in (0, 1):
-        raise DecodeError(f"label flag must be 0 or 1, got {has_label}")
-    label_bits = r.f32()
-    label: Optional[float] = float(label_bits) if has_label else None
+    label = r.flagged("<f", "label")
     classes, grid, records = _read_grids(r, h, wdt, _RECORDS_F32)
     pixels = r.array("<f4", h * wdt * 3).reshape(h, wdt, 3)
     r.done()
@@ -616,10 +630,7 @@ def _decode_item(data: memoryview) -> ModelItem:
             semantic, instances = _decode_layout_body(r)
             inserted_ids = [r.u32() for _ in range(r.u16())]
             source = r.u32()
-            has_score = r.u8()
-            if has_score not in (0, 1):
-                raise DecodeError(f"score flag must be 0 or 1, got {has_score}")
-            score_bits = r.f64()
+            score = r.flagged("<d", "score")
             r.done()
             by_id = {rec.instance_id: rec for rec in instances.records}
             try:
@@ -631,7 +642,7 @@ def _decode_item(data: memoryview) -> ModelItem:
                 instances=instances,
                 inserted=inserted,
                 source_sample_id=source,
-                score=score_bits if has_score else None,
+                score=score,
             )
         if kind == KIND_REPORT:
             errs: dict[str, float] = {}

@@ -78,19 +78,6 @@ def _lane_offset(grids: np.ndarray) -> np.ndarray:
     return (center - (w - 1) / 2.0) / (w / 2.0)
 
 
-def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Maximal runs of true cells along the last axis, numbered 1.. in raster order.
-
-    A run's number is the count of run starts up to its first cell; cells
-    outside the mask are 0. Returns the labels and the number of runs.
-    """
-    starts = mask.copy()
-    starts[..., 1:] &= ~mask[..., :-1]
-    runs = np.cumsum(starts).reshape(mask.shape)
-    n_runs = int(runs.flat[-1]) if runs.size else 0
-    return runs * mask, n_runs
-
-
 def _obstacle_offset(grids: np.ndarray) -> np.ndarray:
     """Signed column offset of the nearest corridor-blocking car, in cells/4.
 
@@ -101,26 +88,36 @@ def _obstacle_offset(grids: np.ndarray) -> np.ndarray:
     that reaches the road edge swallows the span on its side entirely.
     Returns OBSTACLE_SENTINEL when the corridor is clear.
 
-    Every row but the last is split into car runs by one cumulative sum of
-    run starts (_row_runs); one bincount gives each run's length and one its
-    road cells below.
+    Only car cells are read: one nonzero finds those above each grid's last
+    row in raster order, and a run breaks where the position skips or a row
+    starts. One bincount counts each run's road cells below. The centroid
+    of a grid's nearest blocking row is its integer column sum over its
+    cell count.
     """
     n, h, w = grids.shape
-    runs, n_runs = _row_runs(grids[:, :-1] == ClassId.CAR)
-    size = np.bincount(runs.ravel(), minlength=n_runs + 1)
-    below_road = np.bincount(
-        runs[grids[:, 1:] <= ClassId.LANE_MARKING], minlength=n_runs + 1
-    )
-    blocking = below_road * 2 > size
-    blocking[0] = False
-    in_road = blocking[runs]  # (n, h - 1, w)
-    rows_hit = in_road.any(axis=2)
-    nearest_row = (h - 2) - rows_hit[:, ::-1].argmax(axis=1)
-    row = in_road[np.arange(n), nearest_row]
-    count = row.sum(axis=1)
-    centroid = (row * np.arange(w)).sum(axis=1) / np.maximum(count, 1)
-    offset = (centroid - (w - 1) / 2.0) / _OBSTACLE_SCALE
-    return np.where(rows_hit.any(axis=1), offset, OBSTACLE_SENTINEL)
+    out = np.full(n, OBSTACLE_SENTINEL)
+    flat = grids.reshape(-1)
+    cars = flat == ClassId.CAR
+    cars.reshape(n, h, w)[:, -1:] = False
+    at = np.flatnonzero(cars)
+    if not at.size:
+        return out
+    starts = np.empty(at.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = (at[1:] != at[:-1] + 1) | (at[1:] % w == 0)
+    run = np.cumsum(starts) - 1
+    road_below = np.bincount(run[flat[at + w] <= ClassId.LANE_MARKING], minlength=run[-1] + 1)
+    at = at[(road_below * 2 > np.bincount(run))[run]]
+    if not at.size:
+        return out
+    rows = at // w  # rows of the whole stack: grid g holds rows g*h .. g*h + h - 1
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    grid_of = rows[row_starts] // h
+    nearest = np.flatnonzero(np.diff(grid_of, append=n))  # each grid's last blocking row
+    count = np.diff(row_starts, append=at.size)[nearest]
+    col_sum = np.add.reduceat(at % w, row_starts)[nearest]
+    out[grid_of[nearest]] = (col_sum / count - (w - 1) / 2.0) / _OBSTACLE_SCALE
+    return out
 
 
 def features_from_grids(grids: np.ndarray) -> np.ndarray:

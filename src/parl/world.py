@@ -18,8 +18,9 @@ across threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,8 +29,15 @@ from .errors import ConfigurationError, DegenerateInputError, RenderError
 from .styles import N_CLASSES, StyleModel
 
 
-class ClassId(IntEnum):
-    """Fixed 8-class palette of the synthetic world."""
+class ClassId:
+    """Fixed 8-class palette of the synthetic world, as plain int constants.
+
+    Not an IntEnum: numpy takes a slow path for an int subclass, and these
+    ids meet a class grid in every comparison and fill of the sample path.
+    On a 32x64 uint8 grid, `grid == ClassId.CAR` took 5.6-7.5 us as an
+    IntEnum member against 1.0-1.5 us for `grid == 2`, and np.full with one
+    2.5-2.9 us against 1.1-1.2 us (2-vCPU x86 host, numpy 2).
+    """
 
     ROAD = 0
     LANE_MARKING = 1
@@ -110,7 +118,7 @@ class InstanceRecord:
     """
 
     instance_id: int
-    class_id: ClassId
+    class_id: int  # a ClassId in THING_CLASSES
     bbox: tuple[int, int, int, int]
     affine: tuple[float, float, float, float]
 
@@ -124,7 +132,16 @@ class InstanceRecord:
 
 @dataclass(frozen=True, eq=False)
 class InstanceMap:
-    """Instance ids per cell plus one geometry record per id."""
+    """Instance ids per cell plus one geometry record per id.
+
+    Validation finds the record of every instance cell and checks the cell
+    against that record's bbox. When the records' ids are 0..n-1 in order,
+    as the generator, extract_instances, the codec and every insertion make
+    them, a cell's value is its record's index. Any other id set (a crop
+    keeps a subset, a decoded map may hold any ids) is looked up by a
+    search over the sorted ids. The choice depends on the records alone,
+    and both lookups raise the same errors.
+    """
 
     instance_grid: np.ndarray  # (height, width) int32, BACKGROUND_ID elsewhere
     records: tuple[InstanceRecord, ...]
@@ -133,25 +150,30 @@ class InstanceMap:
         grid = np.ascontiguousarray(np.asarray(self.instance_grid, dtype=np.int32))
         records = tuple(self.records)
         ids_in_records = [r.instance_id for r in records]
-        if len(ids_in_records) != len(set(ids_in_records)):
+        by_index = ids_in_records == list(range(len(records)))
+        if not by_index and len(ids_in_records) != len(set(ids_in_records)):
             raise ConfigurationError("duplicate instance ids in records")
-        # One pass finds the record of every instance cell and checks the
-        # cell against that record's bbox. A record that carries
-        # BACKGROUND_ID owns the background cells too.
+        # A record that carries BACKGROUND_ID owns the background cells too.
         flat = grid.ravel()
         if BACKGROUND_ID in ids_in_records:
             cells = np.arange(flat.size)
         else:
             cells = np.flatnonzero(flat != BACKGROUND_ID)
         values = flat[cells]
-        ids = np.array(ids_in_records, dtype=np.int64)
-        by_id = np.argsort(ids)
-        # The sorted ids end in a sentinel that no int32 cell holds.
-        keys = np.append(ids[by_id], np.iinfo(np.int64).max)
-        rank = np.searchsorted(keys, values)
-        if not (keys[rank] == values).all():
-            raise ConfigurationError("grid references ids missing from records")
-        owner = by_id[rank]
+        if by_index:
+            # A negative id reads as a huge unsigned one.
+            if not (values.view(np.uint32) < len(records)).all():
+                raise ConfigurationError("grid references ids missing from records")
+            owner = values
+        else:
+            ids = np.array(ids_in_records, dtype=np.int64)
+            by_id = np.argsort(ids)
+            # The sorted ids end in a sentinel that no int32 cell holds.
+            keys = np.append(ids[by_id], np.iinfo(np.int64).max)
+            rank = np.searchsorted(keys, values)
+            if not (keys[rank] == values).all():
+                raise ConfigurationError("grid references ids missing from records")
+            owner = by_id[rank]
         ys, xs = np.divmod(cells, grid.shape[1])
         x0, y0, w, h = np.array([r.bbox for r in records], dtype=np.int64).reshape(-1, 4)[owner].T
         outside = (xs < x0) | (xs >= x0 + w) | (ys < y0) | (ys >= y0 + h)
@@ -425,23 +447,30 @@ def segment(scenarios: Sequence[Scenario], style: StyleModel) -> list[SemanticMa
 # ---------------------------------------------------------------------------
 
 class _Template(NamedTuple):
-    """A thing mask with its set cells and their bounds, computed once.
+    """A thing mask as runs of set cells, computed once.
 
-    ys and xs list the set cells in row-major order; bounds is
-    (row min, row max, column min, column max) over them.
+    spans lists each run of set cells as (row, first column, column past
+    the last), in row-major order; bounds is (row min, row max, column min,
+    column max) over the set cells.
     """
 
     shape: tuple[int, int]
-    ys: np.ndarray
-    xs: np.ndarray
+    spans: tuple[tuple[int, int, int], ...]
     bounds: tuple[int, int, int, int]
 
 
 def _template(rows: list[list[int]]) -> _Template:
-    mask = np.array(rows, dtype=bool)
-    ys, xs = np.nonzero(mask)
-    bounds = (int(ys.min()), int(ys.max()), int(xs.min()), int(xs.max()))
-    return _Template(shape=mask.shape, ys=_frozen(ys), xs=_frozen(xs), bounds=bounds)
+    spans = []
+    for y, row in enumerate(rows):
+        x = 0
+        for value, run in itertools.groupby(row):
+            n = len(list(run))
+            if value:
+                spans.append((y, x, x + n))
+            x += n
+    ys = [y for y, _, _ in spans]
+    bounds = (min(ys), max(ys), min(a for _, a, _ in spans), max(b for _, _, b in spans) - 1)
+    return _Template(shape=(len(rows), len(rows[0])), spans=tuple(spans), bounds=bounds)
 
 
 # Car templates; pedestrian templates below. Masks must stay a single
@@ -457,11 +486,6 @@ _PEDESTRIAN_TEMPLATES = [
     _template([[1], [1]]),
     _template([[1, 1]]),
 ]
-
-
-def _is_road(classes: np.ndarray) -> np.ndarray:
-    """Cells of the driving corridor: road and its lane markings."""
-    return (classes == ClassId.ROAD) | (classes == ClassId.LANE_MARKING)
 
 
 @dataclass(frozen=True)
@@ -530,14 +554,14 @@ def _paint_layout(
     # Scenery block types chosen per (row band, side).
     n_bands = (h - SKY_ROWS) // SCENERY_BAND_ROWS + 1
     band_kind = rng.integers(0, 2, size=(n_bands, 2))  # 0 building, 1 vegetation
-    kinds = np.where(band_kind == 0, int(ClassId.BUILDING), int(ClassId.VEGETATION))
+    kinds = np.where(band_kind == 0, ClassId.BUILDING, ClassId.VEGETATION)
     kinds = kinds[ahead // SCENERY_BAND_ROWS]  # (ahead, side)
     cols = np.arange(w, dtype=np.float64)
     center = centers[:, None]
     lateral = np.abs(cols - center)
     ground = np.where(cols < center, kinds[:, :1], kinds[:, 1:])
-    ground = np.where(lateral <= half + SIDEWALK_WIDTH, int(ClassId.SIDEWALK), ground)
-    ground = np.where(lateral <= half, int(ClassId.ROAD), ground)
+    ground = np.where(lateral <= half + SIDEWALK_WIDTH, ClassId.SIDEWALK, ground)
+    ground = np.where(lateral <= half, ClassId.ROAD, ground)
     # Dashed center marking on every other row ahead, where it hits road.
     dashed = ahead[::2]
     marks = np.floor(centers[dashed] + 0.5)
@@ -550,51 +574,52 @@ def _paint_layout(
     return classes, centers
 
 
-def _place_mask(
-    classes: np.ndarray,
-    grid: np.ndarray,
+def _fits(
+    cells: bytearray,
+    allowed: bytearray,
     template: _Template,
     top: int,
     left: int,
-    class_id: ClassId,
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The (ys, xs) cells of a fitting template, or None.
+    class_id: int,
+) -> bool:
+    """Whether a template placed at (top, left) fits the byte rows of a world grid.
 
-    A template fits if it lies inside the grid, keeps a 1-cell gap to
-    cells of its own class and covers no other instance's cells.
+    cells holds the class grid and allowed a 0/1 mask, both row-major. A
+    template fits if it lies inside the grid, keeps a 1-cell (Chebyshev)
+    gap to cells of its own class and covers only allowed cells.
     """
-    h, w = classes.shape
+    h, w = WORLD_HEIGHT, WORLD_WIDTH
     mh, mw = template.shape
     if top < 0 or left < 0 or top + mh > h or left + mw > w:
-        return None
+        return False
     y_min, y_max, x_min, x_max = template.bounds
-    region = classes[
-        max(top + y_min - 1, 0) : min(top + y_max + 2, h),
-        max(left + x_min - 1, 0) : min(left + x_max + 2, w),
-    ]
-    if (region == int(class_id)).any():  # Chebyshev gap to same-class instances
-        return None
-    ys = template.ys + top
-    xs = template.xs + left
-    if (grid[ys, xs] != BACKGROUND_ID).any():  # another instance's cells
-        return None
-    return ys, xs
+    x0, x1 = max(left + x_min - 1, 0), min(left + x_max + 2, w)
+    for y in range(max(top + y_min - 1, 0), min(top + y_max + 2, h)):
+        if cells.find(class_id, y * w + x0, y * w + x1) >= 0:
+            return False
+    for dy, a, b in template.spans:
+        at = (top + dy) * w + left
+        if allowed.find(0, at + a, at + b) >= 0:
+            return False
+    return True
 
 
 def _add_instance(
-    classes: np.ndarray,
+    cells: bytearray,
     grid: np.ndarray,
     records: list[InstanceRecord],
     template: _Template,
     top: int,
     left: int,
-    class_id: ClassId,
+    class_id: int,
 ) -> None:
-    ys = template.ys + top
-    xs = template.xs + left
+    """Paint a fitting template into cells and grid and record it."""
+    w = WORLD_WIDTH
     inst_id = len(records)
-    classes[ys, xs] = class_id
-    grid[ys, xs] = inst_id
+    for dy, a, b in template.spans:
+        at = (top + dy) * w + left
+        cells[at + a : at + b] = bytes((class_id,)) * (b - a)
+        grid[top + dy, left + a : left + b] = inst_id
     y_min, y_max, x_min, x_max = template.bounds
     x0, y0 = left + x_min, top + y_min
     records.append(
@@ -609,7 +634,7 @@ def _add_instance(
 
 def _scatter_background_things(
     rng: np.random.Generator,
-    classes: np.ndarray,
+    cells: bytearray,
     grid: np.ndarray,
     records: list[InstanceRecord],
     n_cars: int,
@@ -618,10 +643,15 @@ def _scatter_background_things(
     """Parked cars and pedestrians on the sidewalk strips, off the road.
 
     No background thing lands on a road or lane cell, so the corridor,
-    and with it each row's road span, is read once before the scatter.
+    and with it each row's road span, is read once before the scatter;
+    a thing may cover only cells off the corridor that no instance holds.
+    Every draw of an attempt comes before its fit tests, so the tests may
+    be merged and reordered without moving the random stream. The one test
+    that precedes a draw, the road-row test before the gap draw, stays.
     """
-    h, w = classes.shape
-    corridor = _is_road(classes)
+    h, w = WORLD_HEIGHT, WORLD_WIDTH
+    corridor = np.frombuffer(cells, dtype=np.uint8).reshape(h, w) <= ClassId.LANE_MARKING
+    free = bytearray(~corridor & (grid == BACKGROUND_ID))
     has_road = corridor.any(axis=1).tolist()
     first_road = corridor.argmax(axis=1).tolist()
     last_road = (w - 1 - corridor[:, ::-1].argmax(axis=1)).tolist()
@@ -644,24 +674,29 @@ def _scatter_background_things(
             else:
                 left = first_road[row] - 1 - gap - mw + 1
             top = row - mh + 1
-            cells = _place_mask(classes, grid, template, top, left, kind)
-            if cells is None:
+            if not _fits(cells, free, template, top, left, kind):
                 continue
-            if corridor[cells].any():  # keep background things off the corridor
-                continue
-            _add_instance(classes, grid, records, template, top, left, kind)
+            _add_instance(cells, grid, records, template, top, left, kind)
+            for dy, a, b in template.spans:
+                at = (top + dy) * w + left
+                free[at + a : at + b] = bytes(b - a)
             placed += 1
 
 
 def _place_corridor_car(
     rng: np.random.Generator,
-    classes: np.ndarray,
+    cells: bytearray,
     grid: np.ndarray,
     records: list[InstanceRecord],
     centers: np.ndarray,
     side: int,
 ) -> bool:
-    """One car in the driving corridor, centroid offset to one side."""
+    """One car in the driving corridor, centroid offset to one side.
+
+    It is the first thing placed, so it may cover any road or lane cell.
+    All draws of an attempt come before its fit test.
+    """
+    road = bytearray(np.frombuffer(cells, dtype=np.uint8) <= ClassId.LANE_MARKING)
     for _ in range(10):
         template = _CAR_TEMPLATES[int(rng.integers(len(_CAR_TEMPLATES)))]
         mh, mw = template.shape
@@ -670,12 +705,9 @@ def _place_corridor_car(
         centroid_col = centers[ahead] + side * AVOID_CAR_OFFSET_CELLS
         left = int(np.floor(centroid_col - (mw - 1) / 2.0 + 0.5))
         top = row - mh + 1
-        cells = _place_mask(classes, grid, template, top, left, ClassId.CAR)
-        if cells is None:
+        if not _fits(cells, road, template, top, left, ClassId.CAR):
             continue
-        if not _is_road(classes[cells]).all():
-            continue
-        _add_instance(classes, grid, records, template, top, left, ClassId.CAR)
+        _add_instance(cells, grid, records, template, top, left, ClassId.CAR)
         return True
     return False
 
@@ -725,12 +757,13 @@ class ScenarioGenerator:
             avoid_side = 1 if rng.random() < 0.5 else -1
 
         classes, centers = _paint_layout(rng, curvature, offset)
+        cells = bytearray(classes)  # the class grid's byte rows, for placement
         grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
         records: list[InstanceRecord] = []
 
         label_offset = offset
         if task == TaskType.AVOID_CARS:
-            placed = _place_corridor_car(rng, classes, grid, records, centers, avoid_side)
+            placed = _place_corridor_car(rng, cells, grid, records, centers, avoid_side)
             if placed:
                 # Steer toward the open side of the corridor car.
                 label_offset = -avoid_side * profile.avoid_gap
@@ -739,9 +772,9 @@ class ScenarioGenerator:
 
         n_cars = int(rng.integers(*SCATTER_CARS))
         n_peds = int(rng.integers(*SCATTER_PEDS))
-        _scatter_background_things(rng, classes, grid, records, n_cars, n_peds)
+        _scatter_background_things(rng, cells, grid, records, n_cars, n_peds)
 
-        semantic = SemanticMap(classes=classes)
+        semantic = SemanticMap(classes=np.frombuffer(cells, dtype=np.uint8).reshape(classes.shape))
         instances = InstanceMap(instance_grid=grid, records=tuple(records))
         render_seed = int(rng.integers(0, 2**63))
         scenario = render(semantic, self.styles[style], render_seed)

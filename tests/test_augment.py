@@ -624,7 +624,7 @@ def _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold)
                 break
             stats.attempts += 1
             pick = int(np.searchsorted(np.cumsum(class_probs), rng.random(), side="right"))
-            class_id = ClassId(classes[min(pick, len(classes) - 1)])
+            class_id = classes[min(pick, len(classes) - 1)]
             candidate = sample_insertion(where, what, base, class_id, int(rng.integers(0, 2**63)))
             if candidate is None:
                 stats.insertion_failures += 1

@@ -121,7 +121,7 @@ class TestDatasetRoundTrip:
         out = decode_samples(encode_samples([src]))[0]
         assert repr(out.instances.records) == repr(src.instances.records)
         for rec in out.instances.records:
-            assert type(rec.instance_id) is int and type(rec.class_id) is ClassId
+            assert type(rec.instance_id) is int and type(rec.class_id) is int
             assert all(type(v) is int for v in rec.bbox)
             assert all(type(v) is float for v in rec.affine)
 
@@ -331,9 +331,10 @@ class TestRejection:
     def test_bit_flips_decode_or_raise_decode_error(self, artifacts, kind):
         """1-3 flipped bits past the container header, 1,000 seeded trials per record.
 
-        Flips in an array shape once made numpy raise ValueError out of
+        A flipped blob raises DecodeError or decodes to what re-encodes to
+        it. Flips in an array shape once made numpy raise ValueError out of
         decode_models: a shape product wrapped in int64, or a shape numpy
-        cannot hold.
+        cannot hold. A template mask byte of 2 or more once decoded as set.
         """
         blob = encode_models([artifacts[kind]])
         header = 17  # magic(7) + version(2) + count(4) + item length(4)
@@ -344,9 +345,10 @@ class TestRejection:
             for bit in rng.choice((len(blob) - header) * 8, size=n_flips, replace=False):
                 data[header + bit // 8] ^= 1 << (bit % 8)
             try:
-                decode_models(bytes(data))
+                decoded = decode_models(bytes(data))
             except DecodeError:
-                pass
+                continue
+            assert encode_models(decoded) == data
 
     def test_candidate_score_flag_past_one_rejected(self, artifacts):
         blob = bytearray(encode_models([artifacts["candidate"]]))
@@ -355,6 +357,29 @@ class TestRejection:
         blob[-9] = 2
         with pytest.raises(DecodeError, match="score flag must be 0 or 1, got 2"):
             decode_models(bytes(blob))
+
+    def test_candidate_score_bits_behind_a_zero_flag_rejected(self, artifacts):
+        """Such a record once decoded as unscored and re-encoded to other bytes."""
+        unscored = dataclasses.replace(artifacts["candidate"], score=None)
+        blob = bytearray(encode_models([unscored]))
+        # The record ends in the u8 score flag and the f64 score.
+        assert blob[-9:] == bytes(9)
+        for value in (0.25, -0.0, float("nan")):
+            blob[-8:] = struct.pack("<d", value)
+            with pytest.raises(DecodeError, match="score field holds data behind a 0 flag"):
+                decode_models(bytes(blob))
+
+    def test_sample_label_bits_behind_a_zero_flag_rejected(self, small_dataset):
+        """Such a sample once decoded as unlabeled and re-encoded to other bytes."""
+        unlabeled = dataclasses.replace(small_dataset[0], label=None)
+        blob = bytearray(encode_samples([unlabeled]))
+        # container(13) + length(4) + shape/style/task/provenance(8), then the
+        # u8 label flag and the f32 label.
+        assert blob[25:30] == bytes(5)
+        for value in (0.25, -0.0, float("nan")):
+            blob[26:30] = struct.pack("<f", value)
+            with pytest.raises(DecodeError, match="label field holds data behind a 0 flag"):
+                decode_samples(bytes(blob))
 
     def test_report_naming_a_task_twice_rejected(self):
         entry = bytes([8]) + b"straight" + struct.pack("<ddI", 0.1, 0.5, 2)
@@ -481,16 +506,17 @@ class TestMemoryviewInput:
 
     @pytest.mark.parametrize("name", DECODERS)
     def test_bit_flipped_memoryview_decodes_or_raises_decode_error(self, encoded, name):
-        decode, _, blob = encoded[name]
+        decode, encode, blob = encoded[name]
         rng = np.random.default_rng(7)
         for _ in range(200):
             data = bytearray(blob)
             for bit in rng.choice(len(blob) * 8, size=int(rng.integers(1, 4)), replace=False):
                 data[bit // 8] ^= 1 << (bit % 8)
             try:
-                decode(memoryview(data))
+                decoded = decode(memoryview(data))
             except DecodeError:
-                pass
+                continue
+            assert encode(decoded) == data
 
     def test_decoded_arrays_do_not_alias_the_input(self, small_dataset):
         scenarios = [s.scenario for s in small_dataset[:2]]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parl.codec import decode_samples, encode_samples
 from parl.errors import ConfigurationError, RenderError
 from parl.styles import N_CLASSES, built_in_style, styles_for_agents
 from parl.world import (
@@ -40,6 +41,17 @@ def test_class_palette_is_pinned():
     assert ClassId.SIDEWALK == 7
     assert THING_CLASSES == (ClassId.CAR, ClassId.PEDESTRIAN)
     assert BACKGROUND_ID == -1
+
+
+def test_class_ids_are_exact_ints(small_dataset):
+    """numpy takes a slow path for an int subclass, so no class id may be one."""
+    members = {name: v for name, v in vars(ClassId).items() if name.isupper()}
+    assert sorted(members.values()) == list(range(N_CLASSES))
+    assert all(type(v) is int for v in members.values())
+    assert all(type(c) is int for c in THING_CLASSES)
+    decoded = decode_samples(encode_samples(small_dataset))
+    records = [r for s in small_dataset + decoded for r in s.instances.records]
+    assert records and all(type(r.class_id) is int for r in records)
 
 
 def test_task_and_provenance_values():
