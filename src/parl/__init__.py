@@ -52,8 +52,8 @@ from .world import (
     ClassId,
     DrivingSample,
     InstanceMap,
-    InstanceRecord,
     Provenance,
+    RECORD_DTYPE,
     Scenario,
     ScenarioGenerator,
     SemanticMap,
@@ -81,12 +81,12 @@ __all__ = [
     "ExperimentConfig",
     "FittingError",
     "InstanceMap",
-    "InstanceRecord",
     "NodeId",
     "ParlError",
     "PlausibilityScorer",
     "PolicyModel",
     "Provenance",
+    "RECORD_DTYPE",
     "RenderError",
     "RobotNode",
     "Scenario",

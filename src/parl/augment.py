@@ -56,9 +56,10 @@ from .world import (
     BACKGROUND_ID,
     ClassId,
     InstanceMap,
-    InstanceRecord,
+    RECORD_DTYPE,
     SemanticMap,
     THING_CLASSES,
+    _frozen,
     _label_components,
 )
 
@@ -126,12 +127,8 @@ def _pos_bins(rows: np.ndarray, cols: np.ndarray, h: int, w: int) -> tuple[np.nd
     return py, px
 
 
-def _record_mask(instances: InstanceMap, record: InstanceRecord) -> np.ndarray:
-    return instances.instance_grid == record.instance_id
-
-
 class _Instances(NamedTuple):
-    """The records of a batch of same-shape layouts that own cells, and where those cells lie.
+    """The records of a batch of same-shape layouts that own cells, as columns, and where those cells lie.
 
     Arrays are per instance, layout by layout and in record order within
     one; the cells are grouped by instance and row-major within one, the
@@ -139,8 +136,9 @@ class _Instances(NamedTuple):
     are within their own layout.
     """
 
-    records: tuple[InstanceRecord, ...]
+    ids: np.ndarray  # (n,) record ids
     class_ids: np.ndarray  # (n,) int64
+    bbox: np.ndarray  # (n, 4) each record's own (x0, y0, w, h)
     layout: np.ndarray  # (n,) the batch position of each instance's layout
     ys: np.ndarray  # cell rows and columns, grouped
     xs: np.ndarray
@@ -175,9 +173,11 @@ def _layout_instances(maps: Sequence[InstanceMap]) -> _Instances:
     """
     grids = np.stack([m.instance_grid for m in maps])
     n_maps, h, w = grids.shape
-    records = [r for m in maps for r in m.records]
-    rec_layout = np.repeat(np.arange(n_maps), [len(m.records) for m in maps])
-    ids = np.array([r.instance_id for r in records], dtype=np.int64)
+    # The record columns, concatenated one by one: np.concatenate copies
+    # whole structured rows field by field, several times slower.
+    tables = [m.records for m in maps]
+    ids = np.concatenate([t["id"] for t in tables])
+    rec_layout = np.repeat(np.arange(n_maps), [t.size for t in tables])
     rec_keys = rec_layout * _KEY_SPAN + np.clip(ids, _ID_LO, _ID_HI) - _ID_LO
     flat = grids.ravel()
     cells = np.flatnonzero(flat != BACKGROUND_ID)
@@ -187,14 +187,14 @@ def _layout_instances(maps: Sequence[InstanceMap]) -> _Instances:
 
     # Contact: 4-neighbours of one layout holding different records of one
     # class. Background cells carry record and class -1.
-    class_of = np.array([int(r.class_id) for r in records], dtype=np.int64)
+    class_of = np.concatenate([t["cls"] for t in tables]).astype(np.int64)
     rec_grid = np.full(flat.size, -1, dtype=np.int64)
     rec_grid[cells] = rec_of_cell
     rec_grid = rec_grid.reshape(grids.shape)
     cls_grid = np.full(flat.size, -1, dtype=np.int64)
     cls_grid[cells] = class_of[rec_of_cell]
     cls_grid = cls_grid.reshape(grids.shape)
-    touched = np.zeros(len(records), dtype=bool)
+    touched = np.zeros(ids.size, dtype=bool)
     for a, b, ca, cb in (
         (rec_grid[:, :, :-1], rec_grid[:, :, 1:], cls_grid[:, :, :-1], cls_grid[:, :, 1:]),
         (rec_grid[:, :-1], rec_grid[:, 1:], cls_grid[:, :-1], cls_grid[:, 1:]),
@@ -205,7 +205,7 @@ def _layout_instances(maps: Sequence[InstanceMap]) -> _Instances:
 
     grouped = np.argsort(rec_of_cell, kind="stable")
     cells, rec_of_cell = cells[grouped], rec_of_cell[grouped]
-    per_record = np.bincount(rec_of_cell, minlength=len(records))
+    per_record = np.bincount(rec_of_cell, minlength=ids.size)
     owns = per_record > 0
     rank_of_cell = (np.cumsum(owns) - 1)[rec_of_cell]
     counts = per_record[owns]
@@ -233,8 +233,9 @@ def _layout_instances(maps: Sequence[InstanceMap]) -> _Instances:
         axis=1,
     )
     return _Instances(
-        records=tuple(r for r, o in zip(records, owns) if o),
+        ids=ids[owns],
         class_ids=class_of[owns],
+        bbox=np.concatenate([t["bbox"] for t in tables])[owns],
         layout=layout[starts],
         ys=ys,
         xs=xs,
@@ -409,13 +410,12 @@ def fit_where(layouts: Sequence[Layout]) -> WherePredictor:
         cols = np.rint(np.add.reduceat(inst.xs, inst.starts) / inst.counts).astype(np.intp)
         ctx = _ctx_bin_from_depth(_depth_at(classes, inst.layout, rows, cols))
         py, px = _pos_bins(rows, cols, h, w)
-        dims = np.array([rec.bbox[2:] for rec in inst.records], dtype=np.int64).reshape(-1, 2)
-        sbins = np.searchsorted(_SCALE_BIN_EDGES, dims.max(axis=1))
+        sbins = np.searchsorted(_SCALE_BIN_EDGES, inst.bbox[:, 2:].max(axis=1))
         pos = py * POS_BINS + px
         bins = ((inst.class_ids * N_CTX_BINS + ctx) * POS_BINS * POS_BINS + pos) * N_SCALE_BINS + sbins
         # Whole-number counts: the bincount adds exactly, in any order.
         counts += np.bincount(bins, minlength=counts.size)
-        n_instances += len(inst.records)
+        n_instances += inst.ids.size
     if n_instances == 0:
         raise FittingError("no instances found in the provided layouts")
     counts = counts.reshape(N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
@@ -521,13 +521,17 @@ def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
     for index in _layout_chunks(layouts):
         maps = [layouts[i][1] for i in index]
         inst = _layout_instances(maps)
-        for lay, rec, (y0, y1, x0, x1), connected in zip(
-            inst.layout, inst.records, inst.box, inst.connected
+        for lay, inst_id, cls, (y0, y1, x0, x1), connected in zip(
+            inst.layout.tolist(),
+            inst.ids.tolist(),
+            inst.class_ids.tolist(),
+            inst.box.tolist(),
+            inst.connected.tolist(),
         ):
             crop = None  # fragmented masks make unusable templates
             if connected:
-                crop = maps[lay].instance_grid[y0 : y1 + 1, x0 : x1 + 1] == rec.instance_id
-            found.append((int(index[lay]), rec.class_id, crop))
+                crop = maps[lay].instance_grid[y0 : y1 + 1, x0 : x1 + 1] == inst_id
+            found.append((int(index[lay]), cls, crop))
     found.sort(key=lambda f: f[0])  # stable: record order stays within a layout
     templates = tuple(
         (cls, scale_bin_of(crop.shape[1], crop.shape[0]), crop)
@@ -547,24 +551,39 @@ def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentationCandidate:
-    """A layout with newly inserted instances, awaiting or carrying a score."""
+    """A layout with newly inserted instances, awaiting or carrying a score.
+
+    inserted holds the ids of the inserted instances' records, as a
+    read-only int64 array.
+    """
 
     semantic: SemanticMap
     instances: InstanceMap
-    inserted: tuple[InstanceRecord, ...]
+    inserted: np.ndarray
     source_sample_id: int
     score: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inserted", tuple(self.inserted))
-        known = set(self.instances.records)
-        for rec in self.inserted:
-            if rec not in known:
-                raise DegenerateInputError("inserted record missing from instance map")
+        inserted = np.array(self.inserted, dtype=np.int64)
+        known = (inserted[:, None] == self.instances.records["id"]).any(axis=1)
+        missing = inserted[~known]
+        if missing.size:
+            raise DegenerateInputError(f"inserted id {missing[0]} missing from instance map")
+        object.__setattr__(self, "inserted", _frozen(inserted))
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise DegenerateInputError(f"score {self.score} outside [0, 1]")
+
+
+def _with_record(records: np.ndarray, row: tuple, at: Optional[int] = None) -> np.ndarray:
+    """A copy of a record table with row written at position at, or appended."""
+    if at is None:
+        at = records.size
+    out = np.empty(max(records.size, at + 1), dtype=RECORD_DTYPE)
+    out[: records.size] = records
+    out[at] = row
+    return out
 
 
 def _resize_mask(mask: np.ndarray, sy: float, sx: float) -> np.ndarray:
@@ -668,18 +687,13 @@ def sample_insertion(
         new_classes[ys, xs] = class_id
         new_grid = base.instances.instance_grid.copy()
         new_grid[ys, xs] = base.new_id
-        record = InstanceRecord(
-            instance_id=base.new_id,
-            class_id=class_id,
-            bbox=(int(xs.min()), int(ys.min()), mw, mh),
-            affine=(float(left), float(top), sx, sy),
-        )
+        row = (base.new_id, class_id, (xs.min(), ys.min(), mw, mh), (left, top, sx, sy))
         return AugmentationCandidate(
             semantic=SemanticMap(classes=new_classes),
             instances=InstanceMap(
-                instance_grid=new_grid, records=base.instances.records + (record,)
+                instance_grid=new_grid, records=_with_record(base.instances.records, row)
             ),
-            inserted=(record,),
+            inserted=[base.new_id],
             source_sample_id=0,
         )
     return None
@@ -836,7 +850,7 @@ def _scale_keys(pooled: np.ndarray, inst: _Instances, factor: int) -> _ScaleKeys
     """
     _, ph, pw = pooled.shape
     size = ph * pw
-    n = len(inst.records)
+    n = inst.ids.size
     keys = np.sort(inst.owner * size + (inst.ys // factor) * pw + inst.xs // factor)
     keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
     owner, cell = np.divmod(keys, size)
@@ -1064,7 +1078,7 @@ class PlausibilityScorer:
         for k, (stats, keys) in enumerate(zip(self.scale_stats, chunk.scales)):
             for j in np.flatnonzero(~has):
                 vals[k, j] = _global_adjacency_score(stats, keys.pooled[j])
-            if not inst.records:
+            if not inst.ids.size:
                 continue
             comps = _component_values(stats, inst, keys)
             # One 1-D dot per instance row: a matrix product may add the
@@ -1184,11 +1198,13 @@ def _erase_record(classes: np.ndarray, grid: np.ndarray, mask: np.ndarray) -> No
 def corrupt_relocate(layout: Layout, seed: int) -> Optional[Layout]:
     """Move one instance deep into the building/vegetation region."""
     semantic, instances = layout
-    if not instances.records:
+    records = instances.records
+    if not records.size:
         return None
     rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0xBAD1]))
-    rec = instances.records[int(rng.integers(len(instances.records)))]
-    mask = _record_mask(instances, rec)
+    k = int(rng.integers(records.size))
+    inst_id, cls = records["id"][k], records["cls"][k]
+    mask = instances.instance_grid == inst_id
     if not mask.any():
         return None
     classes = semantic.classes.copy()
@@ -1216,18 +1232,12 @@ def corrupt_relocate(layout: Layout, seed: int) -> Optional[Layout]:
             continue
         if not (scenery[ys, xs] & (depth[ys, xs] <= -12)).all():
             continue
-        classes[ys, xs] = rec.class_id
-        grid[ys, xs] = rec.instance_id
-        new_rec = InstanceRecord(
-            instance_id=rec.instance_id,
-            class_id=rec.class_id,
-            bbox=(int(xs.min()), int(ys.min()), int(mw), int(mh)),
-            affine=(float(left), float(top), 1.0, 1.0),
+        classes[ys, xs] = cls
+        grid[ys, xs] = inst_id
+        row = (inst_id, cls, (xs.min(), ys.min(), mw, mh), (left, top, 1.0, 1.0))
+        return SemanticMap(classes=classes), InstanceMap(
+            instance_grid=grid, records=_with_record(records, row, k)
         )
-        records = tuple(
-            new_rec if r.instance_id == rec.instance_id else r for r in instances.records
-        )
-        return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=records)
     return None
 
 
@@ -1235,27 +1245,23 @@ def corrupt_overlap(layout: Layout, seed: int) -> Optional[Layout]:
     """Duplicate one instance shifted by a cell: >50% footprint overlap.
 
     Only instances of 4+ cells qualify so a one-cell shift really does
-    overlap most of the footprint.
+    overlap most of the footprint. Instances are tried largest first, ties
+    in record order; one count of the grid's values sizes them all.
     """
     semantic, instances = layout
     del seed  # selection is size-ordered, no randomness needed
-    if not instances.records:
+    records = instances.records
+    if not records.size:
         return None
-    sizes = {
-        rec.instance_id: int(_record_mask(instances, rec).sum()) for rec in instances.records
-    }
-    order = sorted(
-        range(len(instances.records)),
-        key=lambda i: (-sizes[instances.records[i].instance_id], i),
-    )
+    values, counts = np.unique(instances.instance_grid, return_counts=True)
+    at = np.minimum(np.searchsorted(values, records["id"]), values.size - 1)
+    sizes = np.where(values[at] == records["id"], counts[at], 0)
     h, w = semantic.classes.shape
-    for idx in order:
-        rec = instances.records[int(idx)]
-        if sizes[rec.instance_id] < 4:
+    for k in np.argsort(-sizes, kind="stable"):
+        if sizes[k] < 4:
             continue
-        mask = _record_mask(instances, rec)
-        if not mask.any():
-            continue
+        inst_id, cls = records["id"][k], records["cls"][k]
+        mask = instances.instance_grid == inst_id
         for dy, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
             shifted = np.zeros_like(mask)
             ys, xs = np.nonzero(mask)
@@ -1263,23 +1269,19 @@ def corrupt_overlap(layout: Layout, seed: int) -> Optional[Layout]:
             if ny.min() < 0 or nx.min() < 0 or ny.max() >= h or nx.max() >= w:
                 continue
             other_cells = instances.instance_grid[ny, nx]
-            if ((other_cells != BACKGROUND_ID) & (other_cells != rec.instance_id)).any():
+            if ((other_cells != BACKGROUND_ID) & (other_cells != inst_id)).any():
                 continue
             shifted[ny, nx] = True
             classes = semantic.classes.copy()
             grid = instances.instance_grid.copy()
             new_id = instances.next_free_id()
-            classes[shifted] = rec.class_id
+            classes[shifted] = cls
             grid[shifted] = new_id
-            new_rec = InstanceRecord(
-                instance_id=new_id,
-                class_id=rec.class_id,
-                bbox=(int(nx.min()), int(ny.min()), int(nx.max() - nx.min() + 1), int(ny.max() - ny.min() + 1)),
-                affine=(float(nx.min()), float(ny.min()), 1.0, 1.0),
-            )
+            x0, y0 = nx.min(), ny.min()
+            row = (new_id, cls, (x0, y0, nx.max() - x0 + 1, ny.max() - y0 + 1), (x0, y0, 1.0, 1.0))
             return (
                 SemanticMap(classes=classes),
-                InstanceMap(instance_grid=grid, records=instances.records + (new_rec,)),
+                InstanceMap(instance_grid=grid, records=_with_record(records, row)),
             )
     return None
 
@@ -1287,14 +1289,15 @@ def corrupt_overlap(layout: Layout, seed: int) -> Optional[Layout]:
 def corrupt_giant(layout: Layout, seed: int) -> Optional[Layout]:
     """Blow one instance up threefold: a size never seen in real layouts."""
     semantic, instances = layout
-    if not instances.records:
+    records = instances.records
+    if not records.size:
         return None
     rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0xBAD3]))
-    order = rng.permutation(len(instances.records))
+    order = rng.permutation(records.size)
     h, w = semantic.classes.shape
-    for idx in order:
-        rec = instances.records[int(idx)]
-        mask = _record_mask(instances, rec)
+    for k in order:
+        inst_id, cls = records["id"][k], records["cls"][k]
+        mask = instances.instance_grid == inst_id
         if not mask.any():
             continue
         ys0, xs0 = np.nonzero(mask)
@@ -1312,16 +1315,12 @@ def corrupt_giant(layout: Layout, seed: int) -> Optional[Layout]:
         ys, xs = ys + top, xs + left
         if (grid[ys, xs] != BACKGROUND_ID).any():
             continue
-        classes[ys, xs] = rec.class_id
-        grid[ys, xs] = rec.instance_id
-        new_rec = InstanceRecord(
-            instance_id=rec.instance_id,
-            class_id=rec.class_id,
-            bbox=(int(xs.min()), int(ys.min()), int(mw), int(mh)),
-            affine=(float(left), float(top), 3.0, 3.0),
+        classes[ys, xs] = cls
+        grid[ys, xs] = inst_id
+        row = (inst_id, cls, (xs.min(), ys.min(), mw, mh), (left, top, 3.0, 3.0))
+        return SemanticMap(classes=classes), InstanceMap(
+            instance_grid=grid, records=_with_record(records, row, k)
         )
-        records = tuple(new_rec if r.instance_id == rec.instance_id else r for r in instances.records)
-        return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=records)
     return None
 
 

@@ -22,7 +22,6 @@ from .world import (
     ClassId,
     DrivingSample,
     InstanceMap,
-    InstanceRecord,
     Provenance,
     Scenario,
     SemanticMap,
@@ -108,28 +107,21 @@ def baseline_random_resized_crop(sample: DrivingSample, seed: int) -> DrivingSam
     y0, y1 = ys[starts], ys[np.append(starts[1:], flat.size) - 1]
     x0, x1 = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
     values = ordered[starts]
-    ids = np.array([rec.instance_id for rec in sample.instances.records], dtype=np.int64)
+    ids = sample.instances.records["id"]
     at = np.minimum(np.searchsorted(values, ids), values.size - 1)
-    records = []
-    for rec, k, present in zip(sample.instances.records, at, values[at] == ids):
-        if not present:
-            continue
-        bbox = (int(x0[k]), int(y0[k]), int(x1[k] - x0[k] + 1), int(y1[k] - y0[k] + 1))
-        records.append(
-            InstanceRecord(
-                instance_id=rec.instance_id,
-                class_id=rec.class_id,
-                bbox=bbox,
-                affine=(float(bbox[0]), float(bbox[1]), w / cw, h / ch),
-            )
-        )
+    present = values[at] == ids
+    records = sample.instances.records[present]
+    k = at[present]
+    records["bbox"] = np.stack([x0[k], y0[k], x1[k] - x0[k] + 1, y1[k] - y0[k] + 1], axis=1)
+    records["affine"][:, :2] = records["bbox"][:, :2]
+    records["affine"][:, 2:] = (w / cw, h / ch)
     # Every id left in the grid is a kept record's: the source map holds
     # only its records' ids and background, so the grid needs no masking.
     return replace(
         sample,
         scenario=Scenario(pixels=new_pixels, style=sample.scenario.style),
         semantic=SemanticMap(classes=new_classes),
-        instances=InstanceMap(instance_grid=new_grid, records=tuple(records)),
+        instances=InstanceMap(instance_grid=new_grid, records=records),
         provenance=Provenance.AUGMENTED,
     )
 

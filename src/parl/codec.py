@@ -15,7 +15,14 @@ version, a u32 item count, then each item as a u32 byte length followed by
 its payload. A sample or layout holds its class grid (u8), its instance grid
 (i32) and a u16 count of instance records, then the records as one packed
 table: u32 id, u8 class, four u16 bbox fields, and four affine floats (f32
-in datasets, f64 in models), 29 or 45 bytes a record.
+in datasets, f64 in models), 29 or 45 bytes a record. In memory the records
+are one world.RECORD_DTYPE table with native-width fields: the encoder checks
+that the id and bbox columns fit their wire fields and casts the table into
+the packed one, and the decoder casts the packed table back. A candidate's
+inserted ids follow its layout as u32s.
+
+Every count, dimension and id the encoders write is range-checked against
+its field: one that does not fit is a ConfigurationError that names it.
 
 Scenario lists -- the pixels of rendered scenarios and nothing else, as a
 LabelRequest carries them: a u32 count, then per scenario a u16 height, a
@@ -52,10 +59,10 @@ from .styles import StyleModel
 from .world import (
     DrivingSample,
     InstanceMap,
-    InstanceRecord,
     MIN_MAP_SIDE,
     N_CLASSES,
     Provenance,
+    RECORD_DTYPE,
     Scenario,
     SemanticMap,
     TaskType,
@@ -125,17 +132,22 @@ class _Writer:
         self._parts.append(part)
         self.nbytes += len(part)
 
-    def u8(self, value: int) -> None:
-        self._pack("<B", value)
+    def _unsigned(self, fmt: str, bits: int, value: int, what: str) -> None:
+        if not 0 <= value < 2**bits:
+            raise ConfigurationError(f"{what} {value} does not fit in u{bits}")
+        self._pack(fmt, value)
 
-    def u16(self, value: int) -> None:
-        self._pack("<H", value)
+    def u8(self, value: int, what: str = "u8 field") -> None:
+        self._unsigned("<B", 8, value, what)
 
-    def u32(self, value: int) -> None:
-        self._pack("<I", value)
+    def u16(self, value: int, what: str = "u16 field") -> None:
+        self._unsigned("<H", 16, value, what)
 
-    def u64(self, value: int) -> None:
-        self._pack("<Q", value)
+    def u32(self, value: int, what: str = "u32 field") -> None:
+        self._unsigned("<I", 32, value, what)
+
+    def u64(self, value: int, what: str = "u64 field") -> None:
+        self._unsigned("<Q", 64, value, what)
 
     def f32(self, value: float) -> None:
         self._pack("<f", value)
@@ -151,7 +163,7 @@ class _Writer:
         self.raw(data)
 
     def framed(self, inner: "_Writer") -> None:
-        self.u32(inner.nbytes)
+        self.u32(inner.nbytes, "record byte length")
         self._parts.extend(inner._parts)
         self.nbytes += inner.nbytes
 
@@ -248,12 +260,6 @@ class _Reader:
             )
 
 
-def _checked_u16(value: int, what: str) -> int:
-    if not 0 <= value < 2**16:
-        raise ConfigurationError(f"{what} {value} does not fit in u16")
-    return value
-
-
 def _checked_unsigned(values: np.ndarray, bits: int, what: str) -> np.ndarray:
     """values, if every one fits in a u<bits>; the error names the first that does not."""
     outside = values[(values < 0) | (values >= 2**bits)]
@@ -274,49 +280,33 @@ _RECORDS_F64 = _record_table("<f8")
 def _write_grids(
     w: _Writer, semantic: SemanticMap, instances: InstanceMap, table: np.dtype
 ) -> None:
-    """A sample's or layout's grids and records; table is _RECORDS_F32 or _RECORDS_F64."""
+    """A sample's or layout's grids and records; table is _RECORDS_F32 or _RECORDS_F64.
+
+    The in-memory record columns are checked against the wire table's
+    narrower fields, then copied into it column by column.
+    """
     w.raw(semantic.classes.tobytes())
     w.raw(instances.instance_grid.astype("<i4").tobytes())
     records = instances.records
-    w.u16(len(records))
-    rows = np.zeros(len(records), dtype=table)
-    ids = np.array([rec.instance_id for rec in records], dtype=np.int64)
-    rows["id"] = _checked_unsigned(ids, 32, "instance id")
-    rows["cls"] = [rec.class_id for rec in records]
-    bbox = np.array([rec.bbox for rec in records], dtype=np.int64).reshape(-1, 4)
-    rows["bbox"] = _checked_unsigned(bbox, 16, "bbox field")
-    rows["affine"] = np.array([rec.affine for rec in records], dtype=np.float64).reshape(-1, 4)
-    w.raw(rows.tobytes())
+    w.u16(records.size, "instance record count")
+    _checked_unsigned(records["id"], 32, "instance id")
+    _checked_unsigned(records["bbox"], 16, "bbox field")
+    w.raw(records.astype(table).tobytes())
 
 
 def _read_grids(r: _Reader, h: int, wdt: int, table: np.dtype) -> tuple:
     """(classes, instance grid, records) as `_write_grids` wrote them.
 
-    The record fields are read back as Python ints and floats, as the
-    generator and the perception code make them.
+    The wire table is cast to RECORD_DTYPE as read; InstanceMap checks the
+    rows, and a class code past the palette is rejected here.
     """
     classes = r.array("u1", h * wdt).reshape(h, wdt)
     grid = r.array("<i4", h * wdt).reshape(h, wdt)
     rows = np.frombuffer(r.take(r.u16() * table.itemsize), dtype=table)
-    fields = zip(
-        rows["id"].tolist(), rows["cls"].tolist(), rows["bbox"].tolist(), rows["affine"].tolist()
-    )
-    records = []
-    for instance_id, class_id, bbox, affine in fields:
-        if class_id not in range(N_CLASSES):
-            raise DecodeError(f"unknown class id {class_id}")
-        try:
-            records.append(
-                InstanceRecord(
-                    instance_id=instance_id,
-                    class_id=class_id,
-                    bbox=tuple(bbox),
-                    affine=tuple(affine),
-                )
-            )
-        except ParlError as exc:
-            raise DecodeError(f"instance record violates invariants: {exc}") from exc
-    return classes, grid, tuple(records)
+    unknown = rows["cls"][rows["cls"] >= N_CLASSES]
+    if unknown.size:
+        raise DecodeError(f"unknown class id {unknown[0]}")
+    return classes, grid, rows.astype(RECORD_DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +330,9 @@ def _encode_sample(sample: DrivingSample) -> _Writer:
     h, wdt = sample.semantic.classes.shape
     if sample.scenario.pixels.shape[:2] != (h, wdt) or sample.instances.instance_grid.shape != (h, wdt):
         raise ConfigurationError("sample grids disagree on shape")
-    w.u16(h)
-    w.u16(wdt)
-    w.u16(_checked_u16(sample.scenario.style, "style id"))
+    w.u16(h, "grid height")
+    w.u16(wdt, "grid width")
+    w.u16(sample.scenario.style, "style id")
     w.u8(_TASK_CODES[sample.task])
     w.u8(_PROVENANCE_CODES[sample.provenance])
     w.u8(0 if sample.label is None else 1)
@@ -384,7 +374,7 @@ def encode_samples(samples: Sequence[DrivingSample]) -> bytes:
     w = _Writer()
     w.raw(DATASET_MAGIC)
     w.u16(FORMAT_VERSION)
-    w.u32(len(samples))
+    w.u32(len(samples), "sample count")
     for sample in samples:
         w.framed(_encode_sample(sample))
     return w.getvalue()
@@ -402,11 +392,11 @@ def decode_samples(data: bytes | memoryview) -> list[DrivingSample]:
 
 def _scenario_list(scenarios: Sequence[Scenario]) -> _Writer:
     w = _Writer()
-    w.u32(len(scenarios))
+    w.u32(len(scenarios), "scenario count")
     for scenario in scenarios:
-        w.u16(scenario.height)
-        w.u16(scenario.width)
-        w.u16(_checked_u16(scenario.style, "style id"))
+        w.u16(scenario.height, "grid height")
+        w.u16(scenario.width, "grid width")
+        w.u16(scenario.style, "style id")
         w.raw(_f32_pixels(scenario))
     return w
 
@@ -458,7 +448,7 @@ def read_dataset(path) -> list[DrivingSample]:
 
 
 def _encode_array_map(arrays: dict[str, np.ndarray], w: _Writer) -> None:
-    w.u32(len(arrays))
+    w.u32(len(arrays), "array count")
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         if arr.dtype not in _DTYPE_CODES:
@@ -467,7 +457,7 @@ def _encode_array_map(arrays: dict[str, np.ndarray], w: _Writer) -> None:
         w.u8(_DTYPE_CODES[arr.dtype])
         w.u8(arr.ndim)
         for dim in arr.shape:
-            w.u32(dim)
+            w.u32(dim, "array dimension")
         w.raw(arr.tobytes())
 
 
@@ -496,8 +486,8 @@ def _encode_layout_body(semantic: SemanticMap, instances: InstanceMap, w: _Write
     h, wdt = semantic.classes.shape
     if instances.instance_grid.shape != (h, wdt):
         raise ConfigurationError("layout grids disagree on shape")
-    w.u16(h)
-    w.u16(wdt)
+    w.u16(h, "grid height")
+    w.u16(wdt, "grid width")
     _write_grids(w, semantic, instances, _RECORDS_F64)
 
 
@@ -515,23 +505,22 @@ def _encode_item(item: ModelItem) -> _Writer:
     w = _Writer()
     if isinstance(item, StyleModel):
         w.u8(KIND_STYLE)
-        w.u16(_checked_u16(item.style, "style id"))
-        w.u64(item.texture_seed)
+        w.u16(item.style, "style id")
+        w.u64(item.texture_seed, "texture seed")
         w.f64(item.separation_floor)
-        for c in range(N_CLASSES):
-            for v in item.class_means[c]:
-                w.f64(v)
-            w.f64(item.class_spreads[c])
+        # Per class its three channel means, then its spread.
+        block = np.column_stack([item.class_means, item.class_spreads])
+        w.raw(block.astype("<f8").tobytes())
     elif isinstance(item, PolicyModel):
         w.u8(KIND_POLICY)
-        w.u32(item.weights.size)
+        w.u32(item.weights.size, "weight count")
         w.raw(item.weights.astype("<f8").tobytes())
         w.f64(item.ridge_lambda)
-        w.u32(item.n_train)
-        w.u16(len(item.provenance_mix))
+        w.u32(item.n_train, "training count")
+        w.u16(len(item.provenance_mix), "provenance count")
         for name, count in item.provenance_mix:
             w.short_str(name)
-            w.u32(count)
+            w.u32(count, "provenance sample count")
     elif isinstance(item, WherePredictor):
         w.u8(KIND_WHERE)
         _encode_array_map(item._state_arrays(), w)
@@ -544,21 +533,21 @@ def _encode_item(item: ModelItem) -> _Writer:
     elif isinstance(item, AugmentationCandidate):
         w.u8(KIND_CANDIDATE)
         _encode_layout_body(item.semantic, item.instances, w)
-        w.u16(len(item.inserted))
-        for rec in item.inserted:
-            w.u32(rec.instance_id)
-        w.u32(item.source_sample_id)
+        # Inserted ids are record ids, which the layout body checked for u32.
+        w.u16(item.inserted.size, "inserted id count")
+        w.raw(item.inserted.astype("<u4").tobytes())
+        w.u32(item.source_sample_id, "source sample id")
         w.u8(0 if item.score is None else 1)
         w.f64(0.0 if item.score is None else item.score)
     elif isinstance(item, EvaluationReport):
         w.u8(KIND_REPORT)
         tasks = sorted(item.per_task_error)
-        w.u16(len(tasks))
+        w.u16(len(tasks), "report task count")
         for task in tasks:
             w.short_str(task)
             w.f64(item.per_task_error[task])
             w.f64(item.per_task_failure_rate[task])
-            w.u32(item.per_task_count[task])
+            w.u32(item.per_task_count[task], "task sample count")
         w.f64(item.overall_error)
         w.f64(item.overall_failure_rate)
         w.f64(item.fail_threshold)
@@ -567,7 +556,7 @@ def _encode_item(item: ModelItem) -> _Writer:
         if vec.ndim != 1:
             raise ConfigurationError("only 1-D float vectors encode as vector records")
         w.u8(KIND_VECTOR)
-        w.u32(vec.size)
+        w.u32(vec.size, "vector length")
         w.raw(vec.astype("<f8").tobytes())
     elif isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], SemanticMap):
         w.u8(KIND_LAYOUT)
@@ -585,16 +574,12 @@ def _decode_item(data: memoryview) -> ModelItem:
             style = r.u16()
             texture_seed = r.u64()
             floor = r.f64()
-            means = np.empty((N_CLASSES, 3))
-            spreads = np.empty(N_CLASSES)
-            for c in range(N_CLASSES):
-                means[c] = [r.f64() for _ in range(3)]
-                spreads[c] = r.f64()
+            block = r.array("<f8", N_CLASSES * 4).reshape(N_CLASSES, 4)
             r.done()
             return StyleModel(
                 style=style,
-                class_means=means,
-                class_spreads=spreads,
+                class_means=np.ascontiguousarray(block[:, :3]),
+                class_spreads=block[:, 3].copy(),
                 texture_seed=texture_seed,
                 separation_floor=floor,
             )
@@ -628,15 +613,10 @@ def _decode_item(data: memoryview) -> ModelItem:
             return layout
         if kind == KIND_CANDIDATE:
             semantic, instances = _decode_layout_body(r)
-            inserted_ids = [r.u32() for _ in range(r.u16())]
+            inserted = r.array("<u4", r.u16())
             source = r.u32()
             score = r.flagged("<d", "score")
             r.done()
-            by_id = {rec.instance_id: rec for rec in instances.records}
-            try:
-                inserted = tuple(by_id[i] for i in inserted_ids)
-            except KeyError as exc:
-                raise DecodeError(f"inserted id {exc} missing from records") from exc
             return AugmentationCandidate(
                 semantic=semantic,
                 instances=instances,
@@ -682,7 +662,7 @@ def _model_container(items: Sequence[ModelItem]) -> _Writer:
     w = _Writer()
     w.raw(MODEL_MAGIC)
     w.u16(FORMAT_VERSION)
-    w.u32(len(items))
+    w.u32(len(items), "item count")
     for item in items:
         w.framed(_encode_item(item))
     return w

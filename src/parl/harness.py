@@ -451,7 +451,10 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         cloud.scorer,
         known_scores={"semantic-insertion": [c.score for _, c in cloud.candidates]},
     )
-    pooled_layouts = [(s.semantic, s.instances) for s in pooled_samples]
+    # The layouts the scorer was fitted on: the uploads, in participant order.
+    pooled_layouts = [
+        layout for node in cloud.participants for layout in cloud.uploads[node].layouts
+    ]
     (out / "scorer_diagnostics.json").write_text(
         diagnostics_json(cloud.scorer, pooled_layouts) + "\n", encoding="utf-8"
     )

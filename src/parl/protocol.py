@@ -316,9 +316,9 @@ def encode_message(message: Message) -> bytes:
     w = _Writer()
     w.raw(MESSAGE_MAGIC)
     w.u16(PROTOCOL_VERSION)
-    w.u16(message.sender.value)
-    w.u16(message.recipient.value)
-    w.u64(message.seq)
+    w.u16(message.sender.value, "sender id")
+    w.u16(message.recipient.value, "recipient id")
+    w.u64(message.seq, "message seq")
     w.u8(_TAG_OF[type(message.body)])
     w.framed(payload)
     return w.getvalue()

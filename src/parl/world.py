@@ -5,7 +5,9 @@ top down to the vehicle at the bottom row; columns are lateral position. A
 road corridor climbs from the vehicle toward the horizon, bent by each
 sample's curvature and shifted by its lateral offset, flanked by lane
 markings, sidewalks, and building/vegetation blocks. Cars and pedestrians
-are placed as compact instance masks.
+are placed as compact instance masks. An InstanceMap holds their ids per
+cell and their records as one read-only RECORD_DTYPE table, which the
+generator and extract_instances build column by column.
 
 The world's geometry and labeling gains are module constants (WORLD_WIDTH,
 WORLD_HEIGHT, SKY_ROWS, TORQUE_CURVATURE_GAIN, ...); what varies between
@@ -50,6 +52,8 @@ class ClassId:
 
 
 THING_CLASSES = (ClassId.CAR, ClassId.PEDESTRIAN)
+_IS_THING = np.isin(np.arange(256), THING_CLASSES)  # by uint8 class code
+_BBOX_FLOOR = np.array([0, 0, 1, 1])  # smallest valid x0, y0, w, h
 BACKGROUND_ID = -1
 MIN_MAP_SIDE = 16  # cells per side of the smallest map perception accepts
 # Scenarios classified per array pass in segment: measured fastest per
@@ -109,91 +113,88 @@ class SemanticMap:
         return np.array_equal(self.classes, other.classes)
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
-    """One placed thing: id, class, bounding box, and placement transform.
-
-    bbox is (x0, y0, w, h) in cells; affine is (translate_x, translate_y,
-    scale_x, scale_y), the transform that placed the source mask.
-    """
-
-    instance_id: int
-    class_id: int  # a ClassId in THING_CLASSES
-    bbox: tuple[int, int, int, int]
-    affine: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        if self.class_id not in THING_CLASSES:
-            raise ConfigurationError(f"{self.class_id!r} is not an instance class")
-        x0, y0, w, h = self.bbox
-        if w <= 0 or h <= 0 or x0 < 0 or y0 < 0:
-            raise ConfigurationError(f"bad bbox {self.bbox}")
+# One row per placed thing: its id, its class (one of THING_CLASSES), its
+# bbox (x0, y0, w, h) in cells, and its affine (translate_x, translate_y,
+# scale_x, scale_y), the transform that placed the source mask. Every field
+# is native width, so arithmetic on bbox fields cannot wrap.
+RECORD_DTYPE = np.dtype(
+    [("id", np.int64), ("cls", np.uint8), ("bbox", np.int64, 4), ("affine", np.float64, 4)]
+)
 
 
 @dataclass(frozen=True, eq=False)
 class InstanceMap:
-    """Instance ids per cell plus one geometry record per id.
+    """Instance ids per cell plus a read-only RECORD_DTYPE table, one row per id.
 
-    Validation finds the record of every instance cell and checks the cell
-    against that record's bbox. When the records' ids are 0..n-1 in order,
-    as the generator, extract_instances, the codec and every insertion make
-    them, a cell's value is its record's index. Any other id set (a crop
-    keeps a subset, a decoded map may hold any ids) is looked up by a
-    search over the sorted ids. The choice depends on the records alone,
-    and both lookups raise the same errors.
+    Validation checks every row's class and bbox, then finds the row of
+    every instance cell and checks the cell against that row's bbox. When
+    the ids are 0..n-1 in order, as the generator, extract_instances, the
+    codec and every insertion make them, a cell's value is its row. Any
+    other id set (a crop keeps a subset, a decoded map may hold any ids) is
+    looked up by a search over the sorted ids. The choice depends on the
+    ids alone, and both lookups raise the same errors.
     """
 
     instance_grid: np.ndarray  # (height, width) int32, BACKGROUND_ID elsewhere
-    records: tuple[InstanceRecord, ...]
+    records: np.ndarray  # (n,) RECORD_DTYPE
 
     def __post_init__(self) -> None:
         grid = np.ascontiguousarray(np.asarray(self.instance_grid, dtype=np.int32))
-        records = tuple(self.records)
-        ids_in_records = [r.instance_id for r in records]
-        by_index = ids_in_records == list(range(len(records)))
-        if not by_index and len(ids_in_records) != len(set(ids_in_records)):
-            raise ConfigurationError("duplicate instance ids in records")
-        # A record that carries BACKGROUND_ID owns the background cells too.
+        records = np.ascontiguousarray(np.asarray(self.records, dtype=RECORD_DTYPE))
+        if records.ndim != 1:
+            raise ConfigurationError("instance records must be a 1-D table")
+        ids, cls, bbox = records["id"], records["cls"], records["bbox"]
+        if not (_IS_THING[cls].all() and (bbox >= _BBOX_FLOOR).all()):
+            # The first bad row fails, on its class before its bbox.
+            bad_class = ~_IS_THING[cls]
+            k = (bad_class | (bbox < _BBOX_FLOOR).any(axis=1)).argmax()
+            if bad_class[k]:
+                raise ConfigurationError(f"{int(cls[k])} is not an instance class")
+            raise ConfigurationError(f"bad bbox {tuple(bbox[k].tolist())}")
         flat = grid.ravel()
-        if BACKGROUND_ID in ids_in_records:
-            cells = np.arange(flat.size)
-        else:
+        if (ids == np.arange(ids.size)).all():
             cells = np.flatnonzero(flat != BACKGROUND_ID)
-        values = flat[cells]
-        if by_index:
+            values = flat[cells]
             # A negative id reads as a huge unsigned one.
-            if not (values.view(np.uint32) < len(records)).all():
+            if not (values.view(np.uint32) < ids.size).all():
                 raise ConfigurationError("grid references ids missing from records")
             owner = values
         else:
-            ids = np.array(ids_in_records, dtype=np.int64)
-            by_id = np.argsort(ids)
+            by_id = np.argsort(ids, kind="stable")
+            ordered = ids[by_id]
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ConfigurationError("duplicate instance ids in records")
+            # A record that carries BACKGROUND_ID owns the background cells too.
+            if (ids == BACKGROUND_ID).any():
+                cells = np.arange(flat.size)
+            else:
+                cells = np.flatnonzero(flat != BACKGROUND_ID)
+            values = flat[cells]
             # The sorted ids end in a sentinel that no int32 cell holds.
-            keys = np.append(ids[by_id], np.iinfo(np.int64).max)
+            keys = np.append(ordered, np.iinfo(np.int64).max)
             rank = np.searchsorted(keys, values)
             if not (keys[rank] == values).all():
                 raise ConfigurationError("grid references ids missing from records")
             owner = by_id[rank]
         ys, xs = np.divmod(cells, grid.shape[1])
-        x0, y0, w, h = np.array([r.bbox for r in records], dtype=np.int64).reshape(-1, 4)[owner].T
+        x0, y0, w, h = bbox[owner].T
         outside = (xs < x0) | (xs >= x0 + w) | (ys < y0) | (ys >= y0 + h)
         if outside.any():
-            rec = records[owner[outside].min()]
+            k = owner[outside].min()
             raise ConfigurationError(
-                f"bbox {rec.bbox} does not enclose instance {rec.instance_id}"
+                f"bbox {tuple(bbox[k].tolist())} does not enclose instance {ids[k]}"
             )
         object.__setattr__(self, "instance_grid", _frozen(grid))
-        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "records", _frozen(records))
 
     def next_free_id(self) -> int:
-        return max((r.instance_id for r in self.records), default=-1) + 1
+        return int(self.records["id"].max(initial=-1)) + 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InstanceMap):
             return NotImplemented
-        return (
-            np.array_equal(self.instance_grid, other.instance_grid)
-            and self.records == other.records
+        return np.array_equal(self.instance_grid, other.instance_grid) and np.array_equal(
+            self.records, other.records
         )
 
 
@@ -365,20 +366,39 @@ def _label_boxes(labels: np.ndarray, n: int) -> np.ndarray:
     Row k - 1 holds label k's (row start, row stop, column start, column
     stop), stops exclusive, as slices would take them.
     """
-    ys, xs = np.nonzero(labels)
-    order = np.argsort(labels[ys, xs], kind="stable")
-    ys, xs = ys[order], xs[order]
-    counts = np.bincount(labels.ravel(), minlength=n + 1)[1:]
+    flat = labels.ravel()
+    cells = np.flatnonzero(flat)
+    cells = cells[np.argsort(flat[cells], kind="stable")]  # row-major within a label
+    counts = np.bincount(flat[cells], minlength=n + 1)[1:]
     starts = np.cumsum(counts) - counts
-    return np.stack(
-        [
-            ys[starts],  # cells stay row-major within a label
-            ys[starts + counts - 1] + 1,
-            np.minimum.reduceat(xs, starts),
-            np.maximum.reduceat(xs, starts) + 1,
-        ],
-        axis=1,
-    )
+    ys, xs = np.divmod(cells, labels.shape[1])
+    boxes = np.empty((n, 4), dtype=np.int64)
+    boxes[:, 0] = ys[starts]
+    boxes[:, 1] = ys[starts + counts - 1] + 1
+    boxes[:, 2] = np.minimum.reduceat(xs, starts)
+    boxes[:, 3] = np.maximum.reduceat(xs, starts) + 1
+    return boxes
+
+
+def _grid_records(classes: np.ndarray, grid: np.ndarray, n: int) -> np.ndarray:
+    """The records of a grid whose ids 0..n-1 each hold a cell, in id order.
+
+    Each row takes its class from its cells and its bbox from their extent,
+    and its affine places it at the bbox origin at unit scale; one
+    _label_boxes pass over the ids, shifted to 1..n, gives every bbox.
+    """
+    records = np.zeros(n, dtype=RECORD_DTYPE)
+    records["id"] = np.arange(n)
+    on = grid != BACKGROUND_ID
+    records["cls"][grid[on]] = classes[on]
+    y0, y1, x0, x1 = _label_boxes(grid + 1, n).T
+    bbox, affine = records["bbox"], records["affine"]
+    bbox[:, 0] = affine[:, 0] = x0
+    bbox[:, 1] = affine[:, 1] = y0
+    bbox[:, 2] = x1 - x0
+    bbox[:, 3] = y1 - y0
+    affine[:, 2:] = 1.0
+    return records
 
 
 def extract_instances(classes: np.ndarray) -> InstanceMap:
@@ -386,28 +406,18 @@ def extract_instances(classes: np.ndarray) -> InstanceMap:
 
     One _label_components call per thing class numbers the class's
     components in raster order of their first cell, so component k gets
-    the next free id plus k - 1, and _label_boxes gives every bounding box
-    at once. Only callers that need a layout build one: segment returns
-    the semantic map alone.
+    the next free id plus k - 1; _grid_records then reads every record off
+    the grid at once. Only callers that need a layout build one: segment
+    returns the semantic map alone.
     """
-    h, w = classes.shape
-    grid = np.full((h, w), BACKGROUND_ID, dtype=np.int32)
-    records = []
+    grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
+    n = 0
     for cls in THING_CLASSES:
-        labels, n = _label_components(classes == cls)
-        first = len(records)
+        labels, count = _label_components(classes == cls)
         inside = labels > 0
-        grid[inside] = labels[inside] + (first - 1)
-        for k, (y0, y1, x0, x1) in enumerate(_label_boxes(labels, n).tolist()):
-            records.append(
-                InstanceRecord(
-                    instance_id=first + k,
-                    class_id=cls,
-                    bbox=(x0, y0, x1 - x0, y1 - y0),
-                    affine=(float(x0), float(y0), 1.0, 1.0),
-                )
-            )
-    return InstanceMap(instance_grid=grid, records=tuple(records))
+        grid[inside] = labels[inside] + (n - 1)
+        n += count
+    return InstanceMap(instance_grid=grid, records=_grid_records(classes, grid, n))
 
 
 def segment(scenarios: Sequence[Scenario], style: StyleModel) -> list[SemanticMap]:
@@ -607,40 +617,32 @@ def _fits(
 def _add_instance(
     cells: bytearray,
     grid: np.ndarray,
-    records: list[InstanceRecord],
     template: _Template,
     top: int,
     left: int,
     class_id: int,
+    inst_id: int,
 ) -> None:
-    """Paint a fitting template into cells and grid and record it."""
+    """Paint a fitting template into cells and grid under the given id."""
     w = WORLD_WIDTH
-    inst_id = len(records)
     for dy, a, b in template.spans:
         at = (top + dy) * w + left
         cells[at + a : at + b] = bytes((class_id,)) * (b - a)
         grid[top + dy, left + a : left + b] = inst_id
-    y_min, y_max, x_min, x_max = template.bounds
-    x0, y0 = left + x_min, top + y_min
-    records.append(
-        InstanceRecord(
-            instance_id=inst_id,
-            class_id=class_id,
-            bbox=(x0, y0, x_max - x_min + 1, y_max - y_min + 1),
-            affine=(float(x0), float(y0), 1.0, 1.0),
-        )
-    )
 
 
 def _scatter_background_things(
     rng: np.random.Generator,
     cells: bytearray,
     grid: np.ndarray,
-    records: list[InstanceRecord],
+    n_placed: int,
     n_cars: int,
     n_peds: int,
-) -> None:
+) -> int:
     """Parked cars and pedestrians on the sidewalk strips, off the road.
+
+    The first thing placed takes id n_placed, and the count of things
+    placed, n_placed included, is returned.
 
     No background thing lands on a road or lane cell, so the corridor,
     and with it each row's road span, is read once before the scatter;
@@ -676,24 +678,25 @@ def _scatter_background_things(
             top = row - mh + 1
             if not _fits(cells, free, template, top, left, kind):
                 continue
-            _add_instance(cells, grid, records, template, top, left, kind)
+            _add_instance(cells, grid, template, top, left, kind, n_placed)
             for dy, a, b in template.spans:
                 at = (top + dy) * w + left
                 free[at + a : at + b] = bytes(b - a)
             placed += 1
+            n_placed += 1
+    return n_placed
 
 
 def _place_corridor_car(
     rng: np.random.Generator,
     cells: bytearray,
     grid: np.ndarray,
-    records: list[InstanceRecord],
     centers: np.ndarray,
     side: int,
 ) -> bool:
     """One car in the driving corridor, centroid offset to one side.
 
-    It is the first thing placed, so it may cover any road or lane cell.
+    It is the first thing placed, id 0, so it may cover any road or lane cell.
     All draws of an attempt come before its fit test.
     """
     road = bytearray(np.frombuffer(cells, dtype=np.uint8) <= ClassId.LANE_MARKING)
@@ -707,7 +710,7 @@ def _place_corridor_car(
         top = row - mh + 1
         if not _fits(cells, road, template, top, left, ClassId.CAR):
             continue
-        _add_instance(cells, grid, records, template, top, left, ClassId.CAR)
+        _add_instance(cells, grid, template, top, left, ClassId.CAR, 0)
         return True
     return False
 
@@ -759,11 +762,11 @@ class ScenarioGenerator:
         classes, centers = _paint_layout(rng, curvature, offset)
         cells = bytearray(classes)  # the class grid's byte rows, for placement
         grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
-        records: list[InstanceRecord] = []
 
         label_offset = offset
+        placed = False
         if task == TaskType.AVOID_CARS:
-            placed = _place_corridor_car(rng, cells, grid, records, centers, avoid_side)
+            placed = _place_corridor_car(rng, cells, grid, centers, avoid_side)
             if placed:
                 # Steer toward the open side of the corridor car.
                 label_offset = -avoid_side * profile.avoid_gap
@@ -772,10 +775,11 @@ class ScenarioGenerator:
 
         n_cars = int(rng.integers(*SCATTER_CARS))
         n_peds = int(rng.integers(*SCATTER_PEDS))
-        _scatter_background_things(rng, cells, grid, records, n_cars, n_peds)
+        n = _scatter_background_things(rng, cells, grid, int(placed), n_cars, n_peds)
 
         semantic = SemanticMap(classes=np.frombuffer(cells, dtype=np.uint8).reshape(classes.shape))
-        instances = InstanceMap(instance_grid=grid, records=tuple(records))
+        records = _grid_records(semantic.classes, grid, n)
+        instances = InstanceMap(instance_grid=grid, records=records)
         render_seed = int(rng.integers(0, 2**63))
         scenario = render(semantic, self.styles[style], render_seed)
         label = torque_from_geometry(curvature, label_offset)

@@ -42,10 +42,20 @@ from parl.world import (
     BACKGROUND_ID,
     ClassId,
     InstanceMap,
-    InstanceRecord,
+    RECORD_DTYPE,
     SemanticMap,
     THING_CLASSES,
 )
+
+
+def _row(instances, inst_id):
+    """The record table's row for an id, as (id, class, bbox, affine) Python values."""
+    [row] = instances.records[instances.records["id"] == inst_id].tolist()
+    return row[0], row[1], tuple(row[2].tolist()), tuple(row[3].tolist())
+
+
+def _rows(instances):
+    return [_row(instances, i) for i in instances.records["id"].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +80,9 @@ def test_fit_where_counts_match_instances(layouts):
     where = fit_where(layouts)
     by_class = np.zeros(N_CLASSES)
     for _, instances in layouts:
-        for rec in instances.records:
-            if (instances.instance_grid == rec.instance_id).any():
-                by_class[rec.class_id] += 1
+        for inst_id, cls, _, _ in _rows(instances):
+            if (instances.instance_grid == inst_id).any():
+                by_class[cls] += 1
     assert np.array_equal(where.class_counts(), by_class)
     assert np.array_equal(where.fitted, by_class > 0)
 
@@ -260,10 +270,10 @@ def test_insertion_writes_exactly_one_instance(layouts, predictors, class_id):
     base = layouts[0]
     candidate = _first_insertion(where, what, base, class_id)
     assert len(candidate.inserted) == 1
-    rec = candidate.inserted[0]
-    assert rec.class_id == class_id
+    inst_id, cls, _, _ = _row(candidate.instances, candidate.inserted[0])
+    assert cls == class_id
     assert len(candidate.instances.records) == len(base[1].records) + 1
-    mask = candidate.instances.instance_grid == rec.instance_id
+    mask = candidate.instances.instance_grid == inst_id
     assert mask.any()
     # Inserted cells were free background; everything else is untouched.
     assert (base[1].instance_grid[mask] == BACKGROUND_ID).all()
@@ -277,22 +287,21 @@ def test_insertion_writes_exactly_one_instance(layouts, predictors, class_id):
 def test_insertion_bbox_matches_mask(layouts, predictors):
     where, what = predictors
     candidate = _first_insertion(where, what, layouts[1], ClassId.CAR)
-    rec = candidate.inserted[0]
-    ys, xs = np.nonzero(candidate.instances.instance_grid == rec.instance_id)
-    assert rec.bbox == (int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
+    inst_id, _, bbox, _ = _row(candidate.instances, candidate.inserted[0])
+    ys, xs = np.nonzero(candidate.instances.instance_grid == inst_id)
+    assert bbox == (int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
 
 
 def test_insertion_keeps_separation_gap(layouts, predictors):
     where, what = predictors
     base = layouts[2]
     candidate = _first_insertion(where, what, base, ClassId.CAR)
-    rec = candidate.inserted[0]
-    x, y, w, h = rec.bbox
+    _, cls, (x, y, w, h), _ = _row(candidate.instances, candidate.inserted[0])
     grid_h, grid_w = base[0].classes.shape
     window = base[0].classes[
         max(y - 1, 0) : min(y + h + 1, grid_h), max(x - 1, 0) : min(x + w + 1, grid_w)
     ]
-    assert not (window == rec.class_id).any()
+    assert not (window == cls).any()
 
 
 def test_insertion_deterministic(layouts, predictors):
@@ -301,22 +310,25 @@ def test_insertion_deterministic(layouts, predictors):
     b = _first_insertion(where, what, layouts[0], ClassId.CAR, seeds=range(40))
     assert np.array_equal(a.semantic.classes, b.semantic.classes)
     assert np.array_equal(a.instances.instance_grid, b.instances.instance_grid)
-    assert a.inserted == b.inserted
+    assert a.inserted.tolist() == b.inserted.tolist()
 
 
 def test_candidate_requires_known_inserted_record(layouts):
     semantic, instances = layouts[0]
-    foreign = instances.records[0]
+    foreign = int(instances.records["id"][0])
     stripped = instances.records[1:]
-    from parl.world import InstanceMap
 
     grid = instances.instance_grid.copy()
-    grid[grid == foreign.instance_id] = BACKGROUND_ID
+    grid[grid == foreign] = BACKGROUND_ID
     smaller = InstanceMap(instance_grid=grid, records=stripped)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DegenerateInputError, match=f"inserted id {foreign} missing"):
         AugmentationCandidate(
-            semantic=semantic, instances=smaller, inserted=(foreign,), source_sample_id=0
+            semantic=semantic, instances=smaller, inserted=[foreign], source_sample_id=0
         )
+    kept = AugmentationCandidate(
+        semantic=semantic, instances=instances, inserted=[foreign], source_sample_id=0
+    )
+    assert kept.inserted.dtype == np.int64 and not kept.inserted.flags.writeable
 
 
 def test_candidate_score_range_validated(layouts):
@@ -410,9 +422,9 @@ def test_score_attaches_value(layouts, predictors, scorer):
 def _with_cellless_record(layout, instance_id):
     """The layout plus a record of the given id that owns no cell."""
     semantic, instances = layout
-    extra = InstanceRecord(instance_id, ClassId.CAR, (0, 0, 1, 1), (0.0, 0.0, 1.0, 1.0))
+    extra = np.array([(instance_id, ClassId.CAR, (0, 0, 1, 1), (0.0, 0.0, 1.0, 1.0))], RECORD_DTYPE)
     return semantic, InstanceMap(
-        instance_grid=instances.instance_grid, records=instances.records + (extra,)
+        instance_grid=instances.instance_grid, records=np.concatenate([instances.records, extra])
     )
 
 
@@ -460,31 +472,27 @@ def _layout_with_corruption(layouts, corrupt, seeds=range(20)):
 def test_corrupt_relocate_moves_one_record(layouts):
     source, bad = _layout_with_corruption(layouts, corrupt_relocate)
     assert len(bad[1].records) == len(source[1].records)
-    moved = [
-        (a, b)
-        for a, b in zip(source[1].records, bad[1].records)
-        if a.bbox != b.bbox
-    ]
+    moved = [(a, b) for a, b in zip(_rows(source[1]), _rows(bad[1])) if a[2] != b[2]]
     assert len(moved) == 1
     old, new = moved[0]
-    assert old.instance_id == new.instance_id and old.class_id == new.class_id
+    assert old[:2] == new[:2]
     # The blob now sits where the source layout had pure scenery.
-    mask = bad[1].instance_grid == new.instance_id
+    mask = bad[1].instance_grid == new[0]
     assert np.isin(source[0].classes[mask], (ClassId.BUILDING, ClassId.VEGETATION)).all()
 
 
 def test_corrupt_overlap_adds_touching_duplicate(layouts):
     source, bad = _layout_with_corruption(layouts, corrupt_overlap)
     assert len(bad[1].records) == len(source[1].records) + 1
-    new = bad[1].records[-1]
+    new = _rows(bad[1])[-1]
     twin = next(
         r
-        for r in source[1].records
-        if r.class_id == new.class_id and r.instance_id != new.instance_id
-        and abs(r.bbox[0] - new.bbox[0]) + abs(r.bbox[1] - new.bbox[1]) == 1
+        for r in _rows(source[1])
+        if r[1] == new[1] and r[0] != new[0]
+        and abs(r[2][0] - new[2][0]) + abs(r[2][1] - new[2][1]) == 1
     )
-    new_mask = bad[1].instance_grid == new.instance_id
-    twin_mask = bad[1].instance_grid == twin.instance_id
+    new_mask = bad[1].instance_grid == new[0]
+    twin_mask = bad[1].instance_grid == twin[0]
     grown = np.zeros_like(new_mask)
     ys, xs = np.nonzero(new_mask)
     h, w = new_mask.shape
@@ -497,17 +505,13 @@ def test_corrupt_overlap_adds_touching_duplicate(layouts):
 
 def test_corrupt_giant_scales_threefold(layouts):
     source, bad = _layout_with_corruption(layouts, corrupt_giant)
-    changed = [
-        (a, b)
-        for a, b in zip(source[1].records, bad[1].records)
-        if a.bbox[2:] != b.bbox[2:]
-    ]
+    changed = [(a, b) for a, b in zip(_rows(source[1]), _rows(bad[1])) if a[2][2:] != b[2][2:]]
     assert len(changed) == 1
     old, new = changed[0]
-    assert new.bbox[2] == 3 * old.bbox[2]
-    assert new.bbox[3] == 3 * old.bbox[3]
-    old_area = (source[1].instance_grid == old.instance_id).sum()
-    new_area = (bad[1].instance_grid == new.instance_id).sum()
+    assert new[2][2] == 3 * old[2][2]
+    assert new[2][3] == 3 * old[2][3]
+    old_area = (source[1].instance_grid == old[0]).sum()
+    new_area = (bad[1].instance_grid == new[0]).sum()
     assert new_area == 9 * old_area
 
 
@@ -601,7 +605,7 @@ def test_augment_deterministic(layouts, predictors, scorer):
     for a, b in zip(*runs):
         assert np.array_equal(a.semantic.classes, b.semantic.classes)
         assert a.score == b.score
-        assert a.inserted == b.inserted
+        assert a.inserted.tolist() == b.inserted.tolist()
 
 
 def _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold):
@@ -643,16 +647,16 @@ def _fully_occupied(layout):
     """The layout under one instance that covers every cell: no insertion fits."""
     semantic, instances = layout
     h, w = instances.instance_grid.shape
-    record = InstanceRecord(0, ClassId.CAR, (0, 0, w, h), (0.0, 0.0, 1.0, 1.0))
-    return semantic, InstanceMap(instance_grid=np.zeros((h, w), dtype=np.int32), records=(record,))
+    records = np.array([(0, ClassId.CAR, (0, 0, w, h), (0.0, 0.0, 1.0, 1.0))], RECORD_DTYPE)
+    return semantic, InstanceMap(instance_grid=np.zeros((h, w), dtype=np.int32), records=records)
 
 
 def _candidate_bytes(candidate):
     return (
         candidate.semantic.classes.tobytes(),
         candidate.instances.instance_grid.tobytes(),
-        candidate.instances.records,
-        candidate.inserted,
+        candidate.instances.records.tobytes(),
+        candidate.inserted.tobytes(),
         candidate.source_sample_id,
         candidate.score.hex(),
     )

@@ -24,7 +24,7 @@ from parl.world import (
     BACKGROUND_ID,
     ClassId,
     InstanceMap,
-    InstanceRecord,
+    RECORD_DTYPE,
     Provenance,
     Scenario,
     SemanticMap,
@@ -293,21 +293,22 @@ def _reference_crop(sample, seed):
     )
     new_grid = sample.instances.instance_grid[grid_idx]
     records = []
-    for rec in sample.instances.records:
-        ys, xs = np.nonzero(new_grid == rec.instance_id)
+    source = sample.instances.records
+    for inst_id, cls in zip(source["id"].tolist(), source["cls"].tolist()):
+        ys, xs = np.nonzero(new_grid == inst_id)
         if ys.size == 0:
             continue
         bbox = (int(xs.min()), int(ys.min()), int(xs.max() - xs.min() + 1), int(ys.max() - ys.min() + 1))
-        records.append(
-            InstanceRecord(rec.instance_id, rec.class_id, bbox, (float(bbox[0]), float(bbox[1]), w / cw, h / ch))
-        )
-    kept = {r.instance_id for r in records}
+        records.append((inst_id, cls, bbox, (float(bbox[0]), float(bbox[1]), w / cw, h / ch)))
+    kept = {r[0] for r in records}
     new_grid = np.where(np.isin(new_grid, list(kept)) if kept else False, new_grid, -1)
     return replace(
         sample,
         scenario=Scenario(pixels=sample.scenario.pixels[grid_idx], style=sample.scenario.style),
         semantic=SemanticMap(classes=classes[grid_idx]),
-        instances=InstanceMap(instance_grid=new_grid.astype(np.int32), records=tuple(records)),
+        instances=InstanceMap(
+            instance_grid=new_grid.astype(np.int32), records=np.array(records, dtype=RECORD_DTYPE)
+        ),
         provenance=Provenance.AUGMENTED,
     )
 
@@ -348,7 +349,7 @@ def test_jitter_in_place_matches_the_out_of_place_expression(
 
 def _without_records(sample):
     grid = np.full(sample.instances.instance_grid.shape, BACKGROUND_ID, dtype=np.int32)
-    return replace(sample, instances=InstanceMap(instance_grid=grid, records=()))
+    return replace(sample, instances=InstanceMap(instance_grid=grid, records=[]))
 
 
 def test_crop_matches_per_record_reference(small_dataset):
@@ -358,7 +359,7 @@ def test_crop_matches_per_record_reference(small_dataset):
         for seed in range(k, k + 4):
             got = baseline_random_resized_crop(sample, seed)
             want = _reference_crop(sample, seed)
-            assert got.instances.records == want.instances.records
+            assert got.instances.records.tobytes() == want.instances.records.tobytes()
             for a, b in (
                 (got.instances.instance_grid, want.instances.instance_grid),
                 (got.semantic.classes, want.semantic.classes),

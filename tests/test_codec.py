@@ -35,7 +35,17 @@ from parl.protocol import (
     encode_message,
 )
 from parl.styles import built_in_style, fit_style
-from parl.world import ClassId, InstanceMap, InstanceRecord, Scenario, SemanticMap
+from parl.world import (
+    RECORD_DTYPE,
+    THING_CLASSES,
+    ClassId,
+    DrivingSample,
+    InstanceMap,
+    Provenance,
+    Scenario,
+    SemanticMap,
+    TaskType,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +88,7 @@ class TestDatasetRoundTrip:
         for a, b in zip(small_dataset, out):
             assert np.array_equal(a.semantic.classes, b.semantic.classes)
             assert np.array_equal(a.instances.instance_grid, b.instances.instance_grid)
-            assert a.instances.records == b.instances.records or len(a.instances.records) == len(
-                b.instances.records
-            )
+            assert len(a.instances.records) == len(b.instances.records)
             assert a.task == b.task
             assert a.provenance == b.provenance
             assert a.scenario.style == b.scenario.style
@@ -108,22 +116,19 @@ class TestDatasetRoundTrip:
     def test_record_metadata_survives(self, small_dataset):
         src = max(small_dataset, key=lambda s: len(s.instances.records))
         out = decode_samples(encode_samples([src]))[0]
-        for a, b in zip(src.instances.records, out.instances.records):
-            assert a.instance_id == b.instance_id
-            assert a.class_id == b.class_id
-            assert a.bbox == b.bbox
-            assert b.affine == pytest.approx(a.affine, abs=1e-6)
+        a, b = src.instances.records, out.instances.records
+        assert np.array_equal(a["id"], b["id"])
+        assert np.array_equal(a["cls"], b["cls"])
+        assert np.array_equal(a["bbox"], b["bbox"])
+        assert np.allclose(a["affine"], b["affine"], rtol=0.0, atol=1e-6)
 
-
-    def test_records_decode_to_python_numbers(self, small_dataset):
-        """Records decode with int and float fields, so their repr is the generator's."""
+    def test_records_decode_to_the_in_memory_table(self, small_dataset):
+        """Records decode to a read-only RECORD_DTYPE table, so their repr is the generator's."""
         src = max(small_dataset, key=lambda s: len(s.instances.records))
         out = decode_samples(encode_samples([src]))[0]
+        assert out.instances.records.dtype == RECORD_DTYPE
+        assert not out.instances.records.flags.writeable
         assert repr(out.instances.records) == repr(src.instances.records)
-        for rec in out.instances.records:
-            assert type(rec.instance_id) is int and type(rec.class_id) is int
-            assert all(type(v) is int for v in rec.bbox)
-            assert all(type(v) is float for v in rec.affine)
 
 
 def _one_car_layout(bbox):
@@ -131,13 +136,92 @@ def _one_car_layout(bbox):
     classes[0, 0] = ClassId.CAR
     grid = np.full((16, 16), -1, dtype=np.int32)
     grid[0, 0] = 0
-    record = InstanceRecord(
-        instance_id=0, class_id=ClassId.CAR, bbox=bbox, affine=(0.0, 0.0, 1.0, 1.0)
-    )
-    return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=(record,))
+    records = np.array([(0, ClassId.CAR, bbox, (0.0, 0.0, 1.0, 1.0))], dtype=RECORD_DTYPE)
+    return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=records)
+
+
+@st.composite
+def record_tables(draw):
+    """Valid record tables over a 16x16 background grid: every field at its wire range."""
+    n = draw(st.integers(0, 6))
+    ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n, unique=True))
+    rows = [
+        (
+            i,
+            draw(st.sampled_from(THING_CLASSES)),
+            (
+                draw(st.integers(0, 2**16 - 1)),
+                draw(st.integers(0, 2**16 - 1)),
+                draw(st.integers(1, 2**16 - 1)),
+                draw(st.integers(1, 2**16 - 1)),
+            ),
+            tuple(draw(st.floats(-1e6, 1e6)) for _ in range(4)),
+        )
+        for i in ids
+    ]
+    return np.array(rows, dtype=RECORD_DTYPE)
+
+
+def _background_map(records):
+    return InstanceMap(instance_grid=np.full((16, 16), -1, dtype=np.int32), records=records)
 
 
 class TestRecordTable:
+    @settings(max_examples=60, deadline=None)
+    @given(records=record_tables())
+    def test_tables_round_trip_through_both_wire_layouts(self, records):
+        """ids, classes and bbox come back exact; affine exact in models, f32-rounded in datasets."""
+        semantic = SemanticMap(classes=np.zeros((16, 16), dtype=np.uint8))
+        instances = _background_map(records)
+        sample = DrivingSample(
+            scenario=Scenario(pixels=np.zeros((16, 16, 3), dtype=np.float32), style=0),
+            semantic=semantic,
+            instances=instances,
+            label=None,
+            task=TaskType.STRAIGHT,
+            provenance=Provenance.HUMAN,
+        )
+        blob = encode_samples([sample])
+        [decoded] = decode_samples(blob)
+        assert encode_samples([decoded]) == blob
+        layout_blob = encode_models([(semantic, instances)])
+        [(_, exact)] = decode_models(layout_blob)
+        assert encode_models([(semantic, exact)]) == layout_blob
+        for got, affine in (
+            (decoded.instances.records, records["affine"].astype(np.float32).astype(np.float64)),
+            (exact.records, records["affine"]),
+        ):
+            assert got.dtype == RECORD_DTYPE
+            for field in ("id", "cls", "bbox"):
+                assert np.array_equal(got[field], records[field])
+            assert got["affine"].tobytes() == affine.tobytes()
+
+    def test_style_record_bytes(self):
+        """A style's means and spreads go out as one block, in the per-scalar order they had."""
+        style = built_in_style(3, seed=12)
+        body = struct.pack(
+            "<BHQd", codec.KIND_STYLE, style.style, style.texture_seed, style.separation_floor
+        ) + b"".join(
+            struct.pack("<4d", *style.class_means[c], style.class_spreads[c]) for c in range(8)
+        )
+        assert encode_models([style]).endswith(struct.pack("<I", len(body)) + body)
+
+    @pytest.mark.parametrize("shape, what", [((16, 70_000), "grid width"), ((70_000, 16), "grid height")])
+    def test_a_layout_side_past_u16_is_a_configuration_error(self, shape, what):
+        """Such a layout once escaped the encoder as a bare struct.error."""
+        layout = (
+            SemanticMap(classes=np.zeros(shape, dtype=np.uint8)),
+            InstanceMap(instance_grid=np.full(shape, -1, dtype=np.int32), records=[]),
+        )
+        with pytest.raises(ConfigurationError, match=f"{what} 70000 does not fit in u16"):
+            encode_models([layout])
+
+    def test_an_instance_id_past_u32_is_a_configuration_error(self):
+        records = np.array([(2**32, ClassId.CAR, (0, 0, 1, 1), (0.0, 0.0, 1.0, 1.0))], RECORD_DTYPE)
+        layout = (SemanticMap(classes=np.zeros((16, 16), dtype=np.uint8)), _background_map(records))
+        with pytest.raises(ConfigurationError, match="instance id 4294967296 does not fit in u32"):
+            encode_models([layout])
+
     def test_layout_record_bytes(self):
         """One packed row: u32 id, u8 class, 4 x u16 bbox, 4 x f64 affine."""
         layout = _one_car_layout((0, 0, 1, 2))
@@ -167,12 +251,12 @@ class TestRecordTable:
 
     def test_non_thing_class_in_a_dataset_is_a_decode_error(self, small_dataset):
         """A record of a stuff class once escaped decode_samples as ConfigurationError."""
-        src = next(s for s in small_dataset if s.instances.records)
+        src = next(s for s in small_dataset if s.instances.records.size)
         blob = bytearray(encode_samples([src]))
         h, w = src.semantic.classes.shape
         # container(13) + length(4) + shape/style/task/provenance/flag/label(13) + grids + count(2)
         at = 13 + 4 + 13 + 5 * h * w + 2 + 4
-        assert blob[at] == src.instances.records[0].class_id
+        assert blob[at] == src.instances.records["cls"][0]
         blob[at] = ClassId.ROAD
         with pytest.raises(DecodeError, match="not an instance class"):
             decode_samples(bytes(blob))
@@ -231,9 +315,7 @@ class TestModelRoundTrip:
         cand = out[6]
         assert cand.score == artifacts["candidate"].score
         assert cand.source_sample_id == artifacts["candidate"].source_sample_id
-        assert [r.instance_id for r in cand.inserted] == [
-            r.instance_id for r in artifacts["candidate"].inserted
-        ]
+        assert cand.inserted.tolist() == artifacts["candidate"].inserted.tolist()
         assert out[7] == artifacts["report"] or out[7].to_json_dict() == artifacts[
             "report"
         ].to_json_dict()

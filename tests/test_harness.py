@@ -9,7 +9,8 @@ import pytest
 
 from parl import harness, styles
 from parl.baselines import POOLED_STYLE_ID, baseline_color_jitter
-from parl.codec import encode_models
+from parl.augment import diagnostics_json
+from parl.codec import encode_models, read_models
 from parl.config import ExperimentConfig
 from parl.errors import DegenerateInputError, FittingError, ParlError
 from parl.policy import N_FEATURES, EvaluationReport, featurize
@@ -147,6 +148,19 @@ def counted_run(tmp_path_factory):
 def test_a_run_fits_each_robots_style_once(counted_run):
     _, calls = counted_run
     assert sorted(calls) == list(range(RUN_CONFIG.robots))
+
+
+def test_scorer_diagnostics_describe_the_uploaded_layouts(counted_run):
+    """scorer_diagnostics.json scores the layouts the scorer was fitted on: the uploads."""
+    out, _ = counted_run
+    scorer = read_models(out / "models" / "predictors.dm1")[2]
+    uploads = [
+        decode_message((out / "uploads" / f"{harness.robot_key(i)}.bin").read_bytes()).body
+        for i in range(RUN_CONFIG.robots)
+    ]
+    layouts = [layout for upload in uploads for layout in upload.layouts]
+    text = (out / "scorer_diagnostics.json").read_text(encoding="utf-8")
+    assert text == diagnostics_json(scorer, layouts) + "\n"
 
 
 def test_local_models_are_the_uploaded_policies(counted_run):

@@ -46,8 +46,12 @@ def _styles(generator, small_dataset):
 def _segment_bytes(sample, style) -> bytes:
     (semantic,) = segment([sample.scenario], style)
     instances = extract_instances(semantic.classes)
+    table = instances.records
     records = [
-        (r.instance_id, int(r.class_id), r.bbox, r.affine) for r in instances.records
+        (i, c, tuple(b), tuple(a))
+        for i, c, b, a in zip(
+            table["id"].tolist(), table["cls"].tolist(), table["bbox"].tolist(), table["affine"].tolist()
+        )
     ]
     return (
         semantic.classes.tobytes()

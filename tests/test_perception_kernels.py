@@ -33,7 +33,7 @@ from parl.world import (
     THING_CLASSES,
     ClassId,
     InstanceMap,
-    InstanceRecord,
+    RECORD_DTYPE,
     Scenario,
     SemanticMap,
     _classify_stack,
@@ -156,16 +156,9 @@ def reference_extract_instances(classes):
             x0, y0 = int(xs.min()), int(ys.min())
             bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
             grid[mask] = next_id
-            records.append(
-                InstanceRecord(
-                    instance_id=next_id,
-                    class_id=cls,
-                    bbox=(x0, y0, bw, bh),
-                    affine=(float(x0), float(y0), 1.0, 1.0),
-                )
-            )
+            records.append((next_id, cls, (x0, y0, bw, bh), (float(x0), float(y0), 1.0, 1.0)))
             next_id += 1
-    return grid, tuple(records)
+    return grid, np.array(records, dtype=RECORD_DTYPE)
 
 
 def reference_erase_record(classes, grid, mask):
@@ -179,24 +172,30 @@ def reference_erase_record(classes, grid, mask):
 
 
 def reference_instance_map_check(instance_grid, records):
-    """The checks InstanceMap made, one argwhere per record."""
+    """The checks each record made of itself, then InstanceMap's, one argwhere per record.
+
+    records is a list of (id, class, bbox, affine) tuples of Python numbers.
+    """
     grid = np.ascontiguousarray(np.asarray(instance_grid, dtype=np.int32))
-    records = tuple(records)
+    for _, class_id, bbox, _ in records:
+        if class_id not in THING_CLASSES:
+            raise ConfigurationError(f"{class_id!r} is not an instance class")
+        x0, y0, w, h = bbox
+        if w <= 0 or h <= 0 or x0 < 0 or y0 < 0:
+            raise ConfigurationError(f"bad bbox {bbox}")
     ids_in_grid = set(int(v) for v in np.unique(grid)) - {BACKGROUND_ID}
-    ids_in_records = [r.instance_id for r in records]
+    ids_in_records = [r[0] for r in records]
     if len(ids_in_records) != len(set(ids_in_records)):
         raise ConfigurationError("duplicate instance ids in records")
     if not ids_in_grid <= set(ids_in_records):
         raise ConfigurationError("grid references ids missing from records")
-    for rec in records:
-        cells = np.argwhere(grid == rec.instance_id)
+    for instance_id, _, bbox, _ in records:
+        cells = np.argwhere(grid == instance_id)
         if cells.size:
-            x0, y0, w, h = rec.bbox
+            x0, y0, w, h = bbox
             ys, xs = cells[:, 0], cells[:, 1]
             if xs.min() < x0 or xs.max() >= x0 + w or ys.min() < y0 or ys.max() >= y0 + h:
-                raise ConfigurationError(
-                    f"bbox {rec.bbox} does not enclose instance {rec.instance_id}"
-                )
+                raise ConfigurationError(f"bbox {bbox} does not enclose instance {instance_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,9 @@ def instance_maps(draw):
     which InstanceMap looks up by a sorted search. There most records cover
     every grid id, so the bbox checks run rather than the missing-id check
     firing first; extra records may duplicate an id, and sometimes one id
-    loses its record.
+    loses its record. Now and then a record has a stuff class or a bbox
+    with a negative corner or an empty side, which the table checks reject
+    before any lookup. Records come as (id, class, bbox, affine) tuples.
     """
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     if draw(st.booleans()):
@@ -333,9 +334,15 @@ def instance_maps(draw):
             x0, y0, bw, bh = draw(st.integers(0, 5)), draw(st.integers(0, 5)), 1, 1
         dx, dy, dw, dh = draw(st.tuples(*[st.integers(-1, 1)] * 4))
         bbox = (max(x0 + dx, 0), max(y0 + dy, 0), max(bw + dw, 1), max(bh + dh, 1))
+        if draw(st.integers(0, 19)) == 0:
+            field = draw(st.integers(0, 3))
+            bad = draw(st.sampled_from([-1, 0] if field >= 2 else [-2, -1]))
+            bbox = bbox[:field] + (bad,) + bbox[field + 1 :]
         class_id = draw(st.sampled_from(THING_CLASSES))
-        records.append(InstanceRecord(rid, class_id, bbox, (0.0, 0.0, 1.0, 1.0)))
-    return grid, tuple(records)
+        if draw(st.integers(0, 19)) == 0:
+            class_id = draw(st.sampled_from([ClassId.ROAD, ClassId.SIDEWALK, N_CLASSES, 255]))
+        records.append((rid, class_id, bbox, (0.0, 0.0, 1.0, 1.0)))
+    return grid, records
 
 
 def bool_masks(min_side, max_side):
@@ -502,15 +509,16 @@ def test_extract_instances_matches_per_component_loop(classes):
     got = extract_instances(classes)
     grid, records = reference_extract_instances(classes)
     assert np.array_equal(got.instance_grid, grid)
-    assert got.records == records
+    assert got.records.tobytes() == records.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=instance_maps())
 def test_instance_map_raises_exactly_where_reference_does(case):
-    grid, records = case
+    grid, rows = case
+    records = np.array(rows, dtype=RECORD_DTYPE)
     try:
-        reference_instance_map_check(grid, records)
+        reference_instance_map_check(grid, rows)
     except ConfigurationError as exc:
         with pytest.raises(ConfigurationError) as got:
             InstanceMap(instance_grid=grid, records=records)
@@ -518,7 +526,8 @@ def test_instance_map_raises_exactly_where_reference_does(case):
     else:
         built = InstanceMap(instance_grid=grid, records=records)
         assert np.array_equal(built.instance_grid, grid)
-        assert built.records == records
+        assert built.records.tobytes() == records.tobytes()
+        assert not built.records.flags.writeable
 
 
 @settings(max_examples=100, deadline=None)

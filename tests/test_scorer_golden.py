@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from parl.augment import _insertion_base, diagnostics_json, make_corruptions, sample_insertion
-from parl.world import BACKGROUND_ID, ClassId, InstanceMap, InstanceRecord, SemanticMap
+from parl.world import BACKGROUND_ID, ClassId, InstanceMap, SemanticMap
 
 # (layout index, class, seed); every entry yields a candidate.
 INSERTIONS = [
@@ -42,20 +42,18 @@ def _window(layout, rows, cols):
     semantic, instances = layout
     classes = semantic.classes[rows, cols]
     grid = instances.instance_grid[rows, cols]
-    records = []
-    for rec in instances.records:
-        mask = grid == rec.instance_id
-        bbox = _bbox(mask) if mask.any() else rec.bbox
-        records.append(
-            InstanceRecord(rec.instance_id, rec.class_id, bbox, rec.affine)
-        )
-    return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=tuple(records))
+    records = instances.records.copy()
+    for k, inst_id in enumerate(records["id"].tolist()):
+        mask = grid == inst_id
+        if mask.any():
+            records["bbox"][k] = _bbox(mask)
+    return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=records)
 
 
 def _without_instances(layout):
     semantic, instances = layout
     grid = np.full(instances.instance_grid.shape, BACKGROUND_ID, dtype=np.int32)
-    return semantic, InstanceMap(instance_grid=grid, records=())
+    return semantic, InstanceMap(instance_grid=grid, records=[])
 
 
 def _fragmented(layout):
@@ -63,19 +61,19 @@ def _fragmented(layout):
     semantic, instances = layout
     grid = instances.instance_grid.copy()
     classes = semantic.classes.copy()
-    for k, rec in enumerate(instances.records):
-        ys, xs = np.nonzero(grid == rec.instance_id)
+    records = instances.records
+    for k, (inst_id, cls) in enumerate(zip(records["id"].tolist(), records["cls"].tolist())):
+        ys, xs = np.nonzero(grid == inst_id)
         if ys.size == 0:
             continue
         ys = ys + int(ys.max() - ys.min()) + 2
         if ys.max() >= grid.shape[0] or (grid[ys, xs] != BACKGROUND_ID).any():
             continue
-        grid[ys, xs] = rec.instance_id
-        classes[ys, xs] = rec.class_id
-        bbox = _bbox(grid == rec.instance_id)
-        records = list(instances.records)
-        records[k] = InstanceRecord(rec.instance_id, rec.class_id, bbox, rec.affine)
-        return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=tuple(records))
+        grid[ys, xs] = inst_id
+        classes[ys, xs] = cls
+        records = records.copy()
+        records["bbox"][k] = _bbox(grid == inst_id)
+        return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=records)
     raise AssertionError("no record can be fragmented")
 
 

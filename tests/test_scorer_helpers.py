@@ -53,12 +53,30 @@ from parl.world import (
     BACKGROUND_ID,
     ClassId,
     InstanceMap,
-    InstanceRecord,
+    RECORD_DTYPE,
     SemanticMap,
     THING_CLASSES,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None)
+
+
+class _Rec(NamedTuple):
+    """One row of a record table as Python values, for the per-record references."""
+
+    instance_id: int
+    class_id: int
+    bbox: tuple
+    affine: tuple
+
+
+def _recs(table):
+    return [
+        _Rec(i, c, tuple(b), tuple(a))
+        for i, c, b, a in zip(
+            table["id"].tolist(), table["cls"].tolist(), table["bbox"].tolist(), table["affine"].tolist()
+        )
+    ]
 
 
 @st.composite
@@ -75,8 +93,8 @@ def instance_maps(draw, shape=None):
             if ys.size
             else (0, 0, 1, 1)
         )
-        records.append(InstanceRecord(i, draw(st.sampled_from(THING_CLASSES)), bbox, (0.0, 0.0, 1.0, 1.0)))
-    return InstanceMap(instance_grid=grid, records=tuple(records))
+        records.append((i, draw(st.sampled_from(THING_CLASSES)), bbox, (0.0, 0.0, 1.0, 1.0)))
+    return InstanceMap(instance_grid=grid, records=np.array(records, dtype=RECORD_DTYPE))
 
 
 def class_grids(max_side=9):
@@ -88,8 +106,8 @@ def class_grids(max_side=9):
 def _brute_contacts(instances):
     """Per record id: a 4-neighbour cell holds another record of the same class."""
     grid = instances.instance_grid
-    class_of = {r.instance_id: r.class_id for r in instances.records}
-    contacts = {r.instance_id: False for r in instances.records}
+    class_of = {r.instance_id: r.class_id for r in _recs(instances.records)}
+    contacts = {r.instance_id: False for r in _recs(instances.records)}
     h, w = grid.shape
     for y in range(h):
         for x in range(w):
@@ -111,13 +129,13 @@ def _brute_contacts(instances):
 def test_contact_flags_match_brute_force(maps):
     # Stacked layouts must not touch each other across their edges.
     inst = _layout_instances(maps)
-    got = [(int(lay), r.instance_id, bool(c)) for lay, r, c in zip(inst.layout, inst.records, inst.contact)]
+    got = [(int(lay), i, bool(c)) for lay, i, c in zip(inst.layout, inst.ids.tolist(), inst.contact)]
     expected = []
     for lay, instances in enumerate(maps):
         contacts = _brute_contacts(instances)
         expected += [
             (lay, r.instance_id, contacts[r.instance_id])
-            for r in instances.records
+            for r in _recs(instances.records)
             if (instances.instance_grid == r.instance_id).any()
         ]
     assert got == expected
@@ -134,12 +152,12 @@ def test_stacked_instances_match_each_map_alone(maps):
     # stack; no instance may connect across that seam.
     inst = _layout_instances(maps)
     got = [
-        (int(lay), r.instance_id, int(n), tuple(box), bool(c))
-        for lay, r, n, box, c in zip(inst.layout, inst.records, inst.counts, inst.box, inst.connected)
+        (int(lay), i, int(n), tuple(box), bool(c))
+        for lay, i, n, box, c in zip(inst.layout, inst.ids.tolist(), inst.counts, inst.box, inst.connected)
     ]
     expected = []
     for lay, instances in enumerate(maps):
-        for r in instances.records:
+        for r in _recs(instances.records):
             mask = instances.instance_grid == r.instance_id
             if mask.any():
                 ys, xs = np.nonzero(mask)
@@ -191,7 +209,7 @@ _CONN4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 class _Cells(NamedTuple):
-    record: InstanceRecord
+    record: _Rec
     box: tuple
     ys: np.ndarray
     xs: np.ndarray
@@ -202,7 +220,7 @@ def _instance_cells(instances):
     grid = instances.instance_grid
     boxes = ndimage.find_objects(grid + 1)
     out = []
-    for rec in instances.records:
+    for rec in _recs(instances.records):
         i = rec.instance_id
         box = boxes[i] if 0 <= i < len(boxes) else None
         if box is None:
@@ -377,8 +395,10 @@ def scored_layouts(draw, shapes=st.tuples(st.integers(16, 26), st.integers(16, 2
             if ys.size
             else (0, 0, 1, 1)
         )
-        records.append(InstanceRecord(i, cls, bbox, (0.0, 0.0, 1.0, 1.0)))
-    return SemanticMap(classes=classes), InstanceMap(instance_grid=grid, records=tuple(records))
+        records.append((i, cls, bbox, (0.0, 0.0, 1.0, 1.0)))
+    return SemanticMap(classes=classes), InstanceMap(
+        instance_grid=grid, records=np.array(records, dtype=RECORD_DTYPE)
+    )
 
 
 WEIGHTS = [(0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4)]
@@ -474,9 +494,9 @@ def _reference_fit_where(layouts, alpha=0.5):
         rows = np.rint(np.add.reduceat(inst.ys, inst.starts) / inst.counts).astype(np.intp)
         cols = np.rint(np.add.reduceat(inst.xs, inst.starts) / inst.counts).astype(np.intp)
         py, px = _pos_bins(rows, cols, h, w)
-        sbins = np.array([scale_bin_of(r.bbox[2], r.bbox[3]) for r in inst.records], dtype=np.intp)
+        sbins = np.array([scale_bin_of(w, h) for _, _, w, h in inst.bbox.tolist()], dtype=np.intp)
         np.add.at(counts, (inst.class_ids, ctx_map[rows, cols], py * POS_BINS + px, sbins), 1)
-        n_instances += len(inst.records)
+        n_instances += inst.ids.size
     if n_instances == 0:
         raise FittingError("no instances found in the provided layouts")
     probs = _smooth_and_normalize(counts, alpha)
@@ -489,12 +509,14 @@ def _reference_fit_what(layouts):
     seen = set()
     for _, instances in layouts:
         inst = _layout_instances([instances])
-        for rec, (y0, y1, x0, x1), connected in zip(inst.records, inst.box, inst.connected):
-            seen.add(int(rec.class_id))
+        for inst_id, cls, (y0, y1, x0, x1), connected in zip(
+            inst.ids.tolist(), inst.class_ids.tolist(), inst.box, inst.connected
+        ):
+            seen.add(cls)
             if not connected:
                 continue
-            crop = instances.instance_grid[y0 : y1 + 1, x0 : x1 + 1] == rec.instance_id
-            templates.append((int(rec.class_id), scale_bin_of(crop.shape[1], crop.shape[0]), crop))
+            crop = instances.instance_grid[y0 : y1 + 1, x0 : x1 + 1] == inst_id
+            templates.append((cls, scale_bin_of(crop.shape[1], crop.shape[0]), crop))
     if not templates:
         raise FittingError("no instances found in the provided layouts")
     missing = seen - {cls for cls, _, _ in templates}
@@ -535,8 +557,10 @@ def _bits(array):
 
 def _with_cellless_record(layout, instance_id=60):
     semantic, instances = layout
-    record = InstanceRecord(instance_id, ClassId.CAR, (0, 0, 1, 1), (0.0, 0.0, 1.0, 1.0))
-    return semantic, InstanceMap(instance_grid=instances.instance_grid, records=instances.records + (record,))
+    record = np.array([(instance_id, ClassId.CAR, (0, 0, 1, 1), (0.0, 0.0, 1.0, 1.0))], RECORD_DTYPE)
+    return semantic, InstanceMap(
+        instance_grid=instances.instance_grid, records=np.concatenate([instances.records, record])
+    )
 
 
 # Mixed shapes, with a layout without instances, one with a fragmented

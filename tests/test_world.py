@@ -17,7 +17,9 @@ from parl.world import (
     TORQUE_OFFSET_GAIN,
     AgentProfile,
     ClassId,
+    InstanceMap,
     Provenance,
+    RECORD_DTYPE,
     Scenario,
     ScenarioGenerator,
     SemanticMap,
@@ -50,8 +52,9 @@ def test_class_ids_are_exact_ints(small_dataset):
     assert all(type(v) is int for v in members.values())
     assert all(type(c) is int for c in THING_CLASSES)
     decoded = decode_samples(encode_samples(small_dataset))
-    records = [r for s in small_dataset + decoded for r in s.instances.records]
-    assert records and all(type(r.class_id) is int for r in records)
+    tables = [s.instances.records for s in small_dataset + decoded]
+    assert all(t.dtype == RECORD_DTYPE for t in tables)
+    assert np.concatenate(tables).size
 
 
 def test_task_and_provenance_values():
@@ -133,18 +136,24 @@ def test_sample_maps_are_consistent(small_dataset):
         classes = sample.semantic.classes
         grid = sample.instances.instance_grid
         assert classes.shape == grid.shape
-        ids = {r.instance_id for r in sample.instances.records}
-        present = set(np.unique(grid)) - {BACKGROUND_ID}
-        assert present == ids
-        for rec in sample.instances.records:
-            cells = grid == rec.instance_id
+        records = sample.instances.records
+        present = set(np.unique(grid).tolist()) - {BACKGROUND_ID}
+        assert present == set(records["id"].tolist())
+        for inst_id, cls, bbox, affine in zip(
+            records["id"].tolist(),
+            records["cls"].tolist(),
+            records["bbox"].tolist(),
+            records["affine"].tolist(),
+        ):
+            cells = grid == inst_id
             assert cells.any()
-            assert (classes[cells] == rec.class_id).all()
-            assert rec.class_id in THING_CLASSES
+            assert (classes[cells] == cls).all()
+            assert cls in THING_CLASSES
             ys, xs = np.nonzero(cells)
-            x, y, w, h = rec.bbox
+            x, y, w, h = bbox
             assert (x, y) == (xs.min(), ys.min())
             assert (w, h) == (xs.max() - xs.min() + 1, ys.max() - ys.min() + 1)
+            assert affine == [x, y, 1.0, 1.0]
 
 
 def test_sample_covers_every_class(small_dataset):
@@ -161,15 +170,15 @@ def test_extract_instances_oracle():
     classes[15:18, 4:9] = ClassId.CAR
     inst = extract_instances(classes)
     assert len(inst.records) == 3
-    by_class = sorted((r.class_id, r.bbox) for r in inst.records)
+    by_class = sorted(zip(inst.records["cls"].tolist(), inst.records["bbox"].tolist()))
     assert by_class == [
-        (ClassId.CAR, (3, 2, 4, 3)),
-        (ClassId.CAR, (4, 15, 5, 3)),
-        (ClassId.PEDESTRIAN, (20, 10, 2, 2)),
+        (ClassId.CAR, [3, 2, 4, 3]),
+        (ClassId.CAR, [4, 15, 5, 3]),
+        (ClassId.PEDESTRIAN, [20, 10, 2, 2]),
     ]
-    for rec in inst.records:
-        cells = inst.instance_grid == rec.instance_id
-        assert (classes[cells] == rec.class_id).all()
+    for inst_id, cls in zip(inst.records["id"].tolist(), inst.records["cls"].tolist()):
+        cells = inst.instance_grid == inst_id
+        assert (classes[cells] == cls).all()
 
 
 def test_render_segment_roundtrip_smoke(generator, small_dataset):
@@ -269,3 +278,56 @@ def test_scenario_rejects_non_finite_pixels(small_dataset, value):
     pixels[3, 5, 1] = value
     with pytest.raises(ConfigurationError):
         Scenario(pixels=pixels, style=0)
+
+
+def _one_cell_map(*rows):
+    """A 4x4 grid whose cell (1, 2) holds id 0, with the given record rows."""
+    grid = np.full((4, 4), BACKGROUND_ID, dtype=np.int32)
+    grid[1, 2] = 0
+    return grid, np.array(list(rows), dtype=RECORD_DTYPE)
+
+
+_UNIT = (0.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0, ClassId.SIDEWALK, (2, 1, 1, 1), _UNIT)], "7 is not an instance class"),
+        ([(0, 255, (2, 1, 1, 1), _UNIT)], "255 is not an instance class"),
+        ([(0, ClassId.CAR, (2, 1, 0, 1), _UNIT)], r"bad bbox \(2, 1, 0, 1\)"),
+        ([(0, ClassId.CAR, (2, 1, 1, -1), _UNIT)], r"bad bbox \(2, 1, 1, -1\)"),
+        ([(0, ClassId.CAR, (-1, 1, 4, 1), _UNIT)], r"bad bbox \(-1, 1, 4, 1\)"),
+        # The first bad row decides, its class before its bbox.
+        (
+            [(0, ClassId.CAR, (2, 1, 1, 0), _UNIT), (1, ClassId.ROAD, (0, 0, 0, 0), _UNIT)],
+            r"bad bbox \(2, 1, 1, 0\)",
+        ),
+        ([(1, ClassId.CAR, (2, 1, 1, 1), _UNIT)], "grid references ids missing from records"),
+        ([], "grid references ids missing from records"),
+        (
+            [(0, ClassId.CAR, (2, 1, 1, 1), _UNIT), (0, ClassId.CAR, (0, 0, 1, 1), _UNIT)],
+            "duplicate instance ids in records",
+        ),
+        ([(0, ClassId.CAR, (0, 0, 2, 2), _UNIT)], r"bbox \(0, 0, 2, 2\) does not enclose instance 0"),
+        (
+            [(5, ClassId.CAR, (0, 0, 1, 1), _UNIT), (0, ClassId.PEDESTRIAN, (2, 1, 1, 3), _UNIT)],
+            None,
+        ),
+    ],
+)
+def test_instance_map_checks_every_row_of_its_table(rows, message):
+    grid, records = _one_cell_map(*rows)
+    if message is None:
+        built = InstanceMap(instance_grid=grid, records=records)
+        assert built.records.dtype == RECORD_DTYPE and not built.records.flags.writeable
+        assert built.next_free_id() == 6
+        return
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        InstanceMap(instance_grid=grid, records=records)
+
+
+def test_instance_map_takes_a_one_dimensional_table():
+    grid, records = _one_cell_map((0, ClassId.CAR, (2, 1, 1, 1), _UNIT))
+    with pytest.raises(ConfigurationError, match="1-D table"):
+        InstanceMap(instance_grid=grid, records=records.reshape(1, 1))
