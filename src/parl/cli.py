@@ -41,9 +41,10 @@ from .harness import (
     resolve_output_dir,
     robot_key,
     run_experiment,
+    score_arms,
     write_inputs,
 )
-from .policy import evaluate, featurize
+from .policy import EvaluationReport, featurize
 from .styles import fit_style
 
 _FLAG_HELP = {
@@ -129,35 +130,35 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _rescore(run_dir: Path):
-    """Recompute every saved model's evaluation from persisted artifacts."""
+    """Score each saved model with `harness.score_arms`, as `parl run` scored it.
+
+    A robot's holdout is featurized once under `fit_style` of its training
+    split, for all of its models, and once under the pooled style, for the
+    centralized model. An arm and robot without a model file is left out.
+    """
     config, train, holdout = read_inputs(run_dir)
-    fitted = {robot: fit_style(train[robot]) for robot in range(config.robots)}
-    arms: dict[str, dict] = {}
-    for robot in range(config.robots):
-        key = robot_key(robot)
-        saved = [
-            (arm, run_dir / pattern.format(key=key)) for arm, pattern in ARM_MODEL_FILES.items()
-        ]
-        saved = [(arm, path) for arm, path in saved if path.exists()]
-        if not saved:
-            continue
-        # One featurization of the holdout serves all of this robot's arms.
-        features = featurize(holdout[robot], fitted[robot])
-        for arm, path in saved:
-            (model,) = codec.read_models(path)
-            arms.setdefault(arm, {})[key] = evaluate(
-                model, holdout[robot], features, config.fail_threshold
-            )
+    keys = {robot_key(robot): robot for robot in range(config.robots)}
+    holdouts = {key: holdout[robot] for key, robot in keys.items()}
+    models: dict[str, dict] = {}
+    for key in keys:
+        for arm, pattern in ARM_MODEL_FILES.items():
+            path = run_dir / pattern.format(key=key)
+            if path.exists():
+                (model,) = codec.read_models(path)
+                models.setdefault(arm, {})[key] = model
+    features = {
+        key: featurize(holdouts[key], fit_style(train[robot]))
+        for key, robot in keys.items()
+        if any(key in robots for robots in models.values())
+    }
+    central_features = {}
     central_path = run_dir / CENTRALIZED_MODEL_FILE
     if central_path.exists():
         (central,) = codec.read_models(central_path)
-        style = pooled_style([s for r in range(config.robots) for s in train[r]])
-        for robot in range(config.robots):
-            features = featurize(holdout[robot], style)
-            arms.setdefault(ARM_CENTRALIZED, {})[robot_key(robot)] = evaluate(
-                central, holdout[robot], features, config.fail_threshold
-            )
-    return config, arms
+        models[ARM_CENTRALIZED] = dict.fromkeys(keys, central)
+        style = pooled_style([s for robot in keys.values() for s in train[robot]])
+        central_features = {key: featurize(holdouts[key], style) for key in keys}
+    return score_arms(models, holdouts, features, central_features, config.fail_threshold)
 
 
 def _read_report(path: Path) -> dict:
@@ -172,20 +173,42 @@ def _read_report(path: Path) -> dict:
     return doc
 
 
-def _verify_mismatch(got, want) -> Optional[str]:
-    """Why a recomputed evaluation disagrees with its report.json entry, or None."""
-    fields = ("overall_error", "overall_failure_rate")
+def _leaves(doc: dict, prefix: tuple = ()) -> dict:
+    """A JSON object's leaves by key path: {"a": {"b": 1}} gives {("a", "b"): 1}."""
+    out = {}
+    for key, value in doc.items():
+        path = (*prefix, key)
+        out.update(_leaves(value, path) if isinstance(value, dict) else {path: value})
+    return out
+
+
+def _verify_mismatch(got: EvaluationReport, want) -> Optional[str]:
+    """Why a recomputed evaluation disagrees with its report.json entry, or None.
+
+    Every field is compared, a per-task map task by task: the entry must
+    name the same tasks, floats must agree within 1e-9, and task counts and
+    fail_threshold must be equal.
+    """
     if not isinstance(want, dict):
         return "report.json entry is not an object"
+    fields, saved = _leaves(got.to_json_dict()), _leaves(want)
+    name = ".".join
     # Exact types: a JSON true or false decodes to a bool, which isinstance counts as an int.
-    missing = [field for field in fields if type(want.get(field)) not in (int, float)]
-    if missing:
-        return f"report.json entry has no numeric {' or '.join(missing)}"
-    # Written so that a NaN in report.json is a mismatch.
+    malformed = [f"no numeric {name(p)}" for p in fields if type(saved.get(p)) not in (int, float)]
+    malformed += [f"unexpected {name(p)}" for p in saved if p not in fields]
+    if malformed:
+        return "report.json entry has " + ", ".join(malformed)
+
+    def agrees(path: tuple, value) -> bool:
+        if path[0] in ("fail_threshold", "per_task_count"):
+            return type(saved[path]) is type(value) and saved[path] == value
+        # Written so that a NaN in report.json is a mismatch.
+        return abs(value - saved[path]) <= 1e-9
+
     differing = [
-        f"{field} {getattr(got, field)!r} vs saved {want[field]!r}"
-        for field in fields
-        if not abs(getattr(got, field) - want[field]) <= 1e-9
+        f"{name(path)} {value!r} vs saved {saved[path]!r}"
+        for path, value in fields.items()
+        if not agrees(path, value)
     ]
     return "recomputed " + ", ".join(differing) if differing else None
 
@@ -199,7 +222,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not (run_dir / "report.json").exists():
             raise ConfigurationError(f"no report.json under {run_dir} to verify against")
         saved = _read_report(run_dir / "report.json")["arms"]
-    _, arms = _rescore(run_dir)
+    arms = _rescore(run_dir)
     for arm in sorted(arms):
         for key in sorted(arms[arm]):
             rep = arms[arm][key]

@@ -7,8 +7,8 @@ placement transforms quantize on the way to disk; everything else round-trips
 exactly.
 
 PARLDM1 -- models and structured artifacts (styles, policies, predictors,
-scorers, layouts, candidates, reports, float vectors). Floats are stored as
-64-bit, so these round-trip bit for bit.
+scorers, layouts, candidates, float vectors). Floats are stored as 64-bit,
+so these round-trip bit for bit.
 
 Both containers share the same envelope: a 7-byte magic, a u16 format
 version, a u32 item count, then each item as a u32 byte length followed by
@@ -32,10 +32,10 @@ carries one has its magic and version.
 
 Decoders reject with DecodeError bad magic, unknown versions, unknown item
 kinds, truncated payloads, trailing bytes, and records no encoder writes: a
-flag byte other than 0 or 1, a nonzero field behind a 0 flag, a report task
-or an array named twice, or an array its record kind does not read. A
-payload that parses but violates a model invariant is also a DecodeError,
-never a half-built object.
+flag byte other than 0 or 1, a nonzero field behind a 0 flag, an array
+named twice, or an array its record kind does not read. A payload that
+parses but violates a model invariant is also a DecodeError, never a
+half-built object.
 
 Each payload is copied once on the way out and once on the way in. An
 encoder collects its fields and buffers as parts, scenario pixels as the
@@ -54,7 +54,7 @@ import numpy as np
 
 from .augment import AugmentationCandidate, PlausibilityScorer, WhatPredictor, WherePredictor
 from .errors import ConfigurationError, DecodeError, ParlError
-from .policy import EvaluationReport, PolicyModel
+from .policy import PolicyModel
 from .styles import StyleModel
 from .world import (
     DrivingSample,
@@ -85,7 +85,7 @@ KIND_WHAT = 3
 KIND_SCORER = 4
 KIND_LAYOUT = 5
 KIND_CANDIDATE = 6
-KIND_REPORT = 7
+# Kind 7, an evaluation report, is retired: it decodes as an unknown kind.
 KIND_VECTOR = 8
 
 # Array dtype codes for the named-array encoding used by predictor records.
@@ -101,7 +101,6 @@ ModelItem = Union[
     PlausibilityScorer,
     tuple,
     AugmentationCandidate,
-    EvaluationReport,
     np.ndarray,
 ]
 
@@ -539,18 +538,6 @@ def _encode_item(item: ModelItem) -> _Writer:
         w.u32(item.source_sample_id, "source sample id")
         w.u8(0 if item.score is None else 1)
         w.f64(0.0 if item.score is None else item.score)
-    elif isinstance(item, EvaluationReport):
-        w.u8(KIND_REPORT)
-        tasks = sorted(item.per_task_error)
-        w.u16(len(tasks), "report task count")
-        for task in tasks:
-            w.short_str(task)
-            w.f64(item.per_task_error[task])
-            w.f64(item.per_task_failure_rate[task])
-            w.u32(item.per_task_count[task], "task sample count")
-        w.f64(item.overall_error)
-        w.f64(item.overall_failure_rate)
-        w.f64(item.fail_threshold)
     elif isinstance(item, np.ndarray):
         vec = np.ascontiguousarray(item, dtype=np.float64)
         if vec.ndim != 1:
@@ -623,29 +610,6 @@ def _decode_item(data: memoryview) -> ModelItem:
                 inserted=inserted,
                 source_sample_id=source,
                 score=score,
-            )
-        if kind == KIND_REPORT:
-            errs: dict[str, float] = {}
-            rates: dict[str, float] = {}
-            counts: dict[str, int] = {}
-            for _ in range(r.u16()):
-                task = r.short_str()
-                if task in errs:
-                    raise DecodeError(f"report names task {task!r} twice")
-                errs[task] = r.f64()
-                rates[task] = r.f64()
-                counts[task] = r.u32()
-            overall_error = r.f64()
-            overall_rate = r.f64()
-            threshold = r.f64()
-            r.done()
-            return EvaluationReport(
-                per_task_error=errs,
-                per_task_failure_rate=rates,
-                per_task_count=counts,
-                overall_error=overall_error,
-                overall_failure_rate=overall_rate,
-                fail_threshold=threshold,
             )
         if kind == KIND_VECTOR:
             vec = r.array("<f8", r.u32())

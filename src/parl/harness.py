@@ -11,10 +11,12 @@ splits:
   non-adapted perception
 - parl: the full round (upload, augment, crowdsource, train, fine-tune)
 
-Every arm is evaluated on the same per-robot holdout sets; the report
-stores split hashes so that can be audited. All artifacts (datasets,
-models, predictors, candidates, reports) are persisted in deterministic
-byte-exact formats, so identical configs reproduce identical files.
+Every arm is scored on the same per-robot holdout sets, by one function,
+`score_arms`: `run_experiment` calls it after the round with the models it
+holds, and `parl eval` with the models it reads back. The report stores
+split hashes so that can be audited. All artifacts (datasets, models,
+predictors, candidates, reports) are persisted in deterministic byte-exact
+formats, so identical configs reproduce identical files.
 
 This module owns a run directory's inputs, `models/styles.dm1` and each
 robot's `robot-N_{train,holdout}.ds1`: `write_inputs` writes them for
@@ -24,7 +26,7 @@ Perception runs once per (sample, style). Each robot's RobotNode fits its
 style and featurizes its train and holdout splits once, in the PARL round's
 local compute; the policy it uploads is the local arm. The jitter and crop
 arms train on the node's training features plus their own featurized
-extras, and every per-robot arm is evaluated on the node's holdout features.
+extras, and every per-robot arm is scored on the node's holdout features.
 The centralized arm featurizes under the pooled style.
 
 An appearance arm's augmented copies live only while the arm trains: each
@@ -272,9 +274,32 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
     return path if path.is_absolute() else Path(root) / path
 
 
+def score_arms(
+    models: dict[str, dict[str, PolicyModel]],
+    holdout: dict[str, Sequence[DrivingSample]],
+    features: dict[str, np.ndarray],
+    central_features: dict[str, np.ndarray],
+    fail_threshold: float,
+) -> dict[str, dict[str, EvaluationReport]]:
+    """The arms table: each arm's evaluation of its model for each robot key.
+
+    features[key] is the robot's holdout featurized under its fitted style,
+    central_features[key] the same holdout under the pooled style; the
+    centralized arm, which holds its one model under every key, reads those.
+    """
+    arms = {}
+    for arm, robots in models.items():
+        on = central_features if arm == ARM_CENTRALIZED else features
+        arms[arm] = {
+            key: evaluate(model, holdout[key], on[key], fail_threshold)
+            for key, model in robots.items()
+        }
+    return arms
+
+
 def _train_local_arm(
     robot: RobotNode, config: ExperimentConfig, extra: Sequence[DrivingSample]
-) -> tuple[PolicyModel, EvaluationReport]:
+) -> PolicyModel:
     """Train on the robot's own training features plus the featurized extras."""
     # Appearance augmentation can corrupt a sample beyond recognition (e.g.
     # jitter erasing the road); such samples are dropped rather than failing
@@ -288,9 +313,7 @@ def _train_local_arm(
     features = np.concatenate((robot.train_features, extra_features))
     samples = [*robot.train_samples, *extra]
     labels, provs = [s.label for s in samples], [s.provenance for s in samples]
-    model = train(features, labels, ridge_lambda=config.ridge_lambda, provenances=provs)
-    report = evaluate(model, robot.holdout_samples, robot.holdout_features, config.fail_threshold)
-    return model, report
+    return train(features, labels, ridge_lambda=config.ridge_lambda, provenances=provs)
 
 
 def _featurizes(sample: DrivingSample, style: StyleModel) -> bool:
@@ -307,7 +330,7 @@ def _train_appearance_arm(
     augmenter: Callable[[DrivingSample, int], DrivingSample],
     seed_base: int,
     axes: AugmenterAxes,
-) -> tuple[PolicyModel, EvaluationReport]:
+) -> PolicyModel:
     """Augment the robot's training split, tally the copies, train on them.
 
     Each training sample gets fan_out copies. The copies live only in this
@@ -340,9 +363,8 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         "generate", "harness", write_inputs, config, out
     )
 
-    arms: dict[str, dict[str, EvaluationReport]] = {
-        arm: {} for arm in (ARM_LOCAL, ARM_JITTER, ARM_CROP, ARM_CENTRALIZED, ARM_PARL)
-    }
+    # Each arm's models by robot key, scored once after the round.
+    models = {arm: {} for arm in (ARM_LOCAL, ARM_JITTER, ARM_CROP, ARM_CENTRALIZED, ARM_PARL)}
     # The appearance-augmentation arms: (arm, name in the qualitative table,
     # augmenter, seed base, stage). Each trains on the local split plus
     # fan_out augmented copies of every training sample. The table is built
@@ -368,15 +390,12 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     central_model = _stage("centralized-train", "harness", train_centralized)
     codec.write_models(out / CENTRALIZED_MODEL_FILE, [central_model])
 
-    def evaluate_centralized(holdout: list[DrivingSample]) -> EvaluationReport:
-        features = featurize(holdout, central_style)
-        return evaluate(central_model, holdout, features, config.fail_threshold)
-
-    for robot in range(config.robots):
-        key = robot_key(robot)
-        arms[ARM_CENTRALIZED][key] = _stage(
-            "centralized-eval", key, evaluate_centralized, holdout_sets[robot]
-        )
+    holdouts = {robot_key(robot): holdout_sets[robot] for robot in range(config.robots)}
+    central_features = {
+        key: _stage("centralized-eval", key, featurize, holdout, central_style)
+        for key, holdout in holdouts.items()
+    }
+    models[ARM_CENTRALIZED] = dict.fromkeys(holdouts, central_model)
 
     # The PARL round itself. Each robot's local compute in it fits the
     # robot's style, featurizes its splits and trains the local arm's policy.
@@ -403,29 +422,27 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         (out / "uploads" / f"{node}.bin").write_bytes(payload)
     for node in cloud.participants:
         key = str(node)
+        tuned = robots[node.index].tuned
         if node in cloud.acks:
-            arms[ARM_PARL][key] = cloud.acks[node]
+            models[ARM_PARL][key] = tuned
         if node in cloud.shared:
             codec.write_models(out / "models" / f"parl_shared_{key}.dm1", [cloud.shared[node]])
-        tuned = robots[node.index].tuned
         if tuned is not None:
             codec.write_models(out / ARM_MODEL_FILES[ARM_PARL].format(key=key), [tuned])
 
     # Local arm, the policy each robot uploaded, plus the appearance baselines.
     for index, robot in enumerate(robots):
         key = robot_key(index)
-        arms[ARM_LOCAL][key] = _stage(
-            "local-train", key, evaluate,
-            robot.policy, robot.holdout_samples, robot.holdout_features, config.fail_threshold,
-        )
+        models[ARM_LOCAL][key] = robot.policy
         codec.write_models(out / ARM_MODEL_FILES[ARM_LOCAL].format(key=key), [robot.policy])
         for arm, name, augmenter, seed_base, stage in appearance_arms:
-            model, report = _stage(
+            model = models[arm][key] = _stage(
                 stage, key, _train_appearance_arm,
                 robot, config, augmenter, seed_base, appearance_axes[name],
             )
-            arms[arm][key] = report
             codec.write_models(out / ARM_MODEL_FILES[arm].format(key=key), [model])
+    features = {str(robot.node_id): robot.holdout_features for robot in robots}
+    arms = score_arms(models, holdouts, features, central_features, config.fail_threshold)
 
     codec.write_models(
         out / "models" / "predictors.dm1", [cloud.where, cloud.what, cloud.scorer]

@@ -25,14 +25,16 @@ One round of the peer-assisted pipeline:
    per participant style and candidate, trains one shared policy on the
    pool and dispatches it exactly once to each robot that answered.
 5. Each robot fine-tunes toward the shared model on its training features
-   from step 1 and acks with an evaluation report on its held-out features
-   from step 1.
+   from step 1 and acks. The ack carries no report: it is the robot's
+   FINE_TUNED transition, which the cloud accepts only once it has
+   dispatched. Scoring the tuned policy is the experimenter's job, not a
+   step of the round.
 
 run_round drives the round and returns only the uploads' wire bytes. Every
 other result is read from where the round left it: the cloud's
-participants, candidates, pool, stats, shared models and acks, each
-robot's tuned policy and shared-model count, every node's stage and
-violations, and the network's log.
+participants, candidates, pool, stats, shared models and acks (the set of
+robots that acknowledged), each robot's tuned policy and shared-model
+count, every node's stage and violations, and the network's log.
 
 Messages travel as bytes through SimNetwork, so every hop exercises the
 wire format. Determinism comes from a fixed scheduling order (node id),
@@ -74,10 +76,8 @@ from .config import ExperimentConfig
 from .errors import ConfigurationError, DecodeError, ParlError, ProtocolError
 from .policy import (
     N_FEATURES,
-    EvaluationReport,
     PolicyModel,
     crowdsource_labels,
-    evaluate,
     features_from_maps,
     featurize,
     fine_tune,
@@ -221,9 +221,7 @@ class SharedModel:
 
 @dataclass(frozen=True)
 class FineTuneAck:
-    """A robot's held-out evaluation of its fine-tuned policy."""
-
-    report: EvaluationReport
+    """A robot's acknowledgement that it fine-tuned; its payload is an empty container."""
 
 
 Body = Union[UploadLocal, LabelRequest, LabelResponse, SharedModel, FineTuneAck]
@@ -265,7 +263,7 @@ def _encode_body(body: Body) -> _Writer:
     if isinstance(body, SharedModel):
         return _model_container([body.policy])
     if isinstance(body, FineTuneAck):
-        return _model_container([body.report])
+        return _model_container([])
     raise ProtocolError(f"cannot encode body {type(body).__name__}")
 
 
@@ -300,9 +298,8 @@ def _decode_body(tag: int, payload: memoryview) -> Body:
             _expect(items, (PolicyModel,), "shared model")
             return SharedModel(policy=items[0])
         if tag == _TAG_OF[FineTuneAck]:
-            items = decode_models(payload)
-            _expect(items, (EvaluationReport,), "fine-tune ack")
-            return FineTuneAck(report=items[0])
+            _expect(decode_models(payload), (), "fine-tune ack")
+            return FineTuneAck()
     except ParlError as exc:
         if isinstance(exc, DecodeError):
             raise
@@ -432,11 +429,10 @@ class RobotNode:
         # featurize(train_samples, style) from local_compute, reused when
         # fine-tuning: the robot featurizes its own data once.
         self.train_features = np.empty((0, N_FEATURES))
-        # featurize(holdout_samples, style) from local_compute: every
-        # evaluation on the held-out split reads these.
+        # featurize(holdout_samples, style) from local_compute: the harness
+        # scores every per-robot arm on these.
         self.holdout_features = np.empty((0, N_FEATURES))
         self.tuned: Optional[PolicyModel] = None
-        self.ack_report: Optional[EvaluationReport] = None
         self.shared_received = 0
         self.diagnostic: Optional[str] = None
         self.violations: list[str] = []
@@ -517,12 +513,8 @@ class RobotNode:
                     provenances=[s.provenance for s in self.train_samples],
                 )
                 self.shared_received += 1
-                self.ack_report = evaluate(
-                    self.tuned, self.holdout_samples, self.holdout_features,
-                    self.config.fail_threshold,
-                )
                 self.stage = advance_stage(self.stage, Stage.FINE_TUNED)
-                return [self._msg(FineTuneAck(report=self.ack_report))]
+                return [self._msg(FineTuneAck())]
             self._violation(body)
             return []
         except ParlError as exc:
@@ -550,7 +542,7 @@ class CloudNode:
         self.stage = Stage.LOCAL_COMPUTE
         self.uploads: dict[NodeId, UploadLocal] = {}
         self.responses: dict[NodeId, LabelResponse] = {}
-        self.acks: dict[NodeId, EvaluationReport] = {}
+        self.acks: set[NodeId] = set()
         self.candidates: list[tuple[NodeId, AugmentationCandidate]] = []
         self.stats: dict[NodeId, AugmentStats] = {}
         self.shared: dict[NodeId, PolicyModel] = {}
@@ -598,7 +590,7 @@ class CloudNode:
             if self.stage != Stage.DISPATCHED:
                 self._violation(message)
                 return []
-            self.acks[message.sender] = body.report
+            self.acks.add(message.sender)
             return []
         self._violation(message)
         return []

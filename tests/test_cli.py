@@ -2,6 +2,7 @@
 `parl gen` writing the same inputs as `parl run`, a runtime that needs no scipy or numpy.ma,
 and `parl eval` and `parl report` that load no OpenSSL."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 
 import parl
 from parl import cli, harness
-from parl.config import OUTPUT_ROOT_ENV
+from parl.config import OUTPUT_ROOT_ENV, ExperimentConfig
 
 RUN_FLAGS = ["--robots", "2", "--samples-per-task", "3"]
 
@@ -124,25 +125,122 @@ def test_nan_report_score_fails_verify(run_dir, tmp_path, capsys):
 def test_verify_names_each_field_that_differs(run_dir, tmp_path, capsys):
     saved = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["arms"]
     rate = saved["parl"]["robot-1"]["overall_failure_rate"]
-    error = saved["local"]["robot-0"]["overall_error"]
-    local_rate = saved["local"]["robot-0"]["overall_failure_rate"]
+    straight_rate = saved["parl"]["robot-1"]["per_task_failure_rate"]["straight"]
+    local = saved["local"]["robot-0"]
+    error, local_rate = local["overall_error"], local["overall_failure_rate"]
+    turn_error, turn_count = local["per_task_error"]["turn"], local["per_task_count"]["turn"]
+    threshold = local["fail_threshold"]
 
     def edit(text):
         doc = json.loads(text)
         doc["arms"]["parl"]["robot-1"]["overall_failure_rate"] = rate + 0.5
-        doc["arms"]["local"]["robot-0"]["overall_error"] = error + 0.25
-        doc["arms"]["local"]["robot-0"]["overall_failure_rate"] = local_rate + 0.5
+        doc["arms"]["parl"]["robot-1"]["per_task_failure_rate"]["straight"] = straight_rate + 0.5
+        entry = doc["arms"]["local"]["robot-0"]
+        entry["overall_error"] = error + 0.25
+        entry["overall_failure_rate"] = local_rate + 0.5
+        entry["per_task_error"]["turn"] = 0.999
+        entry["per_task_count"]["turn"] = 77
+        entry["fail_threshold"] = 0.5
         return json.dumps(doc)
 
     copy = _with_report(run_dir, tmp_path, edit)
     assert cli.main(["eval", str(copy), "--verify"]) == 2
     fails = [line for line in capsys.readouterr().out.splitlines() if "VERIFY FAIL" in line]
     assert fails == [
-        f"VERIFY FAIL: local/robot-0: recomputed overall_error {error!r} vs saved "
-        f"{error + 0.25!r}, overall_failure_rate {local_rate!r} vs saved {local_rate + 0.5!r}",
-        f"VERIFY FAIL: parl/robot-1: recomputed overall_failure_rate {rate!r} vs saved "
-        f"{rate + 0.5!r}",
+        f"VERIFY FAIL: local/robot-0: recomputed per_task_error.turn {turn_error!r} vs saved "
+        f"0.999, per_task_count.turn {turn_count!r} vs saved 77, overall_error {error!r} vs "
+        f"saved {error + 0.25!r}, overall_failure_rate {local_rate!r} vs saved "
+        f"{local_rate + 0.5!r}, fail_threshold {threshold!r} vs saved 0.5",
+        f"VERIFY FAIL: parl/robot-1: recomputed per_task_failure_rate.straight "
+        f"{straight_rate!r} vs saved {straight_rate + 0.5!r}, overall_failure_rate {rate!r} "
+        f"vs saved {rate + 0.5!r}",
     ]
+
+
+def _set(path, value):
+    """An edit of a report.json entry: the field at path, a tuple of keys, set to value."""
+
+    def edit(entry):
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+
+    return edit
+
+
+def _rename_turn(entry):
+    entry["per_task_error"]["left"] = entry["per_task_error"].pop("turn")
+
+
+@pytest.mark.parametrize(
+    "edit,why",
+    [
+        (_set(("per_task_error", "turn"), 0.999), "recomputed per_task_error.turn "),
+        (_set(("per_task_count", "turn"), 77), "recomputed per_task_count.turn "),
+        (_set(("per_task_count", "turn"), 1.0), "recomputed per_task_count.turn 1 vs saved 1.0"),
+        (_set(("fail_threshold",), 0.5), "recomputed fail_threshold 0.05 vs saved 0.5"),
+        (
+            _rename_turn,
+            "report.json entry has no numeric per_task_error.turn, "
+            "unexpected per_task_error.left",
+        ),
+        (
+            _set(("per_task_count",), [1, 1, 1]),
+            "report.json entry has no numeric per_task_count.avoid-cars, no numeric "
+            "per_task_count.straight, no numeric per_task_count.turn, unexpected per_task_count",
+        ),
+        (
+            _set(("per_task_failure_rate", "turn"), {"rate": 0.0}),
+            "report.json entry has no numeric per_task_failure_rate.turn, "
+            "unexpected per_task_failure_rate.turn.rate",
+        ),
+        (_set(("fail_threshold",), None), "report.json entry has no numeric fail_threshold"),
+        # A dotted key is not the nested field it spells.
+        (
+            _set(("per_task_error.turn",), 0.1),
+            "report.json entry has unexpected per_task_error.turn",
+        ),
+    ],
+    ids=[
+        "task-error", "task-count", "float-task-count", "threshold", "renamed-task",
+        "task-map-not-an-object", "task-rate-not-a-number", "no-threshold", "dotted-key",
+    ],
+)
+def test_verify_compares_every_field_of_an_entry(run_dir, tmp_path, capsys, edit, why):
+    def edit_entry(text):
+        doc = json.loads(text)
+        edit(doc["arms"]["local"]["robot-0"])
+        return json.dumps(doc)
+
+    copy = _with_report(run_dir, tmp_path, edit_entry)
+    assert cli.main(["eval", str(copy), "--verify"]) == 2
+    [fail] = [line for line in capsys.readouterr().out.splitlines() if "VERIFY FAIL" in line]
+    assert fail.startswith(f"VERIFY FAIL: local/robot-0: {why}")
+
+
+def test_verify_allows_floats_within_1e_9(run_dir, tmp_path, capsys):
+    def nudge(text):
+        doc = json.loads(text)
+        doc["arms"]["local"]["robot-0"]["per_task_error"]["turn"] += 1e-12
+        return json.dumps(doc)
+
+    copy = _with_report(run_dir, tmp_path, nudge)
+    assert cli.main(["eval", str(copy), "--verify"]) == 0
+    assert "VERIFY PASS" in capsys.readouterr().out
+
+
+def test_rescore_equals_the_arms_the_run_scored(tmp_path):
+    """`parl eval` and `parl run` score through one function, so their tables are equal."""
+    config = ExperimentConfig(robots=3, samples_per_task=3, output_dir=str(tmp_path))
+    report = harness.run_experiment(config)
+    arms = cli._rescore(tmp_path)
+    assert sorted(arms) == sorted(report.arms)
+    for arm, robots in report.arms.items():
+        assert sorted(arms[arm]) == sorted(robots)
+        for key, want in robots.items():
+            got = arms[arm][key]
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), (arm, key, field)
 
 
 def test_boolean_report_scores_fail_verify(run_dir, tmp_path, capsys):

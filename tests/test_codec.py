@@ -25,7 +25,7 @@ from parl.codec import (
     write_models,
 )
 from parl.errors import ConfigurationError, DecodeError
-from parl.policy import evaluate, featurize, train
+from parl.policy import featurize, train
 from parl.protocol import (
     LabelRequest,
     Message,
@@ -66,7 +66,6 @@ def artifacts(generator, small_dataset):
     candidates, _ = augment_semantic(
         layouts[:1], fan_out=2, where=where, what=what, scorer=scorer, seeds=[9], threshold=0.0
     )
-    report = evaluate(policy, small_dataset, features, 0.05)
     vector = np.linspace(-2.0, 2.0, 17)
     return {
         "style": style,
@@ -76,7 +75,6 @@ def artifacts(generator, small_dataset):
         "scorer": scorer,
         "layout": layouts[0],
         "candidate": candidates[0],
-        "report": report,
         "vector": vector,
     }
 
@@ -316,10 +314,7 @@ class TestModelRoundTrip:
         assert cand.score == artifacts["candidate"].score
         assert cand.source_sample_id == artifacts["candidate"].source_sample_id
         assert cand.inserted.tolist() == artifacts["candidate"].inserted.tolist()
-        assert out[7] == artifacts["report"] or out[7].to_json_dict() == artifacts[
-            "report"
-        ].to_json_dict()
-        assert np.array_equal(out[8], artifacts["vector"])
+        assert np.array_equal(out[7], artifacts["vector"])
 
     def test_model_floats_are_bit_exact(self, artifacts):
         out = decode_models(encode_models([artifacts["policy"]]))[0]
@@ -463,16 +458,11 @@ class TestRejection:
             with pytest.raises(DecodeError, match="label field holds data behind a 0 flag"):
                 decode_samples(bytes(blob))
 
-    def test_report_naming_a_task_twice_rejected(self):
+    def test_retired_report_kind_is_unknown(self):
+        """Kind 7 held an evaluation report; the record is retired and its kind unread."""
         entry = bytes([8]) + b"straight" + struct.pack("<ddI", 0.1, 0.5, 2)
-        record = (
-            bytes([codec.KIND_REPORT])
-            + struct.pack("<H", 2)
-            + entry
-            + entry
-            + struct.pack("<ddd", 0.1, 0.5, 0.05)
-        )
-        with pytest.raises(DecodeError, match="report names task 'straight' twice"):
+        record = bytes([7]) + struct.pack("<H", 1) + entry + struct.pack("<ddd", 0.1, 0.5, 0.05)
+        with pytest.raises(DecodeError, match="unknown model record kind 7"):
             decode_models(_one_record_container(record))
 
     @pytest.mark.parametrize(

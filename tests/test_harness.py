@@ -92,7 +92,7 @@ def test_train_local_arm_drops_exactly_the_extras_that_fail(
     for at, bad in zip(bad_at, roadless_jitters):
         extra.insert(at, bad)
     calls = _train_calls(monkeypatch)
-    model, _ = harness._train_local_arm(robot, CONFIG, extra)
+    model = harness._train_local_arm(robot, CONFIG, extra)
     [(features, labels, provenances)] = calls
     want_rows, want_labels, want_provenances = _one_at_a_time(robot, extra)
     assert features.shape == (len(robot.train_samples) + 8, N_FEATURES)

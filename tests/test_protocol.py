@@ -4,6 +4,7 @@ sequencing and the wire format of every message variant."""
 import functools
 import hashlib
 import json
+import struct
 import weakref
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from parl import cli, harness
 from parl.config import ExperimentConfig
 from parl.errors import DecodeError, ProtocolError
 from parl.harness import generate_worlds
-from parl.codec import encode_scenarios
+from parl.codec import FORMAT_VERSION, MODEL_MAGIC, encode_models, encode_scenarios
 from parl.policy import N_FEATURES, features_from_maps, train
 from parl.protocol import (
     MESSAGE_MAGIC,
@@ -104,6 +105,7 @@ def test_labels_are_affinity_weighted_policy_predictions(full_round):
     assert cloud.candidates, "the round must produce candidates to label"
     assert cloud.violations == [] and all(robot.violations == [] for robot in robots)
     assert set(cloud.responses) == {r.node_id for r in robots}
+    assert cloud.acks == {r.node_id for r in robots}
     _assert_pool(cloud, _expected_labels(cloud, cloud.participants))
     assert len(cloud.pool[1]) == len(cloud.candidates) * len(cloud.participants)
     assert cloud.stage == Stage.DONE
@@ -270,10 +272,10 @@ def test_fine_tune_ack_while_labeling_is_a_violation(worlds, full_round):
     _, done, _ = full_round
     robots, cloud, _ = _labeling(worlds)
     sender = robots[0].node_id
-    ack = FineTuneAck(report=done.acks[sender])
-    assert cloud.handle(Message(sender, cloud.node_id, 1, ack)) == []
+    assert sender in done.acks
+    assert cloud.handle(Message(sender, cloud.node_id, 1, FineTuneAck())) == []
     assert cloud.stage == Stage.LABELING
-    assert cloud.acks == {}
+    assert cloud.acks == set()
     assert cloud.violations == [
         f"{cloud.node_id}: FineTuneAck from {sender} illegal in stage LABELING"
     ]
@@ -364,6 +366,32 @@ def _with_payload(message, payload: bytes) -> bytes:
     """The message's wire bytes with its payload replaced."""
     head = encode_message(message)[:_BEFORE_LENGTH]
     return head + len(payload).to_bytes(4, "little") + payload
+
+
+def test_fine_tune_ack_carries_an_empty_container_and_nothing_else(round_messages):
+    """The ack is a stage transition: its payload is a model container with no items.
+
+    It once carried the robot's evaluation report as a kind-7 record; that
+    payload, or any other item, is now a DecodeError.
+    """
+    ack = round_messages["ack"]
+    data = encode_message(ack)
+    assert data[_HEADER:] == encode_models([])
+    assert decode_message(data) == ack
+    entry = bytes([8]) + b"straight" + struct.pack("<ddI", 0.1, 0.5, 2)
+    report = bytes([7]) + struct.pack("<H", 1) + entry + struct.pack("<ddd", 0.1, 0.5, 0.05)
+    retired = MODEL_MAGIC + struct.pack("<HII", FORMAT_VERSION, 1, len(report)) + report
+    others = [
+        b"",
+        retired,
+        encode_models([np.zeros(3)]),
+        encode_models([round_messages["shared"].body.policy]),
+    ]
+    for payload in others:
+        with pytest.raises(DecodeError):
+            decode_message(_with_payload(ack, payload))
+    with pytest.raises(DecodeError, match="unknown model record kind 7"):
+        decode_message(_with_payload(ack, retired))
 
 
 def test_label_request_carries_only_scenarios(round_messages):
