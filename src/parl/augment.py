@@ -61,6 +61,7 @@ from .world import (
     THING_CLASSES,
     _frozen,
     _label_components,
+    _shape_chunks,
 )
 
 Layout = tuple[SemanticMap, InstanceMap]
@@ -255,17 +256,9 @@ _LAYOUT_CHUNK = 16
 
 
 def _layout_chunks(layouts: Sequence[Layout]) -> Iterator[np.ndarray]:
-    """The layouts' positions grouped by grid shape, in chunks of at most _LAYOUT_CHUNK.
-
-    Shapes come in order of first appearance, and positions ascend within
-    a chunk.
-    """
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, (semantic, _) in enumerate(layouts):
-        by_shape.setdefault(semantic.classes.shape, []).append(i)
-    for positions in by_shape.values():
-        for lo in range(0, len(positions), _LAYOUT_CHUNK):
-            yield np.array(positions[lo : lo + _LAYOUT_CHUNK])
+    """The layouts' positions in shape chunks (world._shape_chunks) of at most _LAYOUT_CHUNK."""
+    for positions in _shape_chunks((s.classes.shape for s, _ in layouts), _LAYOUT_CHUNK):
+        yield np.array(positions)
 
 
 FILL_BIN_EDGES = (0.55, 0.7, 0.85)

@@ -13,8 +13,10 @@ file first and flags override it. Exit codes: 0 on success, 2 when --check
 finds an acceptance problem or eval --verify finds a mismatch, 3 on any
 configuration error (bad flag, bad file, unknown key).
 
-The harness writes and reads a run directory's inputs (`write_inputs`,
-`read_inputs`); this module names none of their files.
+The harness writes a run directory's inputs and models and scores them
+(`write_inputs`, `run_experiment`, `rescore`); this module names none of
+the split or model files, and `eval` only prints the scores and compares
+them with report.json.
 """
 
 from __future__ import annotations
@@ -26,26 +28,19 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import codec
-from .baselines import pooled_style
 from .config import ExperimentConfig, read_config, write_config
 from .errors import ConfigurationError, ParlError
 from .harness import (
-    ARM_CENTRALIZED,
-    ARM_MODEL_FILES,
-    CENTRALIZED_MODEL_FILE,
     StageFailure,
     check_acceptance,
-    read_inputs,
     render_markdown,
+    rescore,
     resolve_output_dir,
     robot_key,
     run_experiment,
-    score_arms,
     write_inputs,
 )
-from .policy import EvaluationReport, featurize
-from .styles import fit_style
+from .policy import EvaluationReport
 
 _FLAG_HELP = {
     "robots": "number of robot agents",
@@ -129,38 +124,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rescore(run_dir: Path):
-    """Score each saved model with `harness.score_arms`, as `parl run` scored it.
-
-    A robot's holdout is featurized once under `fit_style` of its training
-    split, for all of its models, and once under the pooled style, for the
-    centralized model. An arm and robot without a model file is left out.
-    """
-    config, train, holdout = read_inputs(run_dir)
-    keys = {robot_key(robot): robot for robot in range(config.robots)}
-    holdouts = {key: holdout[robot] for key, robot in keys.items()}
-    models: dict[str, dict] = {}
-    for key in keys:
-        for arm, pattern in ARM_MODEL_FILES.items():
-            path = run_dir / pattern.format(key=key)
-            if path.exists():
-                (model,) = codec.read_models(path)
-                models.setdefault(arm, {})[key] = model
-    features = {
-        key: featurize(holdouts[key], fit_style(train[robot]))
-        for key, robot in keys.items()
-        if any(key in robots for robots in models.values())
-    }
-    central_features = {}
-    central_path = run_dir / CENTRALIZED_MODEL_FILE
-    if central_path.exists():
-        (central,) = codec.read_models(central_path)
-        models[ARM_CENTRALIZED] = dict.fromkeys(keys, central)
-        style = pooled_style([s for robot in keys.values() for s in train[robot]])
-        central_features = {key: featurize(holdouts[key], style) for key in keys}
-    return score_arms(models, holdouts, features, central_features, config.fail_threshold)
-
-
 def _read_report(path: Path) -> dict:
     """report.json's document; unreadable JSON, or no table of arms, is a configuration error."""
     try:
@@ -222,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not (run_dir / "report.json").exists():
             raise ConfigurationError(f"no report.json under {run_dir} to verify against")
         saved = _read_report(run_dir / "report.json")["arms"]
-    arms = _rescore(run_dir)
+    arms = rescore(run_dir)
     for arm in sorted(arms):
         for key in sorted(arms[arm]):
             rep = arms[arm][key]

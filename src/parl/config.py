@@ -123,5 +123,10 @@ def write_config(path, config: ExperimentConfig) -> None:
 
 
 def read_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """The config a file holds; a file unreadable as UTF-8 text is a configuration error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text)

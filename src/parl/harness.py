@@ -13,21 +13,23 @@ splits:
 
 Every arm is scored on the same per-robot holdout sets, by one function,
 `score_arms`: `run_experiment` calls it after the round with the models it
-holds, and `parl eval` with the models it reads back. The report stores
-split hashes so that can be audited. All artifacts (datasets, models,
-predictors, candidates, reports) are persisted in deterministic byte-exact
-formats, so identical configs reproduce identical files.
+holds, and `rescore`, for `parl eval`, with the models it reads back. The
+report stores split hashes so that can be audited. All artifacts
+(datasets, models, predictors, candidates, reports) are persisted in
+deterministic byte-exact formats, so identical configs reproduce identical
+files.
 
-This module owns a run directory's inputs, `models/styles.dm1` and each
-robot's `robot-N_{train,holdout}.ds1`: `write_inputs` writes them for
-`parl run` and `parl gen`, and `read_inputs` reads them for `parl eval`.
+This module owns a run directory's files: `write_inputs` writes its inputs,
+`models/styles.dm1` and each robot's `robot-N_{train,holdout}.ds1`, and
+`rescore` reads them back with the models `run_experiment` wrote.
 
 Perception runs once per (sample, style). Each robot's RobotNode fits its
-style and featurizes its train and holdout splits once, in the PARL round's
-local compute; the policy it uploads is the local arm. The jitter and crop
-arms train on the node's training features plus their own featurized
-extras, and every per-robot arm is scored on the node's holdout features.
-The centralized arm featurizes under the pooled style.
+style and featurizes its training split once, in the PARL round's local
+compute; the policy it uploads is the local arm. The jitter and crop arms
+train on the node's training features plus their own featurized extras.
+The centralized arm trains under the pooled style. The holdout is the
+experimenter's: `score_arms` alone featurizes it, once under each robot's
+fitted style and once under the pooled style, as it scores the arms.
 
 An appearance arm's augmented copies live only while the arm trains: each
 (source, copy) pair is tallied into the qualitative table's axes as it is
@@ -46,7 +48,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -60,10 +62,10 @@ from .baselines import (
     qualitative_table,
 )
 from .config import OUTPUT_ROOT_ENV, ExperimentConfig, read_config, render_config
-from .errors import ParlError
+from .errors import ConfigurationError, ParlError
 from .policy import EvaluationReport, PolicyModel, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
-from .styles import StyleModel, styles_for_agents
+from .styles import StyleModel, fit_style, styles_for_agents
 from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType
 
 ARM_LOCAL = "local"
@@ -95,6 +97,14 @@ class StageFailure(ParlError):
         self.stage = stage
         self.node = node
         self.cause = cause
+
+
+def _stage(stage: str, node: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a module error wrapped as a StageFailure at node."""
+    try:
+        return fn(*args, **kwargs)
+    except ParlError as exc:
+        raise StageFailure(stage, node, exc) from exc
 
 
 def agent_profiles(config: ExperimentConfig) -> dict[int, AgentProfile]:
@@ -177,12 +187,18 @@ def write_inputs(
 
 
 def read_inputs(run_dir: Path) -> tuple[ExperimentConfig, Splits, Splits]:
-    """The config and per-robot train/holdout splits a run directory holds."""
+    """The config and per-robot train/holdout splits a run directory holds.
+
+    A split file that cannot be read is a configuration error naming it.
+    """
     config = read_config(run_dir / "config.txt")
-    train, holdout = (
-        {r: codec.read_dataset(_split_path(run_dir, r, split)) for r in range(config.robots)}
-        for split in SPLITS
-    )
+    try:
+        train, holdout = (
+            {r: codec.read_dataset(_split_path(run_dir, r, split)) for r in range(config.robots)}
+            for split in SPLITS
+        )
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read split file {exc.filename}: {exc.strerror}") from exc
     return config, train, holdout
 
 
@@ -277,24 +293,61 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 def score_arms(
     models: dict[str, dict[str, PolicyModel]],
     holdout: dict[str, Sequence[DrivingSample]],
-    features: dict[str, np.ndarray],
-    central_features: dict[str, np.ndarray],
+    styles: dict[str, StyleModel],
+    central_style: Optional[StyleModel],
     fail_threshold: float,
 ) -> dict[str, dict[str, EvaluationReport]]:
     """The arms table: each arm's evaluation of its model for each robot key.
 
-    features[key] is the robot's holdout featurized under its fitted style,
-    central_features[key] the same holdout under the pooled style; the
-    centralized arm, which holds its one model under every key, reads those.
+    The only code that featurizes a holdout. holdout[key] is featurized
+    under styles[key], the robot's fitted style, for every per-robot arm,
+    and under central_style, the pooled style, for the centralized arm,
+    which holds its one model under every key. Each (robot, style) pair is
+    featurized once, on first use; a perception failure is a StageFailure
+    at the robot, of stage local-eval or centralized-eval.
     """
-    arms = {}
+    features: dict[tuple[str, bool], np.ndarray] = {}
+    arms: dict[str, dict[str, EvaluationReport]] = {}
     for arm, robots in models.items():
-        on = central_features if arm == ARM_CENTRALIZED else features
-        arms[arm] = {
-            key: evaluate(model, holdout[key], on[key], fail_threshold)
-            for key, model in robots.items()
-        }
+        central = arm == ARM_CENTRALIZED
+        stage = "centralized-eval" if central else "local-eval"
+        arms[arm] = {}
+        for key, model in robots.items():
+            if (key, central) not in features:
+                style = central_style if central else styles[key]
+                features[key, central] = _stage(stage, key, featurize, holdout[key], style)
+            arms[arm][key] = evaluate(model, holdout[key], features[key, central], fail_threshold)
     return arms
+
+
+def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
+    """Score the models a run directory holds with `score_arms`, as `parl run` scored them.
+
+    A robot with a model file is scored under `fit_style` of its training
+    split, and the centralized model under `pooled_style` of every training
+    split. An arm and robot without a model file is left out.
+    """
+    config, train, holdout = read_inputs(run_dir)
+    keys = {robot_key(robot): robot for robot in range(config.robots)}
+    models: dict[str, dict[str, PolicyModel]] = {}
+    for key in keys:
+        for arm, pattern in ARM_MODEL_FILES.items():
+            path = run_dir / pattern.format(key=key)
+            if path.exists():
+                (models.setdefault(arm, {})[key],) = codec.read_models(path)
+    styles = {
+        key: fit_style(train[robot])
+        for key, robot in keys.items()
+        if any(key in robots for robots in models.values())
+    }
+    central_style = None
+    central_path = run_dir / CENTRALIZED_MODEL_FILE
+    if central_path.exists():
+        (central,) = codec.read_models(central_path)
+        models[ARM_CENTRALIZED] = dict.fromkeys(keys, central)
+        central_style = pooled_style([s for robot in keys.values() for s in train[robot]])
+    holdouts = {key: holdout[robot] for key, robot in keys.items()}
+    return score_arms(models, holdouts, styles, central_style, config.fail_threshold)
 
 
 def _train_local_arm(
@@ -352,13 +405,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute all arms and persist every artifact under the output dir."""
     out = resolve_output_dir(config)
     (out / "uploads").mkdir(parents=True, exist_ok=True)
-
-    def _stage(stage: str, node: str, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ParlError as exc:
-            raise StageFailure(stage, node, exc) from exc
-
     train_sets, holdout_sets, split_hashes = _stage(
         "generate", "harness", write_inputs, config, out
     )
@@ -391,17 +437,14 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     codec.write_models(out / CENTRALIZED_MODEL_FILE, [central_model])
 
     holdouts = {robot_key(robot): holdout_sets[robot] for robot in range(config.robots)}
-    central_features = {
-        key: _stage("centralized-eval", key, featurize, holdout, central_style)
-        for key, holdout in holdouts.items()
-    }
     models[ARM_CENTRALIZED] = dict.fromkeys(holdouts, central_model)
 
     # The PARL round itself. Each robot's local compute in it fits the
-    # robot's style, featurizes its splits and trains the local arm's policy.
+    # robot's style, featurizes its training split and trains the local
+    # arm's policy.
     cloud_id = NodeId.cloud()
     robots = [
-        RobotNode(NodeId.robot(i), cloud_id, train_sets[i], holdout_sets[i], config)
+        RobotNode(NodeId.robot(i), cloud_id, train_sets[i], config)
         for i in range(config.robots)
     ]
     cloud = CloudNode(cloud_id, config)
@@ -441,8 +484,8 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
                 robot, config, augmenter, seed_base, appearance_axes[name],
             )
             codec.write_models(out / ARM_MODEL_FILES[arm].format(key=key), [model])
-    features = {str(robot.node_id): robot.holdout_features for robot in robots}
-    arms = score_arms(models, holdouts, features, central_features, config.fail_threshold)
+    styles = {str(robot.node_id): robot.style for robot in robots}
+    arms = score_arms(models, holdouts, styles, central_style, config.fail_threshold)
 
     codec.write_models(
         out / "models" / "predictors.dm1", [cloud.where, cloud.what, cloud.scorer]

@@ -22,6 +22,7 @@ from .world import (
     DrivingSample,
     Provenance,
     SemanticMap,
+    _shape_chunks,
     segment,
 )
 
@@ -147,13 +148,8 @@ def features_from_maps(semantics: Sequence[SemanticMap]) -> np.ndarray:
     band, the call raises; every map fails that check with the same error.
     """
     features = np.empty((len(semantics), N_FEATURES), dtype=np.float64)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, semantic in enumerate(semantics):
-        by_shape.setdefault(semantic.classes.shape, []).append(i)
-    for indices in by_shape.values():
-        for start in range(0, len(indices), _FEATURE_CHUNK):
-            chunk = indices[start : start + _FEATURE_CHUNK]
-            features[chunk] = features_from_grids(np.stack([semantics[i].classes for i in chunk]))
+    for chunk in _shape_chunks((m.classes.shape for m in semantics), _FEATURE_CHUNK):
+        features[chunk] = features_from_grids(np.stack([semantics[i].classes for i in chunk]))
     features.setflags(write=False)
     return features
 
@@ -239,21 +235,14 @@ def _canonical_rows(
     Sorting makes the accumulation independent of input order; collapsing
     duplicates into integer counts makes it independent of duplication too,
     because count/n and (c*count)/(c*n) are the same rational and IEEE
-    division rounds equal rationals to identical floats.
+    division rounds equal rationals to identical floats. Each [x | y] row is
+    one opaque key, so np.unique orders them by their bytes and keeps each
+    key's first row.
     """
-    keys = [row.tobytes() + y.tobytes() for row, y in zip(xs, ys)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    kept: list[int] = []
-    counts: list[int] = []
-    previous = None
-    for idx in order:
-        if keys[idx] == previous:
-            counts[-1] += 1
-        else:
-            kept.append(idx)
-            counts.append(1)
-            previous = keys[idx]
-    return xs[kept], ys[kept], np.asarray(counts, dtype=np.float64)
+    rows = np.ascontiguousarray(np.column_stack((xs, ys)))
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, kept, counts = np.unique(keys, return_index=True, return_counts=True)
+    return xs[kept], ys[kept], counts.astype(np.float64)
 
 
 def _solve_ridge(

@@ -3,10 +3,10 @@
 One round of the peer-assisted pipeline:
 
 1. Every robot fits its style to its own samples, segments and featurizes
-   them, trains its local policy, featurizes its held-out split once, and
-   uploads maps + style + policy to the cloud. A run perceives a robot's
-   own samples only here: the experiment's local arm is the policy the
-   robot uploads, evaluated on these held-out features.
+   them, trains its local policy, and uploads maps + style + policy to the
+   cloud. The round perceives a robot's own samples only here, and it
+   holds no held-out data: scoring a policy, the uploaded or the tuned
+   one, is the experimenter's job, not a step of the round.
 2. The cloud fits the augmentation models on the pooled uploaded layouts
    and augments each robot's maps into scored candidates.
 3. The cloud renders the full candidate batch in each participant's own
@@ -27,8 +27,7 @@ One round of the peer-assisted pipeline:
 5. Each robot fine-tunes toward the shared model on its training features
    from step 1 and acks. The ack carries no report: it is the robot's
    FINE_TUNED transition, which the cloud accepts only once it has
-   dispatched. Scoring the tuned policy is the experimenter's job, not a
-   step of the round.
+   dispatched.
 
 run_round drives the round and returns only the uploads' wire bytes. Every
 other result is read from where the round left it: the cloud's
@@ -79,7 +78,6 @@ from .policy import (
     PolicyModel,
     crowdsource_labels,
     features_from_maps,
-    featurize,
     fine_tune,
     train,
 )
@@ -406,14 +404,16 @@ class SimNetwork:
 
 
 class RobotNode:
-    """One robot: local compute, labeling service, and fine-tuning."""
+    """One robot: local compute, labeling service, and fine-tuning.
+
+    A robot holds only its training split; it is never scored here.
+    """
 
     def __init__(
         self,
         node_id: NodeId,
         cloud_id: NodeId,
         train_samples: Sequence[DrivingSample],
-        holdout_samples: Sequence[DrivingSample],
         config: ExperimentConfig,
     ) -> None:
         if node_id.is_cloud:
@@ -421,7 +421,6 @@ class RobotNode:
         self.node_id = node_id
         self.cloud_id = cloud_id
         self.train_samples = list(train_samples)
-        self.holdout_samples = list(holdout_samples)
         self.config = config
         self.stage = Stage.LOCAL_COMPUTE
         self.style: Optional[StyleModel] = None
@@ -429,9 +428,6 @@ class RobotNode:
         # featurize(train_samples, style) from local_compute, reused when
         # fine-tuning: the robot featurizes its own data once.
         self.train_features = np.empty((0, N_FEATURES))
-        # featurize(holdout_samples, style) from local_compute: the harness
-        # scores every per-robot arm on these.
-        self.holdout_features = np.empty((0, N_FEATURES))
         self.tuned: Optional[PolicyModel] = None
         self.shared_received = 0
         self.diagnostic: Optional[str] = None
@@ -452,7 +448,7 @@ class RobotNode:
         self.diagnostic = diagnostic
 
     def local_compute(self) -> Optional[Message]:
-        """Fit style, featurize both splits, train the local policy, upload.
+        """Fit style, featurize the training split, train the local policy, upload.
 
         Any failure (missing palette class, degenerate training data)
         transitions this robot to DROPPED_OUT with a diagnostic; it never
@@ -473,14 +469,12 @@ class RobotNode:
                 ridge_lambda=self.config.ridge_lambda,
                 provenances=[s.provenance for s in self.train_samples],
             )
-            holdout_features = featurize(self.holdout_samples, style)
         except ParlError as exc:
             self.drop_out(f"local compute failed: {exc}")
             return None
         self.style = style
         self.policy = policy
         self.train_features = features
-        self.holdout_features = holdout_features
         self.stage = advance_stage(self.stage, Stage.UPLOADED)
         return self._msg(UploadLocal(style=style, policy=policy, layouts=layouts))
 

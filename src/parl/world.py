@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -420,6 +420,21 @@ def extract_instances(classes: np.ndarray) -> InstanceMap:
     return InstanceMap(instance_grid=grid, records=_grid_records(classes, grid, n))
 
 
+def _shape_chunks(shapes: Iterable[tuple[int, ...]], size: int) -> Iterator[list[int]]:
+    """The positions 0..n-1 of n shapes, grouped by shape, in chunks of at most size.
+
+    Shapes come in order of first appearance, and positions ascend within
+    a chunk. Every batched array pass of perception and of the augmentation
+    fits stacks one chunk at a time.
+    """
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(i)
+    for positions in by_shape.values():
+        for lo in range(0, len(positions), size):
+            yield positions[lo : lo + size]
+
+
 def segment(scenarios: Sequence[Scenario], style: StyleModel) -> list[SemanticMap]:
     """Recover the semantic map of every rendered scenario, in input order.
 
@@ -433,16 +448,11 @@ def segment(scenarios: Sequence[Scenario], style: StyleModel) -> list[SemanticMa
     robot's upload does, runs extract_instances on the classes.
     """
     classified: list = [None] * len(scenarios)  # (class grid, has a road cell)
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, scenario in enumerate(scenarios):
-        by_shape.setdefault(scenario.pixels.shape, []).append(i)
-    for indices in by_shape.values():
-        for start in range(0, len(indices), _SEGMENT_CHUNK):
-            chunk = indices[start : start + _SEGMENT_CHUNK]
-            classes = _classify_stack(np.stack([scenarios[i].pixels for i in chunk]), style)
-            road = (classes == ClassId.ROAD).any(axis=(1, 2)).tolist()
-            for i, grid, hit in zip(chunk, classes, road):
-                classified[i] = (grid, hit)
+    for chunk in _shape_chunks((s.pixels.shape for s in scenarios), _SEGMENT_CHUNK):
+        classes = _classify_stack(np.stack([scenarios[i].pixels for i in chunk]), style)
+        road = (classes == ClassId.ROAD).any(axis=(1, 2)).tolist()
+        for i, grid, hit in zip(chunk, classes, road):
+            classified[i] = (grid, hit)
     maps = []
     for grid, hit in classified:
         if not hit:

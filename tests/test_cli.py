@@ -233,7 +233,7 @@ def test_rescore_equals_the_arms_the_run_scored(tmp_path):
     """`parl eval` and `parl run` score through one function, so their tables are equal."""
     config = ExperimentConfig(robots=3, samples_per_task=3, output_dir=str(tmp_path))
     report = harness.run_experiment(config)
-    arms = cli._rescore(tmp_path)
+    arms = harness.rescore(tmp_path)
     assert sorted(arms) == sorted(report.arms)
     for arm, robots in report.arms.items():
         assert sorted(arms[arm]) == sorted(robots)
@@ -272,6 +272,27 @@ def test_report_without_arms_is_a_configuration_error(run_dir, tmp_path, capsys)
     assert cli.main(["eval", str(copy), "--verify"]) == 3
     assert "has no table of arms" in capsys.readouterr().err
     assert cli.main(["report", str(copy)]) == 3
+
+
+def test_missing_config_file_is_a_configuration_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.txt"
+    assert cli.main(["run", "--config", str(missing)]) == 3
+    assert f"cannot read config file {missing}" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"robots = 2\xff\n")
+    assert cli.main(["run", "--config", str(path)]) == 3
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+
+
+def test_eval_without_a_split_file_is_a_configuration_error(run_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(run_dir, broken)
+    (broken / "robot-1_holdout.ds1").unlink()
+    assert cli.main(["eval", str(broken), "--verify"]) == 3
+    assert f"cannot read split file {broken / 'robot-1_holdout.ds1'}" in capsys.readouterr().err
 
 
 def test_eval_without_config_is_a_configuration_error(tmp_path, capsys):

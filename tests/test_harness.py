@@ -1,4 +1,4 @@
-"""The local arms: a robot's own perception, read from its RobotNode."""
+"""The local arms, a robot's own perception read from its RobotNode, and the holdout scoring."""
 
 import copy
 import sys
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from parl import harness, styles
-from parl.baselines import POOLED_STYLE_ID, baseline_color_jitter
+from parl.baselines import POOLED_STYLE_ID, baseline_color_jitter, pooled_style
 from parl.augment import diagnostics_json
 from parl.codec import encode_models, read_models
 from parl.config import ExperimentConfig
@@ -31,9 +31,7 @@ def _fails(sample, style):
 
 @pytest.fixture(scope="module")
 def robot(small_dataset):
-    node = RobotNode(
-        NodeId.robot(0), NodeId.cloud(), small_dataset[:12], small_dataset[12:], CONFIG
-    )
+    node = RobotNode(NodeId.robot(0), NodeId.cloud(), small_dataset[:12], CONFIG)
     assert node.local_compute() is not None
     return node
 
@@ -103,14 +101,98 @@ def test_train_local_arm_drops_exactly_the_extras_that_fail(
 
 
 def test_local_compute_features_match_one_sample_at_a_time(robot, small_dataset):
-    train, holdout = small_dataset[:12], small_dataset[12:]
-    assert robot.train_samples == train and robot.holdout_samples == holdout
-    for features, samples in ((robot.train_features, train), (robot.holdout_features, holdout)):
-        assert features.shape == (len(samples), N_FEATURES)
-        assert not features.flags.writeable
-        assert _row_bytes(features) == [
-            featurize([s], robot.style)[0].tobytes() for s in samples
-        ]
+    train = small_dataset[:12]
+    assert robot.train_samples == train
+    assert robot.train_features.shape == (len(train), N_FEATURES)
+    assert not robot.train_features.flags.writeable
+    assert _row_bytes(robot.train_features) == [
+        featurize([s], robot.style)[0].tobytes() for s in train
+    ]
+
+
+def _featurize_calls(monkeypatch, fail_on=None):
+    """Records the (samples, style) of each harness.featurize call.
+
+    A call on the samples and style of fail_on raises DegenerateInputError.
+    """
+    calls = []
+    real = harness.featurize
+
+    def recording(samples, style):
+        calls.append((samples, style))
+        if fail_on is not None and samples is fail_on[0] and style is fail_on[1]:
+            raise DegenerateInputError("injected holdout failure")
+        return real(samples, style)
+
+    monkeypatch.setattr(harness, "featurize", recording)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def scoring_inputs(robot, small_dataset):
+    """Two robots' holdouts, styles and models in every arm, and the pooled style."""
+    holdout = {"robot-0": small_dataset[12:], "robot-1": small_dataset[6:12]}
+    styles = {key: robot.style for key in holdout}
+    central_style = pooled_style(small_dataset[:12])
+    models = {
+        arm: dict.fromkeys(holdout, robot.policy)
+        for arm in (harness.ARM_LOCAL, harness.ARM_JITTER, harness.ARM_CENTRALIZED)
+    }
+    return models, holdout, styles, central_style
+
+
+def test_score_arms_featurizes_each_robot_and_style_once(scoring_inputs, monkeypatch):
+    models, holdout, styles, central_style = scoring_inputs
+    calls = _featurize_calls(monkeypatch)
+    arms = harness.score_arms(models, holdout, styles, central_style, CONFIG.fail_threshold)
+    assert sorted(arms) == sorted(models)
+    want = [(holdout[key], styles[key]) for key in holdout]
+    want += [(holdout[key], central_style) for key in holdout]
+    assert len(calls) == len(want)
+    assert all(s is ws and st is wst for (s, st), (ws, wst) in zip(calls, want))
+
+
+def test_score_arms_scores_each_holdout_sample_as_featurized_alone(
+    scoring_inputs, monkeypatch
+):
+    models, holdout, styles, central_style = scoring_inputs
+    scored = []
+    real = harness.evaluate
+
+    def recording(model, samples, features, fail_threshold):
+        scored.append((samples, features))
+        return real(model, samples, features, fail_threshold)
+
+    monkeypatch.setattr(harness, "evaluate", recording)
+    harness.score_arms(models, holdout, styles, central_style, CONFIG.fail_threshold)
+    per_arm = iter(scored)
+    for arm, robots in models.items():
+        style_of = (lambda key: central_style) if arm == harness.ARM_CENTRALIZED else styles.get
+        for key in robots:
+            samples, features = next(per_arm)
+            assert samples is holdout[key]
+            assert features.shape == (len(samples), N_FEATURES)
+            assert _row_bytes(features) == [
+                featurize([s], style_of(key))[0].tobytes() for s in samples
+            ]
+
+
+@pytest.mark.parametrize(
+    "central,key,stage",
+    [
+        (False, "robot-1", "local-eval"),
+        (True, "robot-0", "centralized-eval"),
+    ],
+)
+def test_failed_holdout_perception_names_the_eval_stage_and_robot(
+    scoring_inputs, monkeypatch, central, key, stage
+):
+    models, holdout, styles, central_style = scoring_inputs
+    _featurize_calls(monkeypatch, fail_on=(holdout[key], central_style if central else styles[key]))
+    with pytest.raises(harness.StageFailure) as info:
+        harness.score_arms(models, holdout, styles, central_style, CONFIG.fail_threshold)
+    assert (info.value.stage, info.value.node) == (stage, key)
+    assert "injected holdout failure" in str(info.value.cause)
 
 
 def _patch_fit_style(monkeypatch, fail_style=None):

@@ -20,10 +20,32 @@ from parl.policy import (
     features_from_maps,
     featurize,
     fine_tune,
+    _canonical_rows,
     train,
 )
 from parl.styles import fit_style, style_affinity
 from parl.world import ClassId, Provenance, Scenario, SemanticMap, TaskType
+
+# Values whose bytes order differently from their numbers: both zeros, a
+# negative, an infinity and a NaN.
+_ROW_VALUES = (0.0, -0.0, 1.0, -1.5, 2.25, 1e-300, float("inf"), float("nan"))
+
+
+def _reference_canonical_rows(xs, ys):
+    """The unique [x | y] rows sorted by their bytes, first of each kept, with counts."""
+    keys = [row.tobytes() + y.tobytes() for row, y in zip(xs, ys)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    kept: list[int] = []
+    counts: list[int] = []
+    previous = None
+    for idx in order:
+        if keys[idx] == previous:
+            counts[-1] += 1
+        else:
+            kept.append(idx)
+            counts.append(1)
+            previous = keys[idx]
+    return xs[kept], ys[kept], np.asarray(counts, dtype=np.float64)
 
 
 def _rows(samples, style):
@@ -257,6 +279,24 @@ class TestTrain:
         order = np.random.default_rng(3).permutation(len(labels))
         shuffled = train(features[order], [labels[i] for i in order], 1e-3, _human(labels))
         assert shuffled.weights.tobytes() == model_fwd.weights.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda d: st.lists(
+                st.lists(st.sampled_from(_ROW_VALUES), min_size=d + 1, max_size=d + 1),
+                min_size=1,
+                max_size=6,
+            ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+        )
+    )
+    def test_canonical_rows_match_the_byte_key_sort(self, rows):
+        # Rows drawn from a small pool, so most batches hold duplicates.
+        table = np.array(rows, dtype=np.float64)
+        xs, ys = table[:, :-1], table[:, -1]
+        got, want = _canonical_rows(xs, ys), _reference_canonical_rows(xs, ys)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_provenance_mix_recorded(self, small_dataset):
         style = fit_style(small_dataset)

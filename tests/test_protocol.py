@@ -41,16 +41,13 @@ CONFIG = ExperimentConfig(robots=2, samples_per_task=3)
 
 @pytest.fixture(scope="session")
 def worlds():
-    return generate_worlds(CONFIG)[1:]
+    """Each robot's training split; a round holds no other data."""
+    return generate_worlds(CONFIG)[1]
 
 
 def _nodes(worlds):
-    train, holdout = worlds
     cloud_id = NodeId.cloud()
-    robots = [
-        RobotNode(NodeId.robot(i), cloud_id, train[i], holdout[i], CONFIG)
-        for i in range(CONFIG.robots)
-    ]
+    robots = [RobotNode(NodeId.robot(i), cloud_id, worlds[i], CONFIG) for i in range(CONFIG.robots)]
     cloud = CloudNode(cloud_id, CONFIG)
     return robots, cloud
 

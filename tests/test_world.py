@@ -24,6 +24,7 @@ from parl.world import (
     ScenarioGenerator,
     SemanticMap,
     TaskType,
+    _shape_chunks,
     _texture_noise,
     extract_instances,
     render,
@@ -331,3 +332,12 @@ def test_instance_map_takes_a_one_dimensional_table():
     grid, records = _one_cell_map((0, ClassId.CAR, (2, 1, 1, 1), _UNIT))
     with pytest.raises(ConfigurationError, match="1-D table"):
         InstanceMap(instance_grid=grid, records=records.reshape(1, 1))
+
+
+@pytest.mark.parametrize(
+    "size,chunks",
+    [(1, [[0], [2], [4], [5], [1], [3]]), (2, [[0, 2], [4, 5], [1, 3]]), (8, [[0, 2, 4, 5], [1, 3]])],
+)
+def test_shape_chunks_group_positions_by_first_seen_shape(size, chunks):
+    shapes = [(32, 64), (16, 16), (32, 64), (16, 16), (32, 64), (32, 64)]
+    assert list(_shape_chunks(iter(shapes), size)) == chunks
