@@ -134,7 +134,10 @@ def pooled_style(samples: Sequence[DrivingSample]) -> StyleModel:
     across styles. When the agents' domains disagree about a class, the
     averaged means crowd together and segmentation under this style starts
     confusing exactly those classes - the centralized arm's handicap. The
-    style takes the reserved id POOLED_STYLE_ID.
+    style takes the reserved id POOLED_STYLE_ID. The totals come from
+    class_sums over each sample's cached class_stats, added in sample
+    order, so the robots' fit_style calls on the same samples, before or
+    after this one, reuse its per-sample pass and leave every byte as it is.
     """
     if not samples:
         raise FittingError("pooled_style needs at least one sample")

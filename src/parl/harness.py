@@ -62,7 +62,7 @@ from .baselines import (
     qualitative_table,
 )
 from .config import OUTPUT_ROOT_ENV, ExperimentConfig, read_config, render_config
-from .errors import ConfigurationError, ParlError
+from .errors import ConfigurationError, DecodeError, ParlError
 from .policy import EvaluationReport, PolicyModel, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
 from .styles import StyleModel, fit_style, styles_for_agents
@@ -160,6 +160,31 @@ def _split_path(run_dir: Path, robot: int, split: str) -> Path:
     return run_dir / f"{robot_key(robot)}_{split}.ds1"
 
 
+def _make_dirs(out: Path, *names: str) -> None:
+    """Create the named subdirectories of the output directory out, and out itself.
+
+    A directory that cannot be created, as under an out that is a regular
+    file, is a configuration error naming it.
+    """
+    for name in names:
+        try:
+            (out / name).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"output directory {out} is unusable: cannot create {exc.filename}: {exc.strerror}"
+            ) from exc
+
+
+def _read_run_file(path: Path, kind: str, read):
+    """read(path); a file that cannot be read or decoded is a configuration error naming it."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {kind} file {path}: {exc.strerror}") from exc
+    except DecodeError as exc:
+        raise ConfigurationError(f"cannot decode {kind} file {path}: {exc}") from exc
+
+
 def write_inputs(
     config: ExperimentConfig, out: Path
 ) -> tuple[Splits, Splits, dict[str, dict[str, str]]]:
@@ -173,7 +198,7 @@ def write_inputs(
     # this module but hash nothing, and hashlib maps OpenSSL (about 3.5 MB).
     import hashlib
 
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    _make_dirs(out, "models")
     styles, train, holdout = generate_worlds(config)
     codec.write_models(out / "models" / "styles.dm1", list(styles.values()))
     split_hashes: dict[str, dict[str, str]] = {}
@@ -189,16 +214,17 @@ def write_inputs(
 def read_inputs(run_dir: Path) -> tuple[ExperimentConfig, Splits, Splits]:
     """The config and per-robot train/holdout splits a run directory holds.
 
-    A split file that cannot be read is a configuration error naming it.
+    A split file that cannot be read or decoded is a configuration error
+    naming it.
     """
     config = read_config(run_dir / "config.txt")
-    try:
-        train, holdout = (
-            {r: codec.read_dataset(_split_path(run_dir, r, split)) for r in range(config.robots)}
-            for split in SPLITS
-        )
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read split file {exc.filename}: {exc.strerror}") from exc
+    train, holdout = (
+        {
+            r: _read_run_file(_split_path(run_dir, r, split), "split", codec.read_dataset)
+            for r in range(config.robots)
+        }
+        for split in SPLITS
+    )
     return config, train, holdout
 
 
@@ -325,7 +351,8 @@ def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
 
     A robot with a model file is scored under `fit_style` of its training
     split, and the centralized model under `pooled_style` of every training
-    split. An arm and robot without a model file is left out.
+    split. An arm and robot without a model file is left out; a model file
+    that cannot be decoded is a configuration error naming it.
     """
     config, train, holdout = read_inputs(run_dir)
     keys = {robot_key(robot): robot for robot in range(config.robots)}
@@ -334,7 +361,9 @@ def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
         for arm, pattern in ARM_MODEL_FILES.items():
             path = run_dir / pattern.format(key=key)
             if path.exists():
-                (models.setdefault(arm, {})[key],) = codec.read_models(path)
+                (models.setdefault(arm, {})[key],) = _read_run_file(
+                    path, "model", codec.read_models
+                )
     styles = {
         key: fit_style(train[robot])
         for key, robot in keys.items()
@@ -343,7 +372,7 @@ def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
     central_style = None
     central_path = run_dir / CENTRALIZED_MODEL_FILE
     if central_path.exists():
-        (central,) = codec.read_models(central_path)
+        (central,) = _read_run_file(central_path, "model", codec.read_models)
         models[ARM_CENTRALIZED] = dict.fromkeys(keys, central)
         central_style = pooled_style([s for robot in keys.values() for s in train[robot]])
     holdouts = {key: holdout[robot] for key, robot in keys.items()}
@@ -404,7 +433,8 @@ def _train_appearance_arm(
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute all arms and persist every artifact under the output dir."""
     out = resolve_output_dir(config)
-    (out / "uploads").mkdir(parents=True, exist_ok=True)
+    # Outside the generate stage, which would wrap the configuration error.
+    _make_dirs(out, "models", "uploads")
     train_sets, holdout_sets, split_hashes = _stage(
         "generate", "harness", write_inputs, config, out
     )

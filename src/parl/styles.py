@@ -172,22 +172,21 @@ def built_in_style(style_id: int, seed: int) -> StyleModel:
 def class_sums(samples: Sequence["DrivingSample"]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class pixel sums, sums of squares and cell counts over the samples.
 
-    Each sample's totals are one bincount in row-major cell order, added to
-    the running totals sample by sample: bit for bit a per-class boolean-mask
-    loop's pixels[mask].sum(axis=0), accumulated the same way.
+    Each sample's totals are its DrivingSample.class_stats, computed once
+    per sample and shared by every fit that reads it. They are added to
+    zeroed running totals in sample order, so the additions, and with them
+    the bytes, are those of summing each sample's bincounts as it is read;
+    that in turn is bit for bit a per-class boolean-mask loop's
+    pixels[mask].sum(axis=0), accumulated the same way.
     """
     sums = np.zeros((N_CLASSES, 3))
     sq_sums = np.zeros((N_CLASSES, 3))
     counts = np.zeros(N_CLASSES, dtype=np.int64)
-    channels, n_bins = np.arange(3), 3 * N_CLASSES
     for sample in samples:
-        pixels = sample.scenario.pixels.astype(np.float64).ravel()
-        classes = sample.semantic.classes.ravel()
-        # Bin class * 3 + channel, matching the row-major (cell, channel) pixels.
-        bins = (classes[:, None] * 3 + channels).ravel()
-        sums += np.bincount(bins, weights=pixels, minlength=n_bins).reshape(N_CLASSES, 3)
-        sq_sums += np.bincount(bins, weights=pixels**2, minlength=n_bins).reshape(N_CLASSES, 3)
-        counts += np.bincount(classes, minlength=N_CLASSES)
+        sample_sums, sample_sq_sums, sample_counts = sample.class_stats
+        sums += sample_sums
+        sq_sums += sample_sq_sums
+        counts += sample_counts
     return sums, sq_sums, counts
 
 
@@ -198,7 +197,10 @@ def fit_style(samples: Sequence["DrivingSample"]) -> StyleModel:
     cells; spreads are per-class standard deviations clamped below the
     separation bound. Every palette class must appear somewhere in the
     sample union, and the fitted means must respect
-    DEFAULT_SEPARATION_FLOOR.
+    DEFAULT_SEPARATION_FLOOR. The totals come from class_sums, which adds
+    each sample's cached class_stats in sample order: a sample already read
+    by another fit (pooled_style over the same training split) is not
+    read again, and the style's bytes do not depend on which fit ran first.
     """
     if not samples:
         raise FittingError("fit_style needs at least one sample")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -233,7 +234,8 @@ class DrivingSample:
     """One observation: scenario, ground-truth maps, optional torque label.
 
     Torque semantics: 0.5 drives straight, below 0.5 turns left, above 0.5
-    turns right.
+    turns right. class_stats holds the sample's per-class pixel statistics,
+    computed on first use and kept for the sample's life.
     """
 
     scenario: Scenario
@@ -246,6 +248,29 @@ class DrivingSample:
     def __post_init__(self) -> None:
         if self.label is not None and not (0.0 <= self.label <= 1.0):
             raise ConfigurationError(f"label {self.label} outside [0, 1]")
+
+    @cached_property
+    def class_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-class pixel sums, squared-pixel sums and cell counts, read-only.
+
+        (N_CLASSES, 3) float64, (N_CLASSES, 3) float64 and (N_CLASSES,)
+        int64, each one bincount in row-major cell order; a pixel sum's bin
+        is class * 3 + channel. The scenario's pixels and the semantic
+        classes are read-only arrays, so the value cannot go stale; a
+        dataclasses.replace copy is a new sample and computes its own. Every
+        style fit reads them through styles.class_sums, so a sample that
+        feeds several fits (its robot's style and the pooled style) makes
+        its per-class pass once.
+        """
+        pixels = self.scenario.pixels.astype(np.float64).ravel()
+        classes = self.semantic.classes.ravel()
+        # Bin class * 3 + channel, matching the row-major (cell, channel) pixels.
+        bins = (classes[:, None] * 3 + np.arange(3)).ravel()
+        n_bins = 3 * N_CLASSES
+        sums = np.bincount(bins, weights=pixels, minlength=n_bins).reshape(N_CLASSES, 3)
+        sq_sums = np.bincount(bins, weights=pixels**2, minlength=n_bins).reshape(N_CLASSES, 3)
+        counts = np.bincount(classes, minlength=N_CLASSES)
+        return _frozen(sums), _frozen(sq_sums), _frozen(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +504,10 @@ class _Template(NamedTuple):
     bounds: tuple[int, int, int, int]
 
 
+# A placed thing: its class and its bbox (x0, y0, w, h) in cells.
+_Placement = tuple[int, int, int, int, int]
+
+
 def _template(rows: list[list[int]]) -> _Template:
     spans = []
     for y, row in enumerate(rows):
@@ -627,32 +656,59 @@ def _fits(
 def _add_instance(
     cells: bytearray,
     grid: np.ndarray,
+    placements: list[_Placement],
     template: _Template,
     top: int,
     left: int,
     class_id: int,
-    inst_id: int,
 ) -> None:
-    """Paint a fitting template into cells and grid under the given id."""
+    """Paint a fitting template into cells and grid and record its placement.
+
+    The instance takes the next id, len(placements), and its placement
+    (class, x0, y0, w, h), the bbox of the template's set cells, is
+    appended: a later thing covers only cells no instance holds, so the
+    painted cells keep that extent.
+    """
     w = WORLD_WIDTH
+    inst_id = len(placements)
     for dy, a, b in template.spans:
         at = (top + dy) * w + left
         cells[at + a : at + b] = bytes((class_id,)) * (b - a)
         grid[top + dy, left + a : left + b] = inst_id
+    y_min, y_max, x_min, x_max = template.bounds
+    placements.append(
+        (class_id, left + x_min, top + y_min, x_max - x_min + 1, y_max - y_min + 1)
+    )
+
+
+def _placement_records(placements: list[_Placement]) -> np.ndarray:
+    """The record table of the placements, ids 0..n-1 in placement order.
+
+    Each row's affine places it at its bbox origin at unit scale, as
+    _grid_records reads a grid's records.
+    """
+    rows = np.array(placements, dtype=np.int64).reshape(-1, 5)
+    records = np.zeros(len(rows), dtype=RECORD_DTYPE)
+    records["id"] = np.arange(len(rows))
+    records["cls"] = rows[:, 0]
+    records["bbox"] = rows[:, 1:]
+    affine = records["affine"]
+    affine[:, :2] = rows[:, 1:3]
+    affine[:, 2:] = 1.0
+    return records
 
 
 def _scatter_background_things(
     rng: np.random.Generator,
     cells: bytearray,
     grid: np.ndarray,
-    n_placed: int,
+    placements: list[_Placement],
     n_cars: int,
     n_peds: int,
-) -> int:
+) -> None:
     """Parked cars and pedestrians on the sidewalk strips, off the road.
 
-    The first thing placed takes id n_placed, and the count of things
-    placed, n_placed included, is returned.
+    Each thing placed takes the next id and is appended to placements.
 
     No background thing lands on a road or lane cell, so the corridor,
     and with it each row's road span, is read once before the scatter;
@@ -688,19 +744,18 @@ def _scatter_background_things(
             top = row - mh + 1
             if not _fits(cells, free, template, top, left, kind):
                 continue
-            _add_instance(cells, grid, template, top, left, kind, n_placed)
+            _add_instance(cells, grid, placements, template, top, left, kind)
             for dy, a, b in template.spans:
                 at = (top + dy) * w + left
                 free[at + a : at + b] = bytes(b - a)
             placed += 1
-            n_placed += 1
-    return n_placed
 
 
 def _place_corridor_car(
     rng: np.random.Generator,
     cells: bytearray,
     grid: np.ndarray,
+    placements: list[_Placement],
     centers: np.ndarray,
     side: int,
 ) -> bool:
@@ -720,7 +775,7 @@ def _place_corridor_car(
         top = row - mh + 1
         if not _fits(cells, road, template, top, left, ClassId.CAR):
             continue
-        _add_instance(cells, grid, template, top, left, ClassId.CAR, 0)
+        _add_instance(cells, grid, placements, template, top, left, ClassId.CAR)
         return True
     return False
 
@@ -772,12 +827,11 @@ class ScenarioGenerator:
         classes, centers = _paint_layout(rng, curvature, offset)
         cells = bytearray(classes)  # the class grid's byte rows, for placement
         grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
+        placements: list[_Placement] = []
 
         label_offset = offset
-        placed = False
         if task == TaskType.AVOID_CARS:
-            placed = _place_corridor_car(rng, cells, grid, centers, avoid_side)
-            if placed:
+            if _place_corridor_car(rng, cells, grid, placements, centers, avoid_side):
                 # Steer toward the open side of the corridor car.
                 label_offset = -avoid_side * profile.avoid_gap
             else:
@@ -785,11 +839,10 @@ class ScenarioGenerator:
 
         n_cars = int(rng.integers(*SCATTER_CARS))
         n_peds = int(rng.integers(*SCATTER_PEDS))
-        n = _scatter_background_things(rng, cells, grid, int(placed), n_cars, n_peds)
+        _scatter_background_things(rng, cells, grid, placements, n_cars, n_peds)
 
         semantic = SemanticMap(classes=np.frombuffer(cells, dtype=np.uint8).reshape(classes.shape))
-        records = _grid_records(semantic.classes, grid, n)
-        instances = InstanceMap(instance_grid=grid, records=records)
+        instances = InstanceMap(instance_grid=grid, records=_placement_records(placements))
         render_seed = int(rng.integers(0, 2**63))
         scenario = render(semantic, self.styles[style], render_seed)
         label = torque_from_geometry(curvature, label_offset)

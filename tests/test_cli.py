@@ -295,6 +295,37 @@ def test_eval_without_a_split_file_is_a_configuration_error(run_dir, tmp_path, c
     assert f"cannot read split file {broken / 'robot-1_holdout.ds1'}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, size, error",
+    [
+        ("robot-0_holdout.ds1", 1_000, "truncated dataset"),
+        ("models/local_robot-0.dm1", 100, "truncated model container"),
+    ],
+)
+def test_eval_with_a_truncated_run_file_is_a_configuration_error(
+    run_dir, tmp_path, capsys, name, size, error
+):
+    broken = tmp_path / "broken"
+    shutil.copytree(run_dir, broken)
+    path = broken / name
+    path.write_bytes(path.read_bytes()[:size])
+    assert cli.main(["eval", str(broken), "--verify"]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot decode {'model' if name.startswith('models/') else 'split'} file {path}" in err
+    assert error in err
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_output_dir_that_is_a_file_is_a_configuration_error(tmp_path, capsys, command):
+    path = tmp_path / "a-file"
+    path.write_text("not a directory\n", encoding="utf-8")
+    assert cli.main([command, *RUN_FLAGS, "--output-dir", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"output directory {path} is unusable" in err
+    assert path.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_eval_without_config_is_a_configuration_error(tmp_path, capsys):
     assert cli.main(["eval", str(tmp_path), "--verify"]) == 3
     assert "no config.txt" in capsys.readouterr().err

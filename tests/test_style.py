@@ -2,12 +2,15 @@
 
 import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parl import baselines, styles
 from parl.augment import AugmentationCandidate
+from parl.baselines import pooled_style
 from parl.codec import decode_models, encode_models
 from parl.errors import DecodeError, FittingError
 from parl.styles import (
@@ -22,7 +25,7 @@ from parl.styles import (
     style_affinity,
     styles_for_agents,
 )
-from parl.world import TaskType, segment
+from parl.world import DrivingSample, Scenario, TaskType, segment
 
 
 def _min_separation(means):
@@ -166,6 +169,98 @@ def test_class_sums_match_the_per_mask_loop_bit_for_bit(small_dataset):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+
+def _class_sums_by_bincount(samples):
+    """class_sums as one pass per sample per call, before the per-sample cache: its reference."""
+    sums = np.zeros((N_CLASSES, 3))
+    sq_sums = np.zeros((N_CLASSES, 3))
+    counts = np.zeros(N_CLASSES, dtype=np.int64)
+    channels, n_bins = np.arange(3), 3 * N_CLASSES
+    for sample in samples:
+        pixels = sample.scenario.pixels.astype(np.float64).ravel()
+        classes = sample.semantic.classes.ravel()
+        bins = (classes[:, None] * 3 + channels).ravel()
+        sums += np.bincount(bins, weights=pixels, minlength=n_bins).reshape(N_CLASSES, 3)
+        sq_sums += np.bincount(bins, weights=pixels**2, minlength=n_bins).reshape(N_CLASSES, 3)
+        counts += np.bincount(classes, minlength=N_CLASSES)
+    return sums, sq_sums, counts
+
+
+@pytest.fixture(scope="module")
+def robot_splits(generator):
+    """Two robots' training splits, two samples per task each."""
+    tasks = [task for task in TaskType for _ in range(2)]
+    return [
+        generator.generate_dataset(robot, tasks, list(range(600 + 10 * robot, 606 + 10 * robot)))
+        for robot in range(2)
+    ]
+
+
+def _fresh(splits):
+    """Copies of the samples with the same fields and no cached statistics."""
+    return [[dataclasses.replace(s) for s in split] for split in splits]
+
+
+def _fits(splits, pooled_first):
+    """(robot styles, pooled style), fitted in the order parl run (pooled first) or rescore uses."""
+    pooled = [s for split in splits for s in split]
+    if pooled_first:
+        central = pooled_style(pooled)
+        return [fit_style(split) for split in splits], central
+    robots = [fit_style(split) for split in splits]
+    return robots, pooled_style(pooled)
+
+
+def _style_bytes(style):
+    return style.class_means.tobytes(), style.class_spreads.tobytes(), style.texture_seed
+
+
+class TestCachedClassStats:
+    @pytest.fixture(scope="class")
+    def reference(self, robot_splits):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(styles, "class_sums", _class_sums_by_bincount)
+            monkeypatch.setattr(baselines, "class_sums", _class_sums_by_bincount)
+            robots, central = _fits(_fresh(robot_splits), pooled_first=True)
+        return [_style_bytes(style) for style in robots], _style_bytes(central)
+
+    @pytest.mark.parametrize("pooled_first", [True, False])
+    def test_fits_match_the_per_call_loop_fresh_and_cached(
+        self, robot_splits, reference, pooled_first
+    ):
+        splits = _fresh(robot_splits)
+        for _ in range(2):  # fresh statistics, then the ones the first fits cached
+            robots, central = _fits(splits, pooled_first)
+            assert ([_style_bytes(style) for style in robots], _style_bytes(central)) == reference
+
+    def test_each_sample_is_read_once_across_every_fit(self, robot_splits, monkeypatch):
+        reads = []
+        compute = DrivingSample.class_stats.func
+
+        def counted(sample):
+            reads.append(id(sample))
+            return compute(sample)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(DrivingSample, "class_stats")
+        monkeypatch.setattr(DrivingSample, "class_stats", prop)
+        splits = _fresh(robot_splits)
+        for pooled_first in (True, False):
+            _fits(splits, pooled_first)
+        samples = [s for split in splits for s in split]
+        assert sorted(reads) == sorted(id(s) for s in samples)
+
+    def test_a_replaced_copy_with_other_pixels_gets_its_own_statistics(self, small_dataset):
+        sample = dataclasses.replace(small_dataset[0])
+        stats = sample.class_stats
+        assert all(not a.flags.writeable for a in stats)
+        pixels = sample.scenario.pixels[::-1].copy()
+        other = dataclasses.replace(sample, scenario=Scenario(pixels=pixels, style=0))
+        assert sample.class_stats is stats
+        got, want = other.class_stats, _class_sums_by_bincount([other])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[0].tobytes() != stats[0].tobytes()
 
 
 class TestCrossRender:
