@@ -202,7 +202,7 @@ def _fresh(splits):
     return [[dataclasses.replace(s) for s in split] for split in splits]
 
 
-def _fits(splits, pooled_first):
+def _fit_all(splits, pooled_first):
     """(robot styles, pooled style), fitted in the order parl run (pooled first) or rescore uses."""
     pooled = [s for split in splits for s in split]
     if pooled_first:
@@ -222,7 +222,7 @@ class TestCachedClassStats:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(styles, "class_sums", _class_sums_by_bincount)
             monkeypatch.setattr(baselines, "class_sums", _class_sums_by_bincount)
-            robots, central = _fits(_fresh(robot_splits), pooled_first=True)
+            robots, central = _fit_all(_fresh(robot_splits), pooled_first=True)
         return [_style_bytes(style) for style in robots], _style_bytes(central)
 
     @pytest.mark.parametrize("pooled_first", [True, False])
@@ -231,7 +231,7 @@ class TestCachedClassStats:
     ):
         splits = _fresh(robot_splits)
         for _ in range(2):  # fresh statistics, then the ones the first fits cached
-            robots, central = _fits(splits, pooled_first)
+            robots, central = _fit_all(splits, pooled_first)
             assert ([_style_bytes(style) for style in robots], _style_bytes(central)) == reference
 
     def test_each_sample_is_read_once_across_every_fit(self, robot_splits, monkeypatch):
@@ -247,7 +247,7 @@ class TestCachedClassStats:
         monkeypatch.setattr(DrivingSample, "class_stats", prop)
         splits = _fresh(robot_splits)
         for pooled_first in (True, False):
-            _fits(splits, pooled_first)
+            _fit_all(splits, pooled_first)
         samples = [s for split in splits for s in split]
         assert sorted(reads) == sorted(id(s) for s in samples)
 
