@@ -71,7 +71,7 @@ POS_BINS = 8  # position histogram is POS_BINS x POS_BINS
 N_SCALE_BINS = 3
 POOL_FACTORS = (1, 2, 4)
 SCORE_CAP = 1.0 - 1e-6
-# Additive smoothing of the placement histograms (WherePredictor.alpha).
+# Additive smoothing of the placement histograms (WherePredictor.probs).
 _WHERE_ALPHA = 0.5
 # Corruptions make_corruptions makes of each kind.
 _CORRUPTIONS_PER_KIND = 4
@@ -274,44 +274,38 @@ N_FILL_BINS = len(FILL_BIN_EDGES) + 1
 class WherePredictor:
     """Per-class placement histogram over (context, position, scale) bins.
 
-    counts holds raw observations; probs adds additive smoothing over
-    observed bins and their position-adjacent neighbors, normalized to sum
-    to 1 per fitted class.
+    counts holds the raw observations, and it is all a predictor stores.
+    The rest is derived from it at construction: probs smooths each class's
+    observed bins and their position-adjacent neighbours by _WHERE_ALPHA and
+    normalizes them to sum to 1 (_smooth_and_normalize), and fitted marks
+    the classes with any observation.
     """
 
-    alpha: float
     counts: np.ndarray  # (N_CLASSES, N_CTX_BINS, POS_BINS*POS_BINS, N_SCALE_BINS)
-    probs: np.ndarray  # same shape, normalized per fitted class
-    fitted: np.ndarray  # (N_CLASSES,) bool
+    probs: np.ndarray = field(init=False, repr=False)  # same shape, normalized per fitted class
+    fitted: np.ndarray = field(init=False, repr=False)  # (N_CLASSES,) bool
     # Each class's probabilities summed along its flattened bins, found once
     # for every draw. A cumulative sum adds left to right, so a row of it is
     # the same bits as the cumulative sum of that class alone.
     _cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # Every range check is written so that NaN fails it.
-        if not 0.0 <= self.alpha < np.inf:
-            raise FittingError(f"alpha {self.alpha} must be finite and nonnegative")
         shape = (N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
-        for name in ("counts", "probs"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
-            if arr.shape != shape:
-                raise FittingError(f"{name} must have shape {shape}")
-            if not ((arr >= 0.0) & (arr < np.inf)).all():
-                raise FittingError(f"{name} must be finite and nonnegative")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        fitted = np.ascontiguousarray(np.asarray(self.fitted, dtype=bool))
-        fitted.setflags(write=False)
-        object.__setattr__(self, "fitted", fitted)
-        for c in range(N_CLASSES):
-            if fitted[c]:
-                total = self.probs[c].sum()
-                if not abs(total - 1.0) <= 1e-9:
-                    raise FittingError(f"class {c} probabilities sum to {total}")
-        cumulative = np.cumsum(self.probs.reshape(N_CLASSES, -1), axis=1)
-        cumulative.setflags(write=False)
-        object.__setattr__(self, "_cumulative", cumulative)
+        counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.float64))
+        if counts.shape != shape:
+            raise FittingError(f"counts must have shape {shape}")
+        # Written so that NaN fails it.
+        if not ((counts >= 0.0) & (counts < np.inf)).all():
+            raise FittingError("counts must be finite and nonnegative")
+        probs = _smooth_and_normalize(counts, _WHERE_ALPHA)
+        derived = {
+            "counts": counts,
+            "probs": probs,
+            "fitted": counts.sum(axis=(1, 2, 3)) > 0,
+            "_cumulative": np.cumsum(probs.reshape(N_CLASSES, -1), axis=1),
+        }
+        for name, arr in derived.items():
+            object.__setattr__(self, name, _frozen(arr))
 
     def class_counts(self) -> np.ndarray:
         return self.counts.sum(axis=(1, 2, 3))
@@ -329,37 +323,14 @@ class WherePredictor:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WherePredictor):
             return NotImplemented
-        return (
-            self.alpha == other.alpha
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.probs, other.probs)
-            and np.array_equal(self.fitted, other.fitted)
-        )
+        return np.array_equal(self.counts, other.counts)
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "alpha": np.array([self.alpha]),
-            "counts": self.counts,
-            "probs": self.probs,
-            "fitted": self.fitted.astype(np.uint8),
-        }
+        return {"counts": self.counts}
 
     @classmethod
     def _from_state(cls, arrays: dict[str, np.ndarray]) -> "WherePredictor":
-        return cls(
-            alpha=float(arrays["alpha"][0]),
-            counts=arrays["counts"],
-            probs=arrays["probs"],
-            fitted=_decoded_flags(arrays["fitted"], "fitted flags"),
-        )
-
-
-def _decoded_flags(arr: np.ndarray, what: str) -> np.ndarray:
-    """A decoded 0/1 array as bool; any other value would not re-encode to its bytes."""
-    flags = arr.astype(bool)
-    if not np.array_equal(flags, arr):
-        raise FittingError(f"{what} must hold only 0 and 1")
-    return flags
+        return cls(counts=arrays["counts"])
 
 
 def _smooth_and_normalize(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -411,10 +382,9 @@ def fit_where(layouts: Sequence[Layout]) -> WherePredictor:
         n_instances += inst.ids.size
     if n_instances == 0:
         raise FittingError("no instances found in the provided layouts")
-    counts = counts.reshape(N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
-    probs = _smooth_and_normalize(counts, _WHERE_ALPHA)
-    fitted = counts.sum(axis=(1, 2, 3)) > 0
-    return WherePredictor(alpha=_WHERE_ALPHA, counts=counts, probs=probs, fitted=fitted)
+    return WherePredictor(
+        counts=counts.reshape(N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +394,14 @@ def fit_where(layouts: Sequence[Layout]) -> WherePredictor:
 
 @dataclass(frozen=True, eq=False)
 class WhatPredictor:
-    """Shape template library: per class and scale bin, harvested masks.
+    """Shape template library: harvested masks, each with its class.
 
     The templates are indexed once, at construction: one pool per (class,
-    scale bin) in template order, and the largest (height, width) per class.
+    scale bin) in template order, a mask's scale bin being scale_bin_of its
+    own size, and the largest (height, width) per class.
     """
 
-    templates: tuple[tuple[int, int, np.ndarray], ...]  # (class, scale_bin, mask)
+    templates: tuple[tuple[int, np.ndarray], ...]  # (class, mask)
     _pools: dict[tuple[int, int], tuple[np.ndarray, ...]] = field(init=False, repr=False)
     _max_dims: dict[int, tuple[int, int]] = field(init=False, repr=False)
 
@@ -438,14 +409,14 @@ class WhatPredictor:
         frozen = []
         pools: dict[tuple[int, int], list[np.ndarray]] = {}
         max_dims: dict[int, tuple[int, int]] = {}
-        for cls, sbin, mask in self.templates:
-            m = np.ascontiguousarray(np.asarray(mask, dtype=bool))
-            m.setflags(write=False)
-            frozen.append((int(cls), int(sbin), m))
-            pools.setdefault((int(cls), int(sbin)), []).append(m)
+        for cls, mask in self.templates:
+            m = _frozen(np.ascontiguousarray(np.asarray(mask, dtype=bool)))
+            frozen.append((int(cls), m))
             if m.ndim == 2:  # other masks only reach the decoder, which rejects them
-                mh, mw = max_dims.get(int(cls), (0, 0))
-                max_dims[int(cls)] = (max(mh, m.shape[0]), max(mw, m.shape[1]))
+                mh, mw = m.shape
+                pools.setdefault((int(cls), scale_bin_of(mw, mh)), []).append(m)
+                oh, ow = max_dims.get(int(cls), (0, 0))
+                max_dims[int(cls)] = (max(oh, mh), max(ow, mw))
         object.__setattr__(self, "templates", tuple(frozen))
         object.__setattr__(self, "_pools", {key: tuple(p) for key, p in pools.items()})
         object.__setattr__(self, "_max_dims", max_dims)
@@ -473,32 +444,31 @@ class WhatPredictor:
         if len(self.templates) != len(other.templates):
             return False
         return all(
-            a[0] == b[0] and a[1] == b[1] and np.array_equal(a[2], b[2])
+            a[0] == b[0] and np.array_equal(a[1], b[1])
             for a, b in zip(self.templates, other.templates)
         )
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {
-            "meta": np.array(
-                [[cls, sbin] for cls, sbin, _ in self.templates], dtype=np.int64
-            ).reshape(len(self.templates), 2),
-        }
-        for i, (_, _, mask) in enumerate(self.templates):
+        out = {"classes": np.array([cls for cls, _ in self.templates], dtype=np.int64)}
+        for i, (_, mask) in enumerate(self.templates):
             out[f"mask{i}"] = mask.astype(np.uint8)
         return out
 
     @classmethod
     def _from_state(cls, arrays: dict[str, np.ndarray]) -> "WhatPredictor":
         """Decoded templates; `fit_what` only harvests masks already found connected."""
-        meta = arrays["meta"].reshape(-1, 2)
         templates = []
-        for i in range(meta.shape[0]):
-            mask = _decoded_flags(arrays[f"mask{i}"], "template mask")
+        for i, class_id in enumerate(arrays["classes"].reshape(-1).tolist()):
+            flags = arrays[f"mask{i}"]
+            mask = flags.astype(bool)
+            # Any value but 0 and 1 would not re-encode to its bytes.
+            if not np.array_equal(mask, flags):
+                raise FittingError("template mask must hold only 0 and 1")
             if mask.ndim != 2 or not mask.any():
                 raise FittingError("template mask must be a non-empty 2-D grid")
             if _label_components(mask)[1] != 1:
                 raise FittingError("template mask must be a single component")
-            templates.append((int(meta[i, 0]), int(meta[i, 1]), mask))
+            templates.append((class_id, mask))
         return cls(templates=tuple(templates))
 
 
@@ -526,14 +496,10 @@ def fit_what(layouts: Sequence[Layout]) -> WhatPredictor:
                 crop = maps[lay].instance_grid[y0 : y1 + 1, x0 : x1 + 1] == inst_id
             found.append((int(index[lay]), cls, crop))
     found.sort(key=lambda f: f[0])  # stable: record order stays within a layout
-    templates = tuple(
-        (cls, scale_bin_of(crop.shape[1], crop.shape[0]), crop)
-        for _, cls, crop in found
-        if crop is not None
-    )
+    templates = tuple((cls, crop) for _, cls, crop in found if crop is not None)
     if not templates:
         raise FittingError("no instances found in the provided layouts")
-    missing = {cls for _, cls, _ in found} - {cls for cls, _, _ in templates}
+    missing = {cls for _, cls, _ in found} - {cls for cls, _ in templates}
     if missing:
         raise FittingError(f"no usable templates for classes {sorted(missing)}")
     return WhatPredictor(templates=templates)
@@ -771,8 +737,15 @@ class _ScaleStats:
     fill_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("adjacency", "ctx_freq", "size_freq", "fill_freq"):
+        for name, columns in (
+            ("adjacency", N_CLASSES),
+            ("ctx_freq", N_CTX_BINS),
+            ("size_freq", N_SCALE_BINS),
+            ("fill_freq", N_FILL_BINS),
+        ):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
+            if arr.shape != (N_CLASSES, columns):
+                raise FittingError(f"{name} must have shape {(N_CLASSES, columns)}")
             if not ((arr >= 0.0) & (arr < np.inf)).all():
                 raise FittingError(f"{name} must be finite and nonnegative")
             arr.setflags(write=False)
@@ -990,6 +963,11 @@ def _global_adjacency_score(stats: _ScaleStats, pooled: np.ndarray) -> float:
     return float(vals.mean()) if vals.size else 0.0
 
 
+# The weights of an instance's box, instance, affine and shape components:
+# all the same.
+_SCORER_WEIGHTS = _frozen(np.array([0.25, 0.25, 0.25, 0.25]))
+
+
 @dataclass(frozen=True, eq=False)
 class PlausibilityScorer:
     """Three-scale layout judge with threshold acceptance.
@@ -1012,30 +990,22 @@ class PlausibilityScorer:
     diagnostics_json and fitting read too. The ring term sums each
     direction's run with the exact order of ndarray.sum() (_segment_sums),
     np.vecdot takes each instance's weighted sum with numpy's 1-D dot
-    routine, so every row adds its four terms as a lone `weights @ row`
-    would (a matrix product may add them in another order), and the minimum
-    and the mean over scales are taken per layout. A layout's score is
-    therefore the same bits in any batch.
+    routine, so every row adds its four terms as a lone
+    `_SCORER_WEIGHTS @ row` would (a matrix product may add them in another
+    order), and the minimum and the mean over scales are taken per layout.
+    A layout's score is therefore the same bits in any batch.
     """
 
     scale_stats: tuple[_ScaleStats, ...]
     threshold: float
-    weights: np.ndarray  # (4,) box, instance, affine, shape
     calibration: np.ndarray  # (2,) slope, intercept
 
     def __post_init__(self) -> None:
         if len(self.scale_stats) != len(POOL_FACTORS):
             raise FittingError(f"expected {len(POOL_FACTORS)} scale stats")
+        # Every range check is written so that NaN fails it.
         if not 0.0 < self.threshold < 1.0:
             raise FittingError(f"threshold {self.threshold} outside (0, 1)")
-        # Every range check is written so that NaN fails it.
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if not (
-            w.shape == (4,) and ((w >= 0.0) & (w <= 1.0)).all() and abs(w.sum() - 1.0) <= 1e-9
-        ):
-            raise FittingError("weights must be 4 nonnegative values summing to 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
         calib = np.ascontiguousarray(np.asarray(self.calibration, dtype=np.float64))
         if not (calib.shape == (2,) and np.isfinite(calib).all()):
             raise FittingError("calibration must be a finite (slope, intercept)")
@@ -1076,7 +1046,7 @@ class PlausibilityScorer:
             comps = _component_values(stats, inst, keys)
             # One 1-D dot per instance row: a matrix product may add the
             # four terms in another order.
-            value = np.vecdot(self.weights, comps)
+            value = np.vecdot(_SCORER_WEIGHTS, comps)
             # Hard gates: configurations real layouts never produce.
             value = np.where(inst.contact, value * 0.1, value)
             value = np.where((comps[:, 0] == 0.0) | (comps[:, 2] == 0.0), value * 0.3, value)
@@ -1091,14 +1061,12 @@ class PlausibilityScorer:
         return (
             self.scale_stats == other.scale_stats
             and self.threshold == other.threshold
-            and np.array_equal(self.weights, other.weights)
             and np.array_equal(self.calibration, other.calibration)
         )
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {
             "threshold": np.array([self.threshold]),
-            "weights": self.weights,
             "calibration": self.calibration,
         }
         for i, stats in enumerate(self.scale_stats):
@@ -1122,7 +1090,6 @@ class PlausibilityScorer:
         return cls(
             scale_stats=stats,
             threshold=float(arrays["threshold"][0]),
-            weights=arrays["weights"],
             calibration=arrays["calibration"],
         )
 
@@ -1161,7 +1128,7 @@ def diagnostics_json(scorer: PlausibilityScorer, layouts: Sequence[Layout]) -> s
         )
     payload = {
         "threshold": scorer.threshold,
-        "weights": [float(w) for w in scorer.weights],
+        "weights": [float(w) for w in _SCORER_WEIGHTS],
         "calibration": {"slope": float(scorer.calibration[0]), "intercept": float(scorer.calibration[1])},
         "scales": per_scale,
     }
@@ -1339,8 +1306,6 @@ def make_corruptions(layouts: Sequence[Layout], seed: int) -> list[Layout]:
 
 _CALIBRATION_MARGIN = 0.1
 _GAP_REQUIREMENT = 0.2
-# The box, instance, affine and shape components weigh the same.
-_SCORER_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 # Insertion attempts each source may spend, per candidate it is asked for.
 _BUDGET_FACTOR = 16
 
@@ -1387,7 +1352,6 @@ def fit_scorer(real_layouts: Sequence[Layout], threshold: float, seed: int) -> P
     probe = PlausibilityScorer(
         scale_stats=stats,
         threshold=threshold,
-        weights=np.array(_SCORER_WEIGHTS),
         calibration=np.array([1.0, 0.0]),
     )
     raw_fit = probe._raw_scores(fit_chunks, len(fit_split))
@@ -1409,7 +1373,6 @@ def fit_scorer(real_layouts: Sequence[Layout], threshold: float, seed: int) -> P
         scorer = PlausibilityScorer(
             scale_stats=stats,
             threshold=threshold,
-            weights=np.array(_SCORER_WEIGHTS),
             calibration=np.array([slope, intercept]),
         )
 

@@ -12,7 +12,8 @@ Every ExperimentConfig field is exposed as a flag; --config loads a key/value
 file first and flags override it. Exit codes: 0 on success, 2 when --check
 finds an acceptance problem or eval --verify finds a mismatch, 3 on any
 configuration error (bad flag, bad file, unknown key, an output directory
-that cannot be created, a run file that is missing or does not decode).
+that cannot be created, a run file that is missing or does not decode, a
+model file that holds anything but one policy).
 
 The harness writes a run directory's inputs and models and scores them
 (`write_inputs`, `run_experiment`, `rescore`); this module names none of

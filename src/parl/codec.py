@@ -33,9 +33,10 @@ carries one has its magic and version.
 Decoders reject with DecodeError bad magic, unknown versions, unknown item
 kinds, truncated payloads, trailing bytes, and records no encoder writes: a
 flag byte other than 0 or 1, a nonzero field behind a 0 flag, an array
-named twice, or an array its record kind does not read. A payload that
-parses but violates a model invariant is also a DecodeError, never a
-half-built object.
+named twice, an array its record kind does not read, or an array of
+another dtype or shape than its kind writes. A payload that parses but
+violates a model invariant is also a DecodeError, never a half-built
+object.
 
 Each payload is copied once on the way out and once on the way in. An
 encoder collects its fields and buffers as parts, scenario pixels as the
@@ -589,10 +590,18 @@ def _decode_item(data: memoryview) -> ModelItem:
             }[kind]
             try:
                 model = target._from_state(arrays)
-            except (KeyError, ValueError, IndexError) as exc:
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
                 raise DecodeError(f"model record state is malformed: {exc}") from exc
-            if model._state_arrays().keys() != arrays.keys():
+            state = model._state_arrays()
+            if state.keys() != arrays.keys():
                 raise DecodeError("model record holds arrays its kind does not read")
+            for name, arr in arrays.items():
+                want = state[name]
+                if (arr.dtype, arr.shape) != (want.dtype, want.shape):
+                    raise DecodeError(
+                        f"array {name!r} is {arr.dtype.str} {arr.shape}, where its kind "
+                        f"writes {want.dtype.str} {want.shape}"
+                    )
             return model
         if kind == KIND_LAYOUT:
             layout = _decode_layout_body(r)

@@ -185,6 +185,15 @@ def _read_run_file(path: Path, kind: str, read):
         raise ConfigurationError(f"cannot decode {kind} file {path}: {exc}") from exc
 
 
+def _read_policy(path: Path) -> PolicyModel:
+    """The one policy a model file holds; any other content is a configuration error naming it."""
+    items = _read_run_file(path, "model", codec.read_models)
+    if len(items) != 1 or not isinstance(items[0], PolicyModel):
+        kinds = ", ".join(type(item).__name__ for item in items) or "no record"
+        raise ConfigurationError(f"model file {path} holds {kinds}, not one PolicyModel")
+    return items[0]
+
+
 def write_inputs(
     config: ExperimentConfig, out: Path
 ) -> tuple[Splits, Splits, dict[str, dict[str, str]]]:
@@ -278,26 +287,18 @@ def render_markdown(doc: dict) -> str:
     """Markdown tables of a report's JSON document (`ComparisonReport.to_json_dict`)."""
     arms = doc["arms"]
     robots = sorted({r for robot_map in arms.values() for r in robot_map})
-    lines = ["# Comparison report", "", "## Mean absolute torque error", ""]
-    lines.append("| arm | " + " | ".join(robots) + " | overall |")
-    lines.append("|---" * (len(robots) + 2) + "|")
-    for arm in sorted(arms):
-        cells = [
-            f"{arms[arm][r]['overall_error']:.4f}" if r in arms[arm] else "-"
-            for r in robots
-        ]
-        overall = doc["overall"][arm]["error"]
-        lines.append(f"| {arm} | " + " | ".join(cells) + f" | {overall:.4f} |")
-    lines += ["", "## Failure rate (error > threshold)", ""]
-    lines.append("| arm | " + " | ".join(robots) + " | overall |")
-    lines.append("|---" * (len(robots) + 2) + "|")
-    for arm in sorted(arms):
-        cells = [
-            f"{arms[arm][r]['overall_failure_rate']:.4f}" if r in arms[arm] else "-"
-            for r in robots
-        ]
-        overall = doc["overall"][arm]["failure_rate"]
-        lines.append(f"| {arm} | " + " | ".join(cells) + f" | {overall:.4f} |")
+    lines = ["# Comparison report"]
+    for title, field in (
+        ("Mean absolute torque error", "overall_error"),
+        ("Failure rate (error > threshold)", "overall_failure_rate"),
+    ):
+        lines += ["", f"## {title}", ""]
+        lines.append("| arm | " + " | ".join(robots) + " | overall |")
+        lines.append("|---" * (len(robots) + 2) + "|")
+        for arm in sorted(arms):
+            cells = [f"{arms[arm][r][field]:.4f}" if r in arms[arm] else "-" for r in robots]
+            overall = doc["overall"][arm][field.removeprefix("overall_")]
+            lines.append(f"| {arm} | " + " | ".join(cells) + f" | {overall:.4f} |")
     lines += ["", "## Augmenter axes", ""]
     lines.append("| augmenter | number | semantic | instance | reality |")
     lines.append("|---|---|---|---|---|")
@@ -352,7 +353,8 @@ def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
     A robot with a model file is scored under `fit_style` of its training
     split, and the centralized model under `pooled_style` of every training
     split. An arm and robot without a model file is left out; a model file
-    that cannot be decoded is a configuration error naming it.
+    that cannot be decoded, or holds anything but one policy, is a
+    configuration error naming it.
     """
     config, train, holdout = read_inputs(run_dir)
     keys = {robot_key(robot): robot for robot in range(config.robots)}
@@ -361,9 +363,7 @@ def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
         for arm, pattern in ARM_MODEL_FILES.items():
             path = run_dir / pattern.format(key=key)
             if path.exists():
-                (models.setdefault(arm, {})[key],) = _read_run_file(
-                    path, "model", codec.read_models
-                )
+                models.setdefault(arm, {})[key] = _read_policy(path)
     styles = {
         key: fit_style(train[robot])
         for key, robot in keys.items()
@@ -372,8 +372,7 @@ def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
     central_style = None
     central_path = run_dir / CENTRALIZED_MODEL_FILE
     if central_path.exists():
-        (central,) = _read_run_file(central_path, "model", codec.read_models)
-        models[ARM_CENTRALIZED] = dict.fromkeys(keys, central)
+        models[ARM_CENTRALIZED] = dict.fromkeys(keys, _read_policy(central_path))
         central_style = pooled_style([s for robot in keys.values() for s in train[robot]])
     holdouts = {key: holdout[robot] for key, robot in keys.items()}
     return score_arms(models, holdouts, styles, central_style, config.fail_threshold)

@@ -126,23 +126,18 @@ def test_fit_where_rejects_empty():
 
 
 def test_where_predictor_validates_shape():
-    shape = (N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS)
     with pytest.raises(FittingError):
-        WherePredictor(
-            alpha=0.5,
-            counts=np.zeros((2, 2)),
-            probs=np.zeros(shape),
-            fitted=np.zeros(N_CLASSES, dtype=bool),
-        )
-    bad_probs = np.zeros(shape)
-    bad_probs[0, 0, 0, 0] = 0.5  # does not sum to 1 for a fitted class
-    with pytest.raises(FittingError):
-        WherePredictor(
-            alpha=0.5,
-            counts=np.ones(shape),
-            probs=bad_probs,
-            fitted=np.ones(N_CLASSES, dtype=bool),
-        )
+        WherePredictor(counts=np.zeros((2, 2)))
+
+
+def test_where_predictor_derives_probs_and_fitted_from_counts(predictors):
+    """A predictor stores its counts; what it samples from is derived from them at construction."""
+    where, _ = predictors
+    again = WherePredictor(counts=where.counts.copy())
+    for name in ("probs", "fitted", "_cumulative"):
+        assert getattr(again, name).tobytes() == getattr(where, name).tobytes()
+        assert not getattr(again, name).flags.writeable
+    assert again == where
 
 
 def _encoded_state(model, arrays):
@@ -152,24 +147,12 @@ def _encoded_state(model, arrays):
     return encode_models([bad])
 
 
-def _with_class_probs(where, values):
-    """where.probs with its first fitted class's bins set to values, then zeros."""
-    probs = where.probs.copy()
-    c = int(np.flatnonzero(where.fitted)[0])
-    probs[c] = 0.0
-    probs[c].reshape(-1)[: len(values)] = values
-    return probs
-
-
 # Tampered where-predictor state arrays: each passed validation written with
 # comparisons that NaN passes.
 _BAD_WHERE_STATES = {
-    "negative-probs": lambda w: {"probs": _with_class_probs(w, [-1.0, 2.0])},
-    "nan-prob": lambda w: {"probs": _with_class_probs(w, [np.nan, 1.0])},
-    "inf-probs": lambda w: {"probs": _with_class_probs(w, [np.inf, -np.inf, 1.0])},
     "nan-counts": lambda w: {"counts": np.where(w.counts > 0, np.nan, w.counts)},
-    "negative-alpha": lambda w: {"alpha": np.array([-0.5])},
-    "nan-alpha": lambda w: {"alpha": np.array([np.nan])},
+    "negative-counts": lambda w: {"counts": np.where(w.counts > 0, -w.counts, w.counts)},
+    "inf-counts": lambda w: {"counts": np.where(w.counts > 0, np.inf, w.counts)},
 }
 
 
@@ -191,17 +174,17 @@ def test_where_predictor_rejects_nan_and_negative_state(predictors, case):
 def test_fit_what_templates_are_tight_and_connected(predictors):
     _, what = predictors
     assert what.templates
-    for cls, sbin, mask in what.templates:
+    for cls, mask in what.templates:
         assert cls in tuple(int(c) for c in THING_CLASSES)
-        assert 0 <= sbin < N_SCALE_BINS
         assert mask.any(axis=0).all() and mask.any(axis=1).all()  # tight crop
-        assert sbin == scale_bin_of(mask.shape[1], mask.shape[0])
 
 
 def test_what_pick_prefers_requested_scale(predictors):
     _, what = predictors
     rng = np.random.default_rng(7)
-    available = {sbin for cls, sbin, _ in what.templates if cls == int(ClassId.CAR)}
+    available = {
+        scale_bin_of(m.shape[1], m.shape[0]) for cls, m in what.templates if cls == int(ClassId.CAR)
+    }
     for want in available:
         mask = what.pick(int(ClassId.CAR), want, rng)
         assert mask is not None
@@ -217,7 +200,11 @@ def test_what_pick_unknown_class(predictors):
 def _scan_pick(templates, class_id, scale_bin, rng):
     """WhatPredictor.pick as a scan of every template, kept as its reference."""
     for sbin in sorted(range(N_SCALE_BINS), key=lambda s: abs(s - scale_bin)):
-        pool = [m for cls, sb, m in templates if cls == class_id and sb == sbin]
+        pool = [
+            m
+            for cls, m in templates
+            if cls == class_id and scale_bin_of(m.shape[1], m.shape[0]) == sbin
+        ]
         if pool:
             return pool[int(rng.integers(len(pool)))]
     return None
@@ -225,11 +212,11 @@ def _scan_pick(templates, class_id, scale_bin, rng):
 
 def test_what_index_matches_template_scan(predictors):
     _, what = predictors
-    classes = sorted({cls for cls, _, _ in what.templates})
+    classes = sorted({cls for cls, _ in what.templates})
     assert what.classes() == tuple(classes)
     for cls in classes + [int(ClassId.SKY)]:
-        hs = [m.shape[0] for c, _, m in what.templates if c == cls]
-        ws = [m.shape[1] for c, _, m in what.templates if c == cls]
+        hs = [m.shape[0] for c, m in what.templates if c == cls]
+        ws = [m.shape[1] for c, m in what.templates if c == cls]
         assert what.max_dims(cls) == ((max(hs), max(ws)) if hs else (0, 0))
         for want in range(N_SCALE_BINS):
             indexed, scanned = np.random.default_rng(3), np.random.default_rng(3)
@@ -241,7 +228,7 @@ def test_what_max_dims_bound_templates(predictors):
     _, what = predictors
     for cls in what.classes():
         mh, mw = what.max_dims(cls)
-        for tcls, _, mask in what.templates:
+        for tcls, mask in what.templates:
             if tcls == cls:
                 assert mask.shape[0] <= mh and mask.shape[1] <= mw
 
@@ -388,7 +375,6 @@ def _with_cell(table, value):
 
 
 _BAD_SCORER_STATES = {
-    "nan-weight": lambda s: {"weights": np.array([np.nan, 0.5, 0.25, 0.25])},
     "nan-calibration": lambda s: {"calibration": np.array([np.nan, 0.0])},
     "inf-calibration": lambda s: {"calibration": np.array([1.0, np.inf])},
     "negative-evidence": lambda s: {"ctx1": _with_cell(s.scale_stats[1].ctx_freq, -1.0)},
@@ -613,7 +599,7 @@ def _sequential_augment(sources, fan_out, where, what, scorer, seeds, threshold)
     classes = [
         int(c)
         for c in THING_CLASSES
-        if where.fitted[int(c)] and any(cls == int(c) for cls, _, _ in what.templates)
+        if where.fitted[int(c)] and any(cls == int(c) for cls, _ in what.templates)
     ]
     counts = where.class_counts()[classes]
     class_probs = counts / counts.sum()

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import parl
-from parl import cli, harness
+from parl import cli, codec, harness
 from parl.config import OUTPUT_ROOT_ENV, ExperimentConfig
 
 RUN_FLAGS = ["--robots", "2", "--samples-per-task", "3"]
@@ -313,6 +313,33 @@ def test_eval_with_a_truncated_run_file_is_a_configuration_error(
     err = capsys.readouterr().err
     assert f"cannot decode {'model' if name.startswith('models/') else 'split'} file {path}" in err
     assert error in err
+
+
+# What a model file may hold instead of its one policy, made from a run
+# directory's other files.
+_OTHER_RECORDS = {
+    "styles": lambda run: codec.read_models(run / "models" / "styles.dm1"),
+    "one-style": lambda run: codec.read_models(run / "models" / "styles.dm1")[:1],
+    "predictors": lambda run: codec.read_models(run / "models" / "predictors.dm1"),
+    "two-policies": lambda run: codec.read_models(run / "models" / "local_robot-1.dm1") * 2,
+    "no-record": lambda run: [],
+}
+
+
+@pytest.mark.parametrize("records", sorted(_OTHER_RECORDS))
+@pytest.mark.parametrize("name", ["models/local_robot-0.dm1", "models/centralized.dm1"])
+def test_a_model_file_without_one_policy_is_a_configuration_error(
+    run_dir, tmp_path, capsys, name, records
+):
+    """Such files once ended eval in a ValueError or AttributeError traceback, exit 1."""
+    broken = tmp_path / "broken"
+    shutil.copytree(run_dir, broken)
+    codec.write_models(broken / name, _OTHER_RECORDS[records](run_dir))
+    assert cli.main(["eval", str(broken), "--verify"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"model file {broken / name} holds" in err
+    assert "not one PolicyModel" in err
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])

@@ -394,7 +394,7 @@ class TestRejection:
     )
     def test_bad_template_mask_rejected(self, artifacts, mask):
         good = artifacts["what"].templates[0]
-        bad = WhatPredictor(templates=(good, (good[0], good[1], mask)))
+        bad = WhatPredictor(templates=(good, (good[0], mask)))
         with pytest.raises(DecodeError):
             decode_models(encode_models([bad]))
 
@@ -468,7 +468,7 @@ class TestRejection:
     @pytest.mark.parametrize(
         "kind, code, extra, match",
         [
-            ("where", codec.KIND_WHERE, "alpha", "array 'alpha' named twice"),
+            ("where", codec.KIND_WHERE, "counts", "array 'counts' named twice"),
             ("what", codec.KIND_WHAT, "mask{n}", "arrays its kind does not read"),
             ("scorer", codec.KIND_SCORER, "bias", "arrays its kind does not read"),
         ],
@@ -481,11 +481,39 @@ class TestRejection:
         arrays = model._state_arrays()
         entries = sorted(arrays.items())
         assert _one_record_container(_array_map_record(code, entries)) == encode_models([model])
-        # A WhatPredictor's map holds "meta" and one mask per template, so
+        # A WhatPredictor's map holds "classes" and one mask per template, so
         # mask{n} with n = len(arrays) - 1 is the mask past the last template.
         entries.append((extra.format(n=len(arrays) - 1), next(iter(arrays.values()))))
         with pytest.raises(DecodeError, match=match):
             decode_models(_one_record_container(_array_map_record(code, entries)))
+
+    @pytest.mark.parametrize(
+        "kind, code",
+        [("where", codec.KIND_WHERE), ("what", codec.KIND_WHAT), ("scorer", codec.KIND_SCORER)],
+        ids=["where", "what", "scorer"],
+    )
+    def test_predictor_arrays_decode_only_at_the_dtype_and_shape_their_kind_writes(
+        self, artifacts, kind, code
+    ):
+        """Each array with its dtype code changed, then with one more dimension, is rejected.
+
+        An f8 or i8 array keeps its bytes under the other code, as a flipped
+        code byte leaves them; a u1 mask is widened to i8. Such records once
+        decoded, and re-encoded to other bytes: _from_state converted them.
+        """
+        model = artifacts[kind]
+        if kind == "what":  # two templates stand for all of them
+            model = WhatPredictor(templates=model.templates[:2])
+        arrays = model._state_arrays()
+        other = {"<f8": "<i8", "<i8": "<f8"}
+        for name, arr in arrays.items():
+            for changed in (
+                arr.view(other[arr.dtype.str]) if arr.dtype.str in other else arr.astype("<i8"),
+                arr[None],
+            ):
+                entries = sorted({**arrays, name: changed}.items())
+                with pytest.raises(DecodeError):
+                    decode_models(_one_record_container(_array_map_record(code, entries)))
 
     @settings(max_examples=60, deadline=None)
     @given(frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))

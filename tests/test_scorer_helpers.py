@@ -2,8 +2,8 @@
 
 The batched scorer is checked bit for bit against a reference copy of the
 per-instance crop path it replaced, under the default weights and under
-unequal ones: the golden test pins only equal weights, which cannot tell a
-reordered weighted sum from the right one. A batch must also give each
+unequal ones patched in for them: the golden test pins only equal weights,
+which cannot tell a reordered weighted sum from the right one. A batch must also give each
 layout the same bits as scoring that layout alone. The batched fit_where
 and fit_what are checked the same way against the per-layout fits they
 replaced, and the fitting helpers against the numpy calls they replaced.
@@ -27,7 +27,6 @@ from parl.augment import (
     N_SCALE_BINS,
     POOL_FACTORS,
     POS_BINS,
-    PlausibilityScorer,
     WherePredictor,
     WhatPredictor,
     _CTX_DEPTH_EDGES,
@@ -40,7 +39,6 @@ from parl.augment import (
     _mode_pool,
     _pos_bins,
     _segment_sums,
-    _smooth_and_normalize,
     N_CTX_BINS,
     diagnostics_json,
     fit_what,
@@ -292,7 +290,11 @@ def _reference_values(stats, cls, comps):
     return box, total / count if count else 1.0, affine, shape
 
 
-def _reference_raw_score(scorer, layout):
+# The scorer's component weights, as augment._SCORER_WEIGHTS holds them.
+EQUAL_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
+
+
+def _reference_raw_score(scorer, layout, weights=EQUAL_WEIGHTS):
     contacts = _brute_contacts(layout[1])
     vals = []
     for stats, (pooled, instances) in zip(scorer.scale_stats, _reference_scales(layout)):
@@ -302,7 +304,7 @@ def _reference_raw_score(scorer, layout):
         scores = []
         for rec, comps in instances:
             box, ring, affine, shape = _reference_values(stats, int(rec.class_id), comps)
-            value = float(scorer.weights @ np.array([box, ring, affine, shape]))
+            value = float(np.array(weights) @ np.array([box, ring, affine, shape]))
             if contacts[rec.instance_id]:
                 value *= 0.1
             if box == 0.0 or affine == 0.0:
@@ -312,7 +314,7 @@ def _reference_raw_score(scorer, layout):
     return float(np.mean(vals))
 
 
-def _reference_diagnostics(scorer, layouts):
+def _reference_diagnostics(scorer, layouts, weights=EQUAL_WEIGHTS):
     names = ("box", "instance", "affine", "shape")
     collected = [{n: [] for n in names} for _ in POOL_FACTORS]
     for layout in layouts:
@@ -339,7 +341,7 @@ def _reference_diagnostics(scorer, layouts):
     ]
     payload = {
         "threshold": scorer.threshold,
-        "weights": [float(w) for w in scorer.weights],
+        "weights": [float(w) for w in weights],
         "calibration": {"slope": float(scorer.calibration[0]), "intercept": float(scorer.calibration[1])},
         "scales": per_scale,
     }
@@ -401,16 +403,12 @@ def scored_layouts(draw, shapes=st.tuples(st.integers(16, 26), st.integers(16, 2
     )
 
 
-WEIGHTS = [(0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4)]
+WEIGHTS = [EQUAL_WEIGHTS, (0.1, 0.2, 0.3, 0.4)]
 
 
-def _weighted(scorer, weights):
-    return PlausibilityScorer(
-        scale_stats=scorer.scale_stats,
-        threshold=scorer.threshold,
-        weights=np.array(weights),
-        calibration=scorer.calibration,
-    )
+def _weighted(weights):
+    """The scorer's component weights set to weights while the context lasts."""
+    return mock.patch.object(augment, "_SCORER_WEIGHTS", np.array(weights))
 
 
 def _hexes(values):
@@ -421,9 +419,10 @@ def _hexes(values):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(scored_layouts(), min_size=1, max_size=3))
 def test_raw_score_and_diagnostics_match_per_instance_reference(scorer, weights, batch):
-    judge = _weighted(scorer, weights)
-    assert _hexes(judge.raw_score(batch)) == _hexes(_reference_raw_score(judge, l) for l in batch)
-    assert diagnostics_json(judge, batch) == _reference_diagnostics(judge, batch)
+    with _weighted(weights):
+        got, diagnostics = scorer.raw_score(batch), diagnostics_json(scorer, batch)
+    assert _hexes(got) == _hexes(_reference_raw_score(scorer, l, weights) for l in batch)
+    assert diagnostics == _reference_diagnostics(scorer, batch, weights)
 
 
 # Few shapes, so that batches hold same-shape groups; 16 x 21 is not a
@@ -450,10 +449,10 @@ def test_batched_raw_score_matches_each_alone_and_reference(scorer, batch):
 
 @pytest.mark.parametrize("weights", WEIGHTS)
 def test_real_layouts_match_per_instance_reference(scorer, layouts, weights):
-    judge = _weighted(scorer, weights)
-    got = _hexes(judge.raw_score(layouts))
-    assert got == _hexes(_reference_raw_score(judge, layout) for layout in layouts)
-    assert diagnostics_json(judge, layouts) == _reference_diagnostics(judge, layouts)
+    with _weighted(weights):
+        got, diagnostics = _hexes(scorer.raw_score(layouts)), diagnostics_json(scorer, layouts)
+    assert got == _hexes(_reference_raw_score(scorer, layout, weights) for layout in layouts)
+    assert diagnostics == _reference_diagnostics(scorer, layouts, weights)
 
 
 @settings(max_examples=200, deadline=None)
@@ -483,7 +482,7 @@ def test_segment_sums_match_ndarray_sum(runs):
 # ---------------------------------------------------------------------------
 
 
-def _reference_fit_where(layouts, alpha=0.5):
+def _reference_fit_where(layouts):
     """fit_where listing each layout's instances alone, into np.add.at counts."""
     counts = np.zeros((N_CLASSES, N_CTX_BINS, POS_BINS * POS_BINS, N_SCALE_BINS))
     n_instances = 0
@@ -499,8 +498,7 @@ def _reference_fit_where(layouts, alpha=0.5):
         n_instances += inst.ids.size
     if n_instances == 0:
         raise FittingError("no instances found in the provided layouts")
-    probs = _smooth_and_normalize(counts, alpha)
-    return WherePredictor(alpha=alpha, counts=counts, probs=probs, fitted=counts.sum(axis=(1, 2, 3)) > 0)
+    return WherePredictor(counts=counts)
 
 
 def _reference_fit_what(layouts):
@@ -516,10 +514,10 @@ def _reference_fit_what(layouts):
             if not connected:
                 continue
             crop = instances.instance_grid[y0 : y1 + 1, x0 : x1 + 1] == inst_id
-            templates.append((cls, scale_bin_of(crop.shape[1], crop.shape[0]), crop))
+            templates.append((cls, crop))
     if not templates:
         raise FittingError("no instances found in the provided layouts")
-    missing = seen - {cls for cls, _, _ in templates}
+    missing = seen - {cls for cls, _ in templates}
     if missing:
         raise FittingError(f"no usable templates for classes {sorted(missing)}")
     return WhatPredictor(templates=tuple(templates))
@@ -585,8 +583,8 @@ def test_batched_fits_match_per_layout_reference(chunk, batch):
     if isinstance(want_what, str):
         assert what == want_what
     else:
-        assert [(c, s, _bits(m)) for c, s, m in what.templates] == [
-            (c, s, _bits(m)) for c, s, m in want_what.templates
+        assert [(c, _bits(m)) for c, m in what.templates] == [
+            (c, _bits(m)) for c, m in want_what.templates
         ]
 
 
