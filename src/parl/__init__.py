@@ -35,9 +35,8 @@ from .errors import (
     RenderError,
     TrainingError,
 )
-from .harness import ComparisonReport, StageFailure, check_acceptance, run_experiment
+from .harness import StageFailure, check_acceptance, run_experiment
 from .policy import (
-    EvaluationReport,
     PolicyModel,
     crowdsource_labels,
     evaluate,
@@ -72,12 +71,10 @@ __all__ = [
     "AugmenterAxes",
     "ClassId",
     "CloudNode",
-    "ComparisonReport",
     "ConfigurationError",
     "DegenerateInputError",
     "DrivingSample",
     "EvaluationError",
-    "EvaluationReport",
     "ExperimentConfig",
     "FittingError",
     "InstanceMap",

@@ -56,6 +56,7 @@ from .world import (
     BACKGROUND_ID,
     ClassId,
     InstanceMap,
+    Layout,
     RECORD_DTYPE,
     SemanticMap,
     THING_CLASSES,
@@ -63,8 +64,6 @@ from .world import (
     _label_components,
     _shape_chunks,
 )
-
-Layout = tuple[SemanticMap, InstanceMap]
 
 N_CTX_BINS = 4
 POS_BINS = 8  # position histogram is POS_BINS x POS_BINS

@@ -22,6 +22,7 @@ from .world import (
     ClassId,
     DrivingSample,
     InstanceMap,
+    Layout,
     Provenance,
     Scenario,
     SemanticMap,
@@ -228,7 +229,7 @@ class AugmenterAxes:
 
     def __init__(self) -> None:
         self._sources: dict[int, DrivingSample] = {}
-        self.layouts: list[tuple[SemanticMap, InstanceMap]] = []
+        self.layouts: list[Layout] = []
         self.semantic = False
         self.instance = False
 

@@ -17,8 +17,10 @@ model file that holds anything but one policy).
 
 The harness writes a run directory's inputs and models and scores them
 (`write_inputs`, `run_experiment`, `rescore`); this module names none of
-the split or model files, and `eval` only prints the scores and compares
-them with report.json.
+the split or model files. A run's results are the report document that
+report.json holds: `run` prints and checks the one `run_experiment`
+returns, `eval` compares its rescored entries with the saved ones, and
+`report` renders the saved one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import ConfigurationError, ParlError
 from .harness import (
     StageFailure,
     check_acceptance,
+    overall,
     render_markdown,
     rescore,
     resolve_output_dir,
@@ -42,7 +45,6 @@ from .harness import (
     run_experiment,
     write_inputs,
 )
-from .policy import EvaluationReport
 
 _FLAG_HELP = {
     "robots": "number of robot agents",
@@ -112,8 +114,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = run_experiment(config)
     out = resolve_output_dir(config)
-    for arm in sorted(report.arms):
-        err, rate = report.overall(arm)
+    for arm in sorted(report["arms"]):
+        err, rate = overall(report["arms"][arm])
         print(f"{arm:14s} error={err:.4f} failure_rate={rate:.4f}")
     print(f"artifacts written to {out}")
     if args.check:
@@ -127,9 +129,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _read_report(path: Path) -> dict:
-    """report.json's document; unreadable JSON, or no table of arms, is a configuration error."""
+    """report.json's document.
+
+    A file that cannot be read, is not JSON or has no table of arms is a
+    configuration error naming it.
+    """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"{path} is not readable JSON: {exc}") from exc
     arms = doc.get("arms") if isinstance(doc, dict) else None
@@ -147,8 +155,8 @@ def _leaves(doc: dict, prefix: tuple = ()) -> dict:
     return out
 
 
-def _verify_mismatch(got: EvaluationReport, want) -> Optional[str]:
-    """Why a recomputed evaluation disagrees with its report.json entry, or None.
+def _verify_mismatch(got: dict, want) -> Optional[str]:
+    """Why a recomputed report.json entry (`evaluate`) disagrees with the saved one, or None.
 
     Every field is compared, a per-task map task by task: the entry must
     name the same tasks, floats must agree within 1e-9, and task counts and
@@ -156,7 +164,7 @@ def _verify_mismatch(got: EvaluationReport, want) -> Optional[str]:
     """
     if not isinstance(want, dict):
         return "report.json entry is not an object"
-    fields, saved = _leaves(got.to_json_dict()), _leaves(want)
+    fields, saved = _leaves(got), _leaves(want)
     name = ".".join
     # Exact types: a JSON true or false decodes to a bool, which isinstance counts as an int.
     malformed = [f"no numeric {name(p)}" for p in fields if type(saved.get(p)) not in (int, float)]
@@ -190,10 +198,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     arms = rescore(run_dir)
     for arm in sorted(arms):
         for key in sorted(arms[arm]):
-            rep = arms[arm][key]
+            entry = arms[arm][key]
             print(
-                f"{arm:14s} {key}: error={rep.overall_error:.6f} "
-                f"failure_rate={rep.overall_failure_rate:.6f}"
+                f"{arm:14s} {key}: error={entry['overall_error']:.6f} "
+                f"failure_rate={entry['overall_failure_rate']:.6f}"
             )
     if saved is not None:
         # Every evaluation either side holds, recomputed or reported.
@@ -225,7 +233,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path} is not a run report: {exc!r}") from exc
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"markdown written to {args.out}")
     else:
         print(text, end="")

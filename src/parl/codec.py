@@ -60,6 +60,7 @@ from .styles import StyleModel
 from .world import (
     DrivingSample,
     InstanceMap,
+    Layout,
     MIN_MAP_SIDE,
     N_CLASSES,
     Provenance,
@@ -93,7 +94,6 @@ KIND_VECTOR = 8
 _DTYPES = {0: "<f8", 1: "<i8", 2: "u1"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
-Layout = tuple[SemanticMap, InstanceMap]
 ModelItem = Union[
     StyleModel,
     PolicyModel,

@@ -19,6 +19,11 @@ report stores split hashes so that can be audited. All artifacts
 deterministic byte-exact formats, so identical configs reproduce identical
 files.
 
+A run's results are one plain JSON document, the one report.json holds:
+`run_experiment` builds, writes and returns it; `overall` pools an arm's
+entries in it, `check_acceptance` judges it and `render_markdown` renders
+it, and each gives the same answer on the document read back from the file.
+
 This module owns a run directory's files: `write_inputs` writes its inputs,
 `models/styles.dm1` and each robot's `robot-N_{train,holdout}.ds1`, and
 `rescore` reads them back with the models `run_experiment` wrote.
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -63,7 +68,7 @@ from .baselines import (
 )
 from .config import OUTPUT_ROOT_ENV, ExperimentConfig, read_config, render_config
 from .errors import ConfigurationError, DecodeError, ParlError
-from .policy import EvaluationReport, PolicyModel, evaluate, featurize, train
+from .policy import PolicyModel, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
 from .styles import StyleModel, fit_style, styles_for_agents
 from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType
@@ -237,54 +242,24 @@ def read_inputs(run_dir: Path) -> tuple[ExperimentConfig, Splits, Splits]:
     return config, train, holdout
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """All arms' per-robot evaluations plus augmentation diagnostics."""
+def overall(entries: dict[str, dict]) -> tuple[float, float]:
+    """An arm's (error, failure rate) over every robot's holdout samples.
 
-    config: ExperimentConfig
-    arms: dict[str, dict[str, EvaluationReport]]
-    split_hashes: dict[str, dict[str, str]]
-    augmentation: dict
-    qualitative: dict
-    protocol: dict
-
-    def overall(self, arm: str) -> tuple[float, float]:
-        """Aggregate (error, failure rate) over all robots' holdout samples."""
-        reports = self.arms[arm].values()
-        n = sum(sum(r.per_task_count.values()) for r in reports)
-        err = sum(r.overall_error * sum(r.per_task_count.values()) for r in reports)
-        fail = sum(r.overall_failure_rate * sum(r.per_task_count.values()) for r in reports)
-        return err / n, fail / n
-
-    def to_json_dict(self) -> dict:
-        arms = {
-            arm: {robot: rep.to_json_dict() for robot, rep in sorted(robots.items())}
-            for arm, robots in sorted(self.arms.items())
-        }
-        overall = {}
-        for arm in sorted(self.arms):
-            err, fail = self.overall(arm)
-            overall[arm] = {"error": round(err, 9), "failure_rate": round(fail, 9)}
-        return {
-            "config": {
-                line.split(" = ")[0]: line.split(" = ", 1)[1]
-                for line in render_config(self.config).splitlines()
-                if " = " in line
-            },
-            "arms": arms,
-            "overall": overall,
-            "split_hashes": dict(sorted(self.split_hashes.items())),
-            "augmentation": self.augmentation,
-            "qualitative": self.qualitative,
-            "protocol": self.protocol,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    entries is the arm's table of report.json entries by robot key. Each
+    entry's overall numbers are weighted by its sample count and summed in
+    robot order (robot-2 before robot-10), the order the run scored them,
+    so a document read back from report.json, whose keys JSON sorts as
+    text, gives the same bits as the one the run built.
+    """
+    rows = [entries[key] for key in sorted(entries, key=lambda key: (len(key), key))]
+    counts = [sum(row["per_task_count"].values()) for row in rows]
+    err = sum(row["overall_error"] * n for row, n in zip(rows, counts))
+    fail = sum(row["overall_failure_rate"] * n for row, n in zip(rows, counts))
+    return err / sum(counts), fail / sum(counts)
 
 
 def render_markdown(doc: dict) -> str:
-    """Markdown tables of a report's JSON document (`ComparisonReport.to_json_dict`)."""
+    """Markdown tables of a run's report document, as `run_experiment` returns it."""
     arms = doc["arms"]
     robots = sorted({r for robot_map in arms.values() for r in robot_map})
     lines = ["# Comparison report"]
@@ -323,8 +298,8 @@ def score_arms(
     styles: dict[str, StyleModel],
     central_style: Optional[StyleModel],
     fail_threshold: float,
-) -> dict[str, dict[str, EvaluationReport]]:
-    """The arms table: each arm's evaluation of its model for each robot key.
+) -> dict[str, dict[str, dict]]:
+    """The arms table: each arm's report.json entry (`evaluate`) for each robot key.
 
     The only code that featurizes a holdout. holdout[key] is featurized
     under styles[key], the robot's fitted style, for every per-robot arm,
@@ -334,7 +309,7 @@ def score_arms(
     at the robot, of stage local-eval or centralized-eval.
     """
     features: dict[tuple[str, bool], np.ndarray] = {}
-    arms: dict[str, dict[str, EvaluationReport]] = {}
+    arms: dict[str, dict[str, dict]] = {}
     for arm, robots in models.items():
         central = arm == ARM_CENTRALIZED
         stage = "centralized-eval" if central else "local-eval"
@@ -347,7 +322,7 @@ def score_arms(
     return arms
 
 
-def rescore(run_dir: Path) -> dict[str, dict[str, EvaluationReport]]:
+def rescore(run_dir: Path) -> dict[str, dict[str, dict]]:
     """Score the models a run directory holds with `score_arms`, as `parl run` scored them.
 
     A robot with a model file is scored under `fit_style` of its training
@@ -429,8 +404,13 @@ def _train_appearance_arm(
     return _train_local_arm(robot, config, extra)
 
 
-def run_experiment(config: ExperimentConfig) -> ComparisonReport:
-    """Execute all arms and persist every artifact under the output dir."""
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Execute all arms, persist every artifact under the output dir, return the report.
+
+    The report is the document report.json holds: the config, the arms
+    table, each arm's `overall` numbers rounded to 9 decimals, the split
+    hashes and the augmentation, qualitative and protocol sections.
+    """
     out = resolve_output_dir(config)
     # Outside the generate stage, which would wrap the configuration error.
     _make_dirs(out, "models", "uploads")
@@ -577,30 +557,47 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         "network_log": list(network.log),
     }
 
-    report = ComparisonReport(
-        config=config,
-        arms=arms,
-        split_hashes=split_hashes,
-        augmentation=augmentation,
-        qualitative=qualitative,
-        protocol=protocol_info,
+    config_text = render_config(config)
+    pooled = {}
+    for arm in sorted(arms):
+        err, fail = overall(arms[arm])
+        pooled[arm] = {"error": round(err, 9), "failure_rate": round(fail, 9)}
+    report = {
+        "config": {
+            line.split(" = ")[0]: line.split(" = ", 1)[1]
+            for line in config_text.splitlines()
+            if " = " in line
+        },
+        "arms": arms,
+        "overall": pooled,
+        "split_hashes": split_hashes,
+        "augmentation": augmentation,
+        "qualitative": qualitative,
+        "protocol": protocol_info,
+    }
+    (out / "config.txt").write_text(config_text, encoding="utf-8")
+    (out / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (out / "config.txt").write_text(render_config(config), encoding="utf-8")
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.md").write_text(render_markdown(report.to_json_dict()), encoding="utf-8")
+    (out / "report.md").write_text(render_markdown(report), encoding="utf-8")
     return report
 
 
-def check_acceptance(report: ComparisonReport) -> list[str]:
-    """Directional checks the CLI enforces under --check; empty means pass."""
+def check_acceptance(report: dict) -> list[str]:
+    """Directional checks of a report document, as `parl run --check` applies them.
+
+    report is the document `run_experiment` returns or report.json holds;
+    either gives the same problems. Empty means pass.
+    """
     # Every comparison is written so that a NaN rate or error is a problem.
+    arms = report["arms"]
     problems = []
-    for key in sorted(report.arms[ARM_LOCAL]):
-        if key not in report.arms[ARM_PARL]:
+    for key in sorted(arms[ARM_LOCAL]):
+        if key not in arms[ARM_PARL]:
             problems.append(f"{key}: no PARL evaluation")
             continue
-        local_rate = report.arms[ARM_LOCAL][key].overall_failure_rate
-        parl_rate = report.arms[ARM_PARL][key].overall_failure_rate
+        local_rate = arms[ARM_LOCAL][key]["overall_failure_rate"]
+        parl_rate = arms[ARM_PARL][key]["overall_failure_rate"]
         if not parl_rate < local_rate:
             problems.append(
                 f"{key}: PARL failure rate {parl_rate:.4f} not below local {local_rate:.4f}"
@@ -610,8 +607,8 @@ def check_acceptance(report: ComparisonReport) -> list[str]:
                 f"{key}: failure-rate reduction "
                 f"{(local_rate - parl_rate) / local_rate:.2%} below 30%"
             )
-    parl_err, _ = report.overall(ARM_PARL)
-    central_err, _ = report.overall(ARM_CENTRALIZED)
+    parl_err, _ = overall(arms[ARM_PARL])
+    central_err, _ = overall(arms[ARM_CENTRALIZED])
     if not parl_err <= central_err:
         problems.append(
             f"PARL overall error {parl_err:.4f} above centralized {central_err:.4f}"

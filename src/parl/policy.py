@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -383,53 +383,18 @@ def crowdsource_labels(
     return np.vecdot(weights, np.ascontiguousarray(preds.T)).tolist()
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Per-task and overall torque errors plus failure rates at a threshold."""
-
-    per_task_error: Mapping[str, float]
-    per_task_failure_rate: Mapping[str, float]
-    per_task_count: Mapping[str, int]
-    overall_error: float
-    overall_failure_rate: float
-    fail_threshold: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_task_error", dict(self.per_task_error))
-        object.__setattr__(self, "per_task_failure_rate", dict(self.per_task_failure_rate))
-        object.__setattr__(self, "per_task_count", dict(self.per_task_count))
-        # Every range check is written so that NaN fails it.
-        rates = [*self.per_task_failure_rate.values(), self.overall_failure_rate]
-        if not all(0.0 <= rate <= 1.0 for rate in rates):
-            raise EvaluationError("failure rate outside [0, 1]")
-        errors = [*self.per_task_error.values(), self.overall_error]
-        if not all(0.0 <= error < np.inf for error in errors):
-            raise EvaluationError("torque error must be finite and nonnegative")
-        if not all(count >= 1 for count in self.per_task_count.values()):
-            raise EvaluationError("every task needs at least one evaluated sample")
-        if not 0.0 < self.fail_threshold < np.inf:
-            raise EvaluationError(f"fail_threshold {self.fail_threshold} outside (0, inf)")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_task_error": dict(sorted(self.per_task_error.items())),
-            "per_task_failure_rate": dict(sorted(self.per_task_failure_rate.items())),
-            "per_task_count": dict(sorted(self.per_task_count.items())),
-            "overall_error": self.overall_error,
-            "overall_failure_rate": self.overall_failure_rate,
-            "fail_threshold": self.fail_threshold,
-        }
-
-
 def evaluate(
     model: PolicyModel,
     testset: Sequence[DrivingSample],
     features: np.ndarray,
     fail_threshold: float,
-) -> EvaluationReport:
-    """Mean absolute torque error per task, with failure = error > fail_threshold.
+) -> dict:
+    """The model's report.json entry on testset, with failure = error > fail_threshold.
 
-    features is the testset's (n, N_FEATURES) array, row i for sample i, as
+    The entry holds the mean absolute torque error, the failure rate and the
+    sample count per task, each map sorted by task, then the error and
+    failure rate over all samples and fail_threshold. features is the
+    testset's (n, N_FEATURES) array, row i for sample i, as
     featurize(testset, style) gives it, so a caller that evaluates several
     models on one testset featurizes it once. An unlabeled sample raises.
     """
@@ -442,25 +407,15 @@ def evaluate(
     per_task_abs: dict[str, list[float]] = {}
     for sample, pred in zip(testset, model.predict(features)):
         per_task_abs.setdefault(sample.task.value, []).append(abs(pred - sample.label))
-    per_task_error = {}
-    per_task_rate = {}
-    per_task_count = {}
-    total_err = 0.0
-    total_fail = 0
-    total_n = 0
-    for task, errs in per_task_abs.items():
-        per_task_error[task] = float(np.mean(errs))
-        fails = sum(1 for e in errs if e > fail_threshold)
-        per_task_rate[task] = fails / len(errs)
-        per_task_count[task] = len(errs)
-        total_err += sum(errs)
-        total_fail += fails
-        total_n += len(errs)
-    return EvaluationReport(
-        per_task_error=per_task_error,
-        per_task_failure_rate=per_task_rate,
-        per_task_count=per_task_count,
-        overall_error=total_err / total_n,
-        overall_failure_rate=total_fail / total_n,
-        fail_threshold=fail_threshold,
-    )
+    tasks = sorted(per_task_abs)
+    fails = {t: sum(1 for e in per_task_abs[t] if e > fail_threshold) for t in tasks}
+    # The overall error sums the tasks in the order the testset first names them.
+    total_err = sum(sum(errs) for errs in per_task_abs.values())
+    return {
+        "per_task_error": {t: float(np.mean(per_task_abs[t])) for t in tasks},
+        "per_task_failure_rate": {t: fails[t] / len(per_task_abs[t]) for t in tasks},
+        "per_task_count": {t: len(per_task_abs[t]) for t in tasks},
+        "overall_error": total_err / len(testset),
+        "overall_failure_rate": sum(fails.values()) / len(testset),
+        "fail_threshold": fail_threshold,
+    }

@@ -84,18 +84,15 @@ from .policy import (
 from .styles import StyleModel, cross_render, fit_style
 from .world import (
     DrivingSample,
-    InstanceMap,
+    Layout,
     Provenance,
     Scenario,
-    SemanticMap,
     extract_instances,
     segment,
 )
 
 MESSAGE_MAGIC = b"PARLMSG"
 PROTOCOL_VERSION = 1
-
-Layout = tuple[SemanticMap, InstanceMap]
 
 _CLOUD_BIT = 0x8000
 

@@ -199,6 +199,10 @@ class InstanceMap:
         )
 
 
+# A layout: one scene's semantic map and its instance map.
+Layout = tuple[SemanticMap, InstanceMap]
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Rendered appearance grid: 3 channels per cell, all values in [0, 1]."""

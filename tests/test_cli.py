@@ -2,7 +2,6 @@
 `parl gen` writing the same inputs as `parl run`, a runtime that needs no scipy or numpy.ma,
 and `parl eval` and `parl report` that load no OpenSSL."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -233,14 +232,43 @@ def test_rescore_equals_the_arms_the_run_scored(tmp_path):
     """`parl eval` and `parl run` score through one function, so their tables are equal."""
     config = ExperimentConfig(robots=3, samples_per_task=3, output_dir=str(tmp_path))
     report = harness.run_experiment(config)
-    arms = harness.rescore(tmp_path)
-    assert sorted(arms) == sorted(report.arms)
-    for arm, robots in report.arms.items():
-        assert sorted(arms[arm]) == sorted(robots)
-        for key, want in robots.items():
-            got = arms[arm][key]
-            for field in dataclasses.fields(want):
-                assert getattr(got, field.name) == getattr(want, field.name), (arm, key, field)
+    assert harness.rescore(tmp_path) == report["arms"]
+
+
+# Bench size (perfbench's paper3 at seed 0) and the default config at seed
+# offset 1; both runs have acceptance problems.
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--robots", "3", "--samples-per-task", "3", "--world-seed", "31", "--augment-seed", "11"],
+        ["--world-seed", "32", "--augment-seed", "12"],
+    ],
+    ids=["bench", "seed-offset-1"],
+)
+def test_run_check_is_the_verdict_of_the_saved_report(tmp_path, monkeypatch, capsys, flags):
+    """`parl run` returns, prints and checks the document report.json holds."""
+    returned = []
+
+    def recording(config):
+        returned.append(harness.run_experiment(config))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert cli.main(["run", "--check", *flags, "--output-dir", "parl-out"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    saved = json.loads((tmp_path / "parl-out" / "report.json").read_text(encoding="utf-8"))
+    assert returned == [saved]
+    problems = harness.check_acceptance(saved)
+    assert problems
+    assert [line for line in out if line.startswith("CHECK")] == [
+        f"CHECK FAIL: {problem}" for problem in problems
+    ]
+    summary = []
+    for arm in sorted(saved["arms"]):
+        err, rate = harness.overall(saved["arms"][arm])
+        summary.append(f"{arm:14s} error={err:.4f} failure_rate={rate:.4f}")
+    assert out[: len(summary)] == summary
 
 
 def test_boolean_report_scores_fail_verify(run_dir, tmp_path, capsys):
@@ -272,6 +300,27 @@ def test_report_without_arms_is_a_configuration_error(run_dir, tmp_path, capsys)
     assert cli.main(["eval", str(copy), "--verify"]) == 3
     assert "has no table of arms" in capsys.readouterr().err
     assert cli.main(["report", str(copy)]) == 3
+
+
+@pytest.mark.parametrize("command", [["report"], ["eval", "--verify"]])
+def test_report_json_that_is_a_directory_is_a_configuration_error(
+    run_dir, tmp_path, capsys, command
+):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    (copy / "report.json").unlink()
+    (copy / "report.json").mkdir()
+    assert cli.main([command[0], str(copy), *command[1:]]) == 3
+    assert f"cannot read {copy / 'report.json'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/report.md", "."], ids=["missing-dir", "a-directory"])
+def test_report_out_that_cannot_be_written_is_a_configuration_error(
+    run_dir, tmp_path, capsys, out
+):
+    path = tmp_path / out
+    assert cli.main(["report", str(run_dir), "--out", str(path)]) == 3
+    assert f"cannot write {path}" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_a_configuration_error(tmp_path, capsys):

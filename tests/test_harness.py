@@ -1,6 +1,5 @@
 """The local arms, a robot's own perception read from its RobotNode, and the holdout scoring."""
 
-import copy
 import sys
 from dataclasses import replace
 
@@ -13,7 +12,7 @@ from parl.augment import diagnostics_json
 from parl.codec import encode_models, read_models
 from parl.config import ExperimentConfig
 from parl.errors import DegenerateInputError, FittingError, ParlError
-from parl.policy import N_FEATURES, EvaluationReport, featurize
+from parl.policy import N_FEATURES, featurize
 from parl.protocol import NodeId, RobotNode, decode_message
 from parl.world import ClassId, Scenario
 
@@ -293,15 +292,16 @@ def test_failed_pooled_perception_names_the_centralized_stage(
     assert "injected featurize failure" in str(info.value.cause)
 
 
-def _report(error, rate):
-    return EvaluationReport(
-        per_task_error={"turn": error},
-        per_task_failure_rate={"turn": rate},
-        per_task_count={"turn": 4},
-        overall_error=error,
-        overall_failure_rate=rate,
-        fail_threshold=0.05,
-    )
+def _entry(error, rate, count=4):
+    """A report.json entry of one task, as `policy.evaluate` gives it."""
+    return {
+        "per_task_error": {"turn": error},
+        "per_task_failure_rate": {"turn": rate},
+        "per_task_count": {"turn": count},
+        "overall_error": error,
+        "overall_failure_rate": rate,
+        "fail_threshold": 0.05,
+    }
 
 
 @pytest.mark.parametrize(
@@ -314,19 +314,36 @@ def _report(error, rate):
     ids=["nan-parl-rate", "nan-local-rate", "nan-parl-error"],
 )
 def test_check_acceptance_counts_nan_as_a_problem(arm, field, problem):
-    arms = {
-        harness.ARM_LOCAL: {"robot-0": _report(0.2, 0.5)},
-        harness.ARM_PARL: {"robot-0": _report(0.05, 0.0)},
-        harness.ARM_CENTRALIZED: {"robot-0": _report(0.1, 0.25)},
+    report = {
+        "arms": {
+            harness.ARM_LOCAL: {"robot-0": _entry(0.2, 0.5)},
+            harness.ARM_PARL: {"robot-0": _entry(0.05, 0.0)},
+            harness.ARM_CENTRALIZED: {"robot-0": _entry(0.1, 0.25)},
+        }
     }
-
-    def comparison():
-        return harness.ComparisonReport(CONFIG, arms, {}, {}, {}, {})
-
-    assert harness.check_acceptance(comparison()) == []
-    # A report past its own checks, as one decoded without them would be.
-    bad = copy.copy(arms[arm]["robot-0"])
-    object.__setattr__(bad, field, float("nan"))
-    arms[arm]["robot-0"] = bad
-    [got] = harness.check_acceptance(comparison())
+    assert harness.check_acceptance(report) == []
+    # A NaN, as a report.json written by hand may hold.
+    report["arms"][arm]["robot-0"][field] = float("nan")
+    [got] = harness.check_acceptance(report)
     assert got.startswith(problem)
+
+
+def test_overall_pools_robots_in_robot_order_whatever_the_key_order():
+    """report.json sorts keys as text (robot-10 before robot-2); the pooled bits must not move."""
+    rng = np.random.default_rng(14)
+    entries = {
+        f"robot-{i}": _entry(*rng.random(2), count=int(rng.integers(1, 9))) for i in range(12)
+    }
+    rows = list(entries.values())
+    counts = [row["per_task_count"]["turn"] for row in rows]
+
+    def pooled(field, order):
+        return sum(rows[i][field] * counts[i] for i in order) / sum(counts)
+
+    text_order = sorted(range(12), key=str)
+    # The summation order changes these sums, so the test can tell the orders apart.
+    for field in ("overall_error", "overall_failure_rate"):
+        assert pooled(field, text_order) != pooled(field, range(12))
+    want = (pooled("overall_error", range(12)), pooled("overall_failure_rate", range(12)))
+    assert harness.overall(entries) == want
+    assert harness.overall(dict(sorted(entries.items()))) == want

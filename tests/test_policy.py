@@ -13,7 +13,6 @@ from parl.policy import (
     N_FEATURES,
     N_OCCUPANCY,
     OBSTACLE_SENTINEL,
-    EvaluationReport,
     PolicyModel,
     crowdsource_labels,
     evaluate,
@@ -436,25 +435,6 @@ class TestCrowdsource:
             crowdsource_labels(np.zeros((0, 1)), [], style)
 
 
-_REPORT = EvaluationReport(
-    per_task_error={"straight": 0.1},
-    per_task_failure_rate={"straight": 0.5},
-    per_task_count={"straight": 2},
-    overall_error=0.1,
-    overall_failure_rate=0.5,
-    fail_threshold=0.05,
-)
-_BAD_REPORT_FIELDS = {
-    "nan-overall-rate": {"overall_failure_rate": float("nan")},
-    "overall-rate-7": {"overall_failure_rate": 7.0},
-    "nan-overall-error": {"overall_error": float("nan")},
-    "negative-overall-error": {"overall_error": -0.1},
-    "nan-task-error": {"per_task_error": {"straight": float("nan")}},
-    "nan-fail-threshold": {"fail_threshold": float("nan")},
-    "zero-task-count": {"per_task_count": {"straight": 0}},
-}
-
-
 class TestEvaluate:
     def test_constant_half_on_straight_scenes_is_exact(self, generator):
         straights = generator.generate_dataset(
@@ -470,9 +450,9 @@ class TestEvaluate:
         )
         style = fit_style(rich + straights)
         report = evaluate(_constant_model(0.5), straights, featurize(straights, style), 0.05)
-        assert report.per_task_error == {"straight": 0.0}
-        assert report.overall_error == 0.0
-        assert report.overall_failure_rate == 0.0
+        assert report["per_task_error"] == {"straight": 0.0}
+        assert report["overall_error"] == 0.0
+        assert report["overall_failure_rate"] == 0.0
 
     def test_accounting_matches_hand_computation(self, small_dataset):
         style = fit_style(small_dataset)
@@ -485,15 +465,22 @@ class TestEvaluate:
                 abs(model.predict(featurize([s], style))[0] - s.label)
             )
         total = [e for v in errs.values() for e in v]
-        assert set(report.per_task_error) == set(errs)
+        # The report.json entry's fields, each per-task map sorted by task.
+        assert list(report) == [
+            "per_task_error", "per_task_failure_rate", "per_task_count",
+            "overall_error", "overall_failure_rate", "fail_threshold",
+        ]
+        for field in ("per_task_error", "per_task_failure_rate", "per_task_count"):
+            assert list(report[field]) == sorted(errs)
+        assert report["fail_threshold"] == 0.02
         for task, values in errs.items():
-            assert report.per_task_error[task] == pytest.approx(np.mean(values))
-            assert report.per_task_failure_rate[task] == pytest.approx(
+            assert report["per_task_error"][task] == pytest.approx(np.mean(values))
+            assert report["per_task_failure_rate"][task] == pytest.approx(
                 np.mean([e > 0.02 for e in values])
             )
-            assert report.per_task_count[task] == len(values)
-        assert report.overall_error == pytest.approx(np.mean(total))
-        assert report.overall_failure_rate == pytest.approx(np.mean([e > 0.02 for e in total]))
+            assert report["per_task_count"][task] == len(values)
+        assert report["overall_error"] == pytest.approx(np.mean(total))
+        assert report["overall_failure_rate"] == pytest.approx(np.mean([e > 0.02 for e in total]))
 
     def test_failure_threshold_is_strict(self, small_dataset):
         style = fit_style(small_dataset)
@@ -502,7 +489,7 @@ class TestEvaluate:
         report = evaluate(offset_model, [sample], featurize([sample], style), fail_threshold=0.05)
         # error == threshold exactly is not a failure
         if abs(offset_model.predict(featurize([sample], style))[0] - sample.label) == 0.05:
-            assert report.overall_failure_rate == 0.0
+            assert report["overall_failure_rate"] == 0.0
 
     def test_first_unlabeled_or_unfeaturizable_sample_raises(self, small_dataset):
         # The caller featurizes the testset; evaluate then rejects an
@@ -527,12 +514,6 @@ class TestEvaluate:
     def test_empty_testset_rejected(self):
         with pytest.raises(EvaluationError):
             evaluate(_constant_model(0.5), [], np.empty((0, N_FEATURES)), 0.05)
-
-    @pytest.mark.parametrize("case", sorted(_BAD_REPORT_FIELDS))
-    def test_report_rejects_nan_and_out_of_range_values(self, case):
-        fields = _BAD_REPORT_FIELDS[case]
-        with pytest.raises(EvaluationError):
-            replace(_REPORT, **fields)
 
 
 class TestPolicyModel:

@@ -212,8 +212,8 @@ def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkey
     assert (models / "parl_shared_robot-0.dm1").exists()
     assert not (models / "parl_shared_robot-1.dm1").exists()
     assert not (models / "parl_tuned_robot-1.dm1").exists()
-    assert sorted(report.arms["parl"]) == ["robot-0"]
-    assert report.protocol == {
+    assert sorted(report["arms"]["parl"]) == ["robot-0"]
+    assert report["protocol"] == {
         "participants": ["robot-0", "robot-1"],
         "stages": {"robot-0": "DONE", "robot-1": "DROPPED_OUT", "cloud-0": "DONE"},
         "shared_received": {"robot-0": 1, "robot-1": 0},
@@ -221,8 +221,8 @@ def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkey
         "network_log": ["drop LabelRequest cloud-0->robot-1 (node down)"],
     }
     # One row per candidate and participant style, the silent robot's included.
-    assert report.augmentation["accepted"] == 24
-    assert report.augmentation["pool_size"] == 48
+    assert report["augmentation"]["accepted"] == 24
+    assert report["augmentation"]["pool_size"] == 48
 
 
 def test_round_without_uploads_raises(worlds):
