@@ -42,8 +42,8 @@ made, and the tally keeps the copies' maps, not their pixels.
 
 `run_round` returns only the uploads' wire bytes. The harness reads every
 other result of the round from the nodes and the `SimNetwork` it creates:
-the cloud's participants, candidates, fitted models, stats, pool, shared
-models and acks, each robot's tuned policy and shared-model count, every
+the cloud's participants, candidates, fitted models, stats, shared model
+and acks, each robot's tuned policy and shared-model count, every
 node's stage and violations, and the network's log.
 """
 
@@ -472,13 +472,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
         raise StageFailure("parl-round", "cloud-0", round_failure) from round_failure
     for node, payload in sorted(upload_bytes.items()):
         (out / "uploads" / f"{node}.bin").write_bytes(payload)
+    # One shared model; report.json's protocol.shared_received says who got it.
+    codec.write_models(out / "models" / "parl_shared.dm1", [cloud.shared])
     for node in cloud.participants:
         key = str(node)
         tuned = robots[node.index].tuned
         if node in cloud.acks:
             models[ARM_PARL][key] = tuned
-        if node in cloud.shared:
-            codec.write_models(out / "models" / f"parl_shared_{key}.dm1", [cloud.shared[node]])
         if tuned is not None:
             codec.write_models(out / ARM_MODEL_FILES[ARM_PARL].format(key=key), [tuned])
 
@@ -537,7 +537,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "insertion_failures": total.insertion_failures,
         "fan_out_requested": config.fan_out,
         "fan_out_achieved": round(len(candidates) / max(n_inputs, 1), 6),
-        "pool_size": len(cloud.pool[1]),
         "per_robot": {
             str(node): {
                 "attempts": stats.attempts,

@@ -361,25 +361,26 @@ def fine_tune(
 def crowdsource_labels(
     predictions: np.ndarray,
     member_styles: Sequence[StyleModel],
-    target_style: StyleModel,
+    target_styles: Sequence[StyleModel],
 ) -> list[float]:
     """Pool an ensemble's predictions into one label per candidate.
 
     predictions is members x candidates: row m holds member m's predictions
-    on the candidates rendered in the target style. A member's weight is its
-    style's affinity to the target style, computed once for all candidates,
-    so every label is a convex combination of its column. np.vecdot takes
-    each column's dot product with the weights by numpy's 1-D dot routine,
-    so a label sums its terms as a lone np.dot over two or more members
-    does.
+    on the candidates. Each target style weighs the members by their styles'
+    affinity to it, normalized to sum to 1, and a member's weight is the
+    mean of its weights over the targets. The weights are computed once for
+    all candidates, so every label is a convex combination of its column.
+    np.vecdot takes each column's dot product with the weights by numpy's
+    1-D dot routine, so a label sums its terms as a lone np.dot over two or
+    more members does.
     """
-    if not member_styles:
-        raise TrainingError("crowdsourcing requires at least one local model")
+    if not member_styles or not target_styles:
+        raise TrainingError("crowdsourcing requires at least one local model and target style")
     preds = np.asarray(predictions, dtype=np.float64)
     if preds.ndim != 2 or preds.shape[0] != len(member_styles):
         raise TrainingError("predictions must have one row per member style")
-    weights = np.array([style_affinity(target_style, s) for s in member_styles])
-    weights = weights / weights.sum()
+    weights = np.array([[style_affinity(t, s) for s in member_styles] for t in target_styles])
+    weights = (weights / weights.sum(axis=1, keepdims=True)).mean(axis=0)
     return np.vecdot(weights, np.ascontiguousarray(preds.T)).tolist()
 
 

@@ -18,12 +18,13 @@ One round of the peer-assisted pipeline:
    is rendered, sent and answered before the next is rendered, so the
    round holds one rendered request at a time, not one per robot.
 4. The answers are the labels: every answering robot, the candidate's
-   source included, votes on every candidate, and each candidate is
-   labeled once per participant style with the affinity-weighted mean of
-   those votes, so a silent robot simply does not vote. The cloud
-   featurizes the candidate maps once, pools their features with one label
-   per participant style and candidate, trains one shared policy on the
-   pool and dispatches it exactly once to each robot that answered.
+   source included, votes on every candidate, so a silent robot simply
+   does not vote. A vote is weighted by its robot's style affinity to each
+   participant's style, normalized over the voters and averaged over the
+   participants, so each candidate gets one label. The cloud featurizes
+   the candidate maps once, pools their features with their labels, trains
+   one shared policy on the pool and dispatches it exactly once to each
+   robot that answered.
 5. Each robot fine-tunes toward the shared model on its training features
    from step 1 and acks. The ack carries no report: it is the robot's
    FINE_TUNED transition, which the cloud accepts only once it has
@@ -31,8 +32,8 @@ One round of the peer-assisted pipeline:
 
 run_round drives the round and returns only the uploads' wire bytes. Every
 other result is read from where the round left it: the cloud's
-participants, candidates, pool, stats, shared models and acks (the set of
-robots that acknowledged), each robot's tuned policy and shared-model
+participants, candidates, labeled pool, stats, shared model and acks (the
+set of robots that acknowledged), each robot's tuned policy and shared-model
 count, every node's stage and violations, and the network's log.
 
 Messages travel as bytes through SimNetwork, so every hop exercises the
@@ -536,9 +537,9 @@ class CloudNode:
         self.acks: set[NodeId] = set()
         self.candidates: list[tuple[NodeId, AugmentationCandidate]] = []
         self.stats: dict[NodeId, AugmentStats] = {}
-        self.shared: dict[NodeId, PolicyModel] = {}
-        # The candidates' features, once, and one torque label per participant
-        # style, then per candidate: label k is feature row k % len(features)'s.
+        self.shared: Optional[PolicyModel] = None
+        # The candidates' features and one torque label per candidate: label k
+        # is feature row k's.
         self.pool: tuple[np.ndarray, list[float]] = (np.empty((0, N_FEATURES)), [])
         self.where: Optional[WherePredictor] = None
         self.what: Optional[WhatPredictor] = None
@@ -648,10 +649,10 @@ class CloudNode:
         )
 
     def finish_round(self) -> list[Message]:
-        """Pool the robots' answers into labels, train, dispatch exactly once.
+        """Label each candidate once from the robots' answers, train, dispatch exactly once.
 
-        Every answering robot votes on every candidate, and only robots that
-        answered their LabelRequest receive a SharedModel.
+        Every answering robot votes on every candidate (`crowdsource_labels`),
+        and only robots that answered their LabelRequest receive the SharedModel.
         """
         self.stage = advance_stage(self.stage, Stage.CLOUD_TRAIN)
         voters = [node for node in self.participants if node in self.responses]
@@ -662,15 +663,13 @@ class CloudNode:
         ).reshape(len(voters), len(self.candidates))
         if voters:
             features = features_from_maps([c.semantic for _, c in self.candidates])
-            labels: list[float] = []
-            for target in self.participants:
-                labels += crowdsource_labels(predictions, voter_styles, self.uploads[target].style)
-            self.pool = (features, labels)
+            styles = [self.uploads[node].style for node in self.participants]
+            self.pool = (features, crowdsource_labels(predictions, voter_styles, styles))
         features, labels = self.pool
         if not labels:
             raise ProtocolError("no labeled augmented data to train on")
-        model = train(
-            np.tile(features, (len(self.participants), 1)),
+        self.shared = train(
+            features,
             labels,
             ridge_lambda=self.config.ridge_lambda,
             provenances=[Provenance.CROWDSOURCED] * len(labels),
@@ -678,11 +677,7 @@ class CloudNode:
         self.stage = advance_stage(self.stage, Stage.DISPATCHED)
         # A robot that never answered its LabelRequest has gone silent: it
         # gets no shared model, so none is encoded for it.
-        out: list[Message] = []
-        for node in voters:
-            self.shared[node] = model
-            out.append(self._msg(node, SharedModel(policy=model)))
-        return out
+        return [self._msg(node, SharedModel(policy=self.shared)) for node in voters]
 
     def finish(self) -> None:
         if self.stage == Stage.DISPATCHED:

@@ -418,7 +418,7 @@ def test_rerun_gives_byte_identical_artifacts(run_dir, tmp_path, monkeypatch):
     again = _run(monkeypatch, tmp_path)
     first, second = _tree(run_dir), _tree(again)
     assert sorted(first) == sorted(second)
-    assert "report.json" in first and any(k.startswith("models/parl_shared_") for k in first)
+    assert "report.json" in first and "models/parl_shared.dm1" in first
     assert [k for k in first if first[k] != second[k]] == []
 
 

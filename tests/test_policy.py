@@ -99,10 +99,18 @@ def _predict_row_by_row(model, features):
     ]
 
 
-def _labels_column_by_column(predictions, member_styles, target_style):
+def _clamped_predictions(rng, members, n):
+    """members x n predictions in [0, 1], with 0 and 1 common, as predict clamps."""
+    preds = rng.uniform(0.0, 1.0, (members, n))
+    preds[rng.random(preds.shape) < 0.2] = 0.0
+    preds[rng.random(preds.shape) < 0.2] = 1.0
+    return preds
+
+
+def _labels_column_by_column(predictions, member_styles, target_styles):
     """crowdsource_labels as it was: one np.dot per candidate column."""
-    weights = np.array([style_affinity(target_style, s) for s in member_styles])
-    weights = weights / weights.sum()
+    weights = np.array([[style_affinity(t, s) for s in member_styles] for t in target_styles])
+    weights = (weights / weights.sum(axis=1, keepdims=True)).mean(axis=0)
     return [float(np.dot(weights, column)) for column in np.ascontiguousarray(predictions.T)]
 
 
@@ -395,7 +403,7 @@ class TestCrowdsource:
         features, labels = _rows(small_dataset, style)
         model = train(features, labels, 1e-3, _human(labels))
         preds = [model.predict(features_from_maps([s.semantic]))[0] for s in small_dataset[:4]]
-        labels = crowdsource_labels(np.array([preds]), [style], style)
+        labels = crowdsource_labels(np.array([preds]), [style], [style])
         assert labels == pytest.approx(preds)
 
     def test_uniform_mean_of_constant_models(self, small_dataset):
@@ -403,36 +411,57 @@ class TestCrowdsource:
         feats = features_from_maps([small_dataset[0].semantic])
         models = [_constant_model(0.4), _constant_model(0.6)]
         preds = np.array([m.predict(feats) for m in models])
-        [label] = crowdsource_labels(preds, [style, style], style)
+        [label] = crowdsource_labels(preds, [style, style], [style])
         assert label == pytest.approx(0.5)
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_labels_are_convex_combinations(self, generator, small_dataset, values):
-        target = fit_style(small_dataset)
+        targets = [fit_style(small_dataset), generator.styles[1]]
         feats = features_from_maps([small_dataset[0].semantic])
         preds = np.array([_constant_model(v).predict(feats) for v in values])
         member_styles = [generator.styles[k % 2] for k in range(len(values))]
-        [label] = crowdsource_labels(preds, member_styles, target)
+        [label] = crowdsource_labels(preds, member_styles, targets)
         assert min(values) - 1e-12 <= label <= max(values) + 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 4), n=st.integers(0, 6))
     @settings(max_examples=40)
     def test_labels_match_the_per_column_dot(self, generator, seed, members, n):
         rng = np.random.default_rng(seed)
-        preds = rng.uniform(0.0, 1.0, (members, n))
-        # predict clamps, so 0 and 1 are common predictions.
-        preds[rng.random(preds.shape) < 0.2] = 0.0
-        preds[rng.random(preds.shape) < 0.2] = 1.0
+        preds = _clamped_predictions(rng, members, n)
         member_styles = [generator.styles[k % 2] for k in range(members)]
-        target = generator.styles[seed % 2]
-        want = _labels_column_by_column(preds, member_styles, target)
-        assert _bits(crowdsource_labels(preds, member_styles, target)) == _bits(want)
+        targets = [generator.styles[k] for k in rng.integers(0, 2, 1 + seed % 3)]
+        want = _labels_column_by_column(preds, member_styles, targets)
+        assert _bits(crowdsource_labels(preds, member_styles, targets)) == _bits(want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        members=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        targets=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+        n=st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_labels_are_the_mean_of_the_per_target_labels(
+        self, generator, small_dataset, seed, members, targets, n
+    ):
+        """One label per candidate is the mean of the labels each target alone gives."""
+        # Two built-in styles and two fitted from samples in their styles.
+        styles = [*generator.styles.values(), fit_style(small_dataset), fit_style(small_dataset[::2])]
+        preds = _clamped_predictions(np.random.default_rng(seed), len(members), n)
+        member_styles = [styles[k] for k in members]
+        per_target = [
+            _labels_column_by_column(preds, member_styles, [styles[t]]) for t in targets
+        ]
+        want = np.mean(np.array(per_target).reshape(len(targets), n), axis=0)
+        got = crowdsource_labels(preds, member_styles, [styles[t] for t in targets])
+        assert len(got) == n
+        assert np.abs(np.array(got) - want).max(initial=0.0) <= 1e-12
 
     def test_empty_ensemble_rejected(self, small_dataset):
         style = fit_style(small_dataset)
-        with pytest.raises(TrainingError):
-            crowdsource_labels(np.zeros((0, 1)), [], style)
+        for members, targets in (([], [style]), ([style], [])):
+            with pytest.raises(TrainingError, match="at least one local model and target"):
+                crowdsource_labels(np.zeros((len(members), 1)), members, targets)
 
 
 class TestEvaluate:

@@ -15,8 +15,8 @@ from parl import cli, harness
 from parl.config import ExperimentConfig
 from parl.errors import DecodeError, ProtocolError
 from parl.harness import generate_worlds
-from parl.codec import FORMAT_VERSION, MODEL_MAGIC, encode_models, encode_scenarios
-from parl.policy import N_FEATURES, features_from_maps, train
+from parl.codec import FORMAT_VERSION, MODEL_MAGIC, decode_models, encode_models, encode_scenarios
+from parl.policy import N_FEATURES, crowdsource_labels, features_from_maps, train
 from parl.protocol import (
     MESSAGE_MAGIC,
     CloudNode,
@@ -45,10 +45,10 @@ def worlds():
     return generate_worlds(CONFIG)[1]
 
 
-def _nodes(worlds):
+def _nodes(worlds, config=CONFIG):
     cloud_id = NodeId.cloud()
-    robots = [RobotNode(NodeId.robot(i), cloud_id, worlds[i], CONFIG) for i in range(CONFIG.robots)]
-    cloud = CloudNode(cloud_id, CONFIG)
+    robots = [RobotNode(NodeId.robot(i), cloud_id, worlds[i], config) for i in range(config.robots)]
+    cloud = CloudNode(cloud_id, config)
     return robots, cloud
 
 
@@ -64,30 +64,63 @@ def _labeling(worlds):
 
 
 def _expected_labels(cloud, voters):
-    """The affinity-weighted mean of the voters' policies on each candidate map.
+    """(features, label) per candidate, in the cloud's candidate order.
 
-    (features, label) per row, in the pool's order: per participant style
-    the candidates were rendered in, per candidate.
+    The label is the mean, over the participant styles, of the voters'
+    policies on the candidate map weighted by their affinity to that style.
     """
     expected = []
-    for target in cloud.participants:
-        target_style = cloud.uploads[target].style
-        w = np.array([style_affinity(target_style, cloud.uploads[v].style) for v in voters])
-        for _, candidate in cloud.candidates:
-            feats = features_from_maps([candidate.semantic])
-            preds = np.array([cloud.uploads[v].policy.predict(feats)[0] for v in voters])
-            expected.append((feats[0], float(np.dot(w / w.sum(), preds))))
+    for _, candidate in cloud.candidates:
+        feats = features_from_maps([candidate.semantic])
+        preds = np.array([cloud.uploads[v].policy.predict(feats)[0] for v in voters])
+        per_target = []
+        for target in cloud.participants:
+            target_style = cloud.uploads[target].style
+            w = np.array([style_affinity(target_style, cloud.uploads[v].style) for v in voters])
+            per_target.append(float(np.dot(w / w.sum(), preds)))
+        expected.append((feats[0], float(np.mean(per_target))))
     return expected
 
 
 def _assert_pool(cloud, expected):
-    """The pool holds each candidate's features once and every expected label."""
+    """The pool holds each candidate's features and its expected label."""
     features, labels = cloud.pool
     assert features.shape == (len(cloud.candidates), N_FEATURES)
     assert len(labels) == len(expected)
-    for k, (label, (want_feats, want_label)) in enumerate(zip(labels, expected)):
-        assert features[k % len(features)].tobytes() == want_feats.tobytes()
+    for row, label, (want_feats, want_label) in zip(features, labels, expected):
+        assert row.tobytes() == want_feats.tobytes()
         assert label == pytest.approx(want_label, rel=0.0, abs=1e-12)
+
+
+def _tiled_shared_model(cloud):
+    """The shared model as the round fitted it before labels were pooled.
+
+    Each candidate is labeled once per participant style, with that style
+    as the only target; the label vectors are stacked and the candidates'
+    features tiled to match, one copy per participant.
+    """
+    voters = [node for node in cloud.participants if node in cloud.responses]
+    predictions = np.array([cloud.responses[node].torques for node in voters])
+    voter_styles = [cloud.uploads[node].style for node in voters]
+    labels = []
+    for target in cloud.participants:
+        labels += crowdsource_labels(predictions, voter_styles, [cloud.uploads[target].style])
+    features = features_from_maps([c.semantic for _, c in cloud.candidates])
+    return train(
+        np.tile(features, (len(cloud.participants), 1)),
+        labels,
+        ridge_lambda=cloud.config.ridge_lambda,
+        provenances=[Provenance.CROWDSOURCED] * len(labels),
+    )
+
+
+def _assert_tiled_fit(cloud):
+    """The shared model's weights are the tiled fit's to within 1e-9 of their largest."""
+    reference = _tiled_shared_model(cloud)
+    scale = np.abs(reference.weights).max()
+    assert np.abs(cloud.shared.weights - reference.weights).max() <= 1e-9 * scale
+    assert cloud.shared.n_train == len(cloud.candidates)
+    assert reference.n_train == len(cloud.candidates) * len(cloud.participants)
 
 
 @pytest.fixture(scope="session")
@@ -104,7 +137,6 @@ def test_labels_are_affinity_weighted_policy_predictions(full_round):
     assert set(cloud.responses) == {r.node_id for r in robots}
     assert cloud.acks == {r.node_id for r in robots}
     _assert_pool(cloud, _expected_labels(cloud, cloud.participants))
-    assert len(cloud.pool[1]) == len(cloud.candidates) * len(cloud.participants)
     assert cloud.stage == Stage.DONE
     assert all(robot.stage == Stage.DONE for robot in robots)
     assert sorted(upload_bytes) == [r.node_id for r in robots]
@@ -115,13 +147,44 @@ def test_shared_model_does_not_depend_on_pool_order(full_round):
     robots, cloud, _ = full_round
     features, labels = cloud.pool
     reference = train(
-        np.tile(features, (len(cloud.participants), 1))[::-1],
+        features[::-1],
         labels[::-1],
         ridge_lambda=CONFIG.ridge_lambda,
         provenances=[Provenance.CROWDSOURCED] * len(labels),
     )
-    assert sorted(cloud.shared) == [r.node_id for r in robots]
-    assert all(model == reference for model in cloud.shared.values())
+    assert [r.shared_received for r in robots] == [1, 1]
+    assert cloud.shared == reference
+    _assert_tiled_fit(cloud)
+
+
+# perfbench's bench size: three robots, three samples per task.
+BENCH_CONFIG = ExperimentConfig(samples_per_task=3)
+
+
+@pytest.fixture(scope="session")
+def bench_round():
+    robots, cloud = _nodes(generate_worlds(BENCH_CONFIG)[1], BENCH_CONFIG)
+    run_round(robots, cloud, SimNetwork())
+    assert set(cloud.responses) == set(cloud.participants) and len(cloud.participants) == 3
+    return cloud
+
+
+def test_bench_round_shared_model_is_the_tiled_fit(bench_round):
+    _assert_tiled_fit(bench_round)
+
+
+def test_bench_round_candidates_segment_back_to_their_maps(bench_round):
+    """Cross-rendering then segmenting under the same style is the identity.
+
+    Every candidate, rendered in every participant's uploaded style as its
+    LabelRequest carries it, segments back to the candidate's class grid.
+    """
+    cloud = bench_round
+    want = np.stack([c.semantic.classes for _, c in cloud.candidates])
+    for node in cloud.participants:
+        style = cloud.uploads[node].style
+        seen = segment(cloud._render_candidates(node), style)
+        assert np.array_equal(np.stack([m.classes for m in seen]), want), node
 
 
 def test_dropped_robot_does_not_vote(worlds):
@@ -137,9 +200,9 @@ def test_dropped_robot_does_not_vote(worlds):
     assert set(cloud.responses) == {robots[0].node_id}
     assert robots[1].shared_received == 0 and robots[1].tuned is None
     # The silent robot is sent no shared model: none is encoded or dropped.
-    assert set(cloud.shared) == {robots[0].node_id}
     assert network.log == [f"drop LabelRequest {cloud.node_id}->{dropped} (node down)"]
     _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
+    _assert_tiled_fit(cloud)
 
 
 def test_round_holds_one_label_request_at_a_time(worlds, monkeypatch):
@@ -202,15 +265,14 @@ def test_six_robot_round_is_pinned(tmp_path, capsys):
     )
 
 
-def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkeypatch):
+def test_harness_writes_one_shared_model_sent_only_to_answering_robots(tmp_path, monkeypatch):
     dropped = NodeId.robot(1)
     monkeypatch.setattr(
         harness, "run_round", functools.partial(run_round, drop_after_upload=[dropped])
     )
     report = harness.run_experiment(replace(CONFIG, output_dir=str(tmp_path)))
     models = tmp_path / "models"
-    assert (models / "parl_shared_robot-0.dm1").exists()
-    assert not (models / "parl_shared_robot-1.dm1").exists()
+    assert sorted(p.name for p in models.glob("parl_shared*")) == ["parl_shared.dm1"]
     assert not (models / "parl_tuned_robot-1.dm1").exists()
     assert sorted(report["arms"]["parl"]) == ["robot-0"]
     assert report["protocol"] == {
@@ -220,9 +282,10 @@ def test_harness_writes_shared_models_only_for_answering_robots(tmp_path, monkey
         "violations": [],
         "network_log": ["drop LabelRequest cloud-0->robot-1 (node down)"],
     }
-    # One row per candidate and participant style, the silent robot's included.
+    # The shared model trains on one row per accepted candidate.
     assert report["augmentation"]["accepted"] == 24
-    assert report["augmentation"]["pool_size"] == 48
+    [shared] = decode_models((models / "parl_shared.dm1").read_bytes())
+    assert shared.n_train == 24
 
 
 def test_round_without_uploads_raises(worlds):
@@ -258,7 +321,7 @@ def test_shared_model_before_upload_is_a_violation(worlds, full_round):
     _, done, _ = full_round
     robots, cloud = _nodes(worlds)
     robot = robots[0]
-    shared = SharedModel(policy=done.shared[robot.node_id])
+    shared = SharedModel(policy=done.shared)
     assert robot.handle(Message(cloud.node_id, robot.node_id, 0, shared)) == []
     assert robot.stage == Stage.LOCAL_COMPUTE
     assert robot.tuned is None and robot.shared_received == 0
@@ -297,6 +360,7 @@ def test_bad_label_responses_become_violations(worlds):
         cloud.handle(reply)
     cloud.finish_round()
     _assert_pool(cloud, _expected_labels(cloud, [robots[0].node_id]))
+    _assert_tiled_fit(cloud)
 
 
 def test_second_finish_round_raises_and_sends_nothing(worlds):
@@ -306,11 +370,11 @@ def test_second_finish_round_raises_and_sends_nothing(worlds):
             cloud.handle(reply)
     dispatched = cloud.finish_round()
     assert sorted(m.recipient for m in dispatched) == [r.node_id for r in robots]
-    shared = dict(cloud.shared)
+    shared = cloud.shared
     with pytest.raises(ProtocolError, match="from DISPATCHED to CLOUD_TRAIN"):
         cloud.finish_round()
     assert cloud.stage == Stage.DISPATCHED
-    assert cloud.shared == shared
+    assert cloud.shared is shared
 
 
 def test_retired_augmented_set_tag_is_rejected():
