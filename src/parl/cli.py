@@ -15,6 +15,11 @@ configuration error (bad flag, bad file, unknown key, an output directory
 that cannot be created, a run file that is missing or does not decode, a
 model file that holds anything but one policy).
 
+`main` builds only the named command's parser, `parl <command>`, with the
+same arguments and help as that command's subparser in `build_parser()`.
+It builds the full four-command parser only for no argument, -h/--help or
+an unknown command, to print `parl`'s usage.
+
 The harness writes a run directory's inputs and models and scores them
 (`write_inputs`, `run_experiment`, `rescore`); this module names none of
 the split or model files. A run's results are the report document that
@@ -243,40 +248,62 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="parl", description="Peer-assisted robotic learning testbed")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate worlds and write datasets")
-    _add_config_flags(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_run = sub.add_parser("run", help="run the full comparison experiment")
-    _add_config_flags(p_run)
-    p_run.add_argument(
+def _run_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument(
         "--check", action="store_true",
         help="evaluate acceptance checks; exit 2 if any fail",
     )
-    p_run.set_defaults(func=cmd_run)
 
-    p_eval = sub.add_parser("eval", help="re-score saved models from a run directory")
-    p_eval.add_argument("dir", nargs="?", default=None, help="run directory (default: output dir)")
-    p_eval.add_argument(
+
+def _eval_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("dir", nargs="?", default=None, help="run directory (default: output dir)")
+    parser.add_argument(
         "--verify", action="store_true",
         help="compare recomputed scores against report.json; exit 2 on mismatch",
     )
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_report = sub.add_parser("report", help="render a saved report.json as markdown")
-    p_report.add_argument("dir", nargs="?", default=None, help="run directory (default: output dir)")
-    p_report.add_argument("--out", metavar="PATH", help="write markdown here instead of stdout")
-    p_report.set_defaults(func=cmd_report)
+
+def _report_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("dir", nargs="?", default=None, help="run directory (default: output dir)")
+    parser.add_argument("--out", metavar="PATH", help="write markdown here instead of stdout")
+
+
+# Each command: its one-line help, the function that adds its arguments, and its handler.
+_COMMANDS = {
+    "gen": ("generate worlds and write datasets", _add_config_flags, cmd_gen),
+    "run": ("run the full comparison experiment", _run_arguments, cmd_run),
+    "eval": ("re-score saved models from a run directory", _eval_arguments, cmd_eval),
+    "report": ("render a saved report.json as markdown", _report_arguments, cmd_report),
+}
+
+
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The parser, given command `name`'s arguments and its handler as `func`."""
+    _, add_arguments, func = _COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: `parl` and every command as a subparser."""
+    parser = _Parser(prog="parl", description="Peer-assisted robotic learning testbed")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed as `main` parses it: by the named command's parser alone, else the full one."""
+    if argv and argv[0] in _COMMANDS:
+        return _command_parser(_Parser(prog=f"parl {argv[0]}"), argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:

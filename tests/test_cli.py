@@ -1,7 +1,9 @@
 """CLI exit codes of `parl run` and `parl eval --verify`, byte-identical reruns of `parl run`,
 `parl gen` writing the same inputs as `parl run`, a runtime that needs no scipy or numpy.ma,
-and `parl eval` and `parl report` that load no OpenSSL."""
+`parl eval` and `parl report` that load no OpenSSL, and `main` parsing a command with that
+command's parser alone."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -537,3 +539,64 @@ def test_run_check_and_eval_verify_run_without_scipy(run_dir, tmp_path):
     first, second = _tree(run_dir), _tree(blocked)
     assert sorted(first) == sorted(second)
     assert [k for k in first if first[k] != second[k]] == []
+
+
+COMMANDS = ["gen", "run", "eval", "report"]
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    return exc.value.code
+
+
+def _subparser_help(command):
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command].format_help()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_the_full_parsers_subparser_help(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code([command, "--help"]) == 0
+    assert capsys.readouterr().out == _subparser_help(command)
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--robots", "x"], ["gen", "--no-such-flag"], ["eval", "a", "b"]]
+)
+def test_a_usage_error_after_a_command_exits_3_naming_the_command(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: parl {argv[0]} ")
+    assert f"\nparl {argv[0]}: error: " in err
+
+
+@pytest.mark.parametrize("argv, code", [([], 3), (["--help"], 0), (["bogus"], 3)])
+def test_no_command_prints_the_top_level_usage(argv, code, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(argv) == code
+    printed = capsys.readouterr()
+    assert (printed.err if code else printed.out).startswith(cli.build_parser().format_usage())
+
+
+def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["parl", "report", "--help"])
+    assert _exit_code(None) == 0
+    assert capsys.readouterr().out == _subparser_help("report")
+
+
+def test_eval_verify_builds_only_the_eval_parser(run_dir, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert cli.main(["eval", str(run_dir), "--verify"]) == 0
+    assert "VERIFY PASS" in capsys.readouterr().out
+    assert built == ["parl eval"]

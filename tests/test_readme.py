@@ -21,5 +21,9 @@ def test_every_parl_line_in_the_readme_parses():
     assert lines
     parser = cli.build_parser()
     for line in lines:
-        args = parser.parse_args(shlex.split(line)[1:])  # a usage error exits 3
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)  # a usage error exits 3
         assert callable(args.func), line
+        # main parses with the named command's parser alone; it must agree.
+        full = {key: value for key, value in vars(args).items() if key != "command"}
+        assert vars(cli.parse_args(argv)) == full, line

@@ -7,6 +7,7 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parl import baselines, styles
 from parl.augment import AugmentationCandidate
@@ -25,7 +26,16 @@ from parl.styles import (
     style_affinity,
     styles_for_agents,
 )
-from parl.world import DrivingSample, Scenario, TaskType, segment
+from parl.world import (
+    DrivingSample,
+    Provenance,
+    Scenario,
+    SemanticMap,
+    TaskType,
+    extract_instances,
+    render,
+    segment,
+)
 
 
 def _min_separation(means):
@@ -278,6 +288,48 @@ class TestCrossRender:
             assert scenario.style == style.style
             (recovered,) = segment([scenario], style)
             assert np.array_equal(recovered.classes, sample.semantic.classes), sid
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_maps_segment_back_exactly_under_built_in_and_fitted_styles(self, data):
+        """segment inverts render, and so cross_render, under any built-in or fitted style.
+
+        Maps are random class grids 16-64 cells a side, each with a road
+        cell. The fitted style is fit_style of samples rendered in the
+        drawn built-in style; the palette is written into the first row of
+        each of those samples' maps so that every class has cells to fit.
+        """
+        def class_map():
+            shape = data.draw(st.tuples(st.integers(16, 64), st.integers(16, 64)))
+            grid = data.draw(
+                arrays(np.uint8, shape, elements=st.integers(0, N_CLASSES - 1),
+                       fill=st.integers(0, N_CLASSES - 1))
+            )
+            road = data.draw(st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1)))
+            grid[road] = 0
+            return grid
+
+        seeds = st.integers(0, 2**32 - 1)
+        built = built_in_style(data.draw(st.integers(0, 15)), data.draw(seeds))
+        fit_samples = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            classes = class_map()
+            classes[0, :N_CLASSES] = np.arange(N_CLASSES)
+            semantic = SemanticMap(classes=classes)
+            fit_samples.append(
+                DrivingSample(
+                    scenario=render(semantic, built, data.draw(seeds)),
+                    semantic=semantic,
+                    instances=extract_instances(semantic.classes),
+                    label=None,
+                    task=TaskType.STRAIGHT,
+                    provenance=Provenance.HUMAN,
+                )
+            )
+        maps = [SemanticMap(classes=class_map()) for _ in range(data.draw(st.integers(1, 4)))]
+        for style in (built, fit_style(fit_samples)):
+            scenarios = [render(m, style, data.draw(seeds)) for m in maps]
+            assert segment(scenarios, style) == maps
 
     def test_cross_render_is_seed_deterministic(self, generator, small_dataset):
         sample = small_dataset[0]
