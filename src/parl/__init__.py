@@ -54,9 +54,10 @@ from .world import (
     Provenance,
     RECORD_DTYPE,
     Scenario,
-    ScenarioGenerator,
     SemanticMap,
     TaskType,
+    generate_dataset,
+    generate_scenario,
     render,
     segment,
     torque_from_geometry,
@@ -87,7 +88,6 @@ __all__ = [
     "RenderError",
     "RobotNode",
     "Scenario",
-    "ScenarioGenerator",
     "SemanticMap",
     "SimNetwork",
     "StageFailure",
@@ -110,6 +110,8 @@ __all__ = [
     "fit_style",
     "fit_what",
     "fit_where",
+    "generate_dataset",
+    "generate_scenario",
     "parse_config",
     "pooled_style",
     "qualitative_table",

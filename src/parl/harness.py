@@ -70,8 +70,8 @@ from .config import OUTPUT_ROOT_ENV, ExperimentConfig, read_config, render_confi
 from .errors import ConfigurationError, DecodeError, ParlError
 from .policy import PolicyModel, evaluate, featurize, train
 from .protocol import CloudNode, NodeId, RobotNode, SimNetwork, run_round
-from .styles import StyleModel, fit_style, styles_for_agents
-from .world import AgentProfile, DrivingSample, Provenance, ScenarioGenerator, TaskType
+from .styles import StyleModel, built_in_style, fit_style
+from .world import AgentProfile, DrivingSample, Provenance, TaskType, generate_dataset
 
 ARM_LOCAL = "local"
 ARM_JITTER = "local+jitter"
@@ -133,8 +133,8 @@ def agent_profiles(config: ExperimentConfig) -> dict[int, AgentProfile]:
 
 def generate_worlds(config: ExperimentConfig) -> tuple[dict[int, StyleModel], Splits, Splits]:
     """Per-robot built-in styles and train/holdout splits, stratified per task."""
-    styles = styles_for_agents(range(config.robots), seed=config.world_seed)
-    generator = ScenarioGenerator(styles, agent_profiles(config))
+    styles = {robot: built_in_style(robot, config.world_seed) for robot in range(config.robots)}
+    profiles = agent_profiles(config)
     n = config.samples_per_task
     n_holdout = max(1, int(round(n * config.holdout_fraction)))
     if n_holdout >= n:
@@ -148,7 +148,7 @@ def generate_worlds(config: ExperimentConfig) -> tuple[dict[int, StyleModel], Sp
                 config.world_seed * 1_000_003 + (robot * 3 + t_idx) * n + k
                 for k in range(n)
             ]
-            samples = generator.generate_dataset(robot, [task] * n, seeds)
+            samples = generate_dataset(styles[robot], profiles[robot], [task] * n, seeds)
             train[robot].extend(samples[: n - n_holdout])
             holdout[robot].extend(samples[n - n_holdout :])
     return styles, train, holdout

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -248,12 +248,3 @@ def style_affinity(a: StyleModel, b: StyleModel) -> float:
     d = float(np.mean(np.abs(a.class_means[shared] - b.class_means[shared])))
     return float(np.exp(-d / _AFFINITY_BANDWIDTH))
 
-
-def styles_for_agents(style_ids: Iterable[int], seed: int) -> dict[int, StyleModel]:
-    """Build one deterministic built-in style per agent id."""
-    out = {}
-    for sid in style_ids:
-        if sid in out:
-            raise FittingError(f"duplicate style id {sid}")
-        out[sid] = built_in_style(sid, seed)
-    return out

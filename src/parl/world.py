@@ -6,8 +6,9 @@ road corridor climbs from the vehicle toward the horizon, bent by each
 sample's curvature and shifted by its lateral offset, flanked by lane
 markings, sidewalks, and building/vegetation blocks. Cars and pedestrians
 are placed as compact instance masks. An InstanceMap holds their ids per
-cell and their records as one read-only RECORD_DTYPE table, which the
-generator and extract_instances build column by column.
+cell and their records as one read-only RECORD_DTYPE table, which
+generation and extract_instances both read off the id grid with
+_grid_records.
 
 The world's geometry and labeling gains are module constants (WORLD_WIDTH,
 WORLD_HEIGHT, SKY_ROWS, TORQUE_CURVATURE_GAIN, ...); what varies between
@@ -24,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,7 +130,7 @@ class InstanceMap:
 
     Validation checks every row's class and bbox, then finds the row of
     every instance cell and checks the cell against that row's bbox. When
-    the ids are 0..n-1 in order, as the generator, extract_instances, the
+    the ids are 0..n-1 in order, as generation, extract_instances, the
     codec and every insertion make them, a cell's value is its row. Any
     other id set (a crop keeps a subset, a decoded map may hold any ids) is
     looked up by a search over the sorted ids. The choice depends on the
@@ -336,8 +337,8 @@ def _classify_stack(pixels: np.ndarray, style: StyleModel) -> np.ndarray:
         np.abs(np.subtract(planes[2], b, out=channel), out=channel)
         np.maximum(dist, channel, out=dist)
         np.less(dist, best, out=nearer)
-        np.copyto(best, dist, where=nearer)
-        classes[nearer] = c
+        np.minimum(best, dist, out=best)
+        np.copyto(classes, np.uint8(c), where=nearer)
     return classes
 
 
@@ -415,6 +416,8 @@ def _grid_records(classes: np.ndarray, grid: np.ndarray, n: int) -> np.ndarray:
     Each row takes its class from its cells and its bbox from their extent,
     and its affine places it at the bbox origin at unit scale; one
     _label_boxes pass over the ids, shifted to 1..n, gives every bbox.
+    Generation and extract_instances share this one record rule: both
+    number their things 0..n-1 on the grid and read the table off it here.
     """
     records = np.zeros(n, dtype=RECORD_DTYPE)
     records["id"] = np.arange(n)
@@ -506,10 +509,6 @@ class _Template(NamedTuple):
     shape: tuple[int, int]
     spans: tuple[tuple[int, int, int], ...]
     bounds: tuple[int, int, int, int]
-
-
-# A placed thing: its class and its bbox (x0, y0, w, h) in cells.
-_Placement = tuple[int, int, int, int, int]
 
 
 def _template(rows: list[list[int]]) -> _Template:
@@ -660,59 +659,38 @@ def _fits(
 def _add_instance(
     cells: bytearray,
     grid: np.ndarray,
-    placements: list[_Placement],
+    inst_id: int,
     template: _Template,
     top: int,
     left: int,
     class_id: int,
 ) -> None:
-    """Paint a fitting template into cells and grid and record its placement.
+    """Paint a fitting template into cells and grid as instance inst_id.
 
-    The instance takes the next id, len(placements), and its placement
-    (class, x0, y0, w, h), the bbox of the template's set cells, is
-    appended: a later thing covers only cells no instance holds, so the
-    painted cells keep that extent.
+    No record is kept: generation reads the table off the painted grid with
+    _grid_records, the one record rule it shares with extract_instances. A
+    later thing covers only cells no instance holds, so every id keeps its
+    cells, and its record is its template's class and extent.
     """
     w = WORLD_WIDTH
-    inst_id = len(placements)
     for dy, a, b in template.spans:
         at = (top + dy) * w + left
         cells[at + a : at + b] = bytes((class_id,)) * (b - a)
         grid[top + dy, left + a : left + b] = inst_id
-    y_min, y_max, x_min, x_max = template.bounds
-    placements.append(
-        (class_id, left + x_min, top + y_min, x_max - x_min + 1, y_max - y_min + 1)
-    )
-
-
-def _placement_records(placements: list[_Placement]) -> np.ndarray:
-    """The record table of the placements, ids 0..n-1 in placement order.
-
-    Each row's affine places it at its bbox origin at unit scale, as
-    _grid_records reads a grid's records.
-    """
-    rows = np.array(placements, dtype=np.int64).reshape(-1, 5)
-    records = np.zeros(len(rows), dtype=RECORD_DTYPE)
-    records["id"] = np.arange(len(rows))
-    records["cls"] = rows[:, 0]
-    records["bbox"] = rows[:, 1:]
-    affine = records["affine"]
-    affine[:, :2] = rows[:, 1:3]
-    affine[:, 2:] = 1.0
-    return records
 
 
 def _scatter_background_things(
     rng: np.random.Generator,
     cells: bytearray,
     grid: np.ndarray,
-    placements: list[_Placement],
+    n: int,
     n_cars: int,
     n_peds: int,
-) -> None:
+) -> int:
     """Parked cars and pedestrians on the sidewalk strips, off the road.
 
-    Each thing placed takes the next id and is appended to placements.
+    The grid holds ids 0..n-1; each thing placed takes the next id, and the
+    new count is returned.
 
     No background thing lands on a road or lane cell, so the corridor,
     and with it each row's road span, is read once before the scatter;
@@ -748,18 +726,19 @@ def _scatter_background_things(
             top = row - mh + 1
             if not _fits(cells, free, template, top, left, kind):
                 continue
-            _add_instance(cells, grid, placements, template, top, left, kind)
+            _add_instance(cells, grid, n, template, top, left, kind)
             for dy, a, b in template.spans:
                 at = (top + dy) * w + left
                 free[at + a : at + b] = bytes(b - a)
+            n += 1
             placed += 1
+    return n
 
 
 def _place_corridor_car(
     rng: np.random.Generator,
     cells: bytearray,
     grid: np.ndarray,
-    placements: list[_Placement],
     centers: np.ndarray,
     side: int,
 ) -> bool:
@@ -779,89 +758,69 @@ def _place_corridor_car(
         top = row - mh + 1
         if not _fits(cells, road, template, top, left, ClassId.CAR):
             continue
-        _add_instance(cells, grid, placements, template, top, left, ClassId.CAR)
+        _add_instance(cells, grid, 0, template, top, left, ClassId.CAR)
         return True
     return False
 
 
-class ScenarioGenerator:
-    """Seeded generator of labeled driving samples for registered agents."""
+def generate_scenario(
+    style: StyleModel, profile: AgentProfile, task: TaskType, seed: int
+) -> DrivingSample:
+    """Generate one labeled sample, deterministic in (style, profile, task, seed).
 
-    def __init__(
-        self,
-        styles: Mapping[int, StyleModel],
-        profiles: Mapping[int, AgentProfile],
-    ):
-        self.styles = dict(styles)
-        self.profiles = dict(profiles)
-        for sid in self.profiles:
-            if sid not in self.styles:
-                raise ConfigurationError(f"profile for unregistered style {sid}")
-        for sid in self.styles:
-            if sid not in self.profiles:
-                raise ConfigurationError(f"style {sid} has no agent profile")
+    The torque label is computed analytically from the road geometry via
+    torque_from_geometry; avoid-cars scenes label the lateral correction
+    needed to pass the corridor car on its open side.
+    """
+    ss = np.random.SeedSequence(
+        [int(seed) & (2**63 - 1), style.style, list(TaskType).index(task), 0x5EED]
+    )
+    rng = np.random.default_rng(ss)
 
-    # -- public API --
+    curvature = 0.0
+    offset = 0.0
+    avoid_side = 0
+    if task == TaskType.TURN:
+        sign = 1.0 if rng.random() < profile.turn_right_bias else -1.0
+        curvature = sign * float(rng.uniform(*profile.curvature_range))
+        offset = float(rng.uniform(-OFFSET_JITTER, OFFSET_JITTER))
+    elif task == TaskType.AVOID_CARS:
+        avoid_side = 1 if rng.random() < 0.5 else -1
 
-    def generate_scenario(self, style: int, task: TaskType, seed: int) -> DrivingSample:
-        """Generate one labeled sample, deterministic in (style, task, seed).
+    classes, centers = _paint_layout(rng, curvature, offset)
+    cells = bytearray(classes)  # the class grid's byte rows, for placement
+    grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
 
-        The torque label is computed analytically from the road geometry via
-        torque_from_geometry; avoid-cars scenes label the lateral correction
-        needed to pass the corridor car on its open side.
-        """
-        if style not in self.styles:
-            raise ConfigurationError(f"style {style} is not registered")
-        profile = self.profiles[style]
-        ss = np.random.SeedSequence(
-            [int(seed) & (2**63 - 1), style, list(TaskType).index(task), 0x5EED]
-        )
-        rng = np.random.default_rng(ss)
+    n = 0  # things placed so far, ids 0..n-1
+    label_offset = offset
+    if task == TaskType.AVOID_CARS:
+        # Steer toward the open side of the corridor car; straight if none fits.
+        n = int(_place_corridor_car(rng, cells, grid, centers, avoid_side))
+        label_offset = -avoid_side * profile.avoid_gap if n else 0.0
 
-        curvature = 0.0
-        offset = 0.0
-        avoid_side = 0
-        if task == TaskType.TURN:
-            sign = 1.0 if rng.random() < profile.turn_right_bias else -1.0
-            curvature = sign * float(rng.uniform(*profile.curvature_range))
-            offset = float(rng.uniform(-OFFSET_JITTER, OFFSET_JITTER))
-        elif task == TaskType.AVOID_CARS:
-            avoid_side = 1 if rng.random() < 0.5 else -1
+    n_cars = int(rng.integers(*SCATTER_CARS))
+    n_peds = int(rng.integers(*SCATTER_PEDS))
+    n = _scatter_background_things(rng, cells, grid, n, n_cars, n_peds)
 
-        classes, centers = _paint_layout(rng, curvature, offset)
-        cells = bytearray(classes)  # the class grid's byte rows, for placement
-        grid = np.full(classes.shape, BACKGROUND_ID, dtype=np.int32)
-        placements: list[_Placement] = []
+    semantic = SemanticMap(classes=np.frombuffer(cells, dtype=np.uint8).reshape(classes.shape))
+    instances = InstanceMap(instance_grid=grid, records=_grid_records(semantic.classes, grid, n))
+    render_seed = int(rng.integers(0, 2**63))
+    scenario = render(semantic, style, render_seed)
+    label = torque_from_geometry(curvature, label_offset)
+    return DrivingSample(
+        scenario=scenario,
+        semantic=semantic,
+        instances=instances,
+        label=label,
+        task=task,
+        provenance=Provenance.HUMAN,
+    )
 
-        label_offset = offset
-        if task == TaskType.AVOID_CARS:
-            if _place_corridor_car(rng, cells, grid, placements, centers, avoid_side):
-                # Steer toward the open side of the corridor car.
-                label_offset = -avoid_side * profile.avoid_gap
-            else:
-                label_offset = 0.0
 
-        n_cars = int(rng.integers(*SCATTER_CARS))
-        n_peds = int(rng.integers(*SCATTER_PEDS))
-        _scatter_background_things(rng, cells, grid, placements, n_cars, n_peds)
-
-        semantic = SemanticMap(classes=np.frombuffer(cells, dtype=np.uint8).reshape(classes.shape))
-        instances = InstanceMap(instance_grid=grid, records=_placement_records(placements))
-        render_seed = int(rng.integers(0, 2**63))
-        scenario = render(semantic, self.styles[style], render_seed)
-        label = torque_from_geometry(curvature, label_offset)
-        return DrivingSample(
-            scenario=scenario,
-            semantic=semantic,
-            instances=instances,
-            label=label,
-            task=task,
-            provenance=Provenance.HUMAN,
-        )
-
-    def generate_dataset(
-        self, style: int, tasks: Sequence[TaskType], seeds: Sequence[int]
-    ) -> list[DrivingSample]:
-        if len(tasks) != len(seeds):
-            raise ConfigurationError("tasks and seeds must align")
-        return [self.generate_scenario(style, t, s) for t, s in zip(tasks, seeds)]
+def generate_dataset(
+    style: StyleModel, profile: AgentProfile, tasks: Sequence[TaskType], seeds: Sequence[int]
+) -> list[DrivingSample]:
+    """One generate_scenario sample per (task, seed) pair, in order."""
+    if len(tasks) != len(seeds):
+        raise ConfigurationError("tasks and seeds must align")
+    return [generate_scenario(style, profile, t, s) for t, s in zip(tasks, seeds)]

@@ -12,14 +12,8 @@ import pytest
 from hypothesis import settings
 
 from parl.augment import fit_scorer, fit_what, fit_where
-from parl.styles import styles_for_agents
-from parl.world import (
-    AgentProfile,
-    ScenarioGenerator,
-    TaskType,
-    extract_instances,
-    segment,
-)
+from parl.styles import built_in_style
+from parl.world import AgentProfile, TaskType, extract_instances, generate_dataset, segment
 
 settings.register_profile("ci", database=None, deadline=None, print_blob=True)
 if os.environ.get("CI"):
@@ -27,25 +21,29 @@ if os.environ.get("CI"):
 
 
 @pytest.fixture(scope="session")
-def generator():
-    styles = styles_for_agents(range(2), seed=5)
-    profile = AgentProfile(curvature_range=(0.05, 0.15), avoid_gap=0.12, turn_right_bias=0.5)
-    return ScenarioGenerator(styles, {sid: profile for sid in styles})
+def styles():
+    """The built-in styles of agents 0 and 1."""
+    return [built_in_style(agent, seed=5) for agent in range(2)]
 
 
 @pytest.fixture(scope="session")
-def small_dataset(generator):
+def profile():
+    """The one world regime both agents share."""
+    return AgentProfile(curvature_range=(0.05, 0.15), avoid_gap=0.12, turn_right_bias=0.5)
+
+
+@pytest.fixture(scope="session")
+def small_dataset(styles, profile):
     """18 labeled samples for agent 0, six per task."""
     tasks = [task for task in TaskType for _ in range(6)]
     seeds = list(range(100, 100 + len(tasks)))
-    return generator.generate_dataset(0, tasks, seeds)
+    return generate_dataset(styles[0], profile, tasks, seeds)
 
 
 @pytest.fixture(scope="session")
-def layouts(generator, small_dataset):
+def layouts(styles, small_dataset):
     """The small dataset segmented under its own style, with its instances."""
-    style = generator.styles[0]
-    semantics = segment([s.scenario for s in small_dataset], style)
+    semantics = segment([s.scenario for s in small_dataset], styles[0])
     return [(m, extract_instances(m.classes)) for m in semantics]
 
 

@@ -49,7 +49,7 @@ from parl.world import (
 
 
 @pytest.fixture(scope="module")
-def artifacts(generator, small_dataset):
+def artifacts(small_dataset):
     """One instance of every encodable artifact kind."""
     style = fit_style(small_dataset)
     features = featurize(small_dataset, style)

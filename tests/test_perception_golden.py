@@ -22,7 +22,7 @@ import pytest
 from parl.baselines import baseline_color_jitter, baseline_random_resized_crop, pooled_style
 from parl.errors import ParlError
 from parl.policy import featurize
-from parl.world import TaskType, extract_instances, segment
+from parl.world import TaskType, extract_instances, generate_dataset, segment
 
 
 def _inputs(small_dataset):
@@ -33,12 +33,12 @@ def _inputs(small_dataset):
     }
 
 
-def _styles(generator, small_dataset):
+def _styles(styles, profile, small_dataset):
     tasks = [task for task in TaskType for _ in range(6)]
-    other = generator.generate_dataset(1, tasks, list(range(100, 100 + len(tasks))))
+    other = generate_dataset(styles[1], profile, tasks, list(range(100, 100 + len(tasks))))
     return {
-        "own": generator.styles[0],
-        "other": generator.styles[1],
+        "own": styles[0],
+        "other": styles[1],
         "pooled": pooled_style(list(small_dataset) + other),
     }
 
@@ -82,11 +82,11 @@ def _digest(samples, style, fn):
     return h.hexdigest(), raised
 
 
-def digests(generator, small_dataset) -> dict:
-    styles = _styles(generator, small_dataset)
+def digests(styles, profile, small_dataset) -> dict:
+    named = _styles(styles, profile, small_dataset)
     out = {}
     for set_name, samples in _inputs(small_dataset).items():
-        for style_name, style in styles.items():
+        for style_name, style in named.items():
             for kind, fn in (("segment", _segment_bytes), ("featurize", _feature_bytes)):
                 out[f"{set_name}/{style_name}/{kind}"] = _digest(samples, style, fn)
     return out
@@ -179,8 +179,8 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def computed(generator, small_dataset):
-    return digests(generator, small_dataset)
+def computed(styles, profile, small_dataset):
+    return digests(styles, profile, small_dataset)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -196,10 +196,12 @@ def test_golden_covers_every_case(computed):
 
 
 @pytest.mark.parametrize("set_name", ["sample", "jitter", "crop"])
-def test_batched_perception_matches_one_sample_at_a_time(generator, small_dataset, set_name):
+def test_batched_perception_matches_one_sample_at_a_time(
+    styles, profile, small_dataset, set_name
+):
     """One segment and one featurize call per (input set, style) give the pinned per-sample bytes."""
     samples = _inputs(small_dataset)[set_name]
-    for style in _styles(generator, small_dataset).values():
+    for style in _styles(styles, profile, small_dataset).values():
         kept, first_error = [], None
         for sample in samples:
             try:

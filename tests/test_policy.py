@@ -23,7 +23,7 @@ from parl.policy import (
     train,
 )
 from parl.styles import fit_style, style_affinity
-from parl.world import ClassId, Provenance, Scenario, SemanticMap, TaskType
+from parl.world import ClassId, Provenance, Scenario, SemanticMap, TaskType, generate_dataset
 
 # Values whose bytes order differently from their numbers: both zeros, a
 # negative, an infinity and a NaN.
@@ -333,10 +333,10 @@ class TestTrain:
 
 class TestFineTune:
     @pytest.fixture
-    def shared_and_local(self, generator):
+    def shared_and_local(self, styles, profile):
         tasks = [TaskType.TURN, TaskType.AVOID_CARS, TaskType.STRAIGHT] * 8
-        local_samples = generator.generate_dataset(0, tasks, seeds=range(500, 524))
-        other_samples = generator.generate_dataset(1, tasks, seeds=range(600, 624))
+        local_samples = generate_dataset(styles[0], profile, tasks, seeds=range(500, 524))
+        other_samples = generate_dataset(styles[1], profile, tasks, seeds=range(600, 624))
         style0 = fit_style(local_samples)
         style1 = fit_style(other_samples)
         local = _rows(local_samples, style0)
@@ -345,7 +345,7 @@ class TestFineTune:
         shared = train(
             np.concatenate((local[0], other[0])), pooled_labels, 1e-4, _human(pooled_labels)
         )
-        holdout = generator.generate_dataset(0, tasks[:12], seeds=range(700, 712))
+        holdout = generate_dataset(styles[0], profile, tasks[:12], seeds=range(700, 712))
         return shared, local, _rows(holdout, style0)
 
     def test_mix_one_returns_shared_weights_exactly(self, shared_and_local):
@@ -398,7 +398,7 @@ class TestFineTune:
 
 
 class TestCrowdsource:
-    def test_singleton_ensemble_is_its_prediction(self, generator, small_dataset):
+    def test_singleton_ensemble_is_its_prediction(self, small_dataset):
         style = fit_style(small_dataset)
         features, labels = _rows(small_dataset, style)
         model = train(features, labels, 1e-3, _human(labels))
@@ -416,21 +416,21 @@ class TestCrowdsource:
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
     @settings(max_examples=30, deadline=None)
-    def test_labels_are_convex_combinations(self, generator, small_dataset, values):
-        targets = [fit_style(small_dataset), generator.styles[1]]
+    def test_labels_are_convex_combinations(self, styles, small_dataset, values):
+        targets = [fit_style(small_dataset), styles[1]]
         feats = features_from_maps([small_dataset[0].semantic])
         preds = np.array([_constant_model(v).predict(feats) for v in values])
-        member_styles = [generator.styles[k % 2] for k in range(len(values))]
+        member_styles = [styles[k % 2] for k in range(len(values))]
         [label] = crowdsource_labels(preds, member_styles, targets)
         assert min(values) - 1e-12 <= label <= max(values) + 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 4), n=st.integers(0, 6))
     @settings(max_examples=40)
-    def test_labels_match_the_per_column_dot(self, generator, seed, members, n):
+    def test_labels_match_the_per_column_dot(self, styles, seed, members, n):
         rng = np.random.default_rng(seed)
         preds = _clamped_predictions(rng, members, n)
-        member_styles = [generator.styles[k % 2] for k in range(members)]
-        targets = [generator.styles[k] for k in rng.integers(0, 2, 1 + seed % 3)]
+        member_styles = [styles[k % 2] for k in range(members)]
+        targets = [styles[k] for k in rng.integers(0, 2, 1 + seed % 3)]
         want = _labels_column_by_column(preds, member_styles, targets)
         assert _bits(crowdsource_labels(preds, member_styles, targets)) == _bits(want)
 
@@ -442,11 +442,11 @@ class TestCrowdsource:
     )
     @settings(max_examples=60, deadline=None)
     def test_labels_are_the_mean_of_the_per_target_labels(
-        self, generator, small_dataset, seed, members, targets, n
+        self, styles, small_dataset, seed, members, targets, n
     ):
         """One label per candidate is the mean of the labels each target alone gives."""
         # Two built-in styles and two fitted from samples in their styles.
-        styles = [*generator.styles.values(), fit_style(small_dataset), fit_style(small_dataset[::2])]
+        styles = [*styles, fit_style(small_dataset), fit_style(small_dataset[::2])]
         preds = _clamped_predictions(np.random.default_rng(seed), len(members), n)
         member_styles = [styles[k] for k in members]
         per_target = [
@@ -465,15 +465,16 @@ class TestCrowdsource:
 
 
 class TestEvaluate:
-    def test_constant_half_on_straight_scenes_is_exact(self, generator):
-        straights = generator.generate_dataset(
-            0, [TaskType.STRAIGHT] * 8, seeds=range(800, 808)
+    def test_constant_half_on_straight_scenes_is_exact(self, styles, profile):
+        straights = generate_dataset(
+            styles[0], profile, [TaskType.STRAIGHT] * 8, seeds=range(800, 808)
         )
         style = fit_style(straights) if False else None
         # straight labels are exactly 0.5 by construction, so use any style
         # fitted from richer data to keep segmentation fair
-        rich = generator.generate_dataset(
-            0,
+        rich = generate_dataset(
+            styles[0],
+            profile,
             [TaskType.TURN, TaskType.AVOID_CARS, TaskType.STRAIGHT] * 4,
             seeds=range(820, 832),
         )

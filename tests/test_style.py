@@ -24,7 +24,6 @@ from parl.styles import (
     cross_render,
     fit_style,
     style_affinity,
-    styles_for_agents,
 )
 from parl.world import (
     DrivingSample,
@@ -33,6 +32,8 @@ from parl.world import (
     SemanticMap,
     TaskType,
     extract_instances,
+    generate_dataset,
+    generate_scenario,
     render,
     segment,
 )
@@ -88,23 +89,19 @@ class TestBuiltInStyles:
         assert (style.class_spreads < style.separation_floor / 2).all()
 
     def test_distinct_agents_get_distinct_palettes(self):
-        styles = styles_for_agents(range(4), seed=3)
+        palettes = [built_in_style(agent, seed=3).class_means for agent in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
-                assert not np.allclose(styles[i].class_means, styles[j].class_means)
-
-    def test_styles_for_agents_rejects_duplicates(self):
-        with pytest.raises(FittingError, match="duplicate"):
-            styles_for_agents([1, 1], seed=0)
+                assert not np.allclose(palettes[i], palettes[j])
 
     def test_style_id_recorded(self):
         assert built_in_style(6, seed=1).style == 6
 
 
 class TestFitStyle:
-    def test_recovers_generating_palette(self, generator, small_dataset):
+    def test_recovers_generating_palette(self, styles, small_dataset):
         fitted = fit_style(small_dataset)
-        truth = generator.styles[0]
+        truth = styles[0]
         assert fitted.style == truth.style
         # fitted means sit near the true palette, well within the floor
         assert np.max(np.abs(fitted.class_means - truth.class_means)) < DEFAULT_SEPARATION_FLOOR / 2
@@ -119,9 +116,9 @@ class TestFitStyle:
         with pytest.raises(FittingError, match="at least one sample"):
             fit_style([])
 
-    def test_mixed_styles_rejected(self, generator):
-        a = generator.generate_scenario(style=0, task=TaskType.STRAIGHT, seed=400)
-        b = generator.generate_scenario(style=1, task=TaskType.STRAIGHT, seed=401)
+    def test_mixed_styles_rejected(self, styles, profile):
+        a = generate_scenario(styles[0], profile, TaskType.STRAIGHT, seed=400)
+        b = generate_scenario(styles[1], profile, TaskType.STRAIGHT, seed=401)
         with pytest.raises(FittingError, match="span styles"):
             fit_style([a, b])
 
@@ -198,12 +195,12 @@ def _class_sums_by_bincount(samples):
 
 
 @pytest.fixture(scope="module")
-def robot_splits(generator):
+def robot_splits(styles, profile):
     """Two robots' training splits, two samples per task each."""
     tasks = [task for task in TaskType for _ in range(2)]
     return [
-        generator.generate_dataset(robot, tasks, list(range(600 + 10 * robot, 606 + 10 * robot)))
-        for robot in range(2)
+        generate_dataset(style, profile, tasks, list(range(600 + 10 * robot, 606 + 10 * robot)))
+        for robot, style in enumerate(styles)
     ]
 
 
@@ -274,7 +271,7 @@ class TestCachedClassStats:
 
 
 class TestCrossRender:
-    def test_cross_render_segments_back_exactly(self, generator, small_dataset):
+    def test_cross_render_segments_back_exactly(self, styles, small_dataset):
         sample = small_dataset[0]
         candidate = AugmentationCandidate(
             semantic=sample.semantic,
@@ -283,7 +280,7 @@ class TestCrossRender:
             source_sample_id=0,
             score=None,
         )
-        for sid, style in generator.styles.items():
+        for sid, style in enumerate(styles):
             scenario = cross_render(candidate, style, seed=77)
             assert scenario.style == style.style
             (recovered,) = segment([scenario], style)
@@ -331,7 +328,7 @@ class TestCrossRender:
             scenarios = [render(m, style, data.draw(seeds)) for m in maps]
             assert segment(scenarios, style) == maps
 
-    def test_cross_render_is_seed_deterministic(self, generator, small_dataset):
+    def test_cross_render_is_seed_deterministic(self, styles, small_dataset):
         sample = small_dataset[0]
         candidate = AugmentationCandidate(
             semantic=sample.semantic,
@@ -340,7 +337,7 @@ class TestCrossRender:
             source_sample_id=0,
             score=None,
         )
-        style = generator.styles[1]
+        style = styles[1]
         a = cross_render(candidate, style, seed=5)
         b = cross_render(candidate, style, seed=5)
         c = cross_render(candidate, style, seed=6)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from parl.codec import decode_samples, encode_samples
 from parl.errors import ConfigurationError, RenderError
-from parl.styles import N_CLASSES, built_in_style, styles_for_agents
+from parl.styles import N_CLASSES, built_in_style
 from parl.world import (
     BACKGROUND_ID,
     OFFSET_JITTER,
@@ -21,12 +21,14 @@ from parl.world import (
     Provenance,
     RECORD_DTYPE,
     Scenario,
-    ScenarioGenerator,
     SemanticMap,
     TaskType,
+    _grid_records,
     _shape_chunks,
     _texture_noise,
     extract_instances,
+    generate_dataset,
+    generate_scenario,
     render,
     segment,
     torque_from_geometry,
@@ -80,20 +82,19 @@ def test_torque_is_half_iff_geometry_vanishes():
         assert torque_from_geometry(0.0, -eps) != 0.5
 
 
-def test_straight_samples_label_exactly_half(generator):
+def test_straight_samples_label_exactly_half(styles, profile):
     for seed in range(8):
-        sample = generator.generate_scenario(0, TaskType.STRAIGHT, seed)
+        sample = generate_scenario(styles[0], profile, TaskType.STRAIGHT, seed)
         assert sample.label == 0.5
 
 
-def test_avoid_labels_match_gap_and_side(generator):
+def test_avoid_labels_match_gap_and_side(styles, profile):
     """Avoid labels are exactly 0.5 -/+ gap, steering away from the car."""
     from parl.policy import OBSTACLE_SENTINEL, features_from_maps
 
-    profile = generator.profiles[0]
     seen_sides = set()
     for seed in range(12):
-        sample = generator.generate_scenario(0, TaskType.AVOID_CARS, seed)
+        sample = generate_scenario(styles[0], profile, TaskType.AVOID_CARS, seed)
         left_label = torque_from_geometry(0.0, -profile.avoid_gap)
         right_label = torque_from_geometry(0.0, profile.avoid_gap)
         assert sample.label in (0.5, left_label, right_label)
@@ -112,23 +113,22 @@ def test_avoid_labels_match_gap_and_side(generator):
     assert seen_sides == {"left", "right"}
 
 
-def test_turn_labels_respect_profile_band(generator):
-    profile = generator.profiles[0]
+def test_turn_labels_respect_profile_band(styles, profile):
     lo = TORQUE_CURVATURE_GAIN * profile.curvature_range[0] - OFFSET_JITTER
     hi = TORQUE_CURVATURE_GAIN * profile.curvature_range[1] + OFFSET_JITTER
     for seed in range(10):
-        sample = generator.generate_scenario(0, TaskType.TURN, seed)
+        sample = generate_scenario(styles[0], profile, TaskType.TURN, seed)
         assert lo <= abs(sample.label - 0.5) <= hi
 
 
-def test_generation_is_deterministic(generator):
-    a = generator.generate_scenario(1, TaskType.AVOID_CARS, 77)
-    b = generator.generate_scenario(1, TaskType.AVOID_CARS, 77)
+def test_generation_is_deterministic(styles, profile):
+    a = generate_scenario(styles[1], profile, TaskType.AVOID_CARS, 77)
+    b = generate_scenario(styles[1], profile, TaskType.AVOID_CARS, 77)
     assert a.label == b.label
     assert a.semantic == b.semantic
     assert a.instances == b.instances
     assert np.array_equal(a.scenario.pixels, b.scenario.pixels)
-    c = generator.generate_scenario(1, TaskType.AVOID_CARS, 78)
+    c = generate_scenario(styles[1], profile, TaskType.AVOID_CARS, 78)
     assert not np.array_equal(a.scenario.pixels, c.scenario.pixels)
 
 
@@ -157,6 +157,43 @@ def test_sample_maps_are_consistent(small_dataset):
             assert affine == [x, y, 1.0, 1.0]
 
 
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    task=st.sampled_from(list(TaskType)),
+    style_id=st.integers(0, 3),
+    world_seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 1.0),
+    turn_right_bias=st.sampled_from([0.1, 0.9]),
+)
+@settings(max_examples=60, deadline=None)
+def test_generated_records_are_read_off_the_painted_grid(
+    seed, task, style_id, world_seed, t, turn_right_bias
+):
+    """Each id 0..n-1 holds a cell, and its record is its cells' class and tight extent.
+
+    Profiles are shaped like harness.agent_profiles'. The table is the one
+    _grid_records reads off the sample's class and id grids, the rule
+    extract_instances follows too.
+    """
+    profile = AgentProfile(
+        curvature_range=(0.08, 0.18), avoid_gap=0.16 + 0.02 * t, turn_right_bias=turn_right_bias
+    )
+    sample = generate_scenario(built_in_style(style_id, world_seed), profile, task, seed)
+    classes = sample.semantic.classes
+    grid = sample.instances.instance_grid
+    records = sample.instances.records
+    n = len(records)
+    assert records["id"].tolist() == list(range(n))
+    assert set(np.unique(grid).tolist()) <= {BACKGROUND_ID, *range(n)}
+    for inst_id, cls, bbox in zip(range(n), records["cls"].tolist(), records["bbox"].tolist()):
+        ys, xs = np.nonzero(grid == inst_id)
+        assert ys.size > 0
+        assert set(classes[ys, xs].tolist()) == {cls}
+        extent = [xs.min(), ys.min(), xs.max() - xs.min() + 1, ys.max() - ys.min() + 1]
+        assert bbox == extent
+    assert records.tobytes() == _grid_records(classes, grid, n).tobytes()
+
+
 def test_sample_covers_every_class(small_dataset):
     union = np.zeros(8, dtype=bool)
     for sample in small_dataset:
@@ -182,8 +219,8 @@ def test_extract_instances_oracle():
         assert (classes[cells] == cls).all()
 
 
-def test_render_segment_roundtrip_smoke(generator, small_dataset):
-    style = generator.styles[0]
+def test_render_segment_roundtrip_smoke(styles, small_dataset):
+    style = styles[0]
     semantics = segment([s.scenario for s in small_dataset[:5]], style)
     for sample, semantic in zip(small_dataset[:5], semantics):
         instances = extract_instances(semantic.classes)
@@ -255,17 +292,9 @@ def test_render_in_place_matches_the_out_of_place_expression(
     assert pixels.dtype == want.dtype and pixels.tobytes() == want.tobytes()
 
 
-def test_generator_rejects_a_style_without_a_profile():
-    profile = AgentProfile(curvature_range=(0.05, 0.15), avoid_gap=0.12, turn_right_bias=0.5)
-    with pytest.raises(ConfigurationError, match=r"^style 1 has no agent profile$"):
-        ScenarioGenerator(styles_for_agents(range(2), seed=5), {0: profile})
-
-
-def test_generator_rejects_unknown_style(generator):
-    with pytest.raises(ConfigurationError):
-        generator.generate_scenario(9, TaskType.STRAIGHT, 1)
-    with pytest.raises(ConfigurationError):
-        generator.generate_dataset(0, [TaskType.TURN], [1, 2])
+def test_generate_dataset_rejects_misaligned_tasks_and_seeds(styles, profile):
+    with pytest.raises(ConfigurationError, match="^tasks and seeds must align$"):
+        generate_dataset(styles[0], profile, [TaskType.TURN], [1, 2])
 
 
 def test_sample_rejects_label_outside_unit_interval(small_dataset):

@@ -12,8 +12,8 @@ The values were recorded from the per-row, per-attempt generator that
 predates the array-pass painting and scatter; the default config's seeds
 32-40 were recorded from the numpy-mask scatter that the byte-row scatter
 replaced. They are the contract every
-rewrite of `ScenarioGenerator`, `render` or the dataset codec must meet
-exactly: never regenerate them to make a change pass.
+rewrite of `generate_scenario`, `generate_dataset`, `render` or the dataset
+codec must meet exactly: never regenerate them to make a change pass.
 """
 
 import hashlib
